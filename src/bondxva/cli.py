@@ -12,8 +12,10 @@ Four subcommands, each driven by a JSON config file:
 * ``compare-conventions``: the proposed aggregation next to three legacy
   recipes on the same exposures.
 
-Reports are JSON with keys sorted and floats rounded to 10 significant
-digits, so identical configs produce byte-identical output. Exit codes:
+Reports are strict JSON with keys sorted and floats rounded to 10
+significant digits, so identical configs produce byte-identical output.
+Numbers in a config must be finite: the ``NaN`` and ``Infinity`` that JSON
+input may spell are refused with the key that holds them. Exit codes:
 0 success, 2 config or validation error, 3 calibration failure,
 4 recursive solver failed to converge.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from .bond_pricer import RecoveryConvention, price_bond
@@ -60,14 +63,31 @@ def _check_keys(cfg: dict, allowed: set, label: str) -> None:
         raise ConfigError(f"{label}: unknown keys {sorted(unknown)}")
 
 
+def _float(value, label: str) -> float:
+    """float(value), refusing the NaN and +-Infinity that JSON input may hold."""
+    out = float(value)
+    if not math.isfinite(out):
+        raise ConfigError(f"{label}: expected a finite number, got {value!r}")
+    return out
+
+
+def _int(value, label: str) -> int:
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{label}: expected a finite number, got {value!r}")
+    return int(value)
+
+
 def _parse_curve(obj, label: str) -> PiecewiseCurve:
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return PiecewiseCurve.flat(float(obj))
+        return PiecewiseCurve.flat(_float(obj, label))
     if isinstance(obj, dict):
         _check_keys(obj, {"times", "values"}, label)
         times = _require(obj, "times", label)
         values = _require(obj, "values", label)
-        return PiecewiseCurve(tuple(times), tuple(values))
+        return PiecewiseCurve(
+            tuple(_float(t, f"{label}.times") for t in times),
+            tuple(_float(v, f"{label}.values") for v in values),
+        )
     raise ConfigError(f"{label}: expected a number or {{times, values}}")
 
 
@@ -75,7 +95,7 @@ def _parse_profile(obj, label: str) -> CounterpartyProfile:
     if not isinstance(obj, dict):
         raise ConfigError(f"{label}: expected an object")
     _check_keys(obj, {"recovery", "hazard", "basis"}, label)
-    recovery = float(_require(obj, "recovery", label))
+    recovery = _float(_require(obj, "recovery", label), f"{label}.recovery")
     hazard = _parse_curve(obj.get("hazard", 0.0), f"{label}.hazard")
     basis = _parse_curve(obj.get("basis", 0.0), f"{label}.basis")
     return CounterpartyProfile(recovery=recovery, hazard=hazard, basis=basis)
@@ -88,36 +108,42 @@ def _parse_instrument(obj, label: str = "instrument") -> Instrument:
     if kind == "zero_coupon_bond":
         _check_keys(obj, {"kind", "notional", "maturity"}, label)
         return Instrument.zero_coupon_bond(
-            float(_require(obj, "notional", label)),
-            float(_require(obj, "maturity", label)),
+            _float(_require(obj, "notional", label), f"{label}.notional"),
+            _float(_require(obj, "maturity", label), f"{label}.maturity"),
         )
     if kind == "coupon_bond":
         _check_keys(obj, {"kind", "notional", "coupon", "pay_times", "flows"}, label)
         if "flows" in obj:
-            flows = tuple((float(t), float(a)) for t, a in obj["flows"])
+            flows = tuple(
+                (_float(t, f"{label}.flows"), _float(a, f"{label}.flows"))
+                for t, a in obj["flows"]
+            )
             schedule = CashflowSchedule(
-                flows, float(obj.get("notional", flows[-1][1]))
+                flows, _float(obj.get("notional", flows[-1][1]), f"{label}.notional")
             )
             return Instrument.coupon_bond(schedule)
         from .instruments import bullet_bond
 
         schedule = bullet_bond(
-            float(_require(obj, "notional", label)),
-            float(_require(obj, "coupon", label)),
-            tuple(float(t) for t in _require(obj, "pay_times", label)),
+            _float(_require(obj, "notional", label), f"{label}.notional"),
+            _float(_require(obj, "coupon", label), f"{label}.coupon"),
+            tuple(
+                _float(t, f"{label}.pay_times") for t in _require(obj, "pay_times", label)
+            ),
         )
         return Instrument.coupon_bond(schedule)
     if kind == "forward":
         _check_keys(obj, {"kind", "strike", "expiry"}, label)
         return Instrument.forward(
-            float(_require(obj, "strike", label)), float(_require(obj, "expiry", label))
+            _float(_require(obj, "strike", label), f"{label}.strike"),
+            _float(_require(obj, "expiry", label), f"{label}.expiry"),
         )
     if kind == "european_option":
         _check_keys(obj, {"kind", "option_type", "strike", "expiry"}, label)
         return Instrument.european_option(
             str(_require(obj, "option_type", label)),
-            float(_require(obj, "strike", label)),
-            float(_require(obj, "expiry", label)),
+            _float(_require(obj, "strike", label), f"{label}.strike"),
+            _float(_require(obj, "expiry", label), f"{label}.expiry"),
         )
     raise ConfigError(f"{label}: unknown kind {kind!r}")
 
@@ -130,9 +156,9 @@ def _parse_collateral(obj, label: str = "collateral") -> CollateralSpec:
     _check_keys(obj, {"mode", "threshold", "offset", "cure_period"}, label)
     return CollateralSpec(
         mode=obj.get("mode", "none"),
-        threshold=float(obj.get("threshold", 0.0)),
-        offset=float(obj.get("offset", 0.0)),
-        cure_period=float(obj.get("cure_period", 0.0)),
+        threshold=_float(obj.get("threshold", 0.0), f"{label}.threshold"),
+        offset=_float(obj.get("offset", 0.0), f"{label}.offset"),
+        cure_period=_float(obj.get("cure_period", 0.0), f"{label}.cure_period"),
     )
 
 
@@ -150,7 +176,7 @@ def _parse_dynamics(obj, label: str = "dynamics") -> ModelDynamics | None:
     _check_keys(obj, _DYNAMICS_KEYS, label)
     if "s0" not in obj:
         raise ConfigError(f"{label}: missing required key 's0'")
-    return ModelDynamics(**{k: float(v) for k, v in obj.items()})
+    return ModelDynamics(**{k: _float(v, f"{label}.{k}") for k, v in obj.items()})
 
 
 def _parse_solver(obj, label: str = "solver") -> SolverParams:
@@ -159,11 +185,14 @@ def _parse_solver(obj, label: str = "solver") -> SolverParams:
     _check_keys(obj, {"tol", "max_iter", "damping", "det_steps", "regression_degree"}, label)
     defaults = SolverParams()
     return SolverParams(
-        tol=float(obj.get("tol", defaults.tol)),
-        max_iter=int(obj.get("max_iter", defaults.max_iter)),
-        damping=float(obj.get("damping", defaults.damping)),
-        det_steps=int(obj.get("det_steps", defaults.det_steps)),
-        regression_degree=int(obj.get("regression_degree", defaults.regression_degree)),
+        tol=_float(obj.get("tol", defaults.tol), f"{label}.tol"),
+        max_iter=_int(obj.get("max_iter", defaults.max_iter), f"{label}.max_iter"),
+        damping=_float(obj.get("damping", defaults.damping), f"{label}.damping"),
+        det_steps=_int(obj.get("det_steps", defaults.det_steps), f"{label}.det_steps"),
+        regression_degree=_int(
+            obj.get("regression_degree", defaults.regression_degree),
+            f"{label}.regression_degree",
+        ),
     )
 
 
@@ -172,10 +201,10 @@ def _parse_grid(obj, label: str = "grid") -> SpatialGrid | None:
         return None
     _check_keys(obj, {"s_min", "s_max", "n_space", "n_time"}, label)
     return SpatialGrid(
-        s_min=float(_require(obj, "s_min", label)),
-        s_max=float(_require(obj, "s_max", label)),
-        n_space=int(_require(obj, "n_space", label)),
-        n_time=int(_require(obj, "n_time", label)),
+        s_min=_float(_require(obj, "s_min", label), f"{label}.s_min"),
+        s_max=_float(_require(obj, "s_max", label), f"{label}.s_max"),
+        n_space=_int(_require(obj, "n_space", label), f"{label}.n_space"),
+        n_time=_int(_require(obj, "n_time", label), f"{label}.n_time"),
     )
 
 
@@ -192,7 +221,10 @@ def _round_floats(obj):
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
+    # strict JSON: a NaN or inf in a report raises instead of being printed
+    text = json.dumps(
+        _round_floats(payload), sort_keys=True, indent=2, allow_nan=False
+    ) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -222,7 +254,7 @@ def _cmd_bond_price(cfg: dict) -> dict:
     ois = _parse_curve(_require(cfg, "ois", "bond-price"), "ois")
     issuer = _parse_profile(_require(cfg, "issuer", "bond-price"), "issuer")
     convention = RecoveryConvention.coerce(cfg.get("convention", "riskless"))
-    t = float(cfg.get("t", 0.0))
+    t = _float(cfg.get("t", 0.0), "bond-price.t")
     price = price_bond(bond, ois, issuer, t=t, convention=convention)
     return {
         "command": "bond-price",
@@ -248,7 +280,7 @@ def _cmd_calibrate(cfg: dict) -> dict:
         bond = _parse_instrument(_require(q, "bond", label), f"{label}.bond")
         if bond.schedule is None:
             raise ConfigError(f"{label}: quotes must be bonds")
-        quotes.append((bond, float(_require(q, "price", label))))
+        quotes.append((bond, _float(_require(q, "price", label), f"{label}.price")))
     basis = bootstrap_basis(quotes, ois, issuer.hazard, issuer.recovery, convention)
     fitted = CounterpartyProfile(
         recovery=issuer.recovery, hazard=issuer.hazard, basis=basis
@@ -292,10 +324,10 @@ def _parse_xva_common(cfg: dict, label: str):
         dyn=dyn,
         params=params,
         bond_mode=bool(cfg.get("bond_mode", False)),
-        n_paths=int(mc.get("n_paths", 50_000)),
-        n_steps=int(mc.get("n_steps", 50)),
-        seed=int(mc.get("seed", 20_200_814)),
-        n_workers=int(mc.get("n_workers", 1)),
+        n_paths=_int(mc.get("n_paths", 50_000), "mc.n_paths"),
+        n_steps=_int(mc.get("n_steps", 50), "mc.n_steps"),
+        seed=_int(mc.get("seed", 20_200_814), "mc.seed"),
+        n_workers=_int(mc.get("n_workers", 1), "mc.n_workers"),
         grid=grid,
     )
     return instrument, ois, counterparty, bank, collateral, kwargs
@@ -375,6 +407,7 @@ def main(argv=None) -> int:
             payload, code = _cmd_xva(cfg, args.exposure_csv)
         else:
             payload, code = _cmd_compare(cfg), EXIT_OK
+        _emit(payload, args.out)
     except CalibrationError as exc:
         print(f"error: calibration failed: {exc}", file=sys.stderr)
         return EXIT_CALIBRATION
@@ -384,7 +417,6 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, TypeError, KeyError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    _emit(payload, args.out)
     return code
 
 

@@ -125,7 +125,9 @@ class PathSet:
 
     Arrays are shaped (n_paths, n_steps + 1). tau_c / tau_b are +inf on
     paths that do not default before the crossing of their exponential
-    clock within the horizon, and None until sampled. Treat all arrays as
+    clock within the horizon, and None until sampled. clock_columns names
+    the columns of each block's exponential draws that drive (tau_c, tau_b),
+    so that a role swap hands each name its own clock. Treat all arrays as
     read-only.
     """
 
@@ -136,6 +138,7 @@ class PathSet:
     seed: int
     tau_c: np.ndarray | None = None
     tau_b: np.ndarray | None = None
+    clock_columns: tuple[int, int] = (0, 1)
 
     @property
     def n_paths(self) -> int:
@@ -281,6 +284,7 @@ def sample_default_times(
 
     lam_c = intensity(paths.pi_c, recovery_c, basis_c)
     lam_b = intensity(paths.pi_b, recovery_b, basis_b)
+    col_c, col_b = paths.clock_columns
 
     tau_c = np.empty(paths.n_paths)
     tau_b = np.empty(paths.n_paths)
@@ -290,10 +294,10 @@ def sample_default_times(
         )
         draws = gen.standard_exponential((stop - start, 2))
         tau_c[start:stop] = _sample_clock(
-            lam_c[start:stop], paths.times, draws[:, 0]
+            lam_c[start:stop], paths.times, draws[:, col_c]
         )
         tau_b[start:stop] = _sample_clock(
-            lam_b[start:stop], paths.times, draws[:, 1]
+            lam_b[start:stop], paths.times, draws[:, col_b]
         )
     return replace(paths, tau_c=tau_c, tau_b=tau_b)
 
@@ -301,7 +305,8 @@ def sample_default_times(
 def swap_roles(paths: PathSet) -> PathSet:
     """The same simulated world seen from the other side of the trade."""
     return replace(
-        paths, pi_c=paths.pi_b, pi_b=paths.pi_c, tau_c=paths.tau_b, tau_b=paths.tau_c
+        paths, pi_c=paths.pi_b, pi_b=paths.pi_c, tau_c=paths.tau_b, tau_b=paths.tau_c,
+        clock_columns=paths.clock_columns[::-1],
     )
 
 

@@ -18,7 +18,13 @@ halved), the nonlinear funding source treated explicitly at the old time
 level, linearity boundary at s_max (one-sided convection, zero curvature)
 and a frozen ODE at s_min (exact at s_min = 0, where the generator
 degenerates). Cash flows of schedule trades enter as jumps at their pay
-dates, which sit on the time grid by construction.
+dates, which sit on the time grid by construction. Each tridiagonal step
+matrix depends only on (dt, rate, theta), so it is LU-factored once per
+distinct key (LAPACK gttrf) and every step is a gttrs solve. Per time step
+there are three solves: V^c, V, and the four auxiliary surfaces, which share
+the matrix of V and go as one four-column right-hand side. Non-finite
+input is rejected with ValueError: in the step matrix when it is factored,
+or in the auxiliary sources, which every solved surface feeds.
 
 Restrictions: zero cure period and deterministic spreads. The reported
 adjustments come from four auxiliary linear equations driven by the solved
@@ -33,7 +39,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .curves import CounterpartyProfile, PiecewiseCurve
 from .instruments import CollateralSpec, Instrument, collateral_amount
@@ -49,6 +55,8 @@ __all__ = [
 ]
 
 _RANNACHER_SEGMENTS = 2
+# times per block of the exposure quadrature
+_EXPOSURE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -105,7 +113,14 @@ def _time_grid(instrument: Instrument, curves, n_time: int) -> np.ndarray:
 
 
 class _Stepper:
-    """Backward theta-steps of (I - theta dt A) v_new = (I + (1-theta) dt A) v_old + dt src."""
+    """Backward theta-steps of (I - theta dt A) v_new = (I + (1-theta) dt A) v_old + dt src.
+
+    A is the generator less the reaction rate, so the step matrix depends on
+    (dt, rate, theta) only: it is LU-factored (LAPACK gttrf) the first time a
+    key is met and every step with that key is one gttrs solve. The last axis
+    of v_old and src is space; k surfaces stacked as a (k, n) array step
+    together as a k-column right-hand side.
+    """
 
     def __init__(self, nodes: np.ndarray, dyn: ModelDynamics):
         n = len(nodes)
@@ -125,23 +140,40 @@ class _Stepper:
         self.lower = lower
         self.diag = diag
         self.upper = upper
-        self.n = n
+        self._factors: dict[tuple, tuple] = {}
+
+    def _factor(self, dt: float, r_eff: float, theta: float):
+        key = (dt, r_eff, theta)
+        entry = self._factors.get(key)
+        if entry is None:
+            diag = self.diag - r_eff
+            sub = -theta * dt * self.lower[1:]
+            main = 1.0 - theta * dt * diag
+            sup = -theta * dt * self.upper[:-1]
+            if not all(np.isfinite(band).all() for band in (sub, main, sup)):
+                raise ValueError(
+                    "non-finite finite-difference step matrix; check the rates, "
+                    "intensities, dynamics and grid for NaN or inf"
+                )
+            sub, main, sup, sup2, pivots, info = dgttrf(sub, main, sup)
+            if info > 0:
+                raise np.linalg.LinAlgError("singular finite-difference step matrix")
+            entry = self._factors[key] = (diag, (sub, main, sup, sup2, pivots))
+        return entry
 
     def step(self, v_old: np.ndarray, dt: float, r_eff: float, theta: float,
              source: np.ndarray) -> np.ndarray:
-        lower, upper = self.lower, self.upper
-        diag = self.diag - r_eff
+        diag, lu = self._factor(dt, r_eff, theta)
+        edge = np.zeros(v_old.shape[:-1] + (1,))
         rhs = v_old + (1.0 - theta) * dt * (
             diag * v_old
-            + np.concatenate(([0.0], lower[1:] * v_old[:-1]))
-            + np.concatenate((upper[:-1] * v_old[1:], [0.0]))
+            + np.concatenate((edge, self.lower[1:] * v_old[..., :-1]), axis=-1)
+            + np.concatenate((self.upper[:-1] * v_old[..., 1:], edge), axis=-1)
         )
         rhs += dt * source
-        ab = np.zeros((3, self.n))
-        ab[0, 1:] = -theta * dt * upper[:-1]
-        ab[1, :] = 1.0 - theta * dt * diag
-        ab[2, :-1] = -theta * dt * lower[1:]
-        return solve_banded((1, 1), ab, rhs)
+        # gttrs solves the columns of a Fortran-ordered (n, k) array in place
+        x, _ = dgttrs(*lu, rhs.T, overwrite_b=1)
+        return x.T
 
 
 def _close_out_sources(vc: np.ndarray, collateral: CollateralSpec,
@@ -211,15 +243,25 @@ def solve_final_pde(
 
     stepper = _Stepper(nodes, dyn)
     rec_c, rec_b = counterparty.recovery, bank.recovery
+    no_source = np.zeros_like(nodes)
 
     vc = np.empty((m, len(nodes)))
     vc[-1] = terminal
     v = np.empty_like(vc)
     v[-1] = terminal
-    aux = {name: np.zeros_like(vc) for name in ("cva", "dva", "cfva", "dfva")}
+    # cva, dva, cfva, dfva share the step matrix of V: one 4-column solve
+    aux = np.zeros((4,) + vc.shape)
 
     def ll(surface_row, k):
         return surface_row + flows.get(k, 0.0)
+
+    def aux_sources(seg, pos, neg, gap_v):
+        return np.stack((
+            lc_mid[seg] * (1.0 - rec_c) * pos,
+            lb_mid[seg] * (1.0 - rec_b) * neg,
+            gc_mid[seg] * np.maximum(gap_v, 0.0),
+            gb_mid[seg] * np.maximum(-gap_v, 0.0),
+        ))
 
     for seg in range(m - 2, -1, -1):
         dt = dts[seg]
@@ -232,10 +274,10 @@ def solve_final_pde(
 
         # riskless collateralized value first: feeds every source below
         if rannacher:
-            half = stepper.step(vc_right, dt / 2, r_c, 1.0, np.zeros_like(nodes))
-            vc[seg] = stepper.step(half, dt / 2, r_c, 1.0, np.zeros_like(nodes))
+            half = stepper.step(vc_right, dt / 2, r_c, 1.0, no_source)
+            vc[seg] = stepper.step(half, dt / 2, r_c, 1.0, no_source)
         else:
-            vc[seg] = stepper.step(vc_right, dt, r_c, 0.5, np.zeros_like(nodes))
+            vc[seg] = stepper.step(vc_right, dt, r_c, 0.5, no_source)
 
         posted_r, pos_r, neg_r, close_c_r, close_b_r = _close_out_sources(
             vc_right, collateral, rec_c, rec_b
@@ -257,42 +299,32 @@ def solve_final_pde(
             src = 0.5 * (lin_l + lin_r) + funding
             v[seg] = stepper.step(v_right, dt, r_full, 0.5, src)
 
-        gap_v_l = v[seg] - posted_l
-        sources = {
-            "cva": (
-                lc_mid[seg] * (1.0 - rec_c) * pos_l,
-                lc_mid[seg] * (1.0 - rec_c) * pos_r,
-            ),
-            "dva": (
-                lb_mid[seg] * (1.0 - rec_b) * neg_l,
-                lb_mid[seg] * (1.0 - rec_b) * neg_r,
-            ),
-            "cfva": (
-                gc_mid[seg] * np.maximum(gap_v_l, 0.0),
-                gc_mid[seg] * np.maximum(gap_v_r, 0.0),
-            ),
-            "dfva": (
-                gb_mid[seg] * np.maximum(-gap_v_l, 0.0),
-                gb_mid[seg] * np.maximum(-gap_v_r, 0.0),
-            ),
-        }
-        for name, (src_l, src_r) in sources.items():
-            right = aux[name][seg + 1]
-            if rannacher:
-                half = stepper.step(right, dt / 2, r_full, 1.0, src_l)
-                aux[name][seg] = stepper.step(half, dt / 2, r_full, 1.0, src_l)
-            else:
-                aux[name][seg] = stepper.step(right, dt, r_full, 0.5, 0.5 * (src_l + src_r))
+        src = aux_sources(seg, pos_l, neg_l, v[seg] - posted_l)
+        if not rannacher:
+            src = 0.5 * (src + aux_sources(seg, pos_r, neg_r, gap_v_r))
+        # every solved surface and every input reaches these sources, so a
+        # NaN or inf anywhere upstream is caught here
+        if not np.isfinite(src).all():
+            raise ValueError(
+                "non-finite values in the finite-difference solve; check the "
+                "curves, dynamics, payoff and collateral for NaN or inf"
+            )
+        if rannacher:
+            half = stepper.step(aux[:, seg + 1], dt / 2, r_full, 1.0, src)
+            aux[:, seg] = stepper.step(half, dt / 2, r_full, 1.0, src)
+        else:
+            aux[:, seg] = stepper.step(aux[:, seg + 1], dt, r_full, 0.5, src)
 
+    cva, dva, cfva, dfva = aux
     return PdeSolution(
         times=times,
         s_nodes=nodes,
         v=v,
         v_coll=vc,
-        cva=aux["cva"],
-        dva=aux["dva"],
-        cfva=aux["cfva"],
-        dfva=aux["dfva"],
+        cva=cva,
+        dva=dva,
+        cfva=cfva,
+        dfva=dfva,
     )
 
 
@@ -311,29 +343,43 @@ def _lognormal_exposure(
         -(counterparty.hazard.integral_from_zero(times) + bank.hazard.integral_from_zero(times))
     )
     disc = np.exp(-ois.integral_from_zero(times))
-    epe = np.zeros_like(times)
-    ene = np.zeros_like(times)
+    epe = np.empty_like(times)
+    ene = np.empty_like(times)
+
+    def gap(rows):
+        return solution.v[rows] - collateral_amount(collateral, solution.v_coll[rows])
+
+    # at t = 0, or without volatility, S_t is known: read the gap off the grid
+    known = (times <= 0) | (dyn.vol_s == 0.0)
+    for k in np.flatnonzero(known):
+        s_det = dyn.s0 * math.exp((dyn.rate - dyn.dividend) * times[k])
+        g = float(np.interp(s_det, nodes, gap(k)))
+        epe[k] = max(g, 0.0)
+        ene[k] = max(-g, 0.0)
+
+    # elsewhere a trapezoid over the nodes against the density of S_t, for a
+    # block of times at once: (times x nodes) temporaries for every time
+    # together would take as much memory as the solved surfaces
     drift = dyn.rate - dyn.dividend - 0.5 * dyn.vol_s**2
-    for k, t in enumerate(times):
-        posted = collateral_amount(collateral, solution.v_coll[k])
-        gap = solution.v[k] - posted
-        if t <= 0 or dyn.vol_s == 0.0:
-            s_det = dyn.s0 * math.exp((dyn.rate - dyn.dividend) * t)
-            g = float(np.interp(s_det, nodes, gap))
-            epe[k] = max(g, 0.0)
-            ene[k] = max(-g, 0.0)
-            continue
-        width = dyn.vol_s * math.sqrt(t)
-        safe = np.maximum(nodes, 1e-300)
-        z = (np.log(safe / dyn.s0) - drift * t) / width
-        pdf = np.where(nodes > 0, np.exp(-0.5 * z**2) / (safe * width * math.sqrt(2 * math.pi)), 0.0)
-        h = nodes[1] - nodes[0]
-        mass = h * (pdf.sum() - 0.5 * (pdf[0] + pdf[-1]))
-        weight = pdf / max(mass, 1e-300)
-        pos = weight * np.maximum(gap, 0.0)
-        neg = weight * np.maximum(-gap, 0.0)
-        epe[k] = h * (pos.sum() - 0.5 * (pos[0] + pos[-1]))
-        ene[k] = h * (neg.sum() - 0.5 * (neg[0] + neg[-1]))
+    safe = np.maximum(nodes, 1e-300)
+    log_moneyness = np.log(safe / dyn.s0)
+    h = nodes[1] - nodes[0]
+
+    def trapezoid(f):
+        return h * (f.sum(axis=1) - 0.5 * (f[:, 0] + f[:, -1]))
+
+    stochastic = np.flatnonzero(~known)
+    for rows in np.split(stochastic, range(_EXPOSURE_BLOCK, len(stochastic), _EXPOSURE_BLOCK)):
+        t = times[rows][:, None]
+        width = dyn.vol_s * np.sqrt(t)
+        z = (log_moneyness - drift * t) / width
+        pdf = np.where(
+            nodes > 0, np.exp(-0.5 * z**2) / (safe * width * math.sqrt(2 * math.pi)), 0.0
+        )
+        weight = pdf / np.maximum(trapezoid(pdf), 1e-300)[:, None]
+        g = gap(rows)
+        epe[rows] = trapezoid(weight * np.maximum(g, 0.0))
+        ene[rows] = trapezoid(weight * np.maximum(-g, 0.0))
     zeros = np.zeros_like(times)
     return ExposureProfile(
         times=times.copy(),

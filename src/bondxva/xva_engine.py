@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr
@@ -66,7 +66,8 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    """The Picard iteration diverged (residual grew three times in a row)."""
+    """The Picard iteration diverged: its residual grew three times in a row
+    or is not finite."""
 
 
 @dataclass(frozen=True)
@@ -149,6 +150,16 @@ def _assemble(v_coll, cva_v, dva_v, cfva_v, dfva_v, method, **kw) -> XvaReport:
     )
 
 
+def _check_finite_residual(residual: float, iterations: int) -> None:
+    # a NaN never compares above the tolerance or the previous residual, so
+    # without this the loop would run to max_iter and report NaN legs
+    if not math.isfinite(residual):
+        raise ConvergenceError(
+            f"Picard residual is {residual} at iteration {iterations}: "
+            "non-finite values in the fixed point"
+        )
+
+
 def notional_scale(instrument: Instrument) -> float:
     if instrument.schedule is not None:
         return abs(instrument.schedule.notional) or 1.0
@@ -166,6 +177,8 @@ class _ScheduleValuation:
     """Deterministic V^c of a cash-flow schedule under OIS discounting."""
 
     deterministic = True
+    # V^c jumps by each flow on its pay date
+    continuous_in_time = False
 
     def __init__(self, instrument: Instrument, ois: PiecewiseCurve):
         self.schedule = instrument.schedule
@@ -212,6 +225,10 @@ class _PayoffValuation:
     The underlying grows at rate - dividend; discounting uses the OIS curve.
     At u = expiry the value is the realized payoff.
     """
+
+    # one terminal payoff and no intermediate flows: left limits on the grid
+    # are the grid values
+    continuous_in_time = True
 
     def __init__(self, instrument: Instrument, ois: PiecewiseCurve, dyn: ModelDynamics):
         if dyn is None:
@@ -263,8 +280,6 @@ class _PayoffValuation:
         return out
 
     def on_grid_left_limits(self, paths: PathSet) -> np.ndarray:
-        # a single terminal payoff has no intermediate flows: the value is
-        # continuous in time, so left limits coincide with the grid values
         return self.on_grid(paths)
 
     def at_default(self, paths: PathSet, tau: np.ndarray, shift: float) -> np.ndarray:
@@ -631,23 +646,21 @@ def _prepare_mc(
         if paths.tau_c is None or paths.tau_b is None:
             paths = sample_default_times(paths, counterparty.recovery, bank.recovery)
     if bond_mode:
-        paths = PathSet(
-            times=paths.times,
-            s=paths.s,
-            pi_c=paths.pi_c,
-            pi_b=np.zeros_like(paths.pi_b),
-            seed=paths.seed,
-            tau_c=paths.tau_c,
-            tau_b=np.full(paths.n_paths, np.inf),
+        paths = replace(
+            paths, pi_b=np.zeros_like(paths.pi_b), tau_b=np.full(paths.n_paths, np.inf)
         )
     model = make_collateralized_valuation(instrument, ois, dyn)
-    vc_rc = np.asarray(model.on_grid(paths), dtype=float)
-    vc_ll = np.asarray(model.on_grid_left_limits(paths), dtype=float)
-    if vc_rc.ndim == 1:
-        vc_rc = np.broadcast_to(vc_rc, (paths.n_paths, len(paths.times)))
-        vc_ll = np.broadcast_to(vc_ll, (paths.n_paths, len(paths.times)))
+    # a deterministic V^c row is shared by every path
+    shape = (paths.n_paths, len(paths.times))
+    vc_rc = np.broadcast_to(np.asarray(model.on_grid(paths), dtype=float), shape)
     posted_rc = collateral_amount(collateral, vc_rc)
-    posted_ll = collateral_amount(collateral, vc_ll)
+    if model.continuous_in_time:
+        vc_ll, posted_ll = vc_rc, posted_rc
+    else:
+        vc_ll = np.broadcast_to(
+            np.asarray(model.on_grid_left_limits(paths), dtype=float), shape
+        )
+        posted_ll = collateral_amount(collateral, vc_ll)
     alive = _alive_matrix(paths)
     disc = np.exp(-ois.integral_from_zero(paths.times))
     def_loss = _default_leg_pathwise(
@@ -771,6 +784,7 @@ def _recursive_mc(
             fitted = (1.0 - params.damping) * value + params.damping * fitted
         residual = float(np.max(np.abs(fitted - value)))
         iterations += 1
+        _check_finite_residual(residual, iterations)
         value = fitted
         if residual <= params.tol * scale:
             converged = True
@@ -868,11 +882,7 @@ def _one_pass_mc(
         basis_b=basis_b,
     )
     if bond_mode:
-        shifted = PathSet(
-            times=shifted.times, s=shifted.s, pi_c=shifted.pi_c, pi_b=shifted.pi_b,
-            seed=shifted.seed, tau_c=shifted.tau_c,
-            tau_b=np.full(shifted.n_paths, np.inf),
-        )
+        shifted = replace(shifted, tau_b=np.full(shifted.n_paths, np.inf))
     loss = _default_leg_pathwise(
         shifted, run.model, ois, counterparty.recovery, collateral, "cva"
     )
@@ -1017,6 +1027,7 @@ def _recursive_deterministic(
             new_value = (1.0 - params.damping) * value + params.damping * new_value
         residual = float(np.max(np.abs(new_value - value)))
         iterations += 1
+        _check_finite_residual(residual, iterations)
         value = new_value
         if residual <= params.tol * scale:
             converged = True

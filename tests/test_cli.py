@@ -351,6 +351,41 @@ class TestConfigErrors:
         assert code == 2
         assert "outside [0, 1]" in err
 
+    @pytest.mark.parametrize("backend", ["mc", "pde"])
+    def test_nan_basis_is_a_config_error(self, tmp_path, capsys, backend):
+        cfg_data = json.loads(json.dumps(XVA_MC_CFG))
+        cfg_data["backend"] = backend
+        cfg_data["counterparty"]["basis"] = float("nan")
+        cfg = write_config(tmp_path, cfg_data)
+        assert "NaN" in open(cfg).read()
+        code, out, err = run_cli(["xva", "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert "counterparty.basis: expected a finite number" in err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("dynamics", "vol_s", float("inf")),
+            ("instrument", "strike", float("-inf")),
+            ("collateral", "threshold", float("nan")),
+            ("solver", "max_iter", float("inf")),
+            ("mc", "n_paths", float("nan")),
+        ],
+    )
+    def test_non_finite_numbers_name_their_key(self, tmp_path, capsys, section, key, value):
+        cfg_data = json.loads(json.dumps(XVA_MC_CFG))
+        cfg_data.setdefault(section, {})[key] = value
+        cfg = write_config(tmp_path, cfg_data)
+        code, out, err = run_cli(["xva", "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{section}.{key}: expected a finite number" in err
+
+    def test_reports_are_strict_json(self):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._emit({"fair_value": float("nan")}, None)
+
     def test_simulation_without_dynamics_is_a_config_error(self, tmp_path, capsys):
         cfg_data = json.loads(json.dumps(XVA_MC_CFG))
         del cfg_data["dynamics"]

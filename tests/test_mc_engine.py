@@ -258,6 +258,15 @@ class TestDefaultSampling:
         back = swap_roles(flipped)
         assert back.pi_c is sampled.pi_c and back.tau_c is sampled.tau_c
 
+    def test_swapped_paths_resample_each_name_on_its_own_clock(self):
+        paths = self._flat_spread_paths(pi0_c=0.05, pi0_b=0.02, n_paths=5_000)
+        sampled = sample_default_times(paths, recovery_c=0.4, recovery_b=0.6)
+        flipped = swap_roles(paths)
+        assert flipped.clock_columns == (1, 0)
+        again = sample_default_times(flipped, recovery_c=0.6, recovery_b=0.4)
+        assert np.array_equal(again.tau_c, sampled.tau_b)
+        assert np.array_equal(again.tau_b, sampled.tau_c)
+
     def test_alive_indicator_uses_both_names(self):
         paths = self._flat_spread_paths(pi0_c=0.5, pi0_b=0.3, n_paths=2_000)
         sampled = sample_default_times(paths, recovery_c=0.4, recovery_b=0.4)

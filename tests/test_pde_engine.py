@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 from scipy.special import ndtr
 
 from bondxva.bond_pricer import price_riskless_recovery
@@ -18,6 +19,8 @@ from bondxva.mc_engine import ModelDynamics
 from bondxva.pde_engine import (
     HedgeWeights,
     SpatialGrid,
+    _lognormal_exposure,
+    _Stepper,
     hedge_weights,
     solve_final_pde,
     solve_xva_report,
@@ -54,6 +57,52 @@ class TestSpatialGrid:
     def test_nodes_span_the_interval_uniformly(self):
         grid = SpatialGrid(1.0, 3.0, 5, 10)
         np.testing.assert_allclose(grid.nodes(), [1.0, 1.5, 2.0, 2.5, 3.0])
+
+
+class TestStepper:
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_stacked_columns_step_exactly_like_single_columns(self, theta):
+        rng = np.random.default_rng(7)
+        nodes = np.linspace(0.0, 300.0, 61)
+        stepper = _Stepper(nodes, ModelDynamics(s0=100.0, rate=0.03, vol_s=0.25))
+        v_old = rng.normal(size=(4, len(nodes)))
+        source = rng.normal(size=(4, len(nodes)))
+        stacked = stepper.step(v_old, 0.01, 0.05, theta, source)
+        for k in range(4):
+            single = stepper.step(v_old[k], 0.01, 0.05, theta, source[k])
+            assert np.array_equal(stacked[k], single)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_matches_a_banded_solve_on_random_grids(self, theta):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            s_min = rng.uniform(0.0, 50.0)
+            nodes = np.linspace(s_min, s_min + rng.uniform(50.0, 400.0), rng.integers(5, 200))
+            dyn = ModelDynamics(
+                s0=100.0, rate=rng.uniform(-0.02, 0.08),
+                dividend=rng.uniform(0.0, 0.04), vol_s=rng.uniform(0.0, 0.6),
+            )
+            stepper = _Stepper(nodes, dyn)
+            # the operator less the rate, as a dense tridiagonal matrix
+            for dt, r_eff in [(rng.uniform(1e-3, 0.1), rng.uniform(0.0, 0.2))] * 2 + [
+                (rng.uniform(1e-3, 0.1), rng.uniform(0.0, 0.2))
+            ]:
+                op = (
+                    np.diag(stepper.diag - r_eff)
+                    + np.diag(stepper.lower[1:], -1)
+                    + np.diag(stepper.upper[:-1], 1)
+                )
+                v_old = rng.normal(size=(3, len(nodes)))
+                source = rng.normal(size=(3, len(nodes)))
+                rhs = (v_old + (1.0 - theta) * dt * v_old @ op.T + dt * source).T
+                lhs = np.eye(len(nodes)) - theta * dt * op
+                ab = np.zeros((3, len(nodes)))
+                ab[0, 1:] = np.diag(lhs, 1)
+                ab[1] = np.diag(lhs)
+                ab[2, :-1] = np.diag(lhs, -1)
+                want = solve_banded((1, 1), ab, rhs).T
+                got = stepper.step(v_old, dt, r_eff, theta, source)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestRisklessPricing:
@@ -192,6 +241,42 @@ class TestReportAssembly:
         assert abs(mc.dfva - pde.dfva) < 2e-3
         assert abs(mc_prof.epe[0] - pde_prof.epe[0]) < 0.05
 
+    @pytest.mark.parametrize(
+        "collateral",
+        [CollateralSpec.none(), CollateralSpec.bilateral_threshold(10.0), CollateralSpec.perfect()],
+    )
+    def test_exposure_quadrature_equals_the_per_time_loop_exactly(self, collateral):
+        sol = solve_final_pde(
+            self.OPT, OIS, self.CP, self.BANK, self.DYN,
+            SpatialGrid(0.0, 400.0, 161, 100), collateral,
+        )
+        got = _lognormal_exposure(sol, self.DYN, OIS, self.CP, self.BANK, collateral)
+        # reference: one time at a time, the trapezoid against the lognormal
+        # density of S_t, the gap read off the grid where S_t is known
+        dyn, nodes, h = self.DYN, sol.s_nodes, sol.s_nodes[1] - sol.s_nodes[0]
+        drift = dyn.rate - dyn.dividend - 0.5 * dyn.vol_s**2
+        epe, ene = np.zeros_like(sol.times), np.zeros_like(sol.times)
+        for k, t in enumerate(sol.times):
+            gap = sol.v[k] - collateral_amount(collateral, sol.v_coll[k])
+            if t <= 0:
+                g = float(np.interp(dyn.s0 * math.exp((dyn.rate - dyn.dividend) * t), nodes, gap))
+                epe[k], ene[k] = max(g, 0.0), max(-g, 0.0)
+                continue
+            width = dyn.vol_s * math.sqrt(t)
+            safe = np.maximum(nodes, 1e-300)
+            z = (np.log(safe / dyn.s0) - drift * t) / width
+            pdf = np.where(
+                nodes > 0, np.exp(-0.5 * z**2) / (safe * width * math.sqrt(2 * math.pi)), 0.0
+            )
+            weight = pdf / max(h * (pdf.sum() - 0.5 * (pdf[0] + pdf[-1])), 1e-300)
+            for out, part in ((epe, np.maximum(gap, 0.0)), (ene, np.maximum(-gap, 0.0))):
+                f = weight * part
+                out[k] = h * (f.sum() - 0.5 * (f[0] + f[-1]))
+        surv = np.exp(-(self.CP.hazard.integral_from_zero(sol.times)
+                        + self.BANK.hazard.integral_from_zero(sol.times)))
+        assert np.array_equal(got.epe, surv * epe)
+        assert np.array_equal(got.ene, surv * ene)
+
     def test_default_grid_is_built_when_none_is_given(self):
         report, _ = solve_xva_report(
             self.OPT, OIS, self.CP, self.BANK, None, self.DYN
@@ -234,6 +319,25 @@ class TestGuards:
                 self.OPT, OIS, wild, FREE, self.DYN,
                 SpatialGrid(0.0, 400.0, 11, 2),
             )
+
+
+    @pytest.mark.parametrize(
+        "where", ["ois", "counterparty_basis", "bank_hazard", "vol_s", "threshold"]
+    )
+    def test_non_finite_inputs_raise(self, where):
+        nan = float("nan")
+        ois = PiecewiseCurve.flat(nan) if where == "ois" else OIS
+        cp = CounterpartyProfile(
+            0.4, PiecewiseCurve.flat(0.03),
+            PiecewiseCurve.flat(nan if where == "counterparty_basis" else 0.01),
+        )
+        bank = CounterpartyProfile(
+            0.4, PiecewiseCurve.flat(nan if where == "bank_hazard" else 0.02)
+        )
+        dyn = ModelDynamics(s0=100.0, rate=0.02, vol_s=nan if where == "vol_s" else 0.3)
+        coll = CollateralSpec.bilateral_threshold(nan if where == "threshold" else 5.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_final_pde(self.OPT, ois, cp, bank, dyn, self.GRID, coll)
 
 
 class TestHedgeWeights:

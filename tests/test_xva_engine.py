@@ -16,6 +16,7 @@ from bondxva.mc_engine import (
     PathSet,
     sample_default_times,
     simulate_paths,
+    swap_roles,
 )
 from bondxva.xva_engine import (
     ConvergenceError,
@@ -250,6 +251,26 @@ class TestReports:
         assert theirs.cva == ours.dva and theirs.dva == ours.cva
         assert theirs.cfva == ours.dfva and theirs.dfva == ours.cfva
 
+    def test_role_swap_negates_the_simulated_bond_implied_value_exactly(self):
+        # bond-implied defaults are resampled from the paths' own clocks, so
+        # the mirror trade must see each name keep its exponential draw
+        dyn = ModelDynamics(
+            s0=1.0, pi0_c=0.012, pi0_b=0.00975, vol_c=0.15, vol_b=0.10, rho_cb=0.3
+        )
+        paths = sample_default_times(
+            simulate_paths(dyn, 2.0, 24, 4_000, seed=77), 0.4, 0.35
+        )
+        ours, _ = run_xva(
+            TWO_SIDED, OIS, RISKY_CP, RISKY_BANK, method="bond_implied", paths=paths
+        )
+        theirs, _ = run_xva(
+            TWO_SIDED.negated(), OIS, RISKY_BANK, RISKY_CP, method="bond_implied",
+            paths=swap_roles(paths),
+        )
+        assert ours.cva > 0 and ours.dva > 0
+        assert theirs.fair_value == -ours.fair_value
+        assert theirs.cva == ours.dva and theirs.dva == ours.cva
+
     def test_monte_carlo_report_carries_standard_errors(self):
         dyn = ModelDynamics(s0=1.0, pi0_c=0.018, pi0_b=0.013)
         report, _ = run_xva(
@@ -364,6 +385,19 @@ class TestMethodRelations:
             run_xva(
                 TWO_SIDED, OIS, wild_cp, wild_bank,
                 method="recursive", backend="pde",
+            )
+
+
+    @pytest.mark.parametrize("backend", ["pde", "mc"])
+    def test_nan_residual_stops_the_fixed_point(self, backend):
+        nan_cp = CounterpartyProfile(
+            0.4, PiecewiseCurve.flat(0.03), PiecewiseCurve.flat(float("nan"))
+        )
+        dyn = ModelDynamics(s0=1.0, pi0_c=0.018, pi0_b=0.013)
+        with pytest.raises(ConvergenceError, match="residual is nan at iteration 1"):
+            run_xva(
+                ZCB, OIS, nan_cp, RISKY_BANK, method="recursive", backend=backend,
+                dyn=dyn, n_paths=1_000, n_steps=8, seed=3,
             )
 
 
