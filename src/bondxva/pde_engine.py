@@ -253,7 +253,9 @@ def solve_final_pde(
     aux = np.zeros((4,) + vc.shape)
 
     def ll(surface_row, k):
-        return surface_row + flows.get(k, 0.0)
+        # the row itself without a flow: the close-out sources carried forward
+        # below are then those of this very row
+        return surface_row + flows[k] if k in flows else surface_row
 
     def aux_sources(seg, pos, neg, gap_v):
         return np.stack((
@@ -263,6 +265,7 @@ def solve_final_pde(
             gb_mid[seg] * np.maximum(-gap_v, 0.0),
         ))
 
+    sources_l = None  # _close_out_sources of vc[seg + 1], from the step before
     for seg in range(m - 2, -1, -1):
         dt = dts[seg]
         r_c = c_mid[seg]
@@ -279,12 +282,13 @@ def solve_final_pde(
         else:
             vc[seg] = stepper.step(vc_right, dt, r_c, 0.5, no_source)
 
-        posted_r, pos_r, neg_r, close_c_r, close_b_r = _close_out_sources(
-            vc_right, collateral, rec_c, rec_b
-        )
-        posted_l, pos_l, neg_l, close_c_l, close_b_l = _close_out_sources(
-            vc[seg], collateral, rec_c, rec_b
-        )
+        # without a flow on node seg + 1, vc_right is vc[seg + 1], whose sources
+        # the step before computed as its left end
+        if sources_l is None or seg + 1 in flows:
+            sources_l = _close_out_sources(vc_right, collateral, rec_c, rec_b)
+        posted_r, pos_r, neg_r, close_c_r, close_b_r = sources_l
+        sources_l = _close_out_sources(vc[seg], collateral, rec_c, rec_b)
+        posted_l, pos_l, neg_l, close_c_l, close_b_l = sources_l
         gap_v_r = v_right - posted_r
         funding = -gc_mid[seg] * np.maximum(gap_v_r, 0.0) + gb_mid[seg] * np.maximum(
             -gap_v_r, 0.0

@@ -8,15 +8,21 @@ with the default adjustments driven by CDS-implied intensities on the
 riskless close-out exposure (V^c - C)^± and the funding adjustments driven
 by each name's bond-CDS basis on the exposure of the *recursive* value
 (V - C)^±. Because V appears inside its own funding terms the equation is a
-fixed point; it is solved by damped Picard iteration on two backends:
+fixed point, solved by damped Picard iteration (``_fixed_point``) on two
+backends:
 
-* Monte Carlo: pathwise present values regressed on polynomial state bases,
-  Longstaff-Schwartz style, for the conditional valuations inside the
-  funding integrals.
+* Monte Carlo: one backward sweep over the grid. The funding still to come
+  at t_k depends on V at t_k and later only, so each grid time is solved on
+  its own, latest first: the known funding tail from t_{k+1} on is carried
+  per path, and the slice's fixed point is iterated on a polynomial
+  regression of the pathwise present values on the state at t_k
+  (Longstaff-Schwartz style; the regression-based BSDE schemes of Gobet,
+  Lemor and Warin). Each slice's regression basis is built once.
 * Deterministic: when V^c is a deterministic function of time (cash-flow
   schedules, or zero-volatility dynamics) the equation collapses to a scalar
-  Volterra integral equation evaluated exactly on a dense grid. This is also
-  what the PDE backend degenerates to for underlying-independent trades.
+  Volterra integral equation evaluated exactly on a dense grid, iterated as
+  a whole. This is also what the PDE backend degenerates to for
+  underlying-independent trades.
 
 Two non-recursive approximations are provided: ``first_order_value`` (funding
 on V^c exposures, one pass) and ``bond_implied_value`` (no funding terms,
@@ -25,6 +31,7 @@ defaults driven by bond-implied intensities).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -66,7 +73,7 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    """The Picard iteration diverged: its residual grew three times in a row
+    """A Picard iteration diverged: its residual grew three times in a row
     or is not finite."""
 
 
@@ -74,9 +81,14 @@ class ConvergenceError(RuntimeError):
 class SolverParams:
     """Knobs of the recursive solver.
 
-    tol is relative to the instrument's notional scale; damping 1.0 is the
-    plain Picard update, smaller values blend in the previous iterate.
-    det_steps is the base number of uniform steps of the deterministic grid.
+    tol, max_iter and damping drive each damped Picard iteration: the whole
+    grid at once on the deterministic backend, each grid time of the
+    backward sweep on its own on the Monte Carlo backend. tol is relative to
+    the instrument's notional scale and bounds the largest change of one
+    update; damping 1.0 is the plain Picard update, smaller values blend in
+    the previous iterate. det_steps is the base number of uniform steps of
+    the deterministic grid; regression_degree the total degree of the Monte
+    Carlo regression basis.
     """
 
     tol: float = 1e-6
@@ -93,7 +105,15 @@ class XvaReport:
     bfva = dfva - cfva exactly, and fair_value is the correctly rounded sum
     of v_coll, -cva, dva and bfva (``math.fsum``). Rounding to nearest
     commutes with negation, so a role swap (v_coll negated, cva/dva and
-    cfva/dfva exchanged) negates fair_value exactly, whatever the legs."""
+    cfva/dfva exchanged) negates fair_value exactly, whatever the legs.
+
+    iterations, residual and converged describe the recursive solver. The
+    deterministic backend reports its one whole-grid iteration. The Monte
+    Carlo backend reports the largest iteration count and the largest final
+    residual over the grid times of its backward sweep, and converged only
+    if every grid time converged. The Crank-Nicolson backend does not
+    iterate: one iteration, and as residual the gap between the solved V
+    and the assembled fair_value."""
 
     v_coll: float
     cva: float
@@ -150,14 +170,53 @@ def _assemble(v_coll, cva_v, dva_v, cfva_v, dfva_v, method, **kw) -> XvaReport:
     )
 
 
-def _check_finite_residual(residual: float, iterations: int) -> None:
-    # a NaN never compares above the tolerance or the previous residual, so
-    # without this the loop would run to max_iter and report NaN legs
-    if not math.isfinite(residual):
-        raise ConvergenceError(
-            f"Picard residual is {residual} at iteration {iterations}: "
-            "non-finite values in the fixed point"
-        )
+def _fixed_point(step, start, params: SolverParams, scale: float):
+    """Damped Picard iteration value <- step(value) from start.
+
+    Returns (value, iterations, residual, converged); converged is False when
+    max_iter updates left the largest change above tol * scale. Raises
+    ConvergenceError when the residual is not finite or grew three times in
+    a row.
+    """
+    value = start
+    iterations = 0
+    residual = float("inf")
+    prev_residual = None
+    growth_streak = 0
+    for iterations in range(1, params.max_iter + 1):
+        new_value = step(value)
+        if params.damping != 1.0:
+            new_value = (1.0 - params.damping) * value + params.damping * new_value
+        residual = float(np.max(np.abs(new_value - value)))
+        # a NaN never compares above the tolerance or the previous residual,
+        # so without this the loop would run to max_iter and report NaN legs
+        if not math.isfinite(residual):
+            raise ConvergenceError(
+                f"Picard residual is {residual} at iteration {iterations}: "
+                "non-finite values in the fixed point"
+            )
+        value = new_value
+        if residual <= params.tol * scale:
+            return value, iterations, residual, True
+        if prev_residual is not None and residual > prev_residual:
+            growth_streak += 1
+            if growth_streak >= 3:
+                raise ConvergenceError(
+                    f"Picard iteration diverging: residual {residual:.3e} grew "
+                    f"for 3 consecutive iterations"
+                )
+        else:
+            growth_streak = 0
+        prev_residual = residual
+    return value, iterations, residual, False
+
+
+def _warn_not_converged(params: SolverParams, residual: float) -> None:
+    warnings.warn(
+        f"recursive solver hit max_iter={params.max_iter} with residual "
+        f"{residual:.3e}",
+        RuntimeWarning,
+    )
 
 
 def notional_scale(instrument: Instrument) -> float:
@@ -382,6 +441,18 @@ def _default_leg_pathwise(
     return out
 
 
+def _mean_and_se(per_path: np.ndarray) -> tuple[float, float]:
+    return float(per_path.mean()), float(per_path.std() / math.sqrt(len(per_path)))
+
+
+def _default_leg(paths, v_coll, ois, recovery, collateral, side) -> tuple[float, float]:
+    collateral = collateral or CollateralSpec.none()
+    model = _as_valuation(v_coll, paths)
+    return _mean_and_se(
+        _default_leg_pathwise(paths, model, ois, recovery, collateral, side)
+    )
+
+
 def cva(
     paths: PathSet,
     v_coll,
@@ -390,10 +461,7 @@ def cva(
     collateral: CollateralSpec | None = None,
 ) -> tuple[float, float]:
     """Expected discounted loss on counterparty-first defaults, with SE."""
-    collateral = collateral or CollateralSpec.none()
-    model = _as_valuation(v_coll, paths)
-    losses = _default_leg_pathwise(paths, model, ois, recovery_c, collateral, "cva")
-    return float(losses.mean()), float(losses.std() / math.sqrt(len(losses)))
+    return _default_leg(paths, v_coll, ois, recovery_c, collateral, "cva")
 
 
 def dva(
@@ -404,10 +472,7 @@ def dva(
     collateral: CollateralSpec | None = None,
 ) -> tuple[float, float]:
     """Mirror image of cva on own-default, negative exposure."""
-    collateral = collateral or CollateralSpec.none()
-    model = _as_valuation(v_coll, paths)
-    gains = _default_leg_pathwise(paths, model, ois, recovery_b, collateral, "dva")
-    return float(gains.mean()), float(gains.std() / math.sqrt(len(gains)))
+    return _default_leg(paths, v_coll, ois, recovery_b, collateral, "dva")
 
 
 def _alive_matrix(paths: PathSet) -> np.ndarray:
@@ -419,15 +484,15 @@ def _alive_matrix(paths: PathSet) -> np.ndarray:
     return alive
 
 
-def _funding_leg_pathwise(
-    paths: PathSet,
+def _funding_pathwise(
+    times: np.ndarray,
+    alive: np.ndarray,
+    disc: np.ndarray,
     gap_rc: np.ndarray,
     gap_ll: np.ndarray,
     spread_rc: np.ndarray,
     spread_ll: np.ndarray,
-    ois: PiecewiseCurve,
     positive: bool,
-    alive: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-path integral of 1_alive * D(0,s) * spread * (gap)^± ds.
 
@@ -435,15 +500,16 @@ def _funding_leg_pathwise(
     its left end and the left limit at its right end so that jumps at cash
     flow dates are integrated correctly.
     """
-    if alive is None:
-        alive = _alive_matrix(paths)
-    disc = np.exp(-ois.integral_from_zero(paths.times))
-    part = np.maximum if positive else (lambda x, y: np.maximum(-x, y))
-    left = alive * disc[None, :] * spread_rc * part(gap_rc, 0.0)
-    right = alive * disc[None, :] * spread_ll * part(gap_ll, 0.0)
-    dt = np.diff(paths.times)
-    segments = 0.5 * (left[:, :-1] + right[:, 1:]) * dt[None, :]
-    return segments.sum(axis=1)
+    if positive:
+        exp_rc = np.maximum(gap_rc, 0.0)
+        exp_ll = np.maximum(gap_ll, 0.0)
+    else:
+        exp_rc = np.maximum(-gap_rc, 0.0)
+        exp_ll = np.maximum(-gap_ll, 0.0)
+    left = alive * disc[None, :] * spread_rc * exp_rc
+    right = alive * disc[None, :] * spread_ll * exp_ll
+    dt = np.diff(times)
+    return (0.5 * (left[:, :-1] + right[:, 1:]) * dt[None, :]).sum(axis=1)
 
 
 def _basis_on_grid(basis: PiecewiseCurve, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -451,6 +517,24 @@ def _basis_on_grid(basis: PiecewiseCurve, times: np.ndarray) -> tuple[np.ndarray
     rc = basis.values_at(times)
     ll = basis.values_at(np.maximum(times - 1e-12, 0.0))
     return rc[None, :], ll[None, :]
+
+
+def _funding_leg(
+    paths, exposure_on_grid, ois, basis, collateral, collateral_reference, positive
+) -> tuple[float, float]:
+    value = np.asarray(exposure_on_grid, dtype=float)
+    if value.ndim == 1:
+        value = np.broadcast_to(value, (paths.n_paths, len(paths.times)))
+    gap = value
+    if collateral is not None:
+        reference = value if collateral_reference is None else np.asarray(collateral_reference)
+        gap = value - collateral_amount(collateral, reference)
+    disc = np.exp(-ois.integral_from_zero(paths.times))
+    per_path = _funding_pathwise(
+        paths.times, _alive_matrix(paths), disc, gap, gap,
+        *_basis_on_grid(basis, paths.times), positive,
+    )
+    return _mean_and_se(per_path)
 
 
 def cfva(
@@ -467,16 +551,9 @@ def cfva(
     spec is supplied it is netted here, driven by collateral_reference
     (defaults to the exposure itself).
     """
-    value = np.asarray(exposure_on_grid, dtype=float)
-    if value.ndim == 1:
-        value = np.broadcast_to(value, (paths.n_paths, len(paths.times)))
-    gap = value
-    if collateral is not None:
-        reference = value if collateral_reference is None else np.asarray(collateral_reference)
-        gap = value - collateral_amount(collateral, reference)
-    rc, ll = _basis_on_grid(basis_c, paths.times)
-    per_path = _funding_leg_pathwise(paths, gap, gap, rc, ll, ois, positive=True)
-    return float(per_path.mean()), float(per_path.std() / math.sqrt(len(per_path)))
+    return _funding_leg(
+        paths, exposure_on_grid, ois, basis_c, collateral, collateral_reference, True
+    )
 
 
 def dfva(
@@ -488,117 +565,68 @@ def dfva(
     collateral_reference=None,
 ) -> tuple[float, float]:
     """Funding benefit of the negative exposure at the bank basis."""
-    value = np.asarray(exposure_on_grid, dtype=float)
-    if value.ndim == 1:
-        value = np.broadcast_to(value, (paths.n_paths, len(paths.times)))
-    gap = value
-    if collateral is not None:
-        reference = value if collateral_reference is None else np.asarray(collateral_reference)
-        gap = value - collateral_amount(collateral, reference)
-    rc, ll = _basis_on_grid(basis_b, paths.times)
-    per_path = _funding_leg_pathwise(paths, gap, gap, rc, ll, ois, positive=False)
-    return float(per_path.mean()), float(per_path.std() / math.sqrt(len(per_path)))
+    return _funding_leg(
+        paths, exposure_on_grid, ois, basis_b, collateral, collateral_reference, False
+    )
 
 
 # ---------------------------------------------------------------------------
 # regression of conditional valuations (Longstaff-Schwartz style)
 # ---------------------------------------------------------------------------
 
-_EXPONENTS_CACHE: dict[int, list[tuple[int, int, int]]] = {}
+@functools.cache
+def _monomial_exponents(degree: int) -> tuple[tuple[int, int, int], ...]:
+    return tuple(
+        e for e in itertools.product(range(degree + 1), repeat=3) if sum(e) <= degree
+    )
 
 
-def _monomial_exponents(degree: int) -> list[tuple[int, int, int]]:
-    if degree not in _EXPONENTS_CACHE:
-        _EXPONENTS_CACHE[degree] = [
-            e
-            for e in itertools.product(range(degree + 1), repeat=3)
-            if sum(e) <= degree
-        ]
-    return _EXPONENTS_CACHE[degree]
+def _slice_projection(paths: PathSet, alive: np.ndarray, k: int, degree: int):
+    """Regression of pathwise values at grid time k on the state there.
 
-
-class _ConditionalRegressor:
-    """Per-grid-time polynomial regression of pathwise values on the state.
-
-    The basis is every monomial of total degree <= degree in the
-    standardized (S, pi_C, pi_B). The Gram pseudo-inverse is precomputed
-    once per time (the state never changes across Picard iterations); each
-    fit is then two thin mat-vecs. Degenerate states (zero volatility)
-    collapse to the plain mean through the pinv rank cutoff.
+    Returns a function from per-path values to their fitted conditional
+    expectations, zero on paths not alive at t_k. The basis is every
+    monomial of total degree <= degree in the standardized (S, pi_C, pi_B)
+    of the alive paths; it and the pseudo-inverse of its Gram matrix are
+    built once, so each fit is two thin mat-vecs. Degenerate states (zero
+    volatility) collapse to the plain mean through the pinv rank cutoff, or
+    straight to it when no factor varies. At the last grid time the values
+    are already measurable and are returned as they are.
     """
+    mask = alive.copy()
+    n_alive = int(mask.sum())
 
-    def __init__(self, paths: PathSet, alive: np.ndarray, degree: int):
-        self.paths = paths
-        self.alive = alive
-        self.exponents = _monomial_exponents(degree)
-        # bases are rebuilt per fit from frozen standardizations rather than
-        # stored: n_paths x n_times x 20 floats would dominate memory
-        self._per_time = []
-        last = len(paths.times) - 1
-        for k in range(len(paths.times)):
-            mask = alive[:, k]
-            if not mask.any():
-                self._per_time.append(None)
-                continue
-            if k == last:
-                # terminal PVs are already measurable: no estimation needed
-                self._per_time.append(("identity", mask))
-                continue
-            stats = []
-            degenerate = True
-            for raw in (paths.s[:, k], paths.pi_c[:, k], paths.pi_b[:, k]):
-                x = raw[mask]
-                center, spread = x.mean(), x.std()
-                if spread < 1e-13 * max(1.0, abs(center)):
-                    stats.append(None)
-                else:
-                    stats.append((center, spread))
-                    degenerate = False
-            if degenerate:
-                self._per_time.append(("mean", mask))
-                continue
-            basis = self._build(k, mask, stats)
-            pinv = np.linalg.pinv(basis.T @ basis, rcond=1e-10)
-            self._per_time.append(("poly", mask, stats, pinv))
+    def fitted(values):
+        out = np.zeros(len(mask))
+        out[mask] = values
+        return out
 
-    def _build(self, k: int, mask: np.ndarray, stats) -> np.ndarray:
-        n = int(mask.sum())
-        zeros = np.zeros(n)
-        cols = []
-        for raw, stat in zip(
-            (self.paths.s[:, k], self.paths.pi_c[:, k], self.paths.pi_b[:, k]), stats
-        ):
-            cols.append(zeros if stat is None else (raw[mask] - stat[0]) / stat[1])
-        basis = np.empty((n, len(self.exponents)))
-        for j, (a, b, c) in enumerate(self.exponents):
-            col = np.ones(n)
-            if a:
-                col = col * cols[0] ** a
-            if b:
-                col = col * cols[1] ** b
-            if c:
-                col = col * cols[2] ** c
-            basis[:, j] = col
-        return basis
-
-    def fit(self, pv: np.ndarray) -> np.ndarray:
-        """Conditional expectation estimates; zero on dead paths."""
-        fitted = np.zeros_like(pv)
-        for k, entry in enumerate(self._per_time):
-            if entry is None:
-                continue
-            if entry[0] == "identity":
-                mask = entry[1]
-                fitted[mask, k] = pv[mask, k]
-            elif entry[0] == "mean":
-                mask = entry[1]
-                fitted[mask, k] = pv[mask, k].mean()
-            else:
-                _, mask, stats, pinv = entry
-                basis = self._build(k, mask, stats)
-                coef = pinv @ (basis.T @ pv[mask, k])
-                fitted[mask, k] = basis @ coef
-        return fitted
+    if n_alive == 0:
+        return lambda pv: np.zeros(len(mask))
+    if k == len(paths.times) - 1:
+        return lambda pv: fitted(pv[mask])
+    factors = []
+    for raw in (paths.s[:, k], paths.pi_c[:, k], paths.pi_b[:, k]):
+        x = raw[mask]
+        center, spread = x.mean(), x.std()
+        if spread < 1e-13 * max(1.0, abs(center)):
+            factors.append(None)
+        else:
+            factors.append((x - center) / spread)
+    if all(x is None for x in factors):
+        return lambda pv: fitted(pv[mask].mean())
+    zeros = np.zeros(n_alive)
+    factors = [zeros if x is None else x for x in factors]
+    exponents = _monomial_exponents(degree)
+    basis = np.empty((n_alive, len(exponents)))
+    for j, powers in enumerate(exponents):
+        col = np.ones(n_alive)
+        for x, power in zip(factors, powers):
+            if power:
+                col = col * x**power
+        basis[:, j] = col
+    pinv = np.linalg.pinv(basis.T @ basis, rcond=1e-10)
+    return lambda pv: fitted(basis @ (pinv @ (basis.T @ pv[mask])))
 
 
 # ---------------------------------------------------------------------------
@@ -681,57 +709,33 @@ def _prepare_mc(
     )
 
 
-def _funding_pathwise(
-    run: _McRun,
-    value_rc: np.ndarray,
-    value_ll: np.ndarray,
-    spread_rc: np.ndarray,
-    spread_ll: np.ndarray,
-    positive: bool,
-) -> np.ndarray:
-    """Trapezoid of 1_alive * D * spread * (value - C)^± over the grid."""
-    gap_rc = value_rc - run.posted_rc
-    gap_ll = value_ll - run.posted_ll
-    if positive:
-        exp_rc = np.maximum(gap_rc, 0.0)
-        exp_ll = np.maximum(gap_ll, 0.0)
-    else:
-        exp_rc = np.maximum(-gap_rc, 0.0)
-        exp_ll = np.maximum(-gap_ll, 0.0)
-    left = run.alive * run.disc[None, :] * spread_rc * exp_rc
-    right = run.alive * run.disc[None, :] * spread_ll * exp_ll
-    dt = np.diff(run.paths.times)
-    return (0.5 * (left[:, :-1] + right[:, 1:]) * dt[None, :]).sum(axis=1)
-
-
-def _funding_cumulative(
-    run: _McRun,
-    value_rc: np.ndarray,
-    value_ll: np.ndarray,
-    gamma_c: PiecewiseCurve,
-    gamma_b: PiecewiseCurve,
-) -> np.ndarray:
-    """Remaining funding cost from each grid time, per path, time-0 dollars.
-
-    F_j = sum of segment trapezoids over [t_j, T] of
-    1_alive * D * (gamma_C (V-C)^+ - gamma_B (V-C)^-).
-    """
+def _run_funding(run: _McRun, value_rc, value_ll, spreads_c, spreads_b):
+    """Per-path CFVA and DFVA legs of a value grid and its left limits."""
     times = run.paths.times
     gap_rc = value_rc - run.posted_rc
     gap_ll = value_ll - run.posted_ll
-    gc_rc, gc_ll = _basis_on_grid(gamma_c, times)
-    gb_rc, gb_ll = _basis_on_grid(gamma_b, times)
-    g_rc = run.alive * run.disc[None, :] * (
-        gc_rc * np.maximum(gap_rc, 0.0) - gb_rc * np.maximum(-gap_rc, 0.0)
+    return (
+        _funding_pathwise(times, run.alive, run.disc, gap_rc, gap_ll, *spreads_c, True),
+        _funding_pathwise(times, run.alive, run.disc, gap_rc, gap_ll, *spreads_b, False),
     )
-    g_ll = run.alive * run.disc[None, :] * (
-        gc_ll * np.maximum(gap_ll, 0.0) - gb_ll * np.maximum(-gap_ll, 0.0)
+
+
+def _mc_report(run: _McRun, loss, gain, cf, df, method: str, **kw) -> XvaReport:
+    """Report of per-path legs: their means, with standard errors."""
+    (cva_v, se_cva), (dva_v, se_dva), (cfva_v, se_cfva), (dfva_v, se_dfva) = map(
+        _mean_and_se, (loss, gain, cf, df)
     )
-    dt = np.diff(times)
-    segments = 0.5 * (g_rc[:, :-1] + g_ll[:, 1:]) * dt[None, :]
-    out = np.zeros_like(value_rc)
-    out[:, :-1] = segments[:, ::-1].cumsum(axis=1)[:, ::-1]
-    return out
+    pv0 = run.vc_rc[:, 0] - loss + gain - cf + df
+    return _assemble(
+        float(run.vc_rc[:, 0].mean()), cva_v, dva_v, cfva_v, dfva_v,
+        method=method,
+        se_cva=se_cva,
+        se_dva=se_dva,
+        se_cfva=se_cfva,
+        se_dfva=se_dfva,
+        se_fair_value=_mean_and_se(pv0)[1],
+        **kw,
+    )
 
 
 def _recursive_mc(
@@ -749,6 +753,17 @@ def _recursive_mc(
     n_workers: int = 1,
     paths: PathSet | None = None,
 ):
+    """The recursive value on simulated paths, solved by one backward sweep.
+
+    At grid time t_k the pathwise present value is
+    V^c - (CVA - DVA legs after t_k) / D(t_k) - F_k / D(t_k), with F_k the
+    funding remaining from t_k in time-0 dollars: the trapezoid segments
+    0.5 * (g(t_j) + g(t_{j+1}-)) * dt_j for j >= k of the funding density
+    g = 1_alive * D * (gamma_C (V-C)^+ - gamma_B (V-C)^-). Only the segment
+    from t_k involves V(t_k), so once the later times are solved, F_{k+1} and
+    g(t_{k+1}-) are known per path and the slice's fixed point is iterated
+    alone.
+    """
     run = _prepare_mc(
         instrument, ois, counterparty, bank, collateral, dyn,
         n_paths, n_steps, seed, bond_mode, n_workers, paths,
@@ -756,82 +771,54 @@ def _recursive_mc(
     gamma_c = counterparty.basis
     gamma_b = PiecewiseCurve.flat(0.0) if bond_mode else bank.basis
     times = run.paths.times
-    n = run.paths.n_paths
+    spreads_c = _basis_on_grid(gamma_c, times)
+    spreads_b = _basis_on_grid(gamma_b, times)
+    (gc_rc, gc_ll), (gb_rc, gb_ll) = spreads_c, spreads_b
+    dt = np.diff(times)
     scale = notional_scale(instrument)
-
-    # pathwise default legs seen from each grid time, in time-0 dollars
-    tau_c = run.paths.tau_c
-    tau_b = run.paths.tau_b
-    loss_after = run.def_loss[:, None] * (tau_c[:, None] > times[None, :])
-    gain_after = run.def_gain[:, None] * (tau_b[:, None] > times[None, :])
-
-    regressor = _ConditionalRegressor(run.paths, run.alive, params.regression_degree)
-
     jump = run.vc_ll - run.vc_rc  # deterministic cash-flow jumps carried by V too
-    base_pv = run.vc_rc - (loss_after - gain_after) / run.disc[None, :]
 
-    value = regressor.fit(base_pv)  # iterate 0: no funding feedback
-    iterations = 0
-    residual = float("inf")
-    growth_streak = 0
-    prev_residual = None
-    converged = False
-    for _ in range(params.max_iter):
-        funding = _funding_cumulative(run, value, value + jump, gamma_c, gamma_b)
-        pv = base_pv - funding / run.disc[None, :]
-        fitted = regressor.fit(pv)
-        if params.damping != 1.0:
-            fitted = (1.0 - params.damping) * value + params.damping * fitted
-        residual = float(np.max(np.abs(fitted - value)))
-        iterations += 1
-        _check_finite_residual(residual, iterations)
-        value = fitted
-        if residual <= params.tol * scale:
-            converged = True
-            break
-        if prev_residual is not None and residual > prev_residual:
-            growth_streak += 1
-            if growth_streak >= 3:
-                raise ConvergenceError(
-                    f"Picard iteration diverging: residual {residual:.3e} grew "
-                    f"for 3 consecutive iterations"
-                )
-        else:
-            growth_streak = 0
-        prev_residual = residual
-    if not converged:
-        warnings.warn(
-            f"recursive solver hit max_iter={params.max_iter} with residual "
-            f"{residual:.3e}",
-            RuntimeWarning,
+    def density(k, gap, gc, gb):
+        return run.alive[:, k] * run.disc[k] * (
+            gc[0, k] * np.maximum(gap, 0.0) - gb[0, k] * np.maximum(-gap, 0.0)
         )
 
-    cfva_path = _funding_pathwise(
-        run, value, value + jump, *_basis_on_grid(gamma_c, times), positive=True
-    )
-    dfva_path = _funding_pathwise(
-        run, value, value + jump, *_basis_on_grid(gamma_b, times), positive=False
-    )
-    sqrt_n = math.sqrt(n)
-    v_coll0 = float(run.vc_rc[:, 0].mean())
-    cva_v, cva_se = float(run.def_loss.mean()), float(run.def_loss.std() / sqrt_n)
-    dva_v, dva_se = float(run.def_gain.mean()), float(run.def_gain.std() / sqrt_n)
-    cfva_v, cfva_se = float(cfva_path.mean()), float(cfva_path.std() / sqrt_n)
-    dfva_v, dfva_se = float(dfva_path.mean()), float(dfva_path.std() / sqrt_n)
-    pv0 = (
-        run.vc_rc[:, 0] - run.def_loss + run.def_gain - cfva_path + dfva_path
-    )
-    report = _assemble(
-        v_coll0, cva_v, dva_v, cfva_v, dfva_v,
-        method="recursive_mc",
-        iterations=iterations,
-        residual=residual,
-        converged=converged,
-        se_cva=cva_se,
-        se_dva=dva_se,
-        se_cfva=cfva_se,
-        se_dfva=dfva_se,
-        se_fair_value=float(pv0.std() / sqrt_n),
+    n, m = run.paths.n_paths, len(times)
+    value = np.zeros((n, m))
+    remaining = np.zeros(n)  # F_{k+1}
+    density_ll = None  # g(t_{k+1}-)
+    iterations, residual, converged = 0, 0.0, True
+    for k in range(m - 1, -1, -1):
+        # pathwise default legs seen from t_k, in time-0 dollars
+        after = (run.def_loss * (run.paths.tau_c > times[k])
+                 - run.def_gain * (run.paths.tau_b > times[k]))
+        base_pv = run.vc_rc[:, k] - after / run.disc[k]
+        project = _slice_projection(run.paths, run.alive[:, k], k, params.regression_degree)
+        if k < m - 1:
+            def funding(density_rc):
+                return remaining + 0.5 * (density_rc + density_ll) * dt[k]
+
+            def step(v):
+                g = density(k, v - run.posted_rc[:, k], gc_rc, gb_rc)
+                return project(base_pv - funding(g) / run.disc[k])
+
+            start = project(base_pv - funding(0.0) / run.disc[k])
+            v, its, res, ok = _fixed_point(step, start, params, scale)
+            iterations = max(iterations, its)
+            residual = max(residual, res)
+            converged = converged and ok
+            remaining = funding(density(k, v - run.posted_rc[:, k], gc_rc, gb_rc))
+        else:
+            v = project(base_pv)  # no funding remains at maturity
+        value[:, k] = v
+        density_ll = density(k, v + jump[:, k] - run.posted_ll[:, k], gc_ll, gb_ll)
+    if not converged:
+        _warn_not_converged(params, residual)
+
+    cf, df = _run_funding(run, value, value + jump, spreads_c, spreads_b)
+    report = _mc_report(
+        run, run.def_loss, run.def_gain, cf, df, "recursive_mc",
+        iterations=iterations, residual=residual, converged=converged,
     )
     return report, run, value
 
@@ -845,35 +832,16 @@ def _one_pass_mc(
         instrument, ois, counterparty, bank, collateral, dyn,
         n_paths, n_steps, seed, bond_mode, n_workers, paths,
     )
-    sqrt_n = math.sqrt(run.paths.n_paths)
-    v_coll0 = float(run.vc_rc[:, 0].mean())
-    times = run.paths.times
-
+    basis_b = PiecewiseCurve.flat(0.0) if bond_mode else bank.basis
     if method == "first_order":
-        gamma_c = counterparty.basis
-        gamma_b = PiecewiseCurve.flat(0.0) if bond_mode else bank.basis
-        cva_v, cva_se = float(run.def_loss.mean()), float(run.def_loss.std() / sqrt_n)
-        dva_v, dva_se = float(run.def_gain.mean()), float(run.def_gain.std() / sqrt_n)
-        cf = _funding_pathwise(
-            run, run.vc_rc, run.vc_ll, *_basis_on_grid(gamma_c, times), positive=True
+        times = run.paths.times
+        cf, df = _run_funding(
+            run, run.vc_rc, run.vc_ll,
+            _basis_on_grid(counterparty.basis, times), _basis_on_grid(basis_b, times),
         )
-        df = _funding_pathwise(
-            run, run.vc_rc, run.vc_ll, *_basis_on_grid(gamma_b, times), positive=False
-        )
-        pv0 = run.vc_rc[:, 0] - run.def_loss + run.def_gain - cf + df
-        report = _assemble(
-            v_coll0, cva_v, dva_v, float(cf.mean()), float(df.mean()),
-            method="first_order",
-            se_cva=cva_se,
-            se_dva=dva_se,
-            se_cfva=float(cf.std() / sqrt_n),
-            se_dfva=float(df.std() / sqrt_n),
-            se_fair_value=float(pv0.std() / sqrt_n),
-        )
-        return report, run, None
+        return _mc_report(run, run.def_loss, run.def_gain, cf, df, "first_order"), run, None
 
     # bond_implied: resample defaults at the bond-implied intensities
-    basis_b = PiecewiseCurve.flat(0.0) if bond_mode else bank.basis
     shifted = sample_default_times(
         run.paths,
         counterparty.recovery,
@@ -887,17 +855,8 @@ def _one_pass_mc(
         shifted, run.model, ois, counterparty.recovery, collateral, "cva"
     )
     gain = _default_leg_pathwise(shifted, run.model, ois, bank.recovery, collateral, "dva")
-    pv0 = run.vc_rc[:, 0] - loss + gain
-    report = _assemble(
-        v_coll0, float(loss.mean()), float(gain.mean()), 0.0, 0.0,
-        method="bond_implied",
-        se_cva=float(loss.std() / sqrt_n),
-        se_dva=float(gain.std() / sqrt_n),
-        se_cfva=0.0,
-        se_dfva=0.0,
-        se_fair_value=float(pv0.std() / sqrt_n),
-    )
-    return report, run, None
+    no_funding = np.zeros(run.paths.n_paths)
+    return _mc_report(run, loss, gain, no_funding, no_funding, "bond_implied"), run, None
 
 
 # ---------------------------------------------------------------------------
@@ -984,16 +943,13 @@ def _det_default_adjustments(
     return cva_curve, dva_curve
 
 
-def _recursive_deterministic(
-    instrument: Instrument,
-    ois: PiecewiseCurve,
-    counterparty: CounterpartyProfile,
-    bank: CounterpartyProfile,
-    collateral: CollateralSpec,
-    dyn: ModelDynamics | None,
-    params: SolverParams,
-    bond_mode: bool,
+def _det_setup(
+    instrument, ois, counterparty, bank, collateral, dyn, params, bond_mode,
+    bond_implied=False,
 ):
+    """Grid, V^c, collateral and default adjustments of the deterministic
+    backend; bond_implied puts the defaults at the bond-implied intensities
+    and the funding bases at zero."""
     if bond_mode:
         bank = CounterpartyProfile.default_free()
     model = make_collateralized_valuation(instrument, ois, dyn)
@@ -1001,114 +957,68 @@ def _recursive_deterministic(
         raise ValueError(
             "the deterministic backend needs a schedule trade or zero volatility"
         )
-    grid = _det_grid(
-        instrument, ois, counterparty.hazard, bank.hazard,
-        counterparty.basis, bank.basis, params.det_steps,
-    )
+    if bond_implied:
+        no_basis = PiecewiseCurve.flat(0.0)
+        curves = (
+            _floored(bond_implied_hazard(counterparty)),
+            _floored(bond_implied_hazard(bank)),
+            no_basis,
+            no_basis,
+        )
+    else:
+        curves = (counterparty.hazard, bank.hazard, counterparty.basis, bank.basis)
+    grid = _det_grid(instrument, ois, *curves, params.det_steps)
     vc = model.deterministic_values(grid.times)
     posted = collateral_amount(collateral, vc)
     cva_curve, dva_curve = _det_default_adjustments(
         grid, model, collateral, counterparty.recovery, bank.recovery
     )
-    scale = notional_scale(instrument)
+    return grid, vc, posted, cva_curve, dva_curve
 
-    value = vc - cva_curve + dva_curve
-    iterations = 0
-    residual = float("inf")
-    prev_residual = None
-    growth_streak = 0
-    converged = False
-    for _ in range(params.max_iter):
+
+def _deterministic(
+    instrument, ois, counterparty, bank, collateral, dyn, params, bond_mode, method
+):
+    """Report, grid, value curve and collateral of one deterministic valuation."""
+    grid, vc, posted, cva_curve, dva_curve = _det_setup(
+        instrument, ois, counterparty, bank, collateral, dyn, params, bond_mode,
+        bond_implied=method == "bond_implied",
+    )
+    base = vc - cva_curve + dva_curve
+    legs = (float(vc[0]), float(cva_curve[0]), float(dva_curve[0]))
+    if method == "bond_implied":
+        return _assemble(*legs, 0.0, 0.0, method="bond_implied"), grid, base, posted
+
+    def funding(value):
         gap = value - posted
-        cf = _reverse_left_integral(grid, grid.gamma_c * np.maximum(gap, 0.0))
-        df = _reverse_left_integral(grid, grid.gamma_b * np.maximum(-gap, 0.0))
-        new_value = vc - cva_curve + dva_curve - cf + df
-        if params.damping != 1.0:
-            new_value = (1.0 - params.damping) * value + params.damping * new_value
-        residual = float(np.max(np.abs(new_value - value)))
-        iterations += 1
-        _check_finite_residual(residual, iterations)
-        value = new_value
-        if residual <= params.tol * scale:
-            converged = True
-            break
-        if prev_residual is not None and residual > prev_residual:
-            growth_streak += 1
-            if growth_streak >= 3:
-                raise ConvergenceError(
-                    f"Picard iteration diverging: residual {residual:.3e}"
-                )
-        else:
-            growth_streak = 0
-        prev_residual = residual
-    if not converged:
-        warnings.warn(
-            f"recursive solver hit max_iter={params.max_iter} with residual "
-            f"{residual:.3e}",
-            RuntimeWarning,
+        return (
+            _reverse_left_integral(grid, grid.gamma_c * np.maximum(gap, 0.0)),
+            _reverse_left_integral(grid, grid.gamma_b * np.maximum(-gap, 0.0)),
         )
-    gap = value - posted
-    cf = _reverse_left_integral(grid, grid.gamma_c * np.maximum(gap, 0.0))
-    df = _reverse_left_integral(grid, grid.gamma_b * np.maximum(-gap, 0.0))
+
+    if method == "first_order":
+        cf, df = funding(vc)
+        report = _assemble(*legs, float(cf[0]), float(df[0]), method="first_order")
+        return report, grid, base - cf + df, posted
+
+    def step(value):
+        cf, df = funding(value)
+        return base - cf + df
+
+    value, iterations, residual, converged = _fixed_point(
+        step, base, params, notional_scale(instrument)
+    )
+    if not converged:
+        _warn_not_converged(params, residual)
+    cf, df = funding(value)
     report = _assemble(
-        float(vc[0]), float(cva_curve[0]), float(dva_curve[0]),
-        float(cf[0]), float(df[0]),
+        *legs, float(cf[0]), float(df[0]),
         method="recursive_pde",
         iterations=iterations,
         residual=residual,
         converged=converged,
     )
-    return report, grid, value, vc, posted
-
-
-def _one_pass_deterministic(
-    instrument, ois, counterparty, bank, collateral, dyn, params, bond_mode, method
-):
-    if bond_mode:
-        bank = CounterpartyProfile.default_free()
-    model = make_collateralized_valuation(instrument, ois, dyn)
-    if not model.deterministic:
-        raise ValueError(
-            "the deterministic backend needs a schedule trade or zero volatility"
-        )
-    if method == "bond_implied":
-        lam_bar_c = _floored(bond_implied_hazard(counterparty))
-        lam_bar_b = _floored(bond_implied_hazard(bank))
-        grid = _det_grid(
-            instrument, ois, lam_bar_c, lam_bar_b,
-            PiecewiseCurve.flat(0.0), PiecewiseCurve.flat(0.0), params.det_steps,
-        )
-        vc = model.deterministic_values(grid.times)
-        posted = collateral_amount(collateral, vc)
-        cva_curve, dva_curve = _det_default_adjustments(
-            grid, model, collateral, counterparty.recovery, bank.recovery
-        )
-        report = _assemble(
-            float(vc[0]), float(cva_curve[0]), float(dva_curve[0]), 0.0, 0.0,
-            method="bond_implied",
-        )
-        value = vc - cva_curve + dva_curve
-        return report, grid, value, vc, posted
-
-    grid = _det_grid(
-        instrument, ois, counterparty.hazard, bank.hazard,
-        counterparty.basis, bank.basis, params.det_steps,
-    )
-    vc = model.deterministic_values(grid.times)
-    posted = collateral_amount(collateral, vc)
-    cva_curve, dva_curve = _det_default_adjustments(
-        grid, model, collateral, counterparty.recovery, bank.recovery
-    )
-    gap = vc - posted
-    cf = _reverse_left_integral(grid, grid.gamma_c * np.maximum(gap, 0.0))
-    df = _reverse_left_integral(grid, grid.gamma_b * np.maximum(-gap, 0.0))
-    report = _assemble(
-        float(vc[0]), float(cva_curve[0]), float(dva_curve[0]),
-        float(cf[0]), float(df[0]),
-        method="first_order",
-    )
-    value = vc - cva_curve + dva_curve - cf + df
-    return report, grid, value, vc, posted
+    return report, grid, value, posted
 
 
 def _floored(curve: PiecewiseCurve) -> PiecewiseCurve:
@@ -1207,15 +1117,9 @@ def run_xva(
 
     model = make_collateralized_valuation(instrument, ois, dyn)
     if getattr(model, "deterministic", False):
-        if method == "recursive":
-            report, grid, value, vc, posted = _recursive_deterministic(
-                instrument, ois, counterparty, bank, collateral, dyn, params, bond_mode
-            )
-        else:
-            report, grid, value, vc, posted = _one_pass_deterministic(
-                instrument, ois, counterparty, bank, collateral, dyn, params,
-                bond_mode, method,
-            )
+        report, grid, value, posted = _deterministic(
+            instrument, ois, counterparty, bank, collateral, dyn, params, bond_mode, method
+        )
         return report, _det_exposure_profile(grid, value, posted)
 
     # genuine PDE in the underlying; deterministic spreads by construction
@@ -1278,10 +1182,7 @@ def ead_split_adjustment(
     zero basis the two pieces recombine exactly (same exponential draws)
     into the plain cure-period CVA.
     """
-    if collateral.cure_period <= 0:
-        shift = 0.0
-    else:
-        shift = collateral.cure_period
+    shift = collateral.cure_period
     model = _as_valuation(v_coll, paths)
     bond_paths = sample_default_times(
         paths, counterparty.recovery, bank.recovery,
@@ -1334,23 +1235,16 @@ def compare_aggregations(
         )
         # the stochastic part of the bank's funding spread rides on pi_B
         g_rc, g_ll = _basis_on_grid(bank.basis, run.paths.times)
-        spread_rc = run.paths.pi_b + g_rc
-        spread_ll = run.paths.pi_b + g_ll
-        fca = float(
-            _funding_pathwise(run, run.vc_rc, run.vc_ll, spread_rc, spread_ll, True).mean()
-        )
-        fba = float(
-            _funding_pathwise(run, run.vc_rc, run.vc_ll, spread_rc, spread_ll, False).mean()
-        )
+        spreads = (run.paths.pi_b + g_rc, run.paths.pi_b + g_ll)
+        fca_path, fba_path = _run_funding(run, run.vc_rc, run.vc_ll, spreads, spreads)
+        fca, fba = float(fca_path.mean()), float(fba_path.mean())
     else:
         params = kwargs.get("params") or SolverParams()
-        grid = _det_grid(
-            instrument, ois, counterparty.hazard, bank.hazard,
-            counterparty.basis, bank.basis, params.det_steps,
+        grid, vc, posted, _, _ = _det_setup(
+            instrument, ois, counterparty, bank, collateral, kwargs.get("dyn"), params,
+            bond_mode=False,
         )
-        model = make_collateralized_valuation(instrument, ois, kwargs.get("dyn"))
-        vc = model.deterministic_values(grid.times)
-        gap = vc - collateral_amount(collateral, vc)
+        gap = vc - posted
         spread = full_spread_b.values_at(grid.times)
         fca = float(_reverse_left_integral(grid, spread * np.maximum(gap, 0.0))[0])
         fba = float(_reverse_left_integral(grid, spread * np.maximum(-gap, 0.0))[0])

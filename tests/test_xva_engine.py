@@ -18,10 +18,16 @@ from bondxva.mc_engine import (
     simulate_paths,
     swap_roles,
 )
+from bondxva import xva_engine
 from bondxva.xva_engine import (
     ConvergenceError,
     SolverParams,
     _assemble,
+    _basis_on_grid,
+    _prepare_mc,
+    _recursive_mc,
+    _run_funding,
+    _slice_projection,
     bond_implied_value,
     cfva,
     compare_aggregations,
@@ -32,6 +38,7 @@ from bondxva.xva_engine import (
     fair_value_recursive,
     first_order_value,
     make_collateralized_valuation,
+    notional_scale,
     run_xva,
 )
 
@@ -399,6 +406,133 @@ class TestMethodRelations:
                 ZCB, OIS, nan_cp, RISKY_BANK, method="recursive", backend=backend,
                 dyn=dyn, n_paths=1_000, n_steps=8, seed=3,
             )
+
+
+class TestBackwardSweep:
+    """The Monte Carlo backward sweep against the global Picard iteration on
+    the same discretized equations: every grid time's regression refitted to
+    the pathwise value net of the funding remaining from that time."""
+
+    # stochastic spreads give a live regression basis; the coupon bond's
+    # flows and the threshold make V^c and the collateral jump on the grid
+    DYN = ModelDynamics(
+        s0=1.0, pi0_c=0.018, pi0_b=0.013, vol_c=0.008, vol_b=0.006, rho_cb=0.4
+    )
+    COLLATERAL = CollateralSpec.bilateral_threshold(5.0, cure_period=0.25)
+    PARAMS = SolverParams(tol=1e-8)
+
+    def _paths(self):
+        paths = simulate_paths(self.DYN, 2.0, n_steps=24, n_paths=3_000, seed=21)
+        return sample_default_times(paths, RISKY_CP.recovery, RISKY_BANK.recovery)
+
+    def _global_picard(self, paths):
+        run = _prepare_mc(
+            TWO_SIDED, OIS, RISKY_CP, RISKY_BANK, self.COLLATERAL, self.DYN,
+            0, 0, 0, False, paths=paths,
+        )
+        times = run.paths.times
+        projections = [
+            _slice_projection(run.paths, run.alive[:, k], k, self.PARAMS.regression_degree)
+            for k in range(len(times))
+        ]
+
+        def fit(pv):
+            return np.column_stack([p(pv[:, k]) for k, p in enumerate(projections)])
+
+        alive_c = run.paths.tau_c[:, None] > times[None, :]
+        alive_b = run.paths.tau_b[:, None] > times[None, :]
+        base_pv = run.vc_rc - (
+            run.def_loss[:, None] * alive_c - run.def_gain[:, None] * alive_b
+        ) / run.disc[None, :]
+        jump = run.vc_ll - run.vc_rc
+        gc_rc, gc_ll = _basis_on_grid(RISKY_CP.basis, times)
+        gb_rc, gb_ll = _basis_on_grid(RISKY_BANK.basis, times)
+
+        def density(gap, gc, gb):
+            return run.alive * run.disc[None, :] * (
+                gc * np.maximum(gap, 0.0) - gb * np.maximum(-gap, 0.0)
+            )
+
+        def remaining(value):
+            g_rc = density(value - run.posted_rc, gc_rc, gb_rc)
+            g_ll = density(value + jump - run.posted_ll, gc_ll, gb_ll)
+            segments = 0.5 * (g_rc[:, :-1] + g_ll[:, 1:]) * np.diff(times)[None, :]
+            out = np.zeros_like(value)
+            out[:, :-1] = segments[:, ::-1].cumsum(axis=1)[:, ::-1]
+            return out
+
+        value = fit(base_pv)
+        for _ in range(self.PARAMS.max_iter):
+            fitted = fit(base_pv - remaining(value) / run.disc[None, :])
+            residual = np.max(np.abs(fitted - value))
+            value = fitted
+            if residual <= self.PARAMS.tol * notional_scale(TWO_SIDED):
+                return run, value
+        raise AssertionError("the reference iteration did not converge")
+
+    def _sweep(self, paths):
+        return _recursive_mc(
+            TWO_SIDED, OIS, RISKY_CP, RISKY_BANK, self.COLLATERAL, self.DYN,
+            0, 0, 0, self.PARAMS, False, paths=paths,
+        )
+
+    def test_sweep_solves_the_global_fixed_point(self):
+        paths = self._paths()
+        report, _, value = self._sweep(paths)
+        run, reference = self._global_picard(paths)
+        assert np.any(run.vc_ll != run.vc_rc) and np.any(run.posted_ll != run.posted_rc)
+        bound = 10 * self.PARAMS.tol * notional_scale(TWO_SIDED)
+        assert np.max(np.abs(value - reference)) <= bound
+        cf, df = _run_funding(
+            run, reference, reference + run.vc_ll - run.vc_rc,
+            _basis_on_grid(RISKY_CP.basis, run.paths.times),
+            _basis_on_grid(RISKY_BANK.basis, run.paths.times),
+        )
+        assert report.cfva > 0 and report.dfva > 0
+        assert report.cfva == pytest.approx(float(cf.mean()), rel=1e-9)
+        assert report.dfva == pytest.approx(float(df.mean()), rel=1e-9)
+
+    def test_each_grid_time_is_regressed_once_and_solved_alone(self, monkeypatch):
+        built, solved = [], []
+        project, fixed_point = xva_engine._slice_projection, xva_engine._fixed_point
+
+        def counting_projection(paths, alive, k, degree):
+            built.append(k)
+            return project(paths, alive, k, degree)
+
+        def recording_fixed_point(*args):
+            out = fixed_point(*args)
+            solved.append(out[1:])
+            return out
+
+        monkeypatch.setattr(xva_engine, "_slice_projection", counting_projection)
+        monkeypatch.setattr(xva_engine, "_fixed_point", recording_fixed_point)
+        report, run, _ = self._sweep(self._paths())
+        n_times = len(run.paths.times)
+        assert sorted(built) == list(range(n_times))
+        # the last grid time is measurable: no fixed point there
+        assert len(solved) == n_times - 1
+        assert report.iterations == max(its for its, _, _ in solved)
+        assert report.residual == max(res for _, res, _ in solved)
+        assert report.converged and all(ok for _, _, ok in solved)
+
+    def test_an_iteration_budget_of_one_warns_once_per_valuation(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report, _ = run_xva(
+                TWO_SIDED, OIS, RISKY_CP, RISKY_BANK, self.COLLATERAL,
+                method="recursive", backend="mc", paths=self._paths(),
+                params=SolverParams(max_iter=1),
+            )
+        budget = [
+            w for w in caught
+            if issubclass(w.category, RuntimeWarning) and "max_iter=1" in str(w.message)
+        ]
+        assert len(budget) == 1
+        assert f"{report.residual:.3e}" in str(budget[0].message)
+        assert report.iterations == 1
+        assert report.converged is False
+        assert report.residual > 0
 
 
 class TestCollateralEffects:
