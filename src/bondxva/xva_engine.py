@@ -32,6 +32,7 @@ defaults driven by bond-implied intensities).
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import math
 import warnings
@@ -89,6 +90,10 @@ class SolverParams:
     the previous iterate. det_steps is the base number of uniform steps of
     the deterministic grid; regression_degree the total degree of the Monte
     Carlo regression basis.
+
+    Domains, checked on construction (ValueError naming the field): tol
+    finite and > 0, max_iter >= 1, 0 < damping <= 1, det_steps >= 1,
+    regression_degree >= 0.
     """
 
     tol: float = 1e-6
@@ -96,6 +101,19 @@ class SolverParams:
     damping: float = 1.0
     det_steps: int = 800
     regression_degree: int = 3
+
+    def __post_init__(self):
+        for name, ok, domain in (
+            ("tol", math.isfinite(self.tol) and self.tol > 0, "finite and > 0"),
+            ("max_iter", self.max_iter >= 1, ">= 1"),
+            ("damping", 0 < self.damping <= 1, "in (0, 1]"),
+            ("det_steps", self.det_steps >= 1, ">= 1"),
+            ("regression_degree", self.regression_degree >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ValueError(
+                    f"SolverParams.{name} must be {domain}, got {getattr(self, name)!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -587,10 +605,14 @@ def _slice_projection(paths: PathSet, alive: np.ndarray, k: int, degree: int):
     Returns a function from per-path values to their fitted conditional
     expectations, zero on paths not alive at t_k. The basis is every
     monomial of total degree <= degree in the standardized (S, pi_C, pi_B)
-    of the alive paths; it and the pseudo-inverse of its Gram matrix are
-    built once, so each fit is two thin mat-vecs. Degenerate states (zero
-    volatility) collapse to the plain mean through the pinv rank cutoff, or
-    straight to it when no factor varies. At the last grid time the values
+    of the alive paths. A factor that does not vary (zero volatility) enters
+    only at power 0: its monomials are left out of the basis, so the README
+    dynamics regress on the 4 powers of S alone; when no factor varies the
+    fit is the plain mean. Each live factor's powers 1, x, x*x, x*x*x, ...
+    are formed once by repeated multiplication, and each monomial is written
+    as their product into one contiguous row of a (columns, alive paths)
+    basis B. B and the pseudo-inverse of its Gram matrix B B^T are built
+    once, so each fit is two thin mat-vecs. At the last grid time the values
     are already measurable and are returned as they are.
     """
     mask = alive.copy()
@@ -605,28 +627,31 @@ def _slice_projection(paths: PathSet, alive: np.ndarray, k: int, degree: int):
         return lambda pv: np.zeros(len(mask))
     if k == len(paths.times) - 1:
         return lambda pv: fitted(pv[mask])
-    factors = []
+    powers = []  # per factor: its powers 0..degree, or None if it is constant
     for raw in (paths.s[:, k], paths.pi_c[:, k], paths.pi_b[:, k]):
         x = raw[mask]
         center, spread = x.mean(), x.std()
         if spread < 1e-13 * max(1.0, abs(center)):
-            factors.append(None)
-        else:
-            factors.append((x - center) / spread)
-    if all(x is None for x in factors):
+            powers.append(None)
+            continue
+        x = (x - center) / spread
+        cached = [None, x]  # power 0 is the ones each basis row starts from
+        for _ in range(degree - 1):
+            cached.append(cached[-1] * x)
+        powers.append(cached)
+    if all(p is None for p in powers):
         return lambda pv: fitted(pv[mask].mean())
-    zeros = np.zeros(n_alive)
-    factors = [zeros if x is None else x for x in factors]
-    exponents = _monomial_exponents(degree)
-    basis = np.empty((n_alive, len(exponents)))
-    for j, powers in enumerate(exponents):
-        col = np.ones(n_alive)
-        for x, power in zip(factors, powers):
+    exponents = [
+        e for e in _monomial_exponents(degree)
+        if all(p is not None or power == 0 for p, power in zip(powers, e))
+    ]
+    basis = np.ones((len(exponents), n_alive))
+    for row, e in zip(basis, exponents):
+        for p, power in zip(powers, e):
             if power:
-                col = col * x**power
-        basis[:, j] = col
-    pinv = np.linalg.pinv(basis.T @ basis, rcond=1e-10)
-    return lambda pv: fitted(basis @ (pinv @ (basis.T @ pv[mask])))
+                np.multiply(row, p[power], out=row)
+    pinv = np.linalg.pinv(basis @ basis.T, rcond=1e-10)
+    return lambda pv: fitted((pinv @ (basis @ pv[mask])) @ basis)
 
 
 # ---------------------------------------------------------------------------
@@ -1217,31 +1242,39 @@ def compare_aggregations(
     * cva_full_fva: V^c - CVA - FCA + FBA at the bank's full funding spread
       pi_B + gamma_B applied symmetrically, no DVA
     * cva_dva_fca: V^c - CVA + DVA - FCA (asymmetric funding cost only)
+
+    kwargs are run_xva's; on "mc" the first_order run is prepared once and
+    its exposure serves the full-spread legs too, except in bond mode.
     """
     collateral = collateral or CollateralSpec.none()
-    report, _ = run_xva(
-        instrument, ois, counterparty, bank, collateral,
-        method="first_order", **kwargs,
+    # run_xva's knobs with its defaults; an unknown keyword is a TypeError
+    call = inspect.signature(run_xva).bind(
+        instrument, ois, counterparty, bank, collateral, method="first_order", **kwargs
     )
-    backend = kwargs.get("backend", "mc")
+    call.apply_defaults()
+    opt = call.arguments
     full_spread_b = _full_funding_spread(bank)
-    if backend == "mc":
-        dyn = kwargs.get("dyn")
-        run = _prepare_mc(
-            instrument, ois, counterparty, bank, collateral, dyn,
-            kwargs.get("n_paths", 50_000), kwargs.get("n_steps", 50),
-            kwargs.get("seed", 20_200_814), False,
-            kwargs.get("n_workers", 1), kwargs.get("paths"),
+    if opt["backend"] == "mc":
+        mc_args = (
+            instrument, ois, counterparty, bank, collateral, opt["dyn"],
+            opt["n_paths"], opt["n_steps"], opt["seed"],
         )
+        report, run, _ = _one_pass_mc(
+            *mc_args, opt["bond_mode"], "first_order", opt["n_workers"], opt["paths"]
+        )
+        if opt["bond_mode"]:
+            # the full-spread legs price the bank's pi_B, which bond mode silences
+            run = _prepare_mc(*mc_args, False, opt["n_workers"], opt["paths"])
         # the stochastic part of the bank's funding spread rides on pi_B
         g_rc, g_ll = _basis_on_grid(bank.basis, run.paths.times)
         spreads = (run.paths.pi_b + g_rc, run.paths.pi_b + g_ll)
         fca_path, fba_path = _run_funding(run, run.vc_rc, run.vc_ll, spreads, spreads)
         fca, fba = float(fca_path.mean()), float(fba_path.mean())
     else:
-        params = kwargs.get("params") or SolverParams()
+        report, _ = run_xva(*call.args, **call.kwargs)
+        params = opt["params"] or SolverParams()
         grid, vc, posted, _, _ = _det_setup(
-            instrument, ois, counterparty, bank, collateral, kwargs.get("dyn"), params,
+            instrument, ois, counterparty, bank, collateral, opt["dyn"], params,
             bond_mode=False,
         )
         gap = vc - posted

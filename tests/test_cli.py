@@ -382,6 +382,27 @@ class TestConfigErrors:
         assert out == ""
         assert f"{section}.{key}: expected a finite number" in err
 
+    @pytest.mark.parametrize(
+        "base, key, value",
+        [
+            ("mc", "regression_degree", -1),
+            ("mc", "damping", 0.0),
+            ("mc", "max_iter", 0),
+            ("mc", "tol", -1),
+            ("det", "det_steps", -5),
+        ],
+    )
+    def test_out_of_domain_solver_values_are_config_errors(
+        self, tmp_path, capsys, base, key, value
+    ):
+        cfg_data = json.loads(json.dumps(XVA_MC_CFG if base == "mc" else XVA_DET_CFG))
+        cfg_data["solver"] = {key: value}
+        cfg = write_config(tmp_path, cfg_data)
+        code, out, err = run_cli(["xva", "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"SolverParams.{key} must be" in err
+
     def test_reports_are_strict_json(self):
         with pytest.raises(ValueError, match="not JSON compliant"):
             cli._emit({"fair_value": float("nan")}, None)

@@ -1,5 +1,6 @@
 """Tests for the valuation engine: adjustment legs, fixed point, reports."""
 
+import itertools
 import math
 import warnings
 
@@ -535,6 +536,123 @@ class TestBackwardSweep:
         assert report.residual > 0
 
 
+class TestRegressionBasis:
+    """The per-time regression against a plain reference written here: every
+    monomial of total degree <= 3 as a column of ``x**p`` powers, a constant
+    factor entering as a zero column, and the pseudo-inverse of the Gram
+    matrix at the same rank cutoff."""
+
+    DEGREE = 3
+    README = ModelDynamics(s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013)
+    STOCHASTIC = ModelDynamics(
+        s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013,
+        vol_c=0.008, vol_b=0.006, rho_sc=0.2, rho_sb=0.1, rho_cb=0.4,
+    )
+
+    @staticmethod
+    def _paths(dyn):
+        # high intensities, so each grid time has its own alive set
+        paths = simulate_paths(dyn, 1.0, n_steps=12, n_paths=3_000, seed=47)
+        return sample_default_times(paths, 0.4, 0.35, basis_c=PiecewiseCurve.flat(0.3))
+
+    @staticmethod
+    def _standardized(paths, mask, k):
+        factors = []
+        for raw in (paths.s[:, k], paths.pi_c[:, k], paths.pi_b[:, k]):
+            x = raw[mask]
+            center, spread = x.mean(), x.std()
+            live = spread >= 1e-13 * max(1.0, abs(center))
+            factors.append((x - center) / spread if live else np.zeros_like(x))
+        return factors
+
+    def _reference(self, paths, mask, k, pv):
+        out = np.zeros(len(mask))
+        if k == len(paths.times) - 1:
+            out[mask] = pv[mask]
+            return out
+        factors = self._standardized(paths, mask, k)
+        exponents = [
+            e for e in itertools.product(range(self.DEGREE + 1), repeat=3)
+            if sum(e) <= self.DEGREE
+        ]
+        basis = np.column_stack([
+            np.prod([x**p for x, p in zip(factors, e)], axis=0) for e in exponents
+        ])
+        pinv = np.linalg.pinv(basis.T @ basis, rcond=1e-10)
+        out[mask] = basis @ (pinv @ (basis.T @ pv[mask]))
+        return out
+
+    @pytest.mark.parametrize("dyn", [README, STOCHASTIC], ids=["readme", "stochastic"])
+    def test_fits_agree_with_the_plain_basis_at_every_grid_time(self, dyn):
+        paths = self._paths(dyn)
+        alive = xva_engine._alive_matrix(paths)
+        assert len({int(a.sum()) for a in alive.T}) > 3
+        # a discounted call payoff plus spread terms, regressed at every time
+        pv = np.maximum(paths.s[:, -1] - 100.0, 0.0) * math.exp(-0.02)
+        pv = pv + 800.0 * paths.pi_c[:, -1] - 500.0 * paths.pi_b[:, -1]
+        scale = np.max(np.abs(pv))
+        for k in range(len(paths.times)):
+            ours = _slice_projection(paths, alive[:, k], k, self.DEGREE)(pv)
+            reference = self._reference(paths, alive[:, k], k, pv)
+            assert np.all(ours[~alive[:, k]] == 0.0)
+            assert np.max(np.abs(ours - reference)) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("dyn", [README, STOCHASTIC], ids=["readme", "stochastic"])
+    def test_a_cubic_in_the_standardized_state_is_reproduced(self, dyn):
+        paths = self._paths(dyn)
+        alive = xva_engine._alive_matrix(paths)
+        rng = np.random.default_rng(5)
+        for k in range(1, len(paths.times) - 1):
+            mask = alive[:, k]
+            x, y, z = self._standardized(paths, mask, k)
+            c = rng.normal(size=8)
+            cubic = (c[0] + c[1] * x + c[2] * x * x * x + c[3] * x * y * z
+                     + c[4] * y * y * z + c[5] * z * z * z + c[6] * x * z + c[7] * y)
+            pv = np.zeros(paths.n_paths)
+            pv[mask] = cubic
+            ours = _slice_projection(paths, mask, k, self.DEGREE)(pv)
+            assert np.max(np.abs(ours - pv)) <= 1e-8 * np.max(np.abs(pv))
+
+    @pytest.mark.parametrize(
+        "dyn, columns", [(README, 4), (STOCHASTIC, 20)], ids=["readme", "stochastic"]
+    )
+    def test_a_constant_factor_adds_no_columns(self, monkeypatch, dyn, columns):
+        sizes = []
+        pinv = np.linalg.pinv
+
+        def recording_pinv(gram, *args, **kwargs):
+            sizes.append(gram.shape)
+            return pinv(gram, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", recording_pinv)
+        paths = self._paths(dyn)
+        alive = xva_engine._alive_matrix(paths)
+        for k in range(len(paths.times)):
+            _slice_projection(paths, alive[:, k], k, self.DEGREE)
+        # no basis at time 0 (the state is the same on every path) or at
+        # maturity (the values are measurable)
+        assert sizes == [(columns, columns)] * (len(paths.times) - 2)
+
+
+class TestSolverParams:
+    def test_defaults_and_the_values_in_use_are_valid(self):
+        SolverParams()
+        SolverParams(tol=1e-8, max_iter=1, damping=0.5, det_steps=1, regression_degree=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tol", 0.0), ("tol", -1.0), ("tol", float("inf")), ("tol", float("nan")),
+            ("max_iter", 0), ("damping", 0.0), ("damping", 1.5),
+            ("damping", float("nan")), ("det_steps", 0), ("det_steps", -5),
+            ("regression_degree", -1),
+        ],
+    )
+    def test_out_of_domain_values_name_their_field(self, field, value):
+        with pytest.raises(ValueError, match=f"SolverParams.{field} must be"):
+            SolverParams(**{field: value})
+
+
 class TestCollateralEffects:
     def test_perfect_collateral_zeroes_the_one_pass_adjustments(self):
         dyn = ModelDynamics(s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013)
@@ -727,3 +845,31 @@ class TestAggregationComparison:
             "proposed", "fva_zero", "cva_full_fva", "cva_dva_fca",
             "cva", "dva", "fca_full", "fba_full",
         }
+
+    @pytest.mark.parametrize("bond_mode, prepared", [(False, 1), (True, 2)])
+    def test_monte_carlo_route_prepares_its_run_once(self, monkeypatch, bond_mode, prepared):
+        dyn = ModelDynamics(
+            s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013, vol_b=0.006
+        )
+        opt = Instrument.european_option("call", strike=100.0, expiry=1.5)
+        kwargs = dict(dyn=dyn, n_paths=2_000, n_steps=12, seed=99, bond_mode=bond_mode)
+        calls = []
+        prepare = xva_engine._prepare_mc
+
+        def counting_prepare(*args, **kw):
+            calls.append(args)
+            return prepare(*args, **kw)
+
+        monkeypatch.setattr(xva_engine, "_prepare_mc", counting_prepare)
+        agg = compare_aggregations(opt, OIS, RISKY_CP, RISKY_BANK, backend="mc", **kwargs)
+        # bond mode silences pi_B, which the full-spread legs need unsilenced
+        assert len(calls) == prepared
+        fo, _ = run_xva(
+            opt, OIS, RISKY_CP, RISKY_BANK, method="first_order", backend="mc", **kwargs
+        )
+        assert agg["proposed"] == fo.fair_value
+        assert agg["cva"] == fo.cva and agg["dva"] == fo.dva
+
+    def test_unknown_keywords_are_rejected(self):
+        with pytest.raises(TypeError):
+            compare_aggregations(TWO_SIDED, OIS, RISKY_CP, RISKY_BANK, n_path=10)
