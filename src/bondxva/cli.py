@@ -15,7 +15,8 @@ Four subcommands, each driven by a JSON config file:
 Reports are strict JSON with keys sorted and floats rounded to 10
 significant digits, so identical configs produce byte-identical output.
 Numbers in a config must be finite: the ``NaN`` and ``Infinity`` that JSON
-input may spell are refused with the key that holds them. Exit codes:
+input may spell are refused with the key that holds them, and so are counts
+and seeds that are not whole numbers (``2.5``, ``true``). Exit codes:
 0 success, 2 config or validation error, 3 calibration failure,
 4 recursive solver failed to converge.
 """
@@ -72,8 +73,12 @@ def _float(value, label: str) -> float:
 
 
 def _int(value, label: str) -> int:
+    """int(value), refusing non-finite numbers, booleans and numbers that are
+    not whole (2.5) instead of truncating them; 3.0 reads as 3."""
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{label}: expected a finite number, got {value!r}")
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{label}: expected an integer, got {value!r}")
     return int(value)
 
 

@@ -189,6 +189,8 @@ def simulate_paths(
     """
     if n_steps < 1 or n_paths < 1:
         raise ValueError("n_steps and n_paths must be at least 1")
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     times = np.linspace(0.0, horizon, n_steps + 1)

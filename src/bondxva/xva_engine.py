@@ -287,7 +287,7 @@ class _ScheduleValuation:
     def on_grid_left_limits(self, paths: PathSet) -> np.ndarray:
         return self.values_at_times(paths.times, inclusive=True)
 
-    def at_default(self, paths: PathSet, tau: np.ndarray, shift: float) -> np.ndarray:
+    def at_default(self, paths: PathSet, tau: np.ndarray, shift: float, rows=None) -> np.ndarray:
         u = np.minimum(tau + shift, self.maturity)
         u = np.where(np.isfinite(u), u, self.maturity)
         return self.values_at_times(u, clamp_terminal=shift > 0)
@@ -321,8 +321,11 @@ class _PayoffValuation:
         return self.dyn.vol_s == 0.0
 
     def value(self, u, s) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        s = np.broadcast_to(np.asarray(s, dtype=float), u.shape)
+        """V^c at times u and levels s, broadcast: u (m,) against s (n_paths, m)
+        gives the grid, with discount, growth and Black width once per time;
+        equal shapes value elementwise. At zero width (u >= expiry) it is the
+        discounted intrinsic value."""
+        u = np.asarray(u, dtype=float)
         tt = np.maximum(self.maturity - u, 0.0)
         disc = np.exp(-(self._cum_T - self.ois.integral_from_zero(np.minimum(u, self.maturity))))
         fwd = s * np.exp((self.dyn.rate - self.dyn.dividend) * tt)
@@ -330,42 +333,35 @@ class _PayoffValuation:
         if self.instrument.kind == "forward":
             return disc * (fwd - k)
         width = self.dyn.vol_s * np.sqrt(tt)
-        intrinsic = self.instrument.terminal_payoff(fwd)
-        out = np.where(width <= 0, intrinsic, 0.0)
-        live = width > 0
-        if np.any(live):
-            w = width[live]
-            f = fwd[live]
-            if k <= 0:
-                black = f if self.instrument.option_type == "call" else np.zeros_like(f)
+        expired = width <= 0
+        if k <= 0:
+            out = fwd.copy() if self.instrument.option_type == "call" else np.zeros_like(fwd)
+        else:
+            w = np.where(expired, 1.0, width)  # any positive width where it is unused
+            d1 = (np.log(fwd / k) + 0.5 * w**2) / w
+            d2 = d1 - w
+            if self.instrument.option_type == "call":
+                out = fwd * ndtr(d1) - k * ndtr(d2)
             else:
-                d1 = (np.log(f / k) + 0.5 * w**2) / w
-                d2 = d1 - w
-                if self.instrument.option_type == "call":
-                    black = f * ndtr(d1) - k * ndtr(d2)
-                else:
-                    black = k * ndtr(-d2) - f * ndtr(-d1)
-            out[live] = black
+                out = k * ndtr(-d2) - fwd * ndtr(-d1)
+        # u's shape trails the grid's, so its mask picks whole time columns
+        out[..., expired] = self.instrument.terminal_payoff(fwd[..., expired])
         return disc * out
 
     def on_grid(self, paths: PathSet) -> np.ndarray:
-        m = len(paths.times)
-        out = np.empty((paths.n_paths, m))
-        for idx in range(m):
-            t = np.full(paths.n_paths, paths.times[idx])
-            out[:, idx] = self.value(t, paths.s[:, idx])
-        return out
+        return self.value(paths.times, paths.s)
 
     def on_grid_left_limits(self, paths: PathSet) -> np.ndarray:
         return self.on_grid(paths)
 
-    def at_default(self, paths: PathSet, tau: np.ndarray, shift: float) -> np.ndarray:
+    def at_default(self, paths: PathSet, tau: np.ndarray, shift: float, rows=None) -> np.ndarray:
+        """V^c at tau + shift, capped at expiry, on the paths in rows (all by default)."""
         u = np.minimum(tau + shift, self.maturity)
         u = np.where(np.isfinite(u), u, self.maturity)
         idx = np.clip(
             np.searchsorted(paths.times, u, side="right") - 1, 0, len(paths.times) - 1
         )
-        s = paths.s[np.arange(paths.n_paths), idx]
+        s = paths.s[np.arange(paths.n_paths) if rows is None else rows, idx]
         return self.value(u, s)
 
     def deterministic_values(self, u, inclusive=False, clamp_terminal=False):
@@ -393,25 +389,20 @@ def _as_valuation(v_coll, paths: PathSet):
 
 
 class _GridValuation:
-    """Adapter for raw V^c grids: default-time values use the left grid node."""
+    """Adapter for raw V^c grids in the default legs: default-time values use
+    the left grid node."""
 
     def __init__(self, grid: np.ndarray, paths: PathSet):
         self.grid = grid
         self.times = paths.times
         self.maturity = float(paths.times[-1])
 
-    def on_grid(self, paths: PathSet) -> np.ndarray:
-        return self.grid
-
-    def on_grid_left_limits(self, paths: PathSet) -> np.ndarray:
-        return self.grid
-
-    def at_default(self, paths: PathSet, tau: np.ndarray, shift: float) -> np.ndarray:
+    def at_default(self, paths: PathSet, tau: np.ndarray, shift: float, rows=None) -> np.ndarray:
         u = np.minimum(np.where(np.isfinite(tau), tau, self.maturity) + shift, self.maturity)
         idx = np.clip(np.searchsorted(self.times, u, side="right") - 1, 0, len(self.times) - 1)
         if self.grid.ndim == 1:
             return self.grid[idx]
-        return self.grid[np.arange(len(idx)), idx]
+        return self.grid[np.arange(len(idx)) if rows is None else rows, idx]
 
 
 # ---------------------------------------------------------------------------
@@ -446,16 +437,18 @@ def _default_leg_pathwise(
         hit = (tau_b <= horizon) & (tau_b < tau_c)
     shift = collateral.cure_period if cure is None else cure
     out = np.zeros(paths.n_paths)
-    if not hit.any():
+    # only the paths that default first before the horizon are valued
+    rows = np.flatnonzero(hit)
+    if rows.size == 0:
         return out
-    safe_tau = np.where(np.isfinite(tau), tau, horizon)
-    value_at_end = model.at_default(paths, safe_tau, shift)
-    value_at_tau = model.at_default(paths, safe_tau, 0.0)
+    tau = tau[rows]
+    value_at_end = model.at_default(paths, tau, shift, rows)
+    value_at_tau = model.at_default(paths, tau, 0.0, rows)
     posted = collateral_amount(collateral, value_at_tau)
     gap = value_at_end - posted
     exposure = np.maximum(gap, 0.0) if side == "cva" else np.maximum(-gap, 0.0)
-    disc = np.exp(-ois.integral_from_zero(np.minimum(safe_tau, horizon)))
-    out[hit] = (1.0 - recovery) * disc[hit] * exposure[hit]
+    disc = np.exp(-ois.integral_from_zero(np.minimum(tau, horizon)))
+    out[rows] = (1.0 - recovery) * disc * exposure
     return out
 
 
@@ -516,18 +509,19 @@ def _funding_pathwise(
 
     Trapezoid on the grid; each segment uses the right-continuous value at
     its left end and the left limit at its right end so that jumps at cash
-    flow dates are integrated correctly.
+    flow dates are integrated correctly. It is two mat-vecs, with D and the
+    half steps in the weights w_left = D [dt/2, 0] and w_right = D [0, dt/2].
+    ``_recursive_mc`` sums the same segments in its backward sweep.
     """
-    if positive:
-        exp_rc = np.maximum(gap_rc, 0.0)
-        exp_ll = np.maximum(gap_ll, 0.0)
-    else:
-        exp_rc = np.maximum(-gap_rc, 0.0)
-        exp_ll = np.maximum(-gap_ll, 0.0)
-    left = alive * disc[None, :] * spread_rc * exp_rc
-    right = alive * disc[None, :] * spread_ll * exp_ll
-    dt = np.diff(times)
-    return (0.5 * (left[:, :-1] + right[:, 1:]) * dt[None, :]).sum(axis=1)
+    half_dt = 0.5 * np.diff(times)
+    w_left = np.append(disc[:-1] * half_dt, 0.0)
+    w_right = np.insert(disc[1:] * half_dt, 0, 0.0)
+    sign = 1.0 if positive else -1.0
+
+    def weighted(gap, spread, weights):
+        return np.where(alive, np.maximum(sign * gap, 0.0) * spread, 0.0) @ weights
+
+    return weighted(gap_rc, spread_rc, w_left) + weighted(gap_ll, spread_ll, w_right)
 
 
 def _basis_on_grid(basis: PiecewiseCurve, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -540,10 +534,7 @@ def _basis_on_grid(basis: PiecewiseCurve, times: np.ndarray) -> tuple[np.ndarray
 def _funding_leg(
     paths, exposure_on_grid, ois, basis, collateral, collateral_reference, positive
 ) -> tuple[float, float]:
-    value = np.asarray(exposure_on_grid, dtype=float)
-    if value.ndim == 1:
-        value = np.broadcast_to(value, (paths.n_paths, len(paths.times)))
-    gap = value
+    gap = value = np.asarray(exposure_on_grid, dtype=float)  # (m,) or (n_paths, m)
     if collateral is not None:
         reference = value if collateral_reference is None else np.asarray(collateral_reference)
         gap = value - collateral_amount(collateral, reference)
@@ -703,17 +694,19 @@ def _prepare_mc(
             paths, pi_b=np.zeros_like(paths.pi_b), tau_b=np.full(paths.n_paths, np.inf)
         )
     model = make_collateralized_valuation(instrument, ois, dyn)
-    # a deterministic V^c row is shared by every path
+    # a deterministic V^c row, and the collateral on it, is shared by every path
     shape = (paths.n_paths, len(paths.times))
-    vc_rc = np.broadcast_to(np.asarray(model.on_grid(paths), dtype=float), shape)
-    posted_rc = collateral_amount(collateral, vc_rc)
+
+    def on_paths(grid):
+        grid = np.asarray(grid, dtype=float)
+        return (np.broadcast_to(grid, shape),
+                np.broadcast_to(collateral_amount(collateral, grid), shape))
+
+    vc_rc, posted_rc = on_paths(model.on_grid(paths))
     if model.continuous_in_time:
         vc_ll, posted_ll = vc_rc, posted_rc
     else:
-        vc_ll = np.broadcast_to(
-            np.asarray(model.on_grid_left_limits(paths), dtype=float), shape
-        )
-        posted_ll = collateral_amount(collateral, vc_ll)
+        vc_ll, posted_ll = on_paths(model.on_grid_left_limits(paths))
     alive = _alive_matrix(paths)
     disc = np.exp(-ois.integral_from_zero(paths.times))
     def_loss = _default_leg_pathwise(
@@ -781,37 +774,35 @@ def _recursive_mc(
     """The recursive value on simulated paths, solved by one backward sweep.
 
     At grid time t_k the pathwise present value is
-    V^c - (CVA - DVA legs after t_k) / D(t_k) - F_k / D(t_k), with F_k the
-    funding remaining from t_k in time-0 dollars: the trapezoid segments
-    0.5 * (g(t_j) + g(t_{j+1}-)) * dt_j for j >= k of the funding density
-    g = 1_alive * D * (gamma_C (V-C)^+ - gamma_B (V-C)^-). Only the segment
-    from t_k involves V(t_k), so once the later times are solved, F_{k+1} and
-    g(t_{k+1}-) are known per path and the slice's fixed point is iterated
-    alone.
+    V^c - (CVA - DVA legs after t_k) / D(t_k) - (CF_k - DF_k) / D(t_k), with
+    CF_k, DF_k the funding cost and benefit from t_k on in time-0 dollars:
+    the trapezoid segments 0.5 * (g(t_j) + g(t_{j+1}-)) * dt_j, j >= k, of
+    g_C = 1_alive * D * gamma_C (V-C)^+ and g_B = 1_alive * D * gamma_B (V-C)^-.
+    Only the segment from t_k involves V(t_k), so once the later times are
+    solved, the tails from t_{k+1} and g(t_{k+1}-) are known per path and the
+    slice's fixed point is iterated alone. At t_0 the two tails are the
+    report's per-path CFVA and DFVA (``_funding_pathwise`` of the value grid).
     """
     run = _prepare_mc(
         instrument, ois, counterparty, bank, collateral, dyn,
         n_paths, n_steps, seed, bond_mode, n_workers, paths,
     )
-    gamma_c = counterparty.basis
     gamma_b = PiecewiseCurve.flat(0.0) if bond_mode else bank.basis
     times = run.paths.times
-    spreads_c = _basis_on_grid(gamma_c, times)
-    spreads_b = _basis_on_grid(gamma_b, times)
-    (gc_rc, gc_ll), (gb_rc, gb_ll) = spreads_c, spreads_b
+    gc_rc, gc_ll = _basis_on_grid(counterparty.basis, times)
+    gb_rc, gb_ll = _basis_on_grid(gamma_b, times)
     dt = np.diff(times)
     scale = notional_scale(instrument)
-    jump = run.vc_ll - run.vc_rc  # deterministic cash-flow jumps carried by V too
 
-    def density(k, gap, gc, gb):
-        return run.alive[:, k] * run.disc[k] * (
-            gc[0, k] * np.maximum(gap, 0.0) - gb[0, k] * np.maximum(-gap, 0.0)
-        )
+    def densities(k, gap, gc, gb):
+        weight = run.alive[:, k] * run.disc[k]
+        return (weight * (gc[0, k] * np.maximum(gap, 0.0)),
+                weight * (gb[0, k] * np.maximum(-gap, 0.0)))
 
     n, m = run.paths.n_paths, len(times)
     value = np.zeros((n, m))
-    remaining = np.zeros(n)  # F_{k+1}
-    density_ll = None  # g(t_{k+1}-)
+    tail_c, tail_b = np.zeros(n), np.zeros(n)  # CF_{k+1}, DF_{k+1}
+    ll_c = ll_b = None  # g_C(t_{k+1}-), g_B(t_{k+1}-)
     iterations, residual, converged = 0, 0.0, True
     for k in range(m - 1, -1, -1):
         # pathwise default legs seen from t_k, in time-0 dollars
@@ -820,29 +811,32 @@ def _recursive_mc(
         base_pv = run.vc_rc[:, k] - after / run.disc[k]
         project = _slice_projection(run.paths, run.alive[:, k], k, params.regression_degree)
         if k < m - 1:
-            def funding(density_rc):
-                return remaining + 0.5 * (density_rc + density_ll) * dt[k]
+            def tails(v):  # CF_k, DF_k; no density at t_k when v is None
+                g_c, g_b = (0.0, 0.0) if v is None else densities(
+                    k, v - run.posted_rc[:, k], gc_rc, gb_rc)
+                return (tail_c + 0.5 * (g_c + ll_c) * dt[k],
+                        tail_b + 0.5 * (g_b + ll_b) * dt[k])
 
             def step(v):
-                g = density(k, v - run.posted_rc[:, k], gc_rc, gb_rc)
-                return project(base_pv - funding(g) / run.disc[k])
+                cf, df = tails(v)
+                return project(base_pv - (cf - df) / run.disc[k])
 
-            start = project(base_pv - funding(0.0) / run.disc[k])
-            v, its, res, ok = _fixed_point(step, start, params, scale)
+            v, its, res, ok = _fixed_point(step, step(None), params, scale)
             iterations = max(iterations, its)
             residual = max(residual, res)
             converged = converged and ok
-            remaining = funding(density(k, v - run.posted_rc[:, k], gc_rc, gb_rc))
+            tail_c, tail_b = tails(v)
         else:
             v = project(base_pv)  # no funding remains at maturity
         value[:, k] = v
-        density_ll = density(k, v + jump[:, k] - run.posted_ll[:, k], gc_ll, gb_ll)
+        # deterministic cash-flow jumps are carried by V too
+        v_ll = v + (run.vc_ll[:, k] - run.vc_rc[:, k])
+        ll_c, ll_b = densities(k, v_ll - run.posted_ll[:, k], gc_ll, gb_ll)
     if not converged:
         _warn_not_converged(params, residual)
 
-    cf, df = _run_funding(run, value, value + jump, spreads_c, spreads_b)
     report = _mc_report(
-        run, run.def_loss, run.def_gain, cf, df, "recursive_mc",
+        run, run.def_loss, run.def_gain, tail_c, tail_b, "recursive_mc",
         iterations=iterations, residual=residual, converged=converged,
     )
     return report, run, value
@@ -1077,19 +1071,19 @@ def _mc_exposure_profile(run: _McRun, value_rc: np.ndarray) -> ExposureProfile:
     gap = np.where(run.alive, value_rc - run.posted_rc, 0.0)
     pos = np.maximum(gap, 0.0)
     neg = np.maximum(-gap, 0.0)
-    n = gap.shape[0]
-    sqrt_n = math.sqrt(n)
-    disc = run.disc
+    epe, ene = pos.mean(axis=0), neg.mean(axis=0)
+    sd_pos, sd_neg = pos.std(axis=0), neg.std(axis=0)
+    sqrt_n = math.sqrt(gap.shape[0])
     return ExposureProfile(
         times=run.paths.times.copy(),
-        epe=pos.mean(axis=0),
-        ene=neg.mean(axis=0),
-        epe_discounted=disc * pos.mean(axis=0),
-        ene_discounted=disc * neg.mean(axis=0),
-        se_epe=pos.std(axis=0) / sqrt_n,
-        se_ene=neg.std(axis=0) / sqrt_n,
-        se_epe_discounted=disc * pos.std(axis=0) / sqrt_n,
-        se_ene_discounted=disc * neg.std(axis=0) / sqrt_n,
+        epe=epe,
+        ene=ene,
+        epe_discounted=run.disc * epe,
+        ene_discounted=run.disc * ene,
+        se_epe=sd_pos / sqrt_n,
+        se_ene=sd_neg / sqrt_n,
+        se_epe_discounted=run.disc * sd_pos / sqrt_n,
+        se_ene_discounted=run.disc * sd_neg / sqrt_n,
     )
 
 
@@ -1243,8 +1237,8 @@ def compare_aggregations(
       pi_B + gamma_B applied symmetrically, no DVA
     * cva_dva_fca: V^c - CVA + DVA - FCA (asymmetric funding cost only)
 
-    kwargs are run_xva's; on "mc" the first_order run is prepared once and
-    its exposure serves the full-spread legs too, except in bond mode.
+    kwargs are run_xva's; on "mc" the paths are simulated once, and the
+    first_order exposure serves the full-spread legs too, except in bond mode.
     """
     collateral = collateral or CollateralSpec.none()
     # run_xva's knobs with its defaults; an unknown keyword is a TypeError
@@ -1259,12 +1253,17 @@ def compare_aggregations(
             instrument, ois, counterparty, bank, collateral, opt["dyn"],
             opt["n_paths"], opt["n_steps"], opt["seed"],
         )
+        paths = opt["paths"]
+        if opt["bond_mode"]:
+            # the full-spread legs price the bank's pi_B, which bond mode
+            # silences: their run comes first and lends its paths to the other
+            full_spread_run = _prepare_mc(*mc_args, False, opt["n_workers"], paths)
+            paths = full_spread_run.paths
         report, run, _ = _one_pass_mc(
-            *mc_args, opt["bond_mode"], "first_order", opt["n_workers"], opt["paths"]
+            *mc_args, opt["bond_mode"], "first_order", opt["n_workers"], paths
         )
         if opt["bond_mode"]:
-            # the full-spread legs price the bank's pi_B, which bond mode silences
-            run = _prepare_mc(*mc_args, False, opt["n_workers"], opt["paths"])
+            run = full_spread_run
         # the stochastic part of the bank's funding spread rides on pi_B
         g_rc, g_ll = _basis_on_grid(bank.basis, run.paths.times)
         spreads = (run.paths.pi_b + g_rc, run.paths.pi_b + g_ll)

@@ -1,8 +1,15 @@
 """End-to-end tests of the command line interface, run in process."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bondxva import cli
 from bondxva.bond_pricer import price_bond, price_relative_recovery
@@ -403,6 +410,53 @@ class TestConfigErrors:
         assert out == ""
         assert f"SolverParams.{key} must be" in err
 
+    @pytest.mark.parametrize(
+        "base, section, key, value",
+        [
+            ("mc", "mc", "n_paths", 2.5),
+            ("mc", "mc", "n_steps", True),
+            ("mc", "mc", "seed", 1e-3),
+            ("mc", "solver", "max_iter", 2.5),
+            ("det", "solver", "det_steps", 400.5),
+            ("pde", "grid", "n_space", 100.5),
+        ],
+    )
+    def test_integer_keys_refuse_other_numbers(
+        self, tmp_path, capsys, base, section, key, value
+    ):
+        cfg_data = json.loads(json.dumps(XVA_DET_CFG if base == "det" else XVA_MC_CFG))
+        if base == "pde":
+            cfg_data["backend"] = "pde"
+            cfg_data["grid"] = {"s_min": 0.0, "s_max": 400.0, "n_space": 101, "n_time": 60}
+        cfg_data.setdefault(section, {})[key] = value
+        cfg = write_config(tmp_path, cfg_data)
+        code, out, err = run_cli(["xva", "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{section}.{key}: expected an integer, got {value!r}" in err
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_is_a_config_error(self, tmp_path, capsys, workers):
+        cfg_data = json.loads(json.dumps(XVA_MC_CFG))
+        cfg_data["mc"]["n_workers"] = workers
+        cfg = write_config(tmp_path, cfg_data)
+        code, out, err = run_cli(["xva", "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert "n_workers must be at least 1" in err
+
+    def test_integral_floats_read_as_integers(self, tmp_path, capsys):
+        outputs = []
+        for tag, n_paths, max_iter in (("int", 1500, 50), ("float", 1500.0, 50.0)):
+            cfg_data = json.loads(json.dumps(XVA_MC_CFG))
+            cfg_data["mc"]["n_paths"] = n_paths
+            cfg_data["solver"] = {"max_iter": max_iter}
+            cfg = write_config(tmp_path, cfg_data, name=f"{tag}.json")
+            code, out, _ = run_cli(["xva", "--config", cfg], capsys)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     def test_reports_are_strict_json(self):
         with pytest.raises(ValueError, match="not JSON compliant"):
             cli._emit({"fair_value": float("nan")}, None)
@@ -414,3 +468,74 @@ class TestConfigErrors:
         code, _, err = run_cli(["xva", "--config", cfg], capsys)
         assert code == 2
         assert "requires model dynamics" in err
+
+
+# the README xva config, with a small simulation so that a non-finite value
+# that slipped through would still finish quickly
+README_XVA_CFG = {
+    "instrument": {"kind": "european_option", "option_type": "call",
+                   "strike": 100.0, "expiry": 1.0},
+    "ois": 0.02,
+    "counterparty": {"recovery": 0.4, "hazard": 0.03, "basis": 0.012},
+    "bank": {"recovery": 0.35, "hazard": 0.02, "basis": 0.008},
+    "collateral": {"mode": "bilateral_threshold", "threshold": 5.0,
+                   "cure_period": 0.25},
+    "dynamics": {"s0": 100.0, "rate": 0.02, "vol_s": 0.3,
+                 "pi0_c": 0.018, "pi0_b": 0.013},
+    "method": "recursive",
+    "backend": "mc",
+    "mc": {"n_paths": 1000, "n_steps": 8, "seed": 31337, "n_workers": 2},
+    "solver": {"tol": 1e-8, "max_iter": 50, "damping": 1.0},
+}
+README_PDE_CFG = {
+    **README_XVA_CFG,
+    "backend": "pde",
+    "grid": {"s_min": 0.0, "s_max": 400.0, "n_space": 81, "n_time": 40},
+}
+
+
+def _numeric_keys(cfg, prefix=()):
+    """Paths to every number in a config, booleans left out."""
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            yield from _numeric_keys(value, prefix + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield prefix + (key,)
+
+
+class TestNonFiniteInput:
+    CONFIGS = {"mc": README_XVA_CFG, "pde": README_PDE_CFG}
+    CASES = [
+        (backend, path)
+        for backend, cfg in CONFIGS.items()
+        for path in _numeric_keys(cfg)
+    ]
+
+    def test_every_section_holds_numbers(self):
+        sections = {path[0] for _, path in self.CASES}
+        assert {"instrument", "ois", "counterparty", "bank", "collateral",
+                "dynamics", "mc", "solver", "grid"} <= sections
+
+    @given(
+        case=st.sampled_from(CASES),
+        value=st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_a_non_finite_number_anywhere_exits_2_with_nothing_on_stdout(
+        self, case, value
+    ):
+        backend, path = case
+        cfg_data = json.loads(json.dumps(self.CONFIGS[backend]))
+        target = cfg_data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "config.json"
+            cfg.write_text(json.dumps(cfg_data))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["xva", "--config", str(cfg)])
+        assert code == 2
+        assert out.getvalue() == ""
+        assert f"{'.'.join(path)}: expected a finite number" in err.getvalue()

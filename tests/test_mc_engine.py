@@ -101,6 +101,11 @@ class TestSimulation:
         with pytest.raises(ValueError, match=message):
             simulate_paths(ModelDynamics(s0=1.0), seed=0, **kwargs)
 
+    @pytest.mark.parametrize("n_workers", [0, -1])
+    def test_fewer_than_one_worker_rejected(self, n_workers):
+        with pytest.raises(ValueError, match="n_workers must be at least 1"):
+            simulate_paths(ModelDynamics(s0=1.0), 1.0, 4, 10, seed=0, n_workers=n_workers)
+
     def test_same_seed_reproduces_paths_bitwise(self):
         dyn = ModelDynamics(s0=1.0, vol_s=0.25, pi0_c=0.02, vol_c=0.1, rho_sc=0.3)
         a = simulate_paths(dyn, horizon=1.0, n_steps=12, n_paths=500, seed=42)

@@ -3,15 +3,22 @@
 import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr
 
 from bondxva.curves import CounterpartyProfile, PiecewiseCurve
-from bondxva.instruments import CashflowSchedule, CollateralSpec, Instrument
+from bondxva.instruments import (
+    CashflowSchedule,
+    CollateralSpec,
+    Instrument,
+    collateral_amount,
+)
 from bondxva.mc_engine import (
     ModelDynamics,
     PathSet,
@@ -873,3 +880,223 @@ class TestAggregationComparison:
     def test_unknown_keywords_are_rejected(self):
         with pytest.raises(TypeError):
             compare_aggregations(TWO_SIDED, OIS, RISKY_CP, RISKY_BANK, n_path=10)
+
+    @pytest.mark.parametrize("bond_mode", [False, True])
+    def test_monte_carlo_route_simulates_its_paths_once(self, monkeypatch, bond_mode):
+        dyn = ModelDynamics(
+            s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013, vol_b=0.006
+        )
+        opt = Instrument.european_option("call", strike=100.0, expiry=1.5)
+        kwargs = dict(dyn=dyn, n_paths=2_000, n_steps=12, seed=99, bond_mode=bond_mode)
+        calls = []
+        simulate = xva_engine.simulate_paths
+
+        def counting_simulate(*args, **kw):
+            calls.append(args)
+            return simulate(*args, **kw)
+
+        monkeypatch.setattr(xva_engine, "simulate_paths", counting_simulate)
+        agg = compare_aggregations(opt, OIS, RISKY_CP, RISKY_BANK, backend="mc", **kwargs)
+        assert len(calls) == 1
+        # the same as handing in the paths the seed gives
+        paths = sample_default_times(
+            simulate(dyn, 1.5, 12, 2_000, 99), RISKY_CP.recovery, RISKY_BANK.recovery
+        )
+        supplied = compare_aggregations(
+            opt, OIS, RISKY_CP, RISKY_BANK, backend="mc", paths=paths, **kwargs
+        )
+        assert len(calls) == 1
+        assert agg == supplied
+
+
+def _black_per_time_grid(instrument, ois, dyn, paths):
+    """V^c of a payoff trade one grid time at a time, each time's discount
+    and growth evaluated on a full column of that time and the Black formula
+    only where the width is positive (the intrinsic value elsewhere)."""
+    expiry = float(instrument.expiry)
+    k = instrument.strike
+    cum_t = float(ois.integral_from_zero(expiry))
+    out = np.empty((paths.n_paths, len(paths.times)))
+    for idx, time in enumerate(paths.times):
+        u = np.full(paths.n_paths, time)
+        tt = np.maximum(expiry - u, 0.0)
+        disc = np.exp(-(cum_t - ois.integral_from_zero(np.minimum(u, expiry))))
+        fwd = paths.s[:, idx] * np.exp((dyn.rate - dyn.dividend) * tt)
+        if instrument.kind == "forward":
+            out[:, idx] = disc * (fwd - k)
+            continue
+        width = dyn.vol_s * np.sqrt(tt)
+        column = np.where(width <= 0, instrument.terminal_payoff(fwd), 0.0)
+        live = width > 0
+        if np.any(live):
+            w, f = width[live], fwd[live]
+            if k <= 0:
+                black = f if instrument.option_type == "call" else np.zeros_like(f)
+            else:
+                d1 = (np.log(f / k) + 0.5 * w**2) / w
+                d2 = d1 - w
+                if instrument.option_type == "call":
+                    black = f * ndtr(d1) - k * ndtr(d2)
+                else:
+                    black = k * ndtr(-d2) - f * ndtr(-d1)
+            column[live] = black
+        out[:, idx] = disc * column
+    return out
+
+
+def _segment_sum(times, alive, disc, gap_rc, gap_ll, spread_rc, spread_ll, positive):
+    """The funding trapezoid as a sum of its segments
+    0.5 * (f(t_j) + f(t_{j+1}-)) * dt_j, f = 1_alive * D * spread * (gap)^±."""
+    sign = 1.0 if positive else -1.0
+    left = alive * disc[None, :] * spread_rc * np.maximum(sign * gap_rc, 0.0)
+    right = alive * disc[None, :] * spread_ll * np.maximum(sign * gap_ll, 0.0)
+    return (0.5 * (left[:, :-1] + right[:, 1:]) * np.diff(times)[None, :]).sum(axis=1)
+
+
+class TestDenseGrids:
+    """The whole-grid forms of the V^c grid, the funding trapezoid and the
+    recursive MC's funding legs against per-time and per-segment references
+    written here."""
+
+    DYN = ModelDynamics(
+        s0=100.0, rate=0.02, dividend=0.01, vol_s=0.3, pi0_c=0.018, pi0_b=0.013,
+        vol_c=0.008, vol_b=0.006, rho_sc=0.2, rho_cb=0.4,
+    )
+    COLLATERAL = CollateralSpec.bilateral_threshold(5.0, cure_period=0.25)
+    CALL = Instrument.european_option("call", strike=100.0, expiry=1.0)
+
+    def _paths(self, horizon=1.0, n_steps=16):
+        paths = simulate_paths(self.DYN, horizon, n_steps, n_paths=1_500, seed=77)
+        return sample_default_times(paths, RISKY_CP.recovery, RISKY_BANK.recovery)
+
+    @pytest.mark.parametrize(
+        "instrument",
+        [
+            Instrument.european_option("call", strike=100.0, expiry=1.0),
+            Instrument.european_option("put", strike=95.0, expiry=1.0),
+            Instrument.forward(strike=105.0, expiry=1.0),
+            Instrument.european_option("call", strike=0.0, expiry=1.0),
+            Instrument.european_option("put", strike=0.0, expiry=1.0),
+            # grid nodes after expiry: the width is 0 on several columns
+            Instrument.european_option("call", strike=100.0, expiry=0.7),
+            Instrument.european_option("put", strike=105.0, expiry=0.7),
+        ],
+        ids=["call", "put", "forward", "zero_strike_call", "zero_strike_put",
+             "call_before_horizon", "put_before_horizon"],
+    )
+    def test_payoff_grid_equals_the_per_time_loop_bit_for_bit(self, instrument):
+        paths = self._paths()
+        # the last grid node sits at the horizon, expiry for most cases here
+        assert paths.times[-1] == 1.0
+        model = make_collateralized_valuation(instrument, OIS, self.DYN)
+        grid = model.on_grid(paths)
+        assert grid.shape == paths.s.shape
+        assert np.array_equal(grid, _black_per_time_grid(instrument, OIS, self.DYN, paths))
+
+    def _assert_matches_segment_sum(self, times, alive, disc, gap_rc, gap_ll, spreads):
+        for positive in (True, False):
+            args = (times, alive, disc, gap_rc, gap_ll, *spreads, positive)
+            expected = _segment_sum(*args)
+            assert np.any(expected > 0)
+            np.testing.assert_allclose(
+                xva_engine._funding_pathwise(*args), expected, rtol=1e-13, atol=0.0
+            )
+
+    def test_funding_trapezoid_of_a_payoff_trade(self):
+        run = _prepare_mc(
+            self.CALL, OIS, RISKY_CP, RISKY_BANK, self.COLLATERAL, self.DYN,
+            0, 0, 0, False, paths=self._paths(),
+        )
+        times = run.paths.times
+        # a gap that crosses zero on many paths: both legs accrue
+        self._assert_matches_segment_sum(
+            times, run.alive, run.disc, run.vc_rc - 12.0, run.vc_ll - 12.0,
+            _basis_on_grid(PiecewiseCurve((0.0, 0.4), (0.01, 0.02)), times),
+        )
+
+    def test_funding_trapezoid_of_a_schedule_trade_with_flow_jumps(self):
+        run = _prepare_mc(
+            TWO_SIDED, OIS, RISKY_CP, RISKY_BANK, self.COLLATERAL, self.DYN,
+            0, 0, 0, False, paths=self._paths(horizon=2.0),
+        )
+        gap_rc = run.vc_rc - run.posted_rc
+        gap_ll = run.vc_ll - run.posted_ll
+        assert np.any(gap_ll != gap_rc)
+        times = run.paths.times
+        self._assert_matches_segment_sum(
+            times, run.alive, run.disc, gap_rc, gap_ll,
+            _basis_on_grid(RISKY_BANK.basis, times),
+        )
+
+    def test_funding_trapezoid_with_per_path_spreads(self):
+        run = _prepare_mc(
+            TWO_SIDED, OIS, RISKY_CP, RISKY_BANK, self.COLLATERAL, self.DYN,
+            0, 0, 0, False, paths=self._paths(horizon=2.0),
+        )
+        g_rc, g_ll = _basis_on_grid(RISKY_BANK.basis, run.paths.times)
+        spreads = (run.paths.pi_b + g_rc, run.paths.pi_b + g_ll)
+        assert spreads[0].shape == run.alive.shape
+        self._assert_matches_segment_sum(
+            run.paths.times, run.alive, run.disc,
+            run.vc_rc - run.posted_rc, run.vc_ll - run.posted_ll, spreads,
+        )
+
+    @pytest.mark.parametrize(
+        "instrument, horizon",
+        [(Instrument.european_option("call", strike=100.0, expiry=1.0), 1.0),
+         (TWO_SIDED, 2.0)],
+        ids=["call", "two_sided_bond"],
+    )
+    def test_recursive_funding_legs_are_the_trapezoid_of_the_solved_grid(
+        self, monkeypatch, instrument, horizon
+    ):
+        legs = []
+        report_of = xva_engine._mc_report
+
+        def recording_report(run, loss, gain, cf, df, method, **kw):
+            legs.append((cf, df))
+            return report_of(run, loss, gain, cf, df, method, **kw)
+
+        monkeypatch.setattr(xva_engine, "_mc_report", recording_report)
+        # bases that step at a grid node, so left limits and values differ
+        cp = replace(RISKY_CP, basis=PiecewiseCurve((0.0, 0.5), (0.012, 0.02)))
+        bank = replace(RISKY_BANK, basis=PiecewiseCurve((0.0, 0.5), (0.008, 0.004)))
+        report, run, value = _recursive_mc(
+            instrument, OIS, cp, bank, self.COLLATERAL, self.DYN,
+            0, 0, 0, SolverParams(tol=1e-8), False, paths=self._paths(horizon),
+        )
+        (cf, df), = legs
+        times = run.paths.times
+        assert 0.5 in times
+        ref_cf, ref_df = _run_funding(
+            run, value, value + run.vc_ll - run.vc_rc,
+            _basis_on_grid(cp.basis, times), _basis_on_grid(bank.basis, times),
+        )
+        assert np.any(ref_cf > 0) and np.any(ref_df > 0)
+        np.testing.assert_allclose(cf, ref_cf, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(df, ref_df, rtol=1e-12, atol=0.0)
+        assert report.cfva == float(cf.mean()) and report.dfva == float(df.mean())
+
+    @pytest.mark.parametrize("model_kind", ["payoff", "schedule", "grid"])
+    @pytest.mark.parametrize("side", ["cva", "dva"])
+    def test_default_legs_value_only_the_paths_that_default_first(self, model_kind, side):
+        # every path valued at its default time, then masked, as the reference
+        instrument = TWO_SIDED if model_kind == "schedule" else self.CALL
+        paths = self._paths(horizon=instrument.maturity)
+        model = make_collateralized_valuation(instrument, OIS, self.DYN)
+        if model_kind == "grid":
+            model = xva_engine._as_valuation(model.on_grid(paths), paths)
+        recovery = 0.4
+        leg = xva_engine._default_leg_pathwise(
+            paths, model, OIS, recovery, self.COLLATERAL, side
+        )
+        tau, other = (paths.tau_c, paths.tau_b) if side == "cva" else (paths.tau_b, paths.tau_c)
+        hit = (tau <= model.maturity) & ((tau <= other) if side == "cva" else (tau < other))
+        assert 0 < hit.sum() < paths.n_paths
+        safe_tau = np.where(np.isfinite(tau), tau, model.maturity)
+        gap = model.at_default(paths, safe_tau, 0.25) - collateral_amount(
+            self.COLLATERAL, model.at_default(paths, safe_tau, 0.0)
+        )
+        exposure = np.maximum(gap if side == "cva" else -gap, 0.0)
+        disc = np.exp(-OIS.integral_from_zero(np.minimum(safe_tau, model.maturity)))
+        assert np.array_equal(leg, np.where(hit, (1.0 - recovery) * disc * exposure, 0.0))
