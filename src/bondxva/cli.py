@@ -15,8 +15,10 @@ Four subcommands, each driven by a JSON config file:
 Reports are strict JSON with keys sorted and floats rounded to 10
 significant digits, so identical configs produce byte-identical output.
 Numbers in a config must be finite: the ``NaN`` and ``Infinity`` that JSON
-input may spell are refused with the key that holds them, and so are counts
-and seeds that are not whole numbers (``2.5``, ``true``). Exit codes:
+input may spell are refused with the key that holds them, and so are
+booleans and strings where a number belongs (``true``, ``"0.4"``), counts
+and seeds that are not whole numbers (``2.5``, ``"100"``), and a
+``bond_mode`` that is not a JSON boolean (``"false"``, ``1``). Exit codes:
 0 success, 2 config or validation error, 3 calibration failure,
 4 recursive solver failed to converge.
 """
@@ -64,26 +66,36 @@ def _check_keys(cfg: dict, allowed: set, label: str) -> None:
         raise ConfigError(f"{label}: unknown keys {sorted(unknown)}")
 
 
+def _is_number(value) -> bool:
+    # a JSON true or false is a bool, which Python counts as an int
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _float(value, label: str) -> float:
-    """float(value), refusing the NaN and +-Infinity that JSON input may hold."""
-    out = float(value)
+    """float(value) of a JSON number, refusing booleans, strings ("0.4") and
+    the NaN and +-Infinity that JSON input may hold."""
+    if not _is_number(value):
+        raise ConfigError(f"{label}: expected a number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        out = math.inf
     if not math.isfinite(out):
         raise ConfigError(f"{label}: expected a finite number, got {value!r}")
     return out
 
 
 def _int(value, label: str) -> int:
-    """int(value), refusing non-finite numbers, booleans and numbers that are
-    not whole (2.5) instead of truncating them; 3.0 reads as 3."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{label}: expected a finite number, got {value!r}")
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """int(value), refusing non-finite numbers, booleans, strings ("100") and
+    numbers that are not whole (2.5) instead of truncating them; 3.0 reads
+    as 3."""
+    if not _is_number(value) or not _float(value, label).is_integer():
         raise ConfigError(f"{label}: expected an integer, got {value!r}")
     return int(value)
 
 
 def _parse_curve(obj, label: str) -> PiecewiseCurve:
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+    if _is_number(obj):
         return PiecewiseCurve.flat(_float(obj, label))
     if isinstance(obj, dict):
         _check_keys(obj, {"times", "values"}, label)
@@ -324,11 +336,14 @@ def _parse_xva_common(cfg: dict, label: str):
     grid = _parse_grid(cfg.get("grid"))
     mc = cfg.get("mc") or {}
     _check_keys(mc, {"n_paths", "n_steps", "seed", "n_workers"}, "mc")
+    bond_mode = cfg.get("bond_mode", False)
+    if not isinstance(bond_mode, bool):  # "false" and 1 would read as true
+        raise ConfigError(f"bond_mode: expected true or false, got {bond_mode!r}")
     kwargs = dict(
         backend=cfg.get("backend", "mc"),
         dyn=dyn,
         params=params,
-        bond_mode=bool(cfg.get("bond_mode", False)),
+        bond_mode=bond_mode,
         n_paths=_int(mc.get("n_paths", 50_000), "mc.n_paths"),
         n_steps=_int(mc.get("n_steps", 50), "mc.n_steps"),
         seed=_int(mc.get("seed", 20_200_814), "mc.seed"),

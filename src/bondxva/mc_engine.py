@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -314,7 +314,16 @@ def swap_roles(paths: PathSet) -> PathSet:
 
 @dataclass(frozen=True, eq=False)
 class ExposureProfile:
-    """Expected exposure term structures with standard errors."""
+    """Expected exposure term structures with standard errors.
+
+    At each of the times, epe and ene are the expected positive and negative
+    parts of the gap V - C between the trade's value and its collateral, a
+    name's default stopping the exposure (paths that have defaulted count
+    zero; the deterministic and finite-difference backends weight by the
+    joint survival probability). The discounted columns are the same times
+    D(0, t), and the se_ columns are Monte Carlo standard errors, zero where
+    the profile is computed exactly. Build one with ``from_expectations``.
+    """
 
     times: np.ndarray
     epe: np.ndarray
@@ -326,20 +335,30 @@ class ExposureProfile:
     se_epe_discounted: np.ndarray
     se_ene_discounted: np.ndarray
 
+    @classmethod
+    def from_expectations(cls, times, disc, epe, ene, se_epe=None, se_ene=None):
+        """The profile of epe and ene at the times, with discount factors disc
+        and standard errors se_epe and se_ene (zero when left out)."""
+        if se_epe is None:
+            se_epe = np.zeros_like(epe)
+        if se_ene is None:
+            se_ene = np.zeros_like(ene)
+        return cls(
+            times=np.array(times, dtype=float),
+            epe=epe,
+            ene=ene,
+            epe_discounted=disc * epe,
+            ene_discounted=disc * ene,
+            se_epe=se_epe,
+            se_ene=se_ene,
+            se_epe_discounted=disc * se_epe,
+            se_ene_discounted=disc * se_ene,
+        )
+
     def to_rows(self):
-        header = [
-            "time",
-            "epe",
-            "ene",
-            "epe_discounted",
-            "ene_discounted",
-            "se_epe",
-            "se_ene",
-            "se_epe_discounted",
-            "se_ene_discounted",
-        ]
-        columns = [getattr(self, name if name != "time" else "times") for name in header]
-        return header, list(zip(*columns))
+        """CSV header (the field names, times as "time") and one row per time."""
+        names = [field.name for field in fields(self)]
+        return ["time", *names[1:]], list(zip(*(getattr(self, name) for name in names)))
 
 
 def exposure_profile(
@@ -362,50 +381,25 @@ def exposure_profile(
         collateral_valuation = valuation
     n = paths.n_paths
     m = len(paths.times)
-    epe = np.empty(m)
-    ene = np.empty(m)
-    epe_d = np.empty(m)
-    ene_d = np.empty(m)
-    se_epe = np.empty(m)
-    se_ene = np.empty(m)
-    se_epe_d = np.empty(m)
-    se_ene_d = np.empty(m)
-    discounts = np.exp(-ois.integral_from_zero(paths.times))
+    epe, ene, se_epe, se_ene = np.empty((4, m))
     sqrt_n = math.sqrt(n)
+
+    def per_path(f, k, t):
+        return np.broadcast_to(
+            np.asarray(f(t, paths.s[:, k], paths.pi_c[:, k], paths.pi_b[:, k]), dtype=float),
+            (n,),
+        )
+
     for k, t in enumerate(paths.times):
-        value = np.broadcast_to(
-            np.asarray(valuation(t, paths.s[:, k], paths.pi_c[:, k], paths.pi_b[:, k]),
-                       dtype=float),
-            (n,),
-        )
-        v_coll = np.broadcast_to(
-            np.asarray(
-                collateral_valuation(t, paths.s[:, k], paths.pi_c[:, k], paths.pi_b[:, k]),
-                dtype=float,
-            ),
-            (n,),
-        )
-        posted = collateral_amount(collateral, v_coll)
+        value = per_path(valuation, k, t)
+        posted = collateral_amount(collateral, per_path(collateral_valuation, k, t))
         alive = paths.alive(t)
         gap = np.where(alive, value - posted, 0.0)
         pos = np.maximum(gap, 0.0)
         neg = np.maximum(-gap, 0.0)
         epe[k] = pos.mean()
         ene[k] = neg.mean()
-        epe_d[k] = discounts[k] * epe[k]
-        ene_d[k] = discounts[k] * ene[k]
         se_epe[k] = pos.std() / sqrt_n
         se_ene[k] = neg.std() / sqrt_n
-        se_epe_d[k] = discounts[k] * se_epe[k]
-        se_ene_d[k] = discounts[k] * se_ene[k]
-    return ExposureProfile(
-        times=paths.times.copy(),
-        epe=epe,
-        ene=ene,
-        epe_discounted=epe_d,
-        ene_discounted=ene_d,
-        se_epe=se_epe,
-        se_ene=se_ene,
-        se_epe_discounted=se_epe_d,
-        se_ene_discounted=se_ene_d,
-    )
+    discounts = np.exp(-ois.integral_from_zero(paths.times))
+    return ExposureProfile.from_expectations(paths.times, discounts, epe, ene, se_epe, se_ene)

@@ -230,13 +230,9 @@ def solve_final_pde(
     flows: dict[int, float] = {}
     if instrument.schedule is not None:
         for pay, amount in instrument.schedule.flows:
-            idx = int(np.searchsorted(times, pay))
-            if idx < m and times[idx] == pay:
-                flows[idx] = flows.get(idx, 0.0) + amount
-            else:
-                # pay dates are inserted into the grid; exact match expected
-                idx = int(np.argmin(np.abs(times - pay)))
-                flows[idx] = flows.get(idx, 0.0) + amount
+            # pay dates are on the grid (_time_grid); else the nearest node
+            idx = int(np.argmin(np.abs(times - pay)))
+            flows[idx] = flows.get(idx, 0.0) + amount
         terminal = np.zeros_like(nodes)
     else:
         terminal = np.asarray(instrument.terminal_payoff(nodes), dtype=float)
@@ -257,6 +253,11 @@ def solve_final_pde(
         # below are then those of this very row
         return surface_row + flows[k] if k in flows else surface_row
 
+    def theta_step(v_old, substeps, r_eff, src):
+        for sub_dt, theta in substeps:
+            v_old = stepper.step(v_old, sub_dt, r_eff, theta, src)
+        return v_old
+
     def aux_sources(seg, pos, neg, gap_v):
         return np.stack((
             lc_mid[seg] * (1.0 - rec_c) * pos,
@@ -268,19 +269,17 @@ def solve_final_pde(
     sources_l = None  # _close_out_sources of vc[seg + 1], from the step before
     for seg in range(m - 2, -1, -1):
         dt = dts[seg]
-        r_c = c_mid[seg]
         r_full = c_mid[seg] + lc_mid[seg] + lb_mid[seg]
         rannacher = (m - 2 - seg) < _RANNACHER_SEGMENTS
+        # two halved implicit-Euler steps on the first segments, then one
+        # Crank-Nicolson step per segment
+        substeps = ((dt / 2, 1.0),) * 2 if rannacher else ((dt, 0.5),)
 
         vc_right = ll(vc[seg + 1], seg + 1)
         v_right = ll(v[seg + 1], seg + 1)
 
         # riskless collateralized value first: feeds every source below
-        if rannacher:
-            half = stepper.step(vc_right, dt / 2, r_c, 1.0, no_source)
-            vc[seg] = stepper.step(half, dt / 2, r_c, 1.0, no_source)
-        else:
-            vc[seg] = stepper.step(vc_right, dt, r_c, 0.5, no_source)
+        vc[seg] = theta_step(vc_right, substeps, c_mid[seg], no_source)
 
         # without a flow on node seg + 1, vc_right is vc[seg + 1], whose sources
         # the step before computed as its left end
@@ -295,13 +294,8 @@ def solve_final_pde(
         )
         lin_r = lc_mid[seg] * close_c_r + lb_mid[seg] * close_b_r
         lin_l = lc_mid[seg] * close_c_l + lb_mid[seg] * close_b_l
-        if rannacher:
-            src = lin_l + funding
-            half = stepper.step(v_right, dt / 2, r_full, 1.0, src)
-            v[seg] = stepper.step(half, dt / 2, r_full, 1.0, src)
-        else:
-            src = 0.5 * (lin_l + lin_r) + funding
-            v[seg] = stepper.step(v_right, dt, r_full, 0.5, src)
+        lin = lin_l if rannacher else 0.5 * (lin_l + lin_r)
+        v[seg] = theta_step(v_right, substeps, r_full, lin + funding)
 
         src = aux_sources(seg, pos_l, neg_l, v[seg] - posted_l)
         if not rannacher:
@@ -313,11 +307,7 @@ def solve_final_pde(
                 "non-finite values in the finite-difference solve; check the "
                 "curves, dynamics, payoff and collateral for NaN or inf"
             )
-        if rannacher:
-            half = stepper.step(aux[:, seg + 1], dt / 2, r_full, 1.0, src)
-            aux[:, seg] = stepper.step(half, dt / 2, r_full, 1.0, src)
-        else:
-            aux[:, seg] = stepper.step(aux[:, seg + 1], dt, r_full, 0.5, src)
+        aux[:, seg] = theta_step(aux[:, seg + 1], substeps, r_full, src)
 
     cva, dva, cfva, dfva = aux
     return PdeSolution(
@@ -384,18 +374,7 @@ def _lognormal_exposure(
         g = gap(rows)
         epe[rows] = trapezoid(weight * np.maximum(g, 0.0))
         ene[rows] = trapezoid(weight * np.maximum(-g, 0.0))
-    zeros = np.zeros_like(times)
-    return ExposureProfile(
-        times=times.copy(),
-        epe=surv * epe,
-        ene=surv * ene,
-        epe_discounted=disc * surv * epe,
-        ene_discounted=disc * surv * ene,
-        se_epe=zeros,
-        se_ene=zeros.copy(),
-        se_epe_discounted=zeros.copy(),
-        se_ene_discounted=zeros.copy(),
-    )
+    return ExposureProfile.from_expectations(times, disc, surv * epe, surv * ene)
 
 
 def solve_xva_report(
@@ -406,8 +385,6 @@ def solve_xva_report(
     collateral: CollateralSpec | None,
     dyn: ModelDynamics,
     grid: SpatialGrid | None = None,
-    params=None,
-    bond_mode: bool = False,
 ):
     """Full decomposition at (0, s0), identity-exact, plus exposure profile."""
     from .xva_engine import _assemble
@@ -420,21 +397,15 @@ def solve_xva_report(
             + 5.0 * dyn.vol_s * math.sqrt(instrument.maturity)
         )
         grid = SpatialGrid(0.0, float(ref * max(stretch, 2.0)), 401, 600)
-    solution = solve_final_pde(
-        instrument, ois, counterparty, bank, dyn, grid, collateral, bond_mode
+    solution = solve_final_pde(instrument, ois, counterparty, bank, dyn, grid, collateral)
+    v_coll, cva_v, dva_v, cfva_v, dfva_v, direct = (
+        solution.interp(surface, dyn.s0)
+        for surface in (solution.v_coll, solution.cva, solution.dva, solution.cfva,
+                        solution.dfva, solution.v)
     )
-    if bond_mode:
-        bank = CounterpartyProfile.default_free()
-    s0 = dyn.s0
-    v_coll = solution.interp(solution.v_coll, s0)
-    cva_v = solution.interp(solution.cva, s0)
-    dva_v = solution.interp(solution.dva, s0)
-    cfva_v = solution.interp(solution.cfva, s0)
-    dfva_v = solution.interp(solution.dfva, s0)
     report = _assemble(
         v_coll, cva_v, dva_v, cfva_v, dfva_v, "recursive_pde", iterations=1
     )
-    direct = solution.interp(solution.v, s0)
     report = replace(report, residual=abs(direct - report.fair_value))
     profile = _lognormal_exposure(solution, dyn, ois, counterparty, bank, collateral)
     return report, profile

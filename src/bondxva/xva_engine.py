@@ -27,6 +27,16 @@ backends:
 Two non-recursive approximations are provided: ``first_order_value`` (funding
 on V^c exposures, one pass) and ``bond_implied_value`` (no funding terms,
 defaults driven by bond-implied intensities).
+
+``run_xva`` prepares each valuation once. On Monte Carlo that is one
+``_McRun`` (paths, default times, V^c and collateral on the grid, the
+default legs), which the method functions ``_recursive_mc``,
+``_first_order_mc`` and ``_bond_implied_mc`` consume; on the deterministic
+backend it is one ``_det_setup``. Bond mode, the counterparty's bond-side
+claim, is a substitution: the bank is replaced by
+``CounterpartyProfile.default_free()`` (it cannot default and funds at OIS)
+for every backend, and on Monte Carlo its spread pi_B is silenced on the
+paths as well.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ import inspect
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.special import ndtr
@@ -46,6 +56,7 @@ from .curves import (
     PiecewiseCurve,
     bond_implied_hazard,
 )
+from . import pde_engine
 from .instruments import CollateralSpec, Instrument, collateral_amount
 from .mc_engine import (
     ExposureProfile,
@@ -151,24 +162,9 @@ class XvaReport:
     se_fair_value: float | None = None
 
     def as_dict(self) -> dict:
-        out = {
-            "v_coll": self.v_coll,
-            "cva": self.cva,
-            "dva": self.dva,
-            "cfva": self.cfva,
-            "dfva": self.dfva,
-            "bfva": self.bfva,
-            "fair_value": self.fair_value,
-            "method": self.method,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "converged": self.converged,
-        }
-        for name in ("se_cva", "se_dva", "se_cfva", "se_dfva", "se_fair_value"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
+        """The fields by name, leaving out the standard errors that are None."""
+        values = {field.name: getattr(self, field.name) for field in fields(self)}
+        return {name: value for name, value in values.items() if value is not None}
 
 
 def _assemble(v_coll, cva_v, dva_v, cfva_v, dfva_v, method, **kw) -> XvaReport:
@@ -263,7 +259,7 @@ class _ScheduleValuation:
         self.maturity = self.schedule.maturity
         self.final_amount = self.schedule.flows[-1][1]
 
-    def values_at_times(self, u, inclusive=False, clamp_terminal=False):
+    def deterministic_values(self, u, inclusive=False, clamp_terminal=False):
         """V^c(u). inclusive=True takes the left limit (flow at u counted).
 
         clamp_terminal replaces the value at u >= maturity by the final flow
@@ -282,18 +278,15 @@ class _ScheduleValuation:
         return out
 
     def on_grid(self, paths: PathSet) -> np.ndarray:
-        return self.values_at_times(paths.times)
+        return self.deterministic_values(paths.times)
 
     def on_grid_left_limits(self, paths: PathSet) -> np.ndarray:
-        return self.values_at_times(paths.times, inclusive=True)
+        return self.deterministic_values(paths.times, inclusive=True)
 
     def at_default(self, paths: PathSet, tau: np.ndarray, shift: float, rows=None) -> np.ndarray:
         u = np.minimum(tau + shift, self.maturity)
         u = np.where(np.isfinite(u), u, self.maturity)
-        return self.values_at_times(u, clamp_terminal=shift > 0)
-
-    def deterministic_values(self, u, inclusive=False, clamp_terminal=False):
-        return self.values_at_times(u, inclusive, clamp_terminal)
+        return self.deterministic_values(u, clamp_terminal=shift > 0)
 
 
 class _PayoffValuation:
@@ -678,17 +671,20 @@ def _prepare_mc(
     n_workers: int = 1,
     paths: PathSet | None = None,
 ) -> _McRun:
+    """What every Monte Carlo method uses: the paths (simulated unless
+    supplied) with their default times, V^c and the collateral on the grid
+    and at its left limits, survival, discount factors and the per-path
+    default legs. bond_mode silences the bank's spread and default on the
+    paths."""
     horizon = instrument.maturity
     if paths is None:
         if dyn is None:
             raise ValueError("the Monte Carlo backend requires model dynamics")
         paths = simulate_paths(dyn, horizon, n_steps, n_paths, seed, n_workers)
+    elif abs(paths.horizon - horizon) > 1e-12:
+        raise ValueError("supplied paths do not span the trade maturity")
+    if paths.tau_c is None or paths.tau_b is None:
         paths = sample_default_times(paths, counterparty.recovery, bank.recovery)
-    else:
-        if abs(paths.horizon - horizon) > 1e-12:
-            raise ValueError("supplied paths do not span the trade maturity")
-        if paths.tau_c is None or paths.tau_b is None:
-            paths = sample_default_times(paths, counterparty.recovery, bank.recovery)
     if bond_mode:
         paths = replace(
             paths, pi_b=np.zeros_like(paths.pi_b), tau_b=np.full(paths.n_paths, np.inf)
@@ -757,21 +753,13 @@ def _mc_report(run: _McRun, loss, gain, cf, df, method: str, **kw) -> XvaReport:
 
 
 def _recursive_mc(
+    run: _McRun,
     instrument: Instrument,
-    ois: PiecewiseCurve,
     counterparty: CounterpartyProfile,
     bank: CounterpartyProfile,
-    collateral: CollateralSpec,
-    dyn: ModelDynamics,
-    n_paths: int,
-    n_steps: int,
-    seed: int,
     params: SolverParams,
-    bond_mode: bool,
-    n_workers: int = 1,
-    paths: PathSet | None = None,
 ):
-    """The recursive value on simulated paths, solved by one backward sweep.
+    """The recursive value on a prepared run, solved by one backward sweep.
 
     At grid time t_k the pathwise present value is
     V^c - (CVA - DVA legs after t_k) / D(t_k) - (CF_k - DF_k) / D(t_k), with
@@ -782,15 +770,11 @@ def _recursive_mc(
     solved, the tails from t_{k+1} and g(t_{k+1}-) are known per path and the
     slice's fixed point is iterated alone. At t_0 the two tails are the
     report's per-path CFVA and DFVA (``_funding_pathwise`` of the value grid).
+    Returns the report and the value grid.
     """
-    run = _prepare_mc(
-        instrument, ois, counterparty, bank, collateral, dyn,
-        n_paths, n_steps, seed, bond_mode, n_workers, paths,
-    )
-    gamma_b = PiecewiseCurve.flat(0.0) if bond_mode else bank.basis
     times = run.paths.times
     gc_rc, gc_ll = _basis_on_grid(counterparty.basis, times)
-    gb_rc, gb_ll = _basis_on_grid(gamma_b, times)
+    gb_rc, gb_ll = _basis_on_grid(bank.basis, times)
     dt = np.diff(times)
     scale = notional_scale(instrument)
 
@@ -839,43 +823,36 @@ def _recursive_mc(
         run, run.def_loss, run.def_gain, tail_c, tail_b, "recursive_mc",
         iterations=iterations, residual=residual, converged=converged,
     )
-    return report, run, value
+    return report, value
 
 
-def _one_pass_mc(
-    instrument, ois, counterparty, bank, collateral, dyn,
-    n_paths, n_steps, seed, bond_mode, method, n_workers=1, paths=None,
-):
-    """first_order (funding on V^c) or bond_implied (no funding, shifted taus)."""
-    run = _prepare_mc(
-        instrument, ois, counterparty, bank, collateral, dyn,
-        n_paths, n_steps, seed, bond_mode, n_workers, paths,
+def _first_order_mc(run: _McRun, counterparty, bank):
+    """Funding charged on the V^c exposure, one pass; the report and V^c."""
+    times = run.paths.times
+    cf, df = _run_funding(
+        run, run.vc_rc, run.vc_ll,
+        _basis_on_grid(counterparty.basis, times), _basis_on_grid(bank.basis, times),
     )
-    basis_b = PiecewiseCurve.flat(0.0) if bond_mode else bank.basis
-    if method == "first_order":
-        times = run.paths.times
-        cf, df = _run_funding(
-            run, run.vc_rc, run.vc_ll,
-            _basis_on_grid(counterparty.basis, times), _basis_on_grid(basis_b, times),
-        )
-        return _mc_report(run, run.def_loss, run.def_gain, cf, df, "first_order"), run, None
+    return _mc_report(run, run.def_loss, run.def_gain, cf, df, "first_order"), run.vc_rc
 
-    # bond_implied: resample defaults at the bond-implied intensities
+
+def _bond_implied_mc(run: _McRun, ois, counterparty, bank, collateral):
+    """No funding terms, defaults resampled at the bond-implied intensities;
+    the report and V^c."""
     shifted = sample_default_times(
         run.paths,
         counterparty.recovery,
         bank.recovery,
         basis_c=counterparty.basis,
-        basis_b=basis_b,
+        basis_b=bank.basis,
     )
-    if bond_mode:
-        shifted = replace(shifted, tau_b=np.full(shifted.n_paths, np.inf))
     loss = _default_leg_pathwise(
         shifted, run.model, ois, counterparty.recovery, collateral, "cva"
     )
     gain = _default_leg_pathwise(shifted, run.model, ois, bank.recovery, collateral, "dva")
     no_funding = np.zeros(run.paths.n_paths)
-    return _mc_report(run, loss, gain, no_funding, no_funding, "bond_implied"), run, None
+    report = _mc_report(run, loss, gain, no_funding, no_funding, "bond_implied")
+    return report, run.vc_rc
 
 
 # ---------------------------------------------------------------------------
@@ -904,22 +881,11 @@ def _reverse_left_integral(grid: _DetGrid, f: np.ndarray) -> np.ndarray:
     return out / grid.g
 
 
-def _det_grid(
-    instrument: Instrument,
-    ois: PiecewiseCurve,
-    hazard_c: PiecewiseCurve,
-    hazard_b: PiecewiseCurve,
-    gamma_c: PiecewiseCurve,
-    gamma_b: PiecewiseCurve,
-    n_steps: int,
-) -> _DetGrid:
-    horizon = instrument.maturity
-    pts = set(np.linspace(0.0, horizon, n_steps + 1).tolist())
-    for curve in (ois, hazard_c, hazard_b, gamma_c, gamma_b):
-        pts.update(t for t in curve.times if 0.0 < t < horizon)
-    if instrument.schedule is not None:
-        pts.update(t for t, _ in instrument.schedule.flows if t <= horizon)
-    times = np.array(sorted(pts))
+def _det_grid(instrument: Instrument, ois: PiecewiseCurve, curves, n_steps: int) -> _DetGrid:
+    """The merged time grid and its curve values; curves are the hazards and
+    funding bases (hazard_c, hazard_b, gamma_c, gamma_b)."""
+    hazard_c, hazard_b, gamma_c, gamma_b = curves
+    times = pde_engine._time_grid(instrument, (ois, *curves), n_steps)
     deltas = np.diff(times)
     lam_c = hazard_c.values_at(times)
     lam_b = hazard_b.values_at(times)
@@ -938,39 +904,12 @@ def _det_grid(
     )
 
 
-def _det_default_adjustments(
-    grid: _DetGrid,
-    model,
-    collateral: CollateralSpec,
-    recovery_c: float,
-    recovery_b: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """CVA(t_j) and DVA(t_j) along the whole grid, conditional on alive."""
-    shift = collateral.cure_period
-    vc_now = model.deterministic_values(grid.times)
-    horizon = float(grid.times[-1])
-    u = np.minimum(grid.times + shift, horizon)
-    vc_end = model.deterministic_values(u, clamp_terminal=shift > 0)
-    posted = collateral_amount(collateral, vc_now)
-    gap = vc_end - posted
-    cva_curve = (1.0 - recovery_c) * _reverse_left_integral(
-        grid, grid.lam_c * np.maximum(gap, 0.0)
-    )
-    dva_curve = (1.0 - recovery_b) * _reverse_left_integral(
-        grid, grid.lam_b * np.maximum(-gap, 0.0)
-    )
-    return cva_curve, dva_curve
-
-
 def _det_setup(
-    instrument, ois, counterparty, bank, collateral, dyn, params, bond_mode,
-    bond_implied=False,
+    instrument, ois, counterparty, bank, collateral, dyn, params, bond_implied=False
 ):
     """Grid, V^c, collateral and default adjustments of the deterministic
     backend; bond_implied puts the defaults at the bond-implied intensities
     and the funding bases at zero."""
-    if bond_mode:
-        bank = CounterpartyProfile.default_free()
     model = make_collateralized_valuation(instrument, ois, dyn)
     if not model.deterministic:
         raise ValueError(
@@ -986,27 +925,31 @@ def _det_setup(
         )
     else:
         curves = (counterparty.hazard, bank.hazard, counterparty.basis, bank.basis)
-    grid = _det_grid(instrument, ois, *curves, params.det_steps)
+    grid = _det_grid(instrument, ois, curves, params.det_steps)
     vc = model.deterministic_values(grid.times)
     posted = collateral_amount(collateral, vc)
-    cva_curve, dva_curve = _det_default_adjustments(
-        grid, model, collateral, counterparty.recovery, bank.recovery
+    # CVA(t_j) and DVA(t_j) along the whole grid, conditional on alive, on the
+    # close-out gap at the end of the cure window
+    shift = collateral.cure_period
+    u = np.minimum(grid.times + shift, float(grid.times[-1]))
+    gap = model.deterministic_values(u, clamp_terminal=shift > 0) - posted
+    cva_curve = (1.0 - counterparty.recovery) * _reverse_left_integral(
+        grid, grid.lam_c * np.maximum(gap, 0.0)
+    )
+    dva_curve = (1.0 - bank.recovery) * _reverse_left_integral(
+        grid, grid.lam_b * np.maximum(-gap, 0.0)
     )
     return grid, vc, posted, cva_curve, dva_curve
 
 
-def _deterministic(
-    instrument, ois, counterparty, bank, collateral, dyn, params, bond_mode, method
-):
-    """Report, grid, value curve and collateral of one deterministic valuation."""
-    grid, vc, posted, cva_curve, dva_curve = _det_setup(
-        instrument, ois, counterparty, bank, collateral, dyn, params, bond_mode,
-        bond_implied=method == "bond_implied",
-    )
+def _deterministic(setup, instrument, params: SolverParams, method: str):
+    """Report and value curve of one deterministic valuation on a _det_setup
+    (made with bond_implied for that method)."""
+    grid, vc, posted, cva_curve, dva_curve = setup
     base = vc - cva_curve + dva_curve
     legs = (float(vc[0]), float(cva_curve[0]), float(dva_curve[0]))
     if method == "bond_implied":
-        return _assemble(*legs, 0.0, 0.0, method="bond_implied"), grid, base, posted
+        return _assemble(*legs, 0.0, 0.0, method="bond_implied"), base
 
     def funding(value):
         gap = value - posted
@@ -1018,7 +961,7 @@ def _deterministic(
     if method == "first_order":
         cf, df = funding(vc)
         report = _assemble(*legs, float(cf[0]), float(df[0]), method="first_order")
-        return report, grid, base - cf + df, posted
+        return report, base - cf + df
 
     def step(value):
         cf, df = funding(value)
@@ -1037,7 +980,7 @@ def _deterministic(
         residual=residual,
         converged=converged,
     )
-    return report, grid, value, posted
+    return report, value
 
 
 def _floored(curve: PiecewiseCurve) -> PiecewiseCurve:
@@ -1049,21 +992,12 @@ def _floored(curve: PiecewiseCurve) -> PiecewiseCurve:
 # ---------------------------------------------------------------------------
 
 
-def _det_exposure_profile(grid: _DetGrid, value: np.ndarray, posted: np.ndarray) -> ExposureProfile:
+def _det_exposure_profile(setup, value: np.ndarray) -> ExposureProfile:
+    grid, _, posted, _, _ = setup
     gap = value - posted
-    epe = grid.surv * np.maximum(gap, 0.0)
-    ene = grid.surv * np.maximum(-gap, 0.0)
-    zeros = np.zeros_like(epe)
-    return ExposureProfile(
-        times=grid.times.copy(),
-        epe=epe,
-        ene=ene,
-        epe_discounted=grid.disc * epe,
-        ene_discounted=grid.disc * ene,
-        se_epe=zeros,
-        se_ene=zeros.copy(),
-        se_epe_discounted=zeros.copy(),
-        se_ene_discounted=zeros.copy(),
+    return ExposureProfile.from_expectations(
+        grid.times, grid.disc,
+        grid.surv * np.maximum(gap, 0.0), grid.surv * np.maximum(-gap, 0.0),
     )
 
 
@@ -1071,19 +1005,10 @@ def _mc_exposure_profile(run: _McRun, value_rc: np.ndarray) -> ExposureProfile:
     gap = np.where(run.alive, value_rc - run.posted_rc, 0.0)
     pos = np.maximum(gap, 0.0)
     neg = np.maximum(-gap, 0.0)
-    epe, ene = pos.mean(axis=0), neg.mean(axis=0)
-    sd_pos, sd_neg = pos.std(axis=0), neg.std(axis=0)
     sqrt_n = math.sqrt(gap.shape[0])
-    return ExposureProfile(
-        times=run.paths.times.copy(),
-        epe=epe,
-        ene=ene,
-        epe_discounted=run.disc * epe,
-        ene_discounted=run.disc * ene,
-        se_epe=sd_pos / sqrt_n,
-        se_ene=sd_neg / sqrt_n,
-        se_epe_discounted=run.disc * sd_pos / sqrt_n,
-        se_ene_discounted=run.disc * sd_neg / sqrt_n,
+    return ExposureProfile.from_expectations(
+        run.paths.times, run.disc, pos.mean(axis=0), neg.mean(axis=0),
+        pos.std(axis=0) / sqrt_n, neg.std(axis=0) / sqrt_n,
     )
 
 
@@ -1110,48 +1035,51 @@ def run_xva(
 
     backend "pde" routes underlying-independent trades (and zero-vol
     dynamics) to the deterministic Volterra solver, and payoff trades to the
-    Crank-Nicolson engine; backend "mc" simulates paths. method is one of
-    recursive / first_order / bond_implied.
+    Crank-Nicolson engine; backend "mc" simulates paths (or takes the
+    supplied ones) and prepares them once for the method. method is one of
+    recursive / first_order / bond_implied. bond_mode values the
+    counterparty's bond-side claim: the bank is replaced by one that cannot
+    default and funds at OIS, and on "mc" its spread pi_B is silenced on the
+    paths.
     """
     collateral = collateral or CollateralSpec.none()
     params = params or SolverParams()
     if method not in ("recursive", "first_order", "bond_implied"):
         raise ValueError(f"unknown method {method!r}")
+    if bond_mode:
+        bank = CounterpartyProfile.default_free()
     if backend == "mc":
+        run = _prepare_mc(
+            instrument, ois, counterparty, bank, collateral, dyn,
+            n_paths, n_steps, seed, bond_mode, n_workers, paths,
+        )
         if method == "recursive":
-            report, run, value = _recursive_mc(
-                instrument, ois, counterparty, bank, collateral, dyn,
-                n_paths, n_steps, seed, params, bond_mode, n_workers, paths,
-            )
-            profile = _mc_exposure_profile(run, value)
+            report, value = _recursive_mc(run, instrument, counterparty, bank, params)
+        elif method == "first_order":
+            report, value = _first_order_mc(run, counterparty, bank)
         else:
-            report, run, _ = _one_pass_mc(
-                instrument, ois, counterparty, bank, collateral, dyn,
-                n_paths, n_steps, seed, bond_mode, method, n_workers, paths,
-            )
-            profile = _mc_exposure_profile(run, run.vc_rc)
-        return report, profile
+            report, value = _bond_implied_mc(run, ois, counterparty, bank, collateral)
+        return report, _mc_exposure_profile(run, value)
     if backend != "pde":
         raise ValueError(f"unknown backend {backend!r}")
 
     model = make_collateralized_valuation(instrument, ois, dyn)
     if getattr(model, "deterministic", False):
-        report, grid, value, posted = _deterministic(
-            instrument, ois, counterparty, bank, collateral, dyn, params, bond_mode, method
+        setup = _det_setup(
+            instrument, ois, counterparty, bank, collateral, dyn, params,
+            bond_implied=method == "bond_implied",
         )
-        return report, _det_exposure_profile(grid, value, posted)
+        report, value = _deterministic(setup, instrument, params, method)
+        return report, _det_exposure_profile(setup, value)
 
     # genuine PDE in the underlying; deterministic spreads by construction
-    from . import pde_engine
-
     if method != "recursive":
         raise ValueError(
             "the finite-difference backend implements the recursive method; "
             "use backend='mc' for the approximations on payoff trades"
         )
     return pde_engine.solve_xva_report(
-        instrument, ois, counterparty, bank, collateral, dyn,
-        grid=grid, params=params, bond_mode=bond_mode,
+        instrument, ois, counterparty, bank, collateral, dyn, grid=grid
     )
 
 
@@ -1237,8 +1165,10 @@ def compare_aggregations(
       pi_B + gamma_B applied symmetrically, no DVA
     * cva_dva_fca: V^c - CVA + DVA - FCA (asymmetric funding cost only)
 
-    kwargs are run_xva's; on "mc" the paths are simulated once, and the
-    first_order exposure serves the full-spread legs too, except in bond mode.
+    kwargs are run_xva's. The valuation is prepared once, and its first_order
+    exposure serves the full-spread legs too, except in bond mode: there the
+    full-spread legs keep the bank as it is, on a run (or grid) of their own,
+    and on "mc" the paths are still simulated once.
     """
     collateral = collateral or CollateralSpec.none()
     # run_xva's knobs with its defaults; an unknown keyword is a TypeError
@@ -1247,39 +1177,45 @@ def compare_aggregations(
     )
     call.apply_defaults()
     opt = call.arguments
-    full_spread_b = _full_funding_spread(bank)
+    # the full-spread legs price the bank as it is (run, setup); bond mode
+    # values against a default-free bank, prepared a second time (valued)
     if opt["backend"] == "mc":
-        mc_args = (
-            instrument, ois, counterparty, bank, collateral, opt["dyn"],
-            opt["n_paths"], opt["n_steps"], opt["seed"],
-        )
-        paths = opt["paths"]
+        def prepare(profile, bond_mode, paths):
+            return _prepare_mc(
+                instrument, ois, counterparty, profile, collateral, opt["dyn"],
+                opt["n_paths"], opt["n_steps"], opt["seed"], bond_mode,
+                opt["n_workers"], paths,
+            )
+
+        run = valued = prepare(bank, False, opt["paths"])
+        valued_bank = bank
         if opt["bond_mode"]:
-            # the full-spread legs price the bank's pi_B, which bond mode
-            # silences: their run comes first and lends its paths to the other
-            full_spread_run = _prepare_mc(*mc_args, False, opt["n_workers"], paths)
-            paths = full_spread_run.paths
-        report, run, _ = _one_pass_mc(
-            *mc_args, opt["bond_mode"], "first_order", opt["n_workers"], paths
-        )
-        if opt["bond_mode"]:
-            run = full_spread_run
+            valued_bank = CounterpartyProfile.default_free()
+            valued = prepare(valued_bank, True, run.paths)
+        report, _ = _first_order_mc(valued, counterparty, valued_bank)
         # the stochastic part of the bank's funding spread rides on pi_B
         g_rc, g_ll = _basis_on_grid(bank.basis, run.paths.times)
         spreads = (run.paths.pi_b + g_rc, run.paths.pi_b + g_ll)
         fca_path, fba_path = _run_funding(run, run.vc_rc, run.vc_ll, spreads, spreads)
         fca, fba = float(fca_path.mean()), float(fba_path.mean())
-    else:
-        report, _ = run_xva(*call.args, **call.kwargs)
+    elif opt["backend"] == "pde":
         params = opt["params"] or SolverParams()
-        grid, vc, posted, _, _ = _det_setup(
-            instrument, ois, counterparty, bank, collateral, opt["dyn"], params,
-            bond_mode=False,
+        setup = valued = _det_setup(
+            instrument, ois, counterparty, bank, collateral, opt["dyn"], params
         )
+        if opt["bond_mode"]:
+            valued = _det_setup(
+                instrument, ois, counterparty, CounterpartyProfile.default_free(),
+                collateral, opt["dyn"], params,
+            )
+        report, _ = _deterministic(valued, instrument, params, "first_order")
+        grid, vc, posted, _, _ = setup
         gap = vc - posted
-        spread = full_spread_b.values_at(grid.times)
+        spread = _full_funding_spread(bank).values_at(grid.times)
         fca = float(_reverse_left_integral(grid, spread * np.maximum(gap, 0.0))[0])
         fba = float(_reverse_left_integral(grid, spread * np.maximum(-gap, 0.0))[0])
+    else:
+        raise ValueError(f"unknown backend {opt['backend']!r}")
     return {
         "proposed": report.fair_value,
         "fva_zero": report.v_coll - report.cva + report.dva,

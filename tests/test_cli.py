@@ -375,6 +375,8 @@ class TestConfigErrors:
         [
             ("dynamics", "vol_s", float("inf")),
             ("instrument", "strike", float("-inf")),
+            # an integer literal beyond the float range
+            pytest.param("instrument", "strike", 10**400, id="instrument-strike-huge_int"),
             ("collateral", "threshold", float("nan")),
             ("solver", "max_iter", float("inf")),
             ("mc", "n_paths", float("nan")),
@@ -414,6 +416,7 @@ class TestConfigErrors:
         "base, section, key, value",
         [
             ("mc", "mc", "n_paths", 2.5),
+            ("mc", "mc", "n_paths", "100"),
             ("mc", "mc", "n_steps", True),
             ("mc", "mc", "seed", 1e-3),
             ("mc", "solver", "max_iter", 2.5),
@@ -434,6 +437,36 @@ class TestConfigErrors:
         assert code == 2
         assert out == ""
         assert f"{section}.{key}: expected an integer, got {value!r}" in err
+
+    @pytest.mark.parametrize(
+        "command, base, path, value, expected",
+        [
+            ("bond-price", BOND_PRICE_CFG, ("issuer", "recovery"), True, "a number"),
+            ("bond-price", BOND_PRICE_CFG, ("issuer", "recovery"), "0.4", "a number"),
+            ("xva", XVA_MC_CFG, ("dynamics", "vol_s"), True, "a number"),
+            ("xva", XVA_MC_CFG, ("instrument", "strike"), "100", "a number"),
+            ("xva", XVA_DET_CFG, ("bond_mode",), "false", "true or false"),
+            ("xva", XVA_DET_CFG, ("bond_mode",), 1, "true or false"),
+            ("compare-conventions", XVA_DET_CFG, ("bond_mode",), "true", "true or false"),
+        ],
+        ids=["recovery-true", "recovery-string", "vol_s-true", "strike-string",
+             "bond_mode-string", "bond_mode-one", "compare-bond_mode-string"],
+    )
+    def test_numbers_and_booleans_must_have_their_json_type(
+        self, tmp_path, capsys, command, base, path, value, expected
+    ):
+        # JSON booleans are not numbers, numeric strings are not numbers, and a
+        # "false" string is not false
+        cfg_data = json.loads(json.dumps(base))
+        target = cfg_data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        cfg = write_config(tmp_path, cfg_data)
+        code, out, err = run_cli([command, "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{'.'.join(path)}: expected {expected}, got {value!r}" in err
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_fewer_than_one_worker_is_a_config_error(self, tmp_path, capsys, workers):

@@ -479,10 +479,12 @@ class TestBackwardSweep:
         raise AssertionError("the reference iteration did not converge")
 
     def _sweep(self, paths):
-        return _recursive_mc(
+        run = _prepare_mc(
             TWO_SIDED, OIS, RISKY_CP, RISKY_BANK, self.COLLATERAL, self.DYN,
-            0, 0, 0, self.PARAMS, False, paths=paths,
+            0, 0, 0, False, paths=paths,
         )
+        report, value = _recursive_mc(run, TWO_SIDED, RISKY_CP, RISKY_BANK, self.PARAMS)
+        return report, run, value
 
     def test_sweep_solves_the_global_fixed_point(self):
         paths = self._paths()
@@ -711,20 +713,34 @@ class TestBondMode:
         )
         assert plain.as_dict() == explicit.as_dict()
 
-    def test_bond_mode_silences_the_bank_on_simulated_paths(self):
+    @pytest.mark.parametrize("method", ["recursive", "first_order", "bond_implied"])
+    @pytest.mark.parametrize(
+        "instrument, dyn",
+        [
+            (ZCB, ModelDynamics(s0=1.0, pi0_c=0.018, pi0_b=0.013)),
+            (
+                Instrument.european_option("call", strike=100.0, expiry=1.0),
+                ModelDynamics(
+                    s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013,
+                    vol_c=0.008, vol_b=0.006, rho_sc=0.2, rho_sb=0.1, rho_cb=0.4,
+                ),
+            ),
+        ],
+        ids=["zcb", "stochastic_spread_call"],
+    )
+    def test_bond_mode_silences_the_bank_on_simulated_paths(self, method, instrument, dyn):
         modeled, _ = run_xva(
-            ZCB, OIS, RISKY_CP, RISKY_BANK, method="recursive", backend="mc",
-            bond_mode=True,
-            dyn=ModelDynamics(s0=1.0, pi0_c=0.018, pi0_b=0.013),
-            n_paths=3_000, n_steps=16, seed=7,
+            instrument, OIS, RISKY_CP, RISKY_BANK, method=method, backend="mc",
+            bond_mode=True, dyn=dyn, n_paths=3_000, n_steps=16, seed=7,
         )
+        # the same world with a bank whose spread is zero on every path
         silenced, _ = run_xva(
-            ZCB, OIS, RISKY_CP, CounterpartyProfile.default_free(),
-            method="recursive", backend="mc",
-            dyn=ModelDynamics(s0=1.0, pi0_c=0.018, pi0_b=0.0),
+            instrument, OIS, RISKY_CP, CounterpartyProfile.default_free(),
+            method=method, backend="mc",
+            dyn=replace(dyn, pi0_b=0.0, vol_b=0.0),
             n_paths=3_000, n_steps=16, seed=7,
         )
-        assert modeled.fair_value == silenced.fair_value
+        assert modeled.as_dict() == silenced.as_dict()
         assert modeled.dva == 0.0 and modeled.dfva == 0.0
 
 
@@ -873,6 +889,29 @@ class TestAggregationComparison:
         assert len(calls) == prepared
         fo, _ = run_xva(
             opt, OIS, RISKY_CP, RISKY_BANK, method="first_order", backend="mc", **kwargs
+        )
+        assert agg["proposed"] == fo.fair_value
+        assert agg["cva"] == fo.cva and agg["dva"] == fo.dva
+
+    @pytest.mark.parametrize("bond_mode, prepared", [(False, 1), (True, 2)])
+    def test_deterministic_route_prepares_its_grid_once(self, monkeypatch, bond_mode, prepared):
+        calls = []
+        setup = xva_engine._det_setup
+
+        def counting_setup(*args, **kw):
+            calls.append(args)
+            return setup(*args, **kw)
+
+        monkeypatch.setattr(xva_engine, "_det_setup", counting_setup)
+        agg = compare_aggregations(
+            TWO_SIDED, OIS, RISKY_CP, RISKY_BANK, backend="pde", bond_mode=bond_mode
+        )
+        # bond mode values against a default-free bank; the full-spread legs
+        # need the real bank's grid
+        assert len(calls) == prepared
+        fo, _ = run_xva(
+            TWO_SIDED, OIS, RISKY_CP, RISKY_BANK, method="first_order", backend="pde",
+            bond_mode=bond_mode,
         )
         assert agg["proposed"] == fo.fair_value
         assert agg["cva"] == fo.cva and agg["dva"] == fo.dva
@@ -1061,10 +1100,11 @@ class TestDenseGrids:
         # bases that step at a grid node, so left limits and values differ
         cp = replace(RISKY_CP, basis=PiecewiseCurve((0.0, 0.5), (0.012, 0.02)))
         bank = replace(RISKY_BANK, basis=PiecewiseCurve((0.0, 0.5), (0.008, 0.004)))
-        report, run, value = _recursive_mc(
+        run = _prepare_mc(
             instrument, OIS, cp, bank, self.COLLATERAL, self.DYN,
-            0, 0, 0, SolverParams(tol=1e-8), False, paths=self._paths(horizon),
+            0, 0, 0, False, paths=self._paths(horizon),
         )
+        report, value = _recursive_mc(run, instrument, cp, bank, SolverParams(tol=1e-8))
         (cf, df), = legs
         times = run.paths.times
         assert 0.5 in times
