@@ -25,8 +25,6 @@ from __future__ import annotations
 import enum
 import math
 
-from scipy.integrate import quad
-
 from .curves import CounterpartyProfile, PiecewiseCurve
 from .instruments import CashflowSchedule
 
@@ -209,6 +207,9 @@ def price_by_quadrature(
     agreement with the closed forms exercises a genuinely different code
     path.
     """
+    # imported here: scipy.integrate is most of the package's import time
+    from scipy.integrate import quad
+
     convention = RecoveryConvention.coerce(convention)
     bond = _as_schedule(bond)
     flows = _remaining_flows(bond, t)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .bond_pricer import RecoveryConvention, price_bond
 from .curves import CounterpartyProfile, PiecewiseCurve
 from .instruments import CashflowSchedule
@@ -78,6 +76,9 @@ def bootstrap_basis(
         gamma with breakpoints at the quote maturities; the last bucket
         extends flat. Values may be negative, no clamping is applied.
     """
+    # imported here, so that the commands that never bootstrap do not pay for it
+    from scipy.optimize import brentq
+
     convention = RecoveryConvention.coerce(convention)
     buckets = [
         _Bucket(bond.maturity, bond, float(price)) for bond, price in quotes

@@ -50,6 +50,9 @@ class PiecewiseCurve:
         values = tuple(float(v) for v in values)
         if len(times) == 0:
             raise ValueError("curve needs at least one node")
+        if not all(map(math.isfinite, times + values)):
+            bad = "times" if not all(map(math.isfinite, times)) else "values"
+            raise ValueError(f"PiecewiseCurve.{bad} is non-finite: {times}, {values}")
         if len(times) != len(values):
             raise ValueError(
                 f"times and values length mismatch: {len(times)} vs {len(values)}"

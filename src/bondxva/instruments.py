@@ -9,6 +9,7 @@ valued under different margining agreements.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,15 +44,20 @@ class CashflowSchedule:
 
     def __init__(self, flows, notional):
         flows = tuple((float(t), float(a)) for t, a in flows)
+        notional = float(notional)
         if not flows:
             raise ValueError("schedule needs at least one flow")
+        if not all(math.isfinite(x) for flow in flows for x in flow):
+            raise ValueError(f"CashflowSchedule.flows is non-finite: {flows}")
+        if not math.isfinite(notional):
+            raise ValueError(f"CashflowSchedule.notional is non-finite: {notional!r}")
         times = [t for t, _ in flows]
         if any(t <= 0 for t in times):
             raise ValueError("pay times must be positive")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("pay times must be strictly increasing")
         object.__setattr__(self, "flows", flows)
-        object.__setattr__(self, "notional", float(notional))
+        object.__setattr__(self, "notional", notional)
 
     @property
     def maturity(self) -> float:
@@ -88,6 +94,10 @@ class Instrument:
     option_type: str | None = None
 
     def __post_init__(self):
+        for name in ("strike", "expiry"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"Instrument.{name} is non-finite: {value!r}")
         if self.kind in SCHEDULE_KINDS:
             if self.schedule is None:
                 raise ValueError(f"{self.kind} requires a cash-flow schedule")
@@ -182,6 +192,10 @@ class CollateralSpec:
     def __post_init__(self):
         if self.mode not in ("none", "perfect", "bilateral_threshold", "constant_offset"):
             raise ValueError(f"unknown collateral mode {self.mode!r}")
+        for name in ("threshold", "offset", "cure_period"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"CollateralSpec.{name} is non-finite: {value!r}")
         if self.threshold < 0:
             raise ValueError("threshold must be nonnegative")
         if self.cure_period < 0:
@@ -219,7 +233,7 @@ def collateral_amount(spec: CollateralSpec, v_coll):
     if spec.mode == "none":
         out = np.zeros_like(v)
     elif spec.mode == "perfect":
-        out = v.copy()
+        out = np.copy(v)  # in the layout of v
     elif spec.mode == "bilateral_threshold":
         out = np.sign(v) * np.maximum(np.abs(v) - spec.threshold, 0.0)
     else:

@@ -63,6 +63,10 @@ class ModelDynamics:
     rho_cb: float = 0.0
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"ModelDynamics.{field.name} is non-finite: {value!r}")
         if self.s0 <= 0:
             raise ValueError("s0 must be positive")
         for name in ("vol_s", "vol_c", "vol_b"):
@@ -123,12 +127,15 @@ def _correlation_factor(corr: np.ndarray) -> np.ndarray:
 class PathSet:
     """Simulated trajectories on a uniform grid, plus sampled default times.
 
-    Arrays are shaped (n_paths, n_steps + 1). tau_c / tau_b are +inf on
-    paths that do not default before the crossing of their exponential
-    clock within the horizon, and None until sampled. clock_columns names
-    the columns of each block's exponential draws that drive (tau_c, tau_b),
-    so that a role swap hands each name its own clock. Treat all arrays as
-    read-only.
+    s, pi_c and pi_b are shaped (n_paths, n_steps + 1). simulate_paths
+    stores them time-major, as the transposes of C-order (n_steps + 1,
+    n_paths) buffers, so that the slice of every path at one time, s[:, k],
+    is contiguous; a row-major PathSet gives the same numbers, only more
+    slowly. tau_c / tau_b are +inf on paths that do not default before the
+    crossing of their exponential clock within the horizon, and None until
+    sampled. clock_columns names the columns of each block's exponential
+    draws that drive (tau_c, tau_b), so that a role swap hands each name its
+    own clock. Treat all arrays as read-only.
     """
 
     times: np.ndarray
@@ -199,29 +206,34 @@ def simulate_paths(
     factor = dyn._factor
     s_drift = (dyn.rate - dyn.dividend - 0.5 * dyn.vol_s**2) * dt
 
-    s = np.empty((n_paths, n_steps + 1))
-    pi_c = np.empty((n_paths, n_steps + 1))
-    pi_b = np.empty((n_paths, n_steps + 1))
+    # time-major storage: row k holds every path at times[k]
+    s = np.empty((n_steps + 1, n_paths))
+    pi_c = np.empty((n_steps + 1, n_paths))
+    pi_b = np.empty((n_steps + 1, n_paths))
 
     def fill_block(block: int, start: int, stop: int) -> None:
         gen = _philox_generator(seed, _DIFFUSION_STREAM, block)
         z = gen.standard_normal((stop - start, n_steps, 3)) @ factor.T
-        s_blk = s[start:stop]
-        c_blk = pi_c[start:stop]
-        b_blk = pi_b[start:stop]
-        s_blk[:, 0] = dyn.s0
-        c_blk[:, 0] = dyn.pi0_c
-        b_blk[:, 0] = dyn.pi0_b
+        # each block's grids are filled one contiguous row (grid time) at a
+        # time; row k + 1 holds step k's increment (for S its growth factor)
+        # until the step is applied
+        s_blk = s[:, start:stop]
+        s_blk[0] = dyn.s0
+        np.multiply(z[:, :, 0].T, dyn.vol_s * sqrt_dt, out=s_blk[1:])
+        np.add(s_blk[1:], s_drift, out=s_blk[1:])
+        np.exp(s_blk[1:], out=s_blk[1:])
         for k in range(n_steps):
-            s_blk[:, k + 1] = s_blk[:, k] * np.exp(
-                s_drift + dyn.vol_s * sqrt_dt * z[:, k, 0]
-            )
-            c_blk[:, k + 1] = np.maximum(
-                c_blk[:, k] + dyn.drift_c * dt + dyn.vol_c * sqrt_dt * z[:, k, 1], 0.0
-            )
-            b_blk[:, k + 1] = np.maximum(
-                b_blk[:, k] + dyn.drift_b * dt + dyn.vol_b * sqrt_dt * z[:, k, 2], 0.0
-            )
+            np.multiply(s_blk[k], s_blk[k + 1], out=s_blk[k + 1])
+        for blk, pi0, drift, vol, col in (
+            (pi_c[:, start:stop], dyn.pi0_c, dyn.drift_c, dyn.vol_c, 1),
+            (pi_b[:, start:stop], dyn.pi0_b, dyn.drift_b, dyn.vol_b, 2),
+        ):
+            blk[0] = pi0
+            np.multiply(z[:, :, col].T, vol * sqrt_dt, out=blk[1:])
+            for k in range(n_steps):
+                # (pi_k + drift dt) + vol sqrt(dt) z_k, floored at zero
+                np.add(blk[k] + drift * dt, blk[k + 1], out=blk[k + 1])
+                np.maximum(blk[k + 1], 0.0, out=blk[k + 1])
 
     blocks = list(_block_ranges(n_paths))
     if n_workers > 1 and len(blocks) > 1:
@@ -231,7 +243,7 @@ def simulate_paths(
         for args in blocks:
             fill_block(*args)
 
-    return PathSet(times=times, s=s, pi_c=pi_c, pi_b=pi_b, seed=seed)
+    return PathSet(times=times, s=s.T, pi_c=pi_c.T, pi_b=pi_b.T, seed=seed)
 
 
 def _sample_clock(
@@ -239,23 +251,23 @@ def _sample_clock(
 ) -> np.ndarray:
     """First passage of the integrated intensity over an exponential draw.
 
-    Left-endpoint accumulation on the grid; the crossing is interpolated
-    inside the step, which is exact while the intensity is constant over
-    each step.
+    intensity is time-major, (n_times, n_paths). Left-endpoint accumulation
+    on the grid; the crossing is interpolated inside the step, which is
+    exact while the intensity is constant over each step.
     """
     dt = times[1] - times[0]
     n_steps = len(times) - 1
-    cum = np.concatenate(
-        [np.zeros((intensity.shape[0], 1)), np.cumsum(intensity[:, :-1] * dt, axis=1)],
-        axis=1,
-    )
-    last_below = (cum < draws[:, None]).sum(axis=1) - 1
-    tau = np.full(intensity.shape[0], np.inf)
+    steps = intensity[:-1] * dt
+    cum = np.zeros(intensity.shape)
+    for k in range(n_steps):  # one contiguous row at a time, in time order
+        np.add(cum[k], steps[k], out=cum[k + 1])
+    last_below = (cum < draws).sum(axis=0) - 1
+    tau = np.full(intensity.shape[1], np.inf)
     crossed = last_below < n_steps
     idx = last_below[crossed]
-    rows = np.nonzero(crossed)[0]
-    lam = intensity[rows, idx]
-    tau[rows] = times[idx] + (draws[rows] - cum[rows, idx]) / lam
+    cols = np.nonzero(crossed)[0]
+    lam = intensity[idx, cols]
+    tau[cols] = times[idx] + (draws[cols] - cum[idx, cols]) / lam
     return tau
 
 
@@ -278,10 +290,10 @@ def sample_default_times(
     if recovery_c >= 1.0 or recovery_b >= 1.0:
         raise ValueError("recoveries must be below 1")
 
-    def intensity(pi: np.ndarray, recovery: float, basis):
-        lam = pi.copy()
+    def intensity(pi: np.ndarray, recovery: float, basis):  # time-major
+        lam = pi.T
         if basis is not None:
-            lam = lam + basis.values_at(paths.times)[None, :]
+            lam = lam + basis.values_at(paths.times)[:, None]
         return np.maximum(lam, 0.0) / (1.0 - recovery)
 
     lam_c = intensity(paths.pi_c, recovery_c, basis_c)
@@ -296,10 +308,10 @@ def sample_default_times(
         )
         draws = gen.standard_exponential((stop - start, 2))
         tau_c[start:stop] = _sample_clock(
-            lam_c[start:stop], paths.times, draws[:, col_c]
+            lam_c[:, start:stop], paths.times, draws[:, col_c]
         )
         tau_b[start:stop] = _sample_clock(
-            lam_b[start:stop], paths.times, draws[:, col_b]
+            lam_b[:, start:stop], paths.times, draws[:, col_b]
         )
     return replace(paths, tau_c=tau_c, tau_b=tau_b)
 

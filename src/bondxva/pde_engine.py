@@ -35,6 +35,7 @@ reported as the residual.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -69,6 +70,10 @@ class SpatialGrid:
     n_time: int
 
     def __post_init__(self):
+        for name in ("s_min", "s_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"SpatialGrid.{name} is non-finite: {value!r}")
         if self.s_min < 0:
             raise ValueError("s_min must be nonnegative")
         if self.s_max <= self.s_min:
@@ -377,7 +382,7 @@ def _lognormal_exposure(
     return ExposureProfile.from_expectations(times, disc, surv * epe, surv * ene)
 
 
-def solve_xva_report(
+def _solve_xva(
     instrument: Instrument,
     ois: PiecewiseCurve,
     counterparty: CounterpartyProfile,
@@ -386,7 +391,8 @@ def solve_xva_report(
     dyn: ModelDynamics,
     grid: SpatialGrid | None = None,
 ):
-    """Full decomposition at (0, s0), identity-exact, plus exposure profile."""
+    """The report of ``solve_xva_report`` and a function of no arguments
+    that builds its exposure profile from the solution."""
     from .xva_engine import _assemble
 
     collateral = collateral or CollateralSpec.none()
@@ -407,8 +413,23 @@ def solve_xva_report(
         v_coll, cva_v, dva_v, cfva_v, dfva_v, "recursive_pde", iterations=1
     )
     report = replace(report, residual=abs(direct - report.fair_value))
-    profile = _lognormal_exposure(solution, dyn, ois, counterparty, bank, collateral)
-    return report, profile
+    return report, functools.partial(
+        _lognormal_exposure, solution, dyn, ois, counterparty, bank, collateral
+    )
+
+
+def solve_xva_report(
+    instrument: Instrument,
+    ois: PiecewiseCurve,
+    counterparty: CounterpartyProfile,
+    bank: CounterpartyProfile,
+    collateral: CollateralSpec | None,
+    dyn: ModelDynamics,
+    grid: SpatialGrid | None = None,
+):
+    """Full decomposition at (0, s0), identity-exact, plus exposure profile."""
+    report, exposure = _solve_xva(instrument, ois, counterparty, bank, collateral, dyn, grid)
+    return report, exposure()
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,16 @@ Two non-recursive approximations are provided: ``first_order_value`` (funding
 on V^c exposures, one pass) and ``bond_implied_value`` (no funding terms,
 defaults driven by bond-implied intensities).
 
-``run_xva`` prepares each valuation once. On Monte Carlo that is one
+``_valuation`` prepares each valuation once. On Monte Carlo that is one
 ``_McRun`` (paths, default times, V^c and collateral on the grid, the
 default legs), which the method functions ``_recursive_mc``,
 ``_first_order_mc`` and ``_bond_implied_mc`` consume; on the deterministic
-backend it is one ``_det_setup``. Bond mode, the counterparty's bond-side
-claim, is a substitution: the bank is replaced by
+backend it is one ``_det_setup``. ``run_xva`` builds the exposure profile
+from that run or set-up; ``fair_value_recursive``, ``first_order_value``
+and ``bond_implied_value`` skip it. The Monte Carlo grids are stored
+time-major, like the simulated paths, so each step of the backward sweep
+reads contiguous memory. Bond mode, the counterparty's bond-side claim, is
+a substitution: the bank is replaced by
 ``CounterpartyProfile.default_free()`` (it cannot default and funds at OIS)
 for every backend, and on Monte Carlo its spread pi_B is silenced on the
 paths as well.
@@ -480,12 +484,13 @@ def dva(
 
 
 def _alive_matrix(paths: PathSet) -> np.ndarray:
-    alive = np.ones((paths.n_paths, len(paths.times)), dtype=bool)
-    if paths.tau_c is not None:
-        alive &= paths.tau_c[:, None] > paths.times[None, :]
-    if paths.tau_b is not None:
-        alive &= paths.tau_b[:, None] > paths.times[None, :]
-    return alive
+    """Neither name defaulted by each grid time, (n_paths, n_times), stored
+    time-major like simulated paths."""
+    alive = np.ones((len(paths.times), paths.n_paths), dtype=bool)
+    for tau in (paths.tau_c, paths.tau_b):
+        if tau is not None:
+            alive &= tau[None, :] > paths.times[:, None]
+    return alive.T
 
 
 def _funding_pathwise(
@@ -503,8 +508,11 @@ def _funding_pathwise(
     Trapezoid on the grid; each segment uses the right-continuous value at
     its left end and the left limit at its right end so that jumps at cash
     flow dates are integrated correctly. It is two mat-vecs, with D and the
-    half steps in the weights w_left = D [dt/2, 0] and w_right = D [0, dt/2].
-    ``_recursive_mc`` sums the same segments in its backward sweep.
+    half steps in the weights w_left = D [dt/2, 0] and w_right = D [0, dt/2],
+    taken on the integrand stored time-major: a mat-vec sums in an order
+    that depends on the layout, and this one does not depend on the layout
+    of the inputs. ``_recursive_mc`` sums the same segments in its backward
+    sweep.
     """
     half_dt = 0.5 * np.diff(times)
     w_left = np.append(disc[:-1] * half_dt, 0.0)
@@ -512,7 +520,9 @@ def _funding_pathwise(
     sign = 1.0 if positive else -1.0
 
     def weighted(gap, spread, weights):
-        return np.where(alive, np.maximum(sign * gap, 0.0) * spread, 0.0) @ weights
+        gap, spread = (np.broadcast_to(a, alive.shape).T for a in (gap, spread))
+        density = np.where(alive.T, np.maximum(sign * gap, 0.0) * spread, 0.0)
+        return weights @ np.ascontiguousarray(density)
 
     return weighted(gap_rc, spread_rc, w_left) + weighted(gap_ll, spread_ll, w_right)
 
@@ -594,10 +604,13 @@ def _slice_projection(paths: PathSet, alive: np.ndarray, k: int, degree: int):
     dynamics regress on the 4 powers of S alone; when no factor varies the
     fit is the plain mean. Each live factor's powers 1, x, x*x, x*x*x, ...
     are formed once by repeated multiplication, and each monomial is written
-    as their product into one contiguous row of a (columns, alive paths)
-    basis B. B and the pseudo-inverse of its Gram matrix B B^T are built
-    once, so each fit is two thin mat-vecs. At the last grid time the values
-    are already measurable and are returned as they are.
+    into one contiguous row of a (columns, alive paths) basis B as the
+    direct product of its factors' cached powers (ones for the constant),
+    the same bits as multiplying a row of ones by each factor in turn since
+    1.0 * x == x. B and the pseudo-inverse of its
+    Gram matrix B B^T are built once, so each fit is two thin mat-vecs. At
+    the last grid time the values are already measurable and are returned
+    as they are.
     """
     mask = alive.copy()
     n_alive = int(mask.sum())
@@ -619,7 +632,7 @@ def _slice_projection(paths: PathSet, alive: np.ndarray, k: int, degree: int):
             powers.append(None)
             continue
         x = (x - center) / spread
-        cached = [None, x]  # power 0 is the ones each basis row starts from
+        cached = [None, x]  # power 0 never enters a product
         for _ in range(degree - 1):
             cached.append(cached[-1] * x)
         powers.append(cached)
@@ -629,11 +642,15 @@ def _slice_projection(paths: PathSet, alive: np.ndarray, k: int, degree: int):
         e for e in _monomial_exponents(degree)
         if all(p is not None or power == 0 for p, power in zip(powers, e))
     ]
-    basis = np.ones((len(exponents), n_alive))
+    basis = np.empty((len(exponents), n_alive))
     for row, e in zip(basis, exponents):
-        for p, power in zip(powers, e):
-            if power:
-                np.multiply(row, p[power], out=row)
+        factors = [p[power] for p, power in zip(powers, e) if power]
+        if len(factors) < 2:
+            row[:] = factors[0] if factors else 1.0
+            continue
+        np.multiply(factors[0], factors[1], out=row)
+        for factor in factors[2:]:
+            np.multiply(row, factor, out=row)
     pinv = np.linalg.pinv(basis @ basis.T, rcond=1e-10)
     return lambda pv: fitted((pinv @ (basis @ pv[mask])) @ basis)
 
@@ -778,13 +795,12 @@ def _recursive_mc(
     dt = np.diff(times)
     scale = notional_scale(instrument)
 
-    def densities(k, gap, gc, gb):
-        weight = run.alive[:, k] * run.disc[k]
-        return (weight * (gc[0, k] * np.maximum(gap, 0.0)),
-                weight * (gb[0, k] * np.maximum(-gap, 0.0)))
+    def densities(weight, gap, gc, gb):  # weight: 1_alive * D at the slice's time
+        return (weight * (gc * np.maximum(gap, 0.0)),
+                weight * (gb * np.maximum(-gap, 0.0)))
 
     n, m = run.paths.n_paths, len(times)
-    value = np.zeros((n, m))
+    value = np.empty((m, n))  # time-major, like the paths
     tail_c, tail_b = np.zeros(n), np.zeros(n)  # CF_{k+1}, DF_{k+1}
     ll_c = ll_b = None  # g_C(t_{k+1}-), g_B(t_{k+1}-)
     iterations, residual, converged = 0, 0.0, True
@@ -794,10 +810,11 @@ def _recursive_mc(
                  - run.def_gain * (run.paths.tau_b > times[k]))
         base_pv = run.vc_rc[:, k] - after / run.disc[k]
         project = _slice_projection(run.paths, run.alive[:, k], k, params.regression_degree)
+        weight = run.alive[:, k] * run.disc[k]
         if k < m - 1:
             def tails(v):  # CF_k, DF_k; no density at t_k when v is None
                 g_c, g_b = (0.0, 0.0) if v is None else densities(
-                    k, v - run.posted_rc[:, k], gc_rc, gb_rc)
+                    weight, v - run.posted_rc[:, k], gc_rc[0, k], gb_rc[0, k])
                 return (tail_c + 0.5 * (g_c + ll_c) * dt[k],
                         tail_b + 0.5 * (g_b + ll_b) * dt[k])
 
@@ -812,10 +829,10 @@ def _recursive_mc(
             tail_c, tail_b = tails(v)
         else:
             v = project(base_pv)  # no funding remains at maturity
-        value[:, k] = v
+        value[k] = v
         # deterministic cash-flow jumps are carried by V too
         v_ll = v + (run.vc_ll[:, k] - run.vc_rc[:, k])
-        ll_c, ll_b = densities(k, v_ll - run.posted_ll[:, k], gc_ll, gb_ll)
+        ll_c, ll_b = densities(weight, v_ll - run.posted_ll[:, k], gc_ll[0, k], gb_ll[0, k])
     if not converged:
         _warn_not_converged(params, residual)
 
@@ -823,7 +840,7 @@ def _recursive_mc(
         run, run.def_loss, run.def_gain, tail_c, tail_b, "recursive_mc",
         iterations=iterations, residual=residual, converged=converged,
     )
-    return report, value
+    return report, value.T
 
 
 def _first_order_mc(run: _McRun, counterparty, bank):
@@ -1002,17 +1019,23 @@ def _det_exposure_profile(setup, value: np.ndarray) -> ExposureProfile:
 
 
 def _mc_exposure_profile(run: _McRun, value_rc: np.ndarray) -> ExposureProfile:
-    gap = np.where(run.alive, value_rc - run.posted_rc, 0.0)
-    pos = np.maximum(gap, 0.0)
-    neg = np.maximum(-gap, 0.0)
-    sqrt_n = math.sqrt(gap.shape[0])
+    """One grid time at a time: a column of the time-major grids is
+    contiguous, and no (n_paths, n_times) temporary is made."""
+    n, m = value_rc.shape
+    epe, ene, se_epe, se_ene = np.empty((4, m))
+    sqrt_n = math.sqrt(n)
+    for k in range(m):
+        gap = np.where(run.alive[:, k], value_rc[:, k] - run.posted_rc[:, k], 0.0)
+        pos = np.maximum(gap, 0.0)
+        neg = np.maximum(-gap, 0.0)
+        epe[k], ene[k] = pos.mean(), neg.mean()
+        se_epe[k], se_ene[k] = pos.std() / sqrt_n, neg.std() / sqrt_n
     return ExposureProfile.from_expectations(
-        run.paths.times, run.disc, pos.mean(axis=0), neg.mean(axis=0),
-        pos.std(axis=0) / sqrt_n, neg.std(axis=0) / sqrt_n,
+        run.paths.times, run.disc, epe, ene, se_epe, se_ene
     )
 
 
-def run_xva(
+def _valuation(
     instrument: Instrument,
     ois: PiecewiseCurve,
     counterparty: CounterpartyProfile,
@@ -1030,17 +1053,12 @@ def run_xva(
     n_workers: int = 1,
     paths: PathSet | None = None,
     grid=None,
-) -> tuple[XvaReport, ExposureProfile]:
-    """Dispatch a full valuation and return the report plus exposure profile.
+):
+    """The valuation of ``run_xva`` without its exposure profile.
 
-    backend "pde" routes underlying-independent trades (and zero-vol
-    dynamics) to the deterministic Volterra solver, and payoff trades to the
-    Crank-Nicolson engine; backend "mc" simulates paths (or takes the
-    supplied ones) and prepares them once for the method. method is one of
-    recursive / first_order / bond_implied. bond_mode values the
-    counterparty's bond-side claim: the bank is replaced by one that cannot
-    default and funds at OIS, and on "mc" its spread pi_B is silenced on the
-    paths.
+    Returns the report and a function of no arguments that builds the
+    profile from the run (or set-up) and the value the report used, for the
+    callers that read it.
     """
     collateral = collateral or CollateralSpec.none()
     params = params or SolverParams()
@@ -1059,7 +1077,7 @@ def run_xva(
             report, value = _first_order_mc(run, counterparty, bank)
         else:
             report, value = _bond_implied_mc(run, ois, counterparty, bank, collateral)
-        return report, _mc_exposure_profile(run, value)
+        return report, functools.partial(_mc_exposure_profile, run, value)
     if backend != "pde":
         raise ValueError(f"unknown backend {backend!r}")
 
@@ -1070,7 +1088,7 @@ def run_xva(
             bond_implied=method == "bond_implied",
         )
         report, value = _deterministic(setup, instrument, params, method)
-        return report, _det_exposure_profile(setup, value)
+        return report, functools.partial(_det_exposure_profile, setup, value)
 
     # genuine PDE in the underlying; deterministic spreads by construction
     if method != "recursive":
@@ -1078,16 +1096,41 @@ def run_xva(
             "the finite-difference backend implements the recursive method; "
             "use backend='mc' for the approximations on payoff trades"
         )
-    return pde_engine.solve_xva_report(
+    return pde_engine._solve_xva(
         instrument, ois, counterparty, bank, collateral, dyn, grid=grid
     )
+
+
+def run_xva(
+    instrument: Instrument,
+    ois: PiecewiseCurve,
+    counterparty: CounterpartyProfile,
+    bank: CounterpartyProfile,
+    collateral: CollateralSpec | None = None,
+    **knobs,
+) -> tuple[XvaReport, ExposureProfile]:
+    """Dispatch a full valuation and return the report plus exposure profile.
+
+    The knobs are keywords, with their defaults in ``_valuation``: method,
+    backend, dyn, n_paths, n_steps, seed, params, bond_mode, n_workers,
+    paths and grid. backend "pde" routes underlying-independent trades (and
+    zero-vol dynamics) to the deterministic Volterra solver, and payoff
+    trades to the Crank-Nicolson engine; backend "mc" simulates paths (or
+    takes the supplied ones) and prepares them once for the method. method
+    is one of recursive / first_order / bond_implied. bond_mode values the
+    counterparty's bond-side claim: the bank is replaced by one that cannot
+    default and funds at OIS, and on "mc" its spread pi_B is silenced on the
+    paths.
+    """
+    report, exposure = _valuation(instrument, ois, counterparty, bank, collateral, **knobs)
+    return report, exposure()
 
 
 def fair_value_recursive(
     instrument, ois, counterparty, bank, collateral=None, **kwargs
 ) -> XvaReport:
     """Full fixed-point fair value; see run_xva for the knobs."""
-    report, _ = run_xva(
+    report, _ = _valuation(
         instrument, ois, counterparty, bank, collateral, method="recursive", **kwargs
     )
     return report
@@ -1097,7 +1140,7 @@ def first_order_value(
     instrument, ois, counterparty, bank, collateral=None, **kwargs
 ) -> XvaReport:
     """One-pass approximation with funding charged on the V^c exposure."""
-    report, _ = run_xva(
+    report, _ = _valuation(
         instrument, ois, counterparty, bank, collateral, method="first_order", **kwargs
     )
     return report
@@ -1107,7 +1150,7 @@ def bond_implied_value(
     instrument, ois, counterparty, bank, collateral=None, **kwargs
 ) -> XvaReport:
     """CVA/DVA at bond-implied intensities, no explicit funding terms."""
-    report, _ = run_xva(
+    report, _ = _valuation(
         instrument, ois, counterparty, bank, collateral, method="bond_implied", **kwargs
     )
     return report
@@ -1171,8 +1214,8 @@ def compare_aggregations(
     and on "mc" the paths are still simulated once.
     """
     collateral = collateral or CollateralSpec.none()
-    # run_xva's knobs with its defaults; an unknown keyword is a TypeError
-    call = inspect.signature(run_xva).bind(
+    # run_xva's knobs with their defaults; an unknown keyword is a TypeError
+    call = inspect.signature(_valuation).bind(
         instrument, ois, counterparty, bank, collateral, method="first_order", **kwargs
     )
     call.apply_defaults()

@@ -4,6 +4,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -572,3 +575,17 @@ class TestNonFiniteInput:
         assert code == 2
         assert out.getvalue() == ""
         assert f"{'.'.join(path)}: expected a finite number" in err.getvalue()
+
+
+def test_importing_the_cli_leaves_out_quadrature_and_root_finding():
+    # scipy.integrate alone is most of the package's import time
+    code = (
+        "import sys, bondxva.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "[]"

@@ -8,8 +8,10 @@ import pytest
 from bondxva.curves import PiecewiseCurve
 from bondxva.instruments import CollateralSpec
 from bondxva.mc_engine import (
+    _DIFFUSION_STREAM,
     BLOCK_SIZE,
     ModelDynamics,
+    _philox_generator,
     exposure_profile,
     sample_default_times,
     simulate_paths,
@@ -133,6 +135,42 @@ class TestSimulation:
         assert np.array_equal(serial.s, parallel.s)
         assert np.array_equal(serial.pi_c, parallel.pi_c)
         assert np.array_equal(serial.pi_b, parallel.pi_b)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_time_slices_are_contiguous_and_match_a_per_step_loop(self, n_workers):
+        dyn = ModelDynamics(
+            s0=1.0, rate=0.03, vol_s=0.25, pi0_c=0.02, drift_c=-0.01, vol_c=0.02,
+            pi0_b=0.01, vol_b=0.015, rho_sc=0.3, rho_cb=-0.2,
+        )
+        n_paths, n_steps, horizon, seed = BLOCK_SIZE + 904, 6, 1.5, 17
+        paths = simulate_paths(dyn, horizon, n_steps, n_paths, seed, n_workers)
+        for grid in (paths.s, paths.pi_c, paths.pi_b):
+            assert grid.shape == (n_paths, n_steps + 1)
+            assert all(grid[:, k].flags.c_contiguous for k in range(n_steps + 1))
+        # the plain loop: each block's paths one grid step at a time
+        dt = horizon / n_steps
+        sqrt_dt = math.sqrt(dt)
+        s_drift = (dyn.rate - dyn.dividend - 0.5 * dyn.vol_s**2) * dt
+        s, pi_c, pi_b = np.empty((3, n_paths, n_steps + 1))
+        for block, start in enumerate(range(0, n_paths, BLOCK_SIZE)):
+            rows = slice(start, min(start + BLOCK_SIZE, n_paths))
+            gen = _philox_generator(seed, _DIFFUSION_STREAM, block)
+            z = gen.standard_normal((rows.stop - start, n_steps, 3)) @ dyn._factor.T
+            s[rows, 0], pi_c[rows, 0], pi_b[rows, 0] = dyn.s0, dyn.pi0_c, dyn.pi0_b
+            for k in range(n_steps):
+                s[rows, k + 1] = s[rows, k] * np.exp(
+                    s_drift + dyn.vol_s * sqrt_dt * z[:, k, 0]
+                )
+                pi_c[rows, k + 1] = np.maximum(
+                    pi_c[rows, k] + dyn.drift_c * dt + dyn.vol_c * sqrt_dt * z[:, k, 1], 0.0
+                )
+                pi_b[rows, k + 1] = np.maximum(
+                    pi_b[rows, k] + dyn.drift_b * dt + dyn.vol_b * sqrt_dt * z[:, k, 2], 0.0
+                )
+        assert (pi_c == 0.0).any()  # the floor binds on some paths
+        assert np.array_equal(paths.s, s)
+        assert np.array_equal(paths.pi_c, pi_c)
+        assert np.array_equal(paths.pi_b, pi_b)
 
     def test_smaller_run_is_a_prefix_of_a_larger_one(self):
         # per-block generators make the path count an append-only dimension

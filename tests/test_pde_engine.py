@@ -326,18 +326,36 @@ class TestGuards:
     )
     def test_non_finite_inputs_raise(self, where):
         nan = float("nan")
-        ois = PiecewiseCurve.flat(nan) if where == "ois" else OIS
-        cp = CounterpartyProfile(
-            0.4, PiecewiseCurve.flat(0.03),
-            PiecewiseCurve.flat(nan if where == "counterparty_basis" else 0.01),
-        )
-        bank = CounterpartyProfile(
-            0.4, PiecewiseCurve.flat(nan if where == "bank_hazard" else 0.02)
-        )
-        dyn = ModelDynamics(s0=100.0, rate=0.02, vol_s=nan if where == "vol_s" else 0.3)
-        coll = CollateralSpec.bilateral_threshold(nan if where == "threshold" else 5.0)
         with pytest.raises(ValueError, match="non-finite"):
+            ois = PiecewiseCurve.flat(nan) if where == "ois" else OIS
+            cp = CounterpartyProfile(
+                0.4, PiecewiseCurve.flat(0.03),
+                PiecewiseCurve.flat(nan if where == "counterparty_basis" else 0.01),
+            )
+            bank = CounterpartyProfile(
+                0.4, PiecewiseCurve.flat(nan if where == "bank_hazard" else 0.02)
+            )
+            dyn = ModelDynamics(s0=100.0, rate=0.02, vol_s=nan if where == "vol_s" else 0.3)
+            coll = CollateralSpec.bilateral_threshold(nan if where == "threshold" else 5.0)
             solve_final_pde(self.OPT, ois, cp, bank, dyn, self.GRID, coll)
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: PiecewiseCurve.flat(float("nan")), "PiecewiseCurve.values"),
+            (lambda: PiecewiseCurve((0.0, float("inf")), (0.01, 0.02)), "PiecewiseCurve.times"),
+            (lambda: CollateralSpec.bilateral_threshold(float("nan")), "CollateralSpec.threshold"),
+            (lambda: CollateralSpec.constant_offset(float("inf")), "CollateralSpec.offset"),
+            (lambda: ModelDynamics(s0=100.0, vol_s=float("nan")), "ModelDynamics.vol_s"),
+            (lambda: ModelDynamics(s0=float("inf")), "ModelDynamics.s0"),
+            (lambda: Instrument.zero_coupon_bond(float("nan"), 2.0), "CashflowSchedule.flows"),
+            (lambda: Instrument.european_option("call", float("nan"), 1.0), "Instrument.strike"),
+            (lambda: SpatialGrid(0.0, float("inf"), 11, 4), "SpatialGrid.s_max"),
+        ],
+    )
+    def test_constructors_name_the_non_finite_field(self, build, field):
+        with pytest.raises(ValueError, match=f"{field} is non-finite"):
+            build()
 
 
 class TestHedgeWeights:
