@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 BLOCK_SIZE = 4096
+# paths whose normals simulate_paths draws and correlates at once
+_DRAW_PATHS = 512
 _DIFFUSION_STREAM = 0
 _DEFAULT_STREAM_BASE = 1
 _MASK64 = (1 << 64) - 1
@@ -193,13 +195,15 @@ def simulate_paths(
     the correlation matrix. Spread paths are clipped at zero after each
     step: the raw SDE admits negative spreads but negative intensities are
     unusable for default sampling, so the floor is part of the model here.
+    horizon must be finite and positive.
     """
     if n_steps < 1 or n_paths < 1:
         raise ValueError("n_steps and n_paths must be at least 1")
     if n_workers < 1:
         raise ValueError(f"n_workers must be at least 1, got {n_workers}")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    # a NaN horizon fails every comparison, so test for the domain itself
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     times = np.linspace(0.0, horizon, n_steps + 1)
     dt = horizon / n_steps
     sqrt_dt = math.sqrt(dt)
@@ -213,23 +217,25 @@ def simulate_paths(
 
     def fill_block(block: int, start: int, stop: int) -> None:
         gen = _philox_generator(seed, _DIFFUSION_STREAM, block)
-        z = gen.standard_normal((stop - start, n_steps, 3)) @ factor.T
+        s_blk, c_blk, b_blk = s[:, start:stop], pi_c[:, start:stop], pi_b[:, start:stop]
         # each block's grids are filled one contiguous row (grid time) at a
-        # time; row k + 1 holds step k's increment (for S its growth factor)
-        # until the step is applied
-        s_blk = s[:, start:stop]
+        # time; row k + 1 holds step k's scaled normal (for S its growth
+        # factor) until the step is applied. The normals are drawn and
+        # correlated a few hundred paths at a time: the same Philox stream,
+        # without a (block, n_steps, 3) array held twice.
+        for lo in range(0, stop - start, _DRAW_PATHS):
+            hi = min(lo + _DRAW_PATHS, stop - start)
+            z = gen.standard_normal((hi - lo, n_steps, 3)) @ factor.T
+            for blk, vol, col in ((s_blk, dyn.vol_s, 0), (c_blk, dyn.vol_c, 1),
+                                  (b_blk, dyn.vol_b, 2)):
+                np.multiply(z[:, :, col].T, vol * sqrt_dt, out=blk[1:, lo:hi])
         s_blk[0] = dyn.s0
-        np.multiply(z[:, :, 0].T, dyn.vol_s * sqrt_dt, out=s_blk[1:])
         np.add(s_blk[1:], s_drift, out=s_blk[1:])
         np.exp(s_blk[1:], out=s_blk[1:])
         for k in range(n_steps):
             np.multiply(s_blk[k], s_blk[k + 1], out=s_blk[k + 1])
-        for blk, pi0, drift, vol, col in (
-            (pi_c[:, start:stop], dyn.pi0_c, dyn.drift_c, dyn.vol_c, 1),
-            (pi_b[:, start:stop], dyn.pi0_b, dyn.drift_b, dyn.vol_b, 2),
-        ):
+        for blk, pi0, drift in ((c_blk, dyn.pi0_c, dyn.drift_c), (b_blk, dyn.pi0_b, dyn.drift_b)):
             blk[0] = pi0
-            np.multiply(z[:, :, col].T, vol * sqrt_dt, out=blk[1:])
             for k in range(n_steps):
                 # (pi_k + drift dt) + vol sqrt(dt) z_k, floored at zero
                 np.add(blk[k] + drift * dt, blk[k + 1], out=blk[k + 1])
@@ -286,19 +292,25 @@ def sample_default_times(
     instead (floored at zero, since a negative basis can push it negative).
     The exponential clocks are drawn from a dedicated stream so the same
     trajectories can be reused with fresh default draws via seed_offset.
+    The intensities are formed one 4096-path block at a time, next to the
+    block's draws. Each recovery must be finite and in [0, 1); a ValueError
+    names the one that is not.
     """
-    if recovery_c >= 1.0 or recovery_b >= 1.0:
-        raise ValueError("recoveries must be below 1")
-
-    def intensity(pi: np.ndarray, recovery: float, basis):  # time-major
-        lam = pi.T
-        if basis is not None:
-            lam = lam + basis.values_at(paths.times)[:, None]
-        return np.maximum(lam, 0.0) / (1.0 - recovery)
-
-    lam_c = intensity(paths.pi_c, recovery_c, basis_c)
-    lam_b = intensity(paths.pi_b, recovery_b, basis_b)
+    for name, recovery in (("recovery_c", recovery_c), ("recovery_b", recovery_b)):
+        # a NaN recovery fails every comparison, so test for the domain itself
+        if not (math.isfinite(recovery) and 0.0 <= recovery < 1.0):
+            raise ValueError(f"{name} must be finite, >= 0 and below 1, got {recovery!r}")
     col_c, col_b = paths.clock_columns
+    names = []  # per name: its spread paths, recovery, basis row and clock column
+    for pi, recovery, basis, col in (
+        (paths.pi_c, recovery_c, basis_c, col_c), (paths.pi_b, recovery_b, basis_b, col_b)
+    ):
+        row = None if basis is None else basis.values_at(paths.times)[:, None]
+        names.append((pi, recovery, row, col))
+
+    def intensity(pi, recovery, row):  # one block's, time-major
+        lam = pi.T if row is None else pi.T + row
+        return np.maximum(lam, 0.0) / (1.0 - recovery)
 
     tau_c = np.empty(paths.n_paths)
     tau_b = np.empty(paths.n_paths)
@@ -307,12 +319,10 @@ def sample_default_times(
             paths.seed, _DEFAULT_STREAM_BASE + seed_offset, block
         )
         draws = gen.standard_exponential((stop - start, 2))
-        tau_c[start:stop] = _sample_clock(
-            lam_c[:, start:stop], paths.times, draws[:, col_c]
-        )
-        tau_b[start:stop] = _sample_clock(
-            lam_b[:, start:stop], paths.times, draws[:, col_b]
-        )
+        for tau, (pi, recovery, row, col) in zip((tau_c, tau_b), names):
+            tau[start:stop] = _sample_clock(
+                intensity(pi[start:stop], recovery, row), paths.times, draws[:, col]
+            )
     return replace(paths, tau_c=tau_c, tau_b=tau_b)
 
 
@@ -373,6 +383,17 @@ class ExposureProfile:
         return ["time", *names[1:]], list(zip(*(getattr(self, name) for name in names)))
 
 
+def _exposure_moments(alive, gap) -> tuple[float, float, float, float]:
+    """EPE, ENE and their standard errors at one grid time, from the
+    per-path gap V - C (or one number every path shares); paths not alive
+    count zero."""
+    gap = np.where(alive, gap, 0.0)
+    pos = np.maximum(gap, 0.0)
+    neg = np.maximum(-gap, 0.0)
+    sqrt_n = math.sqrt(len(gap))
+    return pos.mean(), neg.mean(), pos.std() / sqrt_n, neg.std() / sqrt_n
+
+
 def exposure_profile(
     paths: PathSet,
     valuation,
@@ -392,9 +413,7 @@ def exposure_profile(
     if collateral_valuation is None:
         collateral_valuation = valuation
     n = paths.n_paths
-    m = len(paths.times)
-    epe, ene, se_epe, se_ene = np.empty((4, m))
-    sqrt_n = math.sqrt(n)
+    moments = np.empty((4, len(paths.times)))
 
     def per_path(f, k, t):
         return np.broadcast_to(
@@ -405,13 +424,6 @@ def exposure_profile(
     for k, t in enumerate(paths.times):
         value = per_path(valuation, k, t)
         posted = collateral_amount(collateral, per_path(collateral_valuation, k, t))
-        alive = paths.alive(t)
-        gap = np.where(alive, value - posted, 0.0)
-        pos = np.maximum(gap, 0.0)
-        neg = np.maximum(-gap, 0.0)
-        epe[k] = pos.mean()
-        ene[k] = neg.mean()
-        se_epe[k] = pos.std() / sqrt_n
-        se_ene[k] = neg.std() / sqrt_n
+        moments[:, k] = _exposure_moments(paths.alive(t), value - posted)
     discounts = np.exp(-ois.integral_from_zero(paths.times))
-    return ExposureProfile.from_expectations(paths.times, discounts, epe, ene, se_epe, se_ene)
+    return ExposureProfile.from_expectations(paths.times, discounts, *moments)

@@ -29,15 +29,19 @@ on V^c exposures, one pass) and ``bond_implied_value`` (no funding terms,
 defaults driven by bond-implied intensities).
 
 ``_valuation`` prepares each valuation once. On Monte Carlo that is one
-``_McRun`` (paths, default times, V^c and collateral on the grid, the
-default legs), which the method functions ``_recursive_mc``,
-``_first_order_mc`` and ``_bond_implied_mc`` consume; on the deterministic
-backend it is one ``_det_setup``. ``run_xva`` builds the exposure profile
-from that run or set-up; ``fair_value_recursive``, ``first_order_value``
-and ``bond_implied_value`` skip it. The Monte Carlo grids are stored
-time-major, like the simulated paths, so each step of the backward sweep
-reads contiguous memory. Bond mode, the counterparty's bond-side claim, is
-a substitution: the bank is replaced by
+``_McRun`` (the paths with their default times, the V^c model, discount
+factors and the per-path default legs), which the method functions
+``_recursive_mc``, ``_first_order_mc`` and ``_bond_implied_mc`` consume; on
+the deterministic backend it is one ``_det_setup``. A Monte Carlo run holds
+no (n_paths, n_times) array besides the three path arrays: V^c, the
+collateral, survival and the solved values are derived one grid time at a
+time and used there, by the backward sweep and by the one per-time funding
+trapezoid (``_funding_trapezoid``) that serves ``first_order``, the
+full-spread legs of ``compare_aggregations`` and the public ``cfva`` and
+``dfva``. ``run_xva`` asks for the exposure profile, whose per-time moments
+are taken in the same pass; ``fair_value_recursive``, ``first_order_value``
+and ``bond_implied_value`` ask for none. Bond mode, the counterparty's
+bond-side claim, is a substitution: the bank is replaced by
 ``CounterpartyProfile.default_free()`` (it cannot default and funds at OIS)
 for every backend, and on Monte Carlo its spread pi_B is silenced on the
 paths as well.
@@ -50,6 +54,7 @@ import inspect
 import itertools
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -66,6 +71,7 @@ from .mc_engine import (
     ExposureProfile,
     ModelDynamics,
     PathSet,
+    _exposure_moments,
     sample_default_times,
     simulate_paths,
 )
@@ -254,8 +260,6 @@ class _ScheduleValuation:
     """Deterministic V^c of a cash-flow schedule under OIS discounting."""
 
     deterministic = True
-    # V^c jumps by each flow on its pay date
-    continuous_in_time = False
 
     def __init__(self, instrument: Instrument, ois: PiecewiseCurve):
         self.schedule = instrument.schedule
@@ -287,6 +291,13 @@ class _ScheduleValuation:
     def on_grid_left_limits(self, paths: PathSet) -> np.ndarray:
         return self.deterministic_values(paths.times, inclusive=True)
 
+    def grid_columns(self, paths: PathSet):
+        """V^c at grid time k and its left limit there, as a function of k:
+        numbers that every path shares, from rows computed once. V^c jumps
+        by each flow on its pay date, where the two differ."""
+        rc, ll = self.on_grid(paths), self.on_grid_left_limits(paths)
+        return lambda k: (rc[k], ll[k])
+
     def at_default(self, paths: PathSet, tau: np.ndarray, shift: float, rows=None) -> np.ndarray:
         u = np.minimum(tau + shift, self.maturity)
         u = np.where(np.isfinite(u), u, self.maturity)
@@ -299,10 +310,6 @@ class _PayoffValuation:
     The underlying grows at rate - dividend; discounting uses the OIS curve.
     At u = expiry the value is the realized payoff.
     """
-
-    # one terminal payoff and no intermediate flows: left limits on the grid
-    # are the grid values
-    continuous_in_time = True
 
     def __init__(self, instrument: Instrument, ois: PiecewiseCurve, dyn: ModelDynamics):
         if dyn is None:
@@ -350,6 +357,17 @@ class _PayoffValuation:
 
     def on_grid_left_limits(self, paths: PathSet) -> np.ndarray:
         return self.on_grid(paths)
+
+    def grid_columns(self, paths: PathSet):
+        """V^c at grid time k and its left limit there, as a function of k:
+        per path, computed when asked for, bit for bit column k of
+        ``on_grid``. One terminal payoff and no intermediate flows: the left
+        limit is the value itself."""
+        def at(k):
+            value = self.value(paths.times[k], paths.s[:, k])
+            return value, value
+
+        return at
 
     def at_default(self, paths: PathSet, tau: np.ndarray, shift: float, rows=None) -> np.ndarray:
         """V^c at tau + shift, capped at expiry, on the paths in rows (all by default)."""
@@ -483,68 +501,74 @@ def dva(
     return _default_leg(paths, v_coll, ois, recovery_b, collateral, "dva")
 
 
-def _alive_matrix(paths: PathSet) -> np.ndarray:
-    """Neither name defaulted by each grid time, (n_paths, n_times), stored
-    time-major like simulated paths."""
-    alive = np.ones((len(paths.times), paths.n_paths), dtype=bool)
-    for tau in (paths.tau_c, paths.tau_b):
-        if tau is not None:
-            alive &= tau[None, :] > paths.times[:, None]
-    return alive.T
+def _density(weight, gap, spread, positive: bool):
+    """The funding integrand at one grid time, spread * (gap)^+ (positive)
+    or spread * (gap)^- weighted by weight = 1_alive * D(0, t)."""
+    return weight * (spread * np.maximum(gap if positive else -gap, 0.0))
 
 
-def _funding_pathwise(
-    times: np.ndarray,
-    alive: np.ndarray,
-    disc: np.ndarray,
-    gap_rc: np.ndarray,
-    gap_ll: np.ndarray,
-    spread_rc: np.ndarray,
-    spread_ll: np.ndarray,
-    positive: bool,
-) -> np.ndarray:
-    """Per-path integral of 1_alive * D(0,s) * spread * (gap)^± ds.
+def _segment(tail, left, right, dt):
+    """The funding from t_j on: the tail from t_{j+1} plus the trapezoid
+    segment 0.5 * (g(t_j) + g(t_{j+1}-)) * dt_j."""
+    return tail + 0.5 * (left + right) * dt
 
-    Trapezoid on the grid; each segment uses the right-continuous value at
-    its left end and the left limit at its right end so that jumps at cash
-    flow dates are integrated correctly. It is two mat-vecs, with D and the
-    half steps in the weights w_left = D [dt/2, 0] and w_right = D [0, dt/2],
-    taken on the integrand stored time-major: a mat-vec sums in an order
-    that depends on the layout, and this one does not depend on the layout
-    of the inputs. ``_recursive_mc`` sums the same segments in its backward
-    sweep.
+
+def _spread_on_grid(curve: PiecewiseCurve, times: np.ndarray):
+    """A curve's value at grid time k and its left limit there, as a
+    function of k."""
+    rc = curve.values_at(times)
+    ll = curve.values_at(np.maximum(times - 1e-12, 0.0))
+    return lambda k: (rc[k], ll[k])
+
+
+def _funding_trapezoid(paths: PathSet, disc, gaps, legs, moments=None):
+    """Per-path funding legs, one per (spread, positive) in legs: the integral
+    of 1_alive * D(0,s) * spread * (gap)^± ds over the grid.
+
+    gaps(k) and spread(k) give the gap V - C and the spread at grid time t_k
+    and at its left limit t_k-, per path or as numbers every path shares.
+    Each trapezoid segment uses the right-continuous value at its left end
+    and the left limit at its right end, so that jumps at cash-flow dates
+    are integrated correctly; the segments are added from the last one
+    back, with the ``_density`` and ``_segment`` of ``_recursive_mc``'s
+    sweep. Everything is derived one grid time at a time, so no
+    (n_paths, n_times) array is made. When moments, a (4, n_times) array,
+    is given, the exposure moments of gaps(k) are written into it too.
     """
-    half_dt = 0.5 * np.diff(times)
-    w_left = np.append(disc[:-1] * half_dt, 0.0)
-    w_right = np.insert(disc[1:] * half_dt, 0, 0.0)
-    sign = 1.0 if positive else -1.0
-
-    def weighted(gap, spread, weights):
-        gap, spread = (np.broadcast_to(a, alive.shape).T for a in (gap, spread))
-        density = np.where(alive.T, np.maximum(sign * gap, 0.0) * spread, 0.0)
-        return weights @ np.ascontiguousarray(density)
-
-    return weighted(gap_rc, spread_rc, w_left) + weighted(gap_ll, spread_ll, w_right)
-
-
-def _basis_on_grid(basis: PiecewiseCurve, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Right-continuous values and left limits of a curve on the grid."""
-    rc = basis.values_at(times)
-    ll = basis.values_at(np.maximum(times - 1e-12, 0.0))
-    return rc[None, :], ll[None, :]
+    times = paths.times
+    dt = np.diff(times)
+    tails = [np.zeros(paths.n_paths) for _ in legs]
+    right = [None] * len(legs)  # each leg's g(t_{k+1}-)
+    for k in range(len(times) - 1, -1, -1):
+        alive = paths.alive(times[k])
+        weight = alive * disc[k]
+        gap_rc, gap_ll = gaps(k)
+        if moments is not None:
+            moments[:, k] = _exposure_moments(alive, gap_rc)
+        for i, (spread, positive) in enumerate(legs):
+            rc, ll = spread(k)
+            if k < len(times) - 1:
+                left = _density(weight, gap_rc, rc, positive)
+                tails[i] = _segment(tails[i], left, right[i], dt[k])
+            right[i] = _density(weight, gap_ll, ll, positive)
+    return tails
 
 
 def _funding_leg(
     paths, exposure_on_grid, ois, basis, collateral, collateral_reference, positive
 ) -> tuple[float, float]:
-    gap = value = np.asarray(exposure_on_grid, dtype=float)  # (m,) or (n_paths, m)
-    if collateral is not None:
-        reference = value if collateral_reference is None else np.asarray(collateral_reference)
-        gap = value - collateral_amount(collateral, reference)
+    value = np.asarray(exposure_on_grid, dtype=float)  # (m,) or (n_paths, m)
+    reference = value if collateral_reference is None else np.asarray(collateral_reference)
+
+    def gaps(k):
+        gap = value[..., k]
+        if collateral is not None:
+            gap = gap - collateral_amount(collateral, reference[..., k])
+        return gap, gap
+
     disc = np.exp(-ois.integral_from_zero(paths.times))
-    per_path = _funding_pathwise(
-        paths.times, _alive_matrix(paths), disc, gap, gap,
-        *_basis_on_grid(basis, paths.times), positive,
+    (per_path,) = _funding_trapezoid(
+        paths, disc, gaps, [(_spread_on_grid(basis, paths.times), positive)]
     )
     return _mean_and_se(per_path)
 
@@ -612,7 +636,7 @@ def _slice_projection(paths: PathSet, alive: np.ndarray, k: int, degree: int):
     the last grid time the values are already measurable and are returned
     as they are.
     """
-    mask = alive.copy()
+    mask = alive
     n_alive = int(mask.sum())
 
     def fitted(values):
@@ -662,16 +686,33 @@ def _slice_projection(paths: PathSet, alive: np.ndarray, k: int, degree: int):
 
 @dataclass(frozen=True, eq=False)
 class _McRun:
+    """A prepared Monte Carlo valuation: the paths (their three path arrays
+    and default times), the V^c model, the collateral spec, the discount
+    factors at the grid times and the per-path default legs. V^c, the
+    collateral and survival are derived one grid time at a time, by
+    ``at_time`` and ``PathSet.alive``, where they are used; a run holds no
+    other (n_paths, n_times) array."""
+
     paths: PathSet
     model: object
-    vc_rc: np.ndarray  # (n, m) collateralized value, right-continuous
-    vc_ll: np.ndarray  # (n, m) left limits at the grid times
-    posted_rc: np.ndarray
-    posted_ll: np.ndarray
-    alive: np.ndarray
+    collateral: CollateralSpec
+    vc_at: Callable  # grid index -> (V^c there, its left limit): model.grid_columns
     disc: np.ndarray
     def_loss: np.ndarray  # per-path discounted CVA leg
     def_gain: np.ndarray  # per-path discounted DVA leg
+
+    def at_time(self, k: int):
+        """V^c at grid time k, its left limit there, and the collateral on
+        each: per path, or numbers that every path shares."""
+        vc_rc, vc_ll = self.vc_at(k)
+        posted_rc = collateral_amount(self.collateral, vc_rc)
+        posted_ll = posted_rc if vc_ll is vc_rc else collateral_amount(self.collateral, vc_ll)
+        return vc_rc, vc_ll, posted_rc, posted_ll
+
+    def gaps(self, k: int):
+        """The close-out gap V^c - C at grid time k and at its left limit."""
+        vc_rc, vc_ll, posted_rc, posted_ll = self.at_time(k)
+        return vc_rc - posted_rc, vc_ll - posted_ll
 
 
 def _prepare_mc(
@@ -689,10 +730,9 @@ def _prepare_mc(
     paths: PathSet | None = None,
 ) -> _McRun:
     """What every Monte Carlo method uses: the paths (simulated unless
-    supplied) with their default times, V^c and the collateral on the grid
-    and at its left limits, survival, discount factors and the per-path
-    default legs. bond_mode silences the bank's spread and default on the
-    paths."""
+    supplied) with their default times, the V^c model, discount factors and
+    the per-path default legs. bond_mode silences the bank's spread and
+    default on the paths."""
     horizon = instrument.maturity
     if paths is None:
         if dyn is None:
@@ -704,24 +744,10 @@ def _prepare_mc(
         paths = sample_default_times(paths, counterparty.recovery, bank.recovery)
     if bond_mode:
         paths = replace(
-            paths, pi_b=np.zeros_like(paths.pi_b), tau_b=np.full(paths.n_paths, np.inf)
+            paths, pi_b=np.broadcast_to(0.0, paths.pi_b.shape),
+            tau_b=np.full(paths.n_paths, np.inf),
         )
     model = make_collateralized_valuation(instrument, ois, dyn)
-    # a deterministic V^c row, and the collateral on it, is shared by every path
-    shape = (paths.n_paths, len(paths.times))
-
-    def on_paths(grid):
-        grid = np.asarray(grid, dtype=float)
-        return (np.broadcast_to(grid, shape),
-                np.broadcast_to(collateral_amount(collateral, grid), shape))
-
-    vc_rc, posted_rc = on_paths(model.on_grid(paths))
-    if model.continuous_in_time:
-        vc_ll, posted_ll = vc_rc, posted_rc
-    else:
-        vc_ll, posted_ll = on_paths(model.on_grid_left_limits(paths))
-    alive = _alive_matrix(paths)
-    disc = np.exp(-ois.integral_from_zero(paths.times))
     def_loss = _default_leg_pathwise(
         paths, model, ois, counterparty.recovery, collateral, "cva"
     )
@@ -729,25 +755,11 @@ def _prepare_mc(
     return _McRun(
         paths=paths,
         model=model,
-        vc_rc=vc_rc,
-        vc_ll=vc_ll,
-        posted_rc=posted_rc,
-        posted_ll=posted_ll,
-        alive=alive,
-        disc=disc,
+        collateral=collateral,
+        vc_at=model.grid_columns(paths),
+        disc=np.exp(-ois.integral_from_zero(paths.times)),
         def_loss=def_loss,
         def_gain=def_gain,
-    )
-
-
-def _run_funding(run: _McRun, value_rc, value_ll, spreads_c, spreads_b):
-    """Per-path CFVA and DFVA legs of a value grid and its left limits."""
-    times = run.paths.times
-    gap_rc = value_rc - run.posted_rc
-    gap_ll = value_ll - run.posted_ll
-    return (
-        _funding_pathwise(times, run.alive, run.disc, gap_rc, gap_ll, *spreads_c, True),
-        _funding_pathwise(times, run.alive, run.disc, gap_rc, gap_ll, *spreads_b, False),
     )
 
 
@@ -756,9 +768,10 @@ def _mc_report(run: _McRun, loss, gain, cf, df, method: str, **kw) -> XvaReport:
     (cva_v, se_cva), (dva_v, se_dva), (cfva_v, se_cfva), (dfva_v, se_dfva) = map(
         _mean_and_se, (loss, gain, cf, df)
     )
-    pv0 = run.vc_rc[:, 0] - loss + gain - cf + df
+    vc0 = np.broadcast_to(run.vc_at(0)[0], (run.paths.n_paths,))
+    pv0 = vc0 - loss + gain - cf + df
     return _assemble(
-        float(run.vc_rc[:, 0].mean()), cva_v, dva_v, cfva_v, dfva_v,
+        float(vc0.mean()), cva_v, dva_v, cfva_v, dfva_v,
         method=method,
         se_cva=se_cva,
         se_dva=se_dva,
@@ -769,12 +782,21 @@ def _mc_report(run: _McRun, loss, gain, cf, df, method: str, **kw) -> XvaReport:
     )
 
 
+def _mc_profile(run: _McRun, moments: np.ndarray | None) -> ExposureProfile | None:
+    """The exposure profile of moments, (4, n_times) from
+    ``_exposure_moments``, or None when none were taken."""
+    if moments is None:
+        return None
+    return ExposureProfile.from_expectations(run.paths.times, run.disc, *moments)
+
+
 def _recursive_mc(
     run: _McRun,
     instrument: Instrument,
     counterparty: CounterpartyProfile,
     bank: CounterpartyProfile,
     params: SolverParams,
+    profile: bool = False,
 ):
     """The recursive value on a prepared run, solved by one backward sweep.
 
@@ -786,37 +808,43 @@ def _recursive_mc(
     Only the segment from t_k involves V(t_k), so once the later times are
     solved, the tails from t_{k+1} and g(t_{k+1}-) are known per path and the
     slice's fixed point is iterated alone. At t_0 the two tails are the
-    report's per-path CFVA and DFVA (``_funding_pathwise`` of the value grid).
-    Returns the report and the value grid.
+    report's per-path CFVA and DFVA (``_funding_trapezoid`` of the solved
+    values). V^c, the collateral and survival at t_k are derived when the
+    sweep reaches it, and the solved values are used there and dropped:
+    with profile, their exposure moments are taken as each time is solved.
+    Returns the report and the exposure profile (None without profile).
     """
-    times = run.paths.times
-    gc_rc, gc_ll = _basis_on_grid(counterparty.basis, times)
-    gb_rc, gb_ll = _basis_on_grid(bank.basis, times)
+    paths = run.paths
+    times = paths.times
+    spread_c = _spread_on_grid(counterparty.basis, times)
+    spread_b = _spread_on_grid(bank.basis, times)
     dt = np.diff(times)
     scale = notional_scale(instrument)
 
-    def densities(weight, gap, gc, gb):  # weight: 1_alive * D at the slice's time
-        return (weight * (gc * np.maximum(gap, 0.0)),
-                weight * (gb * np.maximum(-gap, 0.0)))
-
-    n, m = run.paths.n_paths, len(times)
-    value = np.empty((m, n))  # time-major, like the paths
+    n, m = paths.n_paths, len(times)
+    moments = np.empty((4, m)) if profile else None
     tail_c, tail_b = np.zeros(n), np.zeros(n)  # CF_{k+1}, DF_{k+1}
     ll_c = ll_b = None  # g_C(t_{k+1}-), g_B(t_{k+1}-)
     iterations, residual, converged = 0, 0.0, True
     for k in range(m - 1, -1, -1):
+        vc_rc, vc_ll, posted_rc, posted_ll = run.at_time(k)
+        (gc_rc, gc_ll), (gb_rc, gb_ll) = spread_c(k), spread_b(k)
+        alive = paths.alive(times[k])
         # pathwise default legs seen from t_k, in time-0 dollars
-        after = (run.def_loss * (run.paths.tau_c > times[k])
-                 - run.def_gain * (run.paths.tau_b > times[k]))
-        base_pv = run.vc_rc[:, k] - after / run.disc[k]
-        project = _slice_projection(run.paths, run.alive[:, k], k, params.regression_degree)
-        weight = run.alive[:, k] * run.disc[k]
+        after = (run.def_loss * (paths.tau_c > times[k])
+                 - run.def_gain * (paths.tau_b > times[k]))
+        base_pv = vc_rc - after / run.disc[k]
+        project = _slice_projection(paths, alive, k, params.regression_degree)
+        weight = alive * run.disc[k]
         if k < m - 1:
             def tails(v):  # CF_k, DF_k; no density at t_k when v is None
-                g_c, g_b = (0.0, 0.0) if v is None else densities(
-                    weight, v - run.posted_rc[:, k], gc_rc[0, k], gb_rc[0, k])
-                return (tail_c + 0.5 * (g_c + ll_c) * dt[k],
-                        tail_b + 0.5 * (g_b + ll_b) * dt[k])
+                if v is None:
+                    g_c = g_b = 0.0
+                else:
+                    gap = v - posted_rc
+                    g_c = _density(weight, gap, gc_rc, True)
+                    g_b = _density(weight, gap, gb_rc, False)
+                return _segment(tail_c, g_c, ll_c, dt[k]), _segment(tail_b, g_b, ll_b, dt[k])
 
             def step(v):
                 cf, df = tails(v)
@@ -829,10 +857,12 @@ def _recursive_mc(
             tail_c, tail_b = tails(v)
         else:
             v = project(base_pv)  # no funding remains at maturity
-        value[k] = v
+        if moments is not None:
+            moments[:, k] = _exposure_moments(alive, v - posted_rc)
         # deterministic cash-flow jumps are carried by V too
-        v_ll = v + (run.vc_ll[:, k] - run.vc_rc[:, k])
-        ll_c, ll_b = densities(weight, v_ll - run.posted_ll[:, k], gc_ll[0, k], gb_ll[0, k])
+        gap_ll = v + (vc_ll - vc_rc) - posted_ll
+        ll_c = _density(weight, gap_ll, gc_ll, True)
+        ll_b = _density(weight, gap_ll, gb_ll, False)
     if not converged:
         _warn_not_converged(params, residual)
 
@@ -840,22 +870,25 @@ def _recursive_mc(
         run, run.def_loss, run.def_gain, tail_c, tail_b, "recursive_mc",
         iterations=iterations, residual=residual, converged=converged,
     )
-    return report, value.T
+    return report, _mc_profile(run, moments)
 
 
-def _first_order_mc(run: _McRun, counterparty, bank):
-    """Funding charged on the V^c exposure, one pass; the report and V^c."""
+def _first_order_mc(run: _McRun, counterparty, bank, profile: bool = False):
+    """Funding charged on the V^c exposure, one pass; the report and the V^c
+    exposure profile (None without profile)."""
     times = run.paths.times
-    cf, df = _run_funding(
-        run, run.vc_rc, run.vc_ll,
-        _basis_on_grid(counterparty.basis, times), _basis_on_grid(bank.basis, times),
-    )
-    return _mc_report(run, run.def_loss, run.def_gain, cf, df, "first_order"), run.vc_rc
+    moments = np.empty((4, len(times))) if profile else None
+    legs = [(_spread_on_grid(counterparty.basis, times), True),
+            (_spread_on_grid(bank.basis, times), False)]
+    cf, df = _funding_trapezoid(run.paths, run.disc, run.gaps, legs, moments)
+    report = _mc_report(run, run.def_loss, run.def_gain, cf, df, "first_order")
+    return report, _mc_profile(run, moments)
 
 
-def _bond_implied_mc(run: _McRun, ois, counterparty, bank, collateral):
+def _bond_implied_mc(run: _McRun, ois, counterparty, bank, collateral, profile: bool = False):
     """No funding terms, defaults resampled at the bond-implied intensities;
-    the report and V^c."""
+    the report and the V^c exposure profile (None without profile). Without
+    profile, V^c is needed at t_0 only."""
     shifted = sample_default_times(
         run.paths,
         counterparty.recovery,
@@ -869,7 +902,12 @@ def _bond_implied_mc(run: _McRun, ois, counterparty, bank, collateral):
     gain = _default_leg_pathwise(shifted, run.model, ois, bank.recovery, collateral, "dva")
     no_funding = np.zeros(run.paths.n_paths)
     report = _mc_report(run, loss, gain, no_funding, no_funding, "bond_implied")
-    return report, run.vc_rc
+    if not profile:
+        return report, None
+    moments = np.empty((4, len(run.paths.times)))
+    for k, t in enumerate(run.paths.times):
+        moments[:, k] = _exposure_moments(run.paths.alive(t), run.gaps(k)[0])
+    return report, _mc_profile(run, moments)
 
 
 # ---------------------------------------------------------------------------
@@ -1018,24 +1056,9 @@ def _det_exposure_profile(setup, value: np.ndarray) -> ExposureProfile:
     )
 
 
-def _mc_exposure_profile(run: _McRun, value_rc: np.ndarray) -> ExposureProfile:
-    """One grid time at a time: a column of the time-major grids is
-    contiguous, and no (n_paths, n_times) temporary is made."""
-    n, m = value_rc.shape
-    epe, ene, se_epe, se_ene = np.empty((4, m))
-    sqrt_n = math.sqrt(n)
-    for k in range(m):
-        gap = np.where(run.alive[:, k], value_rc[:, k] - run.posted_rc[:, k], 0.0)
-        pos = np.maximum(gap, 0.0)
-        neg = np.maximum(-gap, 0.0)
-        epe[k], ene[k] = pos.mean(), neg.mean()
-        se_epe[k], se_ene[k] = pos.std() / sqrt_n, neg.std() / sqrt_n
-    return ExposureProfile.from_expectations(
-        run.paths.times, run.disc, epe, ene, se_epe, se_ene
-    )
-
-
 def _valuation(
+    profile: bool,
+    /,
     instrument: Instrument,
     ois: PiecewiseCurve,
     counterparty: CounterpartyProfile,
@@ -1054,11 +1077,10 @@ def _valuation(
     paths: PathSet | None = None,
     grid=None,
 ):
-    """The valuation of ``run_xva`` without its exposure profile.
-
-    Returns the report and a function of no arguments that builds the
-    profile from the run (or set-up) and the value the report used, for the
-    callers that read it.
+    """The valuation of ``run_xva``: the report and, when profile is true,
+    the exposure profile of the value the report used (None otherwise). On
+    Monte Carlo the profile's moments are taken in the pass that values the
+    trade, so a caller that does not read the profile asks for none.
     """
     collateral = collateral or CollateralSpec.none()
     params = params or SolverParams()
@@ -1072,12 +1094,10 @@ def _valuation(
             n_paths, n_steps, seed, bond_mode, n_workers, paths,
         )
         if method == "recursive":
-            report, value = _recursive_mc(run, instrument, counterparty, bank, params)
-        elif method == "first_order":
-            report, value = _first_order_mc(run, counterparty, bank)
-        else:
-            report, value = _bond_implied_mc(run, ois, counterparty, bank, collateral)
-        return report, functools.partial(_mc_exposure_profile, run, value)
+            return _recursive_mc(run, instrument, counterparty, bank, params, profile)
+        if method == "first_order":
+            return _first_order_mc(run, counterparty, bank, profile)
+        return _bond_implied_mc(run, ois, counterparty, bank, collateral, profile)
     if backend != "pde":
         raise ValueError(f"unknown backend {backend!r}")
 
@@ -1088,7 +1108,7 @@ def _valuation(
             bond_implied=method == "bond_implied",
         )
         report, value = _deterministic(setup, instrument, params, method)
-        return report, functools.partial(_det_exposure_profile, setup, value)
+        return report, _det_exposure_profile(setup, value) if profile else None
 
     # genuine PDE in the underlying; deterministic spreads by construction
     if method != "recursive":
@@ -1096,9 +1116,10 @@ def _valuation(
             "the finite-difference backend implements the recursive method; "
             "use backend='mc' for the approximations on payoff trades"
         )
-    return pde_engine._solve_xva(
+    report, exposure = pde_engine._solve_xva(
         instrument, ois, counterparty, bank, collateral, dyn, grid=grid
     )
+    return report, exposure() if profile else None
 
 
 def run_xva(
@@ -1122,8 +1143,7 @@ def run_xva(
     default and funds at OIS, and on "mc" its spread pi_B is silenced on the
     paths.
     """
-    report, exposure = _valuation(instrument, ois, counterparty, bank, collateral, **knobs)
-    return report, exposure()
+    return _valuation(True, instrument, ois, counterparty, bank, collateral, **knobs)
 
 
 def fair_value_recursive(
@@ -1131,7 +1151,7 @@ def fair_value_recursive(
 ) -> XvaReport:
     """Full fixed-point fair value; see run_xva for the knobs."""
     report, _ = _valuation(
-        instrument, ois, counterparty, bank, collateral, method="recursive", **kwargs
+        False, instrument, ois, counterparty, bank, collateral, method="recursive", **kwargs
     )
     return report
 
@@ -1141,7 +1161,7 @@ def first_order_value(
 ) -> XvaReport:
     """One-pass approximation with funding charged on the V^c exposure."""
     report, _ = _valuation(
-        instrument, ois, counterparty, bank, collateral, method="first_order", **kwargs
+        False, instrument, ois, counterparty, bank, collateral, method="first_order", **kwargs
     )
     return report
 
@@ -1151,7 +1171,7 @@ def bond_implied_value(
 ) -> XvaReport:
     """CVA/DVA at bond-implied intensities, no explicit funding terms."""
     report, _ = _valuation(
-        instrument, ois, counterparty, bank, collateral, method="bond_implied", **kwargs
+        False, instrument, ois, counterparty, bank, collateral, method="bond_implied", **kwargs
     )
     return report
 
@@ -1216,7 +1236,8 @@ def compare_aggregations(
     collateral = collateral or CollateralSpec.none()
     # run_xva's knobs with their defaults; an unknown keyword is a TypeError
     call = inspect.signature(_valuation).bind(
-        instrument, ois, counterparty, bank, collateral, method="first_order", **kwargs
+        False, instrument, ois, counterparty, bank, collateral, method="first_order",
+        **kwargs,
     )
     call.apply_defaults()
     opt = call.arguments
@@ -1237,9 +1258,15 @@ def compare_aggregations(
             valued = prepare(valued_bank, True, run.paths)
         report, _ = _first_order_mc(valued, counterparty, valued_bank)
         # the stochastic part of the bank's funding spread rides on pi_B
-        g_rc, g_ll = _basis_on_grid(bank.basis, run.paths.times)
-        spreads = (run.paths.pi_b + g_rc, run.paths.pi_b + g_ll)
-        fca_path, fba_path = _run_funding(run, run.vc_rc, run.vc_ll, spreads, spreads)
+        basis = _spread_on_grid(bank.basis, run.paths.times)
+        pi_b = run.paths.pi_b
+
+        def full_spread(k):
+            return tuple(pi_b[:, k] + gamma for gamma in basis(k))
+
+        fca_path, fba_path = _funding_trapezoid(
+            run.paths, run.disc, run.gaps, [(full_spread, True), (full_spread, False)]
+        )
         fca, fba = float(fca_path.mean()), float(fba_path.mean())
     elif opt["backend"] == "pde":
         params = opt["params"] or SolverParams()

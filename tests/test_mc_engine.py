@@ -1,6 +1,7 @@
 """Tests for the path simulator, default sampling, and exposure profiles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ import pytest
 from bondxva.curves import PiecewiseCurve
 from bondxva.instruments import CollateralSpec
 from bondxva.mc_engine import (
+    _DEFAULT_STREAM_BASE,
     _DIFFUSION_STREAM,
     BLOCK_SIZE,
     ModelDynamics,
     _philox_generator,
+    _sample_clock,
     exposure_profile,
     sample_default_times,
     simulate_paths,
@@ -96,6 +99,10 @@ class TestSimulation:
             (dict(n_steps=0, n_paths=10), "at least 1"),
             (dict(n_steps=10, n_paths=0), "at least 1"),
             (dict(n_steps=10, n_paths=10, horizon=0.0), "horizon must be positive"),
+            # NaN fails every comparison, and an infinite step gives NaN paths
+            (dict(n_steps=10, n_paths=10, horizon=float("nan")), "horizon must be positive"),
+            (dict(n_steps=10, n_paths=10, horizon=float("inf")), "horizon must be positive"),
+            (dict(n_steps=10, n_paths=10, horizon=-1.0), "horizon must be positive"),
         ],
     )
     def test_bad_grid_arguments_rejected(self, kwargs, message):
@@ -136,13 +143,16 @@ class TestSimulation:
         assert np.array_equal(serial.pi_c, parallel.pi_c)
         assert np.array_equal(serial.pi_b, parallel.pi_b)
 
+    # 64 steps: normals drawn in sub-blocks, and a last block that ends
+    # inside one, against the whole block drawn at once here
+    @pytest.mark.parametrize("n_steps", [6, 64])
     @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_time_slices_are_contiguous_and_match_a_per_step_loop(self, n_workers):
+    def test_time_slices_are_contiguous_and_match_a_per_step_loop(self, n_workers, n_steps):
         dyn = ModelDynamics(
             s0=1.0, rate=0.03, vol_s=0.25, pi0_c=0.02, drift_c=-0.01, vol_c=0.02,
             pi0_b=0.01, vol_b=0.015, rho_sc=0.3, rho_cb=-0.2,
         )
-        n_paths, n_steps, horizon, seed = BLOCK_SIZE + 904, 6, 1.5, 17
+        n_paths, horizon, seed = BLOCK_SIZE + 904, 1.5, 17
         paths = simulate_paths(dyn, horizon, n_steps, n_paths, seed, n_workers)
         for grid in (paths.s, paths.pi_c, paths.pi_b):
             assert grid.shape == (n_paths, n_steps + 1)
@@ -171,6 +181,21 @@ class TestSimulation:
         assert np.array_equal(paths.s, s)
         assert np.array_equal(paths.pi_c, pi_c)
         assert np.array_equal(paths.pi_b, pi_b)
+
+    def test_temporaries_stay_under_one_block_of_normals(self):
+        n_paths, n_steps = 2 * BLOCK_SIZE, 64
+        tracemalloc.start()
+        try:
+            simulate_paths(ModelDynamics(s0=1.0, vol_s=0.2, vol_c=0.01), 1.0, n_steps,
+                           n_paths, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        paths_bytes = 3 * n_paths * (n_steps + 1) * 8
+        # one block's (BLOCK_SIZE, n_steps, 3) normals; drawing them whole
+        # held two such arrays
+        block_normals = BLOCK_SIZE * n_steps * 3 * 8
+        assert peak - paths_bytes < block_normals
 
     def test_smaller_run_is_a_prefix_of_a_larger_one(self):
         # per-block generators make the path count an append-only dimension
@@ -234,6 +259,59 @@ class TestDefaultSampling:
         paths = self._flat_spread_paths(0.03, 0.01, n_paths=8)
         with pytest.raises(ValueError, match="below 1"):
             sample_default_times(paths, recovery_c=1.0, recovery_b=0.4)
+
+    @pytest.mark.parametrize("name", ["recovery_c", "recovery_b"])
+    @pytest.mark.parametrize("recovery", [float("nan"), float("inf"), -0.5, 1.5])
+    def test_recovery_outside_its_domain_is_named(self, name, recovery):
+        paths = self._flat_spread_paths(0.03, 0.01, n_paths=8)
+        recoveries = {"recovery_c": 0.4, "recovery_b": 0.35, name: recovery}
+        with pytest.raises(ValueError, match=name):
+            sample_default_times(paths, **recoveries)
+
+    @pytest.mark.parametrize("swapped", [False, True], ids=["as_drawn", "swapped"])
+    @pytest.mark.parametrize("bases", [False, True], ids=["cds", "bond_implied"])
+    def test_blockwise_intensities_give_the_whole_grid_default_times(self, bases, swapped):
+        dyn = ModelDynamics(
+            s0=1.0, pi0_c=0.3, pi0_b=0.2, drift_c=-0.05, vol_c=0.4, vol_b=0.3, rho_cb=0.3
+        )
+        paths = simulate_paths(dyn, 2.0, n_steps=16, n_paths=2 * BLOCK_SIZE + 300, seed=8)
+        if swapped:
+            paths = swap_roles(paths)
+        basis_c, basis_b = (
+            (PiecewiseCurve((0.0, 1.0), (0.02, -0.1)), PiecewiseCurve.flat(0.01))
+            if bases else (None, None)
+        )
+        sampled = sample_default_times(paths, 0.4, 0.3, basis_c=basis_c, basis_b=basis_b)
+        # the reference forms each name's whole (n_times, n_paths) intensity
+        # grid first, then samples its clocks block by block
+        grids = []
+        for pi, recovery, basis in ((paths.pi_c, 0.4, basis_c), (paths.pi_b, 0.3, basis_b)):
+            lam = pi.T if basis is None else pi.T + basis.values_at(paths.times)[:, None]
+            grids.append(np.maximum(lam, 0.0) / (1.0 - recovery))
+        tau = np.empty((2, paths.n_paths))
+        for block, start in enumerate(range(0, paths.n_paths, BLOCK_SIZE)):
+            stop = min(start + BLOCK_SIZE, paths.n_paths)
+            gen = _philox_generator(paths.seed, _DEFAULT_STREAM_BASE, block)
+            draws = gen.standard_exponential((stop - start, 2))
+            for name, col in enumerate(paths.clock_columns):
+                tau[name, start:stop] = _sample_clock(
+                    grids[name][:, start:stop], paths.times, draws[:, col]
+                )
+        assert np.isfinite(tau).any() and np.isinf(tau).any()
+        assert np.array_equal(sampled.tau_c, tau[0])
+        assert np.array_equal(sampled.tau_b, tau[1])
+
+    def test_intensities_are_formed_one_block_at_a_time(self):
+        paths = self._flat_spread_paths(0.03, 0.01, n_paths=8 * BLOCK_SIZE)
+        grid_bytes = paths.n_paths * len(paths.times) * 8
+        tracemalloc.start()
+        try:
+            sample_default_times(paths, 0.4, 0.35, basis_c=PiecewiseCurve.flat(0.01))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two whole intensity grids would be two grid-sizes
+        assert peak < grid_bytes
 
     def test_survival_fraction_matches_the_exponential_law(self):
         # constant intensity makes the grid sampling exact, so the observed

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -31,10 +32,9 @@ from bondxva.xva_engine import (
     ConvergenceError,
     SolverParams,
     _assemble,
-    _basis_on_grid,
+    _funding_trapezoid,
     _prepare_mc,
     _recursive_mc,
-    _run_funding,
     _slice_projection,
     bond_implied_value,
     cfva,
@@ -81,6 +81,48 @@ def _paths_with_taus(times, tau_c, tau_b):
         tau_c=np.asarray(tau_c, dtype=float),
         tau_b=np.asarray(tau_b, dtype=float),
     )
+
+
+def _alive_grid(paths):
+    """Neither name defaulted by each grid time, (n_paths, n_times), from
+    ``PathSet.alive``."""
+    return np.column_stack([paths.alive(t) for t in paths.times])
+
+
+def _on_grid(curve, times):
+    """A curve's values at the grid times and its left limits there."""
+    return curve.values_at(times), curve.values_at(np.maximum(times - 1e-12, 0.0))
+
+
+def _vc_grids(instrument, dyn, paths, collateral):
+    """V^c on the grid, its left limits, and the collateral on each, every
+    one (n_paths, n_times), from the public valuation model."""
+    model = make_collateralized_valuation(instrument, OIS, dyn)
+    vc_rc, vc_ll = (
+        np.broadcast_to(grid, paths.s.shape)
+        for grid in (model.on_grid(paths), model.on_grid_left_limits(paths))
+    )
+    return vc_rc, vc_ll, collateral_amount(collateral, vc_rc), collateral_amount(collateral, vc_ll)
+
+
+def _record_solved_values(monkeypatch) -> dict:
+    """Record each grid time's solved values in the backward sweep: the
+    last fit of the slice's regression, which the fixed point returns at
+    damping 1."""
+    solved = {}
+    project = xva_engine._slice_projection
+
+    def recording_projection(paths, alive, k, degree):
+        fit = project(paths, alive, k, degree)
+
+        def recorded(pv):
+            solved[k] = fit(pv)
+            return solved[k]
+
+        return recorded
+
+    monkeypatch.setattr(xva_engine, "_slice_projection", recording_projection)
+    return solved
 
 
 class TestDefaultLegs:
@@ -442,8 +484,12 @@ class TestBackwardSweep:
             0, 0, 0, False, paths=paths,
         )
         times = run.paths.times
+        alive = _alive_grid(run.paths)
+        vc_rc, vc_ll, posted_rc, posted_ll = _vc_grids(
+            TWO_SIDED, self.DYN, run.paths, self.COLLATERAL
+        )
         projections = [
-            _slice_projection(run.paths, run.alive[:, k], k, self.PARAMS.regression_degree)
+            _slice_projection(run.paths, alive[:, k], k, self.PARAMS.regression_degree)
             for k in range(len(times))
         ]
 
@@ -452,21 +498,21 @@ class TestBackwardSweep:
 
         alive_c = run.paths.tau_c[:, None] > times[None, :]
         alive_b = run.paths.tau_b[:, None] > times[None, :]
-        base_pv = run.vc_rc - (
+        base_pv = vc_rc - (
             run.def_loss[:, None] * alive_c - run.def_gain[:, None] * alive_b
         ) / run.disc[None, :]
-        jump = run.vc_ll - run.vc_rc
-        gc_rc, gc_ll = _basis_on_grid(RISKY_CP.basis, times)
-        gb_rc, gb_ll = _basis_on_grid(RISKY_BANK.basis, times)
+        jump = vc_ll - vc_rc
+        gc_rc, gc_ll = _on_grid(RISKY_CP.basis, times)
+        gb_rc, gb_ll = _on_grid(RISKY_BANK.basis, times)
 
         def density(gap, gc, gb):
-            return run.alive * run.disc[None, :] * (
+            return alive * run.disc[None, :] * (
                 gc * np.maximum(gap, 0.0) - gb * np.maximum(-gap, 0.0)
             )
 
         def remaining(value):
-            g_rc = density(value - run.posted_rc, gc_rc, gb_rc)
-            g_ll = density(value + jump - run.posted_ll, gc_ll, gb_ll)
+            g_rc = density(value - posted_rc, gc_rc, gb_rc)
+            g_ll = density(value + jump - posted_ll, gc_ll, gb_ll)
             segments = 0.5 * (g_rc[:, :-1] + g_ll[:, 1:]) * np.diff(times)[None, :]
             out = np.zeros_like(value)
             out[:, :-1] = segments[:, ::-1].cumsum(axis=1)[:, ::-1]
@@ -486,20 +532,30 @@ class TestBackwardSweep:
             TWO_SIDED, OIS, RISKY_CP, RISKY_BANK, self.COLLATERAL, self.DYN,
             0, 0, 0, False, paths=paths,
         )
-        report, value = _recursive_mc(run, TWO_SIDED, RISKY_CP, RISKY_BANK, self.PARAMS)
-        return report, run, value
+        report, _ = _recursive_mc(run, TWO_SIDED, RISKY_CP, RISKY_BANK, self.PARAMS)
+        return report, run
 
-    def test_sweep_solves_the_global_fixed_point(self):
+    def test_sweep_solves_the_global_fixed_point(self, monkeypatch):
         paths = self._paths()
-        report, _, value = self._sweep(paths)
+        solved = _record_solved_values(monkeypatch)
+        report, _ = self._sweep(paths)
+        monkeypatch.undo()
+        value = np.column_stack([solved[k] for k in range(len(paths.times))])
         run, reference = self._global_picard(paths)
-        assert np.any(run.vc_ll != run.vc_rc) and np.any(run.posted_ll != run.posted_rc)
+        vc_rc, vc_ll, posted_rc, posted_ll = _vc_grids(
+            TWO_SIDED, self.DYN, run.paths, self.COLLATERAL
+        )
+        assert np.any(vc_ll != vc_rc) and np.any(posted_ll != posted_rc)
         bound = 10 * self.PARAMS.tol * notional_scale(TWO_SIDED)
         assert np.max(np.abs(value - reference)) <= bound
-        cf, df = _run_funding(
-            run, reference, reference + run.vc_ll - run.vc_rc,
-            _basis_on_grid(RISKY_CP.basis, run.paths.times),
-            _basis_on_grid(RISKY_BANK.basis, run.paths.times),
+        times, alive = run.paths.times, _alive_grid(run.paths)
+        cf, df = (
+            _segment_sum(
+                times, alive, run.disc, reference - posted_rc,
+                reference + vc_ll - vc_rc - posted_ll, *_on_grid(profile.basis, times),
+                positive,
+            )
+            for profile, positive in ((RISKY_CP, True), (RISKY_BANK, False))
         )
         assert report.cfva > 0 and report.dfva > 0
         assert report.cfva == pytest.approx(float(cf.mean()), rel=1e-9)
@@ -520,7 +576,7 @@ class TestBackwardSweep:
 
         monkeypatch.setattr(xva_engine, "_slice_projection", counting_projection)
         monkeypatch.setattr(xva_engine, "_fixed_point", recording_fixed_point)
-        report, run, _ = self._sweep(self._paths())
+        report, run = self._sweep(self._paths())
         n_times = len(run.paths.times)
         assert sorted(built) == list(range(n_times))
         # the last grid time is measurable: no fixed point there
@@ -597,7 +653,7 @@ class TestRegressionBasis:
     @pytest.mark.parametrize("dyn", [README, STOCHASTIC], ids=["readme", "stochastic"])
     def test_fits_agree_with_the_plain_basis_at_every_grid_time(self, dyn):
         paths = self._paths(dyn)
-        alive = xva_engine._alive_matrix(paths)
+        alive = _alive_grid(paths)
         assert len({int(a.sum()) for a in alive.T}) > 3
         # a discounted call payoff plus spread terms, regressed at every time
         pv = np.maximum(paths.s[:, -1] - 100.0, 0.0) * math.exp(-0.02)
@@ -612,7 +668,7 @@ class TestRegressionBasis:
     @pytest.mark.parametrize("dyn", [README, STOCHASTIC], ids=["readme", "stochastic"])
     def test_a_cubic_in_the_standardized_state_is_reproduced(self, dyn):
         paths = self._paths(dyn)
-        alive = xva_engine._alive_matrix(paths)
+        alive = _alive_grid(paths)
         rng = np.random.default_rng(5)
         for k in range(1, len(paths.times) - 1):
             mask = alive[:, k]
@@ -638,7 +694,7 @@ class TestRegressionBasis:
 
         monkeypatch.setattr(np.linalg, "pinv", recording_pinv)
         paths = self._paths(dyn)
-        alive = xva_engine._alive_matrix(paths)
+        alive = _alive_grid(paths)
         for k in range(len(paths.times)):
             _slice_projection(paths, alive[:, k], k, self.DEGREE)
         # no basis at time 0 (the state is the same on every path) or at
@@ -785,13 +841,18 @@ class TestPathLayout:
         rng = np.random.default_rng(3)
         times = np.linspace(0.0, 1.0, 17)
         disc = np.exp(-0.02 * times)
-        alive = rng.random((2_000, 17)) < 0.9
+        paths = _paths_with_taus(times, rng.exponential(5.0, 2_000), rng.exponential(8.0, 2_000))
+        assert 0 < np.sum(paths.tau_c < 1.0) < 2_000
         gap = rng.standard_normal((2_000, 17))
-        spread = rng.random((1, 17))
+        spread = rng.random(17)
 
         def legs(order):
-            a, g = np.asarray(alive, order=order), np.asarray(gap, order=order)
-            return xva_engine._funding_pathwise(times, a, disc, g, g, spread, spread, True)
+            g = np.asarray(gap, order=order)
+            (leg,) = _funding_trapezoid(
+                paths, disc, lambda k: (g[:, k], g[:, k]),
+                [(lambda k: (spread[k], spread[k]), True)],
+            )
+            return leg
 
         assert np.array_equal(legs("C"), legs("F"))
 
@@ -1045,9 +1106,9 @@ def _segment_sum(times, alive, disc, gap_rc, gap_ll, spread_rc, spread_ll, posit
 
 
 class TestDenseGrids:
-    """The whole-grid forms of the V^c grid, the funding trapezoid and the
-    recursive MC's funding legs against per-time and per-segment references
-    written here."""
+    """The whole-grid V^c, the per-time V^c columns, the funding trapezoid
+    and the recursive MC's funding legs against per-time and per-segment
+    references written here."""
 
     DYN = ModelDynamics(
         s0=100.0, rate=0.02, dividend=0.01, vol_s=0.3, pi0_c=0.018, pi0_b=0.013,
@@ -1083,54 +1144,94 @@ class TestDenseGrids:
         grid = model.on_grid(paths)
         assert grid.shape == paths.s.shape
         assert np.array_equal(grid, _black_per_time_grid(instrument, OIS, self.DYN, paths))
+        # the columns a prepared run derives one grid time at a time
+        column = model.grid_columns(paths)
+        for k in range(len(paths.times)):
+            vc_rc, vc_ll = column(k)
+            assert np.array_equal(vc_rc, grid[:, k]) and np.array_equal(vc_ll, grid[:, k])
 
-    def _assert_matches_segment_sum(self, times, alive, disc, gap_rc, gap_ll, spreads):
+    def test_schedule_columns_are_the_grid_rows(self):
+        paths = self._paths(horizon=2.0)
+        model = make_collateralized_valuation(TWO_SIDED, OIS)
+        rc, ll = model.on_grid(paths), model.on_grid_left_limits(paths)
+        assert np.any(rc != ll)
+        column = model.grid_columns(paths)
+        assert [column(k) for k in range(len(paths.times))] == list(zip(rc, ll))
+
+    def _assert_matches_segment_sum(self, paths, disc, gap_rc, gap_ll, spreads):
+        """gap_rc and gap_ll are (n_paths, n_times); each spread is one row
+        (n_times,) or a grid like the gaps."""
+        rc, ll = spreads
         for positive in (True, False):
-            args = (times, alive, disc, gap_rc, gap_ll, *spreads, positive)
-            expected = _segment_sum(*args)
-            assert np.any(expected > 0)
-            np.testing.assert_allclose(
-                xva_engine._funding_pathwise(*args), expected, rtol=1e-13, atol=0.0
+            expected = _segment_sum(
+                paths.times, _alive_grid(paths), disc, gap_rc, gap_ll, rc, ll, positive
             )
+            assert np.any(expected > 0)
+            (leg,) = _funding_trapezoid(
+                paths, disc, lambda k: (gap_rc[:, k], gap_ll[:, k]),
+                [(lambda k: (rc[..., k], ll[..., k]), positive)],
+            )
+            np.testing.assert_allclose(leg, expected, rtol=1e-13, atol=0.0)
 
     def test_funding_trapezoid_of_a_payoff_trade(self):
-        run = _prepare_mc(
-            self.CALL, OIS, RISKY_CP, RISKY_BANK, self.COLLATERAL, self.DYN,
-            0, 0, 0, False, paths=self._paths(),
-        )
-        times = run.paths.times
+        paths = self._paths()
+        vc_rc, vc_ll, _, _ = _vc_grids(self.CALL, self.DYN, paths, self.COLLATERAL)
+        disc = np.exp(-OIS.integral_from_zero(paths.times))
         # a gap that crosses zero on many paths: both legs accrue
         self._assert_matches_segment_sum(
-            times, run.alive, run.disc, run.vc_rc - 12.0, run.vc_ll - 12.0,
-            _basis_on_grid(PiecewiseCurve((0.0, 0.4), (0.01, 0.02)), times),
+            paths, disc, vc_rc - 12.0, vc_ll - 12.0,
+            _on_grid(PiecewiseCurve((0.0, 0.4), (0.01, 0.02)), paths.times),
         )
 
     def test_funding_trapezoid_of_a_schedule_trade_with_flow_jumps(self):
-        run = _prepare_mc(
-            TWO_SIDED, OIS, RISKY_CP, RISKY_BANK, self.COLLATERAL, self.DYN,
-            0, 0, 0, False, paths=self._paths(horizon=2.0),
+        paths = self._paths(horizon=2.0)
+        vc_rc, vc_ll, posted_rc, posted_ll = _vc_grids(
+            TWO_SIDED, self.DYN, paths, self.COLLATERAL
         )
-        gap_rc = run.vc_rc - run.posted_rc
-        gap_ll = run.vc_ll - run.posted_ll
+        gap_rc = vc_rc - posted_rc
+        gap_ll = vc_ll - posted_ll
         assert np.any(gap_ll != gap_rc)
-        times = run.paths.times
+        disc = np.exp(-OIS.integral_from_zero(paths.times))
         self._assert_matches_segment_sum(
-            times, run.alive, run.disc, gap_rc, gap_ll,
-            _basis_on_grid(RISKY_BANK.basis, times),
+            paths, disc, gap_rc, gap_ll, _on_grid(RISKY_BANK.basis, paths.times),
         )
 
     def test_funding_trapezoid_with_per_path_spreads(self):
-        run = _prepare_mc(
-            TWO_SIDED, OIS, RISKY_CP, RISKY_BANK, self.COLLATERAL, self.DYN,
-            0, 0, 0, False, paths=self._paths(horizon=2.0),
+        paths = self._paths(horizon=2.0)
+        vc_rc, vc_ll, posted_rc, posted_ll = _vc_grids(
+            TWO_SIDED, self.DYN, paths, self.COLLATERAL
         )
-        g_rc, g_ll = _basis_on_grid(RISKY_BANK.basis, run.paths.times)
-        spreads = (run.paths.pi_b + g_rc, run.paths.pi_b + g_ll)
-        assert spreads[0].shape == run.alive.shape
+        g_rc, g_ll = _on_grid(RISKY_BANK.basis, paths.times)
+        spreads = (paths.pi_b + g_rc, paths.pi_b + g_ll)
+        assert spreads[0].shape == paths.s.shape
+        disc = np.exp(-OIS.integral_from_zero(paths.times))
         self._assert_matches_segment_sum(
-            run.paths.times, run.alive, run.disc,
-            run.vc_rc - run.posted_rc, run.vc_ll - run.posted_ll, spreads,
+            paths, disc, vc_rc - posted_rc, vc_ll - posted_ll, spreads,
         )
+
+    @pytest.mark.parametrize("instrument", [CALL, TWO_SIDED], ids=["call", "two_sided_bond"])
+    def test_first_order_legs_are_the_trapezoid_of_the_vc_grid(self, instrument):
+        paths = self._paths(instrument.maturity)
+        run = _prepare_mc(
+            instrument, OIS, RISKY_CP, RISKY_BANK, self.COLLATERAL, self.DYN,
+            0, 0, 0, False, paths=paths,
+        )
+        report, profile = xva_engine._first_order_mc(run, RISKY_CP, RISKY_BANK, True)
+        vc_rc, vc_ll, posted_rc, posted_ll = _vc_grids(
+            instrument, self.DYN, paths, self.COLLATERAL
+        )
+        alive = _alive_grid(paths)
+        for profile_of, positive, leg in ((RISKY_CP, True, report.cfva),
+                                          (RISKY_BANK, False, report.dfva)):
+            expected = _segment_sum(
+                paths.times, alive, run.disc, vc_rc - posted_rc, vc_ll - posted_ll,
+                *_on_grid(profile_of.basis, paths.times), positive,
+            )
+            assert leg == pytest.approx(float(expected.mean()), rel=1e-12)
+        gap = np.where(alive, vc_rc - posted_rc, 0.0)
+        for moment, part in ((profile.epe, np.maximum(gap, 0.0)),
+                             (profile.ene, np.maximum(-gap, 0.0))):
+            np.testing.assert_allclose(moment, part.mean(axis=0), rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize(
         "instrument, horizon",
@@ -1156,13 +1257,22 @@ class TestDenseGrids:
             instrument, OIS, cp, bank, self.COLLATERAL, self.DYN,
             0, 0, 0, False, paths=self._paths(horizon),
         )
-        report, value = _recursive_mc(run, instrument, cp, bank, SolverParams(tol=1e-8))
+        solved = _record_solved_values(monkeypatch)
+        report, _ = _recursive_mc(run, instrument, cp, bank, SolverParams(tol=1e-8))
         (cf, df), = legs
         times = run.paths.times
         assert 0.5 in times
-        ref_cf, ref_df = _run_funding(
-            run, value, value + run.vc_ll - run.vc_rc,
-            _basis_on_grid(cp.basis, times), _basis_on_grid(bank.basis, times),
+        value = np.column_stack([solved[k] for k in range(len(times))])
+        vc_rc, vc_ll, posted_rc, posted_ll = _vc_grids(
+            instrument, self.DYN, run.paths, self.COLLATERAL
+        )
+        ref_cf, ref_df = (
+            _segment_sum(
+                times, _alive_grid(run.paths), run.disc, value - posted_rc,
+                value + vc_ll - vc_rc - posted_ll, *_on_grid(profile.basis, times),
+                positive,
+            )
+            for profile, positive in ((cp, True), (bank, False))
         )
         assert np.any(ref_cf > 0) and np.any(ref_df > 0)
         np.testing.assert_allclose(cf, ref_cf, rtol=1e-12, atol=0.0)
@@ -1192,3 +1302,41 @@ class TestDenseGrids:
         exposure = np.maximum(gap if side == "cva" else -gap, 0.0)
         disc = np.exp(-OIS.integral_from_zero(np.minimum(safe_tau, model.maturity)))
         assert np.array_equal(leg, np.where(hit, (1.0 - recovery) * disc * exposure, 0.0))
+
+
+class TestWorkingSet:
+    """A Monte Carlo valuation on supplied paths derives V^c, the collateral,
+    survival and the solved values one grid time at a time, so what it
+    allocates stays under two grid-sizes, (n_paths, n_times) float arrays.
+    The bound was fixed before the code was written; holding the V^c,
+    collateral, survival and value grids took 5 to 8 grid-sizes."""
+
+    DYN = ModelDynamics(
+        s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013,
+        vol_c=0.006, vol_b=0.004, rho_sc=0.2, rho_cb=0.3,
+    )
+    CALL = Instrument.european_option("call", strike=100.0, expiry=1.0)
+
+    @pytest.fixture(scope="class")
+    def paths(self):
+        paths = simulate_paths(self.DYN, 1.0, n_steps=64, n_paths=20_000, seed=3)
+        return sample_default_times(paths, RISKY_CP.recovery, RISKY_BANK.recovery)
+
+    @pytest.mark.parametrize(
+        "method", ["recursive", "first_order", "bond_implied", "compare_aggregations"]
+    )
+    def test_a_stochastic_spread_valuation_peaks_under_two_grid_sizes(self, paths, method):
+        args = (self.CALL, OIS, RISKY_CP, RISKY_BANK,
+                CollateralSpec.bilateral_threshold(5.0, cure_period=0.25))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            if method == "compare_aggregations":
+                compare_aggregations(*args, dyn=self.DYN, paths=paths)
+            else:
+                run_xva(*args, method=method, dyn=self.DYN, paths=paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grid_bytes = paths.n_paths * len(paths.times) * 8
+        assert peak - start < 2 * grid_bytes
