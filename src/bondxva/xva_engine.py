@@ -8,21 +8,21 @@ with the default adjustments driven by CDS-implied intensities on the
 riskless close-out exposure (V^c - C)^± and the funding adjustments driven
 by each name's bond-CDS basis on the exposure of the *recursive* value
 (V - C)^±. Because V appears inside its own funding terms the equation is a
-fixed point, solved by damped Picard iteration (``_fixed_point``) on two
-backends:
+fixed point, solved backwards in time on two backends:
 
 * Monte Carlo: one backward sweep over the grid. The funding still to come
   at t_k depends on V at t_k and later only, so each grid time is solved on
   its own, latest first: the known funding tail from t_{k+1} on is carried
-  per path, and the slice's fixed point is iterated on a polynomial
-  regression of the pathwise present values on the state at t_k
-  (Longstaff-Schwartz style; the regression-based BSDE schemes of Gobet,
-  Lemor and Warin). Each slice's regression basis is built once.
+  per path, and the slice's fixed point is iterated by damped Picard
+  (``_fixed_point``) on a polynomial regression of the pathwise present
+  values on the state at t_k (Longstaff-Schwartz style; the
+  regression-based BSDE schemes of Gobet, Lemor and Warin). Each slice's
+  regression basis is built once.
 * Deterministic: when V^c is a deterministic function of time (cash-flow
   schedules, or zero-volatility dynamics) the equation collapses to a scalar
-  Volterra integral equation evaluated exactly on a dense grid, iterated as
-  a whole. This is also what the PDE backend degenerates to for
-  underlying-independent trades.
+  Volterra integral equation on a dense grid, solved exactly by the same
+  sweep with the identity as its projection (``_deterministic``). This is
+  also what the PDE backend degenerates to for underlying-independent trades.
 
 Two non-recursive approximations are provided: ``first_order_value`` (funding
 on V^c exposures, one pass) and ``bond_implied_value`` (no funding terms,
@@ -103,12 +103,11 @@ class ConvergenceError(RuntimeError):
 class SolverParams:
     """Knobs of the recursive solver.
 
-    tol, max_iter and damping drive each damped Picard iteration: the whole
-    grid at once on the deterministic backend, each grid time of the
-    backward sweep on its own on the Monte Carlo backend. tol is relative to
-    the instrument's notional scale and bounds the largest change of one
-    update; damping 1.0 is the plain Picard update, smaller values blend in
-    the previous iterate. det_steps is the base number of uniform steps of
+    tol, max_iter and damping drive the damped Picard iteration at each grid
+    time of the Monte Carlo backward sweep only; no other backend iterates.
+    tol is relative to the instrument's notional scale and bounds the largest
+    change of one update; damping 1.0 is the plain Picard update, smaller
+    values blend in the previous iterate. det_steps is the base number of uniform steps of
     the deterministic grid; regression_degree the total degree of the Monte
     Carlo regression basis.
 
@@ -147,12 +146,12 @@ class XvaReport:
     cfva/dfva exchanged) negates fair_value exactly, whatever the legs.
 
     iterations, residual and converged describe the recursive solver. The
-    deterministic backend reports its one whole-grid iteration. The Monte
-    Carlo backend reports the largest iteration count and the largest final
-    residual over the grid times of its backward sweep, and converged only
-    if every grid time converged. The Crank-Nicolson backend does not
-    iterate: one iteration, and as residual the gap between the solved V
-    and the assembled fair_value."""
+    deterministic backend solves exactly in one pass: one iteration, residual
+    0.0, converged. The Monte Carlo backend reports the largest iteration
+    count and the largest final residual over the grid times of its backward
+    sweep, and converged only if every grid time converged. The
+    Crank-Nicolson backend does not iterate: one iteration, and as residual
+    the gap between the solved V and the assembled fair_value."""
 
     v_coll: float
     cva: float
@@ -233,14 +232,6 @@ def _fixed_point(step, start, params: SolverParams, scale: float):
             growth_streak = 0
         prev_residual = residual
     return value, iterations, residual, False
-
-
-def _warn_not_converged(params: SolverParams, residual: float) -> None:
-    warnings.warn(
-        f"recursive solver hit max_iter={params.max_iter} with residual "
-        f"{residual:.3e}",
-        RuntimeWarning,
-    )
 
 
 def notional_scale(instrument: Instrument) -> float:
@@ -864,7 +855,8 @@ def _recursive_mc(
         ll_c = _density(weight, gap_ll, gc_ll, True)
         ll_b = _density(weight, gap_ll, gb_ll, False)
     if not converged:
-        _warn_not_converged(params, residual)
+        warnings.warn(f"recursive solver hit max_iter={params.max_iter} with residual "
+                      f"{residual:.3e}", RuntimeWarning)
 
     report = _mc_report(
         run, run.def_loss, run.def_gain, tail_c, tail_b, "recursive_mc",
@@ -997,45 +989,53 @@ def _det_setup(
     return grid, vc, posted, cva_curve, dva_curve
 
 
-def _deterministic(setup, instrument, params: SolverParams, method: str):
+def _deterministic(setup, method: str):
     """Report and value curve of one deterministic valuation on a _det_setup
-    (made with bond_implied for that method)."""
+    (made with bond_implied for that method).
+
+    recursive is solved exactly, latest node first: with the later nodes
+    solved, x = V_j - C_j solves x + dt_j (gamma_C x^+ - gamma_B x^-) = r_j,
+    so x = r_j / (1 + dt_j gamma), gamma on r_j's side, if 1 + dt_j gamma > 0.
+    """
     grid, vc, posted, cva_curve, dva_curve = setup
     base = vc - cva_curve + dva_curve
     legs = (float(vc[0]), float(cva_curve[0]), float(dva_curve[0]))
     if method == "bond_implied":
         return _assemble(*legs, 0.0, 0.0, method="bond_implied"), base
-
-    def funding(value):
-        gap = value - posted
-        return (
-            _reverse_left_integral(grid, grid.gamma_c * np.maximum(gap, 0.0)),
-            _reverse_left_integral(grid, grid.gamma_b * np.maximum(-gap, 0.0)),
-        )
-
     if method == "first_order":
-        cf, df = funding(vc)
+        gap = vc - posted
+        cf = _reverse_left_integral(grid, grid.gamma_c * np.maximum(gap, 0.0))
+        df = _reverse_left_integral(grid, grid.gamma_b * np.maximum(-gap, 0.0))
         report = _assemble(*legs, float(cf[0]), float(df[0]), method="first_order")
         return report, base - cf + df
 
-    def step(value):
-        cf, df = funding(value)
-        return base - cf + df
-
-    value, iterations, residual, converged = _fixed_point(
-        step, base, params, notional_scale(instrument)
-    )
-    if not converged:
-        _warn_not_converged(params, residual)
-    cf, df = funding(value)
-    report = _assemble(
-        *legs, float(cf[0]), float(df[0]),
-        method="recursive_pde",
-        iterations=iterations,
-        residual=residual,
-        converged=converged,
-    )
-    return report, value
+    gammas = np.stack((grid.gamma_c, grid.gamma_b))[:, :-1]
+    denoms = 1.0 + grid.deltas * gammas
+    if not (denoms > 0).all():  # a NaN fails too
+        side, j = np.argwhere(~(denoms > 0))[0]
+        raise ValueError(
+            f"the {('counterparty', 'bank')[side]} funding basis {gammas[side, j]:.6g} "
+            f"leaves 1 + dt * basis not > 0 at t={grid.times[j]:.6g}: the "
+            "deterministic recursion has no solution on this grid"
+        )
+    # Python floats: element-wise numpy indexing would dominate the loop
+    (den_c, den_b), (gam_c, gam_b) = denoms.tolist(), gammas.tolist()
+    g, dt = grid.g.tolist(), grid.deltas.tolist()
+    # r_j = (V^c - C)_j + (DVA - CVA)_j - (S^C - S^B) / G_j with S^C, S^B the
+    # sums G_k gamma_k x_k^+- dt_k over k > j in _reverse_left_integral's order
+    gap = ((vc - posted) + (dva_curve - cva_curve)).tolist()
+    s_c = s_b = 0.0  # the last node has no density: x = r
+    for j in range(len(g) - 2, -1, -1):
+        r = gap[j] - (s_c - s_b) / g[j]
+        if r >= 0:  # x has the sign of r
+            gap[j] = x = r / den_c[j]
+            s_c += g[j] * (gam_c[j] * x) * dt[j]
+        else:
+            gap[j] = x = r / den_b[j]
+            s_b += g[j] * (gam_b[j] * -x) * dt[j]
+    report = _assemble(*legs, s_c / g[0], s_b / g[0], method="recursive_pde",
+                       iterations=1, residual=0.0, converged=True)
+    return report, posted + np.array(gap)
 
 
 def _floored(curve: PiecewiseCurve) -> PiecewiseCurve:
@@ -1107,7 +1107,7 @@ def _valuation(
             instrument, ois, counterparty, bank, collateral, dyn, params,
             bond_implied=method == "bond_implied",
         )
-        report, value = _deterministic(setup, instrument, params, method)
+        report, value = _deterministic(setup, method)
         return report, _det_exposure_profile(setup, value) if profile else None
 
     # genuine PDE in the underlying; deterministic spreads by construction
@@ -1278,7 +1278,7 @@ def compare_aggregations(
                 instrument, ois, counterparty, CounterpartyProfile.default_free(),
                 collateral, opt["dyn"], params,
             )
-        report, _ = _deterministic(valued, instrument, params, "first_order")
+        report, _ = _deterministic(valued, "first_order")
         grid, vc, posted, _, _ = setup
         gap = vc - posted
         spread = _full_funding_spread(bank).values_at(grid.times)

@@ -268,7 +268,9 @@ class TestXva:
     def test_exhausted_iteration_budget_maps_to_the_convergence_code(
         self, tmp_path, capsys
     ):
-        cfg_data = json.loads(json.dumps(XVA_DET_CFG))
+        # only a Monte Carlo slice iterates: the deterministic recursion is
+        # solved in one pass
+        cfg_data = json.loads(json.dumps(XVA_MC_CFG))
         cfg_data["solver"] = {"max_iter": 1}
         cfg = write_config(tmp_path, cfg_data)
         with pytest.warns(RuntimeWarning, match="max_iter=1"):
@@ -278,6 +280,21 @@ class TestXva:
         payload = json.loads(out)
         assert payload["converged"] is False
         assert payload["iterations"] == 1
+
+    def test_an_unsolvable_deterministic_grid_is_a_config_error(self, tmp_path, capsys):
+        # one 2y step with a -0.6 basis: 1 + dt * basis < 0 at t = 0
+        cfg_data = json.loads(json.dumps(XVA_DET_CFG))
+        cfg_data["counterparty"]["basis"] = -0.6
+        cfg_data["solver"] = {"det_steps": 1}
+        cfg = write_config(tmp_path, cfg_data)
+        code, out, err = run_cli(["xva", "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert "counterparty funding basis -0.6" in err and "t=0:" in err
+        del cfg_data["solver"]  # the default grid solves it
+        code, out, _ = run_cli(["xva", "--config", write_config(tmp_path, cfg_data)], capsys)
+        assert code == 0
+        assert json.loads(out)["iterations"] == 1
 
     def test_finite_difference_grid_can_come_from_the_config(self, tmp_path, capsys):
         cfg_data = json.loads(json.dumps(XVA_MC_CFG))

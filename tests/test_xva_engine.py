@@ -28,6 +28,7 @@ from bondxva.mc_engine import (
     swap_roles,
 )
 from bondxva import xva_engine
+from bondxva.pde_engine import SpatialGrid
 from bondxva.xva_engine import (
     ConvergenceError,
     SolverParams,
@@ -397,14 +398,19 @@ class TestMethodRelations:
         assert rec.fair_value == fo.fair_value
         assert rec.cva == fo.cva and rec.dva == fo.dva
 
+    # the Picard iteration runs on the Monte Carlo slices only; the
+    # deterministic recursion is solved in one exact pass (TestDeterministicSolve)
+    def _mc_recursive(self, **kwargs):
+        report, _ = run_xva(
+            TWO_SIDED, OIS, RISKY_CP, RISKY_BANK, method="recursive", backend="mc",
+            dyn=ModelDynamics(s0=1.0, pi0_c=0.018, pi0_b=0.013),
+            n_paths=4_000, n_steps=24, seed=99, **kwargs,
+        )
+        return report
+
     def test_damping_converges_to_the_same_fixed_point(self):
-        plain, _ = run_xva(
-            TWO_SIDED, OIS, RISKY_CP, RISKY_BANK, method="recursive", backend="pde"
-        )
-        damped, _ = run_xva(
-            TWO_SIDED, OIS, RISKY_CP, RISKY_BANK, method="recursive", backend="pde",
-            params=SolverParams(damping=0.5),
-        )
+        plain = self._mc_recursive()
+        damped = self._mc_recursive(params=SolverParams(damping=0.5))
         assert damped.converged
         assert damped.iterations > plain.iterations
         # both stopped within tol * notional of the same fixed point
@@ -412,10 +418,7 @@ class TestMethodRelations:
 
     def test_iteration_budget_of_one_warns_and_reports_nonconvergence(self):
         with pytest.warns(RuntimeWarning, match="max_iter=1"):
-            report, _ = run_xva(
-                TWO_SIDED, OIS, RISKY_CP, RISKY_BANK, method="recursive",
-                backend="pde", params=SolverParams(max_iter=1),
-            )
+            report = self._mc_recursive(params=SolverParams(max_iter=1))
         assert not report.converged
         assert report.iterations == 1
         assert report.residual > 0
@@ -438,27 +441,165 @@ class TestMethodRelations:
         wild_bank = CounterpartyProfile(
             0.35, PiecewiseCurve.flat(0.02), PiecewiseCurve.flat(5.0)
         )
+        # a slice's Picard map contracts only while 0.5 * gamma * dt < 1; one
+        # step a year leaves it at 2.5
         with pytest.raises(ConvergenceError, match="diverging"):
             run_xva(
                 TWO_SIDED, OIS, wild_cp, wild_bank,
-                method="recursive", backend="pde",
+                method="recursive", backend="mc",
+                dyn=ModelDynamics(s0=1.0, pi0_c=0.018, pi0_b=0.013),
+                n_paths=1_000, n_steps=2, seed=3,
             )
-
 
     @pytest.mark.parametrize("backend", ["pde", "mc"])
     def test_nan_residual_stops_the_fixed_point(self, backend):
         # the constructor refuses a NaN basis, so it is set past it here: a
-        # NaN that still reaches the fixed point must stop it
+        # NaN that still reaches the fixed point must stop it; the
+        # deterministic pass has none and names the basis before it solves
         nan_basis = PiecewiseCurve.flat(0.0)
         object.__setattr__(nan_basis, "values", (float("nan"),))
         object.__setattr__(nan_basis, "_v", np.array([np.nan]))
         nan_cp = CounterpartyProfile(0.4, PiecewiseCurve.flat(0.03), nan_basis)
         dyn = ModelDynamics(s0=1.0, pi0_c=0.018, pi0_b=0.013)
-        with pytest.raises(ConvergenceError, match="residual is nan at iteration 1"):
+        error, match = {
+            "pde": (ValueError, "counterparty funding basis nan .* at t=0:"),
+            "mc": (ConvergenceError, "residual is nan at iteration 1"),
+        }[backend]
+        with pytest.raises(error, match=match):
             run_xva(
                 ZCB, OIS, nan_cp, RISKY_BANK, method="recursive", backend=backend,
                 dyn=dyn, n_paths=1_000, n_steps=8, seed=3,
             )
+
+
+WILD_CP = CounterpartyProfile(0.4, PiecewiseCurve.flat(0.03), PiecewiseCurve.flat(5.0))
+WILD_BANK = CounterpartyProfile(0.35, PiecewiseCurve.flat(0.02), PiecewiseCurve.flat(5.0))
+THRESHOLD = CollateralSpec.bilateral_threshold(5.0, cure_period=0.25)
+
+# deterministic trades: (instrument, counterparty, bank, collateral, dyn)
+DETERMINISTIC_TRADES = {
+    "zcb_2y": (ZCB, RISKY_CP, RISKY_BANK, CollateralSpec.none(), None),
+    "zcb_10y": (Instrument.zero_coupon_bond(100.0, 10.0), RISKY_CP, RISKY_BANK,
+                CollateralSpec.none(), None),
+    "short_zcb": (Instrument.zero_coupon_bond(100.0, 3.0).negated(), RISKY_CP, RISKY_BANK,
+                  CollateralSpec.none(), None),
+    "two_sided": (TWO_SIDED, RISKY_CP, RISKY_BANK, THRESHOLD, None),
+    "zero_vol_forward": (Instrument.forward(95.0, 1.5), RISKY_CP, RISKY_BANK,
+                         CollateralSpec.none(),
+                         ModelDynamics(s0=100.0, rate=0.02, pi0_c=0.018, pi0_b=0.013)),
+    # a basis at which a Picard iteration of the whole grid diverges
+    "basis_5": (TWO_SIDED, WILD_CP, WILD_BANK, CollateralSpec.none(), None),
+}
+
+
+class TestDeterministicSolve:
+    """The deterministic recursion solved in one backward pass against the
+    discrete equation it solves: V = V^c - CVA + DVA - RLI(gamma_C (V-C)^+)
+    + RLI(gamma_B (V-C)^-), RLI the left-rectangle integral of the grid."""
+
+    @staticmethod
+    def _solve(name, params=None):
+        instrument, cp, bank, collateral, dyn = DETERMINISTIC_TRADES[name]
+        setup = xva_engine._det_setup(
+            instrument, OIS, cp, bank, collateral, dyn, params or SolverParams()
+        )
+        report, value = xva_engine._deterministic(setup, "recursive")
+        return instrument, setup, report, value
+
+    @staticmethod
+    def _funding(setup, value):
+        grid, _, posted, _, _ = setup
+        gap = value - posted
+        rli = xva_engine._reverse_left_integral
+        return (rli(grid, grid.gamma_c * np.maximum(gap, 0.0)),
+                rli(grid, grid.gamma_b * np.maximum(-gap, 0.0)))
+
+    @pytest.mark.parametrize("name", sorted(DETERMINISTIC_TRADES))
+    def test_the_one_pass_value_solves_the_discrete_equation(self, name):
+        instrument, setup, report, value = self._solve(name)
+        _, vc, _, cva_curve, dva_curve = setup
+        cf, df = self._funding(setup, value)
+        residual = np.max(np.abs(value - (vc - cva_curve + dva_curve - cf + df)))
+        assert residual <= 1e-12 * notional_scale(instrument)
+        assert report.cfva == pytest.approx(float(cf[0]), rel=1e-12, abs=1e-15)
+        assert report.dfva == pytest.approx(float(df[0]), rel=1e-12, abs=1e-15)
+        assert (report.iterations, report.residual, report.converged) == (1, 0.0, True)
+        if name == "basis_5":
+            assert report.cfva > 10.0 and report.dfva > 10.0
+
+    @pytest.mark.parametrize("name", ["short_zcb", "two_sided", "basis_5"])
+    def test_a_role_swap_mirrors_every_operation(self, name):
+        instrument, cp, bank, collateral, _ = DETERMINISTIC_TRADES[name]
+        ours, _ = run_xva(instrument, OIS, cp, bank, collateral, backend="pde")
+        theirs, _ = run_xva(instrument.negated(), OIS, bank, cp, collateral, backend="pde")
+        assert theirs.fair_value == -ours.fair_value
+        assert theirs.cfva == ours.dfva and theirs.dfva == ours.cfva
+
+    def test_a_tight_picard_iteration_reaches_the_same_value(self):
+        instrument, setup, report, value = self._solve("two_sided")
+        _, vc, _, cva_curve, dva_curve = setup
+        base = vc - cva_curve + dva_curve
+
+        def step(v):
+            cf, df = self._funding(setup, v)
+            return base - cf + df
+
+        scale = notional_scale(instrument)
+        reference, _, _, converged = xva_engine._fixed_point(
+            step, base, SolverParams(tol=1e-15, max_iter=200), scale
+        )
+        assert converged
+        assert np.max(np.abs(value - reference)) <= 1e-12 * scale
+        cf, df = self._funding(setup, reference)
+        picard = _assemble(report.v_coll, report.cva, report.dva, float(cf[0]),
+                           float(df[0]), "recursive_pde")
+        assert abs(report.fair_value - picard.fair_value) <= 1e-12 * scale
+
+    def test_the_recursion_makes_no_fixed_point_call(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("_fixed_point called")
+
+        monkeypatch.setattr(xva_engine, "_fixed_point", refuse)
+        report, _ = run_xva(
+            TWO_SIDED, OIS, RISKY_CP, RISKY_BANK, THRESHOLD,
+            method="recursive", backend="pde",
+        )
+        assert report.method == "recursive_pde" and report.cfva > 0
+
+    @pytest.mark.parametrize("method", ["recursive", "first_order", "bond_implied"])
+    def test_picard_knobs_do_not_move_a_pde_valuation(self, method):
+        knobs = SolverParams(tol=0.5, max_iter=1, damping=0.25)
+        for trade in ("two_sided", "basis_5"):
+            instrument, cp, bank, collateral, _ = DETERMINISTIC_TRADES[trade]
+            default, profile = run_xva(instrument, OIS, cp, bank, collateral,
+                                       method=method, backend="pde")
+            knobbed, knobbed_profile = run_xva(instrument, OIS, cp, bank, collateral,
+                                               method=method, backend="pde", params=knobs)
+            assert knobbed == default
+            assert np.array_equal(knobbed_profile.epe, profile.epe)
+            assert np.array_equal(knobbed_profile.ene, profile.ene)
+        if method == "recursive":  # the Crank-Nicolson backend takes no params
+            call = Instrument.european_option("call", strike=100.0, expiry=1.0)
+            dyn = ModelDynamics(s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013)
+            grid = SpatialGrid(s_min=0.0, s_max=400.0, n_space=61, n_time=30)
+            default, _ = run_xva(call, OIS, RISKY_CP, RISKY_BANK, backend="pde",
+                                 dyn=dyn, grid=grid)
+            knobbed, _ = run_xva(call, OIS, RISKY_CP, RISKY_BANK, backend="pde",
+                                 dyn=dyn, grid=grid, params=knobs)
+            assert knobbed == default
+
+    @pytest.mark.parametrize("side", ["counterparty", "bank"])
+    def test_an_unsolvable_grid_names_the_basis_and_the_time(self, side):
+        negative = CounterpartyProfile(0.4, PiecewiseCurve.flat(0.03),
+                                       PiecewiseCurve.flat(-0.6))
+        cp, bank = (negative, RISKY_BANK) if side == "counterparty" else (RISKY_CP, negative)
+        # one 2y step: 1 + 2 * (-0.6) < 0, so x + dt (gamma_C x^+ - gamma_B x^-)
+        # is not monotone and node 0 has no solution
+        with pytest.raises(ValueError, match=f"the {side} funding basis -0.6 .* at t=0:"):
+            run_xva(ZCB, OIS, cp, bank, method="recursive", backend="pde",
+                    params=SolverParams(det_steps=1))
+        report, _ = run_xva(ZCB, OIS, cp, bank, method="recursive", backend="pde")
+        assert report.converged and math.isfinite(report.fair_value)
 
 
 class TestBackwardSweep:
