@@ -344,11 +344,9 @@ def _parse_xva_common(cfg: dict, label: str):
         dyn=dyn,
         params=params,
         bond_mode=bond_mode,
-        n_paths=_int(mc.get("n_paths", 50_000), "mc.n_paths"),
-        n_steps=_int(mc.get("n_steps", 50), "mc.n_steps"),
-        seed=_int(mc.get("seed", 20_200_814), "mc.seed"),
-        n_workers=_int(mc.get("n_workers", 1), "mc.n_workers"),
         grid=grid,
+        # the keys the config leaves out take run_xva's defaults
+        **{key: _int(value, f"mc.{key}") for key, value in mc.items()},
     )
     return instrument, ois, counterparty, bank, collateral, kwargs
 

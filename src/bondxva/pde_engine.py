@@ -26,18 +26,16 @@ the matrix of V and go as one four-column right-hand side. Non-finite
 input is rejected with ValueError: in the step matrix when it is factored,
 or in the auxiliary sources, which every solved surface feeds.
 
-Restrictions: zero cure period and deterministic spreads. The reported
-adjustments come from four auxiliary linear equations driven by the solved
-surfaces, so the output decomposition satisfies the aggregation identity
-exactly; the gap between the directly solved V and the assembled value is
-reported as the residual.
+Restrictions: zero cure period and deterministic spreads. The adjustments
+come from four auxiliary linear equations driven by the solved surfaces, so
+a decomposition read off them satisfies the aggregation identity exactly;
+``xva_engine`` reads them at s0 into the report of ``run_xva(backend="pde")``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
@@ -51,7 +49,6 @@ __all__ = [
     "PdeSolution",
     "HedgeWeights",
     "solve_final_pde",
-    "solve_xva_report",
     "hedge_weights",
 ]
 
@@ -198,20 +195,26 @@ def solve_final_pde(
     counterparty: CounterpartyProfile,
     bank: CounterpartyProfile,
     dyn: ModelDynamics,
-    grid: SpatialGrid,
+    grid: SpatialGrid | None = None,
     collateral: CollateralSpec | None = None,
-    bond_mode: bool = False,
 ) -> PdeSolution:
-    """Backward induction of V^c, V and the four adjustment surfaces."""
+    """Backward induction of V^c, V and the four adjustment surfaces; the
+    default grid has 401 nodes up to 5 standard deviations of log S above the
+    larger of s0 and the strike, and 600 steps."""
     collateral = collateral or CollateralSpec.none()
-    if collateral.cure_period != 0.0:
-        raise ValueError("the finite-difference backend requires a zero cure period")
     if dyn is None:
         raise ValueError("the finite-difference backend requires model dynamics")
+    if grid is None:
+        ref = max(dyn.s0, instrument.strike or dyn.s0)
+        stretch = math.exp(
+            abs(dyn.rate - dyn.dividend) * instrument.maturity
+            + 5.0 * dyn.vol_s * math.sqrt(instrument.maturity)
+        )
+        grid = SpatialGrid(0.0, float(ref * max(stretch, 2.0)), 401, 600)
+    if collateral.cure_period != 0.0:
+        raise ValueError("the finite-difference backend requires a zero cure period")
     if dyn.vol_c != 0.0 or dyn.vol_b != 0.0:
         raise ValueError("the finite-difference backend requires deterministic spreads")
-    if bond_mode:
-        bank = CounterpartyProfile.default_free()
 
     curves = (ois, counterparty.hazard, bank.hazard, counterparty.basis, bank.basis)
     times = _time_grid(instrument, curves, grid.n_time)
@@ -380,56 +383,6 @@ def _lognormal_exposure(
         epe[rows] = trapezoid(weight * np.maximum(g, 0.0))
         ene[rows] = trapezoid(weight * np.maximum(-g, 0.0))
     return ExposureProfile.from_expectations(times, disc, surv * epe, surv * ene)
-
-
-def _solve_xva(
-    instrument: Instrument,
-    ois: PiecewiseCurve,
-    counterparty: CounterpartyProfile,
-    bank: CounterpartyProfile,
-    collateral: CollateralSpec | None,
-    dyn: ModelDynamics,
-    grid: SpatialGrid | None = None,
-):
-    """The report of ``solve_xva_report`` and a function of no arguments
-    that builds its exposure profile from the solution."""
-    from .xva_engine import _assemble
-
-    collateral = collateral or CollateralSpec.none()
-    if grid is None:
-        ref = max(dyn.s0, instrument.strike or dyn.s0)
-        stretch = math.exp(
-            abs(dyn.rate - dyn.dividend) * instrument.maturity
-            + 5.0 * dyn.vol_s * math.sqrt(instrument.maturity)
-        )
-        grid = SpatialGrid(0.0, float(ref * max(stretch, 2.0)), 401, 600)
-    solution = solve_final_pde(instrument, ois, counterparty, bank, dyn, grid, collateral)
-    v_coll, cva_v, dva_v, cfva_v, dfva_v, direct = (
-        solution.interp(surface, dyn.s0)
-        for surface in (solution.v_coll, solution.cva, solution.dva, solution.cfva,
-                        solution.dfva, solution.v)
-    )
-    report = _assemble(
-        v_coll, cva_v, dva_v, cfva_v, dfva_v, "recursive_pde", iterations=1
-    )
-    report = replace(report, residual=abs(direct - report.fair_value))
-    return report, functools.partial(
-        _lognormal_exposure, solution, dyn, ois, counterparty, bank, collateral
-    )
-
-
-def solve_xva_report(
-    instrument: Instrument,
-    ois: PiecewiseCurve,
-    counterparty: CounterpartyProfile,
-    bank: CounterpartyProfile,
-    collateral: CollateralSpec | None,
-    dyn: ModelDynamics,
-    grid: SpatialGrid | None = None,
-):
-    """Full decomposition at (0, s0), identity-exact, plus exposure profile."""
-    report, exposure = _solve_xva(instrument, ois, counterparty, bank, collateral, dyn, grid)
-    return report, exposure()
 
 
 # ---------------------------------------------------------------------------

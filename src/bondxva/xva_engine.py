@@ -10,14 +10,14 @@ by each name's bond-CDS basis on the exposure of the *recursive* value
 (V - C)^±. Because V appears inside its own funding terms the equation is a
 fixed point, solved backwards in time on two backends:
 
-* Monte Carlo: one backward sweep over the grid. The funding still to come
-  at t_k depends on V at t_k and later only, so each grid time is solved on
-  its own, latest first: the known funding tail from t_{k+1} on is carried
-  per path, and the slice's fixed point is iterated by damped Picard
-  (``_fixed_point``) on a polynomial regression of the pathwise present
-  values on the state at t_k (Longstaff-Schwartz style; the
-  regression-based BSDE schemes of Gobet, Lemor and Warin). Each slice's
-  regression basis is built once.
+* Monte Carlo: one backward sweep over the grid (``_funding_trapezoid``).
+  The funding still to come at t_k depends on V at t_k and later only, so
+  each grid time is solved on its own, latest first: the sweep carries the
+  known funding tail from t_{k+1} on per path, and the slice's fixed point
+  is iterated by damped Picard (``_fixed_point``) on a polynomial
+  regression of the pathwise present values on the state at t_k
+  (Longstaff-Schwartz style; the regression-based BSDE schemes of Gobet,
+  Lemor and Warin). Each slice's regression basis is built once.
 * Deterministic: when V^c is a deterministic function of time (cash-flow
   schedules, or zero-volatility dynamics) the equation collapses to a scalar
   Volterra integral equation on a dense grid, solved exactly by the same
@@ -32,13 +32,17 @@ defaults driven by bond-implied intensities).
 ``_McRun`` (the paths with their default times, the V^c model, discount
 factors and the per-path default legs), which the method functions
 ``_recursive_mc``, ``_first_order_mc`` and ``_bond_implied_mc`` consume; on
-the deterministic backend it is one ``_det_setup``. A Monte Carlo run holds
-no (n_paths, n_times) array besides the three path arrays: V^c, the
+the deterministic backend it is one ``_det_setup``; on Crank-Nicolson it is
+one ``pde_engine.solve_final_pde``, whose surfaces are read at s0 and
+assembled here like every other report. A Monte Carlo run holds no
+(n_paths, n_times) array besides the three path arrays: V^c, the
 collateral, survival and the solved values are derived one grid time at a
-time and used there, by the backward sweep and by the one per-time funding
-trapezoid (``_funding_trapezoid``) that serves ``first_order``, the
-full-spread legs of ``compare_aggregations`` and the public ``cfva`` and
-``dfva``. ``run_xva`` asks for the exposure profile, whose per-time moments
+time and used there, in the one per-time backward sweep
+(``_funding_trapezoid``). The recursive method solves each slice inside it;
+``first_order``, the full-spread legs of ``compare_aggregations`` and the
+public ``cfva`` and ``dfva`` integrate a gap that does not depend on the
+funding, and ``bond_implied`` walks it with no funding legs for its
+profile. ``run_xva`` asks for the exposure profile, whose per-time moments
 are taken in the same pass; ``fair_value_recursive``, ``first_order_value``
 and ``bond_implied_value`` ask for none. Bond mode, the counterparty's
 bond-side claim, is a substitution: the bank is replaced by
@@ -448,8 +452,8 @@ def _default_leg_pathwise(
     if rows.size == 0:
         return out
     tau = tau[rows]
-    value_at_end = model.at_default(paths, tau, shift, rows)
     value_at_tau = model.at_default(paths, tau, 0.0, rows)
+    value_at_end = model.at_default(paths, tau, shift, rows) if shift else value_at_tau
     posted = collateral_amount(collateral, value_at_tau)
     gap = value_at_end - posted
     exposure = np.maximum(gap, 0.0) if side == "cva" else np.maximum(-gap, 0.0)
@@ -498,12 +502,6 @@ def _density(weight, gap, spread, positive: bool):
     return weight * (spread * np.maximum(gap if positive else -gap, 0.0))
 
 
-def _segment(tail, left, right, dt):
-    """The funding from t_j on: the tail from t_{j+1} plus the trapezoid
-    segment 0.5 * (g(t_j) + g(t_{j+1}-)) * dt_j."""
-    return tail + 0.5 * (left + right) * dt
-
-
 def _spread_on_grid(curve: PiecewiseCurve, times: np.ndarray):
     """A curve's value at grid time k and its left limit there, as a
     function of k."""
@@ -513,35 +511,42 @@ def _spread_on_grid(curve: PiecewiseCurve, times: np.ndarray):
 
 
 def _funding_trapezoid(paths: PathSet, disc, gaps, legs, moments=None):
-    """Per-path funding legs, one per (spread, positive) in legs: the integral
-    of 1_alive * D(0,s) * spread * (gap)^± ds over the grid.
+    """The Monte Carlo backward sweep: per-path funding legs, one per
+    (spread, positive) in legs, the integral of
+    1_alive * D(0,s) * spread * (gap)^± ds over the grid, latest time first.
 
-    gaps(k) and spread(k) give the gap V - C and the spread at grid time t_k
-    and at its left limit t_k-, per path or as numbers every path shares.
-    Each trapezoid segment uses the right-continuous value at its left end
-    and the left limit at its right end, so that jumps at cash-flow dates
-    are integrated correctly; the segments are added from the last one
-    back, with the ``_density`` and ``_segment`` of ``_recursive_mc``'s
-    sweep. Everything is derived one grid time at a time, so no
-    (n_paths, n_times) array is made. When moments, a (4, n_times) array,
-    is given, the exposure moments of gaps(k) are written into it too.
+    gaps(k, funding) and spread(k) give the gap and the spread at grid time
+    t_k and at its left limit t_k-, per path or as numbers every path shares.
+    funding(gap) is each leg's funding from t_k on given the gap at t_k (no
+    density there for None), for a gap that is solved with it (the recursive
+    value); it is None at the last time. Each trapezoid segment uses the
+    right-continuous value at its left end and the left limit at its right
+    end, so that jumps at cash-flow dates are integrated correctly. No
+    (n_paths, n_times) array is made. When moments, a (4, n_times) array, is
+    given, the exposure moments of the gap at each t_k are written into it.
     """
     times = paths.times
     dt = np.diff(times)
+    last = len(times) - 1
     tails = [np.zeros(paths.n_paths) for _ in legs]
     right = [None] * len(legs)  # each leg's g(t_{k+1}-)
-    for k in range(len(times) - 1, -1, -1):
+    for k in range(last, -1, -1):
         alive = paths.alive(times[k])
         weight = alive * disc[k]
-        gap_rc, gap_ll = gaps(k)
+        spreads = [(spread(k), positive) for spread, positive in legs]
+
+        def funding(gap):  # each tail from t_{k+1} plus 0.5 (g(t_k) + g(t_{k+1}-)) dt_k
+            left = [0.0 if gap is None else _density(weight, gap, rc, positive)
+                    for (rc, _), positive in spreads]
+            return [tail + 0.5 * (g + g_right) * dt[k]
+                    for tail, g, g_right in zip(tails, left, right)]
+
+        gap_rc, gap_ll = gaps(k, funding if k < last else None)
         if moments is not None:
             moments[:, k] = _exposure_moments(alive, gap_rc)
-        for i, (spread, positive) in enumerate(legs):
-            rc, ll = spread(k)
-            if k < len(times) - 1:
-                left = _density(weight, gap_rc, rc, positive)
-                tails[i] = _segment(tails[i], left, right[i], dt[k])
-            right[i] = _density(weight, gap_ll, ll, positive)
+        if k < last:
+            tails = funding(gap_rc)
+        right = [_density(weight, gap_ll, ll, positive) for (_, ll), positive in spreads]
     return tails
 
 
@@ -551,7 +556,7 @@ def _funding_leg(
     value = np.asarray(exposure_on_grid, dtype=float)  # (m,) or (n_paths, m)
     reference = value if collateral_reference is None else np.asarray(collateral_reference)
 
-    def gaps(k):
+    def gaps(k, funding):
         gap = value[..., k]
         if collateral is not None:
             gap = gap - collateral_amount(collateral, reference[..., k])
@@ -700,8 +705,9 @@ class _McRun:
         posted_ll = posted_rc if vc_ll is vc_rc else collateral_amount(self.collateral, vc_ll)
         return vc_rc, vc_ll, posted_rc, posted_ll
 
-    def gaps(self, k: int):
-        """The close-out gap V^c - C at grid time k and at its left limit."""
+    def gaps(self, k: int, funding):
+        """The close-out gap V^c - C at grid time k and at its left limit;
+        as a ``_funding_trapezoid`` callback it ignores the funding."""
         vc_rc, vc_ll, posted_rc, posted_ll = self.at_time(k)
         return vc_rc - posted_rc, vc_ll - posted_ll
 
@@ -789,78 +795,64 @@ def _recursive_mc(
     params: SolverParams,
     profile: bool = False,
 ):
-    """The recursive value on a prepared run, solved by one backward sweep.
+    """The recursive value on a prepared run, solved in the backward sweep
+    of ``_funding_trapezoid``.
 
     At grid time t_k the pathwise present value is
     V^c - (CVA - DVA legs after t_k) / D(t_k) - (CF_k - DF_k) / D(t_k), with
     CF_k, DF_k the funding cost and benefit from t_k on in time-0 dollars:
     the trapezoid segments 0.5 * (g(t_j) + g(t_{j+1}-)) * dt_j, j >= k, of
     g_C = 1_alive * D * gamma_C (V-C)^+ and g_B = 1_alive * D * gamma_B (V-C)^-.
-    Only the segment from t_k involves V(t_k), so once the later times are
-    solved, the tails from t_{k+1} and g(t_{k+1}-) are known per path and the
-    slice's fixed point is iterated alone. At t_0 the two tails are the
-    report's per-path CFVA and DFVA (``_funding_trapezoid`` of the solved
-    values). V^c, the collateral and survival at t_k are derived when the
-    sweep reaches it, and the solved values are used there and dropped:
-    with profile, their exposure moments are taken as each time is solved.
-    Returns the report and the exposure profile (None without profile).
+    Only the segment from t_k involves V(t_k), so once the sweep has solved
+    the later times, the slice's fixed point is iterated alone: the sweep
+    calls ``solve`` at t_k, which runs damped Picard (``_fixed_point``) on a
+    regression of the pathwise values on the state at t_k, with the sweep's
+    funding from t_k on, and returns V - C. At t_0 the sweep's funding legs
+    are the report's per-path CFVA and DFVA. With profile, the exposure
+    moments of the solved values are taken as each time is solved. Returns
+    the report and the exposure profile (None without profile).
     """
     paths = run.paths
     times = paths.times
-    spread_c = _spread_on_grid(counterparty.basis, times)
-    spread_b = _spread_on_grid(bank.basis, times)
-    dt = np.diff(times)
     scale = notional_scale(instrument)
+    iterations, residual, unconverged = 0, 0.0, []
 
-    n, m = paths.n_paths, len(times)
-    moments = np.empty((4, m)) if profile else None
-    tail_c, tail_b = np.zeros(n), np.zeros(n)  # CF_{k+1}, DF_{k+1}
-    ll_c = ll_b = None  # g_C(t_{k+1}-), g_B(t_{k+1}-)
-    iterations, residual, converged = 0, 0.0, True
-    for k in range(m - 1, -1, -1):
+    def solve(k, funding):
+        nonlocal iterations, residual
         vc_rc, vc_ll, posted_rc, posted_ll = run.at_time(k)
-        (gc_rc, gc_ll), (gb_rc, gb_ll) = spread_c(k), spread_b(k)
-        alive = paths.alive(times[k])
         # pathwise default legs seen from t_k, in time-0 dollars
         after = (run.def_loss * (paths.tau_c > times[k])
                  - run.def_gain * (paths.tau_b > times[k]))
         base_pv = vc_rc - after / run.disc[k]
-        project = _slice_projection(paths, alive, k, params.regression_degree)
-        weight = alive * run.disc[k]
-        if k < m - 1:
-            def tails(v):  # CF_k, DF_k; no density at t_k when v is None
-                if v is None:
-                    g_c = g_b = 0.0
-                else:
-                    gap = v - posted_rc
-                    g_c = _density(weight, gap, gc_rc, True)
-                    g_b = _density(weight, gap, gb_rc, False)
-                return _segment(tail_c, g_c, ll_c, dt[k]), _segment(tail_b, g_b, ll_b, dt[k])
-
-            def step(v):
-                cf, df = tails(v)
+        project = _slice_projection(paths, paths.alive(times[k]), k, params.regression_degree)
+        if funding is None:
+            v = project(base_pv)  # no funding remains at maturity
+        else:
+            def step(v):  # no density at t_k when v is None
+                cf, df = funding(None if v is None else v - posted_rc)
                 return project(base_pv - (cf - df) / run.disc[k])
 
             v, its, res, ok = _fixed_point(step, step(None), params, scale)
             iterations = max(iterations, its)
             residual = max(residual, res)
-            converged = converged and ok
-            tail_c, tail_b = tails(v)
-        else:
-            v = project(base_pv)  # no funding remains at maturity
-        if moments is not None:
-            moments[:, k] = _exposure_moments(alive, v - posted_rc)
+            if not ok:
+                unconverged.append(times[k])
         # deterministic cash-flow jumps are carried by V too
-        gap_ll = v + (vc_ll - vc_rc) - posted_ll
-        ll_c = _density(weight, gap_ll, gc_ll, True)
-        ll_b = _density(weight, gap_ll, gb_ll, False)
-    if not converged:
-        warnings.warn(f"recursive solver hit max_iter={params.max_iter} with residual "
-                      f"{residual:.3e}", RuntimeWarning)
+        return v - posted_rc, v + (vc_ll - vc_rc) - posted_ll
 
+    moments = np.empty((4, len(times))) if profile else None
+    legs = [(_spread_on_grid(counterparty.basis, times), True),
+            (_spread_on_grid(bank.basis, times), False)]
+    cf, df = _funding_trapezoid(paths, run.disc, solve, legs, moments)
+    if unconverged:
+        warnings.warn(
+            f"recursive solver hit max_iter={params.max_iter} with residual "
+            f"{residual:.3e}; the first grid time of the backward sweep that did "
+            f"not converge is t={unconverged[0]:.6g}", RuntimeWarning,
+        )
     report = _mc_report(
-        run, run.def_loss, run.def_gain, tail_c, tail_b, "recursive_mc",
-        iterations=iterations, residual=residual, converged=converged,
+        run, run.def_loss, run.def_gain, cf, df, "recursive_mc",
+        iterations=iterations, residual=residual, converged=not unconverged,
     )
     return report, _mc_profile(run, moments)
 
@@ -897,8 +889,7 @@ def _bond_implied_mc(run: _McRun, ois, counterparty, bank, collateral, profile: 
     if not profile:
         return report, None
     moments = np.empty((4, len(run.paths.times)))
-    for k, t in enumerate(run.paths.times):
-        moments[:, k] = _exposure_moments(run.paths.alive(t), run.gaps(k)[0])
+    _funding_trapezoid(run.paths, run.disc, run.gaps, [], moments)
     return report, _mc_profile(run, moments)
 
 
@@ -1116,10 +1107,18 @@ def _valuation(
             "the finite-difference backend implements the recursive method; "
             "use backend='mc' for the approximations on payoff trades"
         )
-    report, exposure = pde_engine._solve_xva(
-        instrument, ois, counterparty, bank, collateral, dyn, grid=grid
+    # through the module attribute, which a caller may wrap to trace it
+    sol = pde_engine.solve_final_pde(instrument, ois, counterparty, bank, dyn, grid, collateral)
+    *legs, direct = (
+        sol.interp(surface, dyn.s0)
+        for surface in (sol.v_coll, sol.cva, sol.dva, sol.cfva, sol.dfva, sol.v)
     )
-    return report, exposure() if profile else None
+    report = _assemble(*legs, "recursive_pde", iterations=1)
+    exposure = (
+        pde_engine._lognormal_exposure(sol, dyn, ois, counterparty, bank, collateral)
+        if profile else None
+    )
+    return replace(report, residual=abs(direct - report.fair_value)), exposure
 
 
 def run_xva(

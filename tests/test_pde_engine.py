@@ -1,6 +1,8 @@
 """Tests for the finite-difference engine and the replication weights."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,8 +25,8 @@ from bondxva.pde_engine import (
     _Stepper,
     hedge_weights,
     solve_final_pde,
-    solve_xva_report,
 )
+from bondxva import pde_engine
 from bondxva.xva_engine import run_xva
 
 OIS = PiecewiseCurve.flat(0.02)
@@ -152,30 +154,11 @@ class TestScheduleTrades:
             0.4, PiecewiseCurve.flat(0.03), PiecewiseCurve.flat(0.01)
         )
         dyn = ModelDynamics(s0=1.0, vol_s=0.2)
-        sol = solve_final_pde(
-            zcb, OIS, issuer, FREE, dyn,
-            SpatialGrid(0.0, 4.0, 101, 400), bond_mode=True,
-        )
+        sol = solve_final_pde(zcb, OIS, issuer, FREE, dyn, SpatialGrid(0.0, 4.0, 101, 400))
         got = sol.interp(sol.v, 1.0)
         assert abs(got - price_riskless_recovery(zcb, OIS, issuer)) < 5e-4
         # a cash-flow trade cannot depend on the underlying level
         assert np.ptp(sol.v[0]) < 1e-9
-
-    def test_bond_mode_silences_the_bank_surfaces(self):
-        zcb = Instrument.zero_coupon_bond(100.0, 1.0)
-        issuer = CounterpartyProfile(
-            0.4, PiecewiseCurve.flat(0.03), PiecewiseCurve.flat(0.01)
-        )
-        risky_bank = CounterpartyProfile(
-            0.35, PiecewiseCurve.flat(0.05), PiecewiseCurve.flat(0.02)
-        )
-        dyn = ModelDynamics(s0=1.0, vol_s=0.2)
-        sol = solve_final_pde(
-            zcb, OIS, issuer, risky_bank, dyn,
-            SpatialGrid(0.0, 4.0, 101, 200), bond_mode=True,
-        )
-        assert np.all(sol.dva == 0.0)
-        assert np.all(sol.dfva == 0.0)
 
     def test_agrees_with_the_degenerate_grid_solver(self):
         # the same schedule trade priced with and without an S axis
@@ -189,13 +172,18 @@ class TestScheduleTrades:
             0.35, PiecewiseCurve.flat(0.02), PiecewiseCurve.flat(0.008)
         )
         det, _ = run_xva(two_sided, OIS, cp, bank, method="recursive", backend="pde")
-        cn, _ = solve_xva_report(
-            two_sided, OIS, cp, bank, None, ModelDynamics(s0=1.0, vol_s=0.2),
-            grid=SpatialGrid(0.0, 4.0, 101, 400),
+        sol = solve_final_pde(
+            two_sided, OIS, cp, bank, ModelDynamics(s0=1.0, vol_s=0.2),
+            SpatialGrid(0.0, 4.0, 101, 400),
         )
-        assert abs(cn.fair_value - det.fair_value) < 1e-3
-        for field in ("v_coll", "cva", "dva", "cfva", "dfva"):
-            assert abs(getattr(cn, field) - getattr(det, field)) < 5e-4
+        cn = {
+            field: sol.interp(getattr(sol, field), 1.0)
+            for field in ("v_coll", "cva", "dva", "cfva", "dfva")
+        }
+        fair_value = math.fsum((cn["v_coll"], -cn["cva"], cn["dva"], cn["dfva"] - cn["cfva"]))
+        assert abs(fair_value - det.fair_value) < 1e-3
+        for field, value in cn.items():
+            assert abs(value - getattr(det, field)) < 5e-4
 
 
 class TestReportAssembly:
@@ -206,8 +194,9 @@ class TestReportAssembly:
     COLL = CollateralSpec.bilateral_threshold(10.0)
 
     def test_identities_hold_and_the_assembly_residual_is_small(self):
-        report, profile = solve_xva_report(
-            self.OPT, OIS, self.CP, self.BANK, self.COLL, self.DYN
+        report, profile = run_xva(
+            self.OPT, OIS, self.CP, self.BANK, self.COLL,
+            method="recursive", backend="pde", dyn=self.DYN,
         )
         assert report.bfva == report.dfva - report.cfva
         assert report.fair_value == math.fsum(
@@ -278,11 +267,14 @@ class TestReportAssembly:
         assert np.array_equal(got.ene, surv * ene)
 
     def test_default_grid_is_built_when_none_is_given(self):
-        report, _ = solve_xva_report(
-            self.OPT, OIS, self.CP, self.BANK, None, self.DYN
+        report, _ = run_xva(
+            self.OPT, OIS, self.CP, self.BANK, method="recursive", backend="pde", dyn=self.DYN
         )
         assert report.fair_value > 0
         assert report.residual < 1e-3
+        sol = solve_final_pde(self.OPT, OIS, self.CP, self.BANK, self.DYN)
+        assert sol.s_nodes.shape == (401,) and len(sol.times) == 601
+        assert sol.s_nodes[-1] == pytest.approx(100.0 * math.exp(0.02 + 5.0 * 0.3))
 
 
 class TestGuards:
@@ -411,3 +403,18 @@ class TestHedgeWeights:
         from_eta = (max(-v, 0.0) - weights.eta) * (1.0 - r_b)
         assert from_epsilon == pytest.approx(close_c - v, rel=1e-15, abs=1e-15)
         assert from_eta == pytest.approx(close_b - v, rel=1e-15, abs=1e-15)
+
+
+def test_the_engine_imports_nothing_from_the_valuation_engine():
+    # the package __init__ loads both modules, so only the source can show
+    # this; the walk reaches imports inside functions too
+    tree = ast.parse(Path(pde_engine.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert {".curves", ".instruments", ".mc_engine"} <= imported
+    assert not [name for name in imported if "xva_engine" in name]

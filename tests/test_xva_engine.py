@@ -27,7 +27,7 @@ from bondxva.mc_engine import (
     simulate_paths,
     swap_roles,
 )
-from bondxva import xva_engine
+from bondxva import pde_engine, xva_engine
 from bondxva.pde_engine import SpatialGrid
 from bondxva.xva_engine import (
     ConvergenceError,
@@ -744,6 +744,36 @@ class TestBackwardSweep:
         assert report.converged is False
         assert report.residual > 0
 
+    def test_an_exhausted_budget_names_the_first_unconverged_grid_time(self, monkeypatch):
+        # both bases 5.0: a slice's Picard factor 0.5 * gamma * dt is 0.94,
+        # just under 1, so the budget runs out without a divergence
+        wild_cp, wild_bank = (
+            replace(profile, basis=PiecewiseCurve.flat(5.0)) for profile in (RISKY_CP, RISKY_BANK)
+        )
+        solved = []
+        fixed_point = xva_engine._fixed_point
+
+        def recording_fixed_point(*args):
+            out = fixed_point(*args)
+            solved.append(out[3])
+            return out
+
+        monkeypatch.setattr(xva_engine, "_fixed_point", recording_fixed_point)
+        with pytest.warns(RuntimeWarning, match="max_iter=50") as caught:
+            report, _ = run_xva(
+                Instrument.european_option("call", strike=100.0, expiry=1.5), OIS,
+                wild_cp, wild_bank, method="recursive", backend="mc",
+                dyn=ModelDynamics(s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013),
+                n_paths=1_000, n_steps=4, seed=3,
+            )
+        assert report.iterations == 50 and not report.converged
+        assert report.residual == pytest.approx(1.7106, abs=1e-4)
+        # the sweep solves t = 1.125, 0.75, 0.375, 0 in turn
+        first = [1.125, 0.75, 0.375, 0.0][solved.index(False)]
+        (message,) = [str(w.message) for w in caught if "max_iter" in str(w.message)]
+        assert f"{report.residual:.3e}" in message
+        assert message.endswith(f"t={first:.6g}")
+
 
 class TestRegressionBasis:
     """The per-time regression against a plain reference written here: every
@@ -902,7 +932,7 @@ class TestCollateralEffects:
 
 
 class TestBondMode:
-    def test_bond_mode_equals_an_explicit_default_free_bank(self):
+    def test_bond_mode_equals_an_explicit_default_free_bank(self, monkeypatch):
         plain, _ = run_xva(
             ZCB, OIS, RISKY_CP, RISKY_BANK, method="recursive", backend="pde",
             bond_mode=True,
@@ -912,6 +942,37 @@ class TestBondMode:
             method="recursive", backend="pde",
         )
         assert plain.as_dict() == explicit.as_dict()
+
+        # a payoff trade goes through Crank-Nicolson, whose bank surfaces
+        # are zero everywhere on the grid, not only at s0
+        solutions = []
+        solve = pde_engine.solve_final_pde
+
+        def recording_solve(*args, **kwargs):
+            solutions.append(solve(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(pde_engine, "solve_final_pde", recording_solve)
+        call = Instrument.european_option("call", strike=100.0, expiry=1.0)
+        dyn = ModelDynamics(s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013)
+        (modeled, modeled_profile), (freed, freed_profile) = (
+            run_xva(
+                call, OIS, RISKY_CP, bank, method="recursive", backend="pde", dyn=dyn,
+                grid=SpatialGrid(0.0, 400.0, 101, 100), bond_mode=bond_mode,
+            )
+            for bank, bond_mode in (
+                (RISKY_BANK, True), (CounterpartyProfile.default_free(), False)
+            )
+        )
+        assert modeled.method == "recursive_pde"
+        assert modeled.as_dict() == freed.as_dict()
+        assert modeled.dva == modeled.dfva == 0.0
+        assert np.array_equal(modeled_profile.epe, freed_profile.epe)
+        assert np.array_equal(modeled_profile.ene, freed_profile.ene)
+        assert len(solutions) == 2
+        for sol in solutions:
+            assert np.all(sol.dva == 0.0)
+            assert np.all(sol.dfva == 0.0)
 
     @pytest.mark.parametrize("method", ["recursive", "first_order", "bond_implied"])
     @pytest.mark.parametrize(
@@ -990,7 +1051,7 @@ class TestPathLayout:
         def legs(order):
             g = np.asarray(gap, order=order)
             (leg,) = _funding_trapezoid(
-                paths, disc, lambda k: (g[:, k], g[:, k]),
+                paths, disc, lambda k, funding: (g[:, k], g[:, k]),
                 [(lambda k: (spread[k], spread[k]), True)],
             )
             return leg
@@ -1309,7 +1370,7 @@ class TestDenseGrids:
             )
             assert np.any(expected > 0)
             (leg,) = _funding_trapezoid(
-                paths, disc, lambda k: (gap_rc[:, k], gap_ll[:, k]),
+                paths, disc, lambda k, funding: (gap_rc[:, k], gap_ll[:, k]),
                 [(lambda k: (rc[..., k], ll[..., k]), positive)],
             )
             np.testing.assert_allclose(leg, expected, rtol=1e-13, atol=0.0)
@@ -1481,3 +1542,43 @@ class TestWorkingSet:
             tracemalloc.stop()
         grid_bytes = paths.n_paths * len(paths.times) * 8
         assert peak - start < 2 * grid_bytes
+
+
+class TestOneSweep:
+    """Every Monte Carlo method walks the grid in the one backward sweep,
+    ``_funding_trapezoid``: the recursive slices are solved inside it."""
+
+    DYN = ModelDynamics(
+        s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013, vol_c=0.008, vol_b=0.006,
+    )
+    CALL = Instrument.european_option("call", strike=100.0, expiry=1.0)
+    COLLATERAL = CollateralSpec.bilateral_threshold(5.0, cure_period=0.25)
+
+    @pytest.mark.parametrize("profile", [False, True])
+    def test_each_method_sweeps_the_grid_once(self, monkeypatch, profile):
+        run = _prepare_mc(
+            self.CALL, OIS, RISKY_CP, RISKY_BANK, self.COLLATERAL, self.DYN,
+            2_000, 12, 4, False,
+        )
+        sweeps = []
+        sweep = xva_engine._funding_trapezoid
+
+        def counting_sweep(paths, disc, gaps, legs, moments=None):
+            sweeps.append(len(legs))
+            return sweep(paths, disc, gaps, legs, moments)
+
+        monkeypatch.setattr(xva_engine, "_funding_trapezoid", counting_sweep)
+        for method, call, legs in (
+            ("recursive", lambda: _recursive_mc(
+                run, self.CALL, RISKY_CP, RISKY_BANK, SolverParams(), profile), [2]),
+            ("first_order", lambda: xva_engine._first_order_mc(
+                run, RISKY_CP, RISKY_BANK, profile), [2]),
+            # without the profile, bond_implied reads V^c at t_0 only
+            ("bond_implied", lambda: xva_engine._bond_implied_mc(
+                run, OIS, RISKY_CP, RISKY_BANK, self.COLLATERAL, profile),
+             [0] if profile else []),
+        ):
+            sweeps.clear()
+            _, got = call()
+            assert sweeps == legs, method
+            assert (got is not None) == profile
