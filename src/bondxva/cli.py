@@ -14,12 +14,15 @@ Four subcommands, each driven by a JSON config file:
 
 Reports are strict JSON with keys sorted and floats rounded to 10
 significant digits, so identical configs produce byte-identical output.
-Numbers in a config must be finite: the ``NaN`` and ``Infinity`` that JSON
-input may spell are refused with the key that holds them, and so are
-booleans and strings where a number belongs (``true``, ``"0.4"``), counts
-and seeds that are not whole numbers (``2.5``, ``"100"``), and a
-``bond_mode`` that is not a JSON boolean (``"false"``, ``1``). Exit codes:
-0 success, 2 config or validation error, 3 calibration failure,
+A config section takes the parameters of the library call it feeds as its
+keys; those without a default are required. Refused, naming the key or
+section: a section that is not an object; the ``NaN`` and ``Infinity``
+that JSON input may spell; a boolean or string where a number belongs
+(``true``, ``"0.4"``); a count or seed that is not whole (``2.5``,
+``"100"``); a non-string where text belongs (a ``mode`` of ``5``); an empty
+list; a ``bond_mode`` that is not a JSON boolean (``"false"``, ``1``). A
+finite number too large for the valuation's arithmetic also exits 2. Exit
+codes: 0 success, 2 config or validation error, 3 calibration failure,
 4 recursive solver failed to converge.
 """
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import sys
@@ -34,7 +38,7 @@ import sys
 from .bond_pricer import RecoveryConvention, price_bond
 from .calibrator import CalibrationError, bootstrap_basis
 from .curves import CounterpartyProfile, PiecewiseCurve
-from .instruments import CashflowSchedule, CollateralSpec, Instrument
+from .instruments import CashflowSchedule, CollateralSpec, Instrument, bullet_bond
 from .mc_engine import ModelDynamics
 from .pde_engine import SpatialGrid
 from .xva_engine import (
@@ -60,8 +64,14 @@ def _require(cfg: dict, key: str, label: str):
     return cfg[key]
 
 
-def _check_keys(cfg: dict, allowed: set, label: str) -> None:
-    unknown = set(cfg) - allowed
+def _object(obj, label: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{label}: expected an object")
+    return obj
+
+
+def _check_keys(cfg, allowed, label: str) -> None:
+    unknown = set(_object(cfg, label)) - set(allowed)
     if unknown:
         raise ConfigError(f"{label}: unknown keys {sorted(unknown)}")
 
@@ -94,135 +104,98 @@ def _int(value, label: str) -> int:
     return int(value)
 
 
+def _str(value, label: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{label}: expected a string, got {value!r}")
+    return value
+
+
+def _list(value, label: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{label}: expected a non-empty list, got {value!r}")
+    return value
+
+
+def _floats(value, label: str) -> tuple[float, ...]:
+    return tuple(_float(v, label) for v in _list(value, label))
+
+
+def _flows(value, label: str) -> tuple[tuple[float, ...], ...]:
+    flows = tuple(_floats(flow, label) for flow in _list(value, label))
+    if any(len(flow) != 2 for flow in flows):
+        raise ConfigError(f"{label}: expected [time, amount] pairs, got {value!r}")
+    return flows
+
+
 def _parse_curve(obj, label: str) -> PiecewiseCurve:
     if _is_number(obj):
         return PiecewiseCurve.flat(_float(obj, label))
     if isinstance(obj, dict):
-        _check_keys(obj, {"times", "values"}, label)
-        times = _require(obj, "times", label)
-        values = _require(obj, "values", label)
-        return PiecewiseCurve(
-            tuple(_float(t, f"{label}.times") for t in times),
-            tuple(_float(v, f"{label}.values") for v in values),
-        )
+        return _build(PiecewiseCurve, obj, label, times=_floats, values=_floats)
     raise ConfigError(f"{label}: expected a number or {{times, values}}")
 
 
-def _parse_profile(obj, label: str) -> CounterpartyProfile:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{label}: expected an object")
-    _check_keys(obj, {"recovery", "hazard", "basis"}, label)
-    recovery = _float(_require(obj, "recovery", label), f"{label}.recovery")
-    hazard = _parse_curve(obj.get("hazard", 0.0), f"{label}.hazard")
-    basis = _parse_curve(obj.get("basis", 0.0), f"{label}.basis")
-    return CounterpartyProfile(recovery=recovery, hazard=hazard, basis=basis)
-
-
-def _parse_instrument(obj, label: str = "instrument") -> Instrument:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{label}: expected an object")
-    kind = _require(obj, "kind", label)
-    if kind == "zero_coupon_bond":
-        _check_keys(obj, {"kind", "notional", "maturity"}, label)
-        return Instrument.zero_coupon_bond(
-            _float(_require(obj, "notional", label), f"{label}.notional"),
-            _float(_require(obj, "maturity", label), f"{label}.maturity"),
-        )
-    if kind == "coupon_bond":
-        _check_keys(obj, {"kind", "notional", "coupon", "pay_times", "flows"}, label)
-        if "flows" in obj:
-            flows = tuple(
-                (_float(t, f"{label}.flows"), _float(a, f"{label}.flows"))
-                for t, a in obj["flows"]
-            )
-            schedule = CashflowSchedule(
-                flows, _float(obj.get("notional", flows[-1][1]), f"{label}.notional")
-            )
-            return Instrument.coupon_bond(schedule)
-        from .instruments import bullet_bond
-
-        schedule = bullet_bond(
-            _float(_require(obj, "notional", label), f"{label}.notional"),
-            _float(_require(obj, "coupon", label), f"{label}.coupon"),
-            tuple(
-                _float(t, f"{label}.pay_times") for t in _require(obj, "pay_times", label)
-            ),
-        )
-        return Instrument.coupon_bond(schedule)
-    if kind == "forward":
-        _check_keys(obj, {"kind", "strike", "expiry"}, label)
-        return Instrument.forward(
-            _float(_require(obj, "strike", label), f"{label}.strike"),
-            _float(_require(obj, "expiry", label), f"{label}.expiry"),
-        )
-    if kind == "european_option":
-        _check_keys(obj, {"kind", "option_type", "strike", "expiry"}, label)
-        return Instrument.european_option(
-            str(_require(obj, "option_type", label)),
-            _float(_require(obj, "strike", label), f"{label}.strike"),
-            _float(_require(obj, "expiry", label), f"{label}.expiry"),
-        )
-    raise ConfigError(f"{label}: unknown kind {kind!r}")
-
-
-def _parse_collateral(obj, label: str = "collateral") -> CollateralSpec:
-    if obj is None:
-        return CollateralSpec.none()
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{label}: expected an object")
-    _check_keys(obj, {"mode", "threshold", "offset", "cure_period"}, label)
-    return CollateralSpec(
-        mode=obj.get("mode", "none"),
-        threshold=_float(obj.get("threshold", 0.0), f"{label}.threshold"),
-        offset=_float(obj.get("offset", 0.0), f"{label}.offset"),
-        cure_period=_float(obj.get("cure_period", 0.0), f"{label}.cure_period"),
-    )
-
-
-_DYNAMICS_KEYS = {
-    "s0", "rate", "dividend", "vol_s", "pi0_c", "pi0_b",
-    "drift_c", "drift_b", "vol_c", "vol_b", "rho_sc", "rho_sb", "rho_cb",
+# the reader of a value, by its parameter's annotation: a string, as the
+# library modules use ``from __future__ import annotations``
+_READERS = {
+    "float": _float,
+    "float | None": _float,
+    "int": _int,
+    "str": _str,
+    "PiecewiseCurve": _parse_curve,
 }
 
 
-def _parse_dynamics(obj, label: str = "dynamics") -> ModelDynamics | None:
-    if obj is None:
-        return None
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{label}: expected an object")
-    _check_keys(obj, _DYNAMICS_KEYS, label)
-    if "s0" not in obj:
-        raise ConfigError(f"{label}: missing required key 's0'")
-    return ModelDynamics(**{k: _float(v, f"{label}.{k}") for k, v in obj.items()})
+def _build(fn, obj, label: str, **read):
+    """fn(**obj) on the JSON object obj, whose keys are fn's parameters: one
+    without a default is required, and each value goes through the reader
+    given in ``read`` by its key or else the one its annotation names."""
+    params = inspect.signature(fn).parameters
+    _check_keys(obj, params, label)
+    for name, param in params.items():
+        if param.default is param.empty and name not in obj:
+            raise ConfigError(f"{label}: missing required key {name!r}")
+    return fn(**{
+        key: (read.get(key) or _READERS[params[key].annotation])(value, f"{label}.{key}")
+        for key, value in obj.items()
+    })
 
 
-def _parse_solver(obj, label: str = "solver") -> SolverParams:
-    if obj is None:
-        return SolverParams()
-    _check_keys(obj, {"tol", "max_iter", "damping", "det_steps", "regression_degree"}, label)
-    defaults = SolverParams()
-    return SolverParams(
-        tol=_float(obj.get("tol", defaults.tol), f"{label}.tol"),
-        max_iter=_int(obj.get("max_iter", defaults.max_iter), f"{label}.max_iter"),
-        damping=_float(obj.get("damping", defaults.damping), f"{label}.damping"),
-        det_steps=_int(obj.get("det_steps", defaults.det_steps), f"{label}.det_steps"),
-        regression_degree=_int(
-            obj.get("regression_degree", defaults.regression_degree),
-            f"{label}.regression_degree",
-        ),
-    )
+def _section(cfg: dict, key: str, fn):
+    """The optional section cfg[key] built by fn; None when it is left out or
+    null, so that the library's default applies."""
+    obj = cfg.get(key)
+    return None if obj is None else _build(fn, obj, key)
 
 
-def _parse_grid(obj, label: str = "grid") -> SpatialGrid | None:
-    if obj is None:
-        return None
-    _check_keys(obj, {"s_min", "s_max", "n_space", "n_time"}, label)
-    return SpatialGrid(
-        s_min=_float(_require(obj, "s_min", label), f"{label}.s_min"),
-        s_max=_float(_require(obj, "s_max", label), f"{label}.s_max"),
-        n_space=_int(_require(obj, "n_space", label), f"{label}.n_space"),
-        n_time=_int(_require(obj, "n_time", label), f"{label}.n_time"),
-    )
+def _parse_profile(obj, label: str) -> CounterpartyProfile:
+    # a config may leave out the hazard: the entity then never defaults
+    return _build(CounterpartyProfile, {"hazard": 0.0, **_object(obj, label)}, label)
+
+
+def _flows_schedule(flows, notional: float | None = None) -> CashflowSchedule:
+    """Explicit (time, amount) flows; the face defaults to the last amount."""
+    return CashflowSchedule(flows, flows[-1][1] if notional is None else notional)
+
+
+# every kind but coupon_bond, whose schedule is explicit flows or a bullet_bond
+_KINDS = {
+    "zero_coupon_bond": Instrument.zero_coupon_bond,
+    "forward": Instrument.forward,
+    "european_option": Instrument.european_option,
+}
+
+
+def _parse_instrument(obj, label: str = "instrument") -> Instrument:
+    kind = _str(_require(_object(obj, label), "kind", label), f"{label}.kind")
+    fields = {key: value for key, value in obj.items() if key != "kind"}
+    if kind == "coupon_bond":
+        make = _flows_schedule if "flows" in fields else bullet_bond
+        schedule = _build(make, fields, label, flows=_flows, pay_times=_floats)
+        return Instrument.coupon_bond(schedule)
+    if kind not in _KINDS:
+        raise ConfigError(f"{label}: unknown kind {kind!r}")
+    return _build(_KINDS[kind], fields, label)
 
 
 def _round_floats(obj):
@@ -263,6 +236,10 @@ def _write_exposure_csv(profile, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _convention(cfg: dict) -> RecoveryConvention:
+    return RecoveryConvention.coerce(_str(cfg.get("convention", "riskless"), "convention"))
+
+
 def _cmd_bond_price(cfg: dict) -> dict:
     _check_keys(cfg, {"bond", "ois", "issuer", "convention", "t"}, "bond-price")
     bond = _parse_instrument(_require(cfg, "bond", "bond-price"), "bond")
@@ -270,7 +247,7 @@ def _cmd_bond_price(cfg: dict) -> dict:
         raise ConfigError("bond-price: the instrument must be a bond")
     ois = _parse_curve(_require(cfg, "ois", "bond-price"), "ois")
     issuer = _parse_profile(_require(cfg, "issuer", "bond-price"), "issuer")
-    convention = RecoveryConvention.coerce(cfg.get("convention", "riskless"))
+    convention = _convention(cfg)
     t = _float(cfg.get("t", 0.0), "bond-price.t")
     price = price_bond(bond, ois, issuer, t=t, convention=convention)
     return {
@@ -286,12 +263,9 @@ def _cmd_calibrate(cfg: dict) -> dict:
     _check_keys(cfg, {"ois", "issuer", "convention", "quotes"}, "calibrate")
     ois = _parse_curve(_require(cfg, "ois", "calibrate"), "ois")
     issuer = _parse_profile(_require(cfg, "issuer", "calibrate"), "issuer")
-    convention = RecoveryConvention.coerce(cfg.get("convention", "riskless"))
-    raw_quotes = _require(cfg, "quotes", "calibrate")
-    if not isinstance(raw_quotes, list) or not raw_quotes:
-        raise ConfigError("calibrate: quotes must be a non-empty list")
+    convention = _convention(cfg)
     quotes = []
-    for idx, q in enumerate(raw_quotes):
+    for idx, q in enumerate(_list(_require(cfg, "quotes", "calibrate"), "quotes")):
         label = f"quotes[{idx}]"
         _check_keys(q, {"bond", "price"}, label)
         bond = _parse_instrument(_require(q, "bond", label), f"{label}.bond")
@@ -330,21 +304,18 @@ def _parse_xva_common(cfg: dict, label: str):
     ois = _parse_curve(_require(cfg, "ois", label), "ois")
     counterparty = _parse_profile(_require(cfg, "counterparty", label), "counterparty")
     bank = _parse_profile(_require(cfg, "bank", label), "bank")
-    collateral = _parse_collateral(cfg.get("collateral"))
-    dyn = _parse_dynamics(cfg.get("dynamics"))
-    params = _parse_solver(cfg.get("solver"))
-    grid = _parse_grid(cfg.get("grid"))
-    mc = cfg.get("mc") or {}
+    collateral = _section(cfg, "collateral", CollateralSpec)
+    mc = {} if cfg.get("mc") is None else cfg["mc"]
     _check_keys(mc, {"n_paths", "n_steps", "seed", "n_workers"}, "mc")
     bond_mode = cfg.get("bond_mode", False)
     if not isinstance(bond_mode, bool):  # "false" and 1 would read as true
         raise ConfigError(f"bond_mode: expected true or false, got {bond_mode!r}")
     kwargs = dict(
-        backend=cfg.get("backend", "mc"),
-        dyn=dyn,
-        params=params,
+        backend=_str(cfg.get("backend", "mc"), "backend"),
+        dyn=_section(cfg, "dynamics", ModelDynamics),
+        params=_section(cfg, "solver", SolverParams),
         bond_mode=bond_mode,
-        grid=grid,
+        grid=_section(cfg, "grid", SpatialGrid),
         # the keys the config leaves out take run_xva's defaults
         **{key: _int(value, f"mc.{key}") for key, value in mc.items()},
     )
@@ -362,7 +333,7 @@ def _cmd_xva(cfg: dict, exposure_csv: str | None) -> tuple[dict, int]:
     instrument, ois, counterparty, bank, collateral, kwargs = _parse_xva_common(
         cfg, "xva"
     )
-    method = cfg.get("method", "recursive")
+    method = _str(cfg.get("method", "recursive"), "method")
     report, profile = run_xva(
         instrument, ois, counterparty, bank, collateral, method=method, **kwargs
     )
@@ -374,11 +345,11 @@ def _cmd_xva(cfg: dict, exposure_csv: str | None) -> tuple[dict, int]:
 
 
 def _cmd_compare(cfg: dict) -> dict:
-    _check_keys(cfg, _XVA_KEYS - {"method"}, "compare-conventions")
+    # one first-order pass: no method to choose, no Crank-Nicolson grid
+    _check_keys(cfg, _XVA_KEYS - {"method", "grid"}, "compare-conventions")
     instrument, ois, counterparty, bank, collateral, kwargs = _parse_xva_common(
         cfg, "compare-conventions"
     )
-    kwargs.pop("grid", None)
     values = compare_aggregations(
         instrument, ois, counterparty, bank, collateral, **kwargs
     )
@@ -432,7 +403,8 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (ConfigError, ValueError, TypeError, KeyError) as exc:
+    # OverflowError: a finite number too large for the valuation's arithmetic
+    except (ConfigError, ValueError, TypeError, KeyError, OverflowError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return code

@@ -72,6 +72,8 @@ class CashflowSchedule:
 def bullet_bond(notional: float, coupon: float, pay_times) -> CashflowSchedule:
     """Coupon bond paying ``coupon`` at each date, face added to the last flow."""
     pay_times = [float(t) for t in pay_times]
+    if not pay_times:
+        raise ValueError("bullet_bond needs at least one pay time, got empty pay_times")
     flows = [(t, coupon) for t in pay_times]
     t_last, c_last = flows[-1]
     flows[-1] = (t_last, c_last + notional)

@@ -20,9 +20,11 @@ fixed point, solved backwards in time on two backends:
   Lemor and Warin). Each slice's regression basis is built once.
 * Deterministic: when V^c is a deterministic function of time (cash-flow
   schedules, or zero-volatility dynamics) the equation collapses to a scalar
-  Volterra integral equation on a dense grid, solved exactly by the same
-  sweep with the identity as its projection (``_deterministic``). This is
-  also what the PDE backend degenerates to for underlying-independent trades.
+  Volterra integral equation on a dense grid, solved exactly in one
+  backward pass of its own (``_deterministic``): with the later nodes known,
+  each node's value solves a scalar piecewise-linear equation in closed
+  form, so nothing iterates. This is also what the PDE backend degenerates
+  to for underlying-independent trades.
 
 Two non-recursive approximations are provided: ``first_order_value`` (funding
 on V^c exposures, one pass) and ``bond_implied_value`` (no funding terms,

@@ -8,10 +8,11 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bondxva import cli
@@ -25,6 +26,16 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def with_value(base, path, value):
+    """A copy of the config base with value put at path (keys and indices)."""
+    cfg = json.loads(json.dumps(base))
+    target = cfg
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return cfg
 
 
 def run_cli(argv, capsys):
@@ -62,6 +73,17 @@ XVA_MC_CFG = {
     },
     "backend": "mc",
     "mc": {"n_paths": 1500, "n_steps": 12, "seed": 2718},
+}
+
+CALIBRATE_CFG = {
+    "ois": 0.02,
+    "issuer": {"recovery": 0.4, "hazard": 0.025},
+    "convention": "riskless",
+    "quotes": [
+        {"bond": {"kind": "coupon_bond", "notional": 100.0, "coupon": 2.0,
+                  "pay_times": [1.0, 2.0]},
+         "price": 97.1},
+    ],
 }
 
 
@@ -330,6 +352,15 @@ class TestCompareConventions:
         assert code == 2
         assert "unknown keys" in err
 
+    def test_grid_is_not_an_accepted_key_here(self, tmp_path, capsys):
+        cfg_data = dict(XVA_DET_CFG)
+        cfg_data["grid"] = {"s_min": 0.0, "s_max": 400.0, "n_space": 81, "n_time": 40}
+        cfg = write_config(tmp_path, cfg_data)
+        code, out, err = run_cli(["compare-conventions", "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert "unknown keys ['grid']" in err
+
 
 class TestConfigErrors:
     def test_missing_file(self, tmp_path, capsys):
@@ -488,6 +519,104 @@ class TestConfigErrors:
         assert out == ""
         assert f"{'.'.join(path)}: expected {expected}, got {value!r}" in err
 
+    @pytest.mark.parametrize(
+        "command, base, path, value, expected",
+        [
+            ("xva", XVA_MC_CFG, ("solver",), [], "solver: expected an object"),
+            ("xva", XVA_MC_CFG, ("mc",), ["n_paths"], "mc: expected an object"),
+            ("xva", XVA_MC_CFG, ("mc",), 0, "mc: expected an object"),
+            ("bond-price", BOND_PRICE_CFG, ("bond",),
+             {"kind": "coupon_bond", "flows": []}, "bond.flows: expected a non-empty list"),
+            ("bond-price", BOND_PRICE_CFG, ("bond",),
+             {"kind": "coupon_bond", "flows": [[1.0]]}, "bond.flows: expected [time, amount]"),
+            ("xva", XVA_DET_CFG, ("instrument",),
+             {"kind": "coupon_bond", "notional": 100.0, "coupon": 2.0, "pay_times": []},
+             "instrument.pay_times: expected a non-empty list"),
+            ("calibrate", CALIBRATE_CFG, ("quotes", 0, "bond", "pay_times"), [],
+             "quotes[0].bond.pay_times: expected a non-empty list"),
+            ("calibrate", CALIBRATE_CFG, ("quotes",), [], "quotes: expected a non-empty list"),
+            ("xva", XVA_MC_CFG, ("collateral",), {"mode": 5},
+             "collateral.mode: expected a string, got 5"),
+            ("xva", XVA_MC_CFG, ("instrument", "option_type"), 5,
+             "instrument.option_type: expected a string, got 5"),
+            ("xva", XVA_MC_CFG, ("instrument", "kind"), ["forward"],
+             "instrument.kind: expected a string"),
+            ("xva", XVA_MC_CFG, ("method",), 5, "method: expected a string, got 5"),
+            ("bond-price", BOND_PRICE_CFG, ("convention",), None,
+             "convention: expected a string, got None"),
+            # a flows bond takes no coupon or pay times beside its flows
+            ("bond-price", BOND_PRICE_CFG, ("bond",),
+             {"kind": "coupon_bond", "flows": [[1.0, 101.0]], "coupon": 1.0},
+             "bond: unknown keys ['coupon']"),
+        ],
+        ids=["solver-list", "mc-list", "mc-zero", "flows-empty", "flows-short-pair",
+             "pay_times-empty", "quote-pay_times-empty", "quotes-empty",
+             "collateral-mode-number", "option_type-number", "kind-list",
+             "method-number", "convention-null", "flows-and-coupon"],
+    )
+    def test_malformed_values_name_their_key(
+        self, tmp_path, capsys, command, base, path, value, expected
+    ):
+        cfg = write_config(tmp_path, with_value(base, path, value))
+        code, out, err = run_cli([command, "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert expected in err
+
+    @pytest.mark.parametrize("value", [[1], "x"], ids=["list", "string"])
+    @pytest.mark.parametrize(
+        "command, base, path, label",
+        [pytest.param("xva", XVA_MC_CFG, (section,), section, id=section)
+         for section in ("instrument", "counterparty", "bank", "collateral",
+                         "dynamics", "mc", "solver", "grid")]
+        + [pytest.param("bond-price", BOND_PRICE_CFG, ("bond",), "bond", id="bond"),
+           pytest.param("bond-price", BOND_PRICE_CFG, ("issuer",), "issuer", id="issuer"),
+           pytest.param("calibrate", CALIBRATE_CFG, ("quotes", 0), "quotes[0]",
+                        id="quote"),
+           pytest.param("calibrate", CALIBRATE_CFG, ("quotes", 0, "bond"),
+                        "quotes[0].bond", id="quote-bond")],
+    )
+    def test_a_section_that_is_not_an_object_exits_2(
+        self, tmp_path, capsys, command, base, path, label, value
+    ):
+        cfg = write_config(tmp_path, with_value(base, path, value))
+        code, out, err = run_cli([command, "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{label}: expected an object" in err
+
+    @pytest.mark.parametrize(
+        "command", ["bond-price", "calibrate", "xva", "compare-conventions"]
+    )
+    @pytest.mark.parametrize("value", [[], "x", 5])
+    def test_a_config_that_is_not_an_object_exits_2(
+        self, tmp_path, capsys, command, value
+    ):
+        cfg = write_config(tmp_path, value)
+        code, out, err = run_cli([command, "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{command}: expected an object" in err
+
+    @pytest.mark.parametrize(
+        "command, base, path",
+        [
+            # the variance of the log-price overflows in the simulation
+            ("xva", XVA_MC_CFG, ("dynamics", "vol_s")),
+            # a discount factor's exponent overflows in the bond pricer
+            ("calibrate", CALIBRATE_CFG, ("quotes", 0, "bond", "pay_times", 1)),
+        ],
+        ids=["mc-vol_s", "calibrate-pay_time"],
+    )
+    def test_a_finite_number_too_large_for_the_arithmetic_exits_2(
+        self, tmp_path, capsys, command, base, path
+    ):
+        cfg = write_config(tmp_path, with_value(base, path, 1e308))
+        code, out, err = run_cli([command, "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert "invalid config" in err
+
     @pytest.mark.parametrize("workers", [0, -1])
     def test_fewer_than_one_worker_is_a_config_error(self, tmp_path, capsys, workers):
         cfg_data = json.loads(json.dumps(XVA_MC_CFG))
@@ -592,6 +721,57 @@ class TestNonFiniteInput:
         assert code == 2
         assert out.getvalue() == ""
         assert f"{'.'.join(path)}: expected a finite number" in err.getvalue()
+
+
+def _key_paths(cfg, prefix=()):
+    """Paths to every key and list item of a config, sections included."""
+    items = cfg.items() if isinstance(cfg, dict) else enumerate(cfg)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, prefix + (key,))
+
+
+class TestWrongTypedInput:
+    CONFIGS = [
+        ("xva", {**README_XVA_CFG,
+                 "mc": {"n_paths": 200, "n_steps": 4, "seed": 31337, "n_workers": 1}}),
+        ("xva", README_PDE_CFG),
+        ("compare-conventions", XVA_DET_CFG),
+        ("bond-price", {**BOND_PRICE_CFG,
+                        "bond": {"kind": "coupon_bond", "flows": [[1.0, 2.0], [2.0, 102.0]]},
+                        "ois": {"times": [0.0, 1.0], "values": [0.02, 0.025]}}),
+        ("calibrate", CALIBRATE_CFG),
+    ]
+    CASES = [
+        (command, cfg, path)
+        for command, cfg in CONFIGS
+        for path in _key_paths(cfg)
+    ]
+
+    @given(
+        case=st.sampled_from(CASES),
+        value=st.sampled_from([None, [], {}, "x", 5, True]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_wrong_typed_value_anywhere_is_never_a_traceback(self, case, value):
+        command, base, path = case
+        # a null or empty mc section is a valid default-sized simulation
+        assume(not (path == ("mc",) and value in (None, {})))
+        cfg_data = with_value(base, path, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "config.json"
+            cfg.write_text(json.dumps(cfg_data))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)  # max_iter 5
+                    code = cli.main([command, "--config", str(cfg)])
+        assert code in (0, 2, 3, 4)
+        if code in (2, 3):
+            assert out.getvalue() == ""
+        else:  # a report, partial on 4
+            json.loads(out.getvalue())
 
 
 def test_importing_the_cli_leaves_out_quadrature_and_root_finding():

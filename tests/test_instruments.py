@@ -45,6 +45,10 @@ class TestCashflowSchedule:
         assert bond.flows == ((1.0, 2.5), (2.0, 2.5), (3.0, 102.5))
         assert bond.notional == 100.0
 
+    def test_bullet_bond_refuses_empty_pay_times(self):
+        with pytest.raises(ValueError, match="empty pay_times"):
+            bullet_bond(100.0, 2.5, ())
+
 
 class TestInstrument:
     def test_zero_coupon_bond_has_single_flow(self):
