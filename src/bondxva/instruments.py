@@ -183,7 +183,8 @@ class CollateralSpec:
     ``bilateral_threshold`` (no margin inside a symmetric threshold H),
     ``constant_offset`` (a static independent amount A held regardless of
     value). Collateral is cash remunerated at OIS and is driven by the
-    perfectly collateralized value, never by the recursive full value.
+    perfectly collateralized value, never by the recursive full value. A
+    nonzero threshold or offset is refused unless the mode uses it.
     """
 
     mode: str = "none"
@@ -200,6 +201,13 @@ class CollateralSpec:
                 raise ValueError(f"CollateralSpec.{name} is non-finite: {value!r}")
         if self.threshold < 0:
             raise ValueError("threshold must be nonnegative")
+        # a mode ignores the other's parameter: refuse one that would be dropped
+        for name, mode in (("threshold", "bilateral_threshold"), ("offset", "constant_offset")):
+            if getattr(self, name) != 0.0 and self.mode != mode:
+                raise ValueError(
+                    f"CollateralSpec.{name} is {getattr(self, name)!r}, but mode "
+                    f"{self.mode!r} does not use it (only {mode!r} does)"
+                )
         if self.cure_period < 0:
             raise ValueError("cure period must be nonnegative")
 

@@ -2,7 +2,9 @@
 
 Three correlated factors are simulated: a lognormal underlying S and two
 arithmetic Brownian short CDS spreads (counterparty and bank), floored at
-zero. Default times are doubly stochastic on top of the spread paths.
+zero. Default times are doubly stochastic on top of the spread paths; the
+valuation itself (``xva_engine.run_xva``) draws none and integrates each
+name's intensity along its spread path instead.
 
 Reproducibility contract: every block of 4096 paths derives its own
 counter-based Philox stream from (master seed, stream id, block index), so
@@ -74,6 +76,11 @@ class ModelDynamics:
         for name in ("vol_s", "vol_c", "vol_b"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+            # the simulation's drift and variance use the square
+            if not math.isfinite(getattr(self, name) * getattr(self, name)):
+                raise ValueError(
+                    f"ModelDynamics.{name} is {getattr(self, name)!r}: its square overflows"
+                )
         for name in ("pi0_c", "pi0_b"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -137,7 +144,10 @@ class PathSet:
     crossing of their exponential clock within the horizon, and None until
     sampled. clock_columns names the columns of each block's exponential
     draws that drive (tau_c, tau_b), so that a role swap hands each name its
-    own clock. Treat all arrays as read-only.
+    own clock. The default times serve the estimators on given default
+    times (``cva``, ``dva``, ``ead_split_adjustment``, the alive mask of
+    ``cfva``, ``dfva`` and ``exposure_profile``); ``run_xva`` ignores them.
+    Treat all arrays as read-only.
     """
 
     times: np.ndarray
@@ -340,11 +350,14 @@ class ExposureProfile:
 
     At each of the times, epe and ene are the expected positive and negative
     parts of the gap V - C between the trade's value and its collateral, a
-    name's default stopping the exposure (paths that have defaulted count
-    zero; the deterministic and finite-difference backends weight by the
-    joint survival probability). The discounted columns are the same times
-    D(0, t), and the se_ columns are Monte Carlo standard errors, zero where
-    the profile is computed exactly. Build one with ``from_expectations``.
+    name's default stopping the exposure: every backend of ``run_xva``
+    weights each state by the joint survival probability
+    exp(-(Lambda_C + Lambda_B)) to that time, on Monte Carlo along each
+    path, while ``exposure_profile`` on given default times counts the
+    paths that have defaulted as zero. The discounted columns are the same
+    times D(0, t), and the se_ columns are Monte Carlo standard errors, zero
+    where the profile is computed exactly. Build one with
+    ``from_expectations``.
     """
 
     times: np.ndarray
@@ -383,15 +396,22 @@ class ExposureProfile:
         return ["time", *names[1:]], list(zip(*(getattr(self, name) for name in names)))
 
 
-def _exposure_moments(alive, gap) -> tuple[float, float, float, float]:
+# the gap's positive part in the first row, its negative part in the second
+_BOTH_SIDES = np.array([[1.0], [-1.0]])
+
+
+def _exposure_moments(weight, gap) -> tuple[float, float, float, float]:
     """EPE, ENE and their standard errors at one grid time, from the
-    per-path gap V - C (or one number every path shares); paths not alive
-    count zero."""
-    gap = np.where(alive, gap, 0.0)
-    pos = np.maximum(gap, 0.0)
-    neg = np.maximum(-gap, 0.0)
-    sqrt_n = math.sqrt(len(gap))
-    return pos.mean(), neg.mean(), pos.std() / sqrt_n, neg.std() / sqrt_n
+    per-path gap V - C (or one number every path shares), each path's
+    positive and negative part weighted by weight: its survival
+    probability, or its 0/1 indicator of being alive."""
+    weighted = weight * np.maximum(gap * _BOTH_SIDES, 0.0)
+    means = weighted.mean(axis=1)
+    # the standard deviation as np.std forms it, from the means already taken
+    weighted -= means[:, None]
+    weighted *= weighted
+    se = np.sqrt(weighted.mean(axis=1)) / math.sqrt(weighted.shape[1])
+    return means[0], means[1], se[0], se[1]
 
 
 def exposure_profile(

@@ -7,17 +7,25 @@ The fair value solved here is
 with the default adjustments driven by CDS-implied intensities on the
 riskless close-out exposure (V^c - C)^± and the funding adjustments driven
 by each name's bond-CDS basis on the exposure of the *recursive* value
-(V - C)^±. Because V appears inside its own funding terms the equation is a
-fixed point, solved backwards in time on two backends:
+(V - C)^±. Every leg is a pre-default integral: its density at time t is
+D(0, t) S(t) spread(t) (gap)^±, with S the joint survival
+exp(-(Lambda_C + Lambda_B)) and, for the default legs, the spread
+pi = lambda (1 - R). Because V appears inside its own funding terms the
+equation is a fixed point, solved backwards in time on two backends:
 
 * Monte Carlo: one backward sweep over the grid (``_funding_trapezoid``).
-  The funding still to come at t_k depends on V at t_k and later only, so
-  each grid time is solved on its own, latest first: the sweep carries the
-  known funding tail from t_{k+1} on per path, and the slice's fixed point
-  is iterated by damped Picard (``_fixed_point``) on a polynomial
-  regression of the pathwise present values on the state at t_k
-  (Longstaff-Schwartz style; the regression-based BSDE schemes of Gobet,
-  Lemor and Warin). Each slice's regression basis is built once.
+  CVA and DVA are intensity integrals in the sweep, two more legs next to
+  the funding legs (the conditional Monte Carlo of a Cox process): each
+  path's survival is carried back from its integrated intensities, so no
+  default time is drawn, and a valuation ignores the default times of
+  supplied paths. The legs still to come at t_k depend on V at t_k and
+  later only, so each grid time is solved on its own, latest first: the
+  sweep carries the known tails from t_{k+1} on per path, and the slice's
+  fixed point is iterated by damped Picard (``_fixed_point``) on a
+  polynomial regression of the pathwise pre-default values of every path
+  on the state at t_k (Longstaff-Schwartz style; the regression-based BSDE
+  schemes of Gobet, Lemor and Warin). Each slice's regression basis is
+  built once.
 * Deterministic: when V^c is a deterministic function of time (cash-flow
   schedules, or zero-volatility dynamics) the equation collapses to a scalar
   Volterra integral equation on a dense grid, solved exactly in one
@@ -31,26 +39,28 @@ on V^c exposures, one pass) and ``bond_implied_value`` (no funding terms,
 defaults driven by bond-implied intensities).
 
 ``_valuation`` prepares each valuation once. On Monte Carlo that is one
-``_McRun`` (the paths with their default times, the V^c model, discount
-factors and the per-path default legs), which the method functions
-``_recursive_mc``, ``_first_order_mc`` and ``_bond_implied_mc`` consume; on
-the deterministic backend it is one ``_det_setup``; on Crank-Nicolson it is
-one ``pde_engine.solve_final_pde``, whose surfaces are read at s0 and
-assembled here like every other report. A Monte Carlo run holds no
-(n_paths, n_times) array besides the three path arrays: V^c, the
-collateral, survival and the solved values are derived one grid time at a
-time and used there, in the one per-time backward sweep
-(``_funding_trapezoid``). The recursive method solves each slice inside it;
-``first_order``, the full-spread legs of ``compare_aggregations`` and the
-public ``cfva`` and ``dfva`` integrate a gap that does not depend on the
-funding, and ``bond_implied`` walks it with no funding legs for its
-profile. ``run_xva`` asks for the exposure profile, whose per-time moments
-are taken in the same pass; ``fair_value_recursive``, ``first_order_value``
-and ``bond_implied_value`` ask for none. Bond mode, the counterparty's
-bond-side claim, is a substitution: the bank is replaced by
-``CounterpartyProfile.default_free()`` (it cannot default and funds at OIS)
-for every backend, and on Monte Carlo its spread pi_B is silenced on the
-paths as well.
+``_McRun`` (the paths, the V^c model, discount factors and the end of the
+cure window), which the method functions ``_recursive_mc``,
+``_first_order_mc`` and ``_bond_implied_mc`` consume; on the deterministic
+backend it is one ``_det_setup``; on Crank-Nicolson it is one
+``pde_engine.solve_final_pde``, whose surfaces are read at s0 and assembled
+here like every other report. A Monte Carlo run holds no (n_paths, n_times)
+array besides the three path arrays: V^c, the collateral, the close-out
+gap, survival and the solved values are derived one grid time at a time and
+used there, in the one per-time backward sweep (``_funding_trapezoid``),
+which keeps only the few V^c columns a cure window spans. The recursive
+method solves each slice inside it; ``first_order``, ``bond_implied`` (at
+the bond-implied intensities, with no funding legs), the full-spread legs
+of ``compare_aggregations`` and the public ``cfva`` and ``dfva`` integrate
+gaps that do not depend on the funding. The public ``cva``, ``dva`` and
+``ead_split_adjustment`` stay the estimators on given default times.
+``run_xva`` asks for the exposure profile, whose survival-weighted per-time
+moments are taken in the same pass; ``fair_value_recursive``,
+``first_order_value`` and ``bond_implied_value`` ask for none. Bond mode,
+the counterparty's bond-side claim, is a substitution: the bank is replaced
+by ``CounterpartyProfile.default_free()`` (it cannot default and funds at
+OIS) for every backend, and on Monte Carlo its spread pi_B is silenced on
+the paths as well.
 """
 
 from __future__ import annotations
@@ -61,7 +71,7 @@ import itertools
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.special import ndtr
@@ -295,6 +305,16 @@ class _ScheduleValuation:
         rc, ll = self.on_grid(paths), self.on_grid_left_limits(paths)
         return lambda k: (rc[k], ll[k])
 
+    def window_columns(self, paths: PathSet, shift: float, columns, steps):
+        """V^c at the end of the cure window, min(t_k + shift, maturity), and
+        its left limit there, as a function of k: numbers that every path
+        shares, from rows computed once. The terminal claim is clamped as in
+        ``at_default``; columns and steps are not needed."""
+        u = np.minimum(paths.times + shift, self.maturity)
+        rc = self.deterministic_values(u, clamp_terminal=shift > 0)
+        ll = self.deterministic_values(u, inclusive=True, clamp_terminal=shift > 0)
+        return lambda k: (rc[k], ll[k])
+
     def at_default(self, paths: PathSet, tau: np.ndarray, shift: float, rows=None) -> np.ndarray:
         u = np.minimum(tau + shift, self.maturity)
         u = np.where(np.isfinite(u), u, self.maturity)
@@ -321,14 +341,20 @@ class _PayoffValuation:
     def deterministic(self) -> bool:
         return self.dyn.vol_s == 0.0
 
-    def value(self, u, s) -> np.ndarray:
+    def discount(self, u) -> np.ndarray:
+        """The OIS discount factor from u (capped at expiry) to expiry."""
+        return np.exp(-(self._cum_T - self.ois.integral_from_zero(np.minimum(u, self.maturity))))
+
+    def value(self, u, s, disc=None) -> np.ndarray:
         """V^c at times u and levels s, broadcast: u (m,) against s (n_paths, m)
         gives the grid, with discount, growth and Black width once per time;
-        equal shapes value elementwise. At zero width (u >= expiry) it is the
+        equal shapes value elementwise. disc is ``discount(u)`` when the
+        caller has it already. At zero width (u >= expiry) it is the
         discounted intrinsic value."""
         u = np.asarray(u, dtype=float)
         tt = np.maximum(self.maturity - u, 0.0)
-        disc = np.exp(-(self._cum_T - self.ois.integral_from_zero(np.minimum(u, self.maturity))))
+        if disc is None:
+            disc = self.discount(u)
         fwd = s * np.exp((self.dyn.rate - self.dyn.dividend) * tt)
         k = self.instrument.strike
         if self.instrument.kind == "forward":
@@ -346,7 +372,8 @@ class _PayoffValuation:
             else:
                 out = k * ndtr(-d2) - fwd * ndtr(-d1)
         # u's shape trails the grid's, so its mask picks whole time columns
-        out[..., expired] = self.instrument.terminal_payoff(fwd[..., expired])
+        if np.any(expired):
+            out[..., expired] = self.instrument.terminal_payoff(fwd[..., expired])
         return disc * out
 
     def on_grid(self, paths: PathSet) -> np.ndarray:
@@ -360,8 +387,31 @@ class _PayoffValuation:
         per path, computed when asked for, bit for bit column k of
         ``on_grid``. One terminal payoff and no intermediate flows: the left
         limit is the value itself."""
+        discs = self.discount(paths.times)
+
         def at(k):
-            value = self.value(paths.times[k], paths.s[:, k])
+            value = self.value(paths.times[k], paths.s[:, k], discs[k])
+            return value, value
+
+        return at
+
+    def window_columns(self, paths: PathSet, shift: float, columns, steps):
+        """V^c at the end of the cure window, u = min(t_k + shift, expiry),
+        and its left limit there (the same), as a function of k: per path,
+        at u from the state at the last grid node at or before u, as
+        ``at_default`` reads it. When shift is a whole number of grid steps
+        (steps, else None) that is grid column k + steps, or the last one,
+        read from columns (``grid_columns`` or a cache of it)."""
+        times = paths.times
+        last = len(times) - 1
+        if steps is not None:
+            return lambda k: columns(min(k + steps, last))
+        u = np.minimum(times + shift, self.maturity)
+        node = np.clip(np.searchsorted(times, u, side="right") - 1, 0, last)
+        discs = self.discount(u)
+
+        def at(k):
+            value = self.value(u[k], paths.s[:, node[k]], discs[k])
             return value, value
 
         return at
@@ -498,58 +548,124 @@ def dva(
     return _default_leg(paths, v_coll, ois, recovery_b, collateral, "dva")
 
 
-def _density(weight, gap, spread, positive: bool):
-    """The funding integrand at one grid time, spread * (gap)^+ (positive)
-    or spread * (gap)^- weighted by weight = 1_alive * D(0, t)."""
-    return weight * (spread * np.maximum(gap if positive else -gap, 0.0))
+def _curve_spreads(curves, times: np.ndarray):
+    """Spreads that every path shares, one row per curve, at grid time k and
+    at its left limit, as a function of k: (rows, 1) columns, the left limit
+    the same array where no curve jumps at t_k."""
+    rc = np.array([curve.values_at(times) for curve in curves])
+    ll = np.array([curve.values_at(np.maximum(times - 1e-12, 0.0)) for curve in curves])
+    columns = []
+    for k in range(len(times)):
+        at = rc[:, k:k + 1]
+        columns.append((at, at if np.array_equal(at, ll[:, k:k + 1]) else ll[:, k:k + 1]))
+    return columns.__getitem__
 
 
-def _spread_on_grid(curve: PiecewiseCurve, times: np.ndarray):
-    """A curve's value at grid time k and its left limit there, as a
-    function of k."""
-    rc = curve.values_at(times)
-    ll = curve.values_at(np.maximum(times - 1e-12, 0.0))
-    return lambda k: (rc[k], ll[k])
+def _net(groups):
+    """Costs less benefits of (rows, sides) groups: the rows on the positive
+    side (costs) summed in order less the others (benefits) summed in
+    order. Exchanging the two sides negates it exactly, as a role swap
+    does."""
+    sums = [0.0, 0.0]
+    for rows, sides in groups:
+        for row, positive in zip(rows, sides):
+            sums[not positive] = sums[not positive] + row
+    return sums[0] - sums[1]
 
 
-def _funding_trapezoid(paths: PathSet, disc, gaps, legs, moments=None):
-    """The Monte Carlo backward sweep: per-path funding legs, one per
-    (spread, positive) in legs, the integral of
-    1_alive * D(0,s) * spread * (gap)^± ds over the grid, latest time first.
+def _sided(gap_rc, gap_ll, sign):
+    """(gap)^+ or (gap)^-, one row per leg (sign +1 or -1, a column), at a
+    grid time and at its left limit: the same array twice when the gap does
+    not jump there."""
+    at_rc = np.maximum(gap_rc * sign, 0.0)
+    return at_rc, at_rc if gap_ll is gap_rc else np.maximum(gap_ll * sign, 0.0)
 
-    gaps(k, funding) and spread(k) give the gap and the spread at grid time
-    t_k and at its left limit t_k-, per path or as numbers every path shares.
-    funding(gap) is each leg's funding from t_k on given the gap at t_k (no
-    density there for None), for a gap that is solved with it (the recursive
-    value); it is None at the last time. Each trapezoid segment uses the
-    right-continuous value at its left end and the left limit at its right
-    end, so that jumps at cash-flow dates are integrated correctly. No
-    (n_paths, n_times) array is made. When moments, a (4, n_times) array, is
-    given, the exposure moments of the gap at each t_k are written into it.
+
+def _funding_trapezoid(paths: PathSet, disc, survival, gaps, legs, moments=None,
+                       close_out=None):
+    """The Monte Carlo backward sweep: per-path legs, each the integral of
+    D(0,s) * survival(s) * spread * (gap)^± ds over the grid, latest time
+    first, in groups that share a gap.
+
+    legs holds the groups (spread, sides, fixed). sides holds each leg's
+    side: True for a cost on (gap)^+, False for a benefit on (gap)^-.
+    spread(k) gives the group's spreads at grid time t_k and at its left
+    limit t_k-, one row per leg or one row for all of them, per path or
+    shared, the left limit the same array where no spread jumps. A fixed
+    group integrates the gap that close_out(k) gives at t_k and t_k-, one
+    that does not depend on the solved value (the close-out gap of the
+    default legs); the other groups, the funding legs, integrate the gap
+    that gaps(k, funding) gives. survival(k) is each path's survival weight
+    at t_k, asked for latest time first (``_survival``'s walk, or 1_alive
+    on given default times). funding(gap) is the net of every leg from t_k
+    on (``_net``: costs less benefits) per unit of weight D(0, t_k)
+    survival(t_k), with the funding densities at t_k taken at gap (none for
+    None), for a gap that is solved with it (the recursive value); it is
+    None at the last time, where nothing remains. Each trapezoid segment
+    uses the right-continuous value at its left end and the left limit at
+    its right end, so that jumps at cash-flow dates are integrated
+    correctly. No (n_paths, n_times) array is made. When moments, a
+    (4, n_times) array, is given, the survival-weighted exposure moments of
+    the funding gap at each t_k are written into it. Returns each leg's
+    per-path values, group by group.
     """
     times = paths.times
     dt = np.diff(times)
     last = len(times) - 1
-    tails = [np.zeros(paths.n_paths) for _ in legs]
-    right = [None] * len(legs)  # each leg's g(t_{k+1}-)
+    signs = [np.array([[1.0 if positive else -1.0] for positive in sides])
+             for _, sides, _ in legs]
+    tails = [np.zeros((len(sides), paths.n_paths)) for _, sides, _ in legs]
+    right = [None] * len(legs)  # each group's densities at t_{k+1}-
     for k in range(last, -1, -1):
-        alive = paths.alive(times[k])
-        weight = alive * disc[k]
-        spreads = [(spread(k), positive) for spread, positive in legs]
+        surv = survival(k)
+        weight = disc[k] * surv
+        spreads = [spread(k) for spread, _, _ in legs]
+        own = close_out(k) if close_out is not None else None
+        parts = [None] * len(legs)  # each group's (gap)^± at t_k and t_k-
+        left = [None] * len(legs)  # each group's densities at t_k
+        half = 0.5 * dt[k] if k < last else None
 
-        def funding(gap):  # each tail from t_{k+1} plus 0.5 (g(t_k) + g(t_{k+1}-)) dt_k
-            left = [0.0 if gap is None else _density(weight, gap, rc, positive)
-                    for (rc, _), positive in spreads]
-            return [tail + 0.5 * (g + g_right) * dt[k]
-                    for tail, g, g_right in zip(tails, left, right)]
+        def advance(g):  # from t_{k+1} on to t_k on: + 0.5 (g(t_k) + g(t_{k+1}-)) dt_k
+            left[g] = weight * (spreads[g][0] * parts[g][0])
+            tails[g] += (left[g] + right[g]) * half
 
-        gap_rc, gap_ll = gaps(k, funding if k < last else None)
-        if moments is not None:
-            moments[:, k] = _exposure_moments(alive, gap_rc)
+        for g, (_, _, fixed) in enumerate(legs):
+            if fixed:
+                parts[g] = _sided(*own, signs[g])
+                if k < last:
+                    advance(g)
+
+        funding = settled = None  # nothing remains at the last time
         if k < last:
-            tails = funding(gap_rc)
-        right = [_density(weight, gap_ll, ll, positive) for (_, ll), positive in spreads]
-    return tails
+            def funding(gap):
+                nonlocal settled
+                if settled is None:  # every leg from t_k on but the funding densities at t_k
+                    settled = _net(
+                        (tails[g] if fixed else tails[g] + right[g] * half, sides)
+                        for g, (_, sides, fixed) in enumerate(legs)
+                    ) / weight
+                if gap is None:
+                    return settled
+                # each funding density at t_k per unit weight: spread * (gap)^±
+                return settled + _net(
+                    (half * (spreads[g][0] * np.maximum(gap * signs[g], 0.0)), sides)
+                    for g, (_, sides, fixed) in enumerate(legs) if not fixed
+                )
+
+        gap_rc, gap_ll = gaps(k, funding)
+        for g, (_, _, fixed) in enumerate(legs):
+            if not fixed:
+                parts[g] = _sided(gap_rc, gap_ll, signs[g])
+                if k < last:
+                    advance(g)
+        if moments is not None:
+            moments[:, k] = _exposure_moments(surv, gap_rc)
+        right = [
+            left[g] if left[g] is not None and parts[g][1] is parts[g][0] and ll is rc
+            else weight * (ll * parts[g][1])  # a jump at t_k: the left limit's own
+            for g, (rc, ll) in enumerate(spreads)
+        ]
+    return [row for group in tails for row in group]
 
 
 def _funding_leg(
@@ -566,7 +682,8 @@ def _funding_leg(
 
     disc = np.exp(-ois.integral_from_zero(paths.times))
     (per_path,) = _funding_trapezoid(
-        paths, disc, gaps, [(_spread_on_grid(basis, paths.times), positive)]
+        paths, disc, lambda k: paths.alive(paths.times[k]), gaps,
+        [(_curve_spreads((basis,), paths.times), (positive,), False)],
     )
     return _mean_and_se(per_path)
 
@@ -615,56 +732,55 @@ def _monomial_exponents(degree: int) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-def _slice_projection(paths: PathSet, alive: np.ndarray, k: int, degree: int):
+def _slice_projection(paths: PathSet, k: int, degree: int):
     """Regression of pathwise values at grid time k on the state there.
 
     Returns a function from per-path values to their fitted conditional
-    expectations, zero on paths not alive at t_k. The basis is every
-    monomial of total degree <= degree in the standardized (S, pi_C, pi_B)
-    of the alive paths. A factor that does not vary (zero volatility) enters
-    only at power 0: its monomials are left out of the basis, so the README
-    dynamics regress on the 4 powers of S alone; when no factor varies the
-    fit is the plain mean. Each live factor's powers 1, x, x*x, x*x*x, ...
-    are formed once by repeated multiplication, and each monomial is written
-    into one contiguous row of a (columns, alive paths) basis B as the
-    direct product of its factors' cached powers (ones for the constant),
-    the same bits as multiplying a row of ones by each factor in turn since
-    1.0 * x == x. B and the pseudo-inverse of its
-    Gram matrix B B^T are built once, so each fit is two thin mat-vecs. At
-    the last grid time the values are already measurable and are returned
-    as they are.
+    expectations, on every path: each path carries its pre-default value.
+    The basis is every monomial of total degree <= degree in the
+    standardized (S, pi_1, pi_2), where pi_1 and pi_2 are the two spreads in
+    an order that does not depend on which name is which (by center, spread
+    and then the values themselves), so that a role swap regresses on the
+    same basis, bit for bit. A factor that does not vary (zero volatility)
+    enters only at power 0: its monomials are left out of the basis, so the
+    README dynamics regress on the 4 powers of S alone; when no factor
+    varies the fit is the plain mean. Each live factor's powers 1, x, x*x,
+    x*x*x, ... are formed once by repeated multiplication, and each monomial
+    is written into one contiguous row of a (columns, n_paths) basis B as
+    the direct product of its factors' cached powers (ones for the
+    constant), the same bits as multiplying a row of ones by each factor in
+    turn since 1.0 * x == x. B and the pseudo-inverse of its Gram matrix
+    B B^T are built once, so each fit is two thin mat-vecs. At the last grid
+    time the values are already measurable and are returned as they are.
     """
-    mask = alive
-    n_alive = int(mask.sum())
-
-    def fitted(values):
-        out = np.zeros(len(mask))
-        out[mask] = values
-        return out
-
-    if n_alive == 0:
-        return lambda pv: np.zeros(len(mask))
     if k == len(paths.times) - 1:
-        return lambda pv: fitted(pv[mask])
+        return lambda pv: pv
+    state = [(raw.mean(), raw.std(), raw)
+             for raw in (paths.s[:, k], paths.pi_c[:, k], paths.pi_b[:, k])]
+    first, second = state[1:]
+    if first[:2] == second[:2]:  # a tie: the values decide
+        swap = second[2].tobytes() < first[2].tobytes()
+    else:
+        swap = second[:2] < first[:2]
+    if swap:
+        state[1:] = second, first
     powers = []  # per factor: its powers 0..degree, or None if it is constant
-    for raw in (paths.s[:, k], paths.pi_c[:, k], paths.pi_b[:, k]):
-        x = raw[mask]
-        center, spread = x.mean(), x.std()
+    for center, spread, raw in state:
         if spread < 1e-13 * max(1.0, abs(center)):
             powers.append(None)
             continue
-        x = (x - center) / spread
+        x = (raw - center) / spread
         cached = [None, x]  # power 0 never enters a product
         for _ in range(degree - 1):
             cached.append(cached[-1] * x)
         powers.append(cached)
     if all(p is None for p in powers):
-        return lambda pv: fitted(pv[mask].mean())
+        return lambda pv: np.full(paths.n_paths, pv.mean())
     exponents = [
         e for e in _monomial_exponents(degree)
         if all(p is not None or power == 0 for p, power in zip(powers, e))
     ]
-    basis = np.empty((len(exponents), n_alive))
+    basis = np.empty((len(exponents), paths.n_paths))
     for row, e in zip(basis, exponents):
         factors = [p[power] for p, power in zip(powers, e) if power]
         if len(factors) < 2:
@@ -674,7 +790,7 @@ def _slice_projection(paths: PathSet, alive: np.ndarray, k: int, degree: int):
         for factor in factors[2:]:
             np.multiply(row, factor, out=row)
     pinv = np.linalg.pinv(basis @ basis.T, rcond=1e-10)
-    return lambda pv: fitted((pinv @ (basis @ pv[mask])) @ basis)
+    return lambda pv: (pinv @ (basis @ pv)) @ basis
 
 
 # ---------------------------------------------------------------------------
@@ -684,41 +800,86 @@ def _slice_projection(paths: PathSet, alive: np.ndarray, k: int, degree: int):
 
 @dataclass(frozen=True, eq=False)
 class _McRun:
-    """A prepared Monte Carlo valuation: the paths (their three path arrays
-    and default times), the V^c model, the collateral spec, the discount
-    factors at the grid times and the per-path default legs. V^c, the
-    collateral and survival are derived one grid time at a time, by
-    ``at_time`` and ``PathSet.alive``, where they are used; a run holds no
-    other (n_paths, n_times) array."""
+    """A prepared Monte Carlo valuation: the paths (their three path
+    arrays), the V^c model, the collateral spec and the discount factors at
+    the grid times. V^c, the collateral and the close-out gap are derived
+    one grid time at a time, by ``at_time`` and ``close_out``, where they
+    are used; a run holds no other (n_paths, n_times) array, only the few
+    V^c columns that a cure window spans."""
 
     paths: PathSet
     model: object
     collateral: CollateralSpec
     vc_at: Callable  # grid index -> (V^c there, its left limit): model.grid_columns
+    window: Callable  # grid index -> V^c at the end of the cure window: model.window_columns
     disc: np.ndarray
-    def_loss: np.ndarray  # per-path discounted CVA leg
-    def_gain: np.ndarray  # per-path discounted DVA leg
+    latest: dict = field(default_factory=dict)  # the last at_time, by grid index
 
     def at_time(self, k: int):
         """V^c at grid time k, its left limit there, and the collateral on
-        each: per path, or numbers that every path shares."""
-        vc_rc, vc_ll = self.vc_at(k)
-        posted_rc = collateral_amount(self.collateral, vc_rc)
-        posted_ll = posted_rc if vc_ll is vc_rc else collateral_amount(self.collateral, vc_ll)
-        return vc_rc, vc_ll, posted_rc, posted_ll
+        each: per path, or numbers that every path shares. The sweep asks
+        for each time twice (its gap and its close-out), so the latest is
+        kept."""
+        if k not in self.latest:
+            vc_rc, vc_ll = self.vc_at(k)
+            posted_rc = collateral_amount(self.collateral, vc_rc)
+            posted_ll = posted_rc if vc_ll is vc_rc else collateral_amount(self.collateral, vc_ll)
+            self.latest.clear()
+            self.latest[k] = vc_rc, vc_ll, posted_rc, posted_ll
+        return self.latest[k]
 
     def gaps(self, k: int, funding):
-        """The close-out gap V^c - C at grid time k and at its left limit;
-        as a ``_funding_trapezoid`` callback it ignores the funding."""
+        """The gap V^c - C at grid time k and at its left limit; as a
+        ``_funding_trapezoid`` callback it ignores the funding."""
         vc_rc, vc_ll, posted_rc, posted_ll = self.at_time(k)
-        return vc_rc - posted_rc, vc_ll - posted_ll
+        return _gap_pair(vc_rc, vc_ll, posted_rc, posted_ll)
+
+    def close_out(self, k: int):
+        """The riskless close-out gap of a default at grid time k and at its
+        left limit: V^c at the end of the cure window less the collateral
+        frozen at t_k."""
+        _, _, posted_rc, posted_ll = self.at_time(k)
+        return _gap_pair(*self.window(k), posted_rc, posted_ll)
+
+
+def _gap_pair(value_rc, value_ll, posted_rc, posted_ll):
+    """value - posted at a time and at its left limit: one array twice when
+    neither jumps there."""
+    gap = value_rc - posted_rc
+    if value_ll is value_rc and posted_ll is posted_rc:
+        return gap, gap
+    return gap, value_ll - posted_ll
+
+
+def _whole_steps(times: np.ndarray, shift: float) -> int | None:
+    """shift as a whole number of the grid's (uniform) steps, or None."""
+    steps = shift / (times[1] - times[0])
+    whole = round(steps)
+    return whole if abs(steps - whole) <= 1e-9 * max(1.0, steps) else None
+
+
+def _remembered(at: Callable, steps: int, last: int) -> Callable:
+    """at(k), kept while a backward sweep over grid times last, ..., 0 still
+    needs it: at the current time and at the end of each cure window of
+    steps grid steps that is still to be read, min(k' + steps, last) for
+    k' <= k. At most steps + 1 columns and, for a window past the
+    horizon, two."""
+    kept = {}
+
+    def cached(k):
+        if k not in kept:
+            low, high = min(steps, last), min(k + steps, last)
+            for key in [key for key in kept if not (key == k or low <= key <= high)]:
+                del kept[key]
+            kept[k] = at(k)
+        return kept[k]
+
+    return cached
 
 
 def _prepare_mc(
     instrument: Instrument,
     ois: PiecewiseCurve,
-    counterparty: CounterpartyProfile,
-    bank: CounterpartyProfile,
     collateral: CollateralSpec,
     dyn: ModelDynamics,
     n_paths: int,
@@ -729,9 +890,10 @@ def _prepare_mc(
     paths: PathSet | None = None,
 ) -> _McRun:
     """What every Monte Carlo method uses: the paths (simulated unless
-    supplied) with their default times, the V^c model, discount factors and
-    the per-path default legs. bond_mode silences the bank's spread and
-    default on the paths."""
+    supplied), the V^c model and its columns, discount factors and the end
+    of the cure window. Default times on supplied paths are not used: the
+    default legs are intensity integrals along the spread paths, so the run
+    drops them. bond_mode silences the bank's spread on the paths."""
     horizon = instrument.maturity
     if paths is None:
         if dyn is None:
@@ -739,27 +901,108 @@ def _prepare_mc(
         paths = simulate_paths(dyn, horizon, n_steps, n_paths, seed, n_workers)
     elif abs(paths.horizon - horizon) > 1e-12:
         raise ValueError("supplied paths do not span the trade maturity")
-    if paths.tau_c is None or paths.tau_b is None:
-        paths = sample_default_times(paths, counterparty.recovery, bank.recovery)
-    if bond_mode:
-        paths = replace(
-            paths, pi_b=np.broadcast_to(0.0, paths.pi_b.shape),
-            tau_b=np.full(paths.n_paths, np.inf),
-        )
+    silenced = {"pi_b": np.broadcast_to(0.0, paths.pi_b.shape)} if bond_mode else {}
+    paths = replace(paths, tau_c=None, tau_b=None, **silenced)
     model = make_collateralized_valuation(instrument, ois, dyn)
-    def_loss = _default_leg_pathwise(
-        paths, model, ois, counterparty.recovery, collateral, "cva"
-    )
-    def_gain = _default_leg_pathwise(paths, model, ois, bank.recovery, collateral, "dva")
+    shift = collateral.cure_period
+    steps = _whole_steps(paths.times, shift)
+    vc_at = _remembered(model.grid_columns(paths), steps or 0, paths.n_steps)
     return _McRun(
         paths=paths,
         model=model,
         collateral=collateral,
-        vc_at=model.grid_columns(paths),
+        vc_at=vc_at,
+        window=model.window_columns(paths, shift, vc_at, steps),
         disc=np.exp(-ois.integral_from_zero(paths.times)),
-        def_loss=def_loss,
-        def_gain=def_gain,
     )
+
+
+class _DefaultSpreads:
+    """Both names' default spreads on the paths, one row each, the
+    counterparty's first, at grid time k and its left limit, as a function
+    of k: each name's spread pi = lambda (1 - R) floored at zero or,
+    bond-implied, max(pi + gamma, 0) with gamma its basis curve. A name's
+    intensity is its spread over 1 - R. The latest time is kept: the
+    survival walk and the legs ask for each time in turn."""
+
+    def __init__(self, paths: PathSet, counterparty, bank, bond_implied: bool):
+        for label, profile in (("counterparty", counterparty), ("bank", bank)):
+            if not profile.recovery < 1.0:
+                raise ValueError(
+                    f"the {label} recovery must be below 1 on the Monte Carlo backend, "
+                    f"got {profile.recovery!r}"
+                )
+        times = paths.times
+        self.pi = paths.pi_c, paths.pi_b
+        self.shifted = bond_implied
+        bases = [profile.basis if bond_implied else PiecewiseCurve.flat(0.0)
+                 for profile in (counterparty, bank)]
+        self.gamma = np.array([basis.values_at(times) for basis in bases])
+        self.gamma_ll = np.array(
+            [basis.values_at(np.maximum(times - 1e-12, 0.0)) for basis in bases]
+        )
+        self.jumps = np.any(self.gamma_ll != self.gamma, axis=0)
+        # intensity * dt per unit of spread over each grid step, per name
+        recoveries = np.array([[counterparty.recovery], [bank.recovery]])
+        self.steps = np.diff(times)[None, :] / (1.0 - recoveries)
+        self.latest = (None, None)
+
+    def __call__(self, k: int):
+        if self.latest[0] != k:
+            rc = self._floored(k, self.gamma[:, k])
+            ll = self._floored(k, self.gamma_ll[:, k]) if self.jumps[k] else rc
+            self.latest = k, (rc, ll)
+        return self.latest[1]
+
+    def _floored(self, k, gamma):
+        out = np.empty((2, len(self.pi[0])))
+        for row, pi, shift in zip(out, self.pi, gamma):
+            np.maximum(pi[:, k] + shift if self.shifted else pi[:, k], 0.0, out=row)
+        return out
+
+    def step(self, j: int) -> np.ndarray:
+        """The two names' intensity * dt over grid step j, summed, per path."""
+        scaled = self(j)[0] * self.steps[:, j:j + 1]
+        return scaled[0] + scaled[1]
+
+
+def _survival(paths: PathSet, spreads: _DefaultSpreads) -> Callable:
+    """Each path's survival exp(-(Lambda_C + Lambda_B)) at grid time k, as a
+    function of k that is asked for latest time first, as the backward
+    sweep does. Lambda is each name's left-endpoint sum of intensity * dt
+    over the grid steps before t_k. Their sum is one per-path vector, the
+    whole grid's first and then carried back one step at a time; the names
+    enter each step as a sum of two, so a role swap leaves the survival
+    unchanged, bit for bit."""
+    clock = np.zeros(paths.n_paths)  # -(Lambda_C + Lambda_B)
+    for j in range(paths.n_steps):
+        clock -= spreads.step(j)
+    at = paths.n_steps
+
+    def survival(k):
+        nonlocal at
+        if k > at:
+            raise ValueError(f"the survival walk is at grid time {at}, past {k}")
+        for j in range(at - 1, k - 1, -1):
+            np.add(clock, spreads.step(j), out=clock)
+        at = k
+        return np.exp(clock)
+
+    return survival
+
+
+def _default_legs(paths: PathSet, counterparty, bank, bond_implied: bool = False):
+    """The survival walk of a sweep and its CVA and DVA legs: the fixed
+    group D S pi_C (gap)^+ and D S pi_B (gap)^- on the close-out gap, with
+    the CDS-implied intensities or, bond_implied, the bond-implied
+    max(pi + gamma, 0) / (1 - R) in the spreads and the survival S."""
+    spreads = _DefaultSpreads(paths, counterparty, bank, bond_implied)
+    return _survival(paths, spreads), [(spreads, (True, False), True)]
+
+
+def _funding_legs(paths: PathSet, counterparty, bank):
+    """The CFVA and DFVA legs: each name's basis on the funded gap."""
+    return [(_curve_spreads((counterparty.basis, bank.basis), paths.times), (True, False), False)]
 
 
 def _mc_report(run: _McRun, loss, gain, cf, df, method: str, **kw) -> XvaReport:
@@ -768,7 +1011,8 @@ def _mc_report(run: _McRun, loss, gain, cf, df, method: str, **kw) -> XvaReport:
         _mean_and_se, (loss, gain, cf, df)
     )
     vc0 = np.broadcast_to(run.vc_at(0)[0], (run.paths.n_paths,))
-    pv0 = vc0 - loss + gain - cf + df
+    # costs less benefits, so that a role swap negates each path exactly
+    pv0 = vc0 - ((loss + cf) - (gain + df))
     return _assemble(
         float(vc0.mean()), cva_v, dva_v, cfva_v, dfva_v,
         method=method,
@@ -800,98 +1044,99 @@ def _recursive_mc(
     """The recursive value on a prepared run, solved in the backward sweep
     of ``_funding_trapezoid``.
 
-    At grid time t_k the pathwise present value is
-    V^c - (CVA - DVA legs after t_k) / D(t_k) - (CF_k - DF_k) / D(t_k), with
-    CF_k, DF_k the funding cost and benefit from t_k on in time-0 dollars:
-    the trapezoid segments 0.5 * (g(t_j) + g(t_{j+1}-)) * dt_j, j >= k, of
-    g_C = 1_alive * D * gamma_C (V-C)^+ and g_B = 1_alive * D * gamma_B (V-C)^-.
-    Only the segment from t_k involves V(t_k), so once the sweep has solved
-    the later times, the slice's fixed point is iterated alone: the sweep
-    calls ``solve`` at t_k, which runs damped Picard (``_fixed_point``) on a
-    regression of the pathwise values on the state at t_k, with the sweep's
-    funding from t_k on, and returns V - C. At t_0 the sweep's funding legs
-    are the report's per-path CFVA and DFVA. With profile, the exposure
-    moments of the solved values are taken as each time is solved. Returns
-    the report and the exposure profile (None without profile).
+    At grid time t_k the pathwise pre-default value is
+    V^c - (CVA_k - DVA_k + CF_k - DF_k) / (D(t_k) S(t_k)), with CVA_k,
+    DVA_k, CF_k and DF_k the legs from t_k on in time-0 dollars: the
+    trapezoid segments 0.5 * (g(t_j) + g(t_{j+1}-)) * dt_j, j >= k, of
+    g_CVA = D S pi_C (V^c_cure - C)^+, g_DVA = D S pi_B (V^c_cure - C)^-,
+    g_C = D S gamma_C (V-C)^+ and g_B = D S gamma_B (V-C)^-, S each path's
+    survival. Only the funding segments from t_k involve V(t_k), so once the
+    sweep has solved the later times, the slice's fixed point is iterated
+    alone: the sweep calls ``solve`` at t_k, which runs damped Picard
+    (``_fixed_point``) on a regression of the pathwise values of every path
+    on the state at t_k, with the sweep's legs from t_k on, and returns
+    V - C. Its contraction factor is 0.5 * dt_k * max(gamma_C, gamma_B). At
+    t_0 the sweep's legs are the report's per-path CVA, DVA, CFVA and DFVA.
+    With profile, the exposure moments of the solved values are taken as
+    each time is solved. Returns the report and the exposure profile (None
+    without profile).
     """
     paths = run.paths
     times = paths.times
     scale = notional_scale(instrument)
     iterations, residual, unconverged = 0, 0.0, []
+    survival, legs = _default_legs(paths, counterparty, bank)
+    legs += _funding_legs(paths, counterparty, bank)
+    gammas = legs[1][0]
 
     def solve(k, funding):
         nonlocal iterations, residual
         vc_rc, vc_ll, posted_rc, posted_ll = run.at_time(k)
-        # pathwise default legs seen from t_k, in time-0 dollars
-        after = (run.def_loss * (paths.tau_c > times[k])
-                 - run.def_gain * (paths.tau_b > times[k]))
-        base_pv = vc_rc - after / run.disc[k]
-        project = _slice_projection(paths, paths.alive(times[k]), k, params.regression_degree)
-        if funding is None:
-            v = project(base_pv)  # no funding remains at maturity
+        project = _slice_projection(paths, k, params.regression_degree)
+        if funding is None:  # nothing remains at maturity
+            v = project(np.broadcast_to(vc_rc, (paths.n_paths,)))
         else:
-            def step(v):  # no density at t_k when v is None
-                cf, df = funding(None if v is None else v - posted_rc)
-                return project(base_pv - (cf - df) / run.disc[k])
+            def step(v):  # no funding density at t_k when v is None
+                return project(vc_rc - funding(None if v is None else v - posted_rc))
 
             v, its, res, ok = _fixed_point(step, step(None), params, scale)
             iterations = max(iterations, its)
             residual = max(residual, res)
             if not ok:
-                unconverged.append(times[k])
+                factor = 0.5 * (times[k + 1] - times[k]) * float(gammas(k)[0].max())
+                unconverged.append((times[k], factor))
         # deterministic cash-flow jumps are carried by V too
-        return v - posted_rc, v + (vc_ll - vc_rc) - posted_ll
+        return _gap_pair(v, v if vc_ll is vc_rc else v + (vc_ll - vc_rc), posted_rc, posted_ll)
 
     moments = np.empty((4, len(times))) if profile else None
-    legs = [(_spread_on_grid(counterparty.basis, times), True),
-            (_spread_on_grid(bank.basis, times), False)]
-    cf, df = _funding_trapezoid(paths, run.disc, solve, legs, moments)
+    loss, gain, cf, df = _funding_trapezoid(
+        paths, run.disc, survival, solve, legs, moments, run.close_out
+    )
     if unconverged:
+        first, factor = unconverged[0]
         warnings.warn(
             f"recursive solver hit max_iter={params.max_iter} with residual "
             f"{residual:.3e}; the first grid time of the backward sweep that did "
-            f"not converge is t={unconverged[0]:.6g}", RuntimeWarning,
+            f"not converge is t={first:.6g}, where the slice's Picard contraction "
+            f"factor 0.5 * dt * max(gamma_C, gamma_B) is {factor:.4g}", RuntimeWarning,
         )
     report = _mc_report(
-        run, run.def_loss, run.def_gain, cf, df, "recursive_mc",
+        run, loss, gain, cf, df, "recursive_mc",
         iterations=iterations, residual=residual, converged=not unconverged,
     )
     return report, _mc_profile(run, moments)
 
 
+def _first_order_legs(run: _McRun, counterparty, bank, moments=None, extra=()):
+    """The per-path CVA, DVA, CFVA and DFVA of first_order, funding charged
+    on the V^c exposure, and those of the extra funding groups on the same
+    gap, all in one sweep."""
+    survival, legs = _default_legs(run.paths, counterparty, bank)
+    legs += _funding_legs(run.paths, counterparty, bank) + list(extra)
+    return _funding_trapezoid(
+        run.paths, run.disc, survival, run.gaps, legs, moments, run.close_out
+    )
+
+
 def _first_order_mc(run: _McRun, counterparty, bank, profile: bool = False):
     """Funding charged on the V^c exposure, one pass; the report and the V^c
     exposure profile (None without profile)."""
-    times = run.paths.times
-    moments = np.empty((4, len(times))) if profile else None
-    legs = [(_spread_on_grid(counterparty.basis, times), True),
-            (_spread_on_grid(bank.basis, times), False)]
-    cf, df = _funding_trapezoid(run.paths, run.disc, run.gaps, legs, moments)
-    report = _mc_report(run, run.def_loss, run.def_gain, cf, df, "first_order")
+    moments = np.empty((4, len(run.paths.times))) if profile else None
+    report = _mc_report(run, *_first_order_legs(run, counterparty, bank, moments), "first_order")
     return report, _mc_profile(run, moments)
 
 
-def _bond_implied_mc(run: _McRun, ois, counterparty, bank, collateral, profile: bool = False):
-    """No funding terms, defaults resampled at the bond-implied intensities;
-    the report and the V^c exposure profile (None without profile). Without
-    profile, V^c is needed at t_0 only."""
-    shifted = sample_default_times(
-        run.paths,
-        counterparty.recovery,
-        bank.recovery,
-        basis_c=counterparty.basis,
-        basis_b=bank.basis,
+def _bond_implied_mc(run: _McRun, counterparty, bank, profile: bool = False):
+    """No funding terms, the default legs and the survival at the
+    bond-implied intensities; the report and the V^c exposure profile,
+    survival-weighted at those intensities (None without profile)."""
+    moments = np.empty((4, len(run.paths.times))) if profile else None
+    survival, legs = _default_legs(run.paths, counterparty, bank, bond_implied=True)
+    loss, gain = _funding_trapezoid(
+        run.paths, run.disc, survival, run.gaps, legs, moments, run.close_out
     )
-    loss = _default_leg_pathwise(
-        shifted, run.model, ois, counterparty.recovery, collateral, "cva"
-    )
-    gain = _default_leg_pathwise(shifted, run.model, ois, bank.recovery, collateral, "dva")
     no_funding = np.zeros(run.paths.n_paths)
     report = _mc_report(run, loss, gain, no_funding, no_funding, "bond_implied")
-    if not profile:
-        return report, None
-    moments = np.empty((4, len(run.paths.times)))
-    _funding_trapezoid(run.paths, run.disc, run.gaps, [], moments)
     return report, _mc_profile(run, moments)
 
 
@@ -1083,14 +1328,14 @@ def _valuation(
         bank = CounterpartyProfile.default_free()
     if backend == "mc":
         run = _prepare_mc(
-            instrument, ois, counterparty, bank, collateral, dyn,
-            n_paths, n_steps, seed, bond_mode, n_workers, paths,
+            instrument, ois, collateral, dyn, n_paths, n_steps, seed, bond_mode,
+            n_workers, paths,
         )
         if method == "recursive":
             return _recursive_mc(run, instrument, counterparty, bank, params, profile)
         if method == "first_order":
             return _first_order_mc(run, counterparty, bank, profile)
-        return _bond_implied_mc(run, ois, counterparty, bank, collateral, profile)
+        return _bond_implied_mc(run, counterparty, bank, profile)
     if backend != "pde":
         raise ValueError(f"unknown backend {backend!r}")
 
@@ -1138,11 +1383,14 @@ def run_xva(
     paths and grid. backend "pde" routes underlying-independent trades (and
     zero-vol dynamics) to the deterministic Volterra solver, and payoff
     trades to the Crank-Nicolson engine; backend "mc" simulates paths (or
-    takes the supplied ones) and prepares them once for the method. method
-    is one of recursive / first_order / bond_implied. bond_mode values the
-    counterparty's bond-side claim: the bank is replaced by one that cannot
-    default and funds at OIS, and on "mc" its spread pi_B is silenced on the
-    paths.
+    takes the supplied ones) and prepares them once for the method. On "mc"
+    CVA and DVA integrate each name's intensity along its spread path, so
+    default times on supplied paths (``sample_default_times``) are ignored.
+    method is one of recursive / first_order / bond_implied. bond_mode
+    values the counterparty's bond-side claim: the bank is replaced by one
+    that cannot default and funds at OIS, and on "mc" its spread pi_B is
+    silenced on the paths. The exposure profile is weighted by the joint
+    survival on every backend.
     """
     return _valuation(True, instrument, ois, counterparty, bank, collateral, **knobs)
 
@@ -1230,9 +1478,10 @@ def compare_aggregations(
     * cva_dva_fca: V^c - CVA + DVA - FCA (asymmetric funding cost only)
 
     kwargs are run_xva's. The valuation is prepared once, and its first_order
-    exposure serves the full-spread legs too, except in bond mode: there the
-    full-spread legs keep the bank as it is, on a run (or grid) of their own,
-    and on "mc" the paths are still simulated once.
+    exposure serves the full-spread legs too, on "mc" in the same sweep,
+    except in bond mode: there the full-spread legs keep the bank as it is,
+    on a run (or grid) of their own, and on "mc" the paths are still
+    simulated once.
     """
     collateral = collateral or CollateralSpec.none()
     # run_xva's knobs with their defaults; an unknown keyword is a TypeError
@@ -1245,29 +1494,33 @@ def compare_aggregations(
     # the full-spread legs price the bank as it is (run, setup); bond mode
     # values against a default-free bank, prepared a second time (valued)
     if opt["backend"] == "mc":
-        def prepare(profile, bond_mode, paths):
+        def prepare(bond_mode, paths):
             return _prepare_mc(
-                instrument, ois, counterparty, profile, collateral, opt["dyn"],
-                opt["n_paths"], opt["n_steps"], opt["seed"], bond_mode,
-                opt["n_workers"], paths,
+                instrument, ois, collateral, opt["dyn"], opt["n_paths"], opt["n_steps"],
+                opt["seed"], bond_mode, opt["n_workers"], paths,
             )
 
-        run = valued = prepare(bank, False, opt["paths"])
-        valued_bank = bank
-        if opt["bond_mode"]:
-            valued_bank = CounterpartyProfile.default_free()
-            valued = prepare(valued_bank, True, run.paths)
-        report, _ = _first_order_mc(valued, counterparty, valued_bank)
+        run = prepare(False, opt["paths"])
         # the stochastic part of the bank's funding spread rides on pi_B
-        basis = _spread_on_grid(bank.basis, run.paths.times)
+        basis = _curve_spreads((bank.basis,), run.paths.times)
         pi_b = run.paths.pi_b
 
         def full_spread(k):
-            return tuple(pi_b[:, k] + gamma for gamma in basis(k))
+            (rc, ll), pi = basis(k), pi_b[:, k]
+            at = pi + rc
+            return at, at if ll is rc else pi + ll
 
-        fca_path, fba_path = _funding_trapezoid(
-            run.paths, run.disc, run.gaps, [(full_spread, True), (full_spread, False)]
-        )
+        full = [(full_spread, (True, False), False)]
+        if opt["bond_mode"]:
+            valued = prepare(True, run.paths)
+            report, _ = _first_order_mc(valued, counterparty, CounterpartyProfile.default_free())
+            survival, _ = _default_legs(run.paths, counterparty, bank)
+            fca_path, fba_path = _funding_trapezoid(
+                run.paths, run.disc, survival, run.gaps, full
+            )
+        else:  # the full-spread legs ride in the first_order sweep
+            *legs, fca_path, fba_path = _first_order_legs(run, counterparty, bank, extra=full)
+            report = _mc_report(run, *legs, "first_order")
         fca, fba = float(fca_path.mean()), float(fba_path.mean())
     elif opt["backend"] == "pde":
         params = opt["params"] or SolverParams()

@@ -182,7 +182,9 @@ def test_role_swap_flips_the_sign_of_the_valuation():
         inst.negated(), OIS, us, them, method="recursive", backend="mc",
         paths=swap_roles(paths), params=tight,
     )
-    assert abs(ours.fair_value + theirs.fair_value) <= 1e-6 * 100.0
+    # both slices regress on the same basis, and every leg goes through the
+    # same arithmetic with the roles exchanged, so the negation is exact
+    assert theirs.fair_value == -ours.fair_value
     assert time.monotonic() - start < 30.0
 
 

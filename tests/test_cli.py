@@ -601,7 +601,7 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "command, base, path",
         [
-            # the variance of the log-price overflows in the simulation
+            # the square of the volatility overflows; ModelDynamics names it
             ("xva", XVA_MC_CFG, ("dynamics", "vol_s")),
             # a discount factor's exponent overflows in the bond pricer
             ("calibrate", CALIBRATE_CFG, ("quotes", 0, "bond", "pay_times", 1)),
@@ -616,6 +616,29 @@ class TestConfigErrors:
         assert code == 2
         assert out == ""
         assert "invalid config" in err
+
+    @pytest.mark.parametrize("key", ["vol_s", "vol_c", "vol_b"])
+    def test_an_overflowing_volatility_is_named(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path, with_value(XVA_MC_CFG, ("dynamics", key), 1e308))
+        code, out, err = run_cli(["xva", "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"ModelDynamics.{key} is 1e+308: its square overflows" in err
+
+    @pytest.mark.parametrize(
+        "collateral, key",
+        [({"mode": "perfect", "threshold": 7}, "threshold"),
+         ({"mode": "none", "offset": 50}, "offset")],
+        ids=["perfect-threshold", "none-offset"],
+    )
+    def test_a_collateral_parameter_its_mode_ignores_exits_2(
+        self, tmp_path, capsys, collateral, key
+    ):
+        cfg = write_config(tmp_path, with_value(XVA_MC_CFG, ("collateral",), collateral))
+        code, out, err = run_cli(["xva", "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"CollateralSpec.{key} is {collateral[key]:.1f}, but mode {collateral['mode']!r}" in err
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_fewer_than_one_worker_is_a_config_error(self, tmp_path, capsys, workers):

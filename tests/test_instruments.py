@@ -121,6 +121,16 @@ class TestCollateralSpec:
         with pytest.raises(ValueError, match="cure period"):
             CollateralSpec.none(cure_period=-0.1)
 
+    @pytest.mark.parametrize(
+        "mode, field", [("none", "threshold"), ("perfect", "threshold"),
+                        ("constant_offset", "threshold"), ("none", "offset"),
+                        ("perfect", "offset"), ("bilateral_threshold", "offset")],
+    )
+    def test_a_parameter_the_mode_ignores_is_refused_unless_zero(self, mode, field):
+        with pytest.raises(ValueError, match=f"CollateralSpec.{field} is 2.0, but mode '{mode}'"):
+            CollateralSpec(mode=mode, **{field: 2.0})
+        assert getattr(CollateralSpec(mode=mode, **{field: 0.0}), field) == 0.0
+
     def test_factories(self):
         assert CollateralSpec.none().mode == "none"
         assert CollateralSpec.perfect().mode == "perfect"

@@ -221,7 +221,12 @@ class TestReportAssembly:
             method="recursive", backend="mc", dyn=self.DYN,
             n_paths=40_000, n_steps=50, seed=505,
         )
-        assert abs(mc.fair_value - pde.fair_value) < 3 * mc.se_fair_value
+        # the simulated V^c is Black's formula at s0, while the grid's carries
+        # its own discretization error (2.2e-3 here): the adjustments are
+        # compared within the Monte Carlo error, V^c within the grid's
+        adjustments = (mc.fair_value - mc.v_coll, pde.fair_value - pde.v_coll)
+        assert abs(adjustments[0] - adjustments[1]) < 3 * mc.se_fair_value
+        assert abs(mc.v_coll - pde.v_coll) < 5e-3
         assert abs(mc.cva - pde.cva) < 3 * mc.se_cva
         assert mc.dva == 0.0 and pde.dva == 0.0
         # funding legs carry a small regression bias on the simulated route,

@@ -1,9 +1,11 @@
 """Tests for the valuation engine: adjustment legs, fixed point, reports."""
 
 import itertools
+import json
 import math
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +29,7 @@ from bondxva.mc_engine import (
     simulate_paths,
     swap_roles,
 )
-from bondxva import pde_engine, xva_engine
+from bondxva import cli, mc_engine, pde_engine, xva_engine
 from bondxva.pde_engine import SpatialGrid
 from bondxva.xva_engine import (
     ConvergenceError,
@@ -90,6 +92,20 @@ def _alive_grid(paths):
     return np.column_stack([paths.alive(t) for t in paths.times])
 
 
+def _survival_grid(paths, counterparty, bank, bond_implied=False):
+    """Each path's survival exp(-(Lambda_C + Lambda_B)) at every grid time,
+    (n_paths, n_times): Lambda the left-endpoint sum of the intensity
+    max(pi, 0) / (1 - R), or max(pi + gamma, 0) / (1 - R) when
+    bond_implied, times dt, summed forward in time."""
+    times = paths.times
+    total = np.zeros(paths.s.shape)
+    for pi, profile in ((paths.pi_c, counterparty), (paths.pi_b, bank)):
+        shift = profile.basis.values_at(times)[None, :] if bond_implied else 0.0
+        lam = np.maximum(pi + shift, 0.0) / (1.0 - profile.recovery)
+        total[:, 1:] += np.cumsum(lam[:, :-1] * np.diff(times)[None, :], axis=1)
+    return np.exp(-total)
+
+
 def _on_grid(curve, times):
     """A curve's values at the grid times and its left limits there."""
     return curve.values_at(times), curve.values_at(np.maximum(times - 1e-12, 0.0))
@@ -106,6 +122,28 @@ def _vc_grids(instrument, dyn, paths, collateral):
     return vc_rc, vc_ll, collateral_amount(collateral, vc_rc), collateral_amount(collateral, vc_ll)
 
 
+def _close_out_grids(instrument, dyn, paths, collateral):
+    """The close-out gap at every grid time and at its left limit, each
+    (n_paths, n_times): V^c at the end of the cure window less the
+    collateral at the grid time. A payoff trade's windows must end on grid
+    nodes; a schedule's are valued at the window end, the terminal claim
+    clamped."""
+    model = make_collateralized_valuation(instrument, OIS, dyn)
+    _, _, posted_rc, posted_ll = _vc_grids(instrument, dyn, paths, collateral)
+    shift, times = collateral.cure_period, paths.times
+    if instrument.schedule is not None:
+        u = np.minimum(times + shift, times[-1])
+        end_rc = model.deterministic_values(u, clamp_terminal=shift > 0)
+        end_ll = model.deterministic_values(u, inclusive=True, clamp_terminal=shift > 0)
+    else:
+        steps = round(shift / (times[1] - times[0]))
+        assert steps * (times[1] - times[0]) == shift
+        end_rc = end_ll = model.on_grid(paths)[
+            :, np.minimum(np.arange(len(times)) + steps, len(times) - 1)
+        ]
+    return end_rc - posted_rc, end_ll - posted_ll
+
+
 def _record_solved_values(monkeypatch) -> dict:
     """Record each grid time's solved values in the backward sweep: the
     last fit of the slice's regression, which the fixed point returns at
@@ -113,8 +151,8 @@ def _record_solved_values(monkeypatch) -> dict:
     solved = {}
     project = xva_engine._slice_projection
 
-    def recording_projection(paths, alive, k, degree):
-        fit = project(paths, alive, k, degree)
+    def recording_projection(paths, k, degree):
+        fit = project(paths, k, degree)
 
         def recorded(pv):
             solved[k] = fit(pv)
@@ -310,8 +348,8 @@ class TestReports:
         assert theirs.cfva == ours.dfva and theirs.dfva == ours.cfva
 
     def test_role_swap_negates_the_simulated_bond_implied_value_exactly(self):
-        # bond-implied defaults are resampled from the paths' own clocks, so
-        # the mirror trade must see each name keep its exponential draw
+        # the bond-implied legs integrate each name's shifted intensity along
+        # its own spread path; the sampled default times are not read
         dyn = ModelDynamics(
             s0=1.0, pi0_c=0.012, pi0_b=0.00975, vol_c=0.15, vol_b=0.10, rho_cb=0.3
         )
@@ -616,52 +654,47 @@ class TestBackwardSweep:
     PARAMS = SolverParams(tol=1e-8)
 
     def _paths(self):
-        paths = simulate_paths(self.DYN, 2.0, n_steps=24, n_paths=3_000, seed=21)
-        return sample_default_times(paths, RISKY_CP.recovery, RISKY_BANK.recovery)
+        return simulate_paths(self.DYN, 2.0, n_steps=24, n_paths=3_000, seed=21)
 
     def _global_picard(self, paths):
         run = _prepare_mc(
-            TWO_SIDED, OIS, RISKY_CP, RISKY_BANK, self.COLLATERAL, self.DYN,
-            0, 0, 0, False, paths=paths,
+            TWO_SIDED, OIS, self.COLLATERAL, self.DYN, 0, 0, 0, False, paths=paths,
         )
         times = run.paths.times
-        alive = _alive_grid(run.paths)
+        surv = _survival_grid(run.paths, RISKY_CP, RISKY_BANK)
+        weight = surv * run.disc[None, :]
         vc_rc, vc_ll, posted_rc, posted_ll = _vc_grids(
             TWO_SIDED, self.DYN, run.paths, self.COLLATERAL
         )
         projections = [
-            _slice_projection(run.paths, alive[:, k], k, self.PARAMS.regression_degree)
+            _slice_projection(run.paths, k, self.PARAMS.regression_degree)
             for k in range(len(times))
         ]
 
         def fit(pv):
             return np.column_stack([p(pv[:, k]) for k, p in enumerate(projections)])
 
-        alive_c = run.paths.tau_c[:, None] > times[None, :]
-        alive_b = run.paths.tau_b[:, None] > times[None, :]
-        base_pv = vc_rc - (
-            run.def_loss[:, None] * alive_c - run.def_gain[:, None] * alive_b
-        ) / run.disc[None, :]
+        close_rc, close_ll = _close_out_grids(TWO_SIDED, self.DYN, run.paths, self.COLLATERAL)
+        pi_c, pi_b = np.maximum(run.paths.pi_c, 0.0), np.maximum(run.paths.pi_b, 0.0)
+        defaults = (
+            _tails(times, surv, run.disc, close_rc, close_ll, pi_c, pi_c, True)
+            - _tails(times, surv, run.disc, close_rc, close_ll, pi_b, pi_b, False)
+        )
+        base_pv = vc_rc - defaults / weight
         jump = vc_ll - vc_rc
-        gc_rc, gc_ll = _on_grid(RISKY_CP.basis, times)
-        gb_rc, gb_ll = _on_grid(RISKY_BANK.basis, times)
-
-        def density(gap, gc, gb):
-            return alive * run.disc[None, :] * (
-                gc * np.maximum(gap, 0.0) - gb * np.maximum(-gap, 0.0)
-            )
 
         def remaining(value):
-            g_rc = density(value - posted_rc, gc_rc, gb_rc)
-            g_ll = density(value + jump - posted_ll, gc_ll, gb_ll)
-            segments = 0.5 * (g_rc[:, :-1] + g_ll[:, 1:]) * np.diff(times)[None, :]
-            out = np.zeros_like(value)
-            out[:, :-1] = segments[:, ::-1].cumsum(axis=1)[:, ::-1]
-            return out
+            gap_rc, gap_ll = value - posted_rc, value + jump - posted_ll
+            return (
+                _tails(times, surv, run.disc, gap_rc, gap_ll,
+                       *_on_grid(RISKY_CP.basis, times), True)
+                - _tails(times, surv, run.disc, gap_rc, gap_ll,
+                         *_on_grid(RISKY_BANK.basis, times), False)
+            )
 
         value = fit(base_pv)
         for _ in range(self.PARAMS.max_iter):
-            fitted = fit(base_pv - remaining(value) / run.disc[None, :])
+            fitted = fit(base_pv - remaining(value) / weight)
             residual = np.max(np.abs(fitted - value))
             value = fitted
             if residual <= self.PARAMS.tol * notional_scale(TWO_SIDED):
@@ -670,8 +703,7 @@ class TestBackwardSweep:
 
     def _sweep(self, paths):
         run = _prepare_mc(
-            TWO_SIDED, OIS, RISKY_CP, RISKY_BANK, self.COLLATERAL, self.DYN,
-            0, 0, 0, False, paths=paths,
+            TWO_SIDED, OIS, self.COLLATERAL, self.DYN, 0, 0, 0, False, paths=paths,
         )
         report, _ = _recursive_mc(run, TWO_SIDED, RISKY_CP, RISKY_BANK, self.PARAMS)
         return report, run
@@ -689,10 +721,10 @@ class TestBackwardSweep:
         assert np.any(vc_ll != vc_rc) and np.any(posted_ll != posted_rc)
         bound = 10 * self.PARAMS.tol * notional_scale(TWO_SIDED)
         assert np.max(np.abs(value - reference)) <= bound
-        times, alive = run.paths.times, _alive_grid(run.paths)
+        times, surv = run.paths.times, _survival_grid(run.paths, RISKY_CP, RISKY_BANK)
         cf, df = (
             _segment_sum(
-                times, alive, run.disc, reference - posted_rc,
+                times, surv, run.disc, reference - posted_rc,
                 reference + vc_ll - vc_rc - posted_ll, *_on_grid(profile.basis, times),
                 positive,
             )
@@ -706,9 +738,9 @@ class TestBackwardSweep:
         built, solved = [], []
         project, fixed_point = xva_engine._slice_projection, xva_engine._fixed_point
 
-        def counting_projection(paths, alive, k, degree):
+        def counting_projection(paths, k, degree):
             built.append(k)
-            return project(paths, alive, k, degree)
+            return project(paths, k, degree)
 
         def recording_fixed_point(*args):
             out = fixed_point(*args)
@@ -767,12 +799,15 @@ class TestBackwardSweep:
                 n_paths=1_000, n_steps=4, seed=3,
             )
         assert report.iterations == 50 and not report.converged
-        assert report.residual == pytest.approx(1.7106, abs=1e-4)
+        # the last update still moved the value by more than the notional's 1e-6
+        assert report.residual > 1.0
         # the sweep solves t = 1.125, 0.75, 0.375, 0 in turn
         first = [1.125, 0.75, 0.375, 0.0][solved.index(False)]
         (message,) = [str(w.message) for w in caught if "max_iter" in str(w.message)]
         assert f"{report.residual:.3e}" in message
-        assert message.endswith(f"t={first:.6g}")
+        assert f"did not converge is t={first:.6g}," in message
+        # and why: each slice's Picard map contracts by 0.5 * 0.375 * 5.0
+        assert message.endswith("contraction factor 0.5 * dt * max(gamma_C, gamma_B) is 0.9375")
 
 
 class TestRegressionBasis:
@@ -790,26 +825,21 @@ class TestRegressionBasis:
 
     @staticmethod
     def _paths(dyn):
-        # high intensities, so each grid time has its own alive set
-        paths = simulate_paths(dyn, 1.0, n_steps=12, n_paths=3_000, seed=47)
-        return sample_default_times(paths, 0.4, 0.35, basis_c=PiecewiseCurve.flat(0.3))
+        return simulate_paths(dyn, 1.0, n_steps=12, n_paths=3_000, seed=47)
 
     @staticmethod
-    def _standardized(paths, mask, k):
+    def _standardized(paths, k):
         factors = []
-        for raw in (paths.s[:, k], paths.pi_c[:, k], paths.pi_b[:, k]):
-            x = raw[mask]
+        for x in (paths.s[:, k], paths.pi_c[:, k], paths.pi_b[:, k]):
             center, spread = x.mean(), x.std()
             live = spread >= 1e-13 * max(1.0, abs(center))
             factors.append((x - center) / spread if live else np.zeros_like(x))
         return factors
 
-    def _reference(self, paths, mask, k, pv):
-        out = np.zeros(len(mask))
+    def _reference(self, paths, k, pv):
         if k == len(paths.times) - 1:
-            out[mask] = pv[mask]
-            return out
-        factors = self._standardized(paths, mask, k)
+            return pv
+        factors = self._standardized(paths, k)
         exponents = [
             e for e in itertools.product(range(self.DEGREE + 1), repeat=3)
             if sum(e) <= self.DEGREE
@@ -818,39 +848,44 @@ class TestRegressionBasis:
             np.prod([x**p for x, p in zip(factors, e)], axis=0) for e in exponents
         ])
         pinv = np.linalg.pinv(basis.T @ basis, rcond=1e-10)
-        out[mask] = basis @ (pinv @ (basis.T @ pv[mask]))
-        return out
+        return basis @ (pinv @ (basis.T @ pv))
+
+    @staticmethod
+    def _payoff(paths):
+        # a discounted call payoff plus spread terms, regressed at every time
+        pv = np.maximum(paths.s[:, -1] - 100.0, 0.0) * math.exp(-0.02)
+        return pv + 800.0 * paths.pi_c[:, -1] - 500.0 * paths.pi_b[:, -1]
 
     @pytest.mark.parametrize("dyn", [README, STOCHASTIC], ids=["readme", "stochastic"])
     def test_fits_agree_with_the_plain_basis_at_every_grid_time(self, dyn):
         paths = self._paths(dyn)
-        alive = _alive_grid(paths)
-        assert len({int(a.sum()) for a in alive.T}) > 3
-        # a discounted call payoff plus spread terms, regressed at every time
-        pv = np.maximum(paths.s[:, -1] - 100.0, 0.0) * math.exp(-0.02)
-        pv = pv + 800.0 * paths.pi_c[:, -1] - 500.0 * paths.pi_b[:, -1]
+        pv = self._payoff(paths)
         scale = np.max(np.abs(pv))
         for k in range(len(paths.times)):
-            ours = _slice_projection(paths, alive[:, k], k, self.DEGREE)(pv)
-            reference = self._reference(paths, alive[:, k], k, pv)
-            assert np.all(ours[~alive[:, k]] == 0.0)
+            ours = _slice_projection(paths, k, self.DEGREE)(pv)
+            reference = self._reference(paths, k, pv)
             assert np.max(np.abs(ours - reference)) <= 1e-10 * scale
 
     @pytest.mark.parametrize("dyn", [README, STOCHASTIC], ids=["readme", "stochastic"])
     def test_a_cubic_in_the_standardized_state_is_reproduced(self, dyn):
         paths = self._paths(dyn)
-        alive = _alive_grid(paths)
         rng = np.random.default_rng(5)
         for k in range(1, len(paths.times) - 1):
-            mask = alive[:, k]
-            x, y, z = self._standardized(paths, mask, k)
+            x, y, z = self._standardized(paths, k)
             c = rng.normal(size=8)
-            cubic = (c[0] + c[1] * x + c[2] * x * x * x + c[3] * x * y * z
-                     + c[4] * y * y * z + c[5] * z * z * z + c[6] * x * z + c[7] * y)
-            pv = np.zeros(paths.n_paths)
-            pv[mask] = cubic
-            ours = _slice_projection(paths, mask, k, self.DEGREE)(pv)
+            pv = (c[0] + c[1] * x + c[2] * x * x * x + c[3] * x * y * z
+                  + c[4] * y * y * z + c[5] * z * z * z + c[6] * x * z + c[7] * y)
+            ours = _slice_projection(paths, k, self.DEGREE)(pv)
             assert np.max(np.abs(ours - pv)) <= 1e-8 * np.max(np.abs(pv))
+
+    def test_a_role_swap_regresses_on_the_same_basis_bit_for_bit(self):
+        paths = self._paths(self.STOCHASTIC)
+        swapped = swap_roles(paths)
+        pv = self._payoff(paths)
+        for k in range(len(paths.times)):
+            ours = _slice_projection(paths, k, self.DEGREE)(pv)
+            assert np.array_equal(_slice_projection(swapped, k, self.DEGREE)(pv), ours)
+            assert np.array_equal(_slice_projection(swapped, k, self.DEGREE)(-pv), -ours)
 
     @pytest.mark.parametrize(
         "dyn, columns", [(README, 4), (STOCHASTIC, 20)], ids=["readme", "stochastic"]
@@ -865,9 +900,8 @@ class TestRegressionBasis:
 
         monkeypatch.setattr(np.linalg, "pinv", recording_pinv)
         paths = self._paths(dyn)
-        alive = _alive_grid(paths)
         for k in range(len(paths.times)):
-            _slice_projection(paths, alive[:, k], k, self.DEGREE)
+            _slice_projection(paths, k, self.DEGREE)
         # no basis at time 0 (the state is the same on every path) or at
         # maturity (the values are measurable)
         assert sizes == [(columns, columns)] * (len(paths.times) - 2)
@@ -1051,8 +1085,9 @@ class TestPathLayout:
         def legs(order):
             g = np.asarray(gap, order=order)
             (leg,) = _funding_trapezoid(
-                paths, disc, lambda k, funding: (g[:, k], g[:, k]),
-                [(lambda k: (spread[k], spread[k]), True)],
+                paths, disc, lambda k: paths.alive(times[k]),
+                lambda k, funding: (g[:, k], g[:, k]),
+                [(lambda k: (spread[k], spread[k]), (True,), False)],
             )
             return leg
 
@@ -1298,13 +1333,22 @@ def _black_per_time_grid(instrument, ois, dyn, paths):
     return out
 
 
-def _segment_sum(times, alive, disc, gap_rc, gap_ll, spread_rc, spread_ll, positive):
-    """The funding trapezoid as a sum of its segments
-    0.5 * (f(t_j) + f(t_{j+1}-)) * dt_j, f = 1_alive * D * spread * (gap)^±."""
+def _tails(times, weight, disc, gap_rc, gap_ll, spread_rc, spread_ll, positive):
+    """A leg's trapezoid from every grid time on, (n_paths, n_times): the
+    sums of its segments 0.5 * (f(t_j) + f(t_{j+1}-)) * dt_j over j >= k,
+    f = weight * D * spread * (gap)^±, latest segment first."""
     sign = 1.0 if positive else -1.0
-    left = alive * disc[None, :] * spread_rc * np.maximum(sign * gap_rc, 0.0)
-    right = alive * disc[None, :] * spread_ll * np.maximum(sign * gap_ll, 0.0)
-    return (0.5 * (left[:, :-1] + right[:, 1:]) * np.diff(times)[None, :]).sum(axis=1)
+    left = weight * disc[None, :] * spread_rc * np.maximum(sign * gap_rc, 0.0)
+    right = weight * disc[None, :] * spread_ll * np.maximum(sign * gap_ll, 0.0)
+    segments = 0.5 * (left[:, :-1] + right[:, 1:]) * np.diff(times)[None, :]
+    out = np.zeros(left.shape)
+    out[:, :-1] = segments[:, ::-1].cumsum(axis=1)[:, ::-1]
+    return out
+
+
+def _segment_sum(times, weight, disc, gap_rc, gap_ll, spread_rc, spread_ll, positive):
+    """The trapezoid over the whole grid, per path."""
+    return _tails(times, weight, disc, gap_rc, gap_ll, spread_rc, spread_ll, positive)[:, 0]
 
 
 class TestDenseGrids:
@@ -1370,8 +1414,9 @@ class TestDenseGrids:
             )
             assert np.any(expected > 0)
             (leg,) = _funding_trapezoid(
-                paths, disc, lambda k, funding: (gap_rc[:, k], gap_ll[:, k]),
-                [(lambda k: (rc[..., k], ll[..., k]), positive)],
+                paths, disc, lambda k: paths.alive(paths.times[k]),
+                lambda k, funding: (gap_rc[:, k], gap_ll[:, k]),
+                [(lambda k: (rc[..., k], ll[..., k]), (positive,), False)],
             )
             np.testing.assert_allclose(leg, expected, rtol=1e-13, atol=0.0)
 
@@ -1415,25 +1460,114 @@ class TestDenseGrids:
     def test_first_order_legs_are_the_trapezoid_of_the_vc_grid(self, instrument):
         paths = self._paths(instrument.maturity)
         run = _prepare_mc(
-            instrument, OIS, RISKY_CP, RISKY_BANK, self.COLLATERAL, self.DYN,
-            0, 0, 0, False, paths=paths,
+            instrument, OIS, self.COLLATERAL, self.DYN, 0, 0, 0, False, paths=paths,
         )
         report, profile = xva_engine._first_order_mc(run, RISKY_CP, RISKY_BANK, True)
         vc_rc, vc_ll, posted_rc, posted_ll = _vc_grids(
             instrument, self.DYN, paths, self.COLLATERAL
         )
-        alive = _alive_grid(paths)
+        times, surv = paths.times, _survival_grid(paths, RISKY_CP, RISKY_BANK)
         for profile_of, positive, leg in ((RISKY_CP, True, report.cfva),
                                           (RISKY_BANK, False, report.dfva)):
             expected = _segment_sum(
-                paths.times, alive, run.disc, vc_rc - posted_rc, vc_ll - posted_ll,
-                *_on_grid(profile_of.basis, paths.times), positive,
+                times, surv, run.disc, vc_rc - posted_rc, vc_ll - posted_ll,
+                *_on_grid(profile_of.basis, times), positive,
             )
             assert leg == pytest.approx(float(expected.mean()), rel=1e-12)
-        gap = np.where(alive, vc_rc - posted_rc, 0.0)
-        for moment, part in ((profile.epe, np.maximum(gap, 0.0)),
-                             (profile.ene, np.maximum(-gap, 0.0))):
+        close_rc, close_ll = _close_out_grids(instrument, self.DYN, paths, self.COLLATERAL)
+        for pi, positive, leg in ((paths.pi_c, True, report.cva),
+                                  (paths.pi_b, False, report.dva)):
+            floored = np.maximum(pi, 0.0)
+            expected = _segment_sum(
+                times, surv, run.disc, close_rc, close_ll, floored, floored, positive
+            )
+            assert leg > 0 and leg == pytest.approx(float(expected.mean()), rel=1e-12)
+        gap = vc_rc - posted_rc
+        for moment, part in ((profile.epe, surv * np.maximum(gap, 0.0)),
+                             (profile.ene, surv * np.maximum(-gap, 0.0))):
             np.testing.assert_allclose(moment, part.mean(axis=0), rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("bond_mode", [False, True])
+    def test_bond_implied_legs_are_the_trapezoid_at_the_shifted_intensities(self, bond_mode):
+        paths = self._paths(TWO_SIDED.maturity)
+        bank = CounterpartyProfile.default_free() if bond_mode else RISKY_BANK
+        run = _prepare_mc(
+            TWO_SIDED, OIS, self.COLLATERAL, self.DYN, 0, 0, 0, bond_mode, paths=paths,
+        )
+        report, profile = xva_engine._bond_implied_mc(run, RISKY_CP, bank, True)
+        assert report.cfva == report.dfva == 0.0
+        times = paths.times
+        surv = _survival_grid(run.paths, RISKY_CP, bank, bond_implied=True)
+        close_rc, close_ll = _close_out_grids(TWO_SIDED, self.DYN, paths, self.COLLATERAL)
+        for pi, profile_of, positive, leg in ((run.paths.pi_c, RISKY_CP, True, report.cva),
+                                              (run.paths.pi_b, bank, False, report.dva)):
+            rc, ll = _on_grid(profile_of.basis, times)
+            expected = _segment_sum(
+                times, surv, run.disc, close_rc, close_ll,
+                np.maximum(pi + rc, 0.0), np.maximum(pi + ll, 0.0), positive,
+            )
+            assert leg == pytest.approx(float(expected.mean()), rel=1e-12, abs=0.0)
+        assert report.cva > 0 and (report.dva == 0.0) == bond_mode
+        vc_rc, _, posted_rc, _ = _vc_grids(TWO_SIDED, self.DYN, paths, self.COLLATERAL)
+        gap = vc_rc - posted_rc
+        np.testing.assert_allclose(
+            profile.epe, (surv * np.maximum(gap, 0.0)).mean(axis=0), rtol=1e-13, atol=1e-13
+        )
+
+    def test_a_window_off_the_grid_is_valued_as_at_default(self):
+        # 0.3 is not a whole number of 1/16 steps: each window end is valued
+        # on the path's node at or before it, as the sampled legs value it
+        paths = self._paths()
+        model = make_collateralized_valuation(self.CALL, OIS, self.DYN)
+        run = _prepare_mc(
+            self.CALL, OIS, CollateralSpec.bilateral_threshold(5.0, cure_period=0.3),
+            self.DYN, 0, 0, 0, False, paths=paths,
+        )
+        for k, t in enumerate(paths.times):
+            end_rc, end_ll = run.window(k)
+            expected = model.at_default(paths, np.full(paths.n_paths, t), 0.3)
+            assert np.array_equal(end_rc, expected) and end_ll is end_rc
+
+    @pytest.mark.parametrize("steps, most", [(0, 1), (3, 4), (8, 9), (16, 2), (40, 2)])
+    def test_the_ring_keeps_only_the_columns_a_window_still_reads(self, steps, most):
+        # a sweep over 16 steps asks for each time and for its window's end;
+        # a window past the horizon ends on the last column
+        last, computed, alive = 16, [], set()
+
+        class Column:
+            pass
+
+        def at(k):
+            computed.append(k)
+            column = Column()
+            alive.add(k)
+            weakref.finalize(column, alive.discard, k)
+            return column
+
+        cached = xva_engine._remembered(at, steps, last)
+        held = 0
+        for k in range(last, -1, -1):
+            cached(k)
+            cached(min(k + steps, last))
+            held = max(held, len(alive))
+        assert sorted(computed) == list(range(last + 1))
+        assert held == most
+
+    def test_a_whole_step_window_reads_the_columns_the_sweep_derived(self, monkeypatch):
+        # 0.25 is 4 steps of 1/16: no V^c is valued beyond the grid columns
+        calls = []
+        value = xva_engine._PayoffValuation.value
+
+        def counting_value(model, u, s, disc=None):
+            calls.append(np.ndim(u))
+            return value(model, u, s, disc)
+
+        monkeypatch.setattr(xva_engine._PayoffValuation, "value", counting_value)
+        run = _prepare_mc(
+            self.CALL, OIS, self.COLLATERAL, self.DYN, 0, 0, 0, False, paths=self._paths(),
+        )
+        report, _ = xva_engine._first_order_mc(run, RISKY_CP, RISKY_BANK)
+        assert report.cva > 0 and len(calls) == len(run.paths.times)
 
     @pytest.mark.parametrize(
         "instrument, horizon",
@@ -1456,8 +1590,8 @@ class TestDenseGrids:
         cp = replace(RISKY_CP, basis=PiecewiseCurve((0.0, 0.5), (0.012, 0.02)))
         bank = replace(RISKY_BANK, basis=PiecewiseCurve((0.0, 0.5), (0.008, 0.004)))
         run = _prepare_mc(
-            instrument, OIS, cp, bank, self.COLLATERAL, self.DYN,
-            0, 0, 0, False, paths=self._paths(horizon),
+            instrument, OIS, self.COLLATERAL, self.DYN, 0, 0, 0, False,
+            paths=self._paths(horizon),
         )
         solved = _record_solved_values(monkeypatch)
         report, _ = _recursive_mc(run, instrument, cp, bank, SolverParams(tol=1e-8))
@@ -1470,7 +1604,7 @@ class TestDenseGrids:
         )
         ref_cf, ref_df = (
             _segment_sum(
-                times, _alive_grid(run.paths), run.disc, value - posted_rc,
+                times, _survival_grid(run.paths, cp, bank), run.disc, value - posted_rc,
                 value + vc_ll - vc_rc - posted_ll, *_on_grid(profile.basis, times),
                 positive,
             )
@@ -1557,28 +1691,168 @@ class TestOneSweep:
     @pytest.mark.parametrize("profile", [False, True])
     def test_each_method_sweeps_the_grid_once(self, monkeypatch, profile):
         run = _prepare_mc(
-            self.CALL, OIS, RISKY_CP, RISKY_BANK, self.COLLATERAL, self.DYN,
-            2_000, 12, 4, False,
+            self.CALL, OIS, self.COLLATERAL, self.DYN, 2_000, 12, 4, False,
         )
         sweeps = []
         sweep = xva_engine._funding_trapezoid
 
-        def counting_sweep(paths, disc, gaps, legs, moments=None):
-            sweeps.append(len(legs))
-            return sweep(paths, disc, gaps, legs, moments)
+        def counting_sweep(paths, disc, survival, gaps, legs, moments=None, close_out=None):
+            sweeps.append([(tuple(sides), fixed) for _, sides, fixed in legs])
+            return sweep(paths, disc, survival, gaps, legs, moments, close_out)
 
         monkeypatch.setattr(xva_engine, "_funding_trapezoid", counting_sweep)
+        # the default legs (the fixed group) ride in the sweep of every method
+        defaults, funding = ((True, False), True), ((True, False), False)
         for method, call, legs in (
             ("recursive", lambda: _recursive_mc(
-                run, self.CALL, RISKY_CP, RISKY_BANK, SolverParams(), profile), [2]),
+                run, self.CALL, RISKY_CP, RISKY_BANK, SolverParams(), profile),
+             [[defaults, funding]]),
             ("first_order", lambda: xva_engine._first_order_mc(
-                run, RISKY_CP, RISKY_BANK, profile), [2]),
-            # without the profile, bond_implied reads V^c at t_0 only
+                run, RISKY_CP, RISKY_BANK, profile), [[defaults, funding]]),
             ("bond_implied", lambda: xva_engine._bond_implied_mc(
-                run, OIS, RISKY_CP, RISKY_BANK, self.COLLATERAL, profile),
-             [0] if profile else []),
+                run, RISKY_CP, RISKY_BANK, profile), [[defaults]]),
         ):
             sweeps.clear()
             _, got = call()
             assert sweeps == legs, method
             assert (got is not None) == profile
+
+    def test_no_default_time_is_sampled_or_read(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("default times sampled or read")
+
+        for name in ("sample_default_times", "_default_leg_pathwise"):
+            monkeypatch.setattr(xva_engine, name, refuse)
+        monkeypatch.setattr(mc_engine, "_sample_clock", refuse)
+        args = (self.CALL, OIS, RISKY_CP, RISKY_BANK, self.COLLATERAL)
+        kwargs = dict(dyn=self.DYN, n_paths=2_000, n_steps=12, seed=4)
+        for method in ("recursive", "first_order", "bond_implied"):
+            run_xva(*args, method=method, **kwargs)
+        fair_value_recursive(*args, **kwargs)
+        first_order_value(*args, **kwargs)
+        bond_implied_value(*args, **kwargs)
+        compare_aggregations(*args, **kwargs)
+        compare_aggregations(*args, bond_mode=True, **kwargs)
+
+
+class TestIntensityLegs:
+    """CVA and DVA as intensity integrals in the sweep: exact under a role
+    swap and across worker counts by construction, blind to default times
+    on supplied paths, and in agreement with the sampled legs they replace
+    and with the grid."""
+
+    DYN = ModelDynamics(
+        s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013,
+        vol_c=0.008, vol_b=0.006, rho_sc=0.2, rho_sb=0.1, rho_cb=0.4,
+    )
+    CALL = Instrument.european_option("call", strike=100.0, expiry=1.0)
+    TIGHT = SolverParams(tol=1e-8)
+
+    @pytest.mark.parametrize("method", ["recursive", "first_order", "bond_implied"])
+    def test_a_role_swap_negates_the_value_exactly(self, method):
+        paths = simulate_paths(self.DYN, 2.0, 24, 4_000, seed=77)
+        ours, ours_profile = run_xva(
+            TWO_SIDED, OIS, RISKY_CP, RISKY_BANK, THRESHOLD, method=method,
+            paths=paths, params=self.TIGHT,
+        )
+        theirs, theirs_profile = run_xva(
+            TWO_SIDED.negated(), OIS, RISKY_BANK, RISKY_CP, THRESHOLD, method=method,
+            paths=swap_roles(paths), params=self.TIGHT,
+        )
+        assert ours.cva > 0 and ours.dva > 0
+        assert theirs.fair_value == -ours.fair_value
+        assert (theirs.cva, theirs.dva) == (ours.dva, ours.cva)
+        assert (theirs.cfva, theirs.dfva) == (ours.dfva, ours.cfva)
+        assert theirs.se_fair_value == ours.se_fair_value
+        assert np.array_equal(theirs_profile.epe, ours_profile.ene)
+
+    def test_worker_counts_give_bit_identical_reports_and_cli_output(self, tmp_path, capsys):
+        knobs = dict(dyn=self.DYN, n_paths=9_000, n_steps=12, seed=8)
+        for method in ("recursive", "first_order", "bond_implied"):
+            (one, one_profile), (two, two_profile) = (
+                run_xva(self.CALL, OIS, RISKY_CP, RISKY_BANK, THRESHOLD, method=method,
+                        n_workers=workers, **knobs)
+                for workers in (1, 2)
+            )
+            assert one.as_dict() == two.as_dict()
+            assert np.array_equal(one_profile.epe, two_profile.epe)
+        config = {
+            "instrument": {"kind": "european_option", "option_type": "call",
+                           "strike": 100.0, "expiry": 1.0},
+            "ois": 0.02,
+            "counterparty": {"recovery": 0.4, "hazard": 0.03, "basis": 0.012},
+            "bank": {"recovery": 0.35, "hazard": 0.02, "basis": 0.008},
+            "collateral": {"mode": "bilateral_threshold", "threshold": 5.0,
+                           "cure_period": 0.25},
+            "dynamics": {"s0": 100.0, "rate": 0.02, "vol_s": 0.3, "pi0_c": 0.018,
+                         "pi0_b": 0.013, "vol_c": 0.008, "vol_b": 0.006},
+            "backend": "mc",
+            "mc": {"n_paths": 9_000, "n_steps": 12, "seed": 8},
+        }
+        stdout = []
+        for workers in (1, 2):
+            config["mc"]["n_workers"] = workers
+            path = tmp_path / f"xva_{workers}.json"
+            path.write_text(json.dumps(config))
+            assert cli.main(["xva", "--config", str(path)]) == 0
+            stdout.append(capsys.readouterr().out)
+        assert stdout[0] == stdout[1] and '"cva"' in stdout[0]
+
+    @pytest.mark.parametrize("method", ["recursive", "first_order", "bond_implied"])
+    def test_default_times_on_supplied_paths_are_ignored(self, method):
+        knobs = dict(method=method, dyn=self.DYN, params=self.TIGHT)
+        seeded, _ = run_xva(self.CALL, OIS, RISKY_CP, RISKY_BANK, THRESHOLD,
+                            n_paths=3_000, n_steps=16, seed=9, **knobs)
+        paths = simulate_paths(self.DYN, 1.0, 16, 3_000, seed=9)
+        for supplied in (paths, sample_default_times(paths, 0.4, 0.35),
+                         sample_default_times(paths, 0.1, 0.2, seed_offset=3)):
+            report, _ = run_xva(self.CALL, OIS, RISKY_CP, RISKY_BANK, THRESHOLD,
+                                paths=supplied, **knobs)
+            assert report.as_dict() == seeded.as_dict()
+
+    @pytest.mark.parametrize("cure", [0.0, 0.25])
+    @pytest.mark.parametrize("mode", ["none", "bilateral_threshold"])
+    @pytest.mark.parametrize("trade", ["call", "two_sided"])
+    def test_the_legs_agree_with_the_sampled_legs(self, trade, mode, cure):
+        # each leg within 3 standard errors of the sampled estimator on the
+        # same paths, at the CDS-implied and at the bond-implied intensities
+        instrument = self.CALL if trade == "call" else TWO_SIDED
+        collateral = CollateralSpec(
+            mode=mode, threshold=5.0 if mode == "bilateral_threshold" else 0.0,
+            cure_period=cure,
+        )
+        paths = simulate_paths(self.DYN, instrument.maturity, 32, 8_000, seed=13)
+        model = make_collateralized_valuation(instrument, OIS, self.DYN)
+        recoveries = RISKY_CP.recovery, RISKY_BANK.recovery
+        bases = dict(basis_c=RISKY_CP.basis, basis_b=RISKY_BANK.basis)
+        for method, sampled in (
+            ("first_order", sample_default_times(paths, *recoveries)),
+            ("bond_implied", sample_default_times(paths, *recoveries, **bases)),
+        ):
+            report, _ = run_xva(instrument, OIS, RISKY_CP, RISKY_BANK, collateral,
+                                method=method, dyn=self.DYN, paths=paths)
+            old_cva = cva(sampled, model, OIS, recoveries[0], collateral)
+            old_dva = dva(sampled, model, OIS, recoveries[1], collateral)
+            for leg, (old, se) in ((report.cva, old_cva), (report.dva, old_dva)):
+                assert abs(leg - old) <= 3 * se, (method, leg, old, se)
+            assert 0 < report.se_cva < old_cva[1] / 3
+
+    @pytest.mark.parametrize("n_steps", [64, 256])
+    def test_zero_spread_volatility_agrees_with_the_grid(self, n_steps):
+        # the README trade at cure 0, the grid's only cure period
+        dyn = ModelDynamics(s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013)
+        collateral = CollateralSpec.bilateral_threshold(5.0)
+        pde, _ = run_xva(self.CALL, OIS, RISKY_CP, RISKY_BANK, collateral,
+                         backend="pde", dyn=dyn)
+        mc, _ = run_xva(self.CALL, OIS, RISKY_CP, RISKY_BANK, collateral, dyn=dyn,
+                        n_paths=20_000, n_steps=n_steps, seed=11, params=self.TIGHT)
+        # no time-step bias shows in the CVA: 5e-5 +- 6e-5 at 100k paths
+        assert abs(mc.cva - pde.cva) <= 3 * mc.se_cva
+        # the simulated V^c is Black's formula, the grid's is 2.2e-3 off it
+        assert abs(mc.v_coll - pde.v_coll) < 3e-3
+        # the regression of the value on the cubic powers of S biases the
+        # funding legs: 4.5e-4 +- 1.1e-4 on the adjustments at 100k paths
+        # (CFVA 1.1e-3 above the grid's, DFVA 7.5e-4 where the grid has 0)
+        regression_bias = 6e-4
+        adjustments = mc.fair_value - mc.v_coll, pde.fair_value - pde.v_coll
+        assert abs(adjustments[0] - adjustments[1]) <= 3 * mc.se_fair_value + regression_bias
