@@ -71,7 +71,7 @@ import itertools
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from scipy.special import ndtr
@@ -810,23 +810,17 @@ class _McRun:
     paths: PathSet
     model: object
     collateral: CollateralSpec
-    vc_at: Callable  # grid index -> (V^c there, its left limit): model.grid_columns
+    vc_at: Callable  # grid index -> (V^c there, its left limit): model.grid_columns, _remembered
     window: Callable  # grid index -> V^c at the end of the cure window: model.window_columns
     disc: np.ndarray
-    latest: dict = field(default_factory=dict)  # the last at_time, by grid index
 
     def at_time(self, k: int):
         """V^c at grid time k, its left limit there, and the collateral on
-        each: per path, or numbers that every path shares. The sweep asks
-        for each time twice (its gap and its close-out), so the latest is
-        kept."""
-        if k not in self.latest:
-            vc_rc, vc_ll = self.vc_at(k)
-            posted_rc = collateral_amount(self.collateral, vc_rc)
-            posted_ll = posted_rc if vc_ll is vc_rc else collateral_amount(self.collateral, vc_ll)
-            self.latest.clear()
-            self.latest[k] = vc_rc, vc_ll, posted_rc, posted_ll
-        return self.latest[k]
+        each: per path, or numbers that every path shares."""
+        vc_rc, vc_ll = self.vc_at(k)
+        posted_rc = collateral_amount(self.collateral, vc_rc)
+        posted_ll = posted_rc if vc_ll is vc_rc else collateral_amount(self.collateral, vc_ll)
+        return vc_rc, vc_ll, posted_rc, posted_ll
 
     def gaps(self, k: int, funding):
         """The gap V^c - C at grid time k and at its left limit; as a
@@ -922,8 +916,7 @@ class _DefaultSpreads:
     counterparty's first, at grid time k and its left limit, as a function
     of k: each name's spread pi = lambda (1 - R) floored at zero or,
     bond-implied, max(pi + gamma, 0) with gamma its basis curve. A name's
-    intensity is its spread over 1 - R. The latest time is kept: the
-    survival walk and the legs ask for each time in turn."""
+    intensity is its spread over 1 - R."""
 
     def __init__(self, paths: PathSet, counterparty, bank, bond_implied: bool):
         for label, profile in (("counterparty", counterparty), ("bank", bank)):
@@ -945,14 +938,11 @@ class _DefaultSpreads:
         # intensity * dt per unit of spread over each grid step, per name
         recoveries = np.array([[counterparty.recovery], [bank.recovery]])
         self.steps = np.diff(times)[None, :] / (1.0 - recoveries)
-        self.latest = (None, None)
 
     def __call__(self, k: int):
-        if self.latest[0] != k:
-            rc = self._floored(k, self.gamma[:, k])
-            ll = self._floored(k, self.gamma_ll[:, k]) if self.jumps[k] else rc
-            self.latest = k, (rc, ll)
-        return self.latest[1]
+        rc = self._floored(k, self.gamma[:, k])
+        ll = self._floored(k, self.gamma_ll[:, k]) if self.jumps[k] else rc
+        return rc, ll
 
     def _floored(self, k, gamma):
         out = np.empty((2, len(self.pi[0])))

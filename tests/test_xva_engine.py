@@ -800,7 +800,7 @@ class TestBackwardSweep:
             )
         assert report.iterations == 50 and not report.converged
         # the last update still moved the value by more than the notional's 1e-6
-        assert report.residual > 1.0
+        assert report.residual == pytest.approx(1.7790, abs=1e-4)
         # the sweep solves t = 1.125, 0.75, 0.375, 0 in turn
         first = [1.125, 0.75, 0.375, 0.0][solved.index(False)]
         (message,) = [str(w.message) for w in caught if "max_iter" in str(w.message)]
@@ -1527,6 +1527,20 @@ class TestDenseGrids:
             end_rc, end_ll = run.window(k)
             expected = model.at_default(paths, np.full(paths.n_paths, t), 0.3)
             assert np.array_equal(end_rc, expected) and end_ll is end_rc
+
+    def test_a_whole_step_window_ends_on_its_grid_node(self):
+        # on 100 steps of 0.01, t_k + 0.25 rounds below t_{k+25} for some k:
+        # the window still ends on that node, or on the last one
+        paths = simulate_paths(self.DYN, 1.0, n_steps=100, n_paths=200, seed=77)
+        assert np.any(paths.times[:-25] + 0.25 < paths.times[25:])
+        model = make_collateralized_valuation(self.CALL, OIS, self.DYN)
+        run = _prepare_mc(
+            self.CALL, OIS, self.COLLATERAL, self.DYN, 0, 0, 0, False, paths=paths,
+        )
+        grid = model.on_grid(paths)
+        for k in range(len(paths.times)):
+            end_rc, end_ll = run.window(k)
+            assert np.array_equal(end_rc, grid[:, min(k + 25, 100)]) and end_ll is end_rc
 
     @pytest.mark.parametrize("steps, most", [(0, 1), (3, 4), (8, 9), (16, 2), (40, 2)])
     def test_the_ring_keeps_only_the_columns_a_window_still_reads(self, steps, most):
