@@ -95,14 +95,18 @@ def bootstrap_basis(
     node_times: list[float] = [0.0]
     node_values: list[float] = []
 
-    for bucket in buckets:
+    for idx, bucket in enumerate(buckets):
         def repriced(gamma_value: float) -> float:
             trial = PiecewiseCurve(node_times, node_values + [gamma_value])
             issuer = CounterpartyProfile(recovery, hazard, trial)
-            return (
-                price_bond(bucket.bond, ois, issuer, 0.0, convention)
-                - bucket.market_price
-            )
+            try:
+                price = price_bond(bucket.bond, ois, issuer, 0.0, convention)
+            except OverflowError as exc:  # a finite but huge pay time
+                raise ValueError(
+                    f"quotes[{idx}] (maturity {bucket.maturity:g}) overflows the "
+                    f"bond pricer: {exc}"
+                ) from exc
+            return price - bucket.market_price
 
         lo, hi = BRACKET
         f_lo, f_hi = repriced(lo), repriced(hi)

@@ -20,11 +20,16 @@ and a frozen ODE at s_min (exact at s_min = 0, where the generator
 degenerates). Cash flows of schedule trades enter as jumps at their pay
 dates, which sit on the time grid by construction. Each tridiagonal step
 matrix depends only on (dt, rate, theta), so it is LU-factored once per
-distinct key (LAPACK gttrf) and every step is a gttrs solve. Per time step
-there are three solves: V^c, V, and the four auxiliary surfaces, which share
-the matrix of V and go as one four-column right-hand side. Non-finite
-input is rejected with ValueError: in the step matrix when it is factored,
-or in the auxiliary sources, which every solved surface feeds.
+distinct key (LAPACK gttrf), and a theta-step is one gttrs solve (see
+``_Stepper``). The segments are swept latest first in blocks of
+``_SOURCE_BLOCK``, each in three passes: V^c steps through the block; the
+close-out and linear sources of the whole block are formed as (segments,
+nodes) arrays and V steps through it, adding its explicit funding source
+segment by segment; then the sources of the four auxiliary surfaces are
+formed for the block, and the surfaces, which share the matrix of V, step
+through it as one four-column right-hand side. Non-finite input is
+rejected with ValueError: in the step matrix when it is factored, or in
+the auxiliary sources, which every solved surface feeds.
 
 Restrictions: zero cure period and deterministic spreads. The adjustments
 come from four auxiliary linear equations driven by the solved surfaces, so
@@ -38,7 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .curves import CounterpartyProfile, PiecewiseCurve
 from .instruments import CollateralSpec, Instrument, collateral_amount
@@ -53,6 +57,9 @@ __all__ = [
 ]
 
 _RANNACHER_SEGMENTS = 2
+# segments per block of the source passes: each segment of a block holds
+# about 17 node rows of temporaries, and longer blocks gain little speed
+_SOURCE_BLOCK = 8
 # times per block of the exposure quadrature
 _EXPOSURE_BLOCK = 32
 
@@ -117,14 +124,23 @@ def _time_grid(instrument: Instrument, curves, n_time: int) -> np.ndarray:
 class _Stepper:
     """Backward theta-steps of (I - theta dt A) v_new = (I + (1-theta) dt A) v_old + dt src.
 
-    A is the generator less the reaction rate, so the step matrix depends on
-    (dt, rate, theta) only: it is LU-factored (LAPACK gttrf) the first time a
-    key is met and every step with that key is one gttrs solve. The last axis
-    of v_old and src is space; k surfaces stacked as a (k, n) array step
-    together as a k-column right-hand side.
+    A is the generator less the reaction rate, so the step matrix
+    M = I - theta dt A depends on (dt, rate, theta) only: it is LU-factored
+    (LAPACK gttrf) the first time a key is met. Since
+    I + (1-theta) dt A = I/theta - (1/theta - 1) M, a step is one gttrs solve
+    and no product with A:
+
+        v_new = M^-1 (v_old/theta + dt src) - (1/theta - 1) v_old.
+
+    The last axis of v_old and src is space; k surfaces stacked as a (k, n)
+    array step together as a k-column right-hand side. LAPACK is imported
+    here, so only a program that steps a grid loads it.
     """
 
     def __init__(self, nodes: np.ndarray, dyn: ModelDynamics):
+        from scipy.linalg.lapack import dgttrf, dgttrs
+
+        self._gttrf, self._gttrs = dgttrf, dgttrs
         n = len(nodes)
         h = nodes[1] - nodes[0]
         mu = (dyn.rate - dyn.dividend) * nodes
@@ -146,47 +162,39 @@ class _Stepper:
 
     def _factor(self, dt: float, r_eff: float, theta: float):
         key = (dt, r_eff, theta)
-        entry = self._factors.get(key)
-        if entry is None:
-            diag = self.diag - r_eff
+        lu = self._factors.get(key)
+        if lu is None:
             sub = -theta * dt * self.lower[1:]
-            main = 1.0 - theta * dt * diag
+            main = 1.0 - theta * dt * (self.diag - r_eff)
             sup = -theta * dt * self.upper[:-1]
             if not all(np.isfinite(band).all() for band in (sub, main, sup)):
                 raise ValueError(
                     "non-finite finite-difference step matrix; check the rates, "
                     "intensities, dynamics and grid for NaN or inf"
                 )
-            sub, main, sup, sup2, pivots, info = dgttrf(sub, main, sup)
+            *lu, info = self._gttrf(sub, main, sup)
             if info > 0:
                 raise np.linalg.LinAlgError("singular finite-difference step matrix")
-            entry = self._factors[key] = (diag, (sub, main, sup, sup2, pivots))
-        return entry
+            lu = self._factors[key] = tuple(lu)
+        return lu
 
     def step(self, v_old: np.ndarray, dt: float, r_eff: float, theta: float,
-             source: np.ndarray) -> np.ndarray:
-        diag, lu = self._factor(dt, r_eff, theta)
-        edge = np.zeros(v_old.shape[:-1] + (1,))
-        rhs = v_old + (1.0 - theta) * dt * (
-            diag * v_old
-            + np.concatenate((edge, self.lower[1:] * v_old[..., :-1]), axis=-1)
-            + np.concatenate((self.upper[:-1] * v_old[..., 1:], edge), axis=-1)
-        )
-        rhs += dt * source
+             source: np.ndarray | float) -> np.ndarray:
+        rhs = v_old / theta + dt * source
         # gttrs solves the columns of a Fortran-ordered (n, k) array in place
-        x, _ = dgttrs(*lu, rhs.T, overwrite_b=1)
-        return x.T
+        x, _ = self._gttrs(*self._factor(dt, r_eff, theta), rhs.T, overwrite_b=1)
+        x = x.T
+        if theta != 1.0:
+            x -= (1.0 / theta - 1.0) * v_old
+        return x
 
 
-def _close_out_sources(vc: np.ndarray, collateral: CollateralSpec,
-                       recovery_c: float, recovery_b: float):
+def _gap_parts(vc: np.ndarray, collateral: CollateralSpec):
+    """The collateral posted on V^c and the two sides of the riskless
+    close-out gap V^c - C."""
     posted = collateral_amount(collateral, vc)
     gap = vc - posted
-    pos = np.maximum(gap, 0.0)
-    neg = np.maximum(-gap, 0.0)
-    close_c = posted + recovery_c * pos - neg
-    close_b = posted + pos - recovery_b * neg
-    return posted, pos, neg, close_c, close_b
+    return posted, np.maximum(gap, 0.0), np.maximum(-gap, 0.0)
 
 
 def solve_final_pde(
@@ -247,7 +255,9 @@ def solve_final_pde(
 
     stepper = _Stepper(nodes, dyn)
     rec_c, rec_b = counterparty.recovery, bank.recovery
-    no_source = np.zeros_like(nodes)
+    r_full = c_mid + lc_mid + lb_mid
+    # the segments from here on are the Rannacher start
+    implicit_from = m - 1 - _RANNACHER_SEGMENTS
 
     vc = np.empty((m, len(nodes)))
     vc[-1] = terminal
@@ -257,57 +267,80 @@ def solve_final_pde(
     aux = np.zeros((4,) + vc.shape)
 
     def ll(surface_row, k):
-        # the row itself without a flow: the close-out sources carried forward
-        # below are then those of this very row
+        # the left limit: the row plus the flow paid on node k
         return surface_row + flows[k] if k in flows else surface_row
 
-    def theta_step(v_old, substeps, r_eff, src):
-        for sub_dt, theta in substeps:
+    def theta_step(v_old, seg, r_eff, src):
+        # two halved implicit-Euler steps on the first segments, then one
+        # Crank-Nicolson step per segment
+        dt = dts[seg]
+        for sub_dt, theta in ((dt / 2, 1.0),) * 2 if seg >= implicit_from else ((dt, 0.5),):
             v_old = stepper.step(v_old, sub_dt, r_eff, theta, src)
         return v_old
 
-    def aux_sources(seg, pos, neg, gap_v):
-        return np.stack((
-            lc_mid[seg] * (1.0 - rec_c) * pos,
-            lb_mid[seg] * (1.0 - rec_b) * neg,
-            gc_mid[seg] * np.maximum(gap_v, 0.0),
-            gb_mid[seg] * np.maximum(-gap_v, 0.0),
-        ))
-
-    sources_l = None  # _close_out_sources of vc[seg + 1], from the step before
-    for seg in range(m - 2, -1, -1):
-        dt = dts[seg]
-        r_full = c_mid[seg] + lc_mid[seg] + lb_mid[seg]
-        rannacher = (m - 2 - seg) < _RANNACHER_SEGMENTS
-        # two halved implicit-Euler steps on the first segments, then one
-        # Crank-Nicolson step per segment
-        substeps = ((dt / 2, 1.0),) * 2 if rannacher else ((dt, 0.5),)
-
-        vc_right = ll(vc[seg + 1], seg + 1)
-        v_right = ll(v[seg + 1], seg + 1)
+    def sweep(lo, hi):
+        """The segments [lo, hi), latest first; the sources are formed as
+        (segments, nodes) arrays, segment lo first, and freed on return."""
+        segs = range(hi - 1, lo - 1, -1)
+        rows = slice(lo, hi)
 
         # riskless collateralized value first: feeds every source below
-        vc[seg] = theta_step(vc_right, substeps, c_mid[seg], no_source)
+        for seg in segs:
+            vc[seg] = theta_step(ll(vc[seg + 1], seg + 1), seg, c_mid[seg], 0.0)
 
-        # without a flow on node seg + 1, vc_right is vc[seg + 1], whose sources
-        # the step before computed as its left end
-        if sources_l is None or seg + 1 in flows:
-            sources_l = _close_out_sources(vc_right, collateral, rec_c, rec_b)
-        posted_r, pos_r, neg_r, close_c_r, close_b_r = sources_l
-        sources_l = _close_out_sources(vc[seg], collateral, rec_c, rec_b)
-        posted_l, pos_l, neg_l, close_c_l, close_b_l = sources_l
-        gap_v_r = v_right - posted_r
-        funding = -gc_mid[seg] * np.maximum(gap_v_r, 0.0) + gb_mid[seg] * np.maximum(
-            -gap_v_r, 0.0
-        )
-        lin_r = lc_mid[seg] * close_c_r + lb_mid[seg] * close_b_r
-        lin_l = lc_mid[seg] * close_c_l + lb_mid[seg] * close_b_l
-        lin = lin_l if rannacher else 0.5 * (lin_l + lin_r)
-        v[seg] = theta_step(v_right, substeps, r_full, lin + funding)
+        # the gap on the nodes lo..hi: each segment's left end is its own row
+        # and its right end the next row, jumped by the flow paid there; with a
+        # flow inside the block the right ends get rows of their own
+        ends = _gap_parts(np.vstack((vc[rows], ll(vc[hi], hi))), collateral)
+        posted_l, pos_l, neg_l = (a[:-1] for a in ends)
+        posted_r, pos_r, neg_r = (a[1:] for a in ends)
+        if any(lo < k < hi for k in flows):
+            posted_r, pos_r, neg_r = _gap_parts(
+                np.vstack([ll(vc[k], k) for k in range(lo + 1, hi + 1)]), collateral
+            )
 
-        src = aux_sources(seg, pos_l, neg_l, v[seg] - posted_l)
-        if not rannacher:
-            src = 0.5 * (src + aux_sources(seg, pos_r, neg_r, gap_v_r))
+        lc, lb, gc, gb = (x[rows, None] for x in (lc_mid, lb_mid, gc_mid, gb_mid))
+        # the Rannacher segments take their sources at the left end alone,
+        # the others the mean of both ends
+        implicit = slice(max(implicit_from - lo, 0), None)
+
+        def average(left, right, out):
+            np.add(left, right, out=out)
+            out *= 0.5
+            out[implicit] = left[implicit]
+            return out
+
+        def linear(posted, pos, neg):
+            # the default intensities times the riskless close-out amounts
+            close_c = posted + rec_c * pos - neg
+            close_b = posted + pos - rec_b * neg
+            return lc * close_c + lb * close_b
+
+        lin = average(linear(posted_l, pos_l, neg_l), linear(posted_r, pos_r, neg_r),
+                      np.empty((hi - lo, len(nodes))))
+
+        # the funding source is explicit at the right end, so it waits for
+        # each segment's v[seg + 1]
+        gap_v_r = np.empty_like(lin)
+        for seg in segs:
+            j = seg - lo
+            v_right = ll(v[seg + 1], seg + 1)
+            gap = np.subtract(v_right, posted_r[j], out=gap_v_r[j])
+            funding = -gc_mid[seg] * np.maximum(gap, 0.0) + gb_mid[seg] * np.maximum(-gap, 0.0)
+            v[seg] = theta_step(v_right, seg, r_full[seg], lin[j] + funding)
+
+        def aux_sources(pos, neg, gap_v):
+            yield lc * (1.0 - rec_c) * pos
+            yield lb * (1.0 - rec_b) * neg
+            yield gc * np.maximum(gap_v, 0.0)
+            yield gb * np.maximum(-gap_v, 0.0)
+
+        # formed one surface at a time, in the layout the steps read
+        src = np.empty((hi - lo, 4, len(nodes)))
+        pairs = zip(aux_sources(pos_l, neg_l, v[rows] - posted_l),
+                   aux_sources(pos_r, neg_r, gap_v_r))
+        for k, (left, right) in enumerate(pairs):
+            average(left, right, src[:, k])
         # every solved surface and every input reaches these sources, so a
         # NaN or inf anywhere upstream is caught here
         if not np.isfinite(src).all():
@@ -315,7 +348,11 @@ def solve_final_pde(
                 "non-finite values in the finite-difference solve; check the "
                 "curves, dynamics, payoff and collateral for NaN or inf"
             )
-        aux[:, seg] = theta_step(aux[:, seg + 1], substeps, r_full, src)
+        for seg in segs:
+            aux[:, seg] = theta_step(aux[:, seg + 1], seg, r_full[seg], src[seg - lo])
+
+    for hi in range(m - 1, 0, -_SOURCE_BLOCK):
+        sweep(max(hi - _SOURCE_BLOCK, 0), hi)
 
     cva, dva, cfva, dfva = aux
     return PdeSolution(

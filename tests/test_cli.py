@@ -625,6 +625,19 @@ class TestConfigErrors:
         assert out == ""
         assert f"ModelDynamics.{key} is 1e+308: its square overflows" in err
 
+    @pytest.mark.parametrize("pay_times", [[1e308], [1.0, 1e308]], ids=["only", "last"])
+    def test_an_overflowing_pay_time_names_its_quote(self, tmp_path, capsys, pay_times):
+        # a first quote that bootstraps, so the overflow is in the second
+        quote = CALIBRATE_CFG["quotes"][0]
+        cfg = with_value(CALIBRATE_CFG, ("quotes",), [
+            with_value(quote, ("bond", "pay_times"), [0.5]),
+            with_value(quote, ("bond", "pay_times"), pay_times),
+        ])
+        code, out, err = run_cli(["calibrate", "--config", write_config(tmp_path, cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "quotes[1] (maturity 1e+308) overflows the bond pricer" in err
+
     @pytest.mark.parametrize(
         "collateral, key",
         [({"mode": "perfect", "threshold": 7}, "threshold"),
@@ -798,10 +811,11 @@ class TestWrongTypedInput:
 
 
 def test_importing_the_cli_leaves_out_quadrature_and_root_finding():
-    # scipy.integrate alone is most of the package's import time
+    # scipy.integrate alone is most of the package's import time, and LAPACK
+    # is needed only where a finite-difference grid is stepped
     code = (
-        "import sys, bondxva.cli; "
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+        "import sys, bondxva.cli; print(sorted(m for m in "
+        "('scipy.integrate', 'scipy.optimize', 'scipy.linalg') if m in sys.modules))"
     )
     src = str(Path(cli.__file__).resolve().parent.parent)
     out = subprocess.run(

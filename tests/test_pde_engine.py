@@ -107,6 +107,46 @@ class TestStepper:
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+class TestSourceBlocks:
+    CP = CounterpartyProfile(0.4, PiecewiseCurve.flat(0.04), PiecewiseCurve.flat(0.015))
+    BANK = CounterpartyProfile(0.35, PiecewiseCurve.flat(0.02), PiecewiseCurve.flat(0.008))
+    FIELDS = ("v", "v_coll", "cva", "dva", "cfva", "dfva")
+
+    def solve_both_ways(self, monkeypatch, instrument, dyn, grid, collateral):
+        blocked = solve_final_pde(instrument, OIS, self.CP, self.BANK, dyn, grid, collateral)
+        monkeypatch.setattr(pde_engine, "_SOURCE_BLOCK", 1)
+        single = solve_final_pde(instrument, OIS, self.CP, self.BANK, dyn, grid, collateral)
+        return blocked, single
+
+    def test_flows_on_and_inside_block_edges_solve_as_one_segment_blocks(self, monkeypatch):
+        # 32 steps of 1/16 over 2y: the default blocks end on nodes 32, 24, 16
+        # and 8, so the flow at 1.5y (node 24) is on a block edge and the one
+        # at 1.25y (node 20) inside a block
+        two_sided = Instrument.coupon_bond(
+            CashflowSchedule(((1.25, 60.0), (1.5, -45.0), (2.0, 10.0)), notional=100.0)
+        )
+        grid = SpatialGrid(0.0, 4.0, 41, 32)
+        blocked, single = self.solve_both_ways(
+            monkeypatch, two_sided, ModelDynamics(s0=1.0, vol_s=0.2), grid,
+            CollateralSpec.none(),
+        )
+        nodes = [int(np.flatnonzero(blocked.times == t)[0]) for t in (1.25, 1.5)]
+        assert nodes == [20, 24] and pde_engine._SOURCE_BLOCK == 1
+        assert blocked.cva[0, 10] > 0 and blocked.dva[0, 10] > 0
+        for field in self.FIELDS:
+            assert np.array_equal(getattr(blocked, field), getattr(single, field)), field
+
+    def test_a_threshold_collateralized_payoff_solves_as_one_segment_blocks(self, monkeypatch):
+        call = Instrument.european_option("call", strike=100.0, expiry=1.0)
+        blocked, single = self.solve_both_ways(
+            monkeypatch, call, ModelDynamics(s0=100.0, rate=0.02, vol_s=0.3),
+            SpatialGrid(0.0, 400.0, 81, 45), CollateralSpec.bilateral_threshold(5.0),
+        )
+        assert blocked.cfva[0, 20] > 0
+        for field in self.FIELDS:
+            assert np.array_equal(getattr(blocked, field), getattr(single, field)), field
+
+
 class TestRisklessPricing:
     GRID = SpatialGrid(0.0, 400.0, 401, 200)
     DYN = ModelDynamics(s0=100.0, rate=0.02, vol_s=0.25)
