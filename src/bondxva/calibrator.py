@@ -9,6 +9,7 @@ buckets are frozen by the time later ones are calibrated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .bond_pricer import RecoveryConvention, price_bond
@@ -88,8 +89,12 @@ def bootstrap_basis(
     maturities = [b.maturity for b in buckets]
     if any(m2 <= m1 for m1, m2 in zip(maturities, maturities[1:])):
         raise ValueError(f"quote maturities must be strictly increasing: {maturities}")
-    if any(b.market_price <= 0 for b in buckets):
-        raise ValueError("market prices must be positive")
+    for i, b in enumerate(buckets):
+        if not 0 < b.market_price < math.inf:  # NaN fails too
+            raise ValueError(
+                f"quotes[{i}] (maturity {b.maturity:g}) has market price "
+                f"{b.market_price}; it must be positive and finite"
+            )
 
     # node at 0 for the first bucket, then one node per earlier maturity
     node_times: list[float] = [0.0]

@@ -12,7 +12,10 @@ exact to rounding.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -63,13 +66,23 @@ class PiecewiseCurve:
             raise ValueError("node times must be strictly increasing")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        # cumulative integral from 0 to each node, precomputed once
-        t = np.asarray(times)
-        v = np.asarray(values)
-        cum = np.concatenate(([0.0], np.cumsum(v[:-1] * np.diff(t))))
-        object.__setattr__(self, "_t", t)
-        object.__setattr__(self, "_v", v)
-        object.__setattr__(self, "_cum", cum)
+        # cumulative integral from 0 to each node, summed in np.cumsum's order
+        # so that the scalar and vectorized lookups agree bit for bit
+        steps = (v * (b - a) for a, b, v in zip(times, times[1:], values))
+        object.__setattr__(self, "_node_integrals", (0.0, *accumulate(steps)))
+
+    # the arrays of the vectorized lookups, built on first use
+    @cached_property
+    def _t(self) -> np.ndarray:
+        return np.array(self.times)
+
+    @cached_property
+    def _v(self) -> np.ndarray:
+        return np.array(self.values)
+
+    @cached_property
+    def _cum(self) -> np.ndarray:
+        return np.concatenate(([0.0], np.cumsum(self._v[:-1] * np.diff(self._t))))
 
     @classmethod
     def flat(cls, value: float) -> "PiecewiseCurve":
@@ -77,32 +90,38 @@ class PiecewiseCurve:
 
     def value_at(self, t: float) -> float:
         """Curve level at time t (right-continuous lookup)."""
-        if t < 0:
-            raise ValueError(f"negative time {t}")
-        idx = int(np.searchsorted(self._t, t, side="right")) - 1
-        return float(self._v[idx])
+        if not t >= 0:
+            raise ValueError(f"negative time or NaN: {t}")
+        return self.values[bisect_right(self.times, t) - 1]
 
     def values_at(self, t) -> np.ndarray:
         """Vectorized right-continuous lookup."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise ValueError("negative time in lookup")
+        if not np.all(t >= 0):
+            raise ValueError("negative time or NaN in lookup")
         idx = np.searchsorted(self._t, t, side="right") - 1
         return self._v[idx]
 
     def integral_from_zero(self, t) -> np.ndarray:
         """Exact integral of the curve over [0, t], vectorized in t."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise ValueError("negative time in integral")
+        if not np.all(t >= 0):
+            raise ValueError("negative time or NaN in integral")
         idx = np.searchsorted(self._t, t, side="right") - 1
         return self._cum[idx] + self._v[idx] * (t - self._t[idx])
+
+    def _integral_to(self, t: float) -> float:
+        # integral_from_zero on Python floats, the same operations in order
+        if not t >= 0:
+            raise ValueError("negative time or NaN in integral")
+        i = bisect_right(self.times, t) - 1
+        return self._node_integrals[i] + self.values[i] * (t - self.times[i])
 
     def integral(self, a: float, b: float) -> float:
         """Exact integral over [a, b]. Requires 0 <= a <= b."""
         if b < a:
             raise ValueError(f"integration bounds out of order: [{a}, {b}]")
-        return float(self.integral_from_zero(b) - self.integral_from_zero(a))
+        return float(self._integral_to(b) - self._integral_to(a))
 
     def shifted(self, bump: float) -> "PiecewiseCurve":
         """Parallel shift of every segment by ``bump``."""

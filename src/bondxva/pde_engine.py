@@ -230,6 +230,10 @@ def solve_final_pde(
     m = len(times)
     mids = 0.5 * (times[:-1] + times[1:])
     dts = np.diff(times)
+    # linspace's rounding spreads the uniform segments over about ten steps a
+    # few ulps apart; one step for all of them factors each matrix once
+    step = instrument.maturity / grid.n_time
+    dts[np.abs(dts - step) <= 2 * np.spacing(instrument.maturity)] = step
     c_mid = ois.values_at(mids)
     lc_mid = counterparty.hazard.values_at(mids)
     lb_mid = bank.hazard.values_at(mids)

@@ -103,6 +103,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="positive"):
             bootstrap_basis([(bond, 0.0)], OIS, HAZARD, RECOVERY)
 
+    @pytest.mark.parametrize("price", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_price_names_its_quote(self, price):
+        # NaN passed a `<= 0` check and stopped inside the root finder; inf
+        # reported a bracket with no sign change
+        quotes = synthetic_quotes(PiecewiseCurve.flat(0.01), (1.0,))
+        quotes.append((bullet_bond(100.0, 2.0, (1.0, 2.0)), price))
+        with pytest.raises(ValueError, match=rf"quotes\[1\] \(maturity 2\) has market "
+                                             rf"price {price}; it must be positive and finite"):
+            bootstrap_basis(quotes, OIS, HAZARD, RECOVERY)
+
     def test_unattainable_price_raises_with_context(self):
         # demand a price even richer than the widest negative basis allows
         bond = bullet_bond(100.0, 2.0, (1.0, 2.0))

@@ -1,6 +1,7 @@
 """Term-structure primitives: lookups, exact integrals, curve algebra."""
 
 import math
+from itertools import accumulate, combinations
 
 import numpy as np
 import pytest
@@ -82,6 +83,19 @@ class TestLookup:
         with pytest.raises(ValueError, match="negative time"):
             curve.values_at([0.5, -0.5])
 
+    @pytest.mark.parametrize("lookup", [
+        lambda c, t: c.value_at(t),
+        lambda c, t: c.values_at([0.5, t]),
+        lambda c, t: c.integral_from_zero([t, 0.5]),
+        lambda c, t: c.integral(0.0, t),
+        lambda c, t: c.integral(t, 1.0),
+    ], ids=["value_at", "values_at", "integral_from_zero", "integral_end", "integral_start"])
+    def test_nan_time_rejected_like_a_negative_one(self, lookup):
+        # a NaN time used to read the last segment (value_at) or return NaN
+        curve = PiecewiseCurve((0.0, 1.0), (0.01, 0.02))
+        with pytest.raises(ValueError, match="negative time or NaN"):
+            lookup(curve, float("nan"))
+
     def test_vectorized_matches_scalar(self):
         curve = PiecewiseCurve((0.0, 0.7, 2.1), (0.01, -0.004, 0.03))
         ts = np.array([0.0, 0.3, 0.7, 1.0, 2.1, 5.0])
@@ -127,6 +141,58 @@ class TestIntegral:
         total = curve.integral(x, z)
         split = curve.integral(x, y) + curve.integral(y, z)
         assert total == pytest.approx(split, abs=1e-12)
+
+
+@st.composite
+def curve_with_times(draw):
+    """A curve of 1-6 nodes, zero and negative values among them, and times
+    at its nodes (0 included), just before them, between them and past the
+    last one."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    gaps = draw(st.lists(st.floats(0.01, 3.0), min_size=n - 1, max_size=n - 1))
+    value = st.sampled_from([0.0, -0.0]) | st.floats(-0.2, 0.3)
+    curve = PiecewiseCurve(list(accumulate([0.0, *gaps])),
+                           draw(st.lists(value, min_size=n, max_size=n)))
+    end = curve.times[-1]
+    time = st.one_of(
+        st.sampled_from(curve.times),
+        st.sampled_from(curve.times).map(lambda t: math.nextafter(t, 0.0)),
+        st.floats(0.0, end),
+        st.floats(end, end + 10.0),
+    )
+    return curve, draw(st.lists(time, min_size=2, max_size=6))
+
+
+class TestScalarKernels:
+    """The scalar lookups run on the curve's tuples in plain Python and must
+    equal the vectorized numpy ones bit for bit: the closed-form pricers
+    and the quadrature oracle both read them, so this is what keeps the
+    oracle an independent check."""
+
+    @staticmethod
+    def assert_scalar_equals_vectorized(curve, times):
+        for t in times:
+            assert curve.value_at(t) == curve.values_at([t])[0]
+        for a, b in combinations(sorted(times), 2):
+            assert curve.integral(a, b) == float(
+                curve.integral_from_zero(b) - curve.integral_from_zero(a)
+            )
+
+    @given(drawn=curve_with_times(), other=curve_with_times().map(lambda drawn: drawn[0]),
+           factor=st.floats(-3.0, 3.0), bump=st.floats(-0.1, 0.1))
+    @settings(max_examples=150, deadline=None)
+    def test_scalar_lookups_equal_vectorized(self, drawn, other, factor, bump):
+        curve, times = drawn
+        self.assert_scalar_equals_vectorized(curve, times)
+        derived = [
+            (curve + other, lambda t: curve.value_at(t) + other.value_at(t)),
+            (curve.shifted(bump), lambda t: curve.value_at(t) + bump),
+            (curve.scaled(factor), lambda t: curve.value_at(t) * factor),
+        ]
+        for result, pointwise in derived:
+            self.assert_scalar_equals_vectorized(result, times)
+            for t in times:
+                assert result.value_at(t) == pointwise(t)
 
 
 class TestAlgebra:

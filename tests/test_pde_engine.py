@@ -106,6 +106,28 @@ class TestStepper:
                 got = stepper.step(v_old, dt, r_eff, theta, source)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    def test_the_readme_call_factors_four_step_matrices(self, monkeypatch):
+        # V^c and V each take one Crank-Nicolson and one halved implicit-Euler
+        # matrix; linspace's rounding once spread the uniform steps over 11
+        # distinct dt and 26 factorizations
+        made = []
+
+        class Recorded(_Stepper):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(pde_engine, "_Stepper", Recorded)
+        cp = CounterpartyProfile(0.4, PiecewiseCurve.flat(0.03), PiecewiseCurve.flat(0.012))
+        bank = CounterpartyProfile(0.35, PiecewiseCurve.flat(0.02), PiecewiseCurve.flat(0.008))
+        solve_final_pde(
+            Instrument.european_option("call", strike=100.0, expiry=1.0), OIS, cp, bank,
+            ModelDynamics(s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013),
+            collateral=CollateralSpec.bilateral_threshold(5.0),
+        )
+        [stepper] = made
+        assert len(stepper._factors) == 4
+
 
 class TestSourceBlocks:
     CP = CounterpartyProfile(0.4, PiecewiseCurve.flat(0.04), PiecewiseCurve.flat(0.015))
