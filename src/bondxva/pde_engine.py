@@ -112,13 +112,22 @@ class PdeSolution:
 
 
 def _time_grid(instrument: Instrument, curves, n_time: int) -> np.ndarray:
+    """n_time uniform steps over the trade's life plus every curve node inside
+    it and every pay date. An added point within 2 ulps (of the horizon) of
+    an interior uniform point replaces it, so that no segment is ulp-wide and
+    a flow still jumps on its own pay date."""
     horizon = instrument.maturity
-    pts = set(np.linspace(0.0, horizon, n_time + 1).tolist())
-    for curve in curves:
-        pts.update(t for t in curve.times if 0.0 < t < horizon)
+    uniform = np.linspace(0.0, horizon, n_time + 1).tolist()
+    added = {t for curve in curves for t in curve.times if 0.0 < t < horizon}
     if instrument.schedule is not None:
-        pts.update(t for t, _ in instrument.schedule.flows if t <= horizon)
-    return np.array(sorted(pts))
+        added.update(t for t, _ in instrument.schedule.flows if t <= horizon)
+    pts = set(uniform)
+    near = 2 * np.spacing(horizon)
+    for t in added - pts:
+        i = round(t / horizon * n_time)
+        if 0 < i < n_time and abs(uniform[i] - t) <= near and uniform[i] not in added:
+            pts.discard(uniform[i])
+    return np.array(sorted(pts | added))
 
 
 class _Stepper:

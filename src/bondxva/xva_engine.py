@@ -40,9 +40,9 @@ defaults driven by bond-implied intensities).
 
 ``_valuation`` prepares each valuation once. On Monte Carlo that is one
 ``_McRun`` (the paths, the V^c model, discount factors and the end of the
-cure window), which the method functions ``_recursive_mc``,
-``_first_order_mc`` and ``_bond_implied_mc`` consume; on the deterministic
-backend it is one ``_det_setup``; on Crank-Nicolson it is one
+cure window), which ``_mc_valuation`` values by any method; on the
+deterministic backend it is one ``_det_setup``, which ``_deterministic``
+values by any method; on Crank-Nicolson it is one
 ``pde_engine.solve_final_pde``, whose surfaces are read at s0 and assembled
 here like every other report. A Monte Carlo run holds no (n_paths, n_times)
 array besides the three path arrays: V^c, the collateral, the close-out
@@ -52,7 +52,9 @@ which keeps only the few V^c columns a cure window spans. The recursive
 method solves each slice inside it; ``first_order``, ``bond_implied`` (at
 the bond-implied intensities, with no funding legs), the full-spread legs
 of ``compare_aggregations`` and the public ``cfva`` and ``dfva`` integrate
-gaps that do not depend on the funding. The public ``cva``, ``dva`` and
+gaps that do not depend on the funding. Every leg's spreads at t_k and at
+its left limit come from ``_spreads``, and the survival from
+``_survival``. The public ``cva``, ``dva`` and
 ``ead_split_adjustment`` stay the estimators on given default times.
 ``run_xva`` asks for the exposure profile, whose survival-weighted per-time
 moments are taken in the same pass; ``fair_value_recursive``,
@@ -263,6 +265,18 @@ def notional_scale(instrument: Instrument) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _window_end(t, shift: float, maturity: float) -> np.ndarray:
+    """The end of the cure window from t, min(t + shift, maturity); a t that
+    never comes (inf) ends at maturity."""
+    u = np.minimum(t + shift, maturity)
+    return np.where(np.isfinite(u), u, maturity)
+
+
+def _node(times: np.ndarray, u) -> np.ndarray:
+    """The last grid node at or before each u (the first for a u before it)."""
+    return np.clip(np.searchsorted(times, u, side="right") - 1, 0, len(times) - 1)
+
+
 class _ScheduleValuation:
     """Deterministic V^c of a cash-flow schedule under OIS discounting."""
 
@@ -310,14 +324,13 @@ class _ScheduleValuation:
         its left limit there, as a function of k: numbers that every path
         shares, from rows computed once. The terminal claim is clamped as in
         ``at_default``; columns and steps are not needed."""
-        u = np.minimum(paths.times + shift, self.maturity)
+        u = _window_end(paths.times, shift, self.maturity)
         rc = self.deterministic_values(u, clamp_terminal=shift > 0)
         ll = self.deterministic_values(u, inclusive=True, clamp_terminal=shift > 0)
         return lambda k: (rc[k], ll[k])
 
     def at_default(self, paths: PathSet, tau: np.ndarray, shift: float, rows=None) -> np.ndarray:
-        u = np.minimum(tau + shift, self.maturity)
-        u = np.where(np.isfinite(u), u, self.maturity)
+        u = _window_end(tau, shift, self.maturity)
         return self.deterministic_values(u, clamp_terminal=shift > 0)
 
 
@@ -406,8 +419,8 @@ class _PayoffValuation:
         last = len(times) - 1
         if steps is not None:
             return lambda k: columns(min(k + steps, last))
-        u = np.minimum(times + shift, self.maturity)
-        node = np.clip(np.searchsorted(times, u, side="right") - 1, 0, last)
+        u = _window_end(times, shift, self.maturity)
+        node = _node(times, u)
         discs = self.discount(u)
 
         def at(k):
@@ -418,12 +431,8 @@ class _PayoffValuation:
 
     def at_default(self, paths: PathSet, tau: np.ndarray, shift: float, rows=None) -> np.ndarray:
         """V^c at tau + shift, capped at expiry, on the paths in rows (all by default)."""
-        u = np.minimum(tau + shift, self.maturity)
-        u = np.where(np.isfinite(u), u, self.maturity)
-        idx = np.clip(
-            np.searchsorted(paths.times, u, side="right") - 1, 0, len(paths.times) - 1
-        )
-        s = paths.s[np.arange(paths.n_paths) if rows is None else rows, idx]
+        u = _window_end(tau, shift, self.maturity)
+        s = paths.s[np.arange(paths.n_paths) if rows is None else rows, _node(paths.times, u)]
         return self.value(u, s)
 
     def deterministic_values(self, u, inclusive=False, clamp_terminal=False):
@@ -460,8 +469,7 @@ class _GridValuation:
         self.maturity = float(paths.times[-1])
 
     def at_default(self, paths: PathSet, tau: np.ndarray, shift: float, rows=None) -> np.ndarray:
-        u = np.minimum(np.where(np.isfinite(tau), tau, self.maturity) + shift, self.maturity)
-        idx = np.clip(np.searchsorted(self.times, u, side="right") - 1, 0, len(self.times) - 1)
+        idx = _node(self.times, _window_end(tau, shift, self.maturity))
         if self.grid.ndim == 1:
             return self.grid[idx]
         return self.grid[np.arange(len(idx)) if rows is None else rows, idx]
@@ -548,17 +556,31 @@ def dva(
     return _default_leg(paths, v_coll, ois, recovery_b, collateral, "dva")
 
 
-def _curve_spreads(curves, times: np.ndarray):
-    """Spreads that every path shares, one row per curve, at grid time k and
-    at its left limit, as a function of k: (rows, 1) columns, the left limit
+def _spreads(times: np.ndarray, curves, pi=None, floor: bool = False) -> Callable:
+    """Spreads at grid time k and at its left limit, one row per curve, as a
+    function of k: each curve's level, a (rows, 1) column that every path
+    shares, or with pi (one (n_paths, n_times) path array per curve) the
+    path row plus that level, floored at zero if floor. The left limit is
     the same array where no curve jumps at t_k."""
     rc = np.array([curve.values_at(times) for curve in curves])
     ll = np.array([curve.values_at(np.maximum(times - 1e-12, 0.0)) for curve in curves])
-    columns = []
-    for k in range(len(times)):
-        at = rc[:, k:k + 1]
-        columns.append((at, at if np.array_equal(at, ll[:, k:k + 1]) else ll[:, k:k + 1]))
-    return columns.__getitem__
+    jumps = np.any(ll != rc, axis=0)
+
+    def rows(levels, k):
+        if pi is None:
+            return levels[:, k:k + 1]
+        out = np.empty((len(pi), pi[0].shape[0]))
+        for row, path, level in zip(out, pi, levels[:, k]):
+            np.add(path[:, k], level, out=row)
+            if floor:
+                np.maximum(row, 0.0, out=row)
+        return out
+
+    def at(k):
+        value = rows(rc, k)
+        return value, rows(ll, k) if jumps[k] else value
+
+    return at
 
 
 def _net(groups):
@@ -683,7 +705,7 @@ def _funding_leg(
     disc = np.exp(-ois.integral_from_zero(paths.times))
     (per_path,) = _funding_trapezoid(
         paths, disc, lambda k: paths.alive(paths.times[k]), gaps,
-        [(_curve_spreads((basis,), paths.times), (positive,), False)],
+        [(_spreads(paths.times, (basis,)), (positive,), False)],
     )
     return _mean_and_se(per_path)
 
@@ -911,62 +933,35 @@ def _prepare_mc(
     )
 
 
-class _DefaultSpreads:
-    """Both names' default spreads on the paths, one row each, the
-    counterparty's first, at grid time k and its left limit, as a function
-    of k: each name's spread pi = lambda (1 - R) floored at zero or,
-    bond-implied, max(pi + gamma, 0) with gamma its basis curve. A name's
-    intensity is its spread over 1 - R."""
-
-    def __init__(self, paths: PathSet, counterparty, bank, bond_implied: bool):
-        for label, profile in (("counterparty", counterparty), ("bank", bank)):
-            if not profile.recovery < 1.0:
-                raise ValueError(
-                    f"the {label} recovery must be below 1 on the Monte Carlo backend, "
-                    f"got {profile.recovery!r}"
-                )
-        times = paths.times
-        self.pi = paths.pi_c, paths.pi_b
-        self.shifted = bond_implied
-        bases = [profile.basis if bond_implied else PiecewiseCurve.flat(0.0)
-                 for profile in (counterparty, bank)]
-        self.gamma = np.array([basis.values_at(times) for basis in bases])
-        self.gamma_ll = np.array(
-            [basis.values_at(np.maximum(times - 1e-12, 0.0)) for basis in bases]
-        )
-        self.jumps = np.any(self.gamma_ll != self.gamma, axis=0)
-        # intensity * dt per unit of spread over each grid step, per name
-        recoveries = np.array([[counterparty.recovery], [bank.recovery]])
-        self.steps = np.diff(times)[None, :] / (1.0 - recoveries)
-
-    def __call__(self, k: int):
-        rc = self._floored(k, self.gamma[:, k])
-        ll = self._floored(k, self.gamma_ll[:, k]) if self.jumps[k] else rc
-        return rc, ll
-
-    def _floored(self, k, gamma):
-        out = np.empty((2, len(self.pi[0])))
-        for row, pi, shift in zip(out, self.pi, gamma):
-            np.maximum(pi[:, k] + shift if self.shifted else pi[:, k], 0.0, out=row)
-        return out
-
-    def step(self, j: int) -> np.ndarray:
-        """The two names' intensity * dt over grid step j, summed, per path."""
-        scaled = self(j)[0] * self.steps[:, j:j + 1]
-        return scaled[0] + scaled[1]
-
-
-def _survival(paths: PathSet, spreads: _DefaultSpreads) -> Callable:
+def _survival(
+    paths: PathSet, spreads: Callable, recovery_c: float, recovery_b: float
+) -> Callable:
     """Each path's survival exp(-(Lambda_C + Lambda_B)) at grid time k, as a
     function of k that is asked for latest time first, as the backward
-    sweep does. Lambda is each name's left-endpoint sum of intensity * dt
+    sweep does. spreads gives both names' default spreads (``_spreads``
+    rows, the counterparty's first), and a name's intensity is its spread
+    over 1 - R. Lambda is each name's left-endpoint sum of intensity * dt
     over the grid steps before t_k. Their sum is one per-path vector, the
     whole grid's first and then carried back one step at a time; the names
     enter each step as a sum of two, so a role swap leaves the survival
     unchanged, bit for bit."""
+    for label, recovery in (("counterparty", recovery_c), ("bank", recovery_b)):
+        if not recovery < 1.0:
+            raise ValueError(
+                f"the {label} recovery must be below 1 on the Monte Carlo backend, "
+                f"got {recovery!r}"
+            )
+    # intensity * dt per unit of spread over each grid step, per name
+    recoveries = np.array([[recovery_c], [recovery_b]])
+    per_spread = np.diff(paths.times)[None, :] / (1.0 - recoveries)
+
+    def step(j):  # the two names' intensity * dt over grid step j, summed, per path
+        scaled = spreads(j)[0] * per_spread[:, j:j + 1]
+        return scaled[0] + scaled[1]
+
     clock = np.zeros(paths.n_paths)  # -(Lambda_C + Lambda_B)
     for j in range(paths.n_steps):
-        clock -= spreads.step(j)
+        clock -= step(j)
     at = paths.n_steps
 
     def survival(k):
@@ -974,25 +969,11 @@ def _survival(paths: PathSet, spreads: _DefaultSpreads) -> Callable:
         if k > at:
             raise ValueError(f"the survival walk is at grid time {at}, past {k}")
         for j in range(at - 1, k - 1, -1):
-            np.add(clock, spreads.step(j), out=clock)
+            np.add(clock, step(j), out=clock)
         at = k
         return np.exp(clock)
 
     return survival
-
-
-def _default_legs(paths: PathSet, counterparty, bank, bond_implied: bool = False):
-    """The survival walk of a sweep and its CVA and DVA legs: the fixed
-    group D S pi_C (gap)^+ and D S pi_B (gap)^- on the close-out gap, with
-    the CDS-implied intensities or, bond_implied, the bond-implied
-    max(pi + gamma, 0) / (1 - R) in the spreads and the survival S."""
-    spreads = _DefaultSpreads(paths, counterparty, bank, bond_implied)
-    return _survival(paths, spreads), [(spreads, (True, False), True)]
-
-
-def _funding_legs(paths: PathSet, counterparty, bank):
-    """The CFVA and DFVA legs: each name's basis on the funded gap."""
-    return [(_curve_spreads((counterparty.basis, bank.basis), paths.times), (True, False), False)]
 
 
 def _mc_report(run: _McRun, loss, gain, cf, df, method: str, **kw) -> XvaReport:
@@ -1015,49 +996,49 @@ def _mc_report(run: _McRun, loss, gain, cf, df, method: str, **kw) -> XvaReport:
     )
 
 
-def _mc_profile(run: _McRun, moments: np.ndarray | None) -> ExposureProfile | None:
-    """The exposure profile of moments, (4, n_times) from
-    ``_exposure_moments``, or None when none were taken."""
-    if moments is None:
-        return None
-    return ExposureProfile.from_expectations(run.paths.times, run.disc, *moments)
-
-
-def _recursive_mc(
+def _mc_valuation(
     run: _McRun,
     instrument: Instrument,
     counterparty: CounterpartyProfile,
     bank: CounterpartyProfile,
+    method: str,
     params: SolverParams,
     profile: bool = False,
+    extra=(),
 ):
-    """The recursive value on a prepared run, solved in the backward sweep
-    of ``_funding_trapezoid``.
+    """One Monte Carlo valuation of a prepared run, in one backward sweep of
+    ``_funding_trapezoid``: the report, the exposure profile (None without
+    profile) and the per-path legs of the extra groups.
 
-    At grid time t_k the pathwise pre-default value is
-    V^c - (CVA_k - DVA_k + CF_k - DF_k) / (D(t_k) S(t_k)), with CVA_k,
-    DVA_k, CF_k and DF_k the legs from t_k on in time-0 dollars: the
-    trapezoid segments 0.5 * (g(t_j) + g(t_{j+1}-)) * dt_j, j >= k, of
-    g_CVA = D S pi_C (V^c_cure - C)^+, g_DVA = D S pi_B (V^c_cure - C)^-,
-    g_C = D S gamma_C (V-C)^+ and g_B = D S gamma_B (V-C)^-, S each path's
-    survival. Only the funding segments from t_k involve V(t_k), so once the
-    sweep has solved the later times, the slice's fixed point is iterated
-    alone: the sweep calls ``solve`` at t_k, which runs damped Picard
-    (``_fixed_point``) on a regression of the pathwise values of every path
-    on the state at t_k, with the sweep's legs from t_k on, and returns
-    V - C. Its contraction factor is 0.5 * dt_k * max(gamma_C, gamma_B). At
-    t_0 the sweep's legs are the report's per-path CVA, DVA, CFVA and DFVA.
-    With profile, the exposure moments of the solved values are taken as
-    each time is solved. Returns the report and the exposure profile (None
-    without profile).
+    The groups are the default legs, D S pi_C (gap)^+ and D S pi_B (gap)^-
+    on the close-out gap; unless bond_implied, the funding legs D S gamma_C
+    (gap)^+ and D S gamma_B (gap)^- on the funded gap; then the extra
+    groups, on the funded gap too. A name's default spread, in its leg and
+    in the survival S, is pi = lambda (1 - R) floored at zero or, for
+    bond_implied, max(pi + gamma, 0). first_order and bond_implied fund the
+    V^c exposure. recursive funds the recursive value V: at t_k the pathwise
+    pre-default value is V^c less the ``_net`` of the legs from t_k on over
+    D(t_k) S(t_k), and only the funding densities at t_k involve V(t_k), so
+    the sweep calls ``solve`` once the later times are solved. It runs damped Picard
+    (``_fixed_point``) on a regression of every path's values on the state
+    at t_k, with contraction factor 0.5 dt_k max(gamma_C, gamma_B), and
+    returns V - C. The profile holds the moments of the funded gap.
     """
     paths = run.paths
     times = paths.times
+    bond_implied = method == "bond_implied"
+    levels = [
+        name.basis if bond_implied else PiecewiseCurve.flat(0.0) for name in (counterparty, bank)
+    ]
+    defaults = _spreads(times, levels, (paths.pi_c, paths.pi_b), floor=True)
+    survival = _survival(paths, defaults, counterparty.recovery, bank.recovery)
+    legs = [(defaults, (True, False), True)]
+    if not bond_implied:
+        gammas = _spreads(times, (counterparty.basis, bank.basis))
+        legs.append((gammas, (True, False), False))
+    legs += extra
     scale = notional_scale(instrument)
     iterations, residual, unconverged = 0, 0.0, []
-    survival, legs = _default_legs(paths, counterparty, bank)
-    legs += _funding_legs(paths, counterparty, bank)
-    gammas = legs[1][0]
 
     def solve(k, funding):
         nonlocal iterations, residual
@@ -1079,9 +1060,13 @@ def _recursive_mc(
         return _gap_pair(v, v if vc_ll is vc_rc else v + (vc_ll - vc_rc), posted_rc, posted_ll)
 
     moments = np.empty((4, len(times))) if profile else None
-    loss, gain, cf, df = _funding_trapezoid(
-        paths, run.disc, survival, solve, legs, moments, run.close_out
+    loss, gain, *rest = _funding_trapezoid(
+        paths, run.disc, survival, solve if method == "recursive" else run.gaps, legs,
+        moments, run.close_out,
     )
+    if bond_implied:  # no funding terms
+        rest[:0] = [np.zeros(paths.n_paths)] * 2
+    cf, df, *extra_legs = rest
     if unconverged:
         first, factor = unconverged[0]
         warnings.warn(
@@ -1090,44 +1075,12 @@ def _recursive_mc(
             f"not converge is t={first:.6g}, where the slice's Picard contraction "
             f"factor 0.5 * dt * max(gamma_C, gamma_B) is {factor:.4g}", RuntimeWarning,
         )
-    report = _mc_report(
-        run, loss, gain, cf, df, "recursive_mc",
-        iterations=iterations, residual=residual, converged=not unconverged,
-    )
-    return report, _mc_profile(run, moments)
-
-
-def _first_order_legs(run: _McRun, counterparty, bank, moments=None, extra=()):
-    """The per-path CVA, DVA, CFVA and DFVA of first_order, funding charged
-    on the V^c exposure, and those of the extra funding groups on the same
-    gap, all in one sweep."""
-    survival, legs = _default_legs(run.paths, counterparty, bank)
-    legs += _funding_legs(run.paths, counterparty, bank) + list(extra)
-    return _funding_trapezoid(
-        run.paths, run.disc, survival, run.gaps, legs, moments, run.close_out
-    )
-
-
-def _first_order_mc(run: _McRun, counterparty, bank, profile: bool = False):
-    """Funding charged on the V^c exposure, one pass; the report and the V^c
-    exposure profile (None without profile)."""
-    moments = np.empty((4, len(run.paths.times))) if profile else None
-    report = _mc_report(run, *_first_order_legs(run, counterparty, bank, moments), "first_order")
-    return report, _mc_profile(run, moments)
-
-
-def _bond_implied_mc(run: _McRun, counterparty, bank, profile: bool = False):
-    """No funding terms, the default legs and the survival at the
-    bond-implied intensities; the report and the V^c exposure profile,
-    survival-weighted at those intensities (None without profile)."""
-    moments = np.empty((4, len(run.paths.times))) if profile else None
-    survival, legs = _default_legs(run.paths, counterparty, bank, bond_implied=True)
-    loss, gain = _funding_trapezoid(
-        run.paths, run.disc, survival, run.gaps, legs, moments, run.close_out
-    )
-    no_funding = np.zeros(run.paths.n_paths)
-    report = _mc_report(run, loss, gain, no_funding, no_funding, "bond_implied")
-    return report, _mc_profile(run, moments)
+    solved = {}
+    if method == "recursive":
+        solved = dict(iterations=iterations, residual=residual, converged=not unconverged)
+    report = _mc_report(run, loss, gain, cf, df, "recursive_mc" if solved else method, **solved)
+    exposure = ExposureProfile.from_expectations(times, run.disc, *moments) if profile else None
+    return report, exposure, extra_legs
 
 
 # ---------------------------------------------------------------------------
@@ -1180,12 +1133,11 @@ def _det_grid(instrument: Instrument, ois: PiecewiseCurve, curves, n_steps: int)
 
 
 def _det_setup(
-    instrument, ois, counterparty, bank, collateral, dyn, params, bond_implied=False
+    instrument, ois, counterparty, bank, collateral, model, params, bond_implied=False
 ):
     """Grid, V^c, collateral and default adjustments of the deterministic
-    backend; bond_implied puts the defaults at the bond-implied intensities
-    and the funding bases at zero."""
-    model = make_collateralized_valuation(instrument, ois, dyn)
+    backend on the V^c model; bond_implied puts the defaults at the
+    bond-implied intensities and the funding bases at zero."""
     if not model.deterministic:
         raise ValueError(
             "the deterministic backend needs a schedule trade or zero volatility"
@@ -1206,7 +1158,7 @@ def _det_setup(
     # CVA(t_j) and DVA(t_j) along the whole grid, conditional on alive, on the
     # close-out gap at the end of the cure window
     shift = collateral.cure_period
-    u = np.minimum(grid.times + shift, float(grid.times[-1]))
+    u = _window_end(grid.times, shift, float(grid.times[-1]))
     gap = model.deterministic_values(u, clamp_terminal=shift > 0) - posted
     cva_curve = (1.0 - counterparty.recovery) * _reverse_left_integral(
         grid, grid.lam_c * np.maximum(gap, 0.0)
@@ -1321,18 +1273,17 @@ def _valuation(
             instrument, ois, collateral, dyn, n_paths, n_steps, seed, bond_mode,
             n_workers, paths,
         )
-        if method == "recursive":
-            return _recursive_mc(run, instrument, counterparty, bank, params, profile)
-        if method == "first_order":
-            return _first_order_mc(run, counterparty, bank, profile)
-        return _bond_implied_mc(run, counterparty, bank, profile)
+        report, exposure, _ = _mc_valuation(
+            run, instrument, counterparty, bank, method, params, profile
+        )
+        return report, exposure
     if backend != "pde":
         raise ValueError(f"unknown backend {backend!r}")
 
     model = make_collateralized_valuation(instrument, ois, dyn)
-    if getattr(model, "deterministic", False):
+    if model.deterministic:
         setup = _det_setup(
-            instrument, ois, counterparty, bank, collateral, dyn, params,
+            instrument, ois, counterparty, bank, collateral, model, params,
             bond_implied=method == "bond_implied",
         )
         report, value = _deterministic(setup, method)
@@ -1469,9 +1420,9 @@ def compare_aggregations(
 
     kwargs are run_xva's. The valuation is prepared once, and its first_order
     exposure serves the full-spread legs too, on "mc" in the same sweep,
-    except in bond mode: there the full-spread legs keep the bank as it is,
-    on a run (or grid) of their own, and on "mc" the paths are still
-    simulated once.
+    except in bond mode: the full-spread legs keep the bank as it is, while
+    the report values against a default-free bank on a run (or grid) of its
+    own, and on "mc" the paths are still simulated once.
     """
     collateral = collateral or CollateralSpec.none()
     # run_xva's knobs with their defaults; an unknown keyword is a TypeError
@@ -1481,6 +1432,7 @@ def compare_aggregations(
     )
     call.apply_defaults()
     opt = call.arguments
+    params = opt["params"] or SolverParams()
     # the full-spread legs price the bank as it is (run, setup); bond mode
     # values against a default-free bank, prepared a second time (valued)
     if opt["backend"] == "mc":
@@ -1492,35 +1444,32 @@ def compare_aggregations(
 
         run = prepare(False, opt["paths"])
         # the stochastic part of the bank's funding spread rides on pi_B
-        basis = _curve_spreads((bank.basis,), run.paths.times)
-        pi_b = run.paths.pi_b
-
-        def full_spread(k):
-            (rc, ll), pi = basis(k), pi_b[:, k]
-            at = pi + rc
-            return at, at if ll is rc else pi + ll
-
+        full_spread = _spreads(run.paths.times, (bank.basis,), (run.paths.pi_b,))
         full = [(full_spread, (True, False), False)]
         if opt["bond_mode"]:
             valued = prepare(True, run.paths)
-            report, _ = _first_order_mc(valued, counterparty, CounterpartyProfile.default_free())
-            survival, _ = _default_legs(run.paths, counterparty, bank)
-            fca_path, fba_path = _funding_trapezoid(
-                run.paths, run.disc, survival, run.gaps, full
+            report, _, _ = _mc_valuation(
+                valued, instrument, counterparty, CounterpartyProfile.default_free(),
+                "first_order", params,
             )
+            cds = _spreads(run.paths.times, (PiecewiseCurve.flat(0.0),) * 2,
+                           (run.paths.pi_c, run.paths.pi_b), floor=True)
+            survival = _survival(run.paths, cds, counterparty.recovery, bank.recovery)
+            fca_path, fba_path = _funding_trapezoid(run.paths, run.disc, survival, run.gaps, full)
         else:  # the full-spread legs ride in the first_order sweep
-            *legs, fca_path, fba_path = _first_order_legs(run, counterparty, bank, extra=full)
-            report = _mc_report(run, *legs, "first_order")
+            report, _, (fca_path, fba_path) = _mc_valuation(
+                run, instrument, counterparty, bank, "first_order", params, extra=full
+            )
         fca, fba = float(fca_path.mean()), float(fba_path.mean())
     elif opt["backend"] == "pde":
-        params = opt["params"] or SolverParams()
+        model = make_collateralized_valuation(instrument, ois, opt["dyn"])
         setup = valued = _det_setup(
-            instrument, ois, counterparty, bank, collateral, opt["dyn"], params
+            instrument, ois, counterparty, bank, collateral, model, params
         )
         if opt["bond_mode"]:
             valued = _det_setup(
                 instrument, ois, counterparty, CounterpartyProfile.default_free(),
-                collateral, opt["dyn"], params,
+                collateral, model, params,
             )
         report, _ = _deterministic(valued, "first_order")
         grid, vc, posted, _, _ = setup

@@ -169,6 +169,25 @@ class TestSourceBlocks:
             assert np.array_equal(getattr(blocked, field), getattr(single, field)), field
 
 
+class TestTimeGrid:
+    @pytest.mark.parametrize("kind", ["basis_nodes", "pay_dates"])
+    def test_a_point_an_ulp_off_the_uniform_grid_replaces_its_neighbour(self, kind):
+        # on 600 steps over 1y, linspace puts its points an ulp off 0.3 and 0.7
+        uniform = np.linspace(0.0, 1.0, 601)
+        assert 0.3 not in uniform and 0.7 not in uniform
+        basis = PiecewiseCurve((0.0, 0.3, 0.7), (0.012, 0.02, 0.006))
+        if kind == "basis_nodes":
+            instrument, curves = Instrument.european_option("call", 100.0, 1.0), (basis,)
+        else:
+            instrument = Instrument.coupon_bond(
+                CashflowSchedule(((0.3, 3.0), (0.7, 3.0), (1.0, 103.0)), notional=100.0)
+            )
+            curves = (OIS,)
+        times = pde_engine._time_grid(instrument, curves, 600)
+        assert 0.3 in times and 0.7 in times and len(times) == 601
+        assert np.diff(times).min() >= 0.5 / 600
+
+
 class TestRisklessPricing:
     GRID = SpatialGrid(0.0, 400.0, 401, 200)
     DYN = ModelDynamics(s0=100.0, rate=0.02, vol_s=0.25)

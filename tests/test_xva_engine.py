@@ -36,8 +36,8 @@ from bondxva.xva_engine import (
     SolverParams,
     _assemble,
     _funding_trapezoid,
+    _mc_valuation,
     _prepare_mc,
-    _recursive_mc,
     _slice_projection,
     bond_implied_value,
     cfva,
@@ -538,8 +538,9 @@ class TestDeterministicSolve:
     @staticmethod
     def _solve(name, params=None):
         instrument, cp, bank, collateral, dyn = DETERMINISTIC_TRADES[name]
+        model = make_collateralized_valuation(instrument, OIS, dyn)
         setup = xva_engine._det_setup(
-            instrument, OIS, cp, bank, collateral, dyn, params or SolverParams()
+            instrument, OIS, cp, bank, collateral, model, params or SolverParams()
         )
         report, value = xva_engine._deterministic(setup, "recursive")
         return instrument, setup, report, value
@@ -705,7 +706,9 @@ class TestBackwardSweep:
         run = _prepare_mc(
             TWO_SIDED, OIS, self.COLLATERAL, self.DYN, 0, 0, 0, False, paths=paths,
         )
-        report, _ = _recursive_mc(run, TWO_SIDED, RISKY_CP, RISKY_BANK, self.PARAMS)
+        report, _, _ = _mc_valuation(
+            run, TWO_SIDED, RISKY_CP, RISKY_BANK, "recursive", self.PARAMS
+        )
         return report, run
 
     def test_sweep_solves_the_global_fixed_point(self, monkeypatch):
@@ -1462,7 +1465,9 @@ class TestDenseGrids:
         run = _prepare_mc(
             instrument, OIS, self.COLLATERAL, self.DYN, 0, 0, 0, False, paths=paths,
         )
-        report, profile = xva_engine._first_order_mc(run, RISKY_CP, RISKY_BANK, True)
+        report, profile, _ = _mc_valuation(
+            run, instrument, RISKY_CP, RISKY_BANK, "first_order", SolverParams(), True
+        )
         vc_rc, vc_ll, posted_rc, posted_ll = _vc_grids(
             instrument, self.DYN, paths, self.COLLATERAL
         )
@@ -1494,7 +1499,9 @@ class TestDenseGrids:
         run = _prepare_mc(
             TWO_SIDED, OIS, self.COLLATERAL, self.DYN, 0, 0, 0, bond_mode, paths=paths,
         )
-        report, profile = xva_engine._bond_implied_mc(run, RISKY_CP, bank, True)
+        report, profile, _ = _mc_valuation(
+            run, TWO_SIDED, RISKY_CP, bank, "bond_implied", SolverParams(), True
+        )
         assert report.cfva == report.dfva == 0.0
         times = paths.times
         surv = _survival_grid(run.paths, RISKY_CP, bank, bond_implied=True)
@@ -1580,7 +1587,9 @@ class TestDenseGrids:
         run = _prepare_mc(
             self.CALL, OIS, self.COLLATERAL, self.DYN, 0, 0, 0, False, paths=self._paths(),
         )
-        report, _ = xva_engine._first_order_mc(run, RISKY_CP, RISKY_BANK)
+        report, _, _ = _mc_valuation(
+            run, self.CALL, RISKY_CP, RISKY_BANK, "first_order", SolverParams()
+        )
         assert report.cva > 0 and len(calls) == len(run.paths.times)
 
     @pytest.mark.parametrize(
@@ -1608,7 +1617,9 @@ class TestDenseGrids:
             paths=self._paths(horizon),
         )
         solved = _record_solved_values(monkeypatch)
-        report, _ = _recursive_mc(run, instrument, cp, bank, SolverParams(tol=1e-8))
+        report, _, _ = _mc_valuation(
+            run, instrument, cp, bank, "recursive", SolverParams(tol=1e-8)
+        )
         (cf, df), = legs
         times = run.paths.times
         assert 0.5 in times
@@ -1717,17 +1728,15 @@ class TestOneSweep:
         monkeypatch.setattr(xva_engine, "_funding_trapezoid", counting_sweep)
         # the default legs (the fixed group) ride in the sweep of every method
         defaults, funding = ((True, False), True), ((True, False), False)
-        for method, call, legs in (
-            ("recursive", lambda: _recursive_mc(
-                run, self.CALL, RISKY_CP, RISKY_BANK, SolverParams(), profile),
-             [[defaults, funding]]),
-            ("first_order", lambda: xva_engine._first_order_mc(
-                run, RISKY_CP, RISKY_BANK, profile), [[defaults, funding]]),
-            ("bond_implied", lambda: xva_engine._bond_implied_mc(
-                run, RISKY_CP, RISKY_BANK, profile), [[defaults]]),
+        for method, legs in (
+            ("recursive", [[defaults, funding]]),
+            ("first_order", [[defaults, funding]]),
+            ("bond_implied", [[defaults]]),
         ):
             sweeps.clear()
-            _, got = call()
+            _, got, _ = _mc_valuation(
+                run, self.CALL, RISKY_CP, RISKY_BANK, method, SolverParams(), profile
+            )
             assert sweeps == legs, method
             assert (got is not None) == profile
 
@@ -1747,6 +1756,66 @@ class TestOneSweep:
         bond_implied_value(*args, **kwargs)
         compare_aggregations(*args, **kwargs)
         compare_aggregations(*args, bond_mode=True, **kwargs)
+
+
+    def test_full_spread_legs_riding_in_the_first_order_sweep_equal_their_own(self):
+        # a bank basis that steps at a grid node and stochastic spreads: the
+        # full spread pi_B + gamma_B has a left limit of its own at 0.5
+        dyn = replace(self.DYN, vol_c=0.008, vol_b=0.006, rho_cb=0.4)
+        bank = replace(RISKY_BANK, basis=PiecewiseCurve((0.0, 0.5), (0.008, 0.004)))
+        paths = simulate_paths(dyn, 1.0, n_steps=16, n_paths=2_000, seed=5)
+
+        def prepare():
+            return _prepare_mc(self.CALL, OIS, self.COLLATERAL, dyn, 0, 0, 0, False,
+                               paths=paths)
+
+        def full(run):
+            spreads = xva_engine._spreads(run.paths.times, (bank.basis,), (run.paths.pi_b,))
+            return [(spreads, (True, False), False)]
+
+        run = prepare()
+        _, _, riding = _mc_valuation(
+            run, self.CALL, RISKY_CP, bank, "first_order", SolverParams(), extra=full(run)
+        )
+        run = prepare()
+        cds = xva_engine._spreads(
+            run.paths.times, (PiecewiseCurve.flat(0.0),) * 2,
+            (run.paths.pi_c, run.paths.pi_b), floor=True,
+        )
+        survival = xva_engine._survival(run.paths, cds, RISKY_CP.recovery, bank.recovery)
+        alone = _funding_trapezoid(run.paths, run.disc, survival, run.gaps, full(run))
+        assert len(riding) == len(alone) == 2 and np.any(riding[0] > 0)
+        for leg, own in zip(riding, alone):
+            assert np.array_equal(leg, own)
+
+
+class TestSpreads:
+    """``_spreads``: a curve's level, or a path row plus it, at each grid
+    time and its left limit; the left limit is the same array unless a
+    curve jumps there, which the sweep's shortcuts test by identity."""
+
+    TIMES = np.linspace(0.0, 1.0, 5)
+    CURVES = (PiecewiseCurve.flat(0.01), PiecewiseCurve((0.0, 0.5), (0.01, -0.03)))
+
+    @pytest.mark.parametrize("kind", ["shared", "paths", "floored"])
+    def test_the_left_limit_is_the_same_array_unless_a_curve_jumps(self, kind):
+        pi = np.random.default_rng(3).normal(0.0, 0.02, (2, 6, len(self.TIMES)))
+        floor = kind == "floored"
+        kw = {} if kind == "shared" else dict(pi=tuple(pi), floor=floor)
+        at = xva_engine._spreads(self.TIMES, self.CURVES, **kw)
+        levels = [np.array([_on_grid(c, self.TIMES)[side] for c in self.CURVES])
+                  for side in (0, 1)]
+        for k, t in enumerate(self.TIMES):
+            expected = []
+            for level in levels:
+                rows = level[:, k:k + 1] if kind == "shared" else pi[:, :, k] + level[:, k:k + 1]
+                expected.append(np.maximum(rows, 0.0) if floor else rows)
+            rc, ll = at(k)
+            assert rc.shape == ((2, 1) if kind == "shared" else (2, 6))
+            assert np.array_equal(rc, expected[0]) and np.array_equal(ll, expected[1])
+            assert (ll is rc) == (t != 0.5)
+        if floor:
+            assert np.any(at(4)[0] == 0.0) and np.all(at(4)[0] >= 0.0)
 
 
 class TestIntensityLegs:

@@ -1,0 +1,236 @@
+"""Compare the ``bondxva`` command line of two source trees, byte for byte.
+
+    python3 tools/cli_identity.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories that hold a ``bondxva`` package (a
+checkout's ``src``). Each side runs in one subprocess with ``PYTHONPATH``
+set to its tree and calls ``cli.main`` in process on every config of a
+fixed matrix, writing the configs and exposure CSVs into a temporary
+directory of its own. The two sides' stdout, exposure CSVs, exit codes and
+``error:`` lines on stderr are then compared, and every line that differs
+is printed under its config's name. Exit code 0 when every config is
+identical, 1 otherwise.
+
+The matrix:
+
+* ``xva`` on ``mc`` with all three methods, for a call, a put, a forward
+  and a coupon bond; cure 0, 0.25 (a whole number of grid steps) and 0.1
+  (off the grid); ``bond_mode`` off and on; deterministic and stochastic
+  spreads; flat curves and piecewise hazards and bases with nodes inside
+  the horizon (one on a grid node, others between nodes);
+* ``xva`` on ``pde`` for the same trades under four collateral modes,
+  ``bond_mode`` off and on and both markets, and on the deterministic
+  backend (the coupon bond and a zero-volatility call) with all three
+  methods;
+* ``compare-conventions`` on ``mc`` and on ``pde``.
+
+Only the standard library is used; nothing is written outside the
+temporary directories.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import difflib
+import io
+import itertools
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+CALL = {"kind": "european_option", "option_type": "call", "strike": 100.0, "expiry": 1.0}
+PUT = {"kind": "european_option", "option_type": "put", "strike": 95.0, "expiry": 1.0}
+FORWARD = {"kind": "forward", "strike": 100.0, "expiry": 1.0}
+COUPON = {"kind": "coupon_bond", "flows": [[0.25, 3.0], [0.5, -2.0], [1.0, 103.0]]}
+INSTRUMENTS = {"call": CALL, "put": PUT, "forward": FORWARD, "coupon": COUPON}
+
+MARKETS = {
+    "flat": {
+        "ois": 0.02,
+        "counterparty": {"recovery": 0.4, "hazard": 0.03, "basis": 0.012},
+        "bank": {"recovery": 0.35, "hazard": 0.02, "basis": 0.008},
+    },
+    # nodes at 0.5 (a grid node of every Monte Carlo grid here) and at 0.3
+    # and 0.7 (between nodes); one basis segment is negative
+    "piecewise": {
+        "ois": {"times": [0.0, 0.5], "values": [0.02, 0.025]},
+        "counterparty": {
+            "recovery": 0.4,
+            "hazard": {"times": [0.0, 0.3], "values": [0.03, 0.04]},
+            "basis": {"times": [0.0, 0.3, 0.7], "values": [0.012, 0.02, 0.006]},
+        },
+        "bank": {
+            "recovery": 0.35,
+            "hazard": {"times": [0.0, 0.7], "values": [0.02, 0.015]},
+            "basis": {"times": [0.0, 0.5], "values": [0.008, -0.004]},
+        },
+    },
+}
+
+SPREADS = {
+    "deterministic": {},
+    "stochastic": {"vol_c": 0.006, "vol_b": 0.004, "rho_sc": 0.2, "rho_cb": 0.3},
+}
+DYNAMICS = {"s0": 100.0, "rate": 0.02, "vol_s": 0.3, "pi0_c": 0.018, "pi0_b": 0.013}
+
+COLLATERALS = {
+    "none": {"mode": "none"},
+    "perfect": {"mode": "perfect"},
+    "threshold": {"mode": "bilateral_threshold", "threshold": 5.0},
+    "offset": {"mode": "constant_offset", "offset": 3.0},
+}
+
+METHODS = ("recursive", "first_order", "bond_implied")
+
+
+def matrix() -> list[tuple[str, str, dict]]:
+    """(name, command, config) of every config compared."""
+    out = []
+    # 16 steps over the 1y horizon: 0.25 is 4 steps, 0.1 is off the grid
+    mc = {"n_paths": 2000, "n_steps": 16, "seed": 7}
+    for (iname, inst), method, cure, bond_mode, (sname, spread), (mname, market) in (
+        itertools.product(INSTRUMENTS.items(), METHODS, (0.0, 0.25, 0.1), (False, True),
+                          SPREADS.items(), MARKETS.items())
+    ):
+        out.append((
+            f"xva-mc-{iname}-{method}-cure{cure}-bond{int(bond_mode)}-{sname}-{mname}",
+            "xva",
+            {"instrument": inst, **market,
+             "collateral": {"mode": "bilateral_threshold", "threshold": 5.0,
+                            "cure_period": cure},
+             "dynamics": {**DYNAMICS, **spread}, "method": method, "backend": "mc",
+             "mc": mc, "solver": {"tol": 1e-8}, "bond_mode": bond_mode},
+        ))
+    # the default grid: 600 steps, on which the nodes at 0.3 and 0.7 sit an
+    # ulp off the uniform points
+    for (iname, inst), (cname, coll), bond_mode, (mname, market) in itertools.product(
+        INSTRUMENTS.items(), COLLATERALS.items(), (False, True), MARKETS.items()
+    ):
+        out.append((
+            f"xva-pde-{iname}-{cname}-bond{int(bond_mode)}-{mname}", "xva",
+            {"instrument": inst, **market, "collateral": coll, "dynamics": DYNAMICS,
+             "backend": "pde", "bond_mode": bond_mode},
+        ))
+    zero_vol = {**DYNAMICS, "vol_s": 0.0}
+    for (iname, inst), method, (cname, coll), bond_mode, (mname, market) in (
+        itertools.product((("coupon", COUPON), ("call", CALL)), METHODS,
+                          (("threshold", COLLATERALS["threshold"]),
+                           ("cure", {"mode": "none", "cure_period": 0.1})),
+                          (False, True), MARKETS.items())
+    ):
+        out.append((
+            f"xva-det-{iname}-{method}-{cname}-bond{int(bond_mode)}-{mname}", "xva",
+            {"instrument": inst, **market, "collateral": coll, "dynamics": zero_vol,
+             "backend": "pde", "method": method, "bond_mode": bond_mode,
+             "solver": {"det_steps": 400}},
+        ))
+    for (iname, inst), bond_mode, (sname, spread), (mname, market) in itertools.product(
+        INSTRUMENTS.items(), (False, True), SPREADS.items(), MARKETS.items()
+    ):
+        out.append((
+            f"compare-mc-{iname}-bond{int(bond_mode)}-{sname}-{mname}",
+            "compare-conventions",
+            {"instrument": inst, **market, "collateral": COLLATERALS["threshold"],
+             "dynamics": {**DYNAMICS, **spread}, "backend": "mc", "mc": mc,
+             "bond_mode": bond_mode},
+        ))
+    for (iname, inst), bond_mode, (mname, market) in itertools.product(
+        (("coupon", COUPON), ("call", CALL)), (False, True), MARKETS.items()
+    ):
+        out.append((
+            f"compare-pde-{iname}-bond{int(bond_mode)}-{mname}", "compare-conventions",
+            {"instrument": inst, **market, "collateral": COLLATERALS["threshold"],
+             "dynamics": zero_vol, "backend": "pde", "bond_mode": bond_mode},
+        ))
+    return out
+
+
+def _worker(tmp: str) -> None:
+    """Run every config through ``cli.main`` and print the outputs as JSON."""
+    import warnings
+
+    from bondxva import cli
+
+    warnings.simplefilter("ignore")
+    results = {}
+    for name, command, config in matrix():
+        config_path = os.path.join(tmp, f"{name}.json")
+        with open(config_path, "w") as fh:
+            json.dump(config, fh)
+        argv = [command, "--config", config_path]
+        csv_path = os.path.join(tmp, f"{name}.csv")
+        if command == "xva":
+            argv += ["--exposure-csv", csv_path]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        csv = None
+        if os.path.exists(csv_path):
+            with open(csv_path) as fh:
+                csv = fh.read()
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        results[name] = {"exit": code, "stdout": out.getvalue(), "csv": csv,
+                         "errors": "\n".join(errors)}
+    json.dump(results, sys.stdout)
+
+
+def _run_side(src: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    with tempfile.TemporaryDirectory() as tmp:
+        done = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--worker", tmp],
+            env=env, capture_output=True, text=True, check=False,
+        )
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr)
+        raise SystemExit(f"the run on {src} failed with exit code {done.returncode}")
+    return json.loads(done.stdout)
+
+
+def _differing_lines(old: str | None, new: str | None):
+    """(line numbers, old lines, new lines) of each run of lines that differ;
+    a missing output is the one line ``<none>``."""
+    old_lines = ["<none>"] if old is None else old.splitlines()
+    new_lines = ["<none>"] if new is None else new.splitlines()
+    matcher = difflib.SequenceMatcher(None, old_lines, new_lines, autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag != "equal":
+            yield f"{i1 + 1}-{i2}/{j1 + 1}-{j2}", old_lines[i1:i2], new_lines[j1:j2]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[1] == "--worker":
+        _worker(argv[2])
+        return 0
+    if len(argv) != 3:
+        sys.stderr.write(__doc__)
+        return 2
+    old, new = _run_side(argv[1]), _run_side(argv[2])
+    identical = 0
+    exits = {}
+    for name, _, _ in matrix():
+        a, b = old[name], new[name]
+        exits[a["exit"]] = exits.get(a["exit"], 0) + 1
+        same = True
+        for part in ("exit", "errors", "stdout", "csv"):
+            if a[part] == b[part]:
+                continue
+            same = False
+            if part == "exit":
+                print(f"{name} exit: {a['exit']} -> {b['exit']}")
+                continue
+            for lines, was, now in _differing_lines(a[part], b[part]):
+                print(f"{name} {part} lines {lines}:")
+                print("".join(f"  - {line}\n" for line in was)
+                      + "".join(f"  + {line}\n" for line in now), end="")
+        identical += same
+    csvs = sum(old[name]["csv"] is not None for name in old)
+    print(f"{identical} of {len(old)} configs identical ({csvs} exposure CSVs; "
+          f"exit codes on OLD_SRC: {dict(sorted(exits.items()))})")
+    return 0 if identical == len(old) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
