@@ -51,7 +51,6 @@ from .pde_engine import (
     solve_final_pde,
 )
 from .xva_engine import (
-    ConvergenceError,
     SolverParams,
     XvaReport,
     bond_implied_value,
@@ -105,7 +104,6 @@ __all__ = [
     "hedge_weights",
     "XvaReport",
     "SolverParams",
-    "ConvergenceError",
     "cva",
     "dva",
     "cfva",

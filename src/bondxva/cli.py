@@ -22,8 +22,7 @@ that JSON input may spell; a boolean or string where a number belongs
 ``"100"``); a non-string where text belongs (a ``mode`` of ``5``); an empty
 list; a ``bond_mode`` that is not a JSON boolean (``"false"``, ``1``). A
 finite number too large for the valuation's arithmetic also exits 2. Exit
-codes: 0 success, 2 config or validation error, 3 calibration failure,
-4 recursive solver failed to converge.
+codes: 0 success, 2 config or validation error, 3 calibration failure.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from .instruments import CashflowSchedule, CollateralSpec, Instrument, bullet_bo
 from .mc_engine import ModelDynamics
 from .pde_engine import SpatialGrid
 from .xva_engine import (
-    ConvergenceError,
     SolverParams,
     compare_aggregations,
     run_xva,
@@ -51,7 +49,6 @@ from .xva_engine import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CALIBRATION = 3
-EXIT_CONVERGENCE = 4
 
 
 class ConfigError(ValueError):
@@ -328,7 +325,7 @@ _XVA_KEYS = {
 }
 
 
-def _cmd_xva(cfg: dict, exposure_csv: str | None) -> tuple[dict, int]:
+def _cmd_xva(cfg: dict, exposure_csv: str | None) -> dict:
     _check_keys(cfg, _XVA_KEYS, "xva")
     instrument, ois, counterparty, bank, collateral, kwargs = _parse_xva_common(
         cfg, "xva"
@@ -339,9 +336,7 @@ def _cmd_xva(cfg: dict, exposure_csv: str | None) -> tuple[dict, int]:
     )
     if exposure_csv:
         _write_exposure_csv(profile, exposure_csv)
-    payload = {"command": "xva", "backend": kwargs["backend"], **report.as_dict()}
-    code = EXIT_OK if report.converged else EXIT_CONVERGENCE
-    return payload, code
+    return {"command": "xva", "backend": kwargs["backend"], **report.as_dict()}
 
 
 def _cmd_compare(cfg: dict) -> dict:
@@ -389,25 +384,22 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         if args.command == "bond-price":
-            payload, code = _cmd_bond_price(cfg), EXIT_OK
+            payload = _cmd_bond_price(cfg)
         elif args.command == "calibrate":
-            payload, code = _cmd_calibrate(cfg), EXIT_OK
+            payload = _cmd_calibrate(cfg)
         elif args.command == "xva":
-            payload, code = _cmd_xva(cfg, args.exposure_csv)
+            payload = _cmd_xva(cfg, args.exposure_csv)
         else:
-            payload, code = _cmd_compare(cfg), EXIT_OK
+            payload = _cmd_compare(cfg)
         _emit(payload, args.out)
     except CalibrationError as exc:
         print(f"error: calibration failed: {exc}", file=sys.stderr)
         return EXIT_CALIBRATION
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
     # OverflowError: a finite number too large for the valuation's arithmetic
     except (ConfigError, ValueError, TypeError, KeyError, OverflowError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

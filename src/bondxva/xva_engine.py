@@ -11,21 +11,24 @@ by each name's bond-CDS basis on the exposure of the *recursive* value
 D(0, t) S(t) spread(t) (gap)^±, with S the joint survival
 exp(-(Lambda_C + Lambda_B)) and, for the default legs, the spread
 pi = lambda (1 - R). Because V appears inside its own funding terms the
-equation is a fixed point, solved backwards in time on two backends:
+equation is a fixed point, solved backwards in time on two backends. On
+both, the legs still to come at a grid time depend on V there and later
+only, and V there enters only through the funding density at that time,
+which is piecewise linear in V - C: each grid time is solved on its own,
+latest first, in closed form, and nothing iterates.
 
 * Monte Carlo: one backward sweep over the grid (``_funding_trapezoid``).
   CVA and DVA are intensity integrals in the sweep, two more legs next to
   the funding legs (the conditional Monte Carlo of a Cox process): each
   path's survival is carried back from its integrated intensities, so no
   default time is drawn, and a valuation ignores the default times of
-  supplied paths. The legs still to come at t_k depend on V at t_k and
-  later only, so each grid time is solved on its own, latest first: the
-  sweep carries the known tails from t_{k+1} on per path, and the slice's
-  fixed point is iterated by damped Picard (``_fixed_point``) on a
-  polynomial regression of the pathwise pre-default values of every path
-  on the state at t_k (Longstaff-Schwartz style; the regression-based BSDE
-  schemes of Gobet, Lemor and Warin). Each slice's regression basis is
-  built once.
+  supplied paths. The sweep carries the known tails from t_{k+1} on per
+  path. V^c and the collateral are known at t_k, so only those settled
+  tails are regressed, once per grid time, on a polynomial in the state at
+  t_k (``_slice_projection``; Longstaff-Schwartz style, and the driver at
+  t_k stays outside the conditional expectation as in the regression-based
+  BSDE schemes of Gobet, Lemor and Warin), and the slice is solved from the
+  fit.
 * Deterministic: when V^c is a deterministic function of time (cash-flow
   schedules, or zero-volatility dynamics) the equation collapses to a scalar
   Volterra integral equation on a dense grid, solved exactly in one
@@ -39,7 +42,7 @@ on V^c exposures, one pass) and ``bond_implied_value`` (no funding terms,
 defaults driven by bond-implied intensities).
 
 ``_valuation`` prepares each valuation once. On Monte Carlo that is one
-``_McRun`` (the paths, the V^c model, discount factors and the end of the
+``_McRun`` (the paths, the V^c columns, discount factors and the end of the
 cure window), which ``_mc_valuation`` values by any method; on the
 deterministic backend it is one ``_det_setup``, which ``_deterministic``
 values by any method; on Crank-Nicolson it is one
@@ -71,12 +74,10 @@ import functools
 import inspect
 import itertools
 import math
-import warnings
 from collections.abc import Callable
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from .curves import (
     CounterpartyProfile,
@@ -97,7 +98,6 @@ from .mc_engine import (
 __all__ = [
     "XvaReport",
     "SolverParams",
-    "ConvergenceError",
     "cva",
     "dva",
     "cfva",
@@ -112,22 +112,16 @@ __all__ = [
 ]
 
 
-class ConvergenceError(RuntimeError):
-    """A Picard iteration diverged: its residual grew three times in a row
-    or is not finite."""
-
-
 @dataclass(frozen=True)
 class SolverParams:
     """Knobs of the recursive solver.
 
-    tol, max_iter and damping drive the damped Picard iteration at each grid
-    time of the Monte Carlo backward sweep only; no other backend iterates.
-    tol is relative to the instrument's notional scale and bounds the largest
-    change of one update; damping 1.0 is the plain Picard update, smaller
-    values blend in the previous iterate. det_steps is the base number of uniform steps of
-    the deterministic grid; regression_degree the total degree of the Monte
-    Carlo regression basis.
+    det_steps is the base number of uniform steps of the deterministic grid;
+    regression_degree the total degree of the Monte Carlo regression basis.
+    tol, max_iter and damping move no valuation: every backend solves the
+    recursion in closed form, one grid time at a time, and nothing iterates.
+    They are still accepted and checked, so that configs that set them stay
+    valid.
 
     Domains, checked on construction (ValueError naming the field): tol
     finite and > 0, max_iter >= 1, 0 < damping <= 1, det_steps >= 1,
@@ -164,12 +158,10 @@ class XvaReport:
     cfva/dfva exchanged) negates fair_value exactly, whatever the legs.
 
     iterations, residual and converged describe the recursive solver. The
-    deterministic backend solves exactly in one pass: one iteration, residual
-    0.0, converged. The Monte Carlo backend reports the largest iteration
-    count and the largest final residual over the grid times of its backward
-    sweep, and converged only if every grid time converged. The
-    Crank-Nicolson backend does not iterate: one iteration, and as residual
-    the gap between the solved V and the assembled fair_value."""
+    deterministic and Monte Carlo backends solve each grid time in closed
+    form in one backward pass: one iteration, residual 0.0, converged. The
+    Crank-Nicolson backend does not iterate either: one iteration, and as
+    residual the gap between the solved V and the assembled fair_value."""
 
     v_coll: float
     cva: float
@@ -209,55 +201,6 @@ def _assemble(v_coll, cva_v, dva_v, cfva_v, dfva_v, method, **kw) -> XvaReport:
         method=method,
         **kw,
     )
-
-
-def _fixed_point(step, start, params: SolverParams, scale: float):
-    """Damped Picard iteration value <- step(value) from start.
-
-    Returns (value, iterations, residual, converged); converged is False when
-    max_iter updates left the largest change above tol * scale. Raises
-    ConvergenceError when the residual is not finite or grew three times in
-    a row.
-    """
-    value = start
-    iterations = 0
-    residual = float("inf")
-    prev_residual = None
-    growth_streak = 0
-    for iterations in range(1, params.max_iter + 1):
-        new_value = step(value)
-        if params.damping != 1.0:
-            new_value = (1.0 - params.damping) * value + params.damping * new_value
-        residual = float(np.max(np.abs(new_value - value)))
-        # a NaN never compares above the tolerance or the previous residual,
-        # so without this the loop would run to max_iter and report NaN legs
-        if not math.isfinite(residual):
-            raise ConvergenceError(
-                f"Picard residual is {residual} at iteration {iterations}: "
-                "non-finite values in the fixed point"
-            )
-        value = new_value
-        if residual <= params.tol * scale:
-            return value, iterations, residual, True
-        if prev_residual is not None and residual > prev_residual:
-            growth_streak += 1
-            if growth_streak >= 3:
-                raise ConvergenceError(
-                    f"Picard iteration diverging: residual {residual:.3e} grew "
-                    f"for 3 consecutive iterations"
-                )
-        else:
-            growth_streak = 0
-        prev_residual = residual
-    return value, iterations, residual, False
-
-
-def notional_scale(instrument: Instrument) -> float:
-    if instrument.schedule is not None:
-        return abs(instrument.schedule.notional) or 1.0
-    if instrument.strike:
-        return abs(instrument.strike)
-    return 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +320,9 @@ class _PayoffValuation:
         if k <= 0:
             out = fwd.copy() if self.instrument.option_type == "call" else np.zeros_like(fwd)
         else:
+            # imported here: scipy.special is most of the command line's import time
+            from scipy.special import ndtr
+
             w = np.where(expired, 1.0, width)  # any positive width where it is unused
             d1 = (np.log(fwd / k) + 0.5 * w**2) / w
             d2 = d1 - w
@@ -561,7 +507,8 @@ def _spreads(times: np.ndarray, curves, pi=None, floor: bool = False) -> Callabl
     function of k: each curve's level, a (rows, 1) column that every path
     shares, or with pi (one (n_paths, n_times) path array per curve) the
     path row plus that level, floored at zero if floor. The left limit is
-    the same array where no curve jumps at t_k."""
+    the same array where no curve jumps at t_k. The last grid time's rows
+    are kept: the survival walk and the sweep both ask for them at t_k."""
     rc = np.array([curve.values_at(times) for curve in curves])
     ll = np.array([curve.values_at(np.maximum(times - 1e-12, 0.0)) for curve in curves])
     jumps = np.any(ll != rc, axis=0)
@@ -576,9 +523,13 @@ def _spreads(times: np.ndarray, curves, pi=None, floor: bool = False) -> Callabl
                 np.maximum(row, 0.0, out=row)
         return out
 
+    latest = [None, None]  # the last k and its rows
+
     def at(k):
-        value = rows(rc, k)
-        return value, rows(ll, k) if jumps[k] else value
+        if latest[0] != k:
+            value = rows(rc, k)
+            latest[:] = k, (value, rows(ll, k) if jumps[k] else value)
+        return latest[1]
 
     return at
 
@@ -619,10 +570,13 @@ def _funding_trapezoid(paths: PathSet, disc, survival, gaps, legs, moments=None,
     default legs); the other groups, the funding legs, integrate the gap
     that gaps(k, funding) gives. survival(k) is each path's survival weight
     at t_k, asked for latest time first (``_survival``'s walk, or 1_alive
-    on given default times). funding(gap) is the net of every leg from t_k
-    on (``_net``: costs less benefits) per unit of weight D(0, t_k)
-    survival(t_k), with the funding densities at t_k taken at gap (none for
-    None), for a gap that is solved with it (the recursive value); it is
+    on given default times). funding() serves a gap that is solved with the
+    legs (the recursive value): it returns (settled, cost, benefit) per unit
+    of weight D(0, t_k) survival(t_k). settled is the net (``_net``: costs
+    less benefits) of every leg from t_k on but the funding densities at
+    t_k, and those densities at a gap x are cost * x^+ - benefit * x^-, cost
+    and benefit the half-step 0.5 dt_k times the summed spreads of the
+    funding legs on each side. It is formed only when called, and it is
     None at the last time, where nothing remains. Each trapezoid segment
     uses the right-continuous value at its left end and the left limit at
     its right end, so that jumps at cash-flow dates are integrated
@@ -657,22 +611,21 @@ def _funding_trapezoid(paths: PathSet, disc, survival, gaps, legs, moments=None,
                 if k < last:
                     advance(g)
 
-        funding = settled = None  # nothing remains at the last time
+        funding = None  # nothing remains at the last time
         if k < last:
-            def funding(gap):
-                nonlocal settled
-                if settled is None:  # every leg from t_k on but the funding densities at t_k
-                    settled = _net(
-                        (tails[g] if fixed else tails[g] + right[g] * half, sides)
-                        for g, (_, sides, fixed) in enumerate(legs)
-                    ) / weight
-                if gap is None:
-                    return settled
-                # each funding density at t_k per unit weight: spread * (gap)^±
-                return settled + _net(
-                    (half * (spreads[g][0] * np.maximum(gap * signs[g], 0.0)), sides)
-                    for g, (_, sides, fixed) in enumerate(legs) if not fixed
-                )
+            def funding():
+                settled = _net(
+                    (tails[g] if fixed else tails[g] + right[g] * half, sides)
+                    for g, (_, sides, fixed) in enumerate(legs)
+                ) / weight
+                slopes = [0.0, 0.0]  # the costs' and the benefits'
+                for g, (_, sides, fixed) in enumerate(legs):
+                    if fixed:
+                        continue
+                    rates = np.broadcast_to(spreads[g][0], (len(sides), *spreads[g][0].shape[1:]))
+                    for rate, positive in zip(rates, sides):
+                        slopes[not positive] = slopes[not positive] + half * rate
+                return settled, *slopes
 
         gap_rc, gap_ll = gaps(k, funding)
         for g, (_, _, fixed) in enumerate(legs):
@@ -772,11 +725,8 @@ def _slice_projection(paths: PathSet, k: int, degree: int):
     the direct product of its factors' cached powers (ones for the
     constant), the same bits as multiplying a row of ones by each factor in
     turn since 1.0 * x == x. B and the pseudo-inverse of its Gram matrix
-    B B^T are built once, so each fit is two thin mat-vecs. At the last grid
-    time the values are already measurable and are returned as they are.
+    B B^T are built once, so each fit is two thin mat-vecs.
     """
-    if k == len(paths.times) - 1:
-        return lambda pv: pv
     state = [(raw.mean(), raw.std(), raw)
              for raw in (paths.s[:, k], paths.pi_c[:, k], paths.pi_b[:, k])]
     first, second = state[1:]
@@ -823,26 +773,30 @@ def _slice_projection(paths: PathSet, k: int, degree: int):
 @dataclass(frozen=True, eq=False)
 class _McRun:
     """A prepared Monte Carlo valuation: the paths (their three path
-    arrays), the V^c model, the collateral spec and the discount factors at
-    the grid times. V^c, the collateral and the close-out gap are derived
-    one grid time at a time, by ``at_time`` and ``close_out``, where they
-    are used; a run holds no other (n_paths, n_times) array, only the few
-    V^c columns that a cure window spans."""
+    arrays), the collateral spec and the discount factors at the grid
+    times. V^c, the collateral and the close-out gap are derived one grid
+    time at a time, by ``at_time`` and ``close_out``, where they are used; a
+    run holds no other (n_paths, n_times) array, only the few V^c columns
+    that a cure window spans."""
 
     paths: PathSet
-    model: object
     collateral: CollateralSpec
     vc_at: Callable  # grid index -> (V^c there, its left limit): model.grid_columns, _remembered
     window: Callable  # grid index -> V^c at the end of the cure window: model.window_columns
     disc: np.ndarray
+    latest: list = field(default_factory=lambda: [None, None])  # at_time's last k and result
 
     def at_time(self, k: int):
         """V^c at grid time k, its left limit there, and the collateral on
-        each: per path, or numbers that every path shares."""
-        vc_rc, vc_ll = self.vc_at(k)
-        posted_rc = collateral_amount(self.collateral, vc_rc)
-        posted_ll = posted_rc if vc_ll is vc_rc else collateral_amount(self.collateral, vc_ll)
-        return vc_rc, vc_ll, posted_rc, posted_ll
+        each: per path, or numbers that every path shares. The sweep asks
+        for them twice per grid time, for the close-out gap and for the
+        funded gap, so the last grid time's are kept."""
+        if self.latest[0] != k:
+            vc_rc, vc_ll = self.vc_at(k)
+            posted_rc = collateral_amount(self.collateral, vc_rc)
+            posted_ll = posted_rc if vc_ll is vc_rc else collateral_amount(self.collateral, vc_ll)
+            self.latest[:] = k, (vc_rc, vc_ll, posted_rc, posted_ll)
+        return self.latest[1]
 
     def gaps(self, k: int, funding):
         """The gap V^c - C at grid time k and at its left limit; as a
@@ -925,7 +879,6 @@ def _prepare_mc(
     vc_at = _remembered(model.grid_columns(paths), steps or 0, paths.n_steps)
     return _McRun(
         paths=paths,
-        model=model,
         collateral=collateral,
         vc_at=vc_at,
         window=model.window_columns(paths, shift, vc_at, steps),
@@ -998,7 +951,6 @@ def _mc_report(run: _McRun, loss, gain, cf, df, method: str, **kw) -> XvaReport:
 
 def _mc_valuation(
     run: _McRun,
-    instrument: Instrument,
     counterparty: CounterpartyProfile,
     bank: CounterpartyProfile,
     method: str,
@@ -1018,11 +970,14 @@ def _mc_valuation(
     bond_implied, max(pi + gamma, 0). first_order and bond_implied fund the
     V^c exposure. recursive funds the recursive value V: at t_k the pathwise
     pre-default value is V^c less the ``_net`` of the legs from t_k on over
-    D(t_k) S(t_k), and only the funding densities at t_k involve V(t_k), so
-    the sweep calls ``solve`` once the later times are solved. It runs damped Picard
-    (``_fixed_point``) on a regression of every path's values on the state
-    at t_k, with contraction factor 0.5 dt_k max(gamma_C, gamma_B), and
-    returns V - C. The profile holds the moments of the funded gap.
+    D(t_k) S(t_k), and only the funding densities at t_k involve V(t_k). V^c
+    and the collateral C are known at t_k, so only the settled rest is
+    regressed on the state there (``_slice_projection``), and
+    x = V - C solves x + cost x^+ - benefit x^- = d, with
+    d = V^c - C - E[settled], in closed form: x = d / (1 + cost) where
+    d >= 0, else d / (1 + benefit), as ``_deterministic`` solves its nodes.
+    At the last grid time V = V^c. The profile holds the moments of the
+    funded gap.
     """
     paths = run.paths
     times = paths.times
@@ -1034,51 +989,34 @@ def _mc_valuation(
     survival = _survival(paths, defaults, counterparty.recovery, bank.recovery)
     legs = [(defaults, (True, False), True)]
     if not bond_implied:
-        gammas = _spreads(times, (counterparty.basis, bank.basis))
-        legs.append((gammas, (True, False), False))
+        bases = (counterparty.basis, bank.basis)
+        legs.append((_spreads(times, bases), (True, False), False))
     legs += extra
-    scale = notional_scale(instrument)
-    iterations, residual, unconverged = 0, 0.0, []
+    recursive = method == "recursive"
+    if recursive:
+        _divisors(times, 0.5 * np.diff(times),
+                  np.array([basis.values_at(times[:-1]) for basis in bases]), "0.5 * dt")
 
     def solve(k, funding):
-        nonlocal iterations, residual
-        vc_rc, vc_ll, posted_rc, posted_ll = run.at_time(k)
-        project = _slice_projection(paths, k, params.regression_degree)
-        if funding is None:  # nothing remains at maturity
-            v = project(np.broadcast_to(vc_rc, (paths.n_paths,)))
-        else:
-            def step(v):  # no funding density at t_k when v is None
-                return project(vc_rc - funding(None if v is None else v - posted_rc))
-
-            v, its, res, ok = _fixed_point(step, step(None), params, scale)
-            iterations = max(iterations, its)
-            residual = max(residual, res)
-            if not ok:
-                factor = 0.5 * (times[k + 1] - times[k]) * float(gammas(k)[0].max())
-                unconverged.append((times[k], factor))
+        gap_rc, gap_ll = run.gaps(k, None)
+        if funding is None:  # nothing remains at maturity: V = V^c
+            return gap_rc, gap_ll
+        settled, cost, benefit = funding()
+        d = gap_rc - _slice_projection(paths, k, params.regression_degree)(settled)
+        x = np.where(d >= 0, d / (1.0 + cost), d / (1.0 + benefit))
         # deterministic cash-flow jumps are carried by V too
-        return _gap_pair(v, v if vc_ll is vc_rc else v + (vc_ll - vc_rc), posted_rc, posted_ll)
+        return x, x if gap_ll is gap_rc else x + (gap_ll - gap_rc)
 
     moments = np.empty((4, len(times))) if profile else None
     loss, gain, *rest = _funding_trapezoid(
-        paths, run.disc, survival, solve if method == "recursive" else run.gaps, legs,
-        moments, run.close_out,
+        paths, run.disc, survival, solve if recursive else run.gaps, legs, moments,
+        run.close_out,
     )
     if bond_implied:  # no funding terms
         rest[:0] = [np.zeros(paths.n_paths)] * 2
     cf, df, *extra_legs = rest
-    if unconverged:
-        first, factor = unconverged[0]
-        warnings.warn(
-            f"recursive solver hit max_iter={params.max_iter} with residual "
-            f"{residual:.3e}; the first grid time of the backward sweep that did "
-            f"not converge is t={first:.6g}, where the slice's Picard contraction "
-            f"factor 0.5 * dt * max(gamma_C, gamma_B) is {factor:.4g}", RuntimeWarning,
-        )
-    solved = {}
-    if method == "recursive":
-        solved = dict(iterations=iterations, residual=residual, converged=not unconverged)
-    report = _mc_report(run, loss, gain, cf, df, "recursive_mc" if solved else method, **solved)
+    solved = dict(iterations=1, residual=0.0, converged=True) if recursive else {}
+    report = _mc_report(run, loss, gain, cf, df, "recursive_mc" if recursive else method, **solved)
     exposure = ExposureProfile.from_expectations(times, run.disc, *moments) if profile else None
     return report, exposure, extra_legs
 
@@ -1190,14 +1128,7 @@ def _deterministic(setup, method: str):
         return report, base - cf + df
 
     gammas = np.stack((grid.gamma_c, grid.gamma_b))[:, :-1]
-    denoms = 1.0 + grid.deltas * gammas
-    if not (denoms > 0).all():  # a NaN fails too
-        side, j = np.argwhere(~(denoms > 0))[0]
-        raise ValueError(
-            f"the {('counterparty', 'bank')[side]} funding basis {gammas[side, j]:.6g} "
-            f"leaves 1 + dt * basis not > 0 at t={grid.times[j]:.6g}: the "
-            "deterministic recursion has no solution on this grid"
-        )
+    denoms = _divisors(grid.times, grid.deltas, gammas, "dt")
     # Python floats: element-wise numpy indexing would dominate the loop
     (den_c, den_b), (gam_c, gam_b) = denoms.tolist(), gammas.tolist()
     g, dt = grid.g.tolist(), grid.deltas.tolist()
@@ -1216,6 +1147,24 @@ def _deterministic(setup, method: str):
     report = _assemble(*legs, s_c / g[0], s_b / g[0], method="recursive_pde",
                        iterations=1, residual=0.0, converged=True)
     return report, posted + np.array(gap)
+
+
+def _divisors(times: np.ndarray, steps: np.ndarray, gammas: np.ndarray, label: str):
+    """1 + steps * gamma, gammas the two funding bases (counterparty, bank)
+    at times[j] for each step j: the divisors of a grid time's closed-form
+    solve, which exists only where every one is > 0 (x + steps (gamma_C x^+
+    - gamma_B x^-) is monotone then). Raises ValueError naming the first
+    side, basis and time where one is not, a NaN basis included; label
+    names the steps in the message."""
+    denoms = 1.0 + steps * gammas
+    if not (denoms > 0).all():  # a NaN fails too
+        side, j = np.argwhere(~(denoms > 0))[0]
+        raise ValueError(
+            f"the {('counterparty', 'bank')[side]} funding basis {gammas[side, j]:.6g} "
+            f"leaves 1 + {label} * basis not > 0 at t={times[j]:.6g}: the "
+            "recursion has no solution on this grid"
+        )
+    return denoms
 
 
 def _floored(curve: PiecewiseCurve) -> PiecewiseCurve:
@@ -1274,7 +1223,7 @@ def _valuation(
             n_workers, paths,
         )
         report, exposure, _ = _mc_valuation(
-            run, instrument, counterparty, bank, method, params, profile
+            run, counterparty, bank, method, params, profile
         )
         return report, exposure
     if backend != "pde":
@@ -1449,7 +1398,7 @@ def compare_aggregations(
         if opt["bond_mode"]:
             valued = prepare(True, run.paths)
             report, _, _ = _mc_valuation(
-                valued, instrument, counterparty, CounterpartyProfile.default_free(),
+                valued, counterparty, CounterpartyProfile.default_free(),
                 "first_order", params,
             )
             cds = _spreads(run.paths.times, (PiecewiseCurve.flat(0.0),) * 2,
@@ -1458,7 +1407,7 @@ def compare_aggregations(
             fca_path, fba_path = _funding_trapezoid(run.paths, run.disc, survival, run.gaps, full)
         else:  # the full-spread legs ride in the first_order sweep
             report, _, (fca_path, fba_path) = _mc_valuation(
-                run, instrument, counterparty, bank, "first_order", params, extra=full
+                run, counterparty, bank, "first_order", params, extra=full
             )
         fca, fba = float(fca_path.mean()), float(fba_path.mean())
     elif opt["backend"] == "pde":

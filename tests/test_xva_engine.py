@@ -1,10 +1,9 @@
-"""Tests for the valuation engine: adjustment legs, fixed point, reports."""
+"""Tests for the valuation engine: adjustment legs, recursive solves, reports."""
 
 import itertools
 import json
 import math
 import tracemalloc
-import warnings
 import weakref
 from dataclasses import replace
 
@@ -32,7 +31,6 @@ from bondxva.mc_engine import (
 from bondxva import cli, mc_engine, pde_engine, xva_engine
 from bondxva.pde_engine import SpatialGrid
 from bondxva.xva_engine import (
-    ConvergenceError,
     SolverParams,
     _assemble,
     _funding_trapezoid,
@@ -49,7 +47,6 @@ from bondxva.xva_engine import (
     fair_value_recursive,
     first_order_value,
     make_collateralized_valuation,
-    notional_scale,
     run_xva,
 )
 
@@ -144,23 +141,28 @@ def _close_out_grids(instrument, dyn, paths, collateral):
     return end_rc - posted_rc, end_ll - posted_ll
 
 
-def _record_solved_values(monkeypatch) -> dict:
-    """Record each grid time's solved values in the backward sweep: the
-    last fit of the slice's regression, which the fixed point returns at
-    damping 1."""
+def _notional_scale(instrument) -> float:
+    """The size of a trade's values: a schedule's notional, else the strike."""
+    if instrument.schedule is not None:
+        return abs(instrument.schedule.notional) or 1.0
+    return abs(instrument.strike) or 1.0
+
+
+def _record_solved_gaps(monkeypatch) -> dict:
+    """Record each grid time's solved gap V - C in the backward sweep, per
+    path: what the slice gives the funding legs at t_k."""
     solved = {}
-    project = xva_engine._slice_projection
+    sweep = xva_engine._funding_trapezoid
 
-    def recording_projection(paths, k, degree):
-        fit = project(paths, k, degree)
+    def recording_sweep(paths, disc, survival, gaps, *args):
+        def recorded(k, funding):
+            out = gaps(k, funding)
+            solved[k] = np.broadcast_to(out[0], (paths.n_paths,))
+            return out
 
-        def recorded(pv):
-            solved[k] = fit(pv)
-            return solved[k]
+        return sweep(paths, disc, survival, recorded, *args)
 
-        return recorded
-
-    monkeypatch.setattr(xva_engine, "_slice_projection", recording_projection)
+    monkeypatch.setattr(xva_engine, "_funding_trapezoid", recording_sweep)
     return solved
 
 
@@ -436,74 +438,37 @@ class TestMethodRelations:
         assert rec.fair_value == fo.fair_value
         assert rec.cva == fo.cva and rec.dva == fo.dva
 
-    # the Picard iteration runs on the Monte Carlo slices only; the
-    # deterministic recursion is solved in one exact pass (TestDeterministicSolve)
-    def _mc_recursive(self, **kwargs):
-        report, _ = run_xva(
-            TWO_SIDED, OIS, RISKY_CP, RISKY_BANK, method="recursive", backend="mc",
-            dyn=ModelDynamics(s0=1.0, pi0_c=0.018, pi0_b=0.013),
-            n_paths=4_000, n_steps=24, seed=99, **kwargs,
+    def test_a_large_funding_spread_solves_and_an_unsolvable_one_is_named(self):
+        # one step a year: a Picard map of the slice would scale by
+        # 0.5 * 5.0 * 1 = 2.5 and diverge, the closed form divides by 3.5
+        paths = simulate_paths(ModelDynamics(s0=1.0, pi0_c=0.018, pi0_b=0.013), 2.0,
+                               n_steps=2, n_paths=1_000, seed=3)
+        wild_cp, wild_bank = (
+            replace(profile, basis=PiecewiseCurve.flat(5.0)) for profile in (RISKY_CP, RISKY_BANK)
         )
-        return report
-
-    def test_damping_converges_to_the_same_fixed_point(self):
-        plain = self._mc_recursive()
-        damped = self._mc_recursive(params=SolverParams(damping=0.5))
-        assert damped.converged
-        assert damped.iterations > plain.iterations
-        # both stopped within tol * notional of the same fixed point
-        assert abs(damped.fair_value - plain.fair_value) < 2e-4
-
-    def test_iteration_budget_of_one_warns_and_reports_nonconvergence(self):
-        with pytest.warns(RuntimeWarning, match="max_iter=1"):
-            report = self._mc_recursive(params=SolverParams(max_iter=1))
-        assert not report.converged
-        assert report.iterations == 1
-        assert report.residual > 0
-
-    def test_monte_carlo_solver_warns_on_exhausted_budget_too(self):
-        dyn = ModelDynamics(s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013)
-        opt = Instrument.european_option("call", strike=100.0, expiry=1.5)
-        with pytest.warns(RuntimeWarning, match="max_iter=1"):
-            report, _ = run_xva(
-                opt, OIS, RISKY_CP, RISKY_BANK, method="recursive", backend="mc",
-                dyn=dyn, n_paths=4_000, n_steps=24, seed=99,
-                params=SolverParams(max_iter=1),
-            )
-        assert not report.converged
-
-    def test_absurd_funding_spread_raises_instead_of_looping(self):
-        wild_cp = CounterpartyProfile(
-            0.4, PiecewiseCurve.flat(0.03), PiecewiseCurve.flat(5.0)
-        )
-        wild_bank = CounterpartyProfile(
-            0.35, PiecewiseCurve.flat(0.02), PiecewiseCurve.flat(5.0)
-        )
-        # a slice's Picard map contracts only while 0.5 * gamma * dt < 1; one
-        # step a year leaves it at 2.5
-        with pytest.raises(ConvergenceError, match="diverging"):
-            run_xva(
-                TWO_SIDED, OIS, wild_cp, wild_bank,
-                method="recursive", backend="mc",
-                dyn=ModelDynamics(s0=1.0, pi0_c=0.018, pi0_b=0.013),
-                n_paths=1_000, n_steps=2, seed=3,
-            )
+        ours, _ = run_xva(TWO_SIDED, OIS, wild_cp, wild_bank, paths=paths)
+        theirs, _ = run_xva(TWO_SIDED.negated(), OIS, wild_bank, wild_cp,
+                            paths=swap_roles(paths))
+        assert all(math.isfinite(leg) for leg in (ours.cfva, ours.dfva, ours.fair_value))
+        assert ours.cfva > 1.0 and ours.dfva > 1.0
+        assert theirs.fair_value == -ours.fair_value
+        assert (theirs.cfva, theirs.dfva) == (ours.dfva, ours.cfva)
+        # 1 + 0.5 * 1 * (-2.0) is 0: the slice's funding is not monotone
+        negative = replace(RISKY_BANK, basis=PiecewiseCurve.flat(-2.0))
+        with pytest.raises(ValueError, match="the bank funding basis -2 leaves "
+                                             r"1 \+ 0.5 \* dt \* basis not > 0 at t=0:"):
+            run_xva(TWO_SIDED, OIS, RISKY_CP, negative, paths=paths)
 
     @pytest.mark.parametrize("backend", ["pde", "mc"])
-    def test_nan_residual_stops_the_fixed_point(self, backend):
+    def test_a_nan_basis_is_named_before_solving(self, backend):
         # the constructor refuses a NaN basis, so it is set past it here: a
-        # NaN that still reaches the fixed point must stop it; the
-        # deterministic pass has none and names the basis before it solves
+        # NaN that still reaches the solve fails its solvability check
         nan_basis = PiecewiseCurve.flat(0.0)
         object.__setattr__(nan_basis, "values", (float("nan"),))
         object.__setattr__(nan_basis, "_v", np.array([np.nan]))
         nan_cp = CounterpartyProfile(0.4, PiecewiseCurve.flat(0.03), nan_basis)
         dyn = ModelDynamics(s0=1.0, pi0_c=0.018, pi0_b=0.013)
-        error, match = {
-            "pde": (ValueError, "counterparty funding basis nan .* at t=0:"),
-            "mc": (ConvergenceError, "residual is nan at iteration 1"),
-        }[backend]
-        with pytest.raises(error, match=match):
+        with pytest.raises(ValueError, match="counterparty funding basis nan .* at t=0:"):
             run_xva(
                 ZCB, OIS, nan_cp, RISKY_BANK, method="recursive", backend=backend,
                 dyn=dyn, n_paths=1_000, n_steps=8, seed=3,
@@ -559,7 +524,7 @@ class TestDeterministicSolve:
         _, vc, _, cva_curve, dva_curve = setup
         cf, df = self._funding(setup, value)
         residual = np.max(np.abs(value - (vc - cva_curve + dva_curve - cf + df)))
-        assert residual <= 1e-12 * notional_scale(instrument)
+        assert residual <= 1e-12 * _notional_scale(instrument)
         assert report.cfva == pytest.approx(float(cf[0]), rel=1e-12, abs=1e-15)
         assert report.dfva == pytest.approx(float(df[0]), rel=1e-12, abs=1e-15)
         assert (report.iterations, report.residual, report.converged) == (1, 0.0, True)
@@ -583,30 +548,22 @@ class TestDeterministicSolve:
             cf, df = self._funding(setup, v)
             return base - cf + df
 
-        scale = notional_scale(instrument)
-        reference, _, _, converged = xva_engine._fixed_point(
-            step, base, SolverParams(tol=1e-15, max_iter=200), scale
-        )
-        assert converged
+        scale = _notional_scale(instrument)
+        reference = base
+        for _ in range(200):
+            reference, previous = step(reference), reference
+            if np.max(np.abs(reference - previous)) <= 1e-15 * scale:
+                break
+        else:
+            raise AssertionError("the Picard iteration did not converge")
         assert np.max(np.abs(value - reference)) <= 1e-12 * scale
         cf, df = self._funding(setup, reference)
         picard = _assemble(report.v_coll, report.cva, report.dva, float(cf[0]),
                            float(df[0]), "recursive_pde")
         assert abs(report.fair_value - picard.fair_value) <= 1e-12 * scale
 
-    def test_the_recursion_makes_no_fixed_point_call(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("_fixed_point called")
-
-        monkeypatch.setattr(xva_engine, "_fixed_point", refuse)
-        report, _ = run_xva(
-            TWO_SIDED, OIS, RISKY_CP, RISKY_BANK, THRESHOLD,
-            method="recursive", backend="pde",
-        )
-        assert report.method == "recursive_pde" and report.cfva > 0
-
     @pytest.mark.parametrize("method", ["recursive", "first_order", "bond_implied"])
-    def test_picard_knobs_do_not_move_a_pde_valuation(self, method):
+    def test_picard_knobs_do_not_move_a_valuation(self, method):
         knobs = SolverParams(tol=0.5, max_iter=1, damping=0.25)
         for trade in ("two_sided", "basis_5"):
             instrument, cp, bank, collateral, _ = DETERMINISTIC_TRADES[trade]
@@ -617,9 +574,17 @@ class TestDeterministicSolve:
             assert knobbed == default
             assert np.array_equal(knobbed_profile.epe, profile.epe)
             assert np.array_equal(knobbed_profile.ene, profile.ene)
+        call = Instrument.european_option("call", strike=100.0, expiry=1.0)
+        dyn = ModelDynamics(s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013)
+        # the Monte Carlo slices are solved in closed form too
+        mc = dict(method=method, dyn=replace(dyn, vol_c=0.008, vol_b=0.006),
+                  n_paths=2_000, n_steps=12, seed=4)
+        default, profile = run_xva(call, OIS, RISKY_CP, RISKY_BANK, THRESHOLD, **mc)
+        knobbed, knobbed_profile = run_xva(call, OIS, RISKY_CP, RISKY_BANK, THRESHOLD,
+                                           params=knobs, **mc)
+        assert knobbed == default
+        assert np.array_equal(knobbed_profile.epe, profile.epe)
         if method == "recursive":  # the Crank-Nicolson backend takes no params
-            call = Instrument.european_option("call", strike=100.0, expiry=1.0)
-            dyn = ModelDynamics(s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013)
             grid = SpatialGrid(s_min=0.0, s_max=400.0, n_space=61, n_time=30)
             default, _ = run_xva(call, OIS, RISKY_CP, RISKY_BANK, backend="pde",
                                  dyn=dyn, grid=grid)
@@ -643,8 +608,9 @@ class TestDeterministicSolve:
 
 class TestBackwardSweep:
     """The Monte Carlo backward sweep against the global Picard iteration on
-    the same discretized equations: every grid time's regression refitted to
-    the pathwise value net of the funding remaining from that time."""
+    the same discretized equations: at every grid time but the last, V is
+    V^c less the regression of the legs settled from that time on (every
+    leg but the funding densities there) less those densities."""
 
     # stochastic spreads give a live regression basis; the coupon bond's
     # flows and the threshold make V^c and the collateral jump on the grid
@@ -652,7 +618,8 @@ class TestBackwardSweep:
         s0=1.0, pi0_c=0.018, pi0_b=0.013, vol_c=0.008, vol_b=0.006, rho_cb=0.4
     )
     COLLATERAL = CollateralSpec.bilateral_threshold(5.0, cure_period=0.25)
-    PARAMS = SolverParams(tol=1e-8)
+    PARAMS = SolverParams()
+    TOL = 1e-8  # the reference iteration's, relative to the notional
 
     def _paths(self):
         return simulate_paths(self.DYN, 2.0, n_steps=24, n_paths=3_000, seed=21)
@@ -662,6 +629,7 @@ class TestBackwardSweep:
             TWO_SIDED, OIS, self.COLLATERAL, self.DYN, 0, 0, 0, False, paths=paths,
         )
         times = run.paths.times
+        last = len(times) - 1
         surv = _survival_grid(run.paths, RISKY_CP, RISKY_BANK)
         weight = surv * run.disc[None, :]
         vc_rc, vc_ll, posted_rc, posted_ll = _vc_grids(
@@ -669,11 +637,13 @@ class TestBackwardSweep:
         )
         projections = [
             _slice_projection(run.paths, k, self.PARAMS.regression_degree)
-            for k in range(len(times))
+            for k in range(last)
         ]
 
-        def fit(pv):
-            return np.column_stack([p(pv[:, k]) for k, p in enumerate(projections)])
+        def fit(settled):  # nothing is settled at maturity, where V = V^c
+            return np.column_stack(
+                [p(settled[:, k]) for k, p in enumerate(projections)] + [settled[:, last]]
+            )
 
         close_rc, close_ll = _close_out_grids(TWO_SIDED, self.DYN, run.paths, self.COLLATERAL)
         pi_c, pi_b = np.maximum(run.paths.pi_c, 0.0), np.maximum(run.paths.pi_b, 0.0)
@@ -681,8 +651,9 @@ class TestBackwardSweep:
             _tails(times, surv, run.disc, close_rc, close_ll, pi_c, pi_c, True)
             - _tails(times, surv, run.disc, close_rc, close_ll, pi_b, pi_b, False)
         )
-        base_pv = vc_rc - defaults / weight
         jump = vc_ll - vc_rc
+        half_steps = 0.5 * np.append(np.diff(times), 0.0)
+        gamma_c, gamma_b = RISKY_CP.basis.values_at(times), RISKY_BANK.basis.values_at(times)
 
         def remaining(value):
             gap_rc, gap_ll = value - posted_rc, value + jump - posted_ll
@@ -693,12 +664,17 @@ class TestBackwardSweep:
                          *_on_grid(RISKY_BANK.basis, times), False)
             )
 
-        value = fit(base_pv)
-        for _ in range(self.PARAMS.max_iter):
-            fitted = fit(base_pv - remaining(value) / weight)
+        def densities(value):  # the trapezoid's funding densities at each t_k
+            gap = value - posted_rc
+            return half_steps * (gamma_c * np.maximum(gap, 0.0) - gamma_b * np.maximum(-gap, 0.0))
+
+        value = vc_rc
+        for _ in range(50):
+            now = densities(value)
+            fitted = vc_rc - fit((defaults + remaining(value)) / weight - now) - now
             residual = np.max(np.abs(fitted - value))
             value = fitted
-            if residual <= self.PARAMS.tol * notional_scale(TWO_SIDED):
+            if residual <= self.TOL * _notional_scale(TWO_SIDED):
                 return run, value
         raise AssertionError("the reference iteration did not converge")
 
@@ -706,24 +682,22 @@ class TestBackwardSweep:
         run = _prepare_mc(
             TWO_SIDED, OIS, self.COLLATERAL, self.DYN, 0, 0, 0, False, paths=paths,
         )
-        report, _, _ = _mc_valuation(
-            run, TWO_SIDED, RISKY_CP, RISKY_BANK, "recursive", self.PARAMS
-        )
+        report, _, _ = _mc_valuation(run, RISKY_CP, RISKY_BANK, "recursive", self.PARAMS)
         return report, run
 
     def test_sweep_solves_the_global_fixed_point(self, monkeypatch):
         paths = self._paths()
-        solved = _record_solved_values(monkeypatch)
+        solved = _record_solved_gaps(monkeypatch)
         report, _ = self._sweep(paths)
         monkeypatch.undo()
-        value = np.column_stack([solved[k] for k in range(len(paths.times))])
+        gap = np.column_stack([solved[k] for k in range(len(paths.times))])
         run, reference = self._global_picard(paths)
         vc_rc, vc_ll, posted_rc, posted_ll = _vc_grids(
             TWO_SIDED, self.DYN, run.paths, self.COLLATERAL
         )
         assert np.any(vc_ll != vc_rc) and np.any(posted_ll != posted_rc)
-        bound = 10 * self.PARAMS.tol * notional_scale(TWO_SIDED)
-        assert np.max(np.abs(value - reference)) <= bound
+        bound = 10 * self.TOL * _notional_scale(TWO_SIDED)
+        assert np.max(np.abs(gap + posted_rc - reference)) <= bound
         times, surv = run.paths.times, _survival_grid(run.paths, RISKY_CP, RISKY_BANK)
         cf, df = (
             _segment_sum(
@@ -738,79 +712,31 @@ class TestBackwardSweep:
         assert report.dfva == pytest.approx(float(df.mean()), rel=1e-9)
 
     def test_each_grid_time_is_regressed_once_and_solved_alone(self, monkeypatch):
-        built, solved = [], []
-        project, fixed_point = xva_engine._slice_projection, xva_engine._fixed_point
+        built = []
+        project = xva_engine._slice_projection
 
         def counting_projection(paths, k, degree):
             built.append(k)
             return project(paths, k, degree)
 
-        def recording_fixed_point(*args):
-            out = fixed_point(*args)
-            solved.append(out[1:])
-            return out
-
         monkeypatch.setattr(xva_engine, "_slice_projection", counting_projection)
-        monkeypatch.setattr(xva_engine, "_fixed_point", recording_fixed_point)
         report, run = self._sweep(self._paths())
-        n_times = len(run.paths.times)
-        assert sorted(built) == list(range(n_times))
-        # the last grid time is measurable: no fixed point there
-        assert len(solved) == n_times - 1
-        assert report.iterations == max(its for its, _, _ in solved)
-        assert report.residual == max(res for _, res, _ in solved)
-        assert report.converged and all(ok for _, _, ok in solved)
+        # V^c is measurable at maturity: nothing is regressed there
+        assert sorted(built) == list(range(len(run.paths.times) - 1))
+        assert (report.iterations, report.residual, report.converged) == (1, 0.0, True)
 
-    def test_an_iteration_budget_of_one_warns_once_per_valuation(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            report, _ = run_xva(
-                TWO_SIDED, OIS, RISKY_CP, RISKY_BANK, self.COLLATERAL,
-                method="recursive", backend="mc", paths=self._paths(),
-                params=SolverParams(max_iter=1),
-            )
-        budget = [
-            w for w in caught
-            if issubclass(w.category, RuntimeWarning) and "max_iter=1" in str(w.message)
-        ]
-        assert len(budget) == 1
-        assert f"{report.residual:.3e}" in str(budget[0].message)
-        assert report.iterations == 1
-        assert report.converged is False
-        assert report.residual > 0
-
-    def test_an_exhausted_budget_names_the_first_unconverged_grid_time(self, monkeypatch):
-        # both bases 5.0: a slice's Picard factor 0.5 * gamma * dt is 0.94,
-        # just under 1, so the budget runs out without a divergence
-        wild_cp, wild_bank = (
-            replace(profile, basis=PiecewiseCurve.flat(5.0)) for profile in (RISKY_CP, RISKY_BANK)
-        )
-        solved = []
-        fixed_point = xva_engine._fixed_point
-
-        def recording_fixed_point(*args):
-            out = fixed_point(*args)
-            solved.append(out[3])
-            return out
-
-        monkeypatch.setattr(xva_engine, "_fixed_point", recording_fixed_point)
-        with pytest.warns(RuntimeWarning, match="max_iter=50") as caught:
-            report, _ = run_xva(
-                Instrument.european_option("call", strike=100.0, expiry=1.5), OIS,
-                wild_cp, wild_bank, method="recursive", backend="mc",
-                dyn=ModelDynamics(s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013),
-                n_paths=1_000, n_steps=4, seed=3,
-            )
-        assert report.iterations == 50 and not report.converged
-        # the last update still moved the value by more than the notional's 1e-6
-        assert report.residual == pytest.approx(1.7790, abs=1e-4)
-        # the sweep solves t = 1.125, 0.75, 0.375, 0 in turn
-        first = [1.125, 0.75, 0.375, 0.0][solved.index(False)]
-        (message,) = [str(w.message) for w in caught if "max_iter" in str(w.message)]
-        assert f"{report.residual:.3e}" in message
-        assert f"did not converge is t={first:.6g}," in message
-        # and why: each slice's Picard map contracts by 0.5 * 0.375 * 5.0
-        assert message.endswith("contraction factor 0.5 * dt * max(gamma_C, gamma_B) is 0.9375")
+    def test_the_readme_call_funding_legs_agree_with_the_grid(self):
+        # with V^c exact on every path the gap V - C under the threshold
+        # stays >= 0 but for regression noise, as on the grid, whose DFVA is 0
+        call = Instrument.european_option("call", strike=100.0, expiry=1.0)
+        dyn = ModelDynamics(s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013)
+        collateral = CollateralSpec.bilateral_threshold(5.0)
+        pde, _ = run_xva(call, OIS, RISKY_CP, RISKY_BANK, collateral, backend="pde", dyn=dyn)
+        mc, _ = run_xva(call, OIS, RISKY_CP, RISKY_BANK, collateral, dyn=dyn,
+                        n_paths=20_000, n_steps=32, seed=31_337)
+        assert pde.dfva == 0.0
+        assert abs(mc.cfva - pde.cfva) <= 3 * mc.se_cfva
+        assert mc.dfva <= 1e-6
 
 
 class TestRegressionBasis:
@@ -840,8 +766,6 @@ class TestRegressionBasis:
         return factors
 
     def _reference(self, paths, k, pv):
-        if k == len(paths.times) - 1:
-            return pv
         factors = self._standardized(paths, k)
         exponents = [
             e for e in itertools.product(range(self.DEGREE + 1), repeat=3)
@@ -864,7 +788,7 @@ class TestRegressionBasis:
         paths = self._paths(dyn)
         pv = self._payoff(paths)
         scale = np.max(np.abs(pv))
-        for k in range(len(paths.times)):
+        for k in range(len(paths.times) - 1):
             ours = _slice_projection(paths, k, self.DEGREE)(pv)
             reference = self._reference(paths, k, pv)
             assert np.max(np.abs(ours - reference)) <= 1e-10 * scale
@@ -903,10 +827,9 @@ class TestRegressionBasis:
 
         monkeypatch.setattr(np.linalg, "pinv", recording_pinv)
         paths = self._paths(dyn)
-        for k in range(len(paths.times)):
+        for k in range(len(paths.times) - 1):
             _slice_projection(paths, k, self.DEGREE)
-        # no basis at time 0 (the state is the same on every path) or at
-        # maturity (the values are measurable)
+        # no basis at time 0: the state is the same on every path
         assert sizes == [(columns, columns)] * (len(paths.times) - 2)
 
 
@@ -1466,7 +1389,7 @@ class TestDenseGrids:
             instrument, OIS, self.COLLATERAL, self.DYN, 0, 0, 0, False, paths=paths,
         )
         report, profile, _ = _mc_valuation(
-            run, instrument, RISKY_CP, RISKY_BANK, "first_order", SolverParams(), True
+            run, RISKY_CP, RISKY_BANK, "first_order", SolverParams(), True
         )
         vc_rc, vc_ll, posted_rc, posted_ll = _vc_grids(
             instrument, self.DYN, paths, self.COLLATERAL
@@ -1500,7 +1423,7 @@ class TestDenseGrids:
             TWO_SIDED, OIS, self.COLLATERAL, self.DYN, 0, 0, 0, bond_mode, paths=paths,
         )
         report, profile, _ = _mc_valuation(
-            run, TWO_SIDED, RISKY_CP, bank, "bond_implied", SolverParams(), True
+            run, RISKY_CP, bank, "bond_implied", SolverParams(), True
         )
         assert report.cfva == report.dfva == 0.0
         times = paths.times
@@ -1588,7 +1511,7 @@ class TestDenseGrids:
             self.CALL, OIS, self.COLLATERAL, self.DYN, 0, 0, 0, False, paths=self._paths(),
         )
         report, _, _ = _mc_valuation(
-            run, self.CALL, RISKY_CP, RISKY_BANK, "first_order", SolverParams()
+            run, RISKY_CP, RISKY_BANK, "first_order", SolverParams()
         )
         assert report.cva > 0 and len(calls) == len(run.paths.times)
 
@@ -1616,22 +1539,20 @@ class TestDenseGrids:
             instrument, OIS, self.COLLATERAL, self.DYN, 0, 0, 0, False,
             paths=self._paths(horizon),
         )
-        solved = _record_solved_values(monkeypatch)
-        report, _, _ = _mc_valuation(
-            run, instrument, cp, bank, "recursive", SolverParams(tol=1e-8)
-        )
+        solved = _record_solved_gaps(monkeypatch)
+        report, _, _ = _mc_valuation(run, cp, bank, "recursive", SolverParams())
         (cf, df), = legs
         times = run.paths.times
         assert 0.5 in times
-        value = np.column_stack([solved[k] for k in range(len(times))])
+        gap = np.column_stack([solved[k] for k in range(len(times))])
         vc_rc, vc_ll, posted_rc, posted_ll = _vc_grids(
             instrument, self.DYN, run.paths, self.COLLATERAL
         )
         ref_cf, ref_df = (
             _segment_sum(
-                times, _survival_grid(run.paths, cp, bank), run.disc, value - posted_rc,
-                value + vc_ll - vc_rc - posted_ll, *_on_grid(profile.basis, times),
-                positive,
+                times, _survival_grid(run.paths, cp, bank), run.disc, gap,
+                gap + ((vc_ll - posted_ll) - (vc_rc - posted_rc)),
+                *_on_grid(profile.basis, times), positive,
             )
             for profile, positive in ((cp, True), (bank, False))
         )
@@ -1735,10 +1656,27 @@ class TestOneSweep:
         ):
             sweeps.clear()
             _, got, _ = _mc_valuation(
-                run, self.CALL, RISKY_CP, RISKY_BANK, method, SolverParams(), profile
+                run, RISKY_CP, RISKY_BANK, method, SolverParams(), profile
             )
             assert sweeps == legs, method
             assert (got is not None) == profile
+
+    def test_each_grid_time_forms_its_collateral_once(self, monkeypatch):
+        # the close-out gap and the funded gap at t_k share V^c and C there
+        calls = []
+        amount = xva_engine.collateral_amount
+
+        def counting_amount(spec, value):
+            calls.append(value)
+            return amount(spec, value)
+
+        monkeypatch.setattr(xva_engine, "collateral_amount", counting_amount)
+        run = _prepare_mc(self.CALL, OIS, self.COLLATERAL, self.DYN, 2_000, 12, 4, False)
+        for method in ("recursive", "first_order", "bond_implied"):
+            calls.clear()
+            _mc_valuation(run, RISKY_CP, RISKY_BANK, method, SolverParams())
+            # a call's V^c has no left limit of its own
+            assert len(calls) == len(run.paths.times), method
 
     def test_no_default_time_is_sampled_or_read(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -1775,7 +1713,7 @@ class TestOneSweep:
 
         run = prepare()
         _, _, riding = _mc_valuation(
-            run, self.CALL, RISKY_CP, bank, "first_order", SolverParams(), extra=full(run)
+            run, RISKY_CP, bank, "first_order", SolverParams(), extra=full(run)
         )
         run = prepare()
         cds = xva_engine._spreads(
@@ -1811,6 +1749,7 @@ class TestSpreads:
                 rows = level[:, k:k + 1] if kind == "shared" else pi[:, :, k] + level[:, k:k + 1]
                 expected.append(np.maximum(rows, 0.0) if floor else rows)
             rc, ll = at(k)
+            assert at(k) is at(k)  # the survival walk and the sweep share them
             assert rc.shape == ((2, 1) if kind == "shared" else (2, 6))
             assert np.array_equal(rc, expected[0]) and np.array_equal(ll, expected[1])
             assert (ll is rc) == (t != 0.5)
@@ -1933,9 +1872,5 @@ class TestIntensityLegs:
         assert abs(mc.cva - pde.cva) <= 3 * mc.se_cva
         # the simulated V^c is Black's formula, the grid's is 2.2e-3 off it
         assert abs(mc.v_coll - pde.v_coll) < 3e-3
-        # the regression of the value on the cubic powers of S biases the
-        # funding legs: 4.5e-4 +- 1.1e-4 on the adjustments at 100k paths
-        # (CFVA 1.1e-3 above the grid's, DFVA 7.5e-4 where the grid has 0)
-        regression_bias = 6e-4
         adjustments = mc.fair_value - mc.v_coll, pde.fair_value - pde.v_coll
-        assert abs(adjustments[0] - adjustments[1]) <= 3 * mc.se_fair_value + regression_bias
+        assert abs(adjustments[0] - adjustments[1]) <= 3 * mc.se_fair_value

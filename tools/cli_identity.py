@@ -8,8 +8,11 @@ set to its tree and calls ``cli.main`` in process on every config of a
 fixed matrix, writing the configs and exposure CSVs into a temporary
 directory of its own. The two sides' stdout, exposure CSVs, exit codes and
 ``error:`` lines on stderr are then compared, and every line that differs
-is printed under its config's name. Exit code 0 when every config is
-identical, 1 otherwise.
+is printed under its config's name. Then each JSON key of stdout and each
+column of the exposure CSVs that moved is listed, with the number of
+configs where it moved and its largest absolute change (``-`` where a value
+is not a number on both sides or the CSVs' rows or columns differ). Exit
+code 0 when every config is identical, 1 otherwise.
 
 The matrix:
 
@@ -31,6 +34,7 @@ temporary directories.
 from __future__ import annotations
 
 import contextlib
+import csv
 import difflib
 import io
 import itertools
@@ -200,6 +204,53 @@ def _differing_lines(old: str | None, new: str | None):
             yield f"{i1 + 1}-{i2}/{j1 + 1}-{j2}", old_lines[i1:i2], new_lines[j1:j2]
 
 
+def _number(value):
+    """value as a float if it is a JSON or CSV number, else None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _changes(old: dict, new: dict):
+    """(label, absolute change or None) of each value that differs between
+    two configs' outputs: a stdout JSON key, or an exposure CSV column over
+    its rows; None where a value is not a number on both sides."""
+    try:
+        old_json, new_json = json.loads(old["stdout"]), json.loads(new["stdout"])
+    except ValueError:
+        old_json = new_json = None
+    if isinstance(old_json, dict) and isinstance(new_json, dict):
+        for key in sorted(old_json.keys() | new_json.keys()):
+            a, b = old_json.get(key), new_json.get(key)
+            if a != b:
+                x, y = _number(a), _number(b)
+                yield f"stdout {key}", None if x is None or y is None else abs(y - x)
+    elif old["stdout"] != new["stdout"]:
+        yield "stdout", None
+    if old["csv"] == new["csv"]:
+        return
+    old_rows, new_rows = (
+        list(csv.reader(io.StringIO(text or ""))) for text in (old["csv"], new["csv"])
+    )
+    header = old_rows[0] if old_rows else []
+    if not old_rows or not new_rows or header != new_rows[0] or len(old_rows) != len(new_rows):
+        for column in header or ["<none>"]:
+            yield f"csv {column}", None
+        return
+    for i, column in enumerate(header):
+        largest, moved = 0.0, False
+        for a, b in zip(old_rows[1:], new_rows[1:]):
+            if a[i] != b[i]:
+                moved = True
+                x, y = _number(a[i]), _number(b[i])
+                largest = None if None in (x, y, largest) else max(largest, abs(y - x))
+        if moved:
+            yield f"csv {column}", largest
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[1] == "--worker":
         _worker(argv[2])
@@ -210,6 +261,7 @@ def main(argv: list[str]) -> int:
     old, new = _run_side(argv[1]), _run_side(argv[2])
     identical = 0
     exits = {}
+    moved = {}  # label -> (configs where it moved, largest absolute change)
     for name, _, _ in matrix():
         a, b = old[name], new[name]
         exits[a["exit"]] = exits.get(a["exit"], 0) + 1
@@ -226,6 +278,14 @@ def main(argv: list[str]) -> int:
                 print("".join(f"  - {line}\n" for line in was)
                       + "".join(f"  + {line}\n" for line in now), end="")
         identical += same
+        for label, change in _changes(a, b):
+            count, largest = moved.get(label, (0, 0.0))
+            moved[label] = (count + 1,
+                            None if None in (change, largest) else max(largest, change))
+    if moved:
+        print("moved (configs, largest absolute change):")
+    for label, (count, largest) in sorted(moved.items()):
+        print(f"  {label}: {count}, {'-' if largest is None else f'{largest:.3g}'}")
     csvs = sum(old[name]["csv"] is not None for name in old)
     print(f"{identical} of {len(old)} configs identical ({csvs} exposure CSVs; "
           f"exit codes on OLD_SRC: {dict(sorted(exits.items()))})")
