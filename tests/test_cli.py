@@ -286,6 +286,30 @@ class TestXva:
             outputs.append((out_path.read_bytes(), csv_path.read_bytes()))
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_a_solver_budget_of_one_leaves_the_mc_report_as_it_is(self, tmp_path, capsys):
+        # the Monte Carlo slices are solved in closed form: a budget that
+        # once stopped their iteration is still read, and moves nothing
+        code, default, _ = run_cli(["xva", "--config", write_config(tmp_path, XVA_MC_CFG)],
+                                   capsys)
+        assert code == 0
+        cfg_data = json.loads(json.dumps(XVA_MC_CFG))
+        cfg_data["solver"] = {"max_iter": 1, "damping": 0.5}
+        cfg = write_config(tmp_path, cfg_data, name="budget.json")
+        code, out, err = run_cli(["xva", "--config", cfg], capsys)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert (payload["iterations"], payload["residual"], payload["converged"]) == (1, 0.0, True)
+        assert payload == json.loads(default)
+
+    def test_an_unsolvable_monte_carlo_slice_is_a_config_error(self, tmp_path, capsys):
+        # 12 steps a year with a -30 basis: 1 + 0.5 * dt * basis < 0 at t = 0
+        cfg_data = json.loads(json.dumps(XVA_MC_CFG))
+        cfg_data["bank"]["basis"] = -30.0
+        code, out, err = run_cli(["xva", "--config", write_config(tmp_path, cfg_data)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "bank funding basis -30" in err and "t=0:" in err
+
     def test_an_unsolvable_deterministic_grid_is_a_config_error(self, tmp_path, capsys):
         # one 2y step with a -0.6 basis: 1 + dt * basis < 0 at t = 0
         cfg_data = json.loads(json.dumps(XVA_DET_CFG))

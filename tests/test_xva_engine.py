@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -459,6 +460,41 @@ class TestMethodRelations:
                                              r"1 \+ 0.5 \* dt \* basis not > 0 at t=0:"):
             run_xva(TWO_SIDED, OIS, RISKY_CP, negative, paths=paths)
 
+    @pytest.mark.parametrize("side", ["counterparty", "bank"])
+    def test_an_unsolvable_monte_carlo_slice_names_the_basis_and_the_time(self, side):
+        # one step a year; a -2.0 basis from t = 1 makes 1 + 0.5 * 1 * basis
+        # 0 at the slice there, while the slice at t = 0 stays solvable
+        paths = simulate_paths(ModelDynamics(s0=1.0, pi0_c=0.018, pi0_b=0.013), 2.0,
+                               n_steps=2, n_paths=1_000, seed=3)
+
+        def turning(at):
+            basis = PiecewiseCurve((0.0, at), (0.01, -2.0))
+            negative = replace(RISKY_CP if side == "counterparty" else RISKY_BANK, basis=basis)
+            return (negative, RISKY_BANK) if side == "counterparty" else (RISKY_CP, negative)
+
+        with pytest.raises(ValueError, match=f"the {side} funding basis -2 leaves "
+                                             r"1 \+ 0.5 \* dt \* basis not > 0 at t=1:"):
+            run_xva(TWO_SIDED, OIS, *turning(1.0), paths=paths)
+        # at maturity V = V^c: no slice is solved there, so nothing is checked
+        report, _ = run_xva(TWO_SIDED, OIS, *turning(2.0), paths=paths)
+        assert (report.iterations, report.residual, report.converged) == (1, 0.0, True)
+        assert math.isfinite(report.fair_value)
+
+    @pytest.mark.parametrize("backend", ["pde", "mc"])
+    def test_a_recursive_valuation_raises_no_warning(self, backend):
+        # a budget of one and damping no longer stop or slow a solve: no
+        # backend iterates, and no step of the sweep over- or underflows
+        kwargs = dict(method="recursive", backend=backend,
+                      params=SolverParams(max_iter=1, damping=0.5))
+        if backend == "mc":
+            kwargs.update(dyn=ModelDynamics(s0=1.0, pi0_c=0.018, pi0_b=0.013),
+                          n_paths=4_000, n_steps=24, seed=99)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report, _ = run_xva(TWO_SIDED, OIS, RISKY_CP, RISKY_BANK, THRESHOLD, **kwargs)
+        assert (report.iterations, report.residual, report.converged) == (1, 0.0, True)
+        assert report.cfva > 0 and report.dfva > 0
+
     @pytest.mark.parametrize("backend", ["pde", "mc"])
     def test_a_nan_basis_is_named_before_solving(self, backend):
         # the constructor refuses a NaN basis, so it is set past it here: a
@@ -724,6 +760,59 @@ class TestBackwardSweep:
         # V^c is measurable at maturity: nothing is regressed there
         assert sorted(built) == list(range(len(run.paths.times) - 1))
         assert (report.iterations, report.residual, report.converged) == (1, 0.0, True)
+
+    def test_each_slice_solves_its_funding_equation(self, monkeypatch):
+        # bases 3.0 and 5.0 and a 0.5y step: the Picard map of a slice would
+        # scale by 0.5 * 0.5 * 5.0 = 1.25 and diverge; the closed form must
+        # still solve x + cost x^+ - benefit x^- = V^c - C - E[settled] on
+        # either side of the threshold
+        wild_cp = replace(RISKY_CP, basis=PiecewiseCurve.flat(3.0))
+        wild_bank = replace(RISKY_BANK, basis=PiecewiseCurve.flat(5.0))
+        run = _prepare_mc(TWO_SIDED, OIS, self.COLLATERAL, self.DYN, 1_000, 4, 3, False)
+        fitted, funded, solved = {}, {}, {}
+        project, sweep = xva_engine._slice_projection, xva_engine._funding_trapezoid
+
+        def recording_projection(paths, k, degree):
+            fit = project(paths, k, degree)
+
+            def recorded(settled):
+                fitted[k] = fit(settled)
+                return fitted[k]
+
+            return recorded
+
+        def recording_sweep(paths, disc, survival, gaps, *args):
+            def recorded(k, funding):
+                def served():
+                    funded[k] = funding()
+                    return funded[k]
+
+                out = gaps(k, None if funding is None else served)
+                solved[k] = out[0]
+                return out
+
+            return sweep(paths, disc, survival, recorded, *args)
+
+        monkeypatch.setattr(xva_engine, "_slice_projection", recording_projection)
+        monkeypatch.setattr(xva_engine, "_funding_trapezoid", recording_sweep)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report, _, _ = _mc_valuation(run, wild_cp, wild_bank, "recursive", SolverParams())
+        monkeypatch.undo()
+        last = len(run.paths.times) - 1
+        assert sorted(funded) == sorted(fitted) == list(range(last))
+        assert np.array_equal(solved[last], run.gaps(last, None)[0])
+        scale = _notional_scale(TWO_SIDED)
+        signs = set()
+        for k in range(last):
+            _, cost, benefit = funded[k]
+            x, d = solved[k], run.gaps(k, None)[0] - fitted[k]
+            assert np.all((x >= 0) == (d >= 0)), k
+            signs.update(np.unique(np.sign(d)))
+            balance = x + cost * np.maximum(x, 0.0) - benefit * np.maximum(-x, 0.0)
+            assert np.max(np.abs(balance - d)) <= 1e-12 * scale, k
+        assert {-1.0, 1.0} <= signs
+        assert math.isfinite(report.fair_value) and report.cfva > 0 and report.dfva > 0
 
     def test_the_readme_call_funding_legs_agree_with_the_grid(self):
         # with V^c exact on every path the gap V - C under the threshold
