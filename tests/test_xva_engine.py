@@ -1,6 +1,5 @@
 """Tests for the valuation engine: adjustment legs, recursive solves, reports."""
 
-import itertools
 import json
 import math
 import tracemalloc
@@ -671,10 +670,7 @@ class TestBackwardSweep:
         vc_rc, vc_ll, posted_rc, posted_ll = _vc_grids(
             TWO_SIDED, self.DYN, run.paths, self.COLLATERAL
         )
-        projections = [
-            _slice_projection(run.paths, k, self.PARAMS.regression_degree)
-            for k in range(last)
-        ]
+        projections = [_slice_projection(run.paths, k) for k in range(last)]
 
         def fit(settled):  # nothing is settled at maturity, where V = V^c
             return np.column_stack(
@@ -751,9 +747,9 @@ class TestBackwardSweep:
         built = []
         project = xva_engine._slice_projection
 
-        def counting_projection(paths, k, degree):
+        def counting_projection(paths, k):
             built.append(k)
-            return project(paths, k, degree)
+            return project(paths, k)
 
         monkeypatch.setattr(xva_engine, "_slice_projection", counting_projection)
         report, run = self._sweep(self._paths())
@@ -772,8 +768,8 @@ class TestBackwardSweep:
         fitted, funded, solved = {}, {}, {}
         project, sweep = xva_engine._slice_projection, xva_engine._funding_trapezoid
 
-        def recording_projection(paths, k, degree):
-            fit = project(paths, k, degree)
+        def recording_projection(paths, k):
+            fit = project(paths, k)
 
             def recorded(settled):
                 fitted[k] = fit(settled)
@@ -829,16 +825,19 @@ class TestBackwardSweep:
 
 
 class TestRegressionBasis:
-    """The per-time regression against a plain reference written here: every
-    monomial of total degree <= 3 as a column of ``x**p`` powers, a constant
-    factor entering as a zero column, and the pseudo-inverse of the Gram
-    matrix at the same rank cutoff."""
+    """The per-time regression against a plain reference written here: a
+    constant and each standardized factor as columns, a constant factor
+    entering as a zero column, and the pseudo-inverse of the Gram matrix at
+    the same rank cutoff."""
 
-    DEGREE = 3
     README = ModelDynamics(s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013)
     STOCHASTIC = ModelDynamics(
         s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013,
         vol_c=0.008, vol_b=0.006, rho_sc=0.2, rho_sb=0.1, rho_cb=0.4,
+    )
+    # one spread varies: the constant one sits between the live factors
+    ONE_SPREAD = ModelDynamics(
+        s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013, vol_c=0.008, rho_sc=0.2,
     )
 
     @staticmethod
@@ -855,14 +854,7 @@ class TestRegressionBasis:
         return factors
 
     def _reference(self, paths, k, pv):
-        factors = self._standardized(paths, k)
-        exponents = [
-            e for e in itertools.product(range(self.DEGREE + 1), repeat=3)
-            if sum(e) <= self.DEGREE
-        ]
-        basis = np.column_stack([
-            np.prod([x**p for x, p in zip(factors, e)], axis=0) for e in exponents
-        ])
+        basis = np.column_stack([np.ones(paths.n_paths), *self._standardized(paths, k)])
         pinv = np.linalg.pinv(basis.T @ basis, rcond=1e-10)
         return basis @ (pinv @ (basis.T @ pv))
 
@@ -872,26 +864,27 @@ class TestRegressionBasis:
         pv = np.maximum(paths.s[:, -1] - 100.0, 0.0) * math.exp(-0.02)
         return pv + 800.0 * paths.pi_c[:, -1] - 500.0 * paths.pi_b[:, -1]
 
-    @pytest.mark.parametrize("dyn", [README, STOCHASTIC], ids=["readme", "stochastic"])
+    @pytest.mark.parametrize(
+        "dyn", [README, STOCHASTIC, ONE_SPREAD], ids=["readme", "stochastic", "one_spread"]
+    )
     def test_fits_agree_with_the_plain_basis_at_every_grid_time(self, dyn):
         paths = self._paths(dyn)
         pv = self._payoff(paths)
         scale = np.max(np.abs(pv))
         for k in range(len(paths.times) - 1):
-            ours = _slice_projection(paths, k, self.DEGREE)(pv)
+            ours = _slice_projection(paths, k)(pv)
             reference = self._reference(paths, k, pv)
             assert np.max(np.abs(ours - reference)) <= 1e-10 * scale
 
     @pytest.mark.parametrize("dyn", [README, STOCHASTIC], ids=["readme", "stochastic"])
-    def test_a_cubic_in_the_standardized_state_is_reproduced(self, dyn):
+    def test_a_linear_function_of_the_standardized_state_is_reproduced(self, dyn):
         paths = self._paths(dyn)
         rng = np.random.default_rng(5)
         for k in range(1, len(paths.times) - 1):
             x, y, z = self._standardized(paths, k)
-            c = rng.normal(size=8)
-            pv = (c[0] + c[1] * x + c[2] * x * x * x + c[3] * x * y * z
-                  + c[4] * y * y * z + c[5] * z * z * z + c[6] * x * z + c[7] * y)
-            ours = _slice_projection(paths, k, self.DEGREE)(pv)
+            c = rng.normal(size=4)
+            pv = c[0] + c[1] * x + c[2] * y + c[3] * z
+            ours = _slice_projection(paths, k)(pv)
             assert np.max(np.abs(ours - pv)) <= 1e-8 * np.max(np.abs(pv))
 
     def test_a_role_swap_regresses_on_the_same_basis_bit_for_bit(self):
@@ -899,12 +892,13 @@ class TestRegressionBasis:
         swapped = swap_roles(paths)
         pv = self._payoff(paths)
         for k in range(len(paths.times)):
-            ours = _slice_projection(paths, k, self.DEGREE)(pv)
-            assert np.array_equal(_slice_projection(swapped, k, self.DEGREE)(pv), ours)
-            assert np.array_equal(_slice_projection(swapped, k, self.DEGREE)(-pv), -ours)
+            ours = _slice_projection(paths, k)(pv)
+            assert np.array_equal(_slice_projection(swapped, k)(pv), ours)
+            assert np.array_equal(_slice_projection(swapped, k)(-pv), -ours)
 
     @pytest.mark.parametrize(
-        "dyn, columns", [(README, 4), (STOCHASTIC, 20)], ids=["readme", "stochastic"]
+        "dyn, columns", [(README, 2), (STOCHASTIC, 4), (ONE_SPREAD, 3)],
+        ids=["readme", "stochastic", "one_spread"],
     )
     def test_a_constant_factor_adds_no_columns(self, monkeypatch, dyn, columns):
         sizes = []
@@ -917,7 +911,7 @@ class TestRegressionBasis:
         monkeypatch.setattr(np.linalg, "pinv", recording_pinv)
         paths = self._paths(dyn)
         for k in range(len(paths.times) - 1):
-            _slice_projection(paths, k, self.DEGREE)
+            _slice_projection(paths, k)
         # no basis at time 0: the state is the same on every path
         assert sizes == [(columns, columns)] * (len(paths.times) - 2)
 
@@ -925,7 +919,7 @@ class TestRegressionBasis:
 class TestSolverParams:
     def test_defaults_and_the_values_in_use_are_valid(self):
         SolverParams()
-        SolverParams(tol=1e-8, max_iter=1, damping=0.5, det_steps=1, regression_degree=0)
+        SolverParams(tol=1e-8, max_iter=1, damping=0.5, det_steps=1)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -933,7 +927,6 @@ class TestSolverParams:
             ("tol", 0.0), ("tol", -1.0), ("tol", float("inf")), ("tol", float("nan")),
             ("max_iter", 0), ("damping", 0.0), ("damping", 1.5),
             ("damping", float("nan")), ("det_steps", 0), ("det_steps", -5),
-            ("regression_degree", -1),
         ],
     )
     def test_out_of_domain_values_name_their_field(self, field, value):

@@ -11,8 +11,11 @@ directory of its own. The two sides' stdout, exposure CSVs, exit codes and
 is printed under its config's name. Then each JSON key of stdout and each
 column of the exposure CSVs that moved is listed, with the number of
 configs where it moved and its largest absolute change (``-`` where a value
-is not a number on both sides or the CSVs' rows or columns differ). Exit
-code 0 when every config is identical, 1 otherwise.
+is not a number on both sides or the CSVs' rows or columns differ). A
+stdout key with an ``se_<key>`` partner on OLD_SRC (a Monte Carlo leg or
+fair value) also gets its largest change in units of that standard error,
+so that a move can be told from noise. Exit code 0 when every config is
+identical, 1 otherwise.
 
 The matrix:
 
@@ -39,6 +42,7 @@ import difflib
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -214,10 +218,22 @@ def _number(value):
         return None
 
 
+def _in_standard_errors(change, se):
+    """change in units of the standard error se, or None where either is
+    not a number."""
+    if change is None or se is None:
+        return None
+    if se == 0.0:
+        return 0.0 if change == 0.0 else math.inf
+    return change / se
+
+
 def _changes(old: dict, new: dict):
-    """(label, absolute change or None) of each value that differs between
-    two configs' outputs: a stdout JSON key, or an exposure CSV column over
-    its rows; None where a value is not a number on both sides."""
+    """(label, absolute change or None, change in standard errors or None)
+    of each value that differs between two configs' outputs: a stdout JSON
+    key, or an exposure CSV column over its rows; None where a value is not
+    a number on both sides, or for the standard errors where the old stdout
+    has no ``se_`` partner of the key."""
     try:
         old_json, new_json = json.loads(old["stdout"]), json.loads(new["stdout"])
     except ValueError:
@@ -227,9 +243,11 @@ def _changes(old: dict, new: dict):
             a, b = old_json.get(key), new_json.get(key)
             if a != b:
                 x, y = _number(a), _number(b)
-                yield f"stdout {key}", None if x is None or y is None else abs(y - x)
+                change = None if x is None or y is None else abs(y - x)
+                se = _number(old_json.get(f"se_{key}"))
+                yield f"stdout {key}", change, _in_standard_errors(change, se)
     elif old["stdout"] != new["stdout"]:
-        yield "stdout", None
+        yield "stdout", None, None
     if old["csv"] == new["csv"]:
         return
     old_rows, new_rows = (
@@ -238,7 +256,7 @@ def _changes(old: dict, new: dict):
     header = old_rows[0] if old_rows else []
     if not old_rows or not new_rows or header != new_rows[0] or len(old_rows) != len(new_rows):
         for column in header or ["<none>"]:
-            yield f"csv {column}", None
+            yield f"csv {column}", None, None
         return
     for i, column in enumerate(header):
         largest, moved = 0.0, False
@@ -248,7 +266,7 @@ def _changes(old: dict, new: dict):
                 x, y = _number(a[i]), _number(b[i])
                 largest = None if None in (x, y, largest) else max(largest, abs(y - x))
         if moved:
-            yield f"csv {column}", largest
+            yield f"csv {column}", largest, None
 
 
 def main(argv: list[str]) -> int:
@@ -261,7 +279,9 @@ def main(argv: list[str]) -> int:
     old, new = _run_side(argv[1]), _run_side(argv[2])
     identical = 0
     exits = {}
-    moved = {}  # label -> (configs where it moved, largest absolute change)
+    # label -> (configs where it moved, largest absolute change, largest
+    # change in standard errors or None)
+    moved = {}
     for name, _, _ in matrix():
         a, b = old[name], new[name]
         exits[a["exit"]] = exits.get(a["exit"], 0) + 1
@@ -278,14 +298,18 @@ def main(argv: list[str]) -> int:
                 print("".join(f"  - {line}\n" for line in was)
                       + "".join(f"  + {line}\n" for line in now), end="")
         identical += same
-        for label, change in _changes(a, b):
-            count, largest = moved.get(label, (0, 0.0))
-            moved[label] = (count + 1,
-                            None if None in (change, largest) else max(largest, change))
+        for label, change, in_se in _changes(a, b):
+            count, largest, largest_se = moved.get(label, (0, 0.0, in_se))
+            moved[label] = (
+                count + 1,
+                None if None in (change, largest) else max(largest, change),
+                None if None in (in_se, largest_se) else max(largest_se, in_se),
+            )
     if moved:
-        print("moved (configs, largest absolute change):")
-    for label, (count, largest) in sorted(moved.items()):
-        print(f"  {label}: {count}, {'-' if largest is None else f'{largest:.3g}'}")
+        print("moved (configs, largest absolute change[, largest in standard errors]):")
+    for label, (count, largest, largest_se) in sorted(moved.items()):
+        se = "" if largest_se is None else f", {largest_se:.3g} se"
+        print(f"  {label}: {count}, {'-' if largest is None else f'{largest:.3g}'}{se}")
     csvs = sum(old[name]["csv"] is not None for name in old)
     print(f"{identical} of {len(old)} configs identical ({csvs} exposure CSVs; "
           f"exit codes on OLD_SRC: {dict(sorted(exits.items()))})")
