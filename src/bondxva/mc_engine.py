@@ -136,6 +136,9 @@ def _correlation_factor(corr: np.ndarray) -> np.ndarray:
 class PathSet:
     """Simulated trajectories on a uniform grid, plus sampled default times.
 
+    times must run from 0 in equal steps, as np.linspace(0, horizon,
+    n_steps + 1) makes them (ValueError naming PathSet.times otherwise):
+    the default clock and a cure window read the one step times[1] - times[0].
     s, pi_c and pi_b are shaped (n_paths, n_steps + 1). simulate_paths
     stores them time-major, as the transposes of C-order (n_steps + 1,
     n_paths) buffers, so that the slice of every path at one time, s[:, k],
@@ -158,6 +161,19 @@ class PathSet:
     tau_c: np.ndarray | None = None
     tau_b: np.ndarray | None = None
     clock_columns: tuple[int, int] = (0, 1)
+
+    def __post_init__(self):
+        # the default clock and the cure-window ring read one step, times[1] - times[0]
+        times = np.asarray(self.times, dtype=float)
+        steps = np.diff(times)
+        if not (len(steps) and times[0] == 0.0 and times[-1] > 0
+                and np.allclose(steps, times[-1] / len(steps), rtol=1e-9, atol=0.0)):
+            got = (f"t_0 = {times[0]:.6g} and steps from {steps.min():.6g} to {steps.max():.6g}"
+                   if len(steps) else f"{len(times)} time(s)")
+            raise ValueError(
+                "PathSet.times must run from 0 in equal steps, as "
+                f"np.linspace(0, horizon, n_steps + 1) does; got {got}"
+            )
 
     @property
     def n_paths(self) -> int:
@@ -400,12 +416,13 @@ class ExposureProfile:
 _BOTH_SIDES = np.array([[1.0], [-1.0]])
 
 
-def _exposure_moments(weight, gap) -> tuple[float, float, float, float]:
-    """EPE, ENE and their standard errors at one grid time, from the
-    per-path gap V - C (or one number every path shares), each path's
-    positive and negative part weighted by weight: its survival
-    probability, or its 0/1 indicator of being alive."""
-    weighted = weight * np.maximum(gap * _BOTH_SIDES, 0.0)
+def _exposure_moments(weight, sided) -> tuple[float, float, float, float]:
+    """EPE, ENE and their standard errors at one grid time, from the gap
+    V - C's positive and negative parts, sided = max(gap * _BOTH_SIDES, 0)
+    ((2, n_paths), or (2, 1) for a gap that every path shares), each path's
+    parts weighted by weight: its survival probability, or its 0/1
+    indicator of being alive."""
+    weighted = weight * sided
     means = weighted.mean(axis=1)
     # the standard deviation as np.std forms it, from the means already taken
     weighted -= means[:, None]
@@ -444,6 +461,7 @@ def exposure_profile(
     for k, t in enumerate(paths.times):
         value = per_path(valuation, k, t)
         posted = collateral_amount(collateral, per_path(collateral_valuation, k, t))
-        moments[:, k] = _exposure_moments(paths.alive(t), value - posted)
+        sided = np.maximum((value - posted) * _BOTH_SIDES, 0.0)
+        moments[:, k] = _exposure_moments(paths.alive(t), sided)
     discounts = np.exp(-ois.integral_from_zero(paths.times))
     return ExposureProfile.from_expectations(paths.times, discounts, *moments)

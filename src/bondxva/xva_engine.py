@@ -51,13 +51,16 @@ here like every other report. A Monte Carlo run holds no (n_paths, n_times)
 array besides the three path arrays: V^c, the collateral, the close-out
 gap, survival and the solved values are derived one grid time at a time and
 used there, in the one per-time backward sweep (``_funding_trapezoid``),
-which keeps only the few V^c columns a cure window spans. The recursive
-method solves each slice inside it; ``first_order``, ``bond_implied`` (at
-the bond-implied intensities, with no funding legs), the full-spread legs
-of ``compare_aggregations`` and the public ``cfva`` and ``dfva`` integrate
-gaps that do not depend on the funding. Every leg's spreads at t_k and at
-its left limit come from ``_spreads``, and the survival from
-``_survival``. The public ``cva``, ``dva`` and
+which keeps only the few V^c columns a cure window spans. The sweep asks
+its caller's state(k) once per grid time, latest first, for everything at
+t_k: the survival (``_survival``, stepped with the default spread rows),
+the default pair's spreads and close-out gap, each funding pair's spreads
+(``_spreads``) and the gap V^c - C. Every leg is one side of a (cost,
+benefit) pair on the same gap. The recursive method solves each slice
+inside the sweep; ``first_order``, ``bond_implied`` (at the bond-implied
+intensities, with no funding legs), the full-spread legs of
+``compare_aggregations`` and the public ``cfva`` and ``dfva`` integrate
+gaps that do not depend on the funding. The public ``cva``, ``dva`` and
 ``ead_split_adjustment`` stay the estimators on given default times.
 ``run_xva`` asks for the exposure profile, whose survival-weighted per-time
 moments are taken in the same pass; ``fair_value_recursive``,
@@ -73,7 +76,7 @@ from __future__ import annotations
 import inspect
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -85,6 +88,7 @@ from .curves import (
 from . import pde_engine
 from .instruments import CollateralSpec, Instrument, collateral_amount
 from .mc_engine import (
+    _BOTH_SIDES,
     ExposureProfile,
     ModelDynamics,
     PathSet,
@@ -501,8 +505,8 @@ def _spreads(times: np.ndarray, curves, pi=None, floor: bool = False) -> Callabl
     function of k: each curve's level, a (rows, 1) column that every path
     shares, or with pi (one (n_paths, n_times) path array per curve) the
     path row plus that level, floored at zero if floor. The left limit is
-    the same array where no curve jumps at t_k. The last grid time's rows
-    are kept: the survival walk and the sweep both ask for them at t_k."""
+    the same array where no curve jumps at t_k. Each call forms its rows
+    anew: a sweep asks for each grid time once."""
     rc = np.array([curve.values_at(times) for curve in curves])
     ll = np.array([curve.values_at(np.maximum(times - 1e-12, 0.0)) for curve in curves])
     jumps = np.any(ll != rc, axis=0)
@@ -517,144 +521,131 @@ def _spreads(times: np.ndarray, curves, pi=None, floor: bool = False) -> Callabl
                 np.maximum(row, 0.0, out=row)
         return out
 
-    latest = [None, None]  # the last k and its rows
-
     def at(k):
-        if latest[0] != k:
-            value = rows(rc, k)
-            latest[:] = k, (value, rows(ll, k) if jumps[k] else value)
-        return latest[1]
+        value = rows(rc, k)
+        return value, rows(ll, k) if jumps[k] else value
 
     return at
 
 
-def _net(groups):
-    """Costs less benefits of (rows, sides) groups: the rows on the positive
-    side (costs) summed in order less the others (benefits) summed in
-    order. Exchanging the two sides negates it exactly, as a role swap
-    does."""
-    sums = [0.0, 0.0]
-    for rows, sides in groups:
-        for row, positive in zip(rows, sides):
-            sums[not positive] = sums[not positive] + row
-    return sums[0] - sums[1]
+def _sums(pairs):
+    """The costs (each pair's first row) and the benefits (its second)
+    of (cost, benefit) pairs, each summed in order."""
+    costs = benefits = 0.0
+    for cost, benefit in pairs:
+        costs, benefits = costs + cost, benefits + benefit
+    return costs, benefits
 
 
-def _sided(gap_rc, gap_ll, sign):
-    """(gap)^+ or (gap)^-, one row per leg (sign +1 or -1, a column), at a
-    grid time and at its left limit: the same array twice when the gap does
-    not jump there."""
-    at_rc = np.maximum(gap_rc * sign, 0.0)
-    return at_rc, at_rc if gap_ll is gap_rc else np.maximum(gap_ll * sign, 0.0)
+def _net(pairs):
+    """Costs less benefits of (cost, benefit) pairs, each side summed in
+    order (``_sums``). Exchanging the two rows of every pair negates it
+    exactly, as a role swap does."""
+    costs, benefits = _sums(pairs)
+    return costs - benefits
 
 
-def _funding_trapezoid(paths: PathSet, disc, survival, gaps, legs, moments=None,
-                       close_out=None):
+def _sided(gap_rc, gap_ll):
+    """(gap)^+ over (gap)^-, a (2, ...) array, at a grid time and at its
+    left limit: the same array twice when the gap does not jump there."""
+    at_rc = np.maximum(gap_rc * _BOTH_SIDES, 0.0)
+    return at_rc, at_rc if gap_ll is gap_rc else np.maximum(gap_ll * _BOTH_SIDES, 0.0)
+
+
+def _funding_trapezoid(paths: PathSet, disc, state, solve=None, moments=None):
     """The Monte Carlo backward sweep: per-path legs, each the integral of
     D(0,s) * survival(s) * spread * (gap)^± ds over the grid, latest time
-    first, in groups that share a gap.
+    first, in (cost, benefit) pairs: a cost on (gap)^+, a benefit on
+    (gap)^- of the same gap.
 
-    legs holds the groups (spread, sides, fixed). sides holds each leg's
-    side: True for a cost on (gap)^+, False for a benefit on (gap)^-.
-    spread(k) gives the group's spreads at grid time t_k and at its left
-    limit t_k-, one row per leg or one row for all of them, per path or
-    shared, the left limit the same array where no spread jumps. A fixed
-    group integrates the gap that close_out(k) gives at t_k and t_k-, one
-    that does not depend on the solved value (the close-out gap of the
-    default legs); the other groups, the funding legs, integrate the gap
-    that gaps(k, funding) gives. survival(k) is each path's survival weight
-    at t_k, asked for latest time first (``_survival``'s walk, or 1_alive
-    on given default times). funding() serves a gap that is solved with the
-    legs (the recursive value): it returns (settled, cost, benefit) per unit
-    of weight D(0, t_k) survival(t_k). settled is the net (``_net``: costs
-    less benefits) of every leg from t_k on but the funding densities at
-    t_k, and those densities at a gap x are cost * x^+ - benefit * x^-, cost
-    and benefit the half-step 0.5 dt_k times the summed spreads of the
-    funding legs on each side. It is formed only when called, and it is
-    None at the last time, where nothing remains. Each trapezoid segment
-    uses the right-continuous value at its left end and the left limit at
-    its right end, so that jumps at cash-flow dates are integrated
-    correctly. No (n_paths, n_times) array is made. When moments, a
-    (4, n_times) array, is given, the survival-weighted exposure moments of
-    the funding gap at each t_k are written into it. Returns each leg's
-    per-path values, group by group.
+    state(k) is asked for once per grid time, in the order last, ..., 0,
+    and returns (survival, default, funding, gap) at t_k: each path's
+    survival weight (exp(-(Lambda_C + Lambda_B)), or 1_alive on given
+    default times); None, or the default pair's (spreads, close-out gap),
+    a gap that does not depend on the solved value; each funding pair's
+    spreads; and the gap V^c - C. Spreads and gaps are each a pair of
+    arrays at t_k and at its left limit t_k-, the left limit the same
+    array where nothing jumps; a pair's spreads have one row for both
+    legs or one row per leg, per path or shared. The funding pairs
+    integrate the gap that solve(k, gap, funding) returns before t_last
+    (the recursive value's), else the gap itself: at the last time
+    nothing remains. funding is (settled, cost, benefit) per unit of
+    weight D(0, t_k) survival(t_k). settled is the net (``_net``) of
+    every leg from t_k on but the funding densities at t_k, and those
+    densities at a gap x are cost * x^+ - benefit * x^-, cost and benefit
+    the half-step 0.5 dt_k times the summed funding spreads of each side.
+    Each trapezoid segment uses the right-continuous value at its left
+    end and the left limit at its right end, so that jumps at cash-flow
+    dates are integrated correctly. No (n_paths, n_times) array is made,
+    and the funded gap's parts are formed only for a funding pair or the
+    moments: when moments, a (4, n_times) array, is given, the
+    survival-weighted exposure moments of the funded gap at each t_k are
+    written into it. Returns each pair's per-path cost and benefit legs,
+    the default pair's first.
     """
     times = paths.times
     dt = np.diff(times)
     last = len(times) - 1
-    signs = [np.array([[1.0 if positive else -1.0] for positive in sides])
-             for _, sides, _ in legs]
-    tails = [np.zeros((len(sides), paths.n_paths)) for _, sides, _ in legs]
-    right = [None] * len(legs)  # each group's densities at t_{k+1}-
+    tails = right = None
     for k in range(last, -1, -1):
-        surv = survival(k)
+        surv, default, funding, gap = state(k)
+        spreads = funding if default is None else [default[0], *funding]
+        funded = range(len(spreads) - len(funding), len(spreads))
+        if tails is None:
+            tails = [np.zeros((2, paths.n_paths)) for _ in spreads]
+            right = [None] * len(spreads)  # each pair's densities at t_{k+1}-
         weight = disc[k] * surv
-        spreads = [spread(k) for spread, _, _ in legs]
-        own = close_out(k) if close_out is not None else None
-        parts = [None] * len(legs)  # each group's (gap)^± at t_k and t_k-
-        left = [None] * len(legs)  # each group's densities at t_k
         half = 0.5 * dt[k] if k < last else None
+        parts = [None] * len(spreads)  # each pair's (gap)^± at t_k and t_k-
+        left = [None] * len(spreads)  # each pair's densities at t_k
 
-        def advance(g):  # from t_{k+1} on to t_k on: + 0.5 (g(t_k) + g(t_{k+1}-)) dt_k
-            left[g] = weight * (spreads[g][0] * parts[g][0])
-            tails[g] += (left[g] + right[g]) * half
+        def advance(g, sided):  # from t_{k+1} on to t_k on: + 0.5 (g(t_k) + g(t_{k+1}-)) dt_k
+            parts[g] = sided
+            if k < last:
+                left[g] = weight * (spreads[g][0] * sided[0])
+                tails[g] += (left[g] + right[g]) * half
 
-        for g, (_, _, fixed) in enumerate(legs):
-            if fixed:
-                parts[g] = _sided(*own, signs[g])
-                if k < last:
-                    advance(g)
-
-        funding = None  # nothing remains at the last time
-        if k < last:
-            def funding():
-                settled = _net(
-                    (tails[g] if fixed else tails[g] + right[g] * half, sides)
-                    for g, (_, sides, fixed) in enumerate(legs)
-                ) / weight
-                slopes = [0.0, 0.0]  # the costs' and the benefits'
-                for g, (_, sides, fixed) in enumerate(legs):
-                    if fixed:
-                        continue
-                    rates = np.broadcast_to(spreads[g][0], (len(sides), *spreads[g][0].shape[1:]))
-                    for rate, positive in zip(rates, sides):
-                        slopes[not positive] = slopes[not positive] + half * rate
-                return settled, *slopes
-
-        gap_rc, gap_ll = gaps(k, funding)
-        for g, (_, _, fixed) in enumerate(legs):
-            if not fixed:
-                parts[g] = _sided(gap_rc, gap_ll, signs[g])
-                if k < last:
-                    advance(g)
-        if moments is not None:
-            moments[:, k] = _exposure_moments(surv, gap_rc)
+        if default is not None:
+            advance(0, _sided(*default[1]))
+        if solve is not None and k < last:
+            settled = _net(
+                tails[g] + right[g] * half if g in funded else tails[g]
+                for g in range(len(spreads))
+            ) / weight
+            rates = (np.broadcast_to(rc, (2, *rc.shape[1:])) for rc, _ in funding)
+            gap = solve(k, gap, (settled, *_sums(half * rate for rate in rates)))
+        if funding or moments is not None:
+            sided = _sided(*gap)
+            for g in funded:
+                advance(g, sided)
+            if moments is not None:
+                moments[:, k] = _exposure_moments(surv, sided[0])
+            del sided  # not held while the next grid time's state is formed
         right = [
             left[g] if left[g] is not None and parts[g][1] is parts[g][0] and ll is rc
             else weight * (ll * parts[g][1])  # a jump at t_k: the left limit's own
             for g, (rc, ll) in enumerate(spreads)
         ]
-    return [row for group in tails for row in group]
+    return [leg for tail in tails for leg in tail]
 
 
 def _funding_leg(
-    paths, exposure_on_grid, ois, basis, collateral, collateral_reference, positive
-) -> tuple[float, float]:
+    paths, exposure_on_grid, ois, basis, collateral, collateral_reference
+) -> list[tuple[float, float]]:
+    """The cost and the benefit leg of one funding pair at basis on given
+    gaps, each a mean with its standard error."""
     value = np.asarray(exposure_on_grid, dtype=float)  # (m,) or (n_paths, m)
     reference = value if collateral_reference is None else np.asarray(collateral_reference)
+    spreads = _spreads(paths.times, (basis,))
 
-    def gaps(k, funding):
+    def state(k):
         gap = value[..., k]
         if collateral is not None:
             gap = gap - collateral_amount(collateral, reference[..., k])
-        return gap, gap
+        return paths.alive(paths.times[k]), None, [spreads(k)], (gap, gap)
 
     disc = np.exp(-ois.integral_from_zero(paths.times))
-    (per_path,) = _funding_trapezoid(
-        paths, disc, lambda k: paths.alive(paths.times[k]), gaps,
-        [(_spreads(paths.times, (basis,)), (positive,), False)],
-    )
-    return _mean_and_se(per_path)
+    return [_mean_and_se(leg) for leg in _funding_trapezoid(paths, disc, state)]
 
 
 def cfva(
@@ -672,8 +663,8 @@ def cfva(
     (defaults to the exposure itself).
     """
     return _funding_leg(
-        paths, exposure_on_grid, ois, basis_c, collateral, collateral_reference, True
-    )
+        paths, exposure_on_grid, ois, basis_c, collateral, collateral_reference
+    )[0]
 
 
 def dfva(
@@ -686,8 +677,8 @@ def dfva(
 ) -> tuple[float, float]:
     """Funding benefit of the negative exposure at the bank basis."""
     return _funding_leg(
-        paths, exposure_on_grid, ois, basis_b, collateral, collateral_reference, False
-    )
+        paths, exposure_on_grid, ois, basis_b, collateral, collateral_reference
+    )[1]
 
 
 # ---------------------------------------------------------------------------
@@ -742,42 +733,26 @@ def _slice_projection(paths: PathSet, k: int):
 class _McRun:
     """A prepared Monte Carlo valuation: the paths (their three path
     arrays), the collateral spec and the discount factors at the grid
-    times. V^c, the collateral and the close-out gap are derived one grid
-    time at a time, by ``at_time`` and ``close_out``, where they are used; a
-    run holds no other (n_paths, n_times) array, only the few V^c columns
-    that a cure window spans."""
+    times. V^c, the collateral and the gaps are derived one grid time at a
+    time, by ``at_time``, where they are used; a run holds no other
+    (n_paths, n_times) array, only the few V^c columns that a cure window
+    spans."""
 
     paths: PathSet
     collateral: CollateralSpec
     vc_at: Callable  # grid index -> (V^c there, its left limit): model.grid_columns, _remembered
     window: Callable  # grid index -> V^c at the end of the cure window: model.window_columns
     disc: np.ndarray
-    latest: list = field(default_factory=lambda: [None, None])  # at_time's last k and result
 
     def at_time(self, k: int):
-        """V^c at grid time k, its left limit there, and the collateral on
-        each: per path, or numbers that every path shares. The sweep asks
-        for them twice per grid time, for the close-out gap and for the
-        funded gap, so the last grid time's are kept."""
-        if self.latest[0] != k:
-            vc_rc, vc_ll = self.vc_at(k)
-            posted_rc = collateral_amount(self.collateral, vc_rc)
-            posted_ll = posted_rc if vc_ll is vc_rc else collateral_amount(self.collateral, vc_ll)
-            self.latest[:] = k, (vc_rc, vc_ll, posted_rc, posted_ll)
-        return self.latest[1]
-
-    def gaps(self, k: int, funding):
-        """The gap V^c - C at grid time k and at its left limit; as a
-        ``_funding_trapezoid`` callback it ignores the funding."""
-        vc_rc, vc_ll, posted_rc, posted_ll = self.at_time(k)
-        return _gap_pair(vc_rc, vc_ll, posted_rc, posted_ll)
-
-    def close_out(self, k: int):
-        """The riskless close-out gap of a default at grid time k and at its
-        left limit: V^c at the end of the cure window less the collateral
-        frozen at t_k."""
-        _, _, posted_rc, posted_ll = self.at_time(k)
-        return _gap_pair(*self.window(k), posted_rc, posted_ll)
+        """The gap V^c - C at grid time k and at its left limit, and the
+        collateral C on each: per path, or numbers that every path shares.
+        The close-out gap of a default at t_k is ``window(k)`` less that
+        collateral, frozen at t_k."""
+        vc_rc, vc_ll = self.vc_at(k)
+        posted_rc = collateral_amount(self.collateral, vc_rc)
+        posted_ll = posted_rc if vc_ll is vc_rc else collateral_amount(self.collateral, vc_ll)
+        return _gap_pair(vc_rc, vc_ll, posted_rc, posted_ll), (posted_rc, posted_ll)
 
 
 def _gap_pair(value_rc, value_ll, posted_rc, posted_ll):
@@ -858,14 +833,16 @@ def _survival(
     paths: PathSet, spreads: Callable, recovery_c: float, recovery_b: float
 ) -> Callable:
     """Each path's survival exp(-(Lambda_C + Lambda_B)) at grid time k, as a
-    function of k that is asked for latest time first, as the backward
-    sweep does. spreads gives both names' default spreads (``_spreads``
-    rows, the counterparty's first), and a name's intensity is its spread
-    over 1 - R. Lambda is each name's left-endpoint sum of intensity * dt
-    over the grid steps before t_k. Their sum is one per-path vector, the
-    whole grid's first and then carried back one step at a time; the names
-    enter each step as a sum of two, so a role swap leaves the survival
-    unchanged, bit for bit."""
+    function survival(k, rows) for a backward sweep, which asks for each
+    grid time once, latest first, with rows the two names' default spreads
+    at t_k (``spreads(k)[0]``, the counterparty's first) that it has formed
+    already; a name's intensity is its spread over 1 - R. Lambda is each
+    name's left-endpoint sum of intensity * dt over the grid steps before
+    t_k. Their sum is one per-path vector, the whole grid's first (from
+    spreads) and then carried back one step at a time, so the survival at
+    t_k is right only after the call at t_{k+1}; the names enter each step
+    as a sum of two, so a role swap leaves the survival unchanged, bit for
+    bit."""
     for label, recovery in (("counterparty", recovery_c), ("bank", recovery_b)):
         if not recovery < 1.0:
             raise ValueError(
@@ -876,22 +853,17 @@ def _survival(
     recoveries = np.array([[recovery_c], [recovery_b]])
     per_spread = np.diff(paths.times)[None, :] / (1.0 - recoveries)
 
-    def step(j):  # the two names' intensity * dt over grid step j, summed, per path
-        scaled = spreads(j)[0] * per_spread[:, j:j + 1]
+    def step(rows, j):  # the two names' intensity * dt over grid step j, summed, per path
+        scaled = rows * per_spread[:, j:j + 1]
         return scaled[0] + scaled[1]
 
     clock = np.zeros(paths.n_paths)  # -(Lambda_C + Lambda_B)
     for j in range(paths.n_steps):
-        clock -= step(j)
-    at = paths.n_steps
+        clock -= step(spreads(j)[0], j)
 
-    def survival(k):
-        nonlocal at
-        if k > at:
-            raise ValueError(f"the survival walk is at grid time {at}, past {k}")
-        for j in range(at - 1, k - 1, -1):
-            np.add(clock, step(j), out=clock)
-        at = k
+    def survival(k, rows):
+        if k < paths.n_steps:
+            np.add(clock, step(rows, k), out=clock)
         return np.exp(clock)
 
     return survival
@@ -928,12 +900,14 @@ def _mc_valuation(
 ):
     """One Monte Carlo valuation of a prepared run, in one backward sweep of
     ``_funding_trapezoid``: the report, the exposure profile (None without
-    profile) and the per-path legs of the extra groups.
+    profile) and the per-path cost and benefit legs of the extra pairs.
 
-    The groups are the default legs, D S pi_C (gap)^+ and D S pi_B (gap)^-
-    on the close-out gap; unless bond_implied, the funding legs D S gamma_C
-    (gap)^+ and D S gamma_B (gap)^- on the funded gap; then the extra
-    groups, on the funded gap too. A name's default spread, in its leg and
+    The (cost, benefit) pairs are the default legs, D S pi_C (gap)^+ and
+    D S pi_B (gap)^- on the close-out gap; unless bond_implied, the funding
+    legs D S gamma_C (gap)^+ and D S gamma_B (gap)^- on the funded gap; then
+    the extra pairs (``_spreads`` functions), on the funded gap too. The
+    sweep's state at t_k forms V^c, the collateral, both gaps and every
+    spread row there once. A name's default spread, in its leg and
     in the survival S, is pi = lambda (1 - R) floored at zero or, for
     bond_implied, max(pi + gamma, 0). first_order and bond_implied fund the
     V^c exposure. recursive funds the recursive value V: at t_k the pathwise
@@ -955,21 +929,24 @@ def _mc_valuation(
     ]
     defaults = _spreads(times, levels, (paths.pi_c, paths.pi_b), floor=True)
     survival = _survival(paths, defaults, counterparty.recovery, bank.recovery)
-    legs = [(defaults, (True, False), True)]
-    if not bond_implied:
-        bases = (counterparty.basis, bank.basis)
-        legs.append((_spreads(times, bases), (True, False), False))
-    legs += extra
+    bases = (counterparty.basis, bank.basis)
+    pairs = [] if bond_implied else [_spreads(times, bases)]
+    pairs += extra
+
+    def state(k):
+        gap, posted = run.at_time(k)
+        spreads = defaults(k)
+        close_out = _gap_pair(*run.window(k), *posted)
+        return survival(k, spreads[0]), (spreads, close_out), [at(k) for at in pairs], gap
+
     recursive = method == "recursive"
     if recursive:
         _divisors(times, 0.5 * np.diff(times),
                   np.array([basis.values_at(times[:-1]) for basis in bases]), "0.5 * dt")
 
-    def solve(k, funding):
-        gap_rc, gap_ll = run.gaps(k, None)
-        if funding is None:  # nothing remains at maturity: V = V^c
-            return gap_rc, gap_ll
-        settled, cost, benefit = funding()
+    def solve(k, gap, funding):
+        gap_rc, gap_ll = gap
+        settled, cost, benefit = funding
         d = gap_rc - _slice_projection(paths, k)(settled)
         x = np.where(d >= 0, d / (1.0 + cost), d / (1.0 + benefit))
         # deterministic cash-flow jumps are carried by V too
@@ -977,8 +954,7 @@ def _mc_valuation(
 
     moments = np.empty((4, len(times))) if profile else None
     loss, gain, *rest = _funding_trapezoid(
-        paths, run.disc, survival, solve if recursive else run.gaps, legs, moments,
-        run.close_out,
+        paths, run.disc, state, solve if recursive else None, moments
     )
     if bond_implied:  # no funding terms
         rest[:0] = [np.zeros(paths.n_paths)] * 2
@@ -1361,8 +1337,7 @@ def compare_aggregations(
 
         run = prepare(False, opt["paths"])
         # the stochastic part of the bank's funding spread rides on pi_B
-        full_spread = _spreads(run.paths.times, (bank.basis,), (run.paths.pi_b,))
-        full = [(full_spread, (True, False), False)]
+        full = _spreads(run.paths.times, (bank.basis,), (run.paths.pi_b,))
         if opt["bond_mode"]:
             valued = prepare(True, run.paths)
             report, _, _ = _mc_valuation(
@@ -1372,10 +1347,14 @@ def compare_aggregations(
             cds = _spreads(run.paths.times, (PiecewiseCurve.flat(0.0),) * 2,
                            (run.paths.pi_c, run.paths.pi_b), floor=True)
             survival = _survival(run.paths, cds, counterparty.recovery, bank.recovery)
-            fca_path, fba_path = _funding_trapezoid(run.paths, run.disc, survival, run.gaps, full)
+
+            def state(k):
+                return survival(k, cds(k)[0]), None, [full(k)], run.at_time(k)[0]
+
+            fca_path, fba_path = _funding_trapezoid(run.paths, run.disc, state)
         else:  # the full-spread legs ride in the first_order sweep
             report, _, (fca_path, fba_path) = _mc_valuation(
-                run, counterparty, bank, "first_order", params, extra=full
+                run, counterparty, bank, "first_order", params, extra=[full]
             )
         fca, fba = float(fca_path.mean()), float(fba_path.mean())
     elif opt["backend"] == "pde":

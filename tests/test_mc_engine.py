@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bondxva.curves import PiecewiseCurve
 from bondxva.instruments import CollateralSpec
@@ -13,6 +15,7 @@ from bondxva.mc_engine import (
     _DIFFUSION_STREAM,
     BLOCK_SIZE,
     ModelDynamics,
+    PathSet,
     _philox_generator,
     _sample_clock,
     exposure_profile,
@@ -80,6 +83,34 @@ class TestSimulation:
         assert paths.n_steps == 8
         assert paths.horizon == 2.0
         assert paths.tau_c is None and paths.tau_b is None
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            # a coarse start, then steps of 0.05: the cure window and the
+            # default clock would read 0.05 everywhere
+            np.concatenate(([0.0, 0.05, 0.1], np.linspace(0.5, 1.0, 11))),
+            np.linspace(0.1, 1.0, 10),  # not from 0
+            np.array([0.0]),  # no step
+            np.linspace(0.0, -1.0, 5),  # backwards
+            np.array([0.0, 0.5, np.nan]),
+        ],
+        ids=["uneven", "late_start", "one_time", "backwards", "nan"],
+    )
+    def test_a_grid_that_is_not_uniform_from_zero_is_refused(self, times):
+        flat = np.ones((3, len(times)))
+        with pytest.raises(ValueError, match=r"PathSet\.times"):
+            PathSet(times=times, s=flat, pi_c=flat, pi_b=flat, seed=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        horizon=st.floats(1e-4, 1e3, allow_nan=False, allow_infinity=False),
+        n_steps=st.integers(1, 5_000),
+    )
+    def test_every_linspace_grid_from_zero_is_accepted(self, horizon, n_steps):
+        times = np.linspace(0.0, horizon, n_steps + 1)
+        flat = np.ones((1, n_steps + 1))
+        assert PathSet(times=times, s=flat, pi_c=flat, pi_b=flat, seed=0).n_steps == n_steps
 
     def test_underlying_stays_positive_and_spreads_nonnegative(self):
         dyn = ModelDynamics(

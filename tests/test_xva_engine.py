@@ -150,17 +150,23 @@ def _notional_scale(instrument) -> float:
 
 def _record_solved_gaps(monkeypatch) -> dict:
     """Record each grid time's solved gap V - C in the backward sweep, per
-    path: what the slice gives the funding legs at t_k."""
+    path: what the slice gives the funding legs at t_k, or the state's gap
+    V^c - C where no slice is solved."""
     solved = {}
     sweep = xva_engine._funding_trapezoid
 
-    def recording_sweep(paths, disc, survival, gaps, *args):
-        def recorded(k, funding):
-            out = gaps(k, funding)
+    def recording_sweep(paths, disc, state, solve=None, moments=None):
+        def recorded_state(k):
+            out = state(k)
+            solved[k] = np.broadcast_to(out[3][0], (paths.n_paths,))
+            return out
+
+        def recorded_solve(k, gap, funding):
+            out = solve(k, gap, funding)
             solved[k] = np.broadcast_to(out[0], (paths.n_paths,))
             return out
 
-        return sweep(paths, disc, survival, recorded, *args)
+        return sweep(paths, disc, recorded_state, solve and recorded_solve, moments)
 
     monkeypatch.setattr(xva_engine, "_funding_trapezoid", recording_sweep)
     return solved
@@ -777,17 +783,19 @@ class TestBackwardSweep:
 
             return recorded
 
-        def recording_sweep(paths, disc, survival, gaps, *args):
-            def recorded(k, funding):
-                def served():
-                    funded[k] = funding()
-                    return funded[k]
+        def recording_sweep(paths, disc, state, solve, *args):
+            def recorded_state(k):
+                out = state(k)
+                solved[k] = out[3][0]
+                return out
 
-                out = gaps(k, None if funding is None else served)
+            def recorded_solve(k, gap, funding):
+                funded[k] = funding
+                out = solve(k, gap, funding)
                 solved[k] = out[0]
                 return out
 
-            return sweep(paths, disc, survival, recorded, *args)
+            return sweep(paths, disc, recorded_state, recorded_solve, *args)
 
         monkeypatch.setattr(xva_engine, "_slice_projection", recording_projection)
         monkeypatch.setattr(xva_engine, "_funding_trapezoid", recording_sweep)
@@ -797,12 +805,12 @@ class TestBackwardSweep:
         monkeypatch.undo()
         last = len(run.paths.times) - 1
         assert sorted(funded) == sorted(fitted) == list(range(last))
-        assert np.array_equal(solved[last], run.gaps(last, None)[0])
+        assert np.array_equal(solved[last], run.at_time(last)[0][0])
         scale = _notional_scale(TWO_SIDED)
         signs = set()
         for k in range(last):
             _, cost, benefit = funded[k]
-            x, d = solved[k], run.gaps(k, None)[0] - fitted[k]
+            x, d = solved[k], run.at_time(k)[0][0] - fitted[k]
             assert np.all((x >= 0) == (d >= 0)), k
             signs.update(np.unique(np.sign(d)))
             balance = x + cost * np.maximum(x, 0.0) - benefit * np.maximum(-x, 0.0)
@@ -1092,14 +1100,14 @@ class TestPathLayout:
 
         def legs(order):
             g = np.asarray(gap, order=order)
-            (leg,) = _funding_trapezoid(
-                paths, disc, lambda k: paths.alive(times[k]),
-                lambda k, funding: (g[:, k], g[:, k]),
-                [(lambda k: (spread[k], spread[k]), (True,), False)],
+            return _funding_trapezoid(
+                paths, disc,
+                lambda k: (paths.alive(times[k]), None, [(spread[k], spread[k])],
+                           (g[:, k], g[:, k])),
             )
-            return leg
 
-        assert np.array_equal(legs("C"), legs("F"))
+        (cost, benefit), (cost_f, benefit_f) = legs("C"), legs("F")
+        assert np.array_equal(cost, cost_f) and np.array_equal(benefit, benefit_f)
 
 
 class TestDispatchValidation:
@@ -1416,16 +1424,17 @@ class TestDenseGrids:
         """gap_rc and gap_ll are (n_paths, n_times); each spread is one row
         (n_times,) or a grid like the gaps."""
         rc, ll = spreads
-        for positive in (True, False):
+        legs = _funding_trapezoid(
+            paths, disc,
+            lambda k: (paths.alive(paths.times[k]), None, [(rc[..., k], ll[..., k])],
+                       (gap_rc[:, k], gap_ll[:, k])),
+        )
+        assert len(legs) == 2
+        for leg, positive in zip(legs, (True, False)):
             expected = _segment_sum(
                 paths.times, _alive_grid(paths), disc, gap_rc, gap_ll, rc, ll, positive
             )
             assert np.any(expected > 0)
-            (leg,) = _funding_trapezoid(
-                paths, disc, lambda k: paths.alive(paths.times[k]),
-                lambda k, funding: (gap_rc[:, k], gap_ll[:, k]),
-                [(lambda k: (rc[..., k], ll[..., k]), (positive,), False)],
-            )
             np.testing.assert_allclose(leg, expected, rtol=1e-13, atol=0.0)
 
     def test_funding_trapezoid_of_a_payoff_trade(self):
@@ -1724,41 +1733,96 @@ class TestOneSweep:
         sweeps = []
         sweep = xva_engine._funding_trapezoid
 
-        def counting_sweep(paths, disc, survival, gaps, legs, moments=None, close_out=None):
-            sweeps.append([(tuple(sides), fixed) for _, sides, fixed in legs])
-            return sweep(paths, disc, survival, gaps, legs, moments, close_out)
+        def counting_sweep(paths, disc, state, solve=None, moments=None):
+            pairs = set()  # (a default pair?, how many funding pairs) at each time
+
+            def recorded(k):
+                out = state(k)
+                pairs.add((out[1] is not None, len(out[2])))
+                return out
+
+            legs = sweep(paths, disc, recorded, solve, moments)
+            sweeps.append((pairs, solve is not None, moments is not None, len(legs)))
+            return legs
 
         monkeypatch.setattr(xva_engine, "_funding_trapezoid", counting_sweep)
-        # the default legs (the fixed group) ride in the sweep of every method
-        defaults, funding = ((True, False), True), ((True, False), False)
-        for method, legs in (
-            ("recursive", [[defaults, funding]]),
-            ("first_order", [[defaults, funding]]),
-            ("bond_implied", [[defaults]]),
+        # the default pair rides in the sweep of every method
+        for method, pairs in (
+            ("recursive", (True, 1)),
+            ("first_order", (True, 1)),
+            ("bond_implied", (True, 0)),
         ):
             sweeps.clear()
             _, got, _ = _mc_valuation(
                 run, RISKY_CP, RISKY_BANK, method, SolverParams(), profile
             )
-            assert sweeps == legs, method
+            legs = 2 * (1 + pairs[1])
+            assert sweeps == [({pairs}, method == "recursive", profile, legs)], method
             assert (got is not None) == profile
 
     def test_each_grid_time_forms_its_collateral_once(self, monkeypatch):
-        # the close-out gap and the funded gap at t_k share V^c and C there
-        calls = []
-        amount = xva_engine.collateral_amount
+        # the close-out gap and the funded gap at t_k share V^c and C there,
+        # and the default legs and the survival share the default spreads
+        calls, formed = [], []
+        amount, spreads = xva_engine.collateral_amount, xva_engine._spreads
 
         def counting_amount(spec, value):
             calls.append(value)
             return amount(spec, value)
 
+        def counting_spreads(times, curves, pi=None, floor=False):
+            at = spreads(times, curves, pi, floor)
+            if not floor:  # the funding spreads
+                return at
+
+            def counted(k):
+                formed.append(k)
+                return at(k)
+
+            return counted
+
         monkeypatch.setattr(xva_engine, "collateral_amount", counting_amount)
+        monkeypatch.setattr(xva_engine, "_spreads", counting_spreads)
         run = _prepare_mc(self.CALL, OIS, self.COLLATERAL, self.DYN, 2_000, 12, 4, False)
+        last = run.paths.n_steps
         for method in ("recursive", "first_order", "bond_implied"):
             calls.clear()
+            formed.clear()
             _mc_valuation(run, RISKY_CP, RISKY_BANK, method, SolverParams())
             # a call's V^c has no left limit of its own
             assert len(calls) == len(run.paths.times), method
+            # each step's rows for the whole grid's survival, then each grid
+            # time's rows in the sweep
+            assert formed == [*range(last), *range(last, -1, -1)], method
+
+    @pytest.mark.parametrize(
+        "method", ["recursive", "first_order", "bond_implied", "compare_bond_mode", "cfva"]
+    )
+    def test_the_sweep_asks_for_each_grid_time_once_latest_first(self, monkeypatch, method):
+        asked = []
+        sweep = xva_engine._funding_trapezoid
+
+        def recording_sweep(paths, disc, state, *args):
+            asked.append([])
+
+            def recorded(k):
+                asked[-1].append(k)
+                return state(k)
+
+            return sweep(paths, disc, recorded, *args)
+
+        monkeypatch.setattr(xva_engine, "_funding_trapezoid", recording_sweep)
+        paths = simulate_paths(self.DYN, 1.0, n_steps=12, n_paths=500, seed=4)
+        args = (self.CALL, OIS, RISKY_CP, RISKY_BANK, self.COLLATERAL)
+        if method == "compare_bond_mode":  # the report's sweep, then the full-spread legs'
+            compare_aggregations(*args, dyn=self.DYN, paths=paths, bond_mode=True)
+        elif method == "cfva":
+            cfva(paths, make_collateralized_valuation(self.CALL, OIS, self.DYN).on_grid(paths),
+                 OIS, RISKY_CP.basis, self.COLLATERAL)
+        else:
+            run_xva(*args, method=method, dyn=self.DYN, paths=paths)
+        sweeps = 2 if method == "compare_bond_mode" else 1
+        assert asked == [list(range(12, -1, -1))] * sweeps
 
     def test_no_default_time_is_sampled_or_read(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -1790,8 +1854,7 @@ class TestOneSweep:
                                paths=paths)
 
         def full(run):
-            spreads = xva_engine._spreads(run.paths.times, (bank.basis,), (run.paths.pi_b,))
-            return [(spreads, (True, False), False)]
+            return [xva_engine._spreads(run.paths.times, (bank.basis,), (run.paths.pi_b,))]
 
         run = prepare()
         _, _, riding = _mc_valuation(
@@ -1803,7 +1866,11 @@ class TestOneSweep:
             (run.paths.pi_c, run.paths.pi_b), floor=True,
         )
         survival = xva_engine._survival(run.paths, cds, RISKY_CP.recovery, bank.recovery)
-        alone = _funding_trapezoid(run.paths, run.disc, survival, run.gaps, full(run))
+        (spread,) = full(run)
+        alone = _funding_trapezoid(
+            run.paths, run.disc,
+            lambda k: (survival(k, cds(k)[0]), None, [spread(k)], run.at_time(k)[0]),
+        )
         assert len(riding) == len(alone) == 2 and np.any(riding[0] > 0)
         for leg, own in zip(riding, alone):
             assert np.array_equal(leg, own)
@@ -1831,7 +1898,6 @@ class TestSpreads:
                 rows = level[:, k:k + 1] if kind == "shared" else pi[:, :, k] + level[:, k:k + 1]
                 expected.append(np.maximum(rows, 0.0) if floor else rows)
             rc, ll = at(k)
-            assert at(k) is at(k)  # the survival walk and the sweep share them
             assert rc.shape == ((2, 1) if kind == "shared" else (2, 6))
             assert np.array_equal(rc, expected[0]) and np.array_equal(ll, expected[1])
             assert (ll is rc) == (t != 0.5)

@@ -3,12 +3,15 @@
     python3 tools/cli_identity.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories that hold a ``bondxva`` package (a
-checkout's ``src``). Each side runs in one subprocess with ``PYTHONPATH``
-set to its tree and calls ``cli.main`` in process on every config of a
-fixed matrix, writing the configs and exposure CSVs into a temporary
-directory of its own. The two sides' stdout, exposure CSVs, exit codes and
-``error:`` lines on stderr are then compared, and every line that differs
-is printed under its config's name. Then each JSON key of stdout and each
+checkout's ``src``), or git revisions of this repository, whose ``src``
+is extracted with ``git archive`` into a temporary directory (for
+example ``python3 tools/cli_identity.py HEAD~1 src``). Each side runs in
+one subprocess with ``PYTHONPATH`` set to its tree and calls ``cli.main``
+in process on every config of a fixed matrix, writing the configs and
+exposure CSVs into a temporary directory of its own. The two sides'
+stdout, exposure CSVs, exit codes and ``error:`` lines on stderr are
+then compared, and every line that differs is printed under its
+config's name. Then each JSON key of stdout and each
 column of the exposure CSVs that moved is listed, with the number of
 configs where it moved and its largest absolute change (``-`` where a value
 is not a number on both sides or the CSVs' rows or columns differ). A
@@ -46,6 +49,7 @@ import math
 import os
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 CALL = {"kind": "european_option", "option_type": "call", "strike": 100.0, "expiry": 1.0}
@@ -184,9 +188,26 @@ def _worker(tmp: str) -> None:
     json.dump(results, sys.stdout)
 
 
+def _archived_src(rev: str, into: str) -> str:
+    """Extract the ``src`` tree of git revision rev of this repository
+    into the directory into; return the path of the tree."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    top = subprocess.run(["git", "rev-parse", "--show-toplevel"], cwd=here,
+                         capture_output=True, text=True, check=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=top,
+                             capture_output=True, check=False)
+    if archive.returncode != 0:
+        raise SystemExit(f"{rev!r} is neither a directory nor a git revision: "
+                         f"{archive.stderr.decode().strip()}")
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(into, filter="data")
+    return os.path.join(into, "src")
+
+
 def _run_side(src: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tree, tempfile.TemporaryDirectory() as tmp:
+        package = src if os.path.isdir(src) else _archived_src(src, tree)
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(package))
         done = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--worker", tmp],
             env=env, capture_output=True, text=True, check=False,
