@@ -78,6 +78,29 @@ def _merged_grid(t: float, end: float, curves, flow_times) -> list[float]:
     return sorted(pts)
 
 
+def _discounted_flows(flows, ois, issuer, t, hazard_weight) -> float:
+    """Each flow discounted from its pay time to t at c + hazard_weight *
+    lambda + gamma, summed."""
+    total = 0.0
+    for pay, amt in flows:
+        exponent = (
+            ois.integral(t, pay)
+            + hazard_weight * issuer.hazard.integral(t, pay)
+            + issuer.basis.integral(t, pay)
+        )
+        total += amt * math.exp(-exponent)
+    return total
+
+
+def _decayed(weight: float, rate: float, dt: float) -> tuple[float, float]:
+    """One segment of a survival-weighted integral at constant rates: the
+    integral of weight * e^{-rate s} over [0, dt] and the decay e^{-rate dt},
+    with the analytic limit (weight * dt, 1) at rate == 0."""
+    if rate == 0.0:
+        return weight * dt, 1.0
+    return weight / rate * -math.expm1(-rate * dt), math.exp(-rate * dt)
+
+
 def price_relative_recovery(
     bond: CashflowSchedule,
     ois: PiecewiseCurve,
@@ -86,17 +109,7 @@ def price_relative_recovery(
 ) -> float:
     """Discount every flow at the full bond curve c + (1-R)*lambda + gamma."""
     bond = _as_schedule(bond)
-    flows = _remaining_flows(bond, t)
-    loss_weight = 1.0 - issuer.recovery
-    total = 0.0
-    for pay, amt in flows:
-        exponent = (
-            ois.integral(t, pay)
-            + loss_weight * issuer.hazard.integral(t, pay)
-            + issuer.basis.integral(t, pay)
-        )
-        total += amt * math.exp(-exponent)
-    return total
+    return _discounted_flows(_remaining_flows(bond, t), ois, issuer, t, 1.0 - issuer.recovery)
 
 
 def price_riskless_recovery(
@@ -126,15 +139,7 @@ def price_riskless_recovery(
     for a, b in zip(grid[:-1], grid[1:]):
         lam = issuer.hazard.value_at(a)
         gam = issuer.basis.value_at(a)
-        rate_sum = lam + gam
-        dt = b - a
-        if rate_sum == 0.0:
-            increment = ((1.0 - r) * lam + gam) * dt
-            decay = 1.0
-        else:
-            one_minus_exp = -math.expm1(-rate_sum * dt)
-            increment = ((1.0 - r) * lam + gam) / rate_sum * one_minus_exp
-            decay = math.exp(-rate_sum * dt)
+        increment, decay = _decayed((1.0 - r) * lam + gam, lam + gam, b - a)
         loss += increment * surv
         surv *= decay
         if b in flow_at:
@@ -156,31 +161,15 @@ def price_absolute_recovery(
     """
     bond = _as_schedule(bond)
     flows = _remaining_flows(bond, t)
-    end = flows[-1][0]
-    total = 0.0
-    for pay, amt in flows:
-        exponent = (
-            ois.integral(t, pay)
-            + issuer.hazard.integral(t, pay)
-            + issuer.basis.integral(t, pay)
-        )
-        total += amt * math.exp(-exponent)
+    total = _discounted_flows(flows, ois, issuer, t, 1.0)
 
-    grid = _merged_grid(t, end, (ois, issuer.hazard, issuer.basis), [])
+    grid = _merged_grid(t, flows[-1][0], (ois, issuer.hazard, issuer.basis), [])
     prefix = 1.0  # D(t, a) * P^L(t, a) at the running grid point
     recovery = 0.0
     for a, b in zip(grid[:-1], grid[1:]):
         lam = issuer.hazard.value_at(a)
-        gam = issuer.basis.value_at(a)
-        c = ois.value_at(a)
-        rate_sum = c + lam + gam
-        dt = b - a
-        if rate_sum == 0.0:
-            term = lam * dt
-            decay = 1.0
-        else:
-            term = lam / rate_sum * (-math.expm1(-rate_sum * dt))
-            decay = math.exp(-rate_sum * dt)
+        rate = ois.value_at(a) + lam + issuer.basis.value_at(a)
+        term, decay = _decayed(lam, rate, b - a)
         recovery += prefix * term
         prefix *= decay
     total += issuer.recovery * bond.notional * recovery

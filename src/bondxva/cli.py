@@ -166,7 +166,8 @@ def _section(cfg: dict, key: str, fn):
 
 
 def _parse_profile(obj, label: str) -> CounterpartyProfile:
-    # a config may leave out the hazard: the entity then never defaults
+    # a config may leave out the hazard (0): where it is read, the entity then
+    # never defaults; the "mc" backend reads the dynamics' spread paths instead
     return _build(CounterpartyProfile, {"hazard": 0.0, **_object(obj, label)}, label)
 
 

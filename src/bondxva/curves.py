@@ -144,7 +144,9 @@ class CounterpartyProfile:
     recovery
         Fraction of the close-out claim recovered at default, in [0, 1].
     hazard
-        CDS-implied default intensity curve, nonnegative.
+        CDS-implied default intensity curve, nonnegative. The bond pricer,
+        the calibrator and the "pde" backend read it; the "mc" backend does
+        not, its defaults follow the simulated spread paths instead.
     basis
         Bond-CDS basis curve; may be negative (the engine must not reject
         negative bases).

@@ -102,20 +102,12 @@ class ModelDynamics:
 
     def swapped_roles(self) -> "ModelDynamics":
         """Counterparty and bank exchanged (used by symmetry checks)."""
-        return ModelDynamics(
-            s0=self.s0,
-            rate=self.rate,
-            dividend=self.dividend,
-            vol_s=self.vol_s,
-            pi0_c=self.pi0_b,
-            pi0_b=self.pi0_c,
-            drift_c=self.drift_b,
-            drift_b=self.drift_c,
-            vol_c=self.vol_b,
-            vol_b=self.vol_c,
-            rho_sc=self.rho_sb,
-            rho_sb=self.rho_sc,
-            rho_cb=self.rho_cb,
+        return replace(
+            self,
+            pi0_c=self.pi0_b, pi0_b=self.pi0_c,
+            drift_c=self.drift_b, drift_b=self.drift_c,
+            vol_c=self.vol_b, vol_b=self.vol_c,
+            rho_sc=self.rho_sb, rho_sb=self.rho_sc,
         )
 
 

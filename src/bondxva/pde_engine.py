@@ -70,9 +70,12 @@ __all__ = [
 _RANNACHER_SEGMENTS = 2
 # the stiffness bound of the explicit funding source: max |gamma| dt
 _MAX_WOBBLE = 0.25
-# the default Richardson pair: N cells and 3N/2 steps on the coarse grid
+# the default Richardson pair: N cells and 3N/2 steps on the coarse grid;
+# more cells, up to _MAX_PAIR_CELLS, until s0 is node _MIN_S0_NODE or beyond
 _PAIR_CELLS = 100
 _PAIR_STEPS = 150
+_MAX_PAIR_CELLS = 600
+_MIN_S0_NODE = 12
 # at most this many coarse steps for stiff bases, so that the pair accepts
 # every basis that one grid of 600 steps accepts, and refuses the rest
 _MAX_PAIR_STEPS = 600
@@ -252,13 +255,15 @@ def _default_pair(
 ) -> tuple[SpatialGrid, SpatialGrid]:
     """The coarse and fine grids of the default Richardson pair.
 
-    Both end at s_max = s0 N / j, the nearest point at or above 5 standard
-    deviations of log S above the larger of s0 and the strike at which s0
-    is a node of both (node j of the coarse grid, 2j of the fine); when that
-    bound is beyond N s0, s_max is the bound itself. The coarse grid takes
-    3N/2 steps, or as many more as the stiffness check needs for the funding
-    bases, with one to spare and at most _MAX_PAIR_STEPS; the fine grid takes
-    twice as many.
+    The coarse grid has N cells, N = 100 or, where s0 would fall below node
+    12, the fewest that put it there, at most 600. Both grids end at s_max =
+    s0 N / j, the nearest point at or above 5 standard deviations of log S
+    above the larger of s0 and the strike at which s0 is a node of both
+    (node j of the coarse grid, 2j of the fine). A bound so far out that
+    600 cells leave s0 at node 0 or 1 raises ValueError. The coarse grid
+    takes 150 steps, or as many more as the stiffness check needs for the
+    funding bases, with one to spare and at most _MAX_PAIR_STEPS; the fine
+    grid takes twice as many.
     """
     horizon = instrument.maturity
     ref = max(dyn.s0, instrument.strike or dyn.s0)
@@ -266,8 +271,16 @@ def _default_pair(
         abs(dyn.rate - dyn.dividend) * horizon + 5.0 * dyn.vol_s * math.sqrt(horizon)
     )
     bound = float(ref * max(stretch, 2.0))
-    j = math.floor(_PAIR_CELLS * dyn.s0 / bound)
-    s_max = float(dyn.s0 * _PAIR_CELLS / j) if j else bound
+    cells = _PAIR_CELLS
+    while (j := math.floor(cells * dyn.s0 / bound)) < _MIN_S0_NODE and cells < _MAX_PAIR_CELLS:
+        cells += 1
+    if j < 2:
+        raise ValueError(
+            f"the default grid's 5-standard-deviation bound {bound:.6g} of S is "
+            f"{bound / dyn.s0:.4g} s0, so {_MAX_PAIR_CELLS} cells leave s0 at node "
+            f"{j}; give an explicit grid"
+        )
+    s_max = float(dyn.s0 * cells / j)
     # the bases are constant between their nodes
     bases = (counterparty.basis, bank.basis)
     knots = {t for curve in bases for t in curve.times if t < horizon}
@@ -275,8 +288,8 @@ def _default_pair(
     n_time = math.ceil(
         np.clip(horizon * gamma / _MAX_WOBBLE + 1.0, _PAIR_STEPS, _MAX_PAIR_STEPS)
     )
-    return (SpatialGrid(0.0, s_max, _PAIR_CELLS + 1, n_time),
-            SpatialGrid(0.0, s_max, 2 * _PAIR_CELLS + 1, 2 * n_time))
+    return (SpatialGrid(0.0, s_max, cells + 1, n_time),
+            SpatialGrid(0.0, s_max, 2 * cells + 1, 2 * n_time))
 
 
 def _richardson(coarse: PdeSolution, fine: PdeSolution) -> PdeSolution:
@@ -308,10 +321,11 @@ def solve_final_pde(
     On a given grid, one solve from the payoff at the nodes. Without one,
     the Richardson extrapolation (4 fine - coarse) / 3 of two solves from
     the hat-averaged payoff (``_default_pair``, ``_hat_average``): 101 nodes
-    and 150 steps, and 201 nodes and 300 steps (more steps, in the same
-    ratio, where the funding bases need them), both up to at least 5
-    standard deviations of log S above the larger of s0 and the strike and
-    with s0 on a node. The result is on the coarse nodes and times."""
+    and 150 steps, and 201 nodes and 300 steps (more nodes where s0 would
+    fall below node 12, more steps, in the same ratio, where the funding
+    bases need them), both up to at least 5 standard deviations of log S
+    above the larger of s0 and the strike and with s0 on a node. The result
+    is on the coarse nodes and times."""
     collateral = collateral or CollateralSpec.none()
     if dyn is None:
         raise ValueError("the finite-difference backend requires model dynamics")

@@ -253,21 +253,13 @@ class _ScheduleValuation:
     def on_grid_left_limits(self, paths: PathSet) -> np.ndarray:
         return self.deterministic_values(paths.times, inclusive=True)
 
-    def grid_columns(self, paths: PathSet):
-        """V^c at grid time k and its left limit there, as a function of k:
-        numbers that every path shares, from rows computed once. V^c jumps
-        by each flow on its pay date, where the two differ."""
-        rc, ll = self.on_grid(paths), self.on_grid_left_limits(paths)
-        return lambda k: (rc[k], ll[k])
-
-    def window_columns(self, paths: PathSet, shift: float, columns, steps):
-        """V^c at the end of the cure window, min(t_k + shift, maturity), and
-        its left limit there, as a function of k: numbers that every path
-        shares, from rows computed once. The terminal claim is clamped as in
-        ``at_default``; columns and steps are not needed."""
-        u = _window_end(paths.times, shift, self.maturity)
-        rc = self.deterministic_values(u, clamp_terminal=shift > 0)
-        ll = self.deterministic_values(u, inclusive=True, clamp_terminal=shift > 0)
+    def columns(self, paths: PathSet, u, clamp_terminal=False):
+        """V^c at each time u[k] and its left limit there, as a function of
+        k: numbers that every path shares, from rows computed once. V^c
+        jumps by each flow on its pay date, where the two differ;
+        clamp_terminal as in ``deterministic_values``."""
+        rc = self.deterministic_values(u, clamp_terminal=clamp_terminal)
+        ll = self.deterministic_values(u, inclusive=True, clamp_terminal=clamp_terminal)
         return lambda k: (rc[k], ll[k])
 
     def at_default(self, paths: PathSet, tau: np.ndarray, shift: float, rows=None) -> np.ndarray:
@@ -339,32 +331,14 @@ class _PayoffValuation:
     def on_grid_left_limits(self, paths: PathSet) -> np.ndarray:
         return self.on_grid(paths)
 
-    def grid_columns(self, paths: PathSet):
-        """V^c at grid time k and its left limit there, as a function of k:
-        per path, computed when asked for, bit for bit column k of
-        ``on_grid``. One terminal payoff and no intermediate flows: the left
-        limit is the value itself."""
-        discs = self.discount(paths.times)
-
-        def at(k):
-            value = self.value(paths.times[k], paths.s[:, k], discs[k])
-            return value, value
-
-        return at
-
-    def window_columns(self, paths: PathSet, shift: float, columns, steps):
-        """V^c at the end of the cure window, u = min(t_k + shift, expiry),
-        and its left limit there (the same), as a function of k: per path,
-        at u from the state at the last grid node at or before u, as
-        ``at_default`` reads it. When shift is a whole number of grid steps
-        (steps, else None) that is grid column k + steps, or the last one,
-        read from columns (``grid_columns`` or a cache of it)."""
-        times = paths.times
-        last = len(times) - 1
-        if steps is not None:
-            return lambda k: columns(min(k + steps, last))
-        u = _window_end(times, shift, self.maturity)
-        node = _node(times, u)
+    def columns(self, paths: PathSet, u, clamp_terminal=False):
+        """V^c at each time u[k] and its left limit there, as a function of
+        k: per path, computed when asked for, from the state at the last
+        grid node at or before u[k], as ``at_default`` reads it; at u =
+        paths.times, bit for bit column k of ``on_grid``. One terminal
+        payoff and no intermediate flows: the left limit is the value
+        itself, and the value at expiry is the payoff, clamped or not."""
+        node = _node(paths.times, u)
         discs = self.discount(u)
 
         def at(k):
@@ -740,8 +714,8 @@ class _McRun:
 
     paths: PathSet
     collateral: CollateralSpec
-    vc_at: Callable  # grid index -> (V^c there, its left limit): model.grid_columns, _remembered
-    window: Callable  # grid index -> V^c at the end of the cure window: model.window_columns
+    vc_at: Callable  # grid index -> (V^c there, its left limit): model.columns, _remembered
+    window: Callable  # grid index -> the same at the end of the cure window
     disc: np.ndarray
 
     def at_time(self, k: int):
@@ -819,12 +793,18 @@ def _prepare_mc(
     model = make_collateralized_valuation(instrument, ois, dyn)
     shift = collateral.cure_period
     steps = _whole_steps(paths.times, shift)
-    vc_at = _remembered(model.grid_columns(paths), steps or 0, paths.n_steps)
+    vc_at = _remembered(model.columns(paths, paths.times), steps or 0, paths.n_steps)
+    if steps is not None and isinstance(model, _PayoffValuation):
+        # the window ends on grid column k + steps (or the last): the ring
+        window = lambda k: vc_at(min(k + steps, paths.n_steps))
+    else:
+        u = _window_end(paths.times, shift, model.maturity)
+        window = model.columns(paths, u, clamp_terminal=shift > 0)
     return _McRun(
         paths=paths,
         collateral=collateral,
         vc_at=vc_at,
-        window=model.window_columns(paths, shift, vc_at, steps),
+        window=window,
         disc=np.exp(-ois.integral_from_zero(paths.times)),
     )
 
@@ -991,6 +971,13 @@ def _reverse_left_integral(grid: _DetGrid, f: np.ndarray) -> np.ndarray:
     return out / grid.g
 
 
+def _det_pair(grid: _DetGrid, cost, benefit, gap: np.ndarray):
+    """The (cost, benefit) leg pair along the grid: the reverse left
+    integrals of cost * gap^+ and of benefit * gap^-."""
+    return (_reverse_left_integral(grid, cost * np.maximum(gap, 0.0)),
+            _reverse_left_integral(grid, benefit * np.maximum(-gap, 0.0)))
+
+
 def _det_grid(instrument: Instrument, ois: PiecewiseCurve, curves, n_steps: int) -> _DetGrid:
     """The merged time grid and its curve values; curves are the hazards and
     funding bases (hazard_c, hazard_b, gamma_c, gamma_b)."""
@@ -1042,12 +1029,8 @@ def _det_setup(
     shift = collateral.cure_period
     u = _window_end(grid.times, shift, float(grid.times[-1]))
     gap = model.deterministic_values(u, clamp_terminal=shift > 0) - posted
-    cva_curve = (1.0 - counterparty.recovery) * _reverse_left_integral(
-        grid, grid.lam_c * np.maximum(gap, 0.0)
-    )
-    dva_curve = (1.0 - bank.recovery) * _reverse_left_integral(
-        grid, grid.lam_b * np.maximum(-gap, 0.0)
-    )
+    loss, gain = _det_pair(grid, grid.lam_c, grid.lam_b, gap)
+    cva_curve, dva_curve = (1.0 - counterparty.recovery) * loss, (1.0 - bank.recovery) * gain
     return grid, vc, posted, cva_curve, dva_curve
 
 
@@ -1065,9 +1048,7 @@ def _deterministic(setup, method: str):
     if method == "bond_implied":
         return _assemble(*legs, 0.0, 0.0, method="bond_implied"), base
     if method == "first_order":
-        gap = vc - posted
-        cf = _reverse_left_integral(grid, grid.gamma_c * np.maximum(gap, 0.0))
-        df = _reverse_left_integral(grid, grid.gamma_b * np.maximum(-gap, 0.0))
+        cf, df = _det_pair(grid, grid.gamma_c, grid.gamma_b, vc - posted)
         report = _assemble(*legs, float(cf[0]), float(df[0]), method="first_order")
         return report, base - cf + df
 
@@ -1218,8 +1199,10 @@ def run_xva(
     zero-vol dynamics) to the deterministic Volterra solver, and payoff
     trades to the Crank-Nicolson engine; backend "mc" simulates paths (or
     takes the supplied ones) and prepares them once for the method. On "mc"
-    CVA and DVA integrate each name's intensity along its spread path, so
-    default times on supplied paths (``sample_default_times``) are ignored.
+    CVA and DVA integrate each name's intensity, its spread over 1 - R,
+    along its spread path from dyn, so a profile's hazard curve is not read
+    there, and default times on supplied paths (``sample_default_times``)
+    are ignored; "pde" reads the hazard curves and not dyn's spreads.
     method is one of recursive / first_order / bond_implied. bond_mode
     values the counterparty's bond-side claim: the bank is replaced by one
     that cannot default and funds at OIS, and on "mc" its spread pi_B is
@@ -1369,10 +1352,8 @@ def compare_aggregations(
             )
         report, _ = _deterministic(valued, "first_order")
         grid, vc, posted, _, _ = setup
-        gap = vc - posted
         spread = _full_funding_spread(bank).values_at(grid.times)
-        fca = float(_reverse_left_integral(grid, spread * np.maximum(gap, 0.0))[0])
-        fba = float(_reverse_left_integral(grid, spread * np.maximum(-gap, 0.0))[0])
+        fca, fba = (float(leg[0]) for leg in _det_pair(grid, spread, spread, vc - posted))
     else:
         raise ValueError(f"unknown backend {opt['backend']!r}")
     return {

@@ -128,6 +128,17 @@ class TestAnalyticLimits:
         relative = price_relative_recovery(ZCB, OIS, issuer)
         assert absolute == pytest.approx(relative, rel=1e-12)
 
+    def test_absolute_segment_with_zero_total_rate_matches_quadrature(self):
+        # c + lambda + gamma = 0 on [0, 1): the recovery walk's analytic limit
+        issuer = CounterpartyProfile(
+            0.4, PiecewiseCurve.flat(0.03), PiecewiseCurve((0.0, 1.0), (-0.05, 0.01))
+        )
+        assert OIS.value_at(0.0) + 0.03 + issuer.basis.value_at(0.0) == 0.0
+        bond = bullet_bond(100.0, 4.0, (0.5, 1.0, 1.5, 2.0))
+        closed = price_absolute_recovery(bond, OIS, issuer)
+        oracle = price_by_quadrature(bond, OIS, issuer, convention="absolute")
+        assert abs(closed - oracle) <= 1e-10 * bond.notional
+
     def test_riskfree_riskless_price_is_pure_discounting(self):
         free = CounterpartyProfile.default_free()
         assert price_riskless_recovery(ZCB, OIS, free) == pytest.approx(

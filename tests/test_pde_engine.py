@@ -398,6 +398,23 @@ class TestDefaultPair:
             black = black_price(100.0, strike, 0.02, vol, 1.0, kind)
             assert abs(report.v_coll - black) < 1e-4, vol
 
+    def test_a_long_high_vol_put_gets_cells_until_s0_is_node_12(self):
+        # 100 cells would leave s0 at node 2, a cell of width 50
+        dyn = self.dyn(0.45)
+        put = Instrument.european_option("put", 83.4, 2.88)
+        coarse, fine = pde_engine._default_pair(put, self.CP, self.BANK, dyn)
+        j = round(100.0 / coarse.s_max * (coarse.n_space - 1))
+        assert j >= 12 and coarse.nodes()[j] == pytest.approx(100.0, rel=1e-15)
+        assert fine.n_space == 2 * coarse.n_space - 1
+        report = self.value(put, dyn)
+        assert abs(report.v_coll - black_price(100.0, 83.4, 0.02, 0.45, 2.88, "put")) < 1e-4
+
+    def test_a_bound_that_600_cells_cannot_reach_is_refused_by_name(self):
+        # 5 standard deviations of log S over 5y at vol 0.6: about 905 s0
+        call = Instrument.european_option("call", 100.0, 5.0)
+        with pytest.raises(ValueError, match="5-standard-deviation bound .* explicit grid"):
+            self.value(call, self.dyn(0.6))
+
     @pytest.mark.parametrize("strike", [83.07, 100.0, 124.2])
     def test_a_forward_is_its_closed_form(self, strike):
         report = self.value(Instrument.forward(strike, 1.0), self.dyn())

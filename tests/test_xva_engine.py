@@ -1407,7 +1407,7 @@ class TestDenseGrids:
         assert grid.shape == paths.s.shape
         assert np.array_equal(grid, _black_per_time_grid(instrument, OIS, self.DYN, paths))
         # the columns a prepared run derives one grid time at a time
-        column = model.grid_columns(paths)
+        column = model.columns(paths, paths.times)
         for k in range(len(paths.times)):
             vc_rc, vc_ll = column(k)
             assert np.array_equal(vc_rc, grid[:, k]) and np.array_equal(vc_ll, grid[:, k])
@@ -1417,7 +1417,7 @@ class TestDenseGrids:
         model = make_collateralized_valuation(TWO_SIDED, OIS)
         rc, ll = model.on_grid(paths), model.on_grid_left_limits(paths)
         assert np.any(rc != ll)
-        column = model.grid_columns(paths)
+        column = model.columns(paths, paths.times)
         assert [column(k) for k in range(len(paths.times))] == list(zip(rc, ll))
 
     def _assert_matches_segment_sum(self, paths, disc, gap_rc, gap_ll, spreads):

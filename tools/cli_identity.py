@@ -32,7 +32,14 @@ The matrix:
   the call, the put and the forward on an explicit grid, uncollateralized
   and with a threshold, in both markets; and on the deterministic backend
   (the coupon bond and a zero-volatility call) with all three methods;
-* ``compare-conventions`` on ``mc`` and on ``pde``.
+* ``compare-conventions`` on ``mc`` and on ``pde``;
+* ``bond-price`` under all three recovery conventions, for a bullet and
+  an explicit-flow bond, at t = 0 and inside a coupon period, on flat
+  curves and on piecewise ones with a segment where lambda + gamma = 0
+  and another where c + lambda + gamma = 0 (the closed forms' zero-rate
+  limits);
+* ``calibrate`` under all three conventions, on a flat and a piecewise
+  hazard.
 
 Only the standard library is used; nothing is written outside the
 temporary directories.
@@ -98,6 +105,32 @@ COLLATERALS = {
 METHODS = ("recursive", "first_order", "bond_implied")
 
 GRID = {"s_min": 0.0, "s_max": 400.0, "n_space": 101, "n_time": 60}
+
+CONVENTIONS = ("relative", "riskless", "absolute")
+BULLET = {"kind": "coupon_bond", "notional": 100.0, "coupon": 2.5,
+          "pay_times": [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]}
+BONDS = {"bullet": BULLET, "flows": {"kind": "coupon_bond",
+                                     "flows": [[0.75, 4.0], [1.25, -1.0], [2.0, 104.0]]}}
+ISSUER_MARKETS = {
+    "flat": {"ois": 0.02, "issuer": {"recovery": 0.4, "hazard": 0.03, "basis": 0.01}},
+    # lambda + gamma = 0 on [0.5, 1) and c + lambda + gamma = 0 on [1, 1.5)
+    "piecewise": {
+        "ois": {"times": [0.0, 1.0], "values": [0.02, 0.025]},
+        "issuer": {
+            "recovery": 0.4,
+            "hazard": {"times": [0.0, 0.5, 2.0], "values": [0.03, 0.02, 0.025]},
+            "basis": {"times": [0.0, 0.5, 1.0, 1.5], "values": [0.01, -0.02, -0.045, 0.004]},
+        },
+    },
+}
+# annual 3% bullets, priced at bases 0.01, 0.012, 0.008 and 0.015 to the cent
+QUOTES = [
+    {"bond": {"kind": "coupon_bond", "notional": 100.0, "coupon": 3.0,
+              "pay_times": [float(t) for t in range(1, maturity + 1)]},
+     "price": price}
+    for maturity, price in ((1, 98.48), (2, 96.87), (3, 95.7), (5, 92.45))
+]
+HAZARDS = {"flat": 0.025, "piecewise": {"times": [0.0, 1.5], "values": [0.02, 0.03]}}
 
 
 def matrix() -> list[tuple[str, str, dict]]:
@@ -168,6 +201,19 @@ def matrix() -> list[tuple[str, str, dict]]:
             f"compare-pde-{iname}-bond{int(bond_mode)}-{mname}", "compare-conventions",
             {"instrument": inst, **market, "collateral": COLLATERALS["threshold"],
              "dynamics": zero_vol, "backend": "pde", "bond_mode": bond_mode},
+        ))
+    for convention, (bname, bond), (mname, market), t in itertools.product(
+        CONVENTIONS, BONDS.items(), ISSUER_MARKETS.items(), (0.0, 0.6)
+    ):
+        out.append((
+            f"bond-price-{convention}-{bname}-{mname}-t{t}", "bond-price",
+            {"bond": bond, **market, "convention": convention, "t": t},
+        ))
+    for convention, (hname, hazard) in itertools.product(CONVENTIONS, HAZARDS.items()):
+        out.append((
+            f"calibrate-{convention}-{hname}", "calibrate",
+            {"ois": 0.02, "issuer": {"recovery": 0.4, "hazard": hazard},
+             "convention": convention, "quotes": QUOTES},
         ))
     return out
 
