@@ -4,17 +4,23 @@ Two families of trades are supported: deterministic cash-flow schedules
 (zero-coupon and coupon bonds, or any signed exchange of fixed flows) and
 single-payoff trades on a lognormal underlying (forwards and European
 options). Collateralization is described separately so the same trade can be
-valued under different margining agreements.
+valued under different margining agreements. ``make_collateralized_valuation``
+gives a trade's riskless collateralized value V^c: its flows discounted at
+OIS, or Black's formula for a payoff.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .curves import PiecewiseCurve
+
+if TYPE_CHECKING:
+    from .mc_engine import ModelDynamics, PathSet
 
 __all__ = [
     "CashflowSchedule",
@@ -22,6 +28,7 @@ __all__ = [
     "CollateralSpec",
     "collateral_amount",
     "collateralized_value",
+    "make_collateralized_valuation",
 ]
 
 SCHEDULE_KINDS = ("zero_coupon_bond", "coupon_bond")
@@ -260,8 +267,8 @@ def collateralized_value(
 
     Deterministic cash flows discounted at the collateral (OIS) rate; flows
     paying at or before t are already settled and excluded. Payoff
-    instruments have no deterministic collateralized value; their V^c comes
-    from the Monte Carlo or PDE engines.
+    instruments have no deterministic collateralized value; their V^c is
+    ``make_collateralized_valuation``'s Black formula on the underlying.
     """
     if instrument.schedule is None:
         raise ValueError(
@@ -274,3 +281,174 @@ def collateralized_value(
         if pay_time > t:
             total += amount * np.exp(-ois.integral(t, pay_time))
     return float(total)
+
+
+# ---------------------------------------------------------------------------
+# collateralized valuation models
+# ---------------------------------------------------------------------------
+# V^c, the riskless collateralized value, of either family of trades: read by
+# the Monte Carlo legs of xva_engine and by the default grid of pde_engine
+
+
+def _window_end(t, shift: float, maturity: float) -> np.ndarray:
+    """The end of the cure window from t, min(t + shift, maturity); a t that
+    never comes (inf) ends at maturity."""
+    u = np.minimum(t + shift, maturity)
+    return np.where(np.isfinite(u), u, maturity)
+
+
+def _node(times: np.ndarray, u) -> np.ndarray:
+    """The last grid node at or before each u (the first for a u before it)."""
+    return np.clip(np.searchsorted(times, u, side="right") - 1, 0, len(times) - 1)
+
+
+class _ScheduleValuation:
+    """Deterministic V^c of a cash-flow schedule under OIS discounting."""
+
+    deterministic = True
+
+    def __init__(self, instrument: Instrument, ois: PiecewiseCurve):
+        self.schedule = instrument.schedule
+        self.ois = ois
+        self.maturity = self.schedule.maturity
+        self.final_amount = self.schedule.flows[-1][1]
+
+    def deterministic_values(self, u, inclusive=False, clamp_terminal=False):
+        """V^c(u). inclusive=True takes the left limit (flow at u counted).
+
+        clamp_terminal replaces the value at u >= maturity by the final flow
+        amount: the terminal claim used by the cure-period convention.
+        """
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        out = np.zeros_like(u)
+        cum = self.ois.integral_from_zero(u)
+        for pay, amount in self.schedule.flows:
+            mask = (u <= pay) if inclusive else (u < pay)
+            if mask.any():
+                df = np.exp(-(self.ois.integral_from_zero(pay) - cum[mask]))
+                out[mask] += amount * df
+        if clamp_terminal:
+            out[u >= self.maturity] = self.final_amount
+        return out
+
+    def on_grid(self, paths: PathSet) -> np.ndarray:
+        return self.deterministic_values(paths.times)
+
+    def on_grid_left_limits(self, paths: PathSet) -> np.ndarray:
+        return self.deterministic_values(paths.times, inclusive=True)
+
+    def columns(self, paths: PathSet, u, clamp_terminal=False):
+        """V^c at each time u[k] and its left limit there, as a function of
+        k: numbers that every path shares, from rows computed once. V^c
+        jumps by each flow on its pay date, where the two differ;
+        clamp_terminal as in ``deterministic_values``."""
+        rc = self.deterministic_values(u, clamp_terminal=clamp_terminal)
+        ll = self.deterministic_values(u, inclusive=True, clamp_terminal=clamp_terminal)
+        return lambda k: (rc[k], ll[k])
+
+    def at_default(self, paths: PathSet, tau: np.ndarray, shift: float, rows=None) -> np.ndarray:
+        u = _window_end(tau, shift, self.maturity)
+        return self.deterministic_values(u, clamp_terminal=shift > 0)
+
+
+class _PayoffValuation:
+    """V^c of a terminal-payoff trade: forward, or European option (Black).
+
+    The underlying grows at rate - dividend; discounting uses the OIS curve.
+    At u = expiry the value is the realized payoff.
+    """
+
+    def __init__(self, instrument: Instrument, ois: PiecewiseCurve, dyn: ModelDynamics):
+        if dyn is None:
+            raise ValueError(f"{instrument.kind} valuation requires model dynamics")
+        self.instrument = instrument
+        self.ois = ois
+        self.dyn = dyn
+        self.maturity = float(instrument.expiry)
+        self._cum_T = float(ois.integral_from_zero(self.maturity))
+
+    @property
+    def deterministic(self) -> bool:
+        return self.dyn.vol_s == 0.0
+
+    def discount(self, u) -> np.ndarray:
+        """The OIS discount factor from u (capped at expiry) to expiry."""
+        return np.exp(-(self._cum_T - self.ois.integral_from_zero(np.minimum(u, self.maturity))))
+
+    def value(self, u, s, disc=None) -> np.ndarray:
+        """V^c at times u and levels s, broadcast: u (m,) against s (n_paths, m)
+        gives the grid, with discount, growth and Black width once per time;
+        equal shapes value elementwise. disc is ``discount(u)`` when the
+        caller has it already. At zero width (u >= expiry) it is the
+        discounted intrinsic value."""
+        u = np.asarray(u, dtype=float)
+        tt = np.maximum(self.maturity - u, 0.0)
+        if disc is None:
+            disc = self.discount(u)
+        fwd = s * np.exp((self.dyn.rate - self.dyn.dividend) * tt)
+        k = self.instrument.strike
+        if self.instrument.kind == "forward":
+            return disc * (fwd - k)
+        width = self.dyn.vol_s * np.sqrt(tt)
+        expired = width <= 0
+        if k <= 0:
+            out = fwd.copy() if self.instrument.option_type == "call" else np.zeros_like(fwd)
+        else:
+            # imported here: scipy.special is most of the command line's import time
+            from scipy.special import ndtr
+
+            w = np.where(expired, 1.0, width)  # any positive width where it is unused
+            d1 = (np.log(fwd / k) + 0.5 * w**2) / w
+            d2 = d1 - w
+            if self.instrument.option_type == "call":
+                out = fwd * ndtr(d1) - k * ndtr(d2)
+            else:
+                out = k * ndtr(-d2) - fwd * ndtr(-d1)
+        # u's shape trails the grid's, so its mask picks whole time columns
+        if np.any(expired):
+            out[..., expired] = self.instrument.terminal_payoff(fwd[..., expired])
+        return disc * out
+
+    def on_grid(self, paths: PathSet) -> np.ndarray:
+        return self.value(paths.times, paths.s)
+
+    def on_grid_left_limits(self, paths: PathSet) -> np.ndarray:
+        return self.on_grid(paths)
+
+    def columns(self, paths: PathSet, u, clamp_terminal=False):
+        """V^c at each time u[k] and its left limit there, as a function of
+        k: per path, computed when asked for, from the state at the last
+        grid node at or before u[k], as ``at_default`` reads it; at u =
+        paths.times, bit for bit column k of ``on_grid``. One terminal
+        payoff and no intermediate flows: the left limit is the value
+        itself, and the value at expiry is the payoff, clamped or not."""
+        node = _node(paths.times, u)
+        discs = self.discount(u)
+
+        def at(k):
+            value = self.value(u[k], paths.s[:, node[k]], discs[k])
+            return value, value
+
+        return at
+
+    def at_default(self, paths: PathSet, tau: np.ndarray, shift: float, rows=None) -> np.ndarray:
+        """V^c at tau + shift, capped at expiry, on the paths in rows (all by default)."""
+        u = _window_end(tau, shift, self.maturity)
+        s = paths.s[np.arange(paths.n_paths) if rows is None else rows, _node(paths.times, u)]
+        return self.value(u, s)
+
+    def deterministic_values(self, u, inclusive=False, clamp_terminal=False):
+        if not self.deterministic:
+            raise ValueError("deterministic values need vol_s = 0")
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        uu = np.minimum(u, self.maturity)
+        s = self.dyn.s0 * np.exp((self.dyn.rate - self.dyn.dividend) * uu)
+        return self.value(uu, s)
+
+
+def make_collateralized_valuation(
+    instrument: Instrument, ois: PiecewiseCurve, dyn: ModelDynamics | None = None
+):
+    if instrument.schedule is not None:
+        return _ScheduleValuation(instrument, ois)
+    return _PayoffValuation(instrument, ois, dyn)

@@ -10,36 +10,41 @@ intensities and bases:
 
 where A is the Black-Scholes generator, close_C = C + R_C g^+ - g^- and
 close_B = C + g^+ - R_B g^- are the riskless close-out amounts written on
-the collateral gap g = V^c - C. The riskless value V^c is solved alongside
-(same operator, reaction c only) and feeds the close-outs and the collateral.
+the collateral gap g = V^c - C. The riskless value V^c (same operator,
+reaction c only) feeds the close-outs and the collateral. What is stepped
+is the adjustment U = V - V^c (Burgard & Kjaer 2011), from U(T) = 0:
+
+    dU/dt + A U - (c + lam_C + lam_B) U
+        - lam_C (1 - R_C) g^+ + lam_B (1 - R_B) g^-
+        - gamma_C (g + U)^+ + gamma_B (g + U)^- = 0,
+
+since close_C - V^c = -(1 - R_C) g^+ and close_B - V^c = (1 - R_B) g^-.
+U carries no payoff kink, and no jump at a pay date, where V and V^c jump
+by the same flow. V is V^c + U.
 
 Scheme: Crank-Nicolson with a Rannacher start (two implicit-Euler steps,
 halved), the nonlinear funding source treated explicitly at the old time
 level, linearity boundary at s_max (one-sided convection, zero curvature)
 and a frozen ODE at s_min (exact at s_min = 0, where the generator
-degenerates). Cash flows of schedule trades enter as jumps at their pay
-dates, which sit on the time grid by construction. Each tridiagonal step
-matrix depends only on (dt, rate, theta), so it is LU-factored once per
-distinct key (LAPACK gttrf), and a theta-step is one gttrs solve (see
-``_Stepper``). The segments are swept latest first in blocks of
-``_SOURCE_BLOCK``, each in three passes: V^c steps through the block; the
-close-out and linear sources of the whole block are formed as (segments,
-nodes) arrays and V steps through it, adding its explicit funding source
-segment by segment; then the sources of the four auxiliary surfaces are
-formed for the block, and the surfaces, which share the matrix of V, step
-through it as one four-column right-hand side. Non-finite input is
-rejected with ValueError: in the step matrix when it is factored, or in
-the auxiliary sources, which every solved surface feeds.
+degenerates). Each tridiagonal step matrix depends only on (dt, rate,
+theta), so it is LU-factored once per distinct key (LAPACK gttrf), and a
+theta-step is one gttrs solve (see ``_Stepper``). The segments are swept
+latest first in blocks of ``_SOURCE_BLOCK``: a stepped V^c steps through
+the block; the close-out sources of the whole block are formed as
+(segments, nodes) arrays, and U steps through it, adding its explicit
+funding source segment by segment; then the funding sources of the four
+auxiliary surfaces are formed for the block, and the surfaces, which share
+the matrix of U, step through it as one four-column right-hand side.
+Non-finite input is rejected with ValueError: in the step matrix when it
+is factored, or in the auxiliary sources, which every solved surface
+feeds.
 
-Default grid: a Richardson pair. Without a given grid, the equations are
-solved on 101 nodes with 150 steps and on 201 nodes with 300 steps, both
-with s0 on a node, from the payoff averaged against each node's hat
-function, and every surface is (4 fine - coarse) / 3 on the coarse nodes
-and times. Crank-Nicolson is second order in the mesh width and the step,
-and the extrapolation cancels that leading error; the explicit funding
-source keeps an error first order in the step, which it cuts to two
-thirds of the fine solve's. A given grid is solved once, from the payoff
-at the nodes.
+V^c on the default grid is Black's formula (``make_collateralized_valuation``)
+at every node and time: without a given grid, a payoff trade is solved
+once, on 401 nodes with 150 steps and s0 on a node (``_default_grid``). On
+a given grid, and for a schedule trade, V^c is stepped alongside U, from
+the payoff at the nodes or from zero, and cash flows enter it as jumps at
+their pay dates, which sit on the time grid by construction.
 
 Restrictions: zero cure period and deterministic spreads. The adjustments
 come from four auxiliary linear equations driven by the solved surfaces, so
@@ -51,12 +56,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .curves import CounterpartyProfile, PiecewiseCurve
-from .instruments import CollateralSpec, Instrument, collateral_amount
+from .instruments import (
+    CollateralSpec,
+    Instrument,
+    collateral_amount,
+    make_collateralized_valuation,
+)
 from .mc_engine import ExposureProfile, ModelDynamics
 
 __all__ = [
@@ -70,24 +79,20 @@ __all__ = [
 _RANNACHER_SEGMENTS = 2
 # the stiffness bound of the explicit funding source: max |gamma| dt
 _MAX_WOBBLE = 0.25
-# the default Richardson pair: N cells and 3N/2 steps on the coarse grid;
-# more cells, up to _MAX_PAIR_CELLS, until s0 is node _MIN_S0_NODE or beyond
-_PAIR_CELLS = 100
-_PAIR_STEPS = 150
-_MAX_PAIR_CELLS = 600
+# the default grid: _REFINE N cells and 3N/2 steps; N = _BASE_CELLS or more,
+# up to _MAX_BASE_CELLS, until s0 is node _MIN_S0_NODE of N cells or beyond
+_BASE_CELLS = 100
+_REFINE = 4
+_BASE_STEPS = 150
+_MAX_BASE_CELLS = 600
 _MIN_S0_NODE = 12
-# at most this many coarse steps for stiff bases, so that the pair accepts
-# every basis that one grid of 600 steps accepts, and refuses the rest
-_MAX_PAIR_STEPS = 600
+# at most this many steps for stiff bases; the stiffness check refuses the rest
+_MAX_STEPS = 600
 # segments per block of the source passes: each segment of a block holds
 # about 17 node rows of temporaries, and longer blocks gain little speed
 _SOURCE_BLOCK = 8
 # times per block of the exposure quadrature
 _EXPOSURE_BLOCK = 32
-
-
-class RichardsonGridError(RuntimeError):
-    """The coarse times of the default Richardson pair are not fine times."""
 
 
 @dataclass(frozen=True)
@@ -225,45 +230,30 @@ class _Stepper:
 
 
 def _gap_parts(vc: np.ndarray, collateral: CollateralSpec):
-    """The collateral posted on V^c and the two sides of the riskless
-    close-out gap V^c - C."""
-    posted = collateral_amount(collateral, vc)
-    gap = vc - posted
-    return posted, np.maximum(gap, 0.0), np.maximum(-gap, 0.0)
+    """The riskless close-out gap g = V^c - C, C the collateral posted on
+    V^c, and its two sides g^+ and g^-."""
+    gap = vc - collateral_amount(collateral, vc)
+    return gap, np.maximum(gap, 0.0), np.maximum(-gap, 0.0)
 
 
-def _hat_average(instrument: Instrument, nodes: np.ndarray) -> np.ndarray:
-    """The terminal payoff averaged against each node's hat function (1 at
-    the node, 0 at its neighbours, integral h). For a payoff linear on either
-    side of the strike K this is exactly the nodal value plus
-    jump * h * (1 - |K - s| / h)^3 / 6 within one cell of K, where jump is
-    the payoff's slope jump at K. Payoff samples, or a box average over
-    [s - h/2, s + h/2], leave an error that depends on where K falls in its
-    cell, and a Richardson pair, whose cells differ, cannot cancel it."""
-    payoff = instrument.terminal_payoff
-    h = nodes[1] - nodes[0]
-    strike = instrument.strike
-    jump_h = payoff(strike + h) - 2.0 * payoff(strike) + payoff(strike - h)
-    return payoff(nodes) + jump_h * np.maximum(1.0 - np.abs(strike - nodes) / h, 0.0) ** 3 / 6.0
-
-
-def _default_pair(
+def _default_grid(
     instrument: Instrument,
     counterparty: CounterpartyProfile,
     bank: CounterpartyProfile,
     dyn: ModelDynamics,
-) -> tuple[SpatialGrid, SpatialGrid]:
-    """The coarse and fine grids of the default Richardson pair.
+) -> SpatialGrid:
+    """The grid of a solve without a given one.
 
-    The coarse grid has N cells, N = 100 or, where s0 would fall below node
-    12, the fewest that put it there, at most 600. Both grids end at s_max =
+    It has 4N cells, N = 100 or, where s0 would fall below node 12 of N
+    cells, the fewest that put it there, at most 600. It ends at s_max =
     s0 N / j, the nearest point at or above 5 standard deviations of log S
-    above the larger of s0 and the strike at which s0 is a node of both
-    (node j of the coarse grid, 2j of the fine). A bound so far out that
-    600 cells leave s0 at node 0 or 1 raises ValueError. The coarse grid
-    takes 150 steps, or as many more as the stiffness check needs for the
-    funding bases, with one to spare and at most _MAX_PAIR_STEPS; the fine
-    grid takes twice as many.
+    above the larger of s0 and the strike at which s0 is node j of N cells
+    (node 4j of the grid). A bound so far out that 600 cells leave s0 at
+    node 0 or 1 raises ValueError. The grid takes 150 steps, or as many more
+    as the stiffness check needs for the funding bases, with one to spare
+    and at most _MAX_STEPS. The cells set U's error: on 24 random trades,
+    4N cells have a median error 4 times below 2N cells and 17 times below
+    N cells at the same steps, against 16N cells.
     """
     horizon = instrument.maturity
     ref = max(dyn.s0, instrument.strike or dyn.s0)
@@ -271,13 +261,13 @@ def _default_pair(
         abs(dyn.rate - dyn.dividend) * horizon + 5.0 * dyn.vol_s * math.sqrt(horizon)
     )
     bound = float(ref * max(stretch, 2.0))
-    cells = _PAIR_CELLS
-    while (j := math.floor(cells * dyn.s0 / bound)) < _MIN_S0_NODE and cells < _MAX_PAIR_CELLS:
+    cells = _BASE_CELLS
+    while (j := math.floor(cells * dyn.s0 / bound)) < _MIN_S0_NODE and cells < _MAX_BASE_CELLS:
         cells += 1
     if j < 2:
         raise ValueError(
             f"the default grid's 5-standard-deviation bound {bound:.6g} of S is "
-            f"{bound / dyn.s0:.4g} s0, so {_MAX_PAIR_CELLS} cells leave s0 at node "
+            f"{bound / dyn.s0:.4g} s0, so {_MAX_BASE_CELLS} cells leave s0 at node "
             f"{j}; give an explicit grid"
         )
     s_max = float(dyn.s0 * cells / j)
@@ -285,26 +275,8 @@ def _default_pair(
     bases = (counterparty.basis, bank.basis)
     knots = {t for curve in bases for t in curve.times if t < horizon}
     gamma = max(sum(abs(curve.value_at(t)) for curve in bases) for t in knots)
-    n_time = math.ceil(
-        np.clip(horizon * gamma / _MAX_WOBBLE + 1.0, _PAIR_STEPS, _MAX_PAIR_STEPS)
-    )
-    return (SpatialGrid(0.0, s_max, cells + 1, n_time),
-            SpatialGrid(0.0, s_max, 2 * cells + 1, 2 * n_time))
-
-
-def _richardson(coarse: PdeSolution, fine: PdeSolution) -> PdeSolution:
-    """(4 fine - coarse) / 3 of every surface, on the coarse nodes and times."""
-    rows = np.searchsorted(fine.times, coarse.times)
-    if rows[-1] >= len(fine.times) or not np.array_equal(fine.times[rows], coarse.times):
-        raise RichardsonGridError(
-            "the coarse time grid of the default Richardson pair is not a subset "
-            "of the fine one"
-        )
-    surfaces = {
-        name: (4.0 * getattr(fine, name)[rows, ::2] - getattr(coarse, name)) / 3.0
-        for name in ("v", "v_coll", "cva", "dva", "cfva", "dfva")
-    }
-    return PdeSolution(times=coarse.times, s_nodes=coarse.s_nodes, **surfaces)
+    n_time = math.ceil(np.clip(horizon * gamma / _MAX_WOBBLE + 1.0, _BASE_STEPS, _MAX_STEPS))
+    return SpatialGrid(0.0, s_max, _REFINE * cells + 1, n_time)
 
 
 def solve_final_pde(
@@ -316,16 +288,15 @@ def solve_final_pde(
     grid: SpatialGrid | None = None,
     collateral: CollateralSpec | None = None,
 ) -> PdeSolution:
-    """Backward induction of V^c, V and the four adjustment surfaces.
+    """Backward induction of U = V - V^c and the four adjustment surfaces.
 
-    On a given grid, one solve from the payoff at the nodes. Without one,
-    the Richardson extrapolation (4 fine - coarse) / 3 of two solves from
-    the hat-averaged payoff (``_default_pair``, ``_hat_average``): 101 nodes
-    and 150 steps, and 201 nodes and 300 steps (more nodes where s0 would
-    fall below node 12, more steps, in the same ratio, where the funding
-    bases need them), both up to at least 5 standard deviations of log S
-    above the larger of s0 and the strike and with s0 on a node. The result
-    is on the coarse nodes and times."""
+    Without a grid, a payoff trade is solved once on ``_default_grid``: 401
+    nodes and 150 steps (more nodes where s0 would fall below node 48, more
+    steps where the funding bases need them), up to at least 5 standard
+    deviations of log S above the larger of s0 and the strike and with s0
+    on a node; V^c there is Black's formula at every node and time. On a
+    given grid, and for a schedule trade, V^c is stepped alongside U from
+    the payoff at the nodes."""
     collateral = collateral or CollateralSpec.none()
     if dyn is None:
         raise ValueError("the finite-difference backend requires model dynamics")
@@ -336,15 +307,16 @@ def solve_final_pde(
 
     args = (instrument, ois, counterparty, bank, dyn, collateral)
     if grid is not None:
-        return _solve(*args, grid, instrument.terminal_payoff)
-    coarse, fine = _default_pair(instrument, counterparty, bank, dyn)
-    averaged = partial(_hat_average, instrument)
-    return _richardson(_solve(*args, coarse, averaged), _solve(*args, fine, averaged))
+        return _solve(*args, grid, None)
+    model = (make_collateralized_valuation(instrument, ois, dyn)
+             if instrument.depends_on_underlying else None)
+    return _solve(*args, _default_grid(instrument, counterparty, bank, dyn), model)
 
 
-def _solve(instrument, ois, counterparty, bank, dyn, collateral, grid, payoff) -> PdeSolution:
-    """One solve on the grid, from payoff(nodes) at expiry for a payoff trade
-    and from zero for a schedule trade."""
+def _solve(instrument, ois, counterparty, bank, dyn, collateral, grid, model) -> PdeSolution:
+    """One solve on the grid. V^c is model's closed form at every node and
+    time or, where model is None, stepped from payoff(nodes) at expiry for a
+    payoff trade and from zero for a schedule trade."""
     curves = (ois, counterparty.hazard, bank.hazard, counterparty.basis, bank.basis)
     times = _time_grid(instrument, curves, grid.n_time)
     nodes = grid.nodes()
@@ -374,9 +346,14 @@ def _solve(instrument, ois, counterparty, bank, dyn, collateral, grid, payoff) -
             # pay dates are on the grid (_time_grid); else the nearest node
             idx = int(np.argmin(np.abs(times - pay)))
             flows[idx] = flows.get(idx, 0.0) + amount
-        terminal = np.zeros_like(nodes)
+
+    if model is None:
+        vc = np.empty((m, len(nodes)))
+        vc[-1] = 0.0 if instrument.schedule is not None else instrument.terminal_payoff(nodes)
     else:
-        terminal = np.asarray(payoff(nodes), dtype=float)
+        # log(0) in Black's d1 at the node s = 0 is -inf: 0 for a call, K disc for a put
+        with np.errstate(divide="ignore"):
+            vc = np.ascontiguousarray(model.value(times, nodes[:, None]).T)
 
     stepper = _Stepper(nodes, dyn)
     rec_c, rec_b = counterparty.recovery, bank.recovery
@@ -384,11 +361,9 @@ def _solve(instrument, ois, counterparty, bank, dyn, collateral, grid, payoff) -
     # the segments from here on are the Rannacher start
     implicit_from = m - 1 - _RANNACHER_SEGMENTS
 
-    vc = np.empty((m, len(nodes)))
-    vc[-1] = terminal
-    v = np.empty_like(vc)
-    v[-1] = terminal
-    # cva, dva, cfva, dfva share the step matrix of V: one 4-column solve
+    u = np.empty_like(vc)
+    u[-1] = 0.0
+    # cva, dva, cfva, dfva share the step matrix of U: one 4-column solve
     aux = np.zeros((4,) + vc.shape)
 
     def ll(surface_row, k):
@@ -409,18 +384,19 @@ def _solve(instrument, ois, counterparty, bank, dyn, collateral, grid, payoff) -
         segs = range(hi - 1, lo - 1, -1)
         rows = slice(lo, hi)
 
-        # riskless collateralized value first: feeds every source below
-        for seg in segs:
-            vc[seg] = theta_step(ll(vc[seg + 1], seg + 1), seg, c_mid[seg], 0.0)
+        # a stepped riskless value first: it feeds every source below
+        if model is None:
+            for seg in segs:
+                vc[seg] = theta_step(ll(vc[seg + 1], seg + 1), seg, c_mid[seg], 0.0)
 
         # the gap on the nodes lo..hi: each segment's left end is its own row
         # and its right end the next row, jumped by the flow paid there; with a
         # flow inside the block the right ends get rows of their own
         ends = _gap_parts(np.vstack((vc[rows], ll(vc[hi], hi))), collateral)
-        posted_l, pos_l, neg_l = (a[:-1] for a in ends)
-        posted_r, pos_r, neg_r = (a[1:] for a in ends)
+        gap_l, pos_l, neg_l = (a[:-1] for a in ends)
+        gap_r, pos_r, neg_r = (a[1:] for a in ends)
         if any(lo < k < hi for k in flows):
-            posted_r, pos_r, neg_r = _gap_parts(
+            gap_r, pos_r, neg_r = _gap_parts(
                 np.vstack([ll(vc[k], k) for k in range(lo + 1, hi + 1)]), collateral
             )
 
@@ -435,36 +411,31 @@ def _solve(instrument, ois, counterparty, bank, dyn, collateral, grid, payoff) -
             out[implicit] = left[implicit]
             return out
 
-        def linear(posted, pos, neg):
-            # the default intensities times the riskless close-out amounts
-            close_c = posted + rec_c * pos - neg
-            close_b = posted + pos - rec_b * neg
-            return lc * close_c + lb * close_b
+        def close_out(pos, neg):
+            # the sources of cva and dva: the default losses on the riskless
+            # close-out amounts
+            return lc * (1.0 - rec_c) * pos, lb * (1.0 - rec_b) * neg
 
-        lin = average(linear(posted_l, pos_l, neg_l), linear(posted_r, pos_r, neg_r),
-                      np.empty((hi - lo, len(nodes))))
+        def funding(gap_v):
+            # the sources of cfva and dfva
+            return gc * np.maximum(gap_v, 0.0), gb * np.maximum(-gap_v, 0.0)
+
+        # in the layout the steps read; U's linear source is dva's less cva's
+        src = np.empty((hi - lo, 4, len(nodes)))
+        for k, left, right in zip((0, 1), close_out(pos_l, neg_l), close_out(pos_r, neg_r)):
+            average(left, right, src[:, k])
+        lin = src[:, 1] - src[:, 0]
 
         # the funding source is explicit at the right end, so it waits for
-        # each segment's v[seg + 1]
+        # each segment's u[seg + 1]
         gap_v_r = np.empty_like(lin)
         for seg in segs:
             j = seg - lo
-            v_right = ll(v[seg + 1], seg + 1)
-            gap = np.subtract(v_right, posted_r[j], out=gap_v_r[j])
-            funding = -gc_mid[seg] * np.maximum(gap, 0.0) + gb_mid[seg] * np.maximum(-gap, 0.0)
-            v[seg] = theta_step(v_right, seg, r_full[seg], lin[j] + funding)
+            gap = np.add(gap_r[j], u[seg + 1], out=gap_v_r[j])
+            funding_src = -gc_mid[seg] * np.maximum(gap, 0.0) + gb_mid[seg] * np.maximum(-gap, 0.0)
+            u[seg] = theta_step(u[seg + 1], seg, r_full[seg], lin[j] + funding_src)
 
-        def aux_sources(pos, neg, gap_v):
-            yield lc * (1.0 - rec_c) * pos
-            yield lb * (1.0 - rec_b) * neg
-            yield gc * np.maximum(gap_v, 0.0)
-            yield gb * np.maximum(-gap_v, 0.0)
-
-        # formed one surface at a time, in the layout the steps read
-        src = np.empty((hi - lo, 4, len(nodes)))
-        pairs = zip(aux_sources(pos_l, neg_l, v[rows] - posted_l),
-                   aux_sources(pos_r, neg_r, gap_v_r))
-        for k, (left, right) in enumerate(pairs):
+        for k, left, right in zip((2, 3), funding(gap_l + u[rows]), funding(gap_v_r)):
             average(left, right, src[:, k])
         # every solved surface and every input reaches these sources, so a
         # NaN or inf anywhere upstream is caught here
@@ -483,7 +454,7 @@ def _solve(instrument, ois, counterparty, bank, dyn, collateral, grid, payoff) -
     return PdeSolution(
         times=times,
         s_nodes=nodes,
-        v=v,
+        v=vc + u,
         v_coll=vc,
         cva=cva,
         dva=dva,

@@ -15,7 +15,9 @@ from bondxva.instruments import (
     bullet_bond,
     collateral_amount,
     collateralized_value,
+    make_collateralized_valuation,
 )
+from bondxva.mc_engine import ModelDynamics
 
 
 class TestCashflowSchedule:
@@ -215,3 +217,26 @@ class TestCollateralizedValue:
         assert collateralized_value(bond, ois, t) == pytest.approx(
             expected, abs=1e-12
         )
+
+
+class TestCollateralizedValuation:
+    @pytest.mark.parametrize(
+        "instrument",
+        [Instrument.european_option("call", 95.0, 1.0),
+         Instrument.european_option("put", 95.0, 1.0), Instrument.forward(95.0, 1.0)],
+    )
+    def test_a_times_by_nodes_surface_is_the_pointwise_value(self, instrument):
+        # the layout the finite-difference grid reads: a column of nodes
+        # against the row of times, expiry and the node s = 0 included
+        model = make_collateralized_valuation(
+            instrument, PiecewiseCurve.flat(0.02), ModelDynamics(s0=100.0, rate=0.02, vol_s=0.3)
+        )
+        times = np.linspace(0.0, 1.0, 11)
+        nodes = np.linspace(0.0, 400.0, 41)
+        with np.errstate(divide="ignore"):
+            surface = model.value(times, nodes[:, None]).T
+            for i, s in enumerate(nodes):
+                pointwise = model.value(times, np.full_like(times, s))
+                np.testing.assert_allclose(surface[:, i], pointwise, rtol=1e-14, atol=1e-14)
+        assert np.isfinite(surface).all()
+        np.testing.assert_array_equal(surface[-1], instrument.terminal_payoff(nodes))

@@ -820,14 +820,16 @@ class TestBackwardSweep:
 
     def test_the_readme_call_funding_legs_agree_with_the_grid(self):
         # with V^c exact on every path the gap V - C under the threshold
-        # stays >= 0 but for regression noise, as on the grid, whose DFVA is 0
+        # stays >= 0 but for regression noise, as on the grid, whose DFVA is
+        # 0 but for rounding: far out of the money Black's V^c vanishes
+        # faster than the discrete adjustment U, and V^c + U dips below 0
         call = Instrument.european_option("call", strike=100.0, expiry=1.0)
         dyn = ModelDynamics(s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013)
         collateral = CollateralSpec.bilateral_threshold(5.0)
         pde, _ = run_xva(call, OIS, RISKY_CP, RISKY_BANK, collateral, backend="pde", dyn=dyn)
         mc, _ = run_xva(call, OIS, RISKY_CP, RISKY_BANK, collateral, dyn=dyn,
                         n_paths=20_000, n_steps=32, seed=31_337)
-        assert pde.dfva == 0.0
+        assert 0.0 <= pde.dfva < 1e-12
         assert abs(mc.cfva - pde.cfva) <= 3 * mc.se_cfva
         assert mc.dfva <= 1e-6
 

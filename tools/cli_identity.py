@@ -28,7 +28,9 @@ The matrix:
   spreads; flat curves and piecewise hazards and bases with nodes inside
   the horizon (one on a grid node, others between nodes);
 * ``xva`` on ``pde`` for the same trades under four collateral modes,
-  ``bond_mode`` off and on and both markets, on the default grid; for
+  ``bond_mode`` off and on and both markets, on the default grid, and
+  there too a long-dated high-volatility put that needs more than 100
+  base cells and a 5y call whose bound no grid reaches (exit 2); for
   the call, the put and the forward on an explicit grid, uncollateralized
   and with a threshold, in both markets; and on the deterministic backend
   (the coupon bond and a zero-volatility call) with all three methods;
@@ -151,8 +153,8 @@ def matrix() -> list[tuple[str, str, dict]]:
              "dynamics": {**DYNAMICS, **spread}, "method": method, "backend": "mc",
              "mc": mc, "solver": {"tol": 1e-8}, "bond_mode": bond_mode},
         ))
-    # the default grid, a Richardson pair of 150 and 300 steps, on both of
-    # which the nodes at 0.3 and 0.7 sit an ulp off the uniform points
+    # the default grid of 150 steps, on which the nodes at 0.3 and 0.7 sit
+    # an ulp off the uniform points
     for (iname, inst), (cname, coll), bond_mode, (mname, market) in itertools.product(
         INSTRUMENTS.items(), COLLATERALS.items(), (False, True), MARKETS.items()
     ):
@@ -160,6 +162,16 @@ def matrix() -> list[tuple[str, str, dict]]:
             f"xva-pde-{iname}-{cname}-bond{int(bond_mode)}-{mname}", "xva",
             {"instrument": inst, **market, "collateral": coll, "dynamics": DYNAMICS,
              "backend": "pde", "bond_mode": bond_mode},
+        ))
+    # the default grid past 100 base cells, and a bound that 600 cannot reach
+    for name, inst, vol in (
+        ("longput", {**PUT, "strike": 83.4, "expiry": 2.88}, 0.45),
+        ("widecall", {**CALL, "expiry": 5.0}, 0.6),
+    ):
+        out.append((
+            f"xva-pde-{name}", "xva",
+            {"instrument": inst, **MARKETS["flat"], "collateral": COLLATERALS["threshold"],
+             "dynamics": {**DYNAMICS, "vol_s": vol}, "backend": "pde"},
         ))
     # an explicit grid: one solve from the payoff at the nodes
     for (iname, inst), cname, (mname, market) in itertools.product(
