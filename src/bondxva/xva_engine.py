@@ -53,8 +53,10 @@ gap, survival and the solved values are derived one grid time at a time and
 used there, in the one per-time backward sweep (``_funding_trapezoid``),
 which keeps only the few V^c columns a cure window spans. The sweep asks
 its caller's state(k) once per grid time, latest first, for everything at
-t_k: the survival (``_survival``, stepped with the default spread rows),
-the default pair's spreads and close-out gap, each funding pair's spreads
+t_k (with more than one worker, ``_mc_valuation`` forms it on a helper
+thread, one grid time ahead, in the same order): the survival
+(``_survival``, stepped with the default spread rows), the default
+pair's spreads and close-out gap, each funding pair's spreads
 (``_spreads``) and the gap V^c - C. Every leg is one side of a (cost,
 benefit) pair on the same gap. The recursive method solves each slice
 inside the sweep; ``first_order``, ``bond_implied`` (at the bond-implied
@@ -73,9 +75,11 @@ the paths as well.
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import math
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -377,18 +381,23 @@ def _funding_trapezoid(paths: PathSet, disc, state, solve=None, moments=None):
     (gap)^- of the same gap.
 
     state(k) is asked for once per grid time, in the order last, ..., 0,
-    and returns (survival, default, funding, gap) at t_k: each path's
-    survival weight (exp(-(Lambda_C + Lambda_B)), or 1_alive on given
-    default times); None, or the default pair's (spreads, close-out gap),
-    a gap that does not depend on the solved value; each funding pair's
-    spreads; and the gap V^c - C. Spreads and gaps are each a pair of
-    arrays at t_k and at its left limit t_k-, the left limit the same
-    array where nothing jumps; a pair's spreads have one row for both
-    legs or one row per leg, per path or shared. The funding pairs
-    integrate the gap that solve(k, gap, funding) returns before t_last
-    (the recursive value's), else the gap itself: at the last time
-    nothing remains. funding is (settled, cost, benefit) per unit of
-    weight D(0, t_k) survival(t_k). settled is the net (``_net``) of
+    on the calling thread (under ``_mc_valuation`` with more than one
+    worker it hands over what ``_one_ahead`` formed on its helper thread,
+    called in that same order), and returns (survival, default, funding,
+    gap) at t_k: each path's survival weight (exp(-(Lambda_C +
+    Lambda_B)), or 1_alive on given default times); None, or the default
+    pair's (spreads, close-out gap), a gap that does not depend on the
+    solved value; each funding pair's spreads; and the gap V^c - C.
+    Spreads and gaps are each a pair of arrays at t_k and at its left
+    limit t_k-, the left limit the same array where nothing jumps; a
+    pair's spreads have one row for both legs or one row per leg, per
+    path or shared. The funding pairs integrate the gap that
+    solve(k, gap, funding) returns before t_last (the recursive value's),
+    else the gap itself: at the last time nothing remains. funding is
+    (settled, cost, benefit) per unit of weight D(0, t_k) survival(t_k),
+    and a ValueError naming t_k and the number of paths refuses a weight
+    of 0 (a survival that underflows), which would make settled 0 / 0.
+    settled is the net (``_net``) of
     every leg from t_k on but the funding densities at t_k, and those
     densities at a gap x are cost * x^+ - benefit * x^-, cost and benefit
     the half-step 0.5 dt_k times the summed funding spreads of each side.
@@ -426,6 +435,13 @@ def _funding_trapezoid(paths: PathSet, disc, state, solve=None, moments=None):
         if default is not None:
             advance(0, _sided(*default[1]))
         if solve is not None and k < last:
+            if not weight.all():
+                raise ValueError(
+                    f"the survival weight D(0, t) S(t) is 0 on "
+                    f"{np.count_nonzero(weight == 0)} of {paths.n_paths} paths at "
+                    f"t={times[k]:.6g}: the survival underflows, so the recursive value "
+                    "there is undefined"
+                )
             settled = _net(
                 tails[g] + right[g] * half if g in funded else tails[g]
                 for g in range(len(spreads))
@@ -515,8 +531,10 @@ def _slice_projection(paths: PathSet, k: int):
     bit for bit. A factor that does not vary (zero volatility) is left out,
     so the README dynamics regress on a constant and S alone; when no
     factor varies the fit is the plain mean. Only the settled tail of a
-    slice is regressed (``_mc_valuation``), so a cubic basis moves CFVA
-    and the fair value by less than 0.05 of their standard errors. Each
+    slice is regressed (``_mc_valuation``); in a one-off measurement at
+    commit a466482, before the basis became linear, a cubic basis moved
+    CFVA and the fair value by less than 0.05 of their standard errors
+    (the cubic basis is gone, so it cannot be re-run). Each
     row of the (columns, n_paths) basis B is contiguous; B and the
     pseudo-inverse of its Gram matrix B B^T are built once, so each fit is
     two thin mat-vecs.
@@ -561,6 +579,7 @@ class _McRun:
     vc_at: Callable  # grid index -> (V^c there, its left limit): model.columns, _remembered
     window: Callable  # grid index -> the same at the end of the cure window
     disc: np.ndarray
+    n_workers: int = 1  # above 1, a sweep forms its states on a helper thread
 
     def at_time(self, k: int):
         """The gap V^c - C at grid time k and at its left limit, and the
@@ -650,6 +669,7 @@ def _prepare_mc(
         vc_at=vc_at,
         window=window,
         disc=np.exp(-ois.integral_from_zero(paths.times)),
+        n_workers=n_workers,
     )
 
 
@@ -713,6 +733,27 @@ def _mc_report(run: _McRun, loss, gain, cf, df, method: str, **kw) -> XvaReport:
     )
 
 
+@contextlib.contextmanager
+def _one_ahead(state: Callable, last: int):
+    """A context in which a backward sweep over grid times last, ..., 0
+    receives each state(k) formed on one helper thread while it works at
+    t_{k+1}: handing state(k) over submits state(k - 1), so state is called
+    in the sweep's order, one ahead, and from the helper thread alone. An
+    exception from state re-raises unchanged when the sweep asks for that
+    k. The helper is joined when the context exits, returned or raised,
+    after the one state it may still be forming."""
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(state, last)
+
+        def ahead(k):
+            nonlocal pending
+            formed = pending.result()
+            pending = helper.submit(state, k - 1) if k > 0 else None
+            return formed
+
+        yield ahead
+
+
 def _mc_valuation(
     run: _McRun,
     counterparty: CounterpartyProfile,
@@ -721,6 +762,7 @@ def _mc_valuation(
     params: SolverParams,
     profile: bool = False,
     extra=(),
+    legs_only: bool = False,
 ):
     """One Monte Carlo valuation of a prepared run, in one backward sweep of
     ``_funding_trapezoid``: the report, the exposure profile (None without
@@ -729,17 +771,23 @@ def _mc_valuation(
     The (cost, benefit) pairs are the default legs, D S pi_C (gap)^+ and
     D S pi_B (gap)^- on the close-out gap; unless bond_implied, the funding
     legs D S gamma_C (gap)^+ and D S gamma_B (gap)^- on the funded gap; then
-    the extra pairs (``_spreads`` functions), on the funded gap too. The
+    the extra pairs (``_spreads`` functions), on the funded gap too. With
+    legs_only the sweep integrates the extra pairs alone, on the gap
+    V^c - C at the method's survival, and the report is None. The
     sweep's state at t_k forms V^c, the collateral, both gaps and every
-    spread row there once. A name's default spread, in its leg and
+    spread row there once. When the run has more than one worker, state(k)
+    is formed on one helper thread (``_one_ahead``) while the sweep
+    integrates and solves at t_{k+1}; either way state is called once per
+    grid time from one thread, latest first, so the legs do not depend on
+    the worker count. A name's default spread, in its leg and
     in the survival S, is pi = lambda (1 - R) floored at zero or, for
     bond_implied, max(pi + gamma, 0). first_order and bond_implied fund the
     V^c exposure. recursive funds the recursive value V: at t_k the pathwise
     pre-default value is V^c less the ``_net`` of the legs from t_k on over
     D(t_k) S(t_k), and only the funding densities at t_k involve V(t_k). V^c
     and the collateral C are known at t_k, so only the settled rest is
-    regressed on the state there (``_slice_projection``), and
-    x = V - C solves x + cost x^+ - benefit x^- = d, with
+    regressed on the state there (``_slice_projection``, on the calling
+    thread), and x = V - C solves x + cost x^+ - benefit x^- = d, with
     d = V^c - C - E[settled], in closed form: x = d / (1 + cost) where
     d >= 0, else d / (1 + benefit), as ``_deterministic`` solves its nodes.
     At the last grid time V = V^c. The profile holds the moments of the
@@ -754,14 +802,14 @@ def _mc_valuation(
     defaults = _spreads(times, levels, (paths.pi_c, paths.pi_b), floor=True)
     survival = _survival(paths, defaults, counterparty.recovery, bank.recovery)
     bases = (counterparty.basis, bank.basis)
-    pairs = [] if bond_implied else [_spreads(times, bases)]
+    pairs = [] if bond_implied or legs_only else [_spreads(times, bases)]
     pairs += extra
 
     def state(k):
         gap, posted = run.at_time(k)
         spreads = defaults(k)
-        close_out = _gap_pair(*run.window(k), *posted)
-        return survival(k, spreads[0]), (spreads, close_out), [at(k) for at in pairs], gap
+        default = None if legs_only else (spreads, _gap_pair(*run.window(k), *posted))
+        return survival(k, spreads[0]), default, [at(k) for at in pairs], gap
 
     recursive = method == "recursive"
     if recursive:
@@ -777,9 +825,15 @@ def _mc_valuation(
         return x, x if gap_ll is gap_rc else x + (gap_ll - gap_rc)
 
     moments = np.empty((4, len(times))) if profile else None
-    loss, gain, *rest = _funding_trapezoid(
-        paths, run.disc, state, solve if recursive else None, moments
-    )
+    if run.n_workers > 1:  # each state is formed a grid time ahead, on a helper thread
+        ahead = _one_ahead(state, paths.n_steps)
+    else:
+        ahead = contextlib.nullcontext(state)
+    with ahead as states:
+        legs = _funding_trapezoid(paths, run.disc, states, solve if recursive else None, moments)
+    if legs_only:
+        return None, None, legs
+    loss, gain, *rest = legs
     if bond_implied:  # no funding terms
         rest[:0] = [np.zeros(paths.n_paths)] * 2
     cf, df, *extra_legs = rest
@@ -1142,7 +1196,8 @@ def compare_aggregations(
     exposure serves the full-spread legs too, on "mc" in the same sweep,
     except in bond mode: the full-spread legs keep the bank as it is, while
     the report values against a default-free bank on a run (or grid) of its
-    own, and on "mc" the paths are still simulated once.
+    own; on "mc" the paths are still simulated once, and a second sweep of
+    ``_mc_valuation`` integrates the full-spread legs alone.
     """
     collateral = collateral or CollateralSpec.none()
     # run_xva's knobs with their defaults; an unknown keyword is a TypeError
@@ -1171,14 +1226,9 @@ def compare_aggregations(
                 valued, counterparty, CounterpartyProfile.default_free(),
                 "first_order", params,
             )
-            cds = _spreads(run.paths.times, (PiecewiseCurve.flat(0.0),) * 2,
-                           (run.paths.pi_c, run.paths.pi_b), floor=True)
-            survival = _survival(run.paths, cds, counterparty.recovery, bank.recovery)
-
-            def state(k):
-                return survival(k, cds(k)[0]), None, [full(k)], run.at_time(k)[0]
-
-            fca_path, fba_path = _funding_trapezoid(run.paths, run.disc, state)
+            _, _, (fca_path, fba_path) = _mc_valuation(
+                run, counterparty, bank, "first_order", params, extra=[full], legs_only=True
+            )
         else:  # the full-spread legs ride in the first_order sweep
             report, _, (fca_path, fba_path) = _mc_valuation(
                 run, counterparty, bank, "first_order", params, extra=[full]

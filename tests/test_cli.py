@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -309,6 +310,20 @@ class TestXva:
         assert code == 2
         assert out == ""
         assert "bank funding basis -30" in err and "t=0:" in err
+
+    def test_a_survival_that_underflows_names_the_time_and_paths(self, tmp_path, capsys):
+        # a counterparty spread of 500: the survival is 0.0 on every path
+        # from some grid time on, which would divide 0 by 0 in the slice
+        cfg_data = json.loads(json.dumps(XVA_MC_CFG))
+        cfg_data["dynamics"]["pi0_c"] = 500.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["xva", "--config", write_config(tmp_path, cfg_data)],
+                                     capsys)
+        assert code == 2
+        assert out == ""
+        assert "survival weight D(0, t) S(t) is 0 on 1500 of 1500 paths at t=0.916667" in err
+        assert "nan" not in err
 
     def test_an_unsolvable_deterministic_grid_is_a_config_error(self, tmp_path, capsys):
         # one 2y step with a -0.6 basis: 1 + dt * basis < 0 at t = 0

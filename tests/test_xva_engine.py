@@ -1,11 +1,14 @@
 """Tests for the valuation engine: adjustment legs, recursive solves, reports."""
 
+import itertools
 import json
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from bondxva.instruments import (
     collateral_amount,
 )
 from bondxva.mc_engine import (
+    ExposureProfile,
     ModelDynamics,
     PathSet,
     sample_default_times,
@@ -1939,15 +1943,37 @@ class TestIntensityLegs:
         assert np.array_equal(theirs_profile.epe, ours_profile.ene)
 
     def test_worker_counts_give_bit_identical_reports_and_cli_output(self, tmp_path, capsys):
-        knobs = dict(dyn=self.DYN, n_paths=9_000, n_steps=12, seed=8)
-        for method in ("recursive", "first_order", "bond_implied"):
+        # two workers also form each grid time's state on a helper thread,
+        # which is joined before each valuation returns
+        threads = threading.active_count()
+        knobs = dict(dyn=self.DYN, n_paths=5_000, n_steps=12, seed=8)
+        coupon = Instrument.coupon_bond(
+            CashflowSchedule(((0.25, 3.0), (0.5, -2.0), (1.0, 103.0)), notional=100.0)
+        )
+        trades = (self.CALL, Instrument.european_option("put", strike=95.0, expiry=1.0),
+                  Instrument.forward(strike=100.0, expiry=1.0), coupon)
+        # no cure, three whole steps and a window end off the grid
+        cures = [CollateralSpec.bilateral_threshold(5.0, cure) for cure in (0.0, 0.25, 0.1)]
+        for trade, collateral, method, bond_mode in itertools.product(
+            trades, cures, ("recursive", "first_order", "bond_implied"), (False, True)
+        ):
             (one, one_profile), (two, two_profile) = (
-                run_xva(self.CALL, OIS, RISKY_CP, RISKY_BANK, THRESHOLD, method=method,
-                        n_workers=workers, **knobs)
+                run_xva(trade, OIS, RISKY_CP, RISKY_BANK, collateral, method=method,
+                        bond_mode=bond_mode, n_workers=workers, **knobs)
                 for workers in (1, 2)
             )
             assert one.as_dict() == two.as_dict()
-            assert np.array_equal(one_profile.epe, two_profile.epe)
+            for field in fields(ExposureProfile):
+                assert np.array_equal(getattr(one_profile, field.name),
+                                      getattr(two_profile, field.name))
+        for trade in trades:
+            one, two = (
+                compare_aggregations(trade, OIS, RISKY_CP, RISKY_BANK, THRESHOLD,
+                                     bond_mode=True, n_workers=workers, **knobs)
+                for workers in (1, 2)
+            )
+            assert one == two
+        assert threading.active_count() == threads
         config = {
             "instrument": {"kind": "european_option", "option_type": "call",
                            "strike": 100.0, "expiry": 1.0},
@@ -1969,6 +1995,64 @@ class TestIntensityLegs:
             assert cli.main(["xva", "--config", str(path)]) == 0
             stdout.append(capsys.readouterr().out)
         assert stdout[0] == stdout[1] and '"cva"' in stdout[0]
+
+    def test_more_workers_than_cores_and_rapid_thread_switches_move_no_digit(self):
+        # the helper is the only thread that forms states: switching threads
+        # as often as the interpreter can must not reorder them
+        knobs = dict(dyn=self.DYN, n_paths=9_000, n_steps=24, seed=5)
+        one, _ = run_xva(self.CALL, OIS, RISKY_CP, RISKY_BANK, THRESHOLD, n_workers=1, **knobs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                many, _ = run_xva(self.CALL, OIS, RISKY_CP, RISKY_BANK, THRESHOLD,
+                                  n_workers=4, **knobs)
+                assert many.as_dict() == one.as_dict()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("method", ["recursive", "first_order"])
+    def test_a_state_that_raises_surfaces_unchanged_and_leaves_no_thread(self, method):
+        run = _prepare_mc(self.CALL, OIS, THRESHOLD, self.DYN, 3_000, 12, 8, False)
+        error = ArithmeticError("no V^c at t_5")
+        asked = []
+
+        def vc_at(k):
+            asked.append(k)
+            if k == 5:
+                raise error
+            return run.vc_at(k)
+
+        threads = threading.active_count()
+        for workers in (1, 2):
+            asked.clear()
+            broken = replace(run, vc_at=vc_at, n_workers=workers)
+            with pytest.raises(ArithmeticError) as raised:
+                _mc_valuation(broken, RISKY_CP, RISKY_BANK, method, self.TIGHT)
+            assert raised.value is error
+            # the states were asked for latest first, and none after the one that raised
+            assert asked == list(range(12, 4, -1))
+            assert threading.active_count() == threads
+
+    def test_a_survival_that_underflows_is_refused_by_name(self):
+        # a spread of 500: exp(-Lambda) is 0.0 on every path well before the horizon
+        knobs = dict(dyn=replace(self.DYN, pi0_c=500.0), n_paths=2_000, n_steps=16, seed=8)
+        threads = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for workers in (1, 2):
+                with pytest.raises(ValueError, match=(
+                    r"survival weight D\(0, t\) S\(t\) is 0 on 2000 of 2000 paths "
+                    r"at t=0\.9375: the survival underflows"
+                )):
+                    run_xva(self.CALL, OIS, RISKY_CP, RISKY_BANK, THRESHOLD,
+                            n_workers=workers, **knobs)
+                assert threading.active_count() == threads
+            # the other methods divide by no weight
+            for method in ("first_order", "bond_implied"):
+                report, _ = run_xva(self.CALL, OIS, RISKY_CP, RISKY_BANK, THRESHOLD,
+                                    method=method, **knobs)
+                assert math.isfinite(report.fair_value) and report.cva > 0
 
     @pytest.mark.parametrize("method", ["recursive", "first_order", "bond_implied"])
     def test_default_times_on_supplied_paths_are_ignored(self, method):

@@ -26,7 +26,9 @@ The matrix:
   and a coupon bond; cure 0, 0.25 (a whole number of grid steps) and 0.1
   (off the grid); ``bond_mode`` off and on; deterministic and stochastic
   spreads; flat curves and piecewise hazards and bases with nodes inside
-  the horizon (one on a grid node, others between nodes);
+  the horizon (one on a grid node, others between nodes); each with
+  ``n_workers`` 1 and 2 (names ending in ``-w2``), so that both the one-
+  and the two-thread sweep are compared;
 * ``xva`` on ``pde`` for the same trades under four collateral modes,
   ``bond_mode`` off and on and both markets, on the default grid, and
   there too a long-dated high-volatility put that needs more than 100
@@ -34,7 +36,7 @@ The matrix:
   the call, the put and the forward on an explicit grid, uncollateralized
   and with a threshold, in both markets; and on the deterministic backend
   (the coupon bond and a zero-volatility call) with all three methods;
-* ``compare-conventions`` on ``mc`` and on ``pde``;
+* ``compare-conventions`` on ``mc`` (``n_workers`` 1 and 2) and on ``pde``;
 * ``bond-price`` under all three recovery conventions, for a bullet and
   an explicit-flow bond, at t = 0 and inside a coupon period, on flat
   curves and on piecewise ones with a segment where lambda + gamma = 0
@@ -140,18 +142,20 @@ def matrix() -> list[tuple[str, str, dict]]:
     out = []
     # 16 steps over the 1y horizon: 0.25 is 4 steps, 0.1 is off the grid
     mc = {"n_paths": 2000, "n_steps": 16, "seed": 7}
-    for (iname, inst), method, cure, bond_mode, (sname, spread), (mname, market) in (
-        itertools.product(INSTRUMENTS.items(), METHODS, (0.0, 0.25, 0.1), (False, True),
-                          SPREADS.items(), MARKETS.items())
-    ):
+    # one worker, and two: the second simulates and forms the sweep's states
+    workers = {"": mc, "-w2": {**mc, "n_workers": 2}}
+    for (iname, inst), method, cure, bond_mode, (sname, spread), (mname, market), (
+        wname, mc_knobs
+    ) in itertools.product(INSTRUMENTS.items(), METHODS, (0.0, 0.25, 0.1), (False, True),
+                           SPREADS.items(), MARKETS.items(), workers.items()):
         out.append((
-            f"xva-mc-{iname}-{method}-cure{cure}-bond{int(bond_mode)}-{sname}-{mname}",
+            f"xva-mc-{iname}-{method}-cure{cure}-bond{int(bond_mode)}-{sname}-{mname}{wname}",
             "xva",
             {"instrument": inst, **market,
              "collateral": {"mode": "bilateral_threshold", "threshold": 5.0,
                             "cure_period": cure},
              "dynamics": {**DYNAMICS, **spread}, "method": method, "backend": "mc",
-             "mc": mc, "solver": {"tol": 1e-8}, "bond_mode": bond_mode},
+             "mc": mc_knobs, "solver": {"tol": 1e-8}, "bond_mode": bond_mode},
         ))
     # the default grid of 150 steps, on which the nodes at 0.3 and 0.7 sit
     # an ulp off the uniform points
@@ -196,14 +200,15 @@ def matrix() -> list[tuple[str, str, dict]]:
              "backend": "pde", "method": method, "bond_mode": bond_mode,
              "solver": {"det_steps": 400}},
         ))
-    for (iname, inst), bond_mode, (sname, spread), (mname, market) in itertools.product(
-        INSTRUMENTS.items(), (False, True), SPREADS.items(), MARKETS.items()
+    for (iname, inst), bond_mode, (sname, spread), (mname, market), (wname, mc_knobs) in (
+        itertools.product(INSTRUMENTS.items(), (False, True), SPREADS.items(),
+                          MARKETS.items(), workers.items())
     ):
         out.append((
-            f"compare-mc-{iname}-bond{int(bond_mode)}-{sname}-{mname}",
+            f"compare-mc-{iname}-bond{int(bond_mode)}-{sname}-{mname}{wname}",
             "compare-conventions",
             {"instrument": inst, **market, "collateral": COLLATERALS["threshold"],
-             "dynamics": {**DYNAMICS, **spread}, "backend": "mc", "mc": mc,
+             "dynamics": {**DYNAMICS, **spread}, "backend": "mc", "mc": mc_knobs,
              "bond_mode": bond_mode},
         ))
     for (iname, inst), bond_mode, (mname, market) in itertools.product(
