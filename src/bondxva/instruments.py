@@ -287,7 +287,7 @@ def collateralized_value(
 # collateralized valuation models
 # ---------------------------------------------------------------------------
 # V^c, the riskless collateralized value, of either family of trades: read by
-# the Monte Carlo legs of xva_engine and by the default grid of pde_engine
+# the Monte Carlo legs of xva_engine and by every grid of pde_engine
 
 
 def _window_end(t, shift: float, maturity: float) -> np.ndarray:

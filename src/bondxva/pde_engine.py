@@ -29,22 +29,21 @@ and a frozen ODE at s_min (exact at s_min = 0, where the generator
 degenerates). Each tridiagonal step matrix depends only on (dt, rate,
 theta), so it is LU-factored once per distinct key (LAPACK gttrf), and a
 theta-step is one gttrs solve (see ``_Stepper``). The segments are swept
-latest first in blocks of ``_SOURCE_BLOCK``: a stepped V^c steps through
-the block; the close-out sources of the whole block are formed as
-(segments, nodes) arrays, and U steps through it, adding its explicit
-funding source segment by segment; then the funding sources of the four
-auxiliary surfaces are formed for the block, and the surfaces, which share
-the matrix of U, step through it as one four-column right-hand side.
-Non-finite input is rejected with ValueError: in the step matrix when it
-is factored, or in the auxiliary sources, which every solved surface
-feeds.
+latest first in blocks of ``_SOURCE_BLOCK``: the close-out sources of the
+whole block are formed as (segments, nodes) arrays, and U steps through
+it, adding its explicit funding source segment by segment; then the
+funding sources of the four auxiliary surfaces are formed for the block,
+and the surfaces, which share the matrix of U, step through it as one
+four-column right-hand side. Non-finite input is rejected with
+ValueError: in the step matrix when it is factored, or in the auxiliary
+sources, which every solved surface feeds.
 
-V^c on the default grid is Black's formula (``make_collateralized_valuation``)
-at every node and time: without a given grid, a payoff trade is solved
-once, on 401 nodes with 150 steps and s0 on a node (``_default_grid``). On
-a given grid, and for a schedule trade, V^c is stepped alongside U, from
-the payoff at the nodes or from zero, and cash flows enter it as jumps at
-their pay dates, which sit on the time grid by construction.
+V^c is never stepped: on every grid it is the closed form of
+``make_collateralized_valuation`` at every node and time, Black's formula
+(or the discounted forward) for a payoff trade and the discounted flows
+for a schedule trade, whose flows jump V^c at their pay dates, which sit
+on the time grid by construction. Without a given grid, a trade is
+solved on 401 nodes with 150 steps and s0 on a node (``_default_grid``).
 
 Restrictions: zero cure period and deterministic spreads. The adjustments
 come from four auxiliary linear equations driven by the solved surfaces, so
@@ -288,15 +287,13 @@ def solve_final_pde(
     grid: SpatialGrid | None = None,
     collateral: CollateralSpec | None = None,
 ) -> PdeSolution:
-    """Backward induction of U = V - V^c and the four adjustment surfaces.
+    """Backward induction of U = V - V^c and the four adjustment surfaces,
+    with V^c in closed form at every node and time.
 
-    Without a grid, a payoff trade is solved once on ``_default_grid``: 401
-    nodes and 150 steps (more nodes where s0 would fall below node 48, more
-    steps where the funding bases need them), up to at least 5 standard
-    deviations of log S above the larger of s0 and the strike and with s0
-    on a node; V^c there is Black's formula at every node and time. On a
-    given grid, and for a schedule trade, V^c is stepped alongside U from
-    the payoff at the nodes."""
+    The grid is the given one or ``_default_grid``: 401 nodes and 150
+    steps (more nodes where s0 would fall below node 48, more steps where
+    the funding bases need them), up to at least 5 standard deviations of
+    log S above the larger of s0 and the strike and with s0 on a node."""
     collateral = collateral or CollateralSpec.none()
     if dyn is None:
         raise ValueError("the finite-difference backend requires model dynamics")
@@ -305,18 +302,14 @@ def solve_final_pde(
     if dyn.vol_c != 0.0 or dyn.vol_b != 0.0:
         raise ValueError("the finite-difference backend requires deterministic spreads")
 
-    args = (instrument, ois, counterparty, bank, dyn, collateral)
-    if grid is not None:
-        return _solve(*args, grid, None)
-    model = (make_collateralized_valuation(instrument, ois, dyn)
-             if instrument.depends_on_underlying else None)
-    return _solve(*args, _default_grid(instrument, counterparty, bank, dyn), model)
+    grid = grid or _default_grid(instrument, counterparty, bank, dyn)
+    return _solve(instrument, ois, counterparty, bank, dyn, collateral, grid)
 
 
-def _solve(instrument, ois, counterparty, bank, dyn, collateral, grid, model) -> PdeSolution:
-    """One solve on the grid. V^c is model's closed form at every node and
-    time or, where model is None, stepped from payoff(nodes) at expiry for a
-    payoff trade and from zero for a schedule trade."""
+def _solve(instrument, ois, counterparty, bank, dyn, collateral, grid) -> PdeSolution:
+    """One solve of U on the grid, with V^c in closed form at every node
+    and time (``make_collateralized_valuation``) and its left limits, which
+    count the flows paid at each time, for the right ends of the segments."""
     curves = (ois, counterparty.hazard, bank.hazard, counterparty.basis, bank.basis)
     times = _time_grid(instrument, curves, grid.n_time)
     nodes = grid.nodes()
@@ -340,20 +333,18 @@ def _solve(instrument, ois, counterparty, bank, dyn, collateral, grid, model) ->
             "increase n_time"
         )
 
-    flows: dict[int, float] = {}
-    if instrument.schedule is not None:
-        for pay, amount in instrument.schedule.flows:
-            # pay dates are on the grid (_time_grid); else the nearest node
-            idx = int(np.argmin(np.abs(times - pay)))
-            flows[idx] = flows.get(idx, 0.0) + amount
-
-    if model is None:
-        vc = np.empty((m, len(nodes)))
-        vc[-1] = 0.0 if instrument.schedule is not None else instrument.terminal_payoff(nodes)
-    else:
+    model = make_collateralized_valuation(instrument, ois, dyn)
+    if instrument.schedule is None:
         # log(0) in Black's d1 at the node s = 0 is -inf: 0 for a call, K disc for a put
         with np.errstate(divide="ignore"):
-            vc = np.ascontiguousarray(model.value(times, nodes[:, None]).T)
+            vc = vc_ll = np.ascontiguousarray(model.value(times, nodes[:, None]).T)
+    else:
+        # the same at every node; pay dates are on the time grid (_time_grid)
+        vc, vc_ll = (
+            np.repeat(model.deterministic_values(times, inclusive=inclusive)[:, None],
+                      len(nodes), axis=1)
+            for inclusive in (False, True)
+        )
 
     stepper = _Stepper(nodes, dyn)
     rec_c, rec_b = counterparty.recovery, bank.recovery
@@ -365,10 +356,6 @@ def _solve(instrument, ois, counterparty, bank, dyn, collateral, grid, model) ->
     u[-1] = 0.0
     # cva, dva, cfva, dfva share the step matrix of U: one 4-column solve
     aux = np.zeros((4,) + vc.shape)
-
-    def ll(surface_row, k):
-        # the left limit: the row plus the flow paid on node k
-        return surface_row + flows[k] if k in flows else surface_row
 
     def theta_step(v_old, seg, r_eff, src):
         # two halved implicit-Euler steps on the first segments, then one
@@ -384,21 +371,10 @@ def _solve(instrument, ois, counterparty, bank, dyn, collateral, grid, model) ->
         segs = range(hi - 1, lo - 1, -1)
         rows = slice(lo, hi)
 
-        # a stepped riskless value first: it feeds every source below
-        if model is None:
-            for seg in segs:
-                vc[seg] = theta_step(ll(vc[seg + 1], seg + 1), seg, c_mid[seg], 0.0)
-
-        # the gap on the nodes lo..hi: each segment's left end is its own row
-        # and its right end the next row, jumped by the flow paid there; with a
-        # flow inside the block the right ends get rows of their own
-        ends = _gap_parts(np.vstack((vc[rows], ll(vc[hi], hi))), collateral)
-        gap_l, pos_l, neg_l = (a[:-1] for a in ends)
-        gap_r, pos_r, neg_r = (a[1:] for a in ends)
-        if any(lo < k < hi for k in flows):
-            gap_r, pos_r, neg_r = _gap_parts(
-                np.vstack([ll(vc[k], k) for k in range(lo + 1, hi + 1)]), collateral
-            )
+        # the gap at each segment's ends: V^c on its own row at the left end,
+        # the next row's left limit, which counts the flow paid there, at the right
+        gap_l, pos_l, neg_l = _gap_parts(vc[rows], collateral)
+        gap_r, pos_r, neg_r = _gap_parts(vc_ll[lo + 1:hi + 1], collateral)
 
         lc, lb, gc, gb = (x[rows, None] for x in (lc_mid, lb_mid, gc_mid, gb_mid))
         # the Rannacher segments take their sources at the left end alone,

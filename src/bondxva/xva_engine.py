@@ -1041,6 +1041,7 @@ def _valuation(
     if bond_mode:
         bank = CounterpartyProfile.default_free()
     if backend == "mc":
+        _refuse_grid(grid, "backend 'mc'")
         run = _prepare_mc(
             instrument, ois, collateral, dyn, n_paths, n_steps, seed, bond_mode,
             n_workers, paths,
@@ -1054,6 +1055,7 @@ def _valuation(
 
     model = make_collateralized_valuation(instrument, ois, dyn)
     if model.deterministic:
+        _refuse_grid(grid, "the deterministic solver (a schedule trade, or vol_s 0)")
         setup = _det_setup(
             instrument, ois, counterparty, bank, collateral, model, params,
             bond_implied=method == "bond_implied",
@@ -1081,6 +1083,12 @@ def _valuation(
     return replace(report, residual=abs(direct - report.fair_value)), exposure
 
 
+def _refuse_grid(grid, solver: str) -> None:
+    """A grid is read by the Crank-Nicolson solve alone; elsewhere it is refused."""
+    if grid is not None:
+        raise ValueError(f"grid is read by the Crank-Nicolson solve alone, not by {solver}")
+
+
 def run_xva(
     instrument: Instrument,
     ois: PiecewiseCurve,
@@ -1095,7 +1103,8 @@ def run_xva(
     backend, dyn, n_paths, n_steps, seed, params, bond_mode, n_workers,
     paths and grid. backend "pde" routes underlying-independent trades (and
     zero-vol dynamics) to the deterministic Volterra solver, and payoff
-    trades to the Crank-Nicolson engine; backend "mc" simulates paths (or
+    trades to the Crank-Nicolson engine, the one reader of grid (a given
+    grid elsewhere is a ValueError); backend "mc" simulates paths (or
     takes the supplied ones) and prepares them once for the method. On "mc"
     CVA and DVA integrate each name's intensity, its spread over 1 - R,
     along its spread path from dyn, so a profile's hazard curve is not read
@@ -1192,12 +1201,13 @@ def compare_aggregations(
       pi_B + gamma_B applied symmetrically, no DVA
     * cva_dva_fca: V^c - CVA + DVA - FCA (asymmetric funding cost only)
 
-    kwargs are run_xva's. The valuation is prepared once, and its first_order
-    exposure serves the full-spread legs too, on "mc" in the same sweep,
-    except in bond mode: the full-spread legs keep the bank as it is, while
-    the report values against a default-free bank on a run (or grid) of its
-    own; on "mc" the paths are still simulated once, and a second sweep of
-    ``_mc_valuation`` integrates the full-spread legs alone.
+    kwargs are run_xva's less grid, which no backend here reads. The
+    valuation is prepared once, and its first_order exposure serves the
+    full-spread legs too, on "mc" in the same sweep, except in bond mode:
+    the full-spread legs keep the bank as it is, while the report values
+    against a default-free bank on a run (or grid) of its own; on "mc" the
+    paths are still simulated once, and a second sweep of ``_mc_valuation``
+    integrates the full-spread legs alone.
     """
     collateral = collateral or CollateralSpec.none()
     # run_xva's knobs with their defaults; an unknown keyword is a TypeError
@@ -1207,6 +1217,7 @@ def compare_aggregations(
     )
     call.apply_defaults()
     opt = call.arguments
+    _refuse_grid(opt["grid"], "compare_aggregations")
     params = opt["params"] or SolverParams()
     # the full-spread legs price the bank as it is (run, setup); bond mode
     # values against a default-free bank, prepared a second time (valued)

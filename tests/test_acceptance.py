@@ -15,7 +15,6 @@ import time
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import ndtr
 
 from bondxva import (
     CashflowSchedule,
@@ -39,7 +38,7 @@ from bondxva import (
     simulate_paths,
     swap_roles,
 )
-from bondxva.pde_engine import SpatialGrid, solve_final_pde
+from bondxva.pde_engine import SpatialGrid
 
 OIS = PiecewiseCurve.flat(0.02)
 ZERO = PiecewiseCurve.flat(0.0)
@@ -266,30 +265,26 @@ def test_mc_default_legs_match_competing_exponential_oracles():
     assert abs(first_c - first_ref) <= 3.0 * se_first
 
 
-def test_pde_call_matches_lognormal_closed_form_at_second_order():
-    s0, strike, rate, vol, horizon = 100.0, 100.0, 0.02, 0.2, 1.0
-    d1 = (math.log(s0 / strike) + (rate + 0.5 * vol**2) * horizon) / (
-        vol * math.sqrt(horizon)
-    )
-    d2 = d1 - vol * math.sqrt(horizon)
-    reference = s0 * ndtr(d1) - strike * math.exp(-rate * horizon) * ndtr(d2)
-    assert abs(reference - 8.916) < 1e-3
+def test_pde_adjustment_converges_at_second_order_in_space():
+    # the README call with credit, uncollateralized; V^c is Black's formula
+    # on every grid, so the grid's error is the adjustment U = V - V^c
+    call = Instrument.european_option("call", 100.0, 1.0)
+    cp = CounterpartyProfile(0.4, PiecewiseCurve.flat(0.03), PiecewiseCurve.flat(0.012))
+    bank = CounterpartyProfile(0.35, PiecewiseCurve.flat(0.02), PiecewiseCurve.flat(0.008))
+    dyn = ModelDynamics(s0=100.0, rate=0.02, vol_s=0.3)
 
-    call = Instrument.european_option("call", strike, horizon)
-    free = CounterpartyProfile.default_free()
-    dyn = ModelDynamics(s0=s0, rate=rate, vol_s=vol)
-    ois = PiecewiseCurve.flat(rate)
-
-    errors = []
-    for n_space in (401, 801):
-        solution = solve_final_pde(
-            call, ois, free, free, dyn, SpatialGrid(0.0, 400.0, n_space, 1600)
+    adjustments = []
+    for n_space in (101, 201, 401, 801, 1601):
+        report, _ = run_xva(
+            call, OIS, cp, bank, backend="pde", dyn=dyn,
+            grid=SpatialGrid(0.0, 400.0, n_space, 1600),
         )
-        errors.append(abs(solution.interp(solution.v, s0) - reference))
-    assert errors[0] <= 0.01
-    # halving the mesh width quarters the error (second-order space scheme)
-    ratio = errors[0] / errors[1]
-    assert 3.0 <= ratio <= 5.0
+        adjustments.append(report.fair_value - report.v_coll)
+    changes = np.diff(adjustments)
+    assert abs(changes[0]) <= 1e-3
+    # halving the mesh width quarters the change (second-order space scheme)
+    for coarse, fine in zip(changes, changes[1:]):
+        assert 3.0 <= coarse / fine <= 5.0
 
 
 def test_collateral_threshold_spans_perfect_to_uncollateralized():

@@ -352,6 +352,20 @@ class TestXva:
         assert payload["method"] == "recursive_pde"
         assert payload["fair_value"] > 0
 
+    @pytest.mark.parametrize("case", ["mc", "zero_vol", "schedule"])
+    def test_a_grid_that_no_solve_reads_exits_2(self, tmp_path, capsys, case):
+        grid = {"s_min": 0.0, "s_max": 400.0, "n_space": 101, "n_time": 60}
+        cfg_data = json.loads(json.dumps(XVA_DET_CFG if case == "schedule" else XVA_MC_CFG))
+        cfg_data["grid"] = grid
+        if case == "zero_vol":
+            del cfg_data["mc"]
+            cfg_data["backend"] = "pde"
+            cfg_data["dynamics"]["vol_s"] = 0.0
+        code, out, err = run_cli(["xva", "--config", write_config(tmp_path, cfg_data)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "grid is read by the Crank-Nicolson solve alone" in err
+
 
 class TestCompareConventions:
     def test_emits_all_four_aggregations(self, tmp_path, capsys):

@@ -109,11 +109,12 @@ class TestStepper:
                 got = stepper.step(v_old, dt, r_eff, theta, source)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_the_readme_call_factors_two_step_matrices(self, monkeypatch):
-        # on the default grid V^c is Black's formula and U takes one
-        # Crank-Nicolson and one halved implicit-Euler matrix; linspace's
-        # rounding once spread the uniform steps over 11 distinct dt and 26
-        # factorizations
+    @pytest.mark.parametrize("grid", [None, SpatialGrid(0.0, 400.0, 101, 60)],
+                             ids=["default", "explicit"])
+    def test_the_readme_call_factors_two_step_matrices(self, monkeypatch, grid):
+        # on every grid V^c is Black's formula and U takes one Crank-Nicolson
+        # and one halved implicit-Euler matrix; linspace's rounding once
+        # spread the uniform steps over 11 distinct dt and 26 factorizations
         made = []
 
         class Recorded(_Stepper):
@@ -127,7 +128,7 @@ class TestStepper:
         solve_final_pde(
             Instrument.european_option("call", strike=100.0, expiry=1.0), OIS, cp, bank,
             ModelDynamics(s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013),
-            collateral=CollateralSpec.bilateral_threshold(5.0),
+            grid, collateral=CollateralSpec.bilateral_threshold(5.0),
         )
         assert [len(stepper._factors) for stepper in made] == [2]
 
@@ -266,6 +267,8 @@ class TestScheduleTrades:
         }
         fair_value = math.fsum((cn["v_coll"], -cn["cva"], cn["dva"], cn["dfva"] - cn["cfva"]))
         assert abs(fair_value - det.fair_value) < 1e-3
+        # both read V^c as discounted flows; the adjustments carry the grids' error
+        assert abs(cn.pop("v_coll") - det.v_coll) < 1e-12
         for field, value in cn.items():
             assert abs(value - getattr(det, field)) < 5e-4
 
@@ -320,12 +323,11 @@ class TestReportAssembly:
             method="recursive", backend="mc", dyn=self.DYN,
             n_paths=40_000, n_steps=50, seed=505,
         )
-        # the simulated V^c is Black's formula at s0, while the grid's carries
-        # its own discretization error (1e-6 here): the adjustments are
-        # compared within the Monte Carlo error, V^c within the grid's
+        # both read V^c as Black's formula at s0: the adjustments are
+        # compared within the Monte Carlo error, V^c to rounding
         adjustments = (mc.fair_value - mc.v_coll, pde.fair_value - pde.v_coll)
         assert abs(adjustments[0] - adjustments[1]) < 3 * mc.se_fair_value
-        assert abs(mc.v_coll - pde.v_coll) < 5e-3
+        assert abs(mc.v_coll - pde.v_coll) < 1e-12
         assert abs(mc.cva - pde.cva) < 3 * mc.se_cva
         assert mc.dva == 0.0 and pde.dva == 0.0
         # funding legs carry a small regression bias on the simulated route,
@@ -463,9 +465,7 @@ class TestDefaultGrid:
 
     def test_random_trades_are_within_3e_4_of_a_finer_grid(self):
         # 24 calls, puts and forwards; the reference is a solve on 8 times the
-        # base cells (twice the default's) and 4 times the steps. Its V^c is
-        # stepped from the kinked payoff and carries an error of up to 1.2e-3
-        # of its own, so the reference fair value is Black plus its adjustments
+        # base cells (twice the default's) and 4 times the steps
         rng = np.random.default_rng(11)
         for i in range(24):
             kind = ("call", "put", "forward")[i % 3]
@@ -491,41 +491,45 @@ class TestDefaultGrid:
             assert report.fair_value == math.fsum(
                 (report.v_coll, -report.cva, report.dva, report.bfva)
             ), i
-            adjustment = reference.fair_value - reference.v_coll
-            assert abs(report.fair_value - (black + adjustment)) < 3e-4, i
+            assert abs(report.fair_value - reference.fair_value) < 3e-4, i
 
-    @staticmethod
-    def recorded_models(monkeypatch):
-        """The V^c model each ``_solve`` is handed: None where it steps V^c."""
-        models = []
-        solve = pde_engine._solve
-
-        def recorded(*args):
-            models.append(args[-1])
-            return solve(*args)
-
-        monkeypatch.setattr(pde_engine, "_solve", recorded)
-        return models
-
-    def test_an_explicit_grid_is_one_solve_from_the_nodal_payoff(self, monkeypatch):
-        models = self.recorded_models(monkeypatch)
-        call = Instrument.european_option("call", 101.49, 1.0)
+    def test_an_explicit_grid_reads_black_at_every_node_and_time(self):
+        strike = 101.49
+        call = Instrument.european_option("call", strike, 1.0)
         sol = solve_final_pde(call, OIS, self.CP, self.BANK, self.dyn(),
-                              SpatialGrid(0.0, 400.0, 101, 60))
-        assert models == [None]
+                              SpatialGrid(0.0, 400.0, 101, 60), self.COLL)
         assert sol.s_nodes.shape == (101,) and len(sol.times) == 61
-        assert np.array_equal(sol.v_coll[-1], call.terminal_payoff(sol.s_nodes))
+        for t, row in zip(sol.times, sol.v_coll):
+            if t == 1.0:
+                want = np.maximum(sol.s_nodes - strike, 0.0)
+            else:
+                want = [0.0] + [black_price(s, strike, 0.02, 0.3, 1.0 - t, "call")
+                                for s in sol.s_nodes[1:]]
+            np.testing.assert_allclose(row, want, rtol=0.0, atol=1e-12)
 
-    def test_a_schedule_trade_steps_v_coll_on_the_default_grid(self, monkeypatch):
-        models = self.recorded_models(monkeypatch)
-        bond = Instrument.coupon_bond(
-            CashflowSchedule(((0.5, 3.0), (1.0, 103.0)), notional=100.0)
-        )
+    def test_an_explicit_grid_agrees_with_the_default_grid(self):
+        # V^c is the same closed form on both, so only U's discretization differs
+        call = Instrument.european_option("call", 100.0, 1.0)
+        default = self.value(call, self.dyn())
+        explicit = self.value(call, self.dyn(), grid=SpatialGrid(0.0, 400.0, 401, 600))
+        assert abs(explicit.v_coll - default.v_coll) < 1e-12
+        assert abs(explicit.fair_value - default.fair_value) < 1e-4
+
+    def test_a_schedule_trade_v_coll_is_its_discounted_flows(self):
+        flows = ((0.5, 3.0), (1.0, 103.0))
+        bond = Instrument.coupon_bond(CashflowSchedule(flows, notional=100.0))
         sol = solve_final_pde(bond, OIS, self.CP, self.BANK, ModelDynamics(s0=100.0, vol_s=0.2))
-        assert models == [None]
-        # the stepped V^c carries the time stepping's error, 9e-7 here
-        want = 3.0 * math.exp(-0.01) + 103.0 * math.exp(-0.02)
-        assert abs(sol.interp(sol.v_coll, 100.0) - want) < 5e-6
+        want = [math.fsum(a * math.exp(-0.02 * (pay - t)) for pay, a in flows if pay > t)
+                for t in sol.times]
+        np.testing.assert_allclose(sol.v_coll, np.repeat(np.array(want)[:, None], 401, axis=1),
+                                   rtol=0.0, atol=1e-12)
+        # a step back from each pay date, V^c is the flow and what is left,
+        # discounted over the step
+        for pay, amount in flows:
+            k = int(np.flatnonzero(sol.times == pay)[0])
+            growth = math.exp(-0.02 * (pay - sol.times[k - 1]))
+            np.testing.assert_allclose(sol.v_coll[k - 1], (sol.v_coll[k] + amount) * growth,
+                                       rtol=0.0, atol=1e-12)
         assert np.ptp(sol.v[0]) < 1e-9
 
 

@@ -1138,6 +1138,22 @@ class TestDispatchValidation:
                 backend="pde", dyn=dyn,
             )
 
+    @pytest.mark.parametrize("case", ["mc", "schedule", "zero_vol"])
+    def test_a_grid_that_no_solve_reads_is_refused(self, case):
+        # only the Crank-Nicolson solve of a payoff trade reads a grid
+        dyn = ModelDynamics(s0=100.0, rate=0.02, vol_s=0.0 if case == "zero_vol" else 0.3)
+        trade = ZCB if case == "schedule" else Instrument.european_option("call", 100.0, 1.0)
+        with pytest.raises(ValueError, match="grid is read by the Crank-Nicolson solve alone"):
+            run_xva(trade, OIS, RISKY_CP, RISKY_BANK, backend="mc" if case == "mc" else "pde",
+                    dyn=dyn, n_paths=200, n_steps=4, grid=SpatialGrid(0.0, 400.0, 61, 30))
+
+    @pytest.mark.parametrize("backend", ["mc", "pde"])
+    def test_compare_aggregations_refuses_a_grid(self, backend):
+        dyn = ModelDynamics(s0=100.0, rate=0.02, vol_s=0.3)
+        with pytest.raises(ValueError, match="not by compare_aggregations"):
+            compare_aggregations(ZCB, OIS, RISKY_CP, RISKY_BANK, backend=backend, dyn=dyn,
+                                 n_paths=200, n_steps=4, grid=SpatialGrid(0.0, 400.0, 61, 30))
+
     def test_supplied_paths_must_span_the_trade(self):
         dyn = ModelDynamics(s0=1.0, pi0_c=0.018, pi0_b=0.013)
         paths = simulate_paths(dyn, 1.0, n_steps=8, n_paths=50, seed=0)

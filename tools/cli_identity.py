@@ -36,6 +36,8 @@ The matrix:
   the call, the put and the forward on an explicit grid, uncollateralized
   and with a threshold, in both markets; and on the deterministic backend
   (the coupon bond and a zero-volatility call) with all three methods;
+* ``xva`` with an explicit grid that no Crank-Nicolson solve reads: on
+  ``mc`` and on the zero-volatility ``pde`` path (both exit 2);
 * ``compare-conventions`` on ``mc`` (``n_workers`` 1 and 2) and on ``pde``;
 * ``bond-price`` under all three recovery conventions, for a bullet and
   an explicit-flow bond, at t = 0 and inside a coupon period, on flat
@@ -177,7 +179,7 @@ def matrix() -> list[tuple[str, str, dict]]:
             {"instrument": inst, **MARKETS["flat"], "collateral": COLLATERALS["threshold"],
              "dynamics": {**DYNAMICS, "vol_s": vol}, "backend": "pde"},
         ))
-    # an explicit grid: one solve from the payoff at the nodes
+    # an explicit grid: U solved on it, with V^c in closed form at its nodes
     for (iname, inst), cname, (mname, market) in itertools.product(
         (("call", CALL), ("put", PUT), ("forward", FORWARD)), ("none", "threshold"),
         MARKETS.items(),
@@ -188,6 +190,14 @@ def matrix() -> list[tuple[str, str, dict]]:
              "dynamics": DYNAMICS, "backend": "pde", "grid": GRID},
         ))
     zero_vol = {**DYNAMICS, "vol_s": 0.0}
+    # a grid where no Crank-Nicolson solve would read it
+    for name, knobs in (("mc", {"backend": "mc", "mc": mc}),
+                        ("det", {"backend": "pde", "dynamics": zero_vol})):
+        out.append((
+            f"xva-{name}-grid", "xva",
+            {"instrument": CALL, **MARKETS["flat"], "collateral": COLLATERALS["threshold"],
+             "dynamics": DYNAMICS, "grid": GRID, **knobs},
+        ))
     for (iname, inst), method, (cname, coll), bond_mode, (mname, market) in (
         itertools.product((("coupon", COUPON), ("call", CALL)), METHODS,
                           (("threshold", COLLATERALS["threshold"]),
