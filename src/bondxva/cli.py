@@ -21,8 +21,9 @@ that JSON input may spell; a boolean or string where a number belongs
 (``true``, ``"0.4"``); a count or seed that is not whole (``2.5``,
 ``"100"``); a non-string where text belongs (a ``mode`` of ``5``); an empty
 list; a ``bond_mode`` that is not a JSON boolean (``"false"``, ``1``). A
-finite number too large for the valuation's arithmetic also exits 2. Exit
-codes: 0 success, 2 config or validation error, 3 calibration failure.
+finite number too large for the valuation's arithmetic also exits 2, as
+does a valid config that the valuation refuses (``error: cannot value``).
+Exit codes: 0 success, 2 config or validation error, 3 calibration failure.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import sys
 from .bond_pricer import RecoveryConvention, price_bond
 from .calibrator import CalibrationError, bootstrap_basis
 from .curves import CounterpartyProfile, PiecewiseCurve
-from .instruments import CashflowSchedule, CollateralSpec, Instrument, bullet_bond
+from .instruments import CashflowSchedule, CollateralSpec, Instrument, ValuationError, bullet_bond
 from .mc_engine import ModelDynamics
 from .pde_engine import SpatialGrid
 from .xva_engine import (
@@ -396,6 +397,9 @@ def main(argv=None) -> int:
     except CalibrationError as exc:
         print(f"error: calibration failed: {exc}", file=sys.stderr)
         return EXIT_CALIBRATION
+    except ValuationError as exc:
+        print(f"error: cannot value: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     # OverflowError: a finite number too large for the valuation's arithmetic
     except (ConfigError, ValueError, TypeError, KeyError, OverflowError) as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)

@@ -23,6 +23,7 @@ if TYPE_CHECKING:
     from .mc_engine import ModelDynamics, PathSet
 
 __all__ = [
+    "ValuationError",
     "CashflowSchedule",
     "Instrument",
     "CollateralSpec",
@@ -33,6 +34,11 @@ __all__ = [
 
 SCHEDULE_KINDS = ("zero_coupon_bond", "coupon_bond")
 PAYOFF_KINDS = ("forward", "european_option")
+
+
+class ValuationError(ValueError):
+    """A valuation's refusal of valid input: a survival that underflows, a
+    funding slice without a solution, a default grid short of its bound."""
 
 
 @dataclass(frozen=True)
@@ -148,10 +154,6 @@ class Instrument:
             strike=strike,
             expiry=expiry,
         )
-
-    @property
-    def depends_on_underlying(self) -> bool:
-        return self.kind in PAYOFF_KINDS
 
     @property
     def maturity(self) -> float:

@@ -23,20 +23,23 @@ U carries no payoff kink, and no jump at a pay date, where V and V^c jump
 by the same flow. V is V^c + U.
 
 Scheme: Crank-Nicolson with a Rannacher start (two implicit-Euler steps,
-halved), the nonlinear funding source treated explicitly at the old time
-level, linearity boundary at s_max (one-sided convection, zero curvature)
+halved), linearity boundary at s_max (one-sided convection, zero curvature)
 and a frozen ODE at s_min (exact at s_min = 0, where the generator
-degenerates). Each tridiagonal step matrix depends only on (dt, rate,
-theta), so it is LU-factored once per distinct key (LAPACK gttrf), and a
-theta-step is one gttrs solve (see ``_Stepper``). The segments are swept
-latest first in blocks of ``_SOURCE_BLOCK``: the close-out sources of the
-whole block are formed as (segments, nodes) arrays, and U steps through
-it, adding its explicit funding source segment by segment; then the
-funding sources of the four auxiliary surfaces are formed for the block,
-and the surfaces, which share the matrix of U, step through it as one
-four-column right-hand side. Non-finite input is rejected with
-ValueError: in the step matrix when it is factored, or in the auxiliary
-sources, which every solved surface feeds.
+degenerates). The nonlinear funding term is split off each segment (Strang
+1968, second order): half a segment of its reaction dx/dtau = -gamma_C x^+
++ gamma_B x^- on x = g + U at the right end, the theta-step of the linear
+terms, and half a segment at the left end. With g frozen the reaction is
+exact: x keeps its sign and is scaled by exp(-gamma dt / 2) of its side,
+so no basis is too steep for a step. Each tridiagonal step matrix depends
+only on (dt, rate, theta), so it is LU-factored once per distinct key
+(LAPACK gttrf), and a theta-step is one gttrs solve (see ``_Stepper``).
+The segments are swept latest first in blocks of ``_SOURCE_BLOCK``: the
+close-out sources of the whole block are formed as (segments, nodes)
+arrays, and U steps through it; then the funding sources of the four
+auxiliary surfaces are formed for the block, and the surfaces, which share
+the matrix of U, step through it as one four-column right-hand side.
+Non-finite input is rejected with ValueError: in the step matrix when it
+is factored, or in the auxiliary sources, which every solved surface feeds.
 
 V^c is never stepped: on every grid it is the closed form of
 ``make_collateralized_valuation`` at every node and time, Black's formula
@@ -62,6 +65,7 @@ from .curves import CounterpartyProfile, PiecewiseCurve
 from .instruments import (
     CollateralSpec,
     Instrument,
+    ValuationError,
     collateral_amount,
     make_collateralized_valuation,
 )
@@ -76,8 +80,6 @@ __all__ = [
 ]
 
 _RANNACHER_SEGMENTS = 2
-# the stiffness bound of the explicit funding source: max |gamma| dt
-_MAX_WOBBLE = 0.25
 # the default grid: _REFINE N cells and 3N/2 steps; N = _BASE_CELLS or more,
 # up to _MAX_BASE_CELLS, until s0 is node _MIN_S0_NODE of N cells or beyond
 _BASE_CELLS = 100
@@ -85,8 +87,6 @@ _REFINE = 4
 _BASE_STEPS = 150
 _MAX_BASE_CELLS = 600
 _MIN_S0_NODE = 12
-# at most this many steps for stiff bases; the stiffness check refuses the rest
-_MAX_STEPS = 600
 # segments per block of the source passes: each segment of a block holds
 # about 17 node rows of temporaries, and longer blocks gain little speed
 _SOURCE_BLOCK = 8
@@ -235,12 +235,7 @@ def _gap_parts(vc: np.ndarray, collateral: CollateralSpec):
     return gap, np.maximum(gap, 0.0), np.maximum(-gap, 0.0)
 
 
-def _default_grid(
-    instrument: Instrument,
-    counterparty: CounterpartyProfile,
-    bank: CounterpartyProfile,
-    dyn: ModelDynamics,
-) -> SpatialGrid:
+def _default_grid(instrument: Instrument, dyn: ModelDynamics) -> SpatialGrid:
     """The grid of a solve without a given one.
 
     It has 4N cells, N = 100 or, where s0 would fall below node 12 of N
@@ -248,11 +243,11 @@ def _default_grid(
     s0 N / j, the nearest point at or above 5 standard deviations of log S
     above the larger of s0 and the strike at which s0 is node j of N cells
     (node 4j of the grid). A bound so far out that 600 cells leave s0 at
-    node 0 or 1 raises ValueError. The grid takes 150 steps, or as many more
-    as the stiffness check needs for the funding bases, with one to spare
-    and at most _MAX_STEPS. The cells set U's error: on 24 random trades,
-    4N cells have a median error 4 times below 2N cells and 17 times below
-    N cells at the same steps, against 16N cells.
+    node 0 or 1 raises ValuationError. The grid takes 150 steps whatever
+    the funding bases, since the funding reaction is solved exactly. The
+    cells set U's error: on 24 random trades, 4N cells have a median error
+    4 times below 2N cells and 17 times below N cells at the same steps,
+    against 16N cells.
     """
     horizon = instrument.maturity
     ref = max(dyn.s0, instrument.strike or dyn.s0)
@@ -264,18 +259,13 @@ def _default_grid(
     while (j := math.floor(cells * dyn.s0 / bound)) < _MIN_S0_NODE and cells < _MAX_BASE_CELLS:
         cells += 1
     if j < 2:
-        raise ValueError(
+        raise ValuationError(
             f"the default grid's 5-standard-deviation bound {bound:.6g} of S is "
             f"{bound / dyn.s0:.4g} s0, so {_MAX_BASE_CELLS} cells leave s0 at node "
             f"{j}; give an explicit grid"
         )
     s_max = float(dyn.s0 * cells / j)
-    # the bases are constant between their nodes
-    bases = (counterparty.basis, bank.basis)
-    knots = {t for curve in bases for t in curve.times if t < horizon}
-    gamma = max(sum(abs(curve.value_at(t)) for curve in bases) for t in knots)
-    n_time = math.ceil(np.clip(horizon * gamma / _MAX_WOBBLE + 1.0, _BASE_STEPS, _MAX_STEPS))
-    return SpatialGrid(0.0, s_max, _REFINE * cells + 1, n_time)
+    return SpatialGrid(0.0, s_max, _REFINE * cells + 1, _BASE_STEPS)
 
 
 def solve_final_pde(
@@ -290,10 +280,10 @@ def solve_final_pde(
     """Backward induction of U = V - V^c and the four adjustment surfaces,
     with V^c in closed form at every node and time.
 
-    The grid is the given one or ``_default_grid``: 401 nodes and 150
-    steps (more nodes where s0 would fall below node 48, more steps where
-    the funding bases need them), up to at least 5 standard deviations of
-    log S above the larger of s0 and the strike and with s0 on a node."""
+    The grid is the given one or ``_default_grid``: 401 nodes (more where
+    s0 would fall below node 48) and 150 steps, up to at least 5 standard
+    deviations of log S above the larger of s0 and the strike and with s0
+    on a node."""
     collateral = collateral or CollateralSpec.none()
     if dyn is None:
         raise ValueError("the finite-difference backend requires model dynamics")
@@ -302,7 +292,7 @@ def solve_final_pde(
     if dyn.vol_c != 0.0 or dyn.vol_b != 0.0:
         raise ValueError("the finite-difference backend requires deterministic spreads")
 
-    grid = grid or _default_grid(instrument, counterparty, bank, dyn)
+    grid = grid or _default_grid(instrument, dyn)
     return _solve(instrument, ois, counterparty, bank, dyn, collateral, grid)
 
 
@@ -325,13 +315,6 @@ def _solve(instrument, ois, counterparty, bank, dyn, collateral, grid) -> PdeSol
     lb_mid = bank.hazard.values_at(mids)
     gc_mid = counterparty.basis.values_at(mids)
     gb_mid = bank.basis.values_at(mids)
-
-    wobble = float(np.max(dts * (np.abs(gc_mid) + np.abs(gb_mid))))
-    if wobble > _MAX_WOBBLE:
-        raise ValueError(
-            f"explicit funding source too stiff (max |gamma| dt = {wobble:.3f}); "
-            "increase n_time"
-        )
 
     model = make_collateralized_valuation(instrument, ois, dyn)
     if instrument.schedule is None:
@@ -364,6 +347,11 @@ def _solve(instrument, ois, counterparty, bank, dyn, collateral, grid) -> PdeSol
         for sub_dt, theta in ((dt / 2, 1.0),) * 2 if seg >= implicit_from else ((dt, 0.5),):
             v_old = stepper.step(v_old, sub_dt, r_eff, theta, src)
         return v_old
+
+    def react(u_seg, gap, seg):
+        # the funding reaction of x = gap + U over half the segment, gap frozen
+        x = gap + u_seg
+        return x * np.where(x >= 0.0, *decay[seg]) - gap
 
     def sweep(lo, hi):
         """The segments [lo, hi), latest first; the sources are formed as
@@ -402,15 +390,14 @@ def _solve(instrument, ois, counterparty, bank, dyn, collateral, grid) -> PdeSol
             average(left, right, src[:, k])
         lin = src[:, 1] - src[:, 0]
 
-        # the funding source is explicit at the right end, so it waits for
-        # each segment's u[seg + 1]
-        gap_v_r = np.empty_like(lin)
+        # the theta-step with the close-out source alone, between the
+        # funding reaction's half-steps on the gaps at the right and left ends
         for seg in segs:
             j = seg - lo
-            gap = np.add(gap_r[j], u[seg + 1], out=gap_v_r[j])
-            funding_src = -gc_mid[seg] * np.maximum(gap, 0.0) + gb_mid[seg] * np.maximum(-gap, 0.0)
-            u[seg] = theta_step(u[seg + 1], seg, r_full[seg], lin[j] + funding_src)
+            u_mid = react(u[seg + 1], gap_r[j], seg)
+            u[seg] = react(theta_step(u_mid, seg, r_full[seg], lin[j]), gap_l[j], seg)
 
+        gap_v_r = gap_r + u[lo + 1:hi + 1]
         for k, left, right in zip((2, 3), funding(gap_l + u[rows]), funding(gap_v_r)):
             average(left, right, src[:, k])
         # every solved surface and every input reaches these sources, so a
@@ -423,8 +410,13 @@ def _solve(instrument, ois, counterparty, bank, dyn, collateral, grid) -> PdeSol
         for seg in segs:
             aux[:, seg] = theta_step(aux[:, seg + 1], seg, r_full[seg], src[seg - lo])
 
-    for hi in range(m - 1, 0, -_SOURCE_BLOCK):
-        sweep(max(hi - _SOURCE_BLOCK, 0), hi)
+    # a negative basis can overflow the growth of x; the inf or NaN that
+    # follows is refused by name at the sources of its block
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the half-segment reaction factors of x^+ and x^-, per segment
+        decay = np.exp(-0.5 * dts * np.stack((gc_mid, gb_mid))).T.tolist()
+        for hi in range(m - 1, 0, -_SOURCE_BLOCK):
+            sweep(max(hi - _SOURCE_BLOCK, 0), hi)
 
     cva, dva, cfva, dfva = aux
     return PdeSolution(

@@ -93,6 +93,7 @@ from . import pde_engine
 from .instruments import (
     CollateralSpec,
     Instrument,
+    ValuationError,
     _node,
     _PayoffValuation,
     _window_end,
@@ -395,7 +396,7 @@ def _funding_trapezoid(paths: PathSet, disc, state, solve=None, moments=None):
     solve(k, gap, funding) returns before t_last (the recursive value's),
     else the gap itself: at the last time nothing remains. funding is
     (settled, cost, benefit) per unit of weight D(0, t_k) survival(t_k),
-    and a ValueError naming t_k and the number of paths refuses a weight
+    and a ValuationError naming t_k and the number of paths refuses a weight
     of 0 (a survival that underflows), which would make settled 0 / 0.
     settled is the net (``_net``) of
     every leg from t_k on but the funding densities at t_k, and those
@@ -436,7 +437,7 @@ def _funding_trapezoid(paths: PathSet, disc, state, solve=None, moments=None):
             advance(0, _sided(*default[1]))
         if solve is not None and k < last:
             if not weight.all():
-                raise ValueError(
+                raise ValuationError(
                     f"the survival weight D(0, t) S(t) is 0 on "
                     f"{np.count_nonzero(weight == 0)} of {paths.n_paths} paths at "
                     f"t={times[k]:.6g}: the survival underflows, so the recursive value "
@@ -976,13 +977,13 @@ def _divisors(times: np.ndarray, steps: np.ndarray, gammas: np.ndarray, label: s
     """1 + steps * gamma, gammas the two funding bases (counterparty, bank)
     at times[j] for each step j: the divisors of a grid time's closed-form
     solve, which exists only where every one is > 0 (x + steps (gamma_C x^+
-    - gamma_B x^-) is monotone then). Raises ValueError naming the first
+    - gamma_B x^-) is monotone then). Raises ValuationError naming the first
     side, basis and time where one is not, a NaN basis included; label
     names the steps in the message."""
     denoms = 1.0 + steps * gammas
     if not (denoms > 0).all():  # a NaN fails too
         side, j = np.argwhere(~(denoms > 0))[0]
-        raise ValueError(
+        raise ValuationError(
             f"the {('counterparty', 'bank')[side]} funding basis {gammas[side, j]:.6g} "
             f"leaves 1 + {label} * basis not > 0 at t={times[j]:.6g}: the "
             "recursion has no solution on this grid"

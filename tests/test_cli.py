@@ -302,14 +302,15 @@ class TestXva:
         assert (payload["iterations"], payload["residual"], payload["converged"]) == (1, 0.0, True)
         assert payload == json.loads(default)
 
-    def test_an_unsolvable_monte_carlo_slice_is_a_config_error(self, tmp_path, capsys):
+    def test_an_unsolvable_monte_carlo_slice_cannot_be_valued(self, tmp_path, capsys):
         # 12 steps a year with a -30 basis: 1 + 0.5 * dt * basis < 0 at t = 0
         cfg_data = json.loads(json.dumps(XVA_MC_CFG))
         cfg_data["bank"]["basis"] = -30.0
         code, out, err = run_cli(["xva", "--config", write_config(tmp_path, cfg_data)], capsys)
         assert code == 2
         assert out == ""
-        assert "bank funding basis -30" in err and "t=0:" in err
+        assert err.startswith("error: cannot value: the bank funding basis -30")
+        assert "t=0:" in err
 
     def test_a_survival_that_underflows_names_the_time_and_paths(self, tmp_path, capsys):
         # a counterparty spread of 500: the survival is 0.0 on every path
@@ -322,10 +323,11 @@ class TestXva:
                                      capsys)
         assert code == 2
         assert out == ""
-        assert "survival weight D(0, t) S(t) is 0 on 1500 of 1500 paths at t=0.916667" in err
+        assert err.startswith("error: cannot value: the survival weight D(0, t) S(t) is 0 "
+                              "on 1500 of 1500 paths at t=0.916667")
         assert "nan" not in err
 
-    def test_an_unsolvable_deterministic_grid_is_a_config_error(self, tmp_path, capsys):
+    def test_an_unsolvable_deterministic_grid_cannot_be_valued(self, tmp_path, capsys):
         # one 2y step with a -0.6 basis: 1 + dt * basis < 0 at t = 0
         cfg_data = json.loads(json.dumps(XVA_DET_CFG))
         cfg_data["counterparty"]["basis"] = -0.6
@@ -334,11 +336,25 @@ class TestXva:
         code, out, err = run_cli(["xva", "--config", cfg], capsys)
         assert code == 2
         assert out == ""
-        assert "counterparty funding basis -0.6" in err and "t=0:" in err
+        assert err.startswith("error: cannot value: the counterparty funding basis -0.6")
+        assert "t=0:" in err
         del cfg_data["solver"]  # the default grid solves it
         code, out, _ = run_cli(["xva", "--config", write_config(tmp_path, cfg_data)], capsys)
         assert code == 0
         assert json.loads(out)["iterations"] == 1
+
+    def test_a_bound_no_default_grid_reaches_cannot_be_valued(self, tmp_path, capsys):
+        # 5 standard deviations of log S over 5y at vol 0.6: about 905 s0
+        cfg_data = json.loads(json.dumps(XVA_MC_CFG))
+        del cfg_data["mc"]
+        cfg_data["backend"] = "pde"
+        cfg_data["instrument"]["expiry"] = 5.0
+        cfg_data["dynamics"]["vol_s"] = 0.6
+        code, out, err = run_cli(["xva", "--config", write_config(tmp_path, cfg_data)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot value: the default grid's 5-standard-deviation")
+        assert err.rstrip().endswith("give an explicit grid")
 
     def test_finite_difference_grid_can_come_from_the_config(self, tmp_path, capsys):
         cfg_data = json.loads(json.dumps(XVA_MC_CFG))

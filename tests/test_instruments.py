@@ -58,7 +58,6 @@ class TestInstrument:
         assert bond.kind == "zero_coupon_bond"
         assert bond.schedule.flows == ((2.0, 100.0),)
         assert bond.maturity == 2.0
-        assert not bond.depends_on_underlying
 
     def test_zero_coupon_kind_rejects_multi_flow_schedule(self):
         sched = CashflowSchedule(((1.0, 5.0), (2.0, 100.0)), 100.0)

@@ -22,6 +22,7 @@ from bondxva.instruments import (
     CashflowSchedule,
     CollateralSpec,
     Instrument,
+    ValuationError,
     collateral_amount,
 )
 from bondxva.mc_engine import (
@@ -465,7 +466,7 @@ class TestMethodRelations:
         assert (theirs.cfva, theirs.dfva) == (ours.dfva, ours.cfva)
         # 1 + 0.5 * 1 * (-2.0) is 0: the slice's funding is not monotone
         negative = replace(RISKY_BANK, basis=PiecewiseCurve.flat(-2.0))
-        with pytest.raises(ValueError, match="the bank funding basis -2 leaves "
+        with pytest.raises(ValuationError, match="the bank funding basis -2 leaves "
                                              r"1 \+ 0.5 \* dt \* basis not > 0 at t=0:"):
             run_xva(TWO_SIDED, OIS, RISKY_CP, negative, paths=paths)
 
@@ -481,7 +482,7 @@ class TestMethodRelations:
             negative = replace(RISKY_CP if side == "counterparty" else RISKY_BANK, basis=basis)
             return (negative, RISKY_BANK) if side == "counterparty" else (RISKY_CP, negative)
 
-        with pytest.raises(ValueError, match=f"the {side} funding basis -2 leaves "
+        with pytest.raises(ValuationError, match=f"the {side} funding basis -2 leaves "
                                              r"1 \+ 0.5 \* dt \* basis not > 0 at t=1:"):
             run_xva(TWO_SIDED, OIS, *turning(1.0), paths=paths)
         # at maturity V = V^c: no slice is solved there, so nothing is checked
@@ -644,7 +645,7 @@ class TestDeterministicSolve:
         cp, bank = (negative, RISKY_BANK) if side == "counterparty" else (RISKY_CP, negative)
         # one 2y step: 1 + 2 * (-0.6) < 0, so x + dt (gamma_C x^+ - gamma_B x^-)
         # is not monotone and node 0 has no solution
-        with pytest.raises(ValueError, match=f"the {side} funding basis -0.6 .* at t=0:"):
+        with pytest.raises(ValuationError, match=f"the {side} funding basis -0.6 .* at t=0:"):
             run_xva(ZCB, OIS, cp, bank, method="recursive", backend="pde",
                     params=SolverParams(det_steps=1))
         report, _ = run_xva(ZCB, OIS, cp, bank, method="recursive", backend="pde")
@@ -2057,7 +2058,7 @@ class TestIntensityLegs:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for workers in (1, 2):
-                with pytest.raises(ValueError, match=(
+                with pytest.raises(ValuationError, match=(
                     r"survival weight D\(0, t\) S\(t\) is 0 on 2000 of 2000 paths "
                     r"at t=0\.9375: the survival underflows"
                 )):

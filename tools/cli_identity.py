@@ -32,7 +32,8 @@ The matrix:
 * ``xva`` on ``pde`` for the same trades under four collateral modes,
   ``bond_mode`` off and on and both markets, on the default grid, and
   there too a long-dated high-volatility put that needs more than 100
-  base cells and a 5y call whose bound no grid reaches (exit 2); for
+  base cells, a 5y call whose bound no grid reaches (exit 2) and the
+  call under threshold 5 at funding bases 30/30, 100/100 and -5/-3; for
   the call, the put and the forward on an explicit grid, uncollateralized
   and with a threshold, in both markets; and on the deterministic backend
   (the coupon bond and a zero-volatility call) with all three methods;
@@ -178,6 +179,16 @@ def matrix() -> list[tuple[str, str, dict]]:
             f"xva-pde-{name}", "xva",
             {"instrument": inst, **MARKETS["flat"], "collateral": COLLATERALS["threshold"],
              "dynamics": {**DYNAMICS, "vol_s": vol}, "backend": "pde"},
+        ))
+    # steep and negative funding bases on the default grid
+    flat = MARKETS["flat"]
+    for basis_c, basis_b in ((30.0, 30.0), (100.0, 100.0), (-5.0, -3.0)):
+        out.append((
+            f"xva-pde-bases{basis_c:g}_{basis_b:g}", "xva",
+            {"instrument": CALL, "ois": flat["ois"],
+             "counterparty": {**flat["counterparty"], "basis": basis_c},
+             "bank": {**flat["bank"], "basis": basis_b},
+             "collateral": COLLATERALS["threshold"], "dynamics": DYNAMICS, "backend": "pde"},
         ))
     # an explicit grid: U solved on it, with V^c in closed form at its nodes
     for (iname, inst), cname, (mname, market) in itertools.product(
