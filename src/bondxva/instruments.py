@@ -278,11 +278,7 @@ def collateralized_value(
         )
     if t < 0:
         raise ValueError("valuation time must be nonnegative")
-    total = 0.0
-    for pay_time, amount in instrument.schedule.flows:
-        if pay_time > t:
-            total += amount * np.exp(-ois.integral(t, pay_time))
-    return float(total)
+    return float(_ScheduleValuation(instrument, ois).deterministic_values(t)[0])
 
 
 # ---------------------------------------------------------------------------

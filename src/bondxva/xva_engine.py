@@ -763,7 +763,6 @@ def _mc_valuation(
     params: SolverParams,
     profile: bool = False,
     extra=(),
-    legs_only: bool = False,
 ):
     """One Monte Carlo valuation of a prepared run, in one backward sweep of
     ``_funding_trapezoid``: the report, the exposure profile (None without
@@ -772,9 +771,7 @@ def _mc_valuation(
     The (cost, benefit) pairs are the default legs, D S pi_C (gap)^+ and
     D S pi_B (gap)^- on the close-out gap; unless bond_implied, the funding
     legs D S gamma_C (gap)^+ and D S gamma_B (gap)^- on the funded gap; then
-    the extra pairs (``_spreads`` functions), on the funded gap too. With
-    legs_only the sweep integrates the extra pairs alone, on the gap
-    V^c - C at the method's survival, and the report is None. The
+    the extra pairs (``_spreads`` functions), on the funded gap too. The
     sweep's state at t_k forms V^c, the collateral, both gaps and every
     spread row there once. When the run has more than one worker, state(k)
     is formed on one helper thread (``_one_ahead``) while the sweep
@@ -803,13 +800,13 @@ def _mc_valuation(
     defaults = _spreads(times, levels, (paths.pi_c, paths.pi_b), floor=True)
     survival = _survival(paths, defaults, counterparty.recovery, bank.recovery)
     bases = (counterparty.basis, bank.basis)
-    pairs = [] if bond_implied or legs_only else [_spreads(times, bases)]
+    pairs = [] if bond_implied else [_spreads(times, bases)]
     pairs += extra
 
     def state(k):
         gap, posted = run.at_time(k)
         spreads = defaults(k)
-        default = None if legs_only else (spreads, _gap_pair(*run.window(k), *posted))
+        default = (spreads, _gap_pair(*run.window(k), *posted))
         return survival(k, spreads[0]), default, [at(k) for at in pairs], gap
 
     recursive = method == "recursive"
@@ -832,8 +829,6 @@ def _mc_valuation(
         ahead = contextlib.nullcontext(state)
     with ahead as states:
         legs = _funding_trapezoid(paths, run.disc, states, solve if recursive else None, moments)
-    if legs_only:
-        return None, None, legs
     loss, gain, *rest = legs
     if bond_implied:  # no funding terms
         rest[:0] = [np.zeros(paths.n_paths)] * 2
@@ -1207,8 +1202,9 @@ def compare_aggregations(
     full-spread legs too, on "mc" in the same sweep, except in bond mode:
     the full-spread legs keep the bank as it is, while the report values
     against a default-free bank on a run (or grid) of its own; on "mc" the
-    paths are still simulated once, and a second sweep of ``_mc_valuation``
-    integrates the full-spread legs alone.
+    paths are still simulated once, and the full-spread legs ride in a
+    first_order sweep of ``_mc_valuation`` on the bank's own run, whose
+    report is discarded.
     """
     collateral = collateral or CollateralSpec.none()
     # run_xva's knobs with their defaults; an unknown keyword is a TypeError
@@ -1232,18 +1228,14 @@ def compare_aggregations(
         run = prepare(False, opt["paths"])
         # the stochastic part of the bank's funding spread rides on pi_B
         full = _spreads(run.paths.times, (bank.basis,), (run.paths.pi_b,))
+        # the full-spread legs ride in the first_order sweep
+        report, _, (fca_path, fba_path) = _mc_valuation(
+            run, counterparty, bank, "first_order", params, extra=[full]
+        )
         if opt["bond_mode"]:
-            valued = prepare(True, run.paths)
             report, _, _ = _mc_valuation(
-                valued, counterparty, CounterpartyProfile.default_free(),
+                prepare(True, run.paths), counterparty, CounterpartyProfile.default_free(),
                 "first_order", params,
-            )
-            _, _, (fca_path, fba_path) = _mc_valuation(
-                run, counterparty, bank, "first_order", params, extra=[full], legs_only=True
-            )
-        else:  # the full-spread legs ride in the first_order sweep
-            report, _, (fca_path, fba_path) = _mc_valuation(
-                run, counterparty, bank, "first_order", params, extra=[full]
             )
         fca, fba = float(fca_path.mean()), float(fba_path.mean())
     elif opt["backend"] == "pde":

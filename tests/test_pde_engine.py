@@ -66,20 +66,18 @@ class TestSpatialGrid:
 
 
 class TestStepper:
-    @pytest.mark.parametrize("theta", [0.5, 1.0])
-    def test_stacked_columns_step_exactly_like_single_columns(self, theta):
+    def test_stacked_columns_step_exactly_like_single_columns(self):
         rng = np.random.default_rng(7)
         nodes = np.linspace(0.0, 300.0, 61)
         stepper = _Stepper(nodes, ModelDynamics(s0=100.0, rate=0.03, vol_s=0.25))
         v_old = rng.normal(size=(4, len(nodes)))
         source = rng.normal(size=(4, len(nodes)))
-        stacked = stepper.step(v_old, 0.01, 0.05, theta, source)
+        stacked = stepper.step(v_old, 0.01, 0.05, source)
         for k in range(4):
-            single = stepper.step(v_old[k], 0.01, 0.05, theta, source[k])
+            single = stepper.step(v_old[k], 0.01, 0.05, source[k])
             assert np.array_equal(stacked[k], single)
 
-    @pytest.mark.parametrize("theta", [0.5, 1.0])
-    def test_matches_a_banded_solve_on_random_grids(self, theta):
+    def test_matches_a_banded_solve_on_random_grids(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             s_min = rng.uniform(0.0, 50.0)
@@ -100,22 +98,24 @@ class TestStepper:
                 )
                 v_old = rng.normal(size=(3, len(nodes)))
                 source = rng.normal(size=(3, len(nodes)))
-                rhs = (v_old + (1.0 - theta) * dt * v_old @ op.T + dt * source).T
-                lhs = np.eye(len(nodes)) - theta * dt * op
+                # Crank-Nicolson: half the operator on each time level
+                rhs = (v_old + 0.5 * dt * v_old @ op.T + dt * source).T
+                lhs = np.eye(len(nodes)) - 0.5 * dt * op
                 ab = np.zeros((3, len(nodes)))
                 ab[0, 1:] = np.diag(lhs, 1)
                 ab[1] = np.diag(lhs)
                 ab[2, :-1] = np.diag(lhs, -1)
                 want = solve_banded((1, 1), ab, rhs).T
-                got = stepper.step(v_old, dt, r_eff, theta, source)
+                got = stepper.step(v_old, dt, r_eff, source)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("grid", [None, SpatialGrid(0.0, 400.0, 101, 60)],
                              ids=["default", "explicit"])
-    def test_the_readme_call_factors_two_step_matrices(self, monkeypatch, grid):
+    def test_the_readme_call_factors_one_step_matrix(self, monkeypatch, grid):
         # on every grid V^c is Black's formula and U takes one Crank-Nicolson
-        # and one halved implicit-Euler matrix; linspace's rounding once
-        # spread the uniform steps over 11 distinct dt and 26 factorizations
+        # matrix for its uniform steps and flat curves; linspace's rounding
+        # once spread the uniform steps over 11 distinct dt and 26
+        # factorizations
         made = []
 
         class Recorded(_Stepper):
@@ -131,7 +131,7 @@ class TestStepper:
             ModelDynamics(s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013),
             grid, collateral=CollateralSpec.bilateral_threshold(5.0),
         )
-        assert [len(stepper._factors) for stepper in made] == [2]
+        assert [len(stepper._factors) for stepper in made] == [1]
 
 
 class TestSourceBlocks:
@@ -555,7 +555,7 @@ class TestFundingSplit:
         ids=["threshold", "none"],
     )
     def test_halving_the_step_quarters_the_change(self, collateral, basis_c, basis_b):
-        # 4 at second order, 2 at first: 3.64 and 4.04 here, where a funding
+        # 4 at second order, 2 at first: 3.66 and 4.15 here, where a funding
         # source taken explicitly at the old time level read 2.47 and 2.13
         v75, v150, v300 = (
             self.value(basis_c, basis_b, collateral, SpatialGrid(0.0, 400.0, 101, n)).fair_value
@@ -565,7 +565,7 @@ class TestFundingSplit:
 
     def test_negative_bases_agree_with_a_fine_solve(self):
         # a negative basis grows x = V - C at its side's rate: 150 steps are
-        # 0.0047 from 2400, where the explicit source was 23.8 off
+        # 0.0062 from 2400, where the explicit source was 23.8 off
         coarse, fine = (
             self.value(-5.0, -3.0, self.THRESHOLD, SpatialGrid(0.0, 400.0, 101, n)).fair_value
             for n in (150, 2400)
@@ -573,15 +573,25 @@ class TestFundingSplit:
         assert abs(coarse - fine) < 0.01
 
     def test_bases_of_30_agree_with_a_fine_solve_on_the_default_grid(self):
-        # 0.058 off on 150 steps; the explicit source took 241 steps and was
-        # 0.140 off its own 2400-step solve
+        # 0.031 off on 150 steps, 0.058 under a damped implicit start; the
+        # explicit source took 241 steps and was 0.140 off its own 2400-step
+        # solve
         grid = pde_engine._default_grid(self.OPT, self.DYN)
         report, fine = (
             self.value(30.0, 30.0, self.THRESHOLD, g)
             for g in (None, SpatialGrid(0.0, grid.s_max, grid.n_space, 2400))
         )
         assert grid.n_time == 150
-        assert abs(report.fair_value - fine.fair_value) < 0.07
+        assert abs(report.fair_value - fine.fair_value) < 0.04
+
+    def test_the_readme_call_agrees_with_a_fine_solve_on_the_default_grid(self):
+        # 3.1e-6 off on 150 steps, 6.6e-6 under a damped implicit start
+        grid = pde_engine._default_grid(self.OPT, self.DYN)
+        report, fine = (
+            self.value(0.012, 0.008, self.THRESHOLD, g)
+            for g in (None, SpatialGrid(0.0, grid.s_max, grid.n_space, 2400))
+        )
+        assert abs(report.fair_value - fine.fair_value) < 5e-6
 
     def test_bases_of_100_value_with_the_identity_exact(self):
         report = self.value(100.0, 100.0, self.THRESHOLD)

@@ -35,7 +35,9 @@ The matrix:
   base cells, a 5y call whose bound no grid reaches (exit 2) and the
   call under threshold 5 at funding bases 30/30, 100/100 and -5/-3; for
   the call, the put and the forward on an explicit grid, uncollateralized
-  and with a threshold, in both markets; and on the deterministic backend
+  and with a threshold, in both markets; for the call on 101 nodes up to
+  400 with 75 steps, under threshold 5 at bases 0.5/0.3 and
+  uncollateralized at 2.0/1.5; and on the deterministic backend
   (the coupon bond and a zero-volatility call) with all three methods;
 * ``xva`` with an explicit grid that no Crank-Nicolson solve reads: on
   ``mc`` and on the zero-volatility ``pde`` path (both exit 2);
@@ -180,15 +182,28 @@ def matrix() -> list[tuple[str, str, dict]]:
             {"instrument": inst, **MARKETS["flat"], "collateral": COLLATERALS["threshold"],
              "dynamics": {**DYNAMICS, "vol_s": vol}, "backend": "pde"},
         ))
-    # steep and negative funding bases on the default grid
     flat = MARKETS["flat"]
+
+    def bases(basis_c, basis_b):
+        return {"ois": flat["ois"],
+                "counterparty": {**flat["counterparty"], "basis": basis_c},
+                "bank": {**flat["bank"], "basis": basis_b}}
+
+    # steep and negative funding bases on the default grid
     for basis_c, basis_b in ((30.0, 30.0), (100.0, 100.0), (-5.0, -3.0)):
         out.append((
             f"xva-pde-bases{basis_c:g}_{basis_b:g}", "xva",
-            {"instrument": CALL, "ois": flat["ois"],
-             "counterparty": {**flat["counterparty"], "basis": basis_c},
-             "bank": {**flat["bank"], "basis": basis_b},
+            {"instrument": CALL, **bases(basis_c, basis_b),
              "collateral": COLLATERALS["threshold"], "dynamics": DYNAMICS, "backend": "pde"},
+        ))
+    # the 101-node grids whose step halving the funding-split tests measure,
+    # at their coarsest 75 steps
+    for cname, basis_c, basis_b in (("threshold", 0.5, 0.3), ("none", 2.0, 1.5)):
+        out.append((
+            f"xva-pdegrid-bases{basis_c:g}_{basis_b:g}-{cname}", "xva",
+            {"instrument": CALL, **bases(basis_c, basis_b),
+             "collateral": COLLATERALS[cname], "dynamics": DYNAMICS, "backend": "pde",
+             "grid": {**GRID, "n_time": 75}},
         ))
     # an explicit grid: U solved on it, with V^c in closed form at its nodes
     for (iname, inst), cname, (mname, market) in itertools.product(
