@@ -109,6 +109,19 @@ class TestStepper:
                 got = stepper.step(v_old, dt, r_eff, source)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    def test_factors_each_step_size_and_rate_once(self):
+        rng = np.random.default_rng(13)
+        nodes = np.linspace(0.0, 300.0, 61)
+        stepper = _Stepper(nodes, ModelDynamics(s0=100.0, rate=0.03, vol_s=0.25))
+        v_old = rng.normal(size=len(nodes))
+        source = rng.normal(size=len(nodes))
+        first = stepper.step(v_old, 0.01, 0.05, source)
+        assert np.array_equal(stepper.step(v_old, 0.01, 0.05, source), first)
+        stepper.step(v_old, 0.02, 0.05, source)
+        stepper.step(v_old, 0.01, 0.06, source)
+        stepper.step(v_old, 0.02, 0.05, source)
+        assert sorted(stepper._factors) == [(0.01, 0.05), (0.01, 0.06), (0.02, 0.05)]
+
     @pytest.mark.parametrize("grid", [None, SpatialGrid(0.0, 400.0, 101, 60)],
                              ids=["default", "explicit"])
     def test_the_readme_call_factors_one_step_matrix(self, monkeypatch, grid):
