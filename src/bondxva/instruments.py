@@ -12,7 +12,7 @@ OIS, or Black's formula for a payoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -99,7 +99,9 @@ class Instrument:
 
     ``kind`` is one of ``zero_coupon_bond``, ``coupon_bond`` (both carry a
     schedule) or ``forward``, ``european_option`` (strike/expiry, payoff on
-    the simulated underlying).
+    the simulated underlying). ``sign`` is 1.0 for a payoff held long and
+    -1.0 for one held short (``negated``); a schedule carries its signs in
+    its flows, so its sign is 1.0.
     """
 
     kind: str
@@ -107,6 +109,7 @@ class Instrument:
     strike: float | None = None
     expiry: float | None = None
     option_type: str | None = None
+    sign: float = 1.0
 
     def __post_init__(self):
         for name in ("strike", "expiry"):
@@ -130,6 +133,10 @@ class Instrument:
                 raise ValueError("forward requires a strike")
         else:
             raise ValueError(f"unknown instrument kind {self.kind!r}")
+        if self.sign not in ((1.0,) if self.schedule is not None else (1.0, -1.0)):
+            raise ValueError(
+                f"Instrument.sign must be 1.0, or -1.0 for a payoff kind, got {self.sign!r}"
+            )
 
     @classmethod
     def zero_coupon_bond(cls, notional: float, maturity: float) -> "Instrument":
@@ -162,7 +169,11 @@ class Instrument:
         return float(self.expiry)
 
     def terminal_payoff(self, s):
-        """Payoff at expiry as a function of the underlying level."""
+        """Payoff at expiry of the position (``sign`` included) as a function
+        of the underlying level."""
+        return self.sign * self._long_payoff(s)
+
+    def _long_payoff(self, s):
         if self.kind == "forward":
             return np.asarray(s, dtype=float) - self.strike
         if self.kind == "european_option":
@@ -173,15 +184,12 @@ class Instrument:
         raise ValueError(f"{self.kind} has no terminal payoff function")
 
     def negated(self) -> "Instrument":
-        """The mirror-image position (cash flows or payoff sign-flipped).
-
-        Options flip into short option positions, which are not in the payoff
-        vocabulary, so the mirror of an option is represented by negating the
-        exposure downstream; here only linear kinds are supported.
-        """
+        """The mirror-image position: a schedule's flows sign-flipped, a
+        payoff held the other way round (``sign``), so that every value of
+        it is negated exactly."""
         if self.schedule is not None:
             return Instrument(kind=self.kind, schedule=self.schedule.scaled(-1.0))
-        raise ValueError("negate schedule-based instruments only")
+        return replace(self, sign=-self.sign)
 
 
 @dataclass(frozen=True)
@@ -378,7 +386,8 @@ class _PayoffValuation:
         gives the grid, with discount, growth and Black width once per time;
         equal shapes value elementwise. disc is ``discount(u)`` when the
         caller has it already. At zero width (u >= expiry) it is the
-        discounted intrinsic value."""
+        discounted intrinsic value. A short position's values are the long
+        one's negated, exactly."""
         u = np.asarray(u, dtype=float)
         tt = np.maximum(self.maturity - u, 0.0)
         if disc is None:
@@ -386,8 +395,15 @@ class _PayoffValuation:
         fwd = s * np.exp((self.dyn.rate - self.dyn.dividend) * tt)
         k = self.instrument.strike
         if self.instrument.kind == "forward":
-            return disc * (fwd - k)
-        width = self.dyn.vol_s * np.sqrt(tt)
+            out = fwd - k
+        else:
+            out = self._option(fwd, k, self.dyn.vol_s * np.sqrt(tt))
+        out = disc * out
+        return -out if self.instrument.sign < 0 else out
+
+    def _option(self, fwd, k, width):
+        """Black's undiscounted option value at forward fwd and width, the
+        payoff where the width is 0."""
         expired = width <= 0
         if k <= 0:
             out = fwd.copy() if self.instrument.option_type == "call" else np.zeros_like(fwd)
@@ -404,8 +420,8 @@ class _PayoffValuation:
                 out = k * ndtr(-d2) - fwd * ndtr(-d1)
         # u's shape trails the grid's, so its mask picks whole time columns
         if np.any(expired):
-            out[..., expired] = self.instrument.terminal_payoff(fwd[..., expired])
-        return disc * out
+            out[..., expired] = self.instrument._long_payoff(fwd[..., expired])
+        return out
 
     def on_grid(self, paths: PathSet) -> np.ndarray:
         return self.value(paths.times, paths.s)
@@ -442,6 +458,220 @@ class _PayoffValuation:
         uu = np.minimum(u, self.maturity)
         s = self.dyn.s0 * np.exp((self.dyn.rate - self.dyn.dividend) * uu)
         return self.value(uu, s)
+
+
+# ---------------------------------------------------------------------------
+# the expected close-out gap of a payoff trade
+# ---------------------------------------------------------------------------
+# Each standard normal variable is integrated over [-_TAIL, _TAIL + sd] (sd the
+# standard deviation of its log-level, so that a value growing like the level
+# stays covered), cut into _PANELS equal panels and at every kink, with
+# `nodes` Gauss-Legendre points on each piece. Near expiry Black's value bends
+# sharply about the strike: where its width is below one standard deviation
+# of the variable, the strike and _GRADES widths either side of it are
+# breakpoints too, so that each piece is smooth on its own scale. A kink is
+# bracketed on a scan of _SCAN intervals and refined by _ILLINOIS steps of
+# regula falsi.
+_TAIL = 7.5
+_PANELS = 4
+_LEGENDRE = 10
+_GRADES = (0.25, 1.0, 4.0)
+_SCAN = 8
+_ILLINOIS = 20
+# the two-level expectation's outer variable, and the inner side integrated:
+# panels and Gauss-Legendre points per piece, at nodes = _LEGENDRE
+_OUTER = (4, 8)
+_INNER = (3, 8)
+_CHUNK = 1 << 15
+
+
+def expected_close_out(
+    model: _PayoffValuation, collateral: CollateralSpec, times, window_ends, window_times,
+    nodes: int = _LEGENDRE,
+) -> np.ndarray:
+    """E[(gap_k)^+] and E[(gap_k)^-] at each time t_k of ``times``, shape
+    (len(times), 2), for a payoff trade with vol_s > 0: gap_k = V^c(u_k,
+    S(s_k)) - C(V^c(t_k, S(t_k))), the close-out gap that a Monte Carlo path
+    reads at t_k, its window end u_k (``window_ends``) valued at the level of
+    the grid node s_k <= u_k (``window_times``), as ``_PayoffValuation.columns``
+    reads it, and S lognormal from s0 as ``simulate_paths`` draws it.
+
+    Written from ``model.value`` and ``collateral_amount`` alone. Where the
+    collateral follows V^c (perfect or threshold) and s_k > t_k > 0, the
+    expectation is two-dimensional: over S(t_k) outside, split where |V^c| =
+    H, and over S(s_k) given S(t_k) inside. There V^c(u_k, S(s_k)) - C is
+    monotone in S(s_k), and its mean is Black's value at the time t_k + u_k
+    - s_k, discounted from u_k: only the side of its sign change away from
+    the middle of the law is integrated, the other side is the mean less
+    it. Elsewhere the expectation is over one level. A mirrored trade (V^c
+    and the collateral negated) has the same kinks and nodes, so its two
+    parts are these exchanged, bit for bit.
+    """
+    dyn = model.dyn
+    vol, growth = dyn.vol_s, dyn.rate - dyn.dividend - 0.5 * dyn.vol_s**2
+    t, u, s = (np.asarray(x, dtype=float) for x in (times, window_ends, window_times))
+    follows = collateral.mode in ("perfect", "bilateral_threshold")
+    threshold = collateral.mode == "bilateral_threshold"
+    levels = (collateral.threshold, -collateral.threshold) if threshold else ()
+    inst = model.instrument
+    log_k = math.log(inst.strike) if inst.kind == "european_option" and inst.strike > 0 else None
+    scale = nodes / _LEGENDRE
+    outer_rule, inner_rule = ((panels, round(points * scale))
+                              for panels, points in (_OUTER, _INNER))
+
+    def value(at, log_level):  # V^c at times at (rows,) and log-levels (q, rows)
+        return model.value(at, np.exp(log_level))
+
+    def integrate(f, lo, hi, points, mean, sd, left, rule=(_PANELS, nodes)):
+        """sum over the nodes of weight * f(z, rows), (..., rows), for z ~
+        N(0, 1) on [lo, hi], the log-level mean + sd z, cut at the points
+        and, where the time left to expiry makes an option's value bend
+        sharply, about its strike; the sharp rows and the others apart."""
+        width = vol * np.sqrt(np.maximum(left, 0.0))
+        sharp = np.zeros(len(lo), dtype=bool) if log_k is None else width < sd
+        out = None
+        for rows in (np.flatnonzero(sharp), np.flatnonzero(~sharp)):
+            if len(rows):
+                cuts = [point[rows] for point in points]
+                if sharp[rows[0]]:
+                    at = (log_k - mean[rows]) / sd[rows]
+                    cuts += [at + side * grade * width[rows] / sd[rows]
+                             for grade in (0.0, *_GRADES) for side in (-1.0, 1.0)[grade == 0:]]
+                z, weight = _normal_pieces(_breaks(lo[rows], hi[rows], cuts, rule[0]), rule[1])
+                part = (weight * f(z, rows)).sum(axis=-2)
+                if out is None:
+                    out = np.empty(part.shape[:-1] + (len(lo),))
+                out[..., rows] = part
+        return out
+
+    def two_levels(t, u, s):
+        sd, mean = vol * np.sqrt(t), math.log(dyn.s0) + growth * t
+        lo, hi = np.full(len(t), -_TAIL), _TAIL + sd
+        kinks = [_sign_change(lambda z, h=level: value(t, mean + sd * z) - h, lo, hi)
+                 for level in levels]
+        # E[V^c(u, S(s)) | S(t)], Black's value at t + u - s discounted from u
+        shifted = t + (u - s)
+        carry = model.discount(u) / model.discount(shifted)
+
+        def inner(x, rows):  # E[(gap)^+], E[(gap)^-] given S(t) at the outer nodes x
+            q, n = x.shape
+            log_level = mean[rows] + sd[rows] * x
+            posted = collateral_amount(collateral, value(t[rows], log_level)).ravel()
+            drift = (carry[rows] * value(shifted[rows], log_level)).ravel() - posted
+            # one row per (outer node, grid time)
+            at, tau = np.tile(u[rows], q), np.tile(s[rows] - t[rows], q)
+            centre, spread = (log_level + growth * (s[rows] - t[rows])).ravel(), vol * np.sqrt(tau)
+
+            def gap2(y, cols=slice(None)):
+                return value(at[cols], centre[cols] + spread[cols] * y) - posted[cols]
+
+            low, high = np.full(q * n, -_TAIL), _TAIL + spread
+            kink = _sign_change(gap2, low, high)
+            # the side of the kink away from the middle; none without a kink
+            low, high = np.where(kink <= 0, low, kink), np.where(kink <= 0, kink, high)
+            tail = integrate(gap2, low, high, [], centre, spread, model.maturity - at, inner_rule)
+            positive = np.sign(tail) > 0
+            plus = np.where(positive, tail, drift - tail)
+            minus = np.where(positive, tail - drift, -tail)
+            none = tail == 0  # no sign change: the gap keeps the sign of its mean
+            plus = np.where(none, np.maximum(drift, 0.0), plus)
+            minus = np.where(none, np.maximum(-drift, 0.0), minus)
+            both = np.stack([np.maximum(plus, 0.0), np.maximum(minus, 0.0)])
+            return both.reshape(2, q, n)
+
+        return integrate(inner, lo, hi, kinks, mean, sd, model.maturity - t, outer_rule).T
+
+    out = np.empty((len(t), 2))
+    two = follows & (t > 0) & (s > t)
+    # one level: S(s_k), or S(t_k) where the collateral follows it (s_k = t_k)
+    k1 = np.flatnonzero(~two)
+    same = follows & (s[k1] == t[k1])
+    law = np.where(same, t[k1], s[k1])
+    point = law == 0  # t_k = s_k = 0: the level is s0
+    sd = np.where(point, 1.0, vol * np.sqrt(law))
+    mean = math.log(dyn.s0) + growth * law
+    fixed = collateral_amount(collateral, model.value(t[k1], np.full(len(k1), dyn.s0)))
+
+    def gap1(z, rows=slice(None)):
+        log_level = mean[rows] + sd[rows] * z
+        posted = np.broadcast_to(fixed[rows], z.shape).copy()
+        follow = np.flatnonzero(same[rows])
+        if len(follow):
+            posted[:, follow] = collateral_amount(
+                collateral, value(t[k1][rows][follow], log_level[:, follow]))
+        return value(u[k1][rows], log_level) - posted
+
+    def parts(z, rows):
+        g = gap1(z, rows)
+        return np.stack([np.maximum(g, 0.0), np.maximum(-g, 0.0)])
+
+    lo, hi = np.where(point, 0.0, -_TAIL), np.where(point, 0.0, _TAIL + sd)
+    kinks = [_sign_change(gap1, lo, hi)]
+    for level in levels:
+        kink = _sign_change(lambda z, h=level: value(t[k1], mean + sd * z) - h, lo, hi)
+        kinks.append(np.where(same, kink, hi))
+    out[k1] = integrate(parts, lo, hi, kinks, mean, sd, model.maturity - u[k1]).T
+    if point.any():
+        out[k1[point]] = parts(np.zeros((1, len(k1))), slice(None))[:, 0, point].T
+    # two levels: S(t_k) outside, S(s_k) given S(t_k) inside, a few grid
+    # times at once, so that no array holds more than about _CHUNK points
+    k2 = np.flatnonzero(two)
+    per_time = (_OUTER[0] + 2) * round(_OUTER[1] * scale) * (
+        _INNER[0] + 2 * len(_GRADES) + 1) * round(_INNER[1] * scale)
+    chunks = min(len(k2), -(-len(k2) * per_time // _CHUNK))
+    for rows in np.array_split(k2, chunks) if chunks else ():
+        out[rows] = two_levels(t[rows], u[rows], s[rows])
+    return out
+
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _normal_pieces(breaks: np.ndarray, nodes: int):
+    """Gauss-Legendre points on the pieces between consecutive rows of breaks
+    ((pieces + 1, rows), sorted along axis 0) and their weights times the
+    standard normal density: two (pieces * nodes, rows) arrays."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    lo, hi = breaks[:-1, None], breaks[1:, None]
+    half = 0.5 * (hi - lo)
+    z = (lo + half) + half * x[:, None]
+    weight = (half * w[:, None]) * (np.exp(-0.5 * z * z) / _SQRT_2PI)
+    return z.reshape(-1, breaks.shape[1]), weight.reshape(-1, breaks.shape[1])
+
+
+def _breaks(lo, hi, points, panels=_PANELS) -> np.ndarray:
+    """The sorted breakpoints ((pieces + 1, rows)) of [lo, hi]: equal
+    panels and the points, those outside it on its ends."""
+    cuts = [lo + (hi - lo) * f for f in np.linspace(0.0, 1.0, panels + 1)]
+    return np.sort(np.clip(np.array(cuts + list(points)), lo, hi), axis=0)
+
+
+def _sign_change(f, lo, hi) -> np.ndarray:
+    """Per row, a point between lo and hi ((rows,) each) where f changes sign,
+    or hi where no interval of a scan of _SCAN brackets one: the first that
+    does, refined by _ILLINOIS steps of regula falsi (the Illinois variant).
+    f maps (q, rows) points to values; -f gives the same points bit for bit,
+    since each step reads only signs and ratios."""
+    scan = lo + (hi - lo) * np.linspace(0.0, 1.0, _SCAN + 1)[:, None]
+    values = f(scan)
+    signs = np.sign(values)
+    change = signs[:-1] * signs[1:] < 0
+    found = change.any(axis=0)
+    first, cols = np.argmax(change, axis=0), np.arange(len(lo))
+    a, b = scan[first, cols], scan[first + 1, cols]
+    fa = np.where(found, values[first, cols], -1.0)
+    fb = np.where(found, values[first + 1, cols], 1.0)
+    kept = np.zeros(len(lo))  # the end the last step kept: 1.0 b, -1.0 a
+    for _ in range(_ILLINOIS):
+        x = b - fb * ((b - a) / (fb - fa))
+        fx = np.where(found, f(x[None])[0], 0.0)
+        right = np.sign(fx) == np.sign(fa)  # the change lies in [x, b]
+        fb = np.where(right & (kept > 0), 0.5 * fb, fb)  # an end kept twice counts half
+        fa = np.where(~right & (kept < 0), 0.5 * fa, fa)
+        a, fa = np.where(right, x, a), np.where(right, fx, fa)
+        b, fb = np.where(right, b, x), np.where(right, fb, fx)
+        kept = np.where(right, 1.0, -1.0)
+    return np.where(found, b - fb * ((b - a) / (fb - fa)), hi)
 
 
 def make_collateralized_valuation(

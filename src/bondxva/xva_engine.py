@@ -28,7 +28,10 @@ latest first, in closed form, and nothing iterates.
   (``_slice_projection``; Longstaff-Schwartz style, and the driver at
   t_k stays outside the conditional expectation as in the regression-based
   BSDE schemes of Gobet, Lemor and Warin), and the slice is solved from the
-  fit.
+  fit. For a payoff trade on a moving underlying the CVA and DVA legs carry
+  a control variate, their twin at the noiseless spreads, whose mean is a
+  quadrature (``instruments.expected_close_out``); the report reads each
+  leg less beta (control - mean).
 * Deterministic: when V^c is a deterministic function of time (cash-flow
   schedules, or zero-volatility dynamics) the equation collapses to a scalar
   Volterra integral equation on a dense grid, solved exactly in one
@@ -76,6 +79,7 @@ the paths as well.
 from __future__ import annotations
 
 import contextlib
+import functools
 import inspect
 import math
 from collections.abc import Callable
@@ -98,6 +102,7 @@ from .instruments import (
     _PayoffValuation,
     _window_end,
     collateral_amount,
+    expected_close_out,
     make_collateralized_valuation,
 )
 from .mc_engine import (
@@ -330,8 +335,7 @@ def _spreads(times: np.ndarray, curves, pi=None, floor: bool = False) -> Callabl
     path row plus that level, floored at zero if floor. The left limit is
     the same array where no curve jumps at t_k. Each call forms its rows
     anew: a sweep asks for each grid time once."""
-    rc = np.array([curve.values_at(times) for curve in curves])
-    ll = np.array([curve.values_at(np.maximum(times - 1e-12, 0.0)) for curve in curves])
+    rc, ll = _levels(times, curves)
     jumps = np.any(ll != rc, axis=0)
 
     def rows(levels, k):
@@ -349,6 +353,13 @@ def _spreads(times: np.ndarray, curves, pi=None, floor: bool = False) -> Callabl
         return value, rows(ll, k) if jumps[k] else value
 
     return at
+
+
+def _levels(times: np.ndarray, curves):
+    """Each curve's values at the grid times and at their left limits,
+    (len(curves), n_times) each."""
+    return (np.array([curve.values_at(times) for curve in curves]),
+            np.array([curve.values_at(np.maximum(times - 1e-12, 0.0)) for curve in curves]))
 
 
 def _sums(pairs):
@@ -387,8 +398,9 @@ def _funding_trapezoid(paths: PathSet, disc, state, solve=None, moments=None):
     called in that same order), and returns (survival, default, funding,
     gap) at t_k: each path's survival weight (exp(-(Lambda_C +
     Lambda_B)), or 1_alive on given default times); None, or the default
-    pair's (spreads, close-out gap), a gap that does not depend on the
-    solved value; each funding pair's spreads; and the gap V^c - C.
+    pair's (spreads, close-out gap, control), a gap that does not depend on
+    the solved value, and control None or a (2, 1) column w_k of frozen
+    weights; each funding pair's spreads; and the gap V^c - C.
     Spreads and gaps are each a pair of arrays at t_k and at its left
     limit t_k-, the left limit the same array where nothing jumps; a
     pair's spreads have one row for both legs or one row per leg, per
@@ -409,12 +421,14 @@ def _funding_trapezoid(paths: PathSet, disc, state, solve=None, moments=None):
     moments: when moments, a (4, n_times) array, is given, the
     survival-weighted exposure moments of the funded gap at each t_k are
     written into it. Returns each pair's per-path cost and benefit legs,
-    the default pair's first.
+    the default pair's first, and, when the default pair carries a
+    control, the control's last: sum_k w_k (close-out gap_k)^±, the same
+    parts of a gap that does not jump, weighted by numbers every path shares.
     """
     times = paths.times
     dt = np.diff(times)
     last = len(times) - 1
-    tails = right = None
+    tails = right = control = None
     for k in range(last, -1, -1):
         surv, default, funding, gap = state(k)
         spreads = funding if default is None else [default[0], *funding]
@@ -435,6 +449,12 @@ def _funding_trapezoid(paths: PathSet, disc, state, solve=None, moments=None):
 
         if default is not None:
             advance(0, _sided(*default[1]))
+            if default[2] is not None:  # the control: frozen weights on the same parts
+                frozen = default[2] * parts[0][0]
+                if control is None:
+                    control = frozen
+                else:
+                    control += frozen
         if solve is not None and k < last:
             if not weight.all():
                 raise ValuationError(
@@ -461,7 +481,8 @@ def _funding_trapezoid(paths: PathSet, disc, state, solve=None, moments=None):
             else weight * (ll * parts[g][1])  # a jump at t_k: the left limit's own
             for g, (rc, ll) in enumerate(spreads)
         ]
-    return [leg for tail in tails for leg in tail]
+    legs = [leg for tail in tails for leg in tail]
+    return legs if control is None else [*legs, *control]
 
 
 def _funding_leg(
@@ -573,7 +594,8 @@ class _McRun:
     times. V^c, the collateral and the gaps are derived one grid time at a
     time, by ``at_time``, where they are used; a run holds no other
     (n_paths, n_times) array, only the few V^c columns that a cure window
-    spans."""
+    spans. For a payoff trade whose V^c moves with S, frozen and expected
+    give the control of the default legs (``_mc_valuation``)."""
 
     paths: PathSet
     collateral: CollateralSpec
@@ -581,6 +603,9 @@ class _McRun:
     window: Callable  # grid index -> the same at the end of the cure window
     disc: np.ndarray
     n_workers: int = 1  # above 1, a sweep forms its states on a helper thread
+    # a payoff trade on a moving underlying: the default legs' control
+    frozen: tuple | None = None  # pi_C, pi_B without noise, each (1, n_times)
+    expected: Callable | None = None  # () -> E[(close-out gap_k)^±], (n_times, 2)
 
     def at_time(self, k: int):
         """The gap V^c - C at grid time k and at its left limit, and the
@@ -656,22 +681,60 @@ def _prepare_mc(
     paths = replace(paths, tau_c=None, tau_b=None, **silenced)
     model = make_collateralized_valuation(instrument, ois, dyn)
     shift = collateral.cure_period
-    steps = _whole_steps(paths.times, shift)
-    vc_at = _remembered(model.columns(paths, paths.times), steps or 0, paths.n_steps)
-    if steps is not None and isinstance(model, _PayoffValuation):
+    times = paths.times
+    steps = _whole_steps(times, shift)
+    vc_at = _remembered(model.columns(paths, times), steps or 0, paths.n_steps)
+    payoff = isinstance(model, _PayoffValuation)
+    if steps is not None and payoff:
         # the window ends on grid column k + steps (or the last): the ring
         window = lambda k: vc_at(min(k + steps, paths.n_steps))
+        u = nodes = times[np.minimum(np.arange(len(times)) + steps, paths.n_steps)]
     else:
-        u = _window_end(paths.times, shift, model.maturity)
+        u = _window_end(times, shift, model.maturity)
         window = model.columns(paths, u, clamp_terminal=shift > 0)
+        nodes = times[_node(times, u)]
+    control = {}
+    if payoff and not model.deterministic:
+        # simulate_paths' spread recursion without its noise
+        dt = times[-1] / paths.n_steps
+        frozen = []
+        for pi0, drift, silent in ((dyn.pi0_c, dyn.drift_c, False),
+                                   (dyn.pi0_b, dyn.drift_b, bond_mode)):
+            row = np.zeros((1, len(times)))
+            if not silent:
+                row[0, 0] = pi0
+                for k in range(paths.n_steps):
+                    row[0, k + 1] = max(row[0, k] + drift * dt, 0.0)
+            frozen.append(row)
+        control = dict(frozen=tuple(frozen), expected=lambda: _expected_close_out(
+            model, collateral, times, u, nodes))
     return _McRun(
         paths=paths,
         collateral=collateral,
         vc_at=vc_at,
         window=window,
-        disc=np.exp(-ois.integral_from_zero(paths.times)),
+        disc=np.exp(-ois.integral_from_zero(times)),
         n_workers=n_workers,
+        **control,
     )
+
+
+@functools.lru_cache(maxsize=32)
+def _cached_close_out(instrument, ois, dyn, collateral, grids):
+    model = make_collateralized_valuation(instrument, ois, dyn)
+    out = expected_close_out(model, collateral, *(np.frombuffer(g) for g in grids))
+    out.flags.writeable = False
+    return out
+
+
+def _expected_close_out(model, collateral, times, window_ends, window_times):
+    """``instruments.expected_close_out``, which depends on the trade, the
+    market, the collateral and the grid and not on the paths, computed once
+    for valuations that share them all (a seed study, or one trade's
+    methods on one scenario set)."""
+    grids = tuple(np.ascontiguousarray(g, dtype=float).tobytes()
+                  for g in (times, window_ends, window_times))
+    return _cached_close_out(model.instrument, model.ois, model.dyn, collateral, grids)
 
 
 def _survival(
@@ -687,7 +750,7 @@ def _survival(
     spreads) and then carried back one step at a time, so the survival at
     t_k is right only after the call at t_{k+1}; the names enter each step
     as a sum of two, so a role swap leaves the survival unchanged, bit for
-    bit."""
+    bit. Spreads that every path shares ((2, 1) rows) give one survival."""
     for label, recovery in (("counterparty", recovery_c), ("bank", recovery_b)):
         if not recovery < 1.0:
             raise ValueError(
@@ -702,9 +765,9 @@ def _survival(
         scaled = rows * per_spread[:, j:j + 1]
         return scaled[0] + scaled[1]
 
-    clock = np.zeros(paths.n_paths)  # -(Lambda_C + Lambda_B)
+    clock = 0.0  # -(Lambda_C + Lambda_B), one per row of the spreads
     for j in range(paths.n_steps):
-        clock -= step(spreads(j)[0], j)
+        clock = clock - step(spreads(j)[0], j)
 
     def survival(k, rows):
         if k < paths.n_steps:
@@ -732,6 +795,44 @@ def _mc_report(run: _McRun, loss, gain, cf, df, method: str, **kw) -> XvaReport:
         se_fair_value=_mean_and_se(pv0)[1],
         **kw,
     )
+
+
+def _frozen_weights(paths, disc, levels, frozen, recoveries) -> np.ndarray:
+    """The control's weights w_k, (n_times, 2, 1): the sweep's trapezoid
+    weights of the default legs with D S pi at the frozen spreads (the
+    noiseless rows ``frozen`` plus the levels, floored, as ``_spreads``
+    forms them) and their survival (``_survival``'s clock, over the whole
+    grid at once) in place of each path's,
+    so that sum_k w_k (gap_k)^± is the legs' twin and its mean is sum_k w_k
+    E[(gap_k)^±]. Each side's weight is a sum of the same terms with the
+    names exchanged, so a role swap exchanges its rows exactly."""
+    pi = np.concatenate(frozen)
+    rc, ll = (np.maximum(pi + level, 0.0) for level in _levels(paths.times, levels))
+    dt = np.diff(paths.times)
+    scaled = rc[:, :-1] * (dt / (1.0 - np.array(recoveries))[:, None])
+    steps = scaled[0] + scaled[1]
+    total = -np.cumsum(steps)[-1:]  # -(Lambda_C + Lambda_B) at the horizon
+    clock = np.cumsum(np.concatenate([total, steps[::-1]]))[::-1]
+    weight = disc * np.exp(clock)
+    half = 0.5 * dt
+    weights = np.zeros((paths.n_steps + 1, 2))
+    weights[:-1] += (half * (weight[:-1] * rc[:, :-1])).T
+    weights[1:] += (half * (weight[1:] * ll[:, 1:])).T
+    return weights[:, :, None]
+
+
+def _controlled(leg: np.ndarray, control: np.ndarray, mean: float) -> np.ndarray:
+    """leg - beta (control - mean) per path, beta = cov(leg, control) /
+    var(control) over all paths (Glasserman 2004, section 4.1). A control
+    that varies by less than 1e-9 of its mean, zero variance or rounding
+    alone, carries no information beyond the error of its mean: beta is 0
+    and the leg is returned as it is."""
+    centred = control - control.mean()
+    var = float((centred * centred).mean())
+    if not var > (1e-9 * float(control.mean())) ** 2:
+        return leg
+    beta = float((centred * (leg - leg.mean())).mean()) / var
+    return leg - beta * (control - mean)
 
 
 @contextlib.contextmanager
@@ -789,7 +890,11 @@ def _mc_valuation(
     d = V^c - C - E[settled], in closed form: x = d / (1 + cost) where
     d >= 0, else d / (1 + benefit), as ``_deterministic`` solves its nodes.
     At the last grid time V = V^c. The profile holds the moments of the
-    funded gap.
+    funded gap. When the run carries a control (``_McRun.frozen``), the
+    default pair's twin at the frozen weights (``_frozen_weights``) rides in
+    the sweep, and the report reads the CVA and DVA legs less beta (control
+    - its mean) (``_controlled``); the funding legs, the slices and the
+    profile do not see it.
     """
     paths = run.paths
     times = paths.times
@@ -798,15 +903,19 @@ def _mc_valuation(
         name.basis if bond_implied else PiecewiseCurve.flat(0.0) for name in (counterparty, bank)
     ]
     defaults = _spreads(times, levels, (paths.pi_c, paths.pi_b), floor=True)
-    survival = _survival(paths, defaults, counterparty.recovery, bank.recovery)
+    recoveries = counterparty.recovery, bank.recovery
+    survival = _survival(paths, defaults, *recoveries)
     bases = (counterparty.basis, bank.basis)
     pairs = [] if bond_implied else [_spreads(times, bases)]
     pairs += extra
+    weights = None if run.frozen is None else _frozen_weights(
+        paths, run.disc, levels, run.frozen, recoveries)
 
     def state(k):
         gap, posted = run.at_time(k)
         spreads = defaults(k)
-        default = (spreads, _gap_pair(*run.window(k), *posted))
+        control = None if weights is None else weights[k]
+        default = (spreads, _gap_pair(*run.window(k), *posted), control)
         return survival(k, spreads[0]), default, [at(k) for at in pairs], gap
 
     recursive = method == "recursive"
@@ -829,6 +938,11 @@ def _mc_valuation(
         ahead = contextlib.nullcontext(state)
     with ahead as states:
         legs = _funding_trapezoid(paths, run.disc, states, solve if recursive else None, moments)
+    if weights is not None:  # the legs less beta (control - its mean)
+        *legs, c_loss, c_gain = legs
+        means = (weights[:, :, 0] * run.expected()).sum(axis=0)
+        legs[:2] = (_controlled(leg, c, mean)
+                    for leg, c, mean in zip(legs[:2], (c_loss, c_gain), means))
     loss, gain, *rest = legs
     if bond_implied:  # no funding terms
         rest[:0] = [np.zeros(paths.n_paths)] * 2

@@ -9,6 +9,7 @@ import tracemalloc
 import warnings
 import weakref
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from bondxva.instruments import (
     Instrument,
     ValuationError,
     collateral_amount,
+    expected_close_out,
 )
 from bondxva.mc_engine import (
     ExposureProfile,
@@ -151,6 +153,32 @@ def _notional_scale(instrument) -> float:
     if instrument.schedule is not None:
         return abs(instrument.schedule.notional) or 1.0
     return abs(instrument.strike) or 1.0
+
+
+def _record_sweeps(monkeypatch) -> list:
+    """The per-path legs each backward sweep returns, in order."""
+    swept = []
+    sweep = xva_engine._funding_trapezoid
+
+    def recording_sweep(*args, **kwargs):
+        swept.append(sweep(*args, **kwargs))
+        return swept[-1]
+
+    monkeypatch.setattr(xva_engine, "_funding_trapezoid", recording_sweep)
+    return swept
+
+
+def _frozen_spreads(dyn, times):
+    """A one-path stand-in whose spreads follow simulate_paths' recursion
+    without noise, floored at zero, (1, n_times) each."""
+    dt = times[-1] / (len(times) - 1)
+    rows = []
+    for pi0, drift in ((dyn.pi0_c, dyn.drift_c), (dyn.pi0_b, dyn.drift_b)):
+        row = [pi0]
+        for _ in times[1:]:
+            row.append(max(row[-1] + drift * dt, 0.0))
+        rows.append(np.array([row]))
+    return SimpleNamespace(times=times, s=np.ones((1, len(times))), pi_c=rows[0], pi_b=rows[1])
 
 
 def _record_solved_gaps(monkeypatch) -> dict:
@@ -1497,14 +1525,16 @@ class TestDenseGrids:
         )
 
     @pytest.mark.parametrize("instrument", [CALL, TWO_SIDED], ids=["call", "two_sided_bond"])
-    def test_first_order_legs_are_the_trapezoid_of_the_vc_grid(self, instrument):
+    def test_first_order_legs_are_the_trapezoid_of_the_vc_grid(self, monkeypatch, instrument):
         paths = self._paths(instrument.maturity)
         run = _prepare_mc(
             instrument, OIS, self.COLLATERAL, self.DYN, 0, 0, 0, False, paths=paths,
         )
+        swept = _record_sweeps(monkeypatch)
         report, profile, _ = _mc_valuation(
             run, RISKY_CP, RISKY_BANK, "first_order", SolverParams(), True
         )
+        (legs,) = swept
         vc_rc, vc_ll, posted_rc, posted_ll = _vc_grids(
             instrument, self.DYN, paths, self.COLLATERAL
         )
@@ -1517,13 +1547,36 @@ class TestDenseGrids:
             )
             assert leg == pytest.approx(float(expected.mean()), rel=1e-12)
         close_rc, close_ll = _close_out_grids(instrument, self.DYN, paths, self.COLLATERAL)
-        for pi, positive, leg in ((paths.pi_c, True, report.cva),
-                                  (paths.pi_b, False, report.dva)):
+        # the uncontrolled legs, per path
+        for pi, positive, leg in ((paths.pi_c, True, legs[0]), (paths.pi_b, False, legs[1])):
             floored = np.maximum(pi, 0.0)
             expected = _segment_sum(
                 times, surv, run.disc, close_rc, close_ll, floored, floored, positive
             )
-            assert leg > 0 and leg == pytest.approx(float(expected.mean()), rel=1e-12)
+            assert leg.mean() > 0 and leg.mean() == pytest.approx(float(expected.mean()), rel=1e-12)
+        if instrument.schedule is not None:  # a deterministic gap: no control
+            assert len(legs) == 4 and (report.cva, report.dva) == (legs[0].mean(), legs[1].mean())
+        else:
+            # the control: the same trapezoid at the noiseless spreads and their
+            # survival; the report's legs are leg - beta (control - its mean)
+            frozen = _frozen_spreads(self.DYN, times)
+            frozen_surv = _survival_grid(frozen, RISKY_CP, RISKY_BANK)
+            model = make_collateralized_valuation(instrument, OIS, self.DYN)
+            ends = times[np.minimum(np.arange(len(times)) + 4, len(times) - 1)]
+            parts = expected_close_out(model, self.COLLATERAL, times, ends, ends)
+            for side, (pi, positive, leg, control, got) in enumerate((
+                    (frozen.pi_c, True, legs[0], legs[4], report.cva),
+                    (frozen.pi_b, False, legs[1], legs[5], report.dva))):
+                reference = _segment_sum(times, frozen_surv, run.disc, close_rc, close_ll,
+                                         pi, pi, positive)
+                np.testing.assert_allclose(control, reference, rtol=1e-12, atol=0.0)
+                sided = (parts[:, side] if positive else -parts[:, side])[None, :]
+                mean = _segment_sum(times, frozen_surv, run.disc, sided, sided, pi, pi,
+                                    positive)[0]
+                beta = np.cov(leg, control, bias=True)[0, 1] / control.var()
+                assert 0.5 < beta < 1.5
+                assert got == pytest.approx(float((leg - beta * (control - mean)).mean()),
+                                            rel=1e-12)
         gap = vc_rc - posted_rc
         for moment, part in ((profile.epe, surv * np.maximum(gap, 0.0)),
                              (profile.ene, surv * np.maximum(-gap, 0.0))):
@@ -1779,7 +1832,7 @@ class TestOneSweep:
             _, got, _ = _mc_valuation(
                 run, RISKY_CP, RISKY_BANK, method, SolverParams(), profile
             )
-            legs = 2 * (1 + pairs[1])
+            legs = 2 * (1 + pairs[1]) + 2  # the default legs' control last
             assert sweeps == [({pairs}, method == "recursive", profile, legs)], method
             assert (got is not None) == profile
 
@@ -1795,7 +1848,7 @@ class TestOneSweep:
 
         def counting_spreads(times, curves, pi=None, floor=False):
             at = spreads(times, curves, pi, floor)
-            if not floor:  # the funding spreads
+            if not floor or pi[0].shape[0] == 1:  # the funding spreads, the control's rows
                 return at
 
             def counted(k):
@@ -2117,11 +2170,82 @@ class TestIntensityLegs:
         collateral = CollateralSpec.bilateral_threshold(5.0)
         pde, _ = run_xva(self.CALL, OIS, RISKY_CP, RISKY_BANK, collateral,
                          backend="pde", dyn=dyn)
-        mc, _ = run_xva(self.CALL, OIS, RISKY_CP, RISKY_BANK, collateral, dyn=dyn,
-                        n_paths=20_000, n_steps=n_steps, seed=11, params=self.TIGHT)
-        # no time-step bias shows in the CVA: 5e-5 +- 6e-5 at 100k paths
-        assert abs(mc.cva - pde.cva) <= 3 * mc.se_cva
+        mc, other = (
+            run_xva(self.CALL, OIS, RISKY_CP, RISKY_BANK, collateral, dyn=dyn,
+                    n_paths=20_000, n_steps=n_steps, seed=seed, params=self.TIGHT)[0]
+            for seed in (11, 12)
+        )
+        # the CVA's control is the CVA leg itself at zero spread volatility:
+        # no noise is left, and the CVA is the exact mean of the n-step
+        # trapezoid, the same on every seed and 6.7e-6 (64 steps) and
+        # 4.8e-6 (256) from the grid; 3 se_cva was 4.3e-4 uncontrolled
+        assert mc.se_cva < 1e-15
+        assert abs(mc.cva - other.cva) <= 1e-12
+        assert abs(mc.cva - pde.cva) <= 2e-5
         # the simulated V^c is Black's formula, the grid's is 1e-6 off it
         assert abs(mc.v_coll - pde.v_coll) < 3e-3
         adjustments = mc.fair_value - mc.v_coll, pde.fair_value - pde.v_coll
         assert abs(adjustments[0] - adjustments[1]) <= 3 * mc.se_fair_value
+
+
+class TestDefaultLegControl:
+    """The default legs' control: the same trapezoid at the noiseless
+    spreads and their survival, whose mean is known by quadrature
+    (``expected_close_out``); each leg less beta (control - mean)."""
+
+    DYN = ModelDynamics(
+        s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013,
+        vol_c=0.006, vol_b=0.004, rho_sc=0.2, rho_cb=0.3,
+    )
+    CALL = Instrument.european_option("call", strike=100.0, expiry=1.0)
+    README = CollateralSpec.bilateral_threshold(5.0, cure_period=0.25)
+
+    def _legs(self, monkeypatch, collateral=README, **knobs):
+        swept = _record_sweeps(monkeypatch)
+        report, _ = run_xva(self.CALL, OIS, RISKY_CP, RISKY_BANK, collateral,
+                            dyn=self.DYN, **knobs)
+        return report, swept[-1]
+
+    @staticmethod
+    def _finite(report):
+        return all(math.isfinite(v) for v in report.as_dict().values() if isinstance(v, float))
+
+    @pytest.mark.parametrize("method", ["recursive", "first_order", "bond_implied"])
+    def test_it_cuts_the_cva_standard_error_at_least_threefold(self, monkeypatch, method):
+        report, legs = self._legs(monkeypatch, method=method, n_paths=8_000, n_steps=16, seed=3)
+        plain = legs[0].std() / math.sqrt(len(legs[0]))
+        assert 0 < 3 * report.se_cva < plain
+        # and the CVA moves by no more than the noise it removes
+        assert abs(report.cva - legs[0].mean()) < 4 * plain
+
+    def test_a_control_that_never_varies_leaves_its_leg(self, monkeypatch):
+        # at cure 0 the long call's close-out gap is never negative: the DVA
+        # leg and its control are 0 on every path, so beta is 0 and the DVA 0
+        report, legs = self._legs(monkeypatch, CollateralSpec.bilateral_threshold(5.0),
+                                  n_paths=4_000, n_steps=16, seed=3)
+        assert not legs[1].any() and not legs[-1].any()
+        assert report.dva == 0.0 and report.se_dva == 0.0 and self._finite(report)
+
+    @pytest.mark.parametrize("method", ["recursive", "first_order", "bond_implied"])
+    def test_bond_mode_silences_the_bank_control(self, monkeypatch, method):
+        report, legs = self._legs(monkeypatch, method=method, bond_mode=True,
+                                  n_paths=4_000, n_steps=16, seed=3)
+        assert not legs[-1].any()
+        assert report.dva == 0.0 and report.cva > 0 and self._finite(report)
+
+    @pytest.mark.parametrize("method", ["recursive", "first_order", "bond_implied"])
+    def test_one_path_gives_a_finite_report(self, method):
+        report, _ = run_xva(self.CALL, OIS, RISKY_CP, RISKY_BANK, self.README, method=method,
+                            dyn=self.DYN, n_paths=1, n_steps=8, seed=3)
+        assert self._finite(report) and report.se_cva == report.se_fair_value == 0.0
+
+    @pytest.mark.parametrize("trade", ["schedule", "zero_vol"])
+    def test_a_deterministic_gap_carries_no_control(self, monkeypatch, trade):
+        instrument = TWO_SIDED if trade == "schedule" else self.CALL
+        dyn = self.DYN if trade == "schedule" else replace(self.DYN, vol_s=0.0)
+        swept = _record_sweeps(monkeypatch)
+        report, _ = run_xva(instrument, OIS, RISKY_CP, RISKY_BANK, self.README, dyn=dyn,
+                            method="first_order", n_paths=2_000, n_steps=16, seed=3)
+        (legs,) = swept
+        assert len(legs) == 4  # the default and funding pairs: no control
+        assert (report.cva, report.dva) == (legs[0].mean(), legs[1].mean())
