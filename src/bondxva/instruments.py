@@ -388,40 +388,50 @@ class _PayoffValuation:
         caller has it already. At zero width (u >= expiry) it is the
         discounted intrinsic value. A short position's values are the long
         one's negated, exactly."""
+        return self.values_at(u, disc)(s)
+
+    def values_at(self, u, disc=None):
+        """``value`` at the times u as a function of the levels s, what
+        depends on u alone (discount, growth, Black width) formed once: for
+        a caller that values the same times at many levels."""
         u = np.asarray(u, dtype=float)
         tt = np.maximum(self.maturity - u, 0.0)
         if disc is None:
             disc = self.discount(u)
-        fwd = s * np.exp((self.dyn.rate - self.dyn.dividend) * tt)
+        growth = np.exp((self.dyn.rate - self.dyn.dividend) * tt)
         k = self.instrument.strike
+        short = self.instrument.sign < 0
         if self.instrument.kind == "forward":
-            out = fwd - k
-        else:
-            out = self._option(fwd, k, self.dyn.vol_s * np.sqrt(tt))
-        out = disc * out
-        return -out if self.instrument.sign < 0 else out
+            def forward(s):
+                out = disc * (s * growth - k)
+                return -out if short else out
 
-    def _option(self, fwd, k, width):
-        """Black's undiscounted option value at forward fwd and width, the
-        payoff where the width is 0."""
-        expired = width <= 0
-        if k <= 0:
-            out = fwd.copy() if self.instrument.option_type == "call" else np.zeros_like(fwd)
-        else:
+            return forward
+        width = self.dyn.vol_s * np.sqrt(tt)
+        expired = width <= 0  # u's shape trails s's, so it picks whole time columns
+        some = np.any(expired)
+        call = self.instrument.option_type == "call"
+        if k > 0:
             # imported here: scipy.special is most of the command line's import time
             from scipy.special import ndtr
 
             w = np.where(expired, 1.0, width)  # any positive width where it is unused
-            d1 = (np.log(fwd / k) + 0.5 * w**2) / w
-            d2 = d1 - w
-            if self.instrument.option_type == "call":
-                out = fwd * ndtr(d1) - k * ndtr(d2)
+            half = 0.5 * w**2
+
+        def option(s):  # Black's value, the payoff where the width is 0
+            fwd = s * growth
+            if k <= 0:
+                out = fwd.copy() if call else np.zeros_like(fwd)
             else:
-                out = k * ndtr(-d2) - fwd * ndtr(-d1)
-        # u's shape trails the grid's, so its mask picks whole time columns
-        if np.any(expired):
-            out[..., expired] = self.instrument._long_payoff(fwd[..., expired])
-        return out
+                d1 = (np.log(fwd / k) + half) / w
+                d2 = d1 - w
+                out = fwd * ndtr(d1) - k * ndtr(d2) if call else k * ndtr(-d2) - fwd * ndtr(-d1)
+            if some:
+                out[..., expired] = self.instrument._long_payoff(fwd[..., expired])
+            out = disc * out
+            return -out if short else out
+
+        return option
 
     def on_grid(self, paths: PathSet) -> np.ndarray:
         return self.value(paths.times, paths.s)
@@ -466,23 +476,27 @@ class _PayoffValuation:
 # Each standard normal variable is integrated over [-_TAIL, _TAIL + sd] (sd the
 # standard deviation of its log-level, so that a value growing like the level
 # stays covered), cut into _PANELS equal panels and at every kink, with
-# `nodes` Gauss-Legendre points on each piece. Near expiry Black's value bends
-# sharply about the strike: where its width is below one standard deviation
-# of the variable, the strike and _GRADES widths either side of it are
-# breakpoints too, so that each piece is smooth on its own scale. A kink is
-# bracketed on a scan of _SCAN intervals and refined by _ILLINOIS steps of
-# regula falsi.
+# `nodes` Gauss-Legendre points on each piece. Where a value bends on a
+# scale below _SHARP of the variable's (Black's about the strike near
+# expiry, the payoff's kink at it; a conditional probability about its
+# middle when the other variable's spread is the smaller), that point and
+# _GRADES of that scale either side of it are breakpoints too, so that each
+# piece is smooth on its own scale. A kink is bracketed on a table of
+# _KINK_TABLE equal steps (and those points) and refined by _REFINE steps of
+# regula falsi (Anderson-Bjorck); each node's root of V^c = target on a
+# table of _TABLE, by _INVERT steps, on a logarithmic scale about the target
+# for an option, on which Black's tails are smooth. A conditional normal's
+# root is sought within _BRIDGE of its standard deviations.
 _TAIL = 7.5
+_BRIDGE = 8.0
 _PANELS = 4
-_LEGENDRE = 10
-_GRADES = (0.25, 1.0, 4.0)
-_SCAN = 8
-_ILLINOIS = 20
-# the two-level expectation's outer variable, and the inner side integrated:
-# panels and Gauss-Legendre points per piece, at nodes = _LEGENDRE
-_OUTER = (4, 8)
-_INNER = (3, 8)
-_CHUNK = 1 << 15
+_LEGENDRE = 8
+_SHARP = 0.5
+_GRADES = (3.0, 0.5)
+_KINK_TABLE = 24
+_TABLE = 64
+_REFINE = 4
+_INVERT = 3
 
 
 def expected_close_out(
@@ -498,129 +512,194 @@ def expected_close_out(
 
     Written from ``model.value`` and ``collateral_amount`` alone. Where the
     collateral follows V^c (perfect or threshold) and s_k > t_k > 0, the
-    expectation is two-dimensional: over S(t_k) outside, split where |V^c| =
-    H, and over S(s_k) given S(t_k) inside. There V^c(u_k, S(s_k)) - C is
-    monotone in S(s_k), and its mean is Black's value at the time t_k + u_k
-    - s_k, discounted from u_k: only the side of its sign change away from
-    the middle of the law is integrated, the other side is the mean less
-    it. Elsewhere the expectation is over one level. A mirrored trade (V^c
-    and the collateral negated) has the same kinks and nodes, so its two
-    parts are these exchanged, bit for bit.
+    gap is G(Y) - c(X), with X and Y the log-levels at t_k and s_k, G =
+    V^c(u_k, .) and c = C(V^c(t_k, .)), both monotone the same way. Then
+    E[(G - c)^+] = E[G(Y) P(c(X) < G(Y) | Y)] - E[c(X) P(G(Y) > c(X) | X)],
+    and E[(G - c)^-] likewise: two integrals over one level each, the
+    conditional probabilities normal, from a root of V^c(t_k, .) = the level
+    where C reaches G(Y), and of G = c(X). Elsewhere the expectation is over
+    one level. A mirrored trade (V^c and the collateral negated) has the
+    same roots and nodes, so its two parts are these exchanged, bit for bit.
     """
+    # imported here: scipy.special is most of the command line's import time
+    from scipy.special import ndtr
+
     dyn = model.dyn
     vol, growth = dyn.vol_s, dyn.rate - dyn.dividend - 0.5 * dyn.vol_s**2
+    log_s0 = math.log(dyn.s0)
     t, u, s = (np.asarray(x, dtype=float) for x in (times, window_ends, window_times))
     follows = collateral.mode in ("perfect", "bilateral_threshold")
-    threshold = collateral.mode == "bilateral_threshold"
-    levels = (collateral.threshold, -collateral.threshold) if threshold else ()
+    h = collateral.threshold if collateral.mode == "bilateral_threshold" else 0.0
     inst = model.instrument
+    # the way V^c moves with the level: up for a call or forward held long
+    direction = inst.sign * (-1.0 if inst.option_type == "put" else 1.0)
     log_k = math.log(inst.strike) if inst.kind == "european_option" and inst.strike > 0 else None
-    scale = nodes / _LEGENDRE
-    outer_rule, inner_rule = ((panels, round(points * scale))
-                              for panels, points in (_OUTER, _INNER))
+    # below this a target counts as 0 on the logarithmic scale of a root
+    floor = 1e-12 * (abs(float(model.value(np.zeros(1), np.array([dyn.s0]))[0]))
+                     + (inst.strike or 0.0))
 
-    def value(at, log_level):  # V^c at times at (rows,) and log-levels (q, rows)
-        return model.value(at, np.exp(log_level))
-
-    def integrate(f, lo, hi, points, mean, sd, left, rule=(_PANELS, nodes)):
-        """sum over the nodes of weight * f(z, rows), (..., rows), for z ~
-        N(0, 1) on [lo, hi], the log-level mean + sd z, cut at the points
-        and, where the time left to expiry makes an option's value bend
-        sharply, about its strike; the sharp rows and the others apart."""
+    def grading(mean, sd, left, end):
+        """Breakpoints, in units of sd from mean, about the strike where
+        Black's value bends on a scale below _SHARP sd (width, Black's at the
+        time left to expiry; a quarter of sd at expiry, where the payoff
+        kinks): at it and at _GRADES widths either side; elsewhere at end."""
+        if log_k is None:
+            return []
         width = vol * np.sqrt(np.maximum(left, 0.0))
-        sharp = np.zeros(len(lo), dtype=bool) if log_k is None else width < sd
-        out = None
-        for rows in (np.flatnonzero(sharp), np.flatnonzero(~sharp)):
-            if len(rows):
-                cuts = [point[rows] for point in points]
-                if sharp[rows[0]]:
-                    at = (log_k - mean[rows]) / sd[rows]
-                    cuts += [at + side * grade * width[rows] / sd[rows]
-                             for grade in (0.0, *_GRADES) for side in (-1.0, 1.0)[grade == 0:]]
-                z, weight = _normal_pieces(_breaks(lo[rows], hi[rows], cuts, rule[0]), rule[1])
-                part = (weight * f(z, rows)).sum(axis=-2)
-                if out is None:
-                    out = np.empty(part.shape[:-1] + (len(lo),))
-                out[..., rows] = part
-        return out
+        sharp = width < _SHARP * sd
+        scale = np.where(width > 0, np.minimum(width, sd) / sd, 0.25)
+        at = (log_k - mean) / sd
+        return [np.where(sharp, at + side * grade * scale, end)
+                for grade in (0.0, *_GRADES) for side in (-1.0, 1.0)[grade == 0:]]
 
-    def two_levels(t, u, s):
-        sd, mean = vol * np.sqrt(t), math.log(dyn.s0) + growth * t
-        lo, hi = np.full(len(t), -_TAIL), _TAIL + sd
-        kinks = [_sign_change(lambda z, h=level: value(t, mean + sd * z) - h, lo, hi)
-                 for level in levels]
-        # E[V^c(u, S(s)) | S(t)], Black's value at t + u - s discounted from u
-        shifted = t + (u - s)
-        carry = model.discount(u) / model.discount(shifted)
+    def table(lo, hi, extra=(), steps=_TABLE):
+        """steps equal steps over [lo, hi] and the extra points within it,
+        sorted: (points, rows)."""
+        even = lo + (hi - lo) * np.linspace(0.0, 1.0, steps)[:, None]
+        extra = np.clip(np.reshape(np.array(list(extra)), (-1, len(lo))), lo, hi)
+        return np.sort(np.concatenate([even, extra]), axis=0)
 
-        def inner(x, rows):  # E[(gap)^+], E[(gap)^-] given S(t) at the outer nodes x
-            q, n = x.shape
-            log_level = mean[rows] + sd[rows] * x
-            posted = collateral_amount(collateral, value(t[rows], log_level)).ravel()
-            drift = (carry[rows] * value(shifted[rows], log_level)).ravel() - posted
-            # one row per (outer node, grid time)
-            at, tau = np.tile(u[rows], q), np.tile(s[rows] - t[rows], q)
-            centre, spread = (log_level + growth * (s[rows] - t[rows])).ravel(), vol * np.sqrt(tau)
-
-            def gap2(y, cols=slice(None)):
-                return value(at[cols], centre[cols] + spread[cols] * y) - posted[cols]
-
-            low, high = np.full(q * n, -_TAIL), _TAIL + spread
-            kink = _sign_change(gap2, low, high)
-            # the side of the kink away from the middle; none without a kink
-            low, high = np.where(kink <= 0, low, kink), np.where(kink <= 0, kink, high)
-            tail = integrate(gap2, low, high, [], centre, spread, model.maturity - at, inner_rule)
-            positive = np.sign(tail) > 0
-            plus = np.where(positive, tail, drift - tail)
-            minus = np.where(positive, tail - drift, -tail)
-            none = tail == 0  # no sign change: the gap keeps the sign of its mean
-            plus = np.where(none, np.maximum(drift, 0.0), plus)
-            minus = np.where(none, np.maximum(-drift, 0.0), minus)
-            both = np.stack([np.maximum(plus, 0.0), np.maximum(minus, 0.0)])
-            return both.reshape(2, q, n)
-
-        return integrate(inner, lo, hi, kinks, mean, sd, model.maturity - t, outer_rule).T
+    def pieces(lo, hi, cuts):
+        return _normal_pieces(_breaks(lo, hi, cuts), nodes)
 
     out = np.empty((len(t), 2))
     two = follows & (t > 0) & (s > t)
+
     # one level: S(s_k), or S(t_k) where the collateral follows it (s_k = t_k)
     k1 = np.flatnonzero(~two)
-    same = follows & (s[k1] == t[k1])
-    law = np.where(same, t[k1], s[k1])
-    point = law == 0  # t_k = s_k = 0: the level is s0
-    sd = np.where(point, 1.0, vol * np.sqrt(law))
-    mean = math.log(dyn.s0) + growth * law
-    fixed = collateral_amount(collateral, model.value(t[k1], np.full(len(k1), dyn.s0)))
+    if len(k1):
+        t1, u1, s1 = t[k1], u[k1], s[k1]
+        same = follows & (s1 == t1)
+        law = np.where(same, t1, s1)
+        point = law == 0  # t_k = s_k = 0: the level is s0
+        sd = np.where(point, 1.0, vol * np.sqrt(law))
+        mean = log_s0 + growth * law
+        fixed = collateral_amount(collateral, model.value(t1, np.full(len(k1), dyn.s0)))
+        at_u, at_t = model.values_at(u1), model.values_at(t1)
 
-    def gap1(z, rows=slice(None)):
-        log_level = mean[rows] + sd[rows] * z
-        posted = np.broadcast_to(fixed[rows], z.shape).copy()
-        follow = np.flatnonzero(same[rows])
-        if len(follow):
-            posted[:, follow] = collateral_amount(
-                collateral, value(t[k1][rows][follow], log_level[:, follow]))
-        return value(u[k1][rows], log_level) - posted
+        def both(z):  # V^c(u_k) and V^c(t_k) at standard points z, (..., rows) each
+            level = np.exp(mean + sd * z)
+            return at_u(level), at_t(level)
 
-    def parts(z, rows):
-        g = gap1(z, rows)
-        return np.stack([np.maximum(g, 0.0), np.maximum(-g, 0.0)])
+        def gap(g, vt):
+            return g - np.where(same, collateral_amount(collateral, vt), fixed)
 
-    lo, hi = np.where(point, 0.0, -_TAIL), np.where(point, 0.0, _TAIL + sd)
-    kinks = [_sign_change(gap1, lo, hi)]
-    for level in levels:
-        kink = _sign_change(lambda z, h=level: value(t[k1], mean + sd * z) - h, lo, hi)
-        kinks.append(np.where(same, kink, hi))
-    out[k1] = integrate(parts, lo, hi, kinks, mean, sd, model.maturity - u[k1]).T
-    if point.any():
-        out[k1[point]] = parts(np.zeros((1, len(k1))), slice(None))[:, 0, point].T
-    # two levels: S(t_k) outside, S(s_k) given S(t_k) inside, a few grid
-    # times at once, so that no array holds more than about _CHUNK points
+        lo, hi = np.where(point, 0.0, -_TAIL), np.where(point, 0.0, _TAIL + sd)
+        grades = grading(mean, sd, model.maturity - u1, hi)
+        grid = table(lo, hi, grades, _KINK_TABLE)
+        g, vt = both(grid)
+
+        def residuals(g, vt):  # the gap, V^c(t_k) - H and V^c(t_k) + H: its kinks
+            return np.stack([gap(g[..., 0, :], vt[..., 0, :]), vt[..., 1, :] - h,
+                             vt[..., 2, :] + h], axis=-2)
+
+        roots, found = _crossing(lambda z: residuals(*both(z)),
+                                 grid[:, None], residuals(g[:, None].repeat(3, 1), vt[:, None].repeat(3, 1)))
+        kinks = np.where(found, roots, hi)
+        kinks[1:] = np.where(same, kinks[1:], hi)  # C's kinks where C follows V^c(t_k)
+        z, weight = pieces(lo, hi, [*kinks, *grades])
+        gaps = gap(*both(z))
+        parts = (weight * np.stack([np.maximum(gaps, 0.0), np.maximum(-gaps, 0.0)])).sum(axis=1)
+        if point.any():
+            gaps = gap(*both(np.zeros((1, len(k1)))))[0]
+            parts[:, point] = np.stack([np.maximum(gaps, 0.0), np.maximum(-gaps, 0.0)])[:, point]
+        out[k1] = parts.T
+
+    # two levels: X = log S(t_k) = mu_t + a xi, Y = log S(s_k) = mu_s + sd zeta
     k2 = np.flatnonzero(two)
-    per_time = (_OUTER[0] + 2) * round(_OUTER[1] * scale) * (
-        _INNER[0] + 2 * len(_GRADES) + 1) * round(_INNER[1] * scale)
-    chunks = min(len(k2), -(-len(k2) * per_time // _CHUNK))
-    for rows in np.array_split(k2, chunks) if chunks else ():
-        out[rows] = two_levels(t[rows], u[rows], s[rows])
+    if len(k2):
+        t2, u2, s2 = t[k2], u[k2], s[k2]
+        n = len(k2)
+        a, sd = vol * np.sqrt(t2), vol * np.sqrt(s2)
+        mu_t, mu_s = log_s0 + growth * t2, log_s0 + growth * s2
+        # xi given zeta: rho zeta + rho_c N(0, 1); Y given X: X + drift + b N(0, 1)
+        rho, rho_c = np.sqrt(t2 / s2), np.sqrt((s2 - t2) / s2)
+        b, drift = vol * np.sqrt(s2 - t2), growth * (s2 - t2)
+        at_t, at_u = model.values_at(t2), model.values_at(u2)
+
+        lo_x, hi_x, lo_z, hi_z = np.full(n, -_TAIL), _TAIL + a, np.full(n, -_TAIL), _TAIL + sd
+        grade_x = grading(mu_t, a, model.maturity - t2, hi_x)
+        grade_z = grading(mu_s, sd, model.maturity - u2, hi_z)
+        # the kinks: V^c(t_k) = -H, H (C's) in xi, G = 0 in zeta (where the
+        # level that C must reach jumps from G - H to G + H); and where each
+        # integral's conditional probability is 1/2 at the conditional mean,
+        # about which it moves on the scale of the other variable's spread
+        # (rho / rho_c in zeta, rho_c / rho in xi)
+        grid_x = table(lo_x, hi_x, grade_x, _KINK_TABLE)
+        grid_z = table(lo_z, hi_z, grade_z, _KINK_TABLE)
+
+        def residuals(z):  # z (..., 5, rows): each kink's residual at its points
+            vt = at_t(np.exp(mu_t + a * z[..., [0, 1, 4], :]))
+            v3 = at_t(np.exp(mu_t + a * rho * z[..., 3, :]))
+            g = at_u(np.exp(mu_s + sd * z[..., 2:4, :]))
+            g4 = at_u(np.exp(mu_t + drift + a * z[..., 4, :]))
+            return np.stack([vt[..., 0, :] + h, vt[..., 1, :] - h, g[..., 0, :],
+                             collateral_amount(collateral, v3) - g[..., 1, :],
+                             g4 - collateral_amount(collateral, vt[..., 2, :])], axis=-2)
+
+        grid = np.stack([grid_x, grid_x, grid_z, grid_z, grid_x], axis=1)
+        roots, found = _crossing(residuals, grid, residuals(grid))
+        ends = np.stack([hi_x, hi_x, hi_z, hi_z, hi_x])
+        kinks = np.where(found, roots, ends)
+        near = [np.minimum(rho / rho_c, 1.0), np.minimum(rho_c / rho, 1.0)]
+        middle = [[np.where(found[i] & (width < _SHARP), kinks[i] + side * grade * width, ends[i])
+                   for grade in _GRADES for side in (-1.0, 1.0)]
+                  for i, width in ((3, near[0]), (4, near[1]))]
+        x_e, w_x, row_x = _compact(lo_x, hi_x, [kinks[0], kinks[1], kinks[4], *middle[1], *grade_x],
+                                   nodes)
+        z_e, w_z, row_z = _compact(lo_z, hi_z, [kinks[2], kinks[3], *middle[0], *grade_z], nodes)
+        x, y = mu_t[row_x] + a[row_x] * x_e, mu_s[row_z] + sd[row_z] * z_e
+        # V^c(t_k) at the xi nodes and G at the zeta nodes, in one call
+        v = model.value(np.concatenate([t2[row_x], u2[row_z]]), np.exp(np.concatenate([x, y])))
+        vx, gy = v[:len(x)], v[len(x):]
+        cx = collateral_amount(collateral, vx)
+        # C(V) < G exactly where V < G + H sign(G)
+        target = gy + h * np.sign(gy)
+        # the roots: xi where V^c(t_k) = target, over xi given each zeta; the
+        # log-level where G = c, over Y given each xi; tabled per row
+        b_lo = np.minimum(rho * lo_z, rho * hi_z) - _BRIDGE * rho_c
+        b_hi = np.maximum(rho * lo_z, rho * hi_z) + _BRIDGE * rho_c
+        y_lo = mu_t + a * lo_x + drift - _BRIDGE * b
+        y_hi = mu_t + a * hi_x + drift + _BRIDGE * b
+        grid_b = table(b_lo, b_hi, grade_x)
+        grid_y = table(y_lo, y_hi, [mu_s + sd * z for z in grade_z])
+        vt, g = at_t(np.exp(mu_t + a * grid_b)), at_u(np.exp(grid_y))
+        # one table per row for each root: the zeta nodes' first, the xi nodes' next
+        tab = np.concatenate([row_z, n + row_x])
+        wanted = np.concatenate([target, cx])
+        times_of = np.concatenate([t2, u2])[tab]
+        base = np.concatenate([mu_t[row_z], np.zeros(len(x))])
+        scale_of = np.concatenate([a[row_z], np.ones(len(x))])
+
+        def scaled(v):
+            """v - wanted, for an option on a logarithmic scale about |wanted|,
+            on which Black's tails are smooth; a forward is affine in the level."""
+            if log_k is None:
+                return v - wanted
+            unit = np.maximum(np.abs(wanted), floor)
+            return (np.sign(v) * np.log1p(np.abs(v) / unit)
+                    - np.sign(wanted) * np.log1p(np.abs(wanted) / unit))
+
+        at_roots = model.values_at(times_of)
+        roots, side = _invert(
+            lambda z: scaled(at_roots(np.exp(base + scale_of * z))),
+            np.concatenate([grid_b, grid_y], axis=-1), np.concatenate([vt, g], axis=-1),
+            wanted, tab, direction, scaled)
+        # P(V^c(t_k, X) < target | zeta) and P(G(Y) > c | xi), each side apart
+        # so that a mirrored trade's are these exchanged
+        m = len(z_e)
+        w = (roots[:m] - rho[row_z] * z_e) / rho_c[row_z]
+        p_plus = np.where(side[:m] == 0, ndtr(direction * w), side[:m] < 0)
+        p_minus = np.where(side[:m] == 0, ndtr(-direction * w), side[:m] > 0)
+        eta = (roots[m:] - x - drift[row_x]) / b[row_x]
+        q_plus = np.where(side[m:] == 0, ndtr(-direction * eta), side[m:] > 0)
+        q_minus = np.where(side[m:] == 0, ndtr(direction * eta), side[m:] < 0)
+
+        def total(rows, terms):
+            return np.bincount(rows, weights=terms, minlength=n)
+
+        out[k2, 0] = np.maximum(total(row_z, w_z * gy * p_plus) - total(row_x, w_x * cx * q_plus), 0.0)
+        out[k2, 1] = np.maximum(total(row_x, w_x * cx * q_minus) - total(row_z, w_z * gy * p_minus), 0.0)
     return out
 
 
@@ -639,39 +718,76 @@ def _normal_pieces(breaks: np.ndarray, nodes: int):
     return z.reshape(-1, breaks.shape[1]), weight.reshape(-1, breaks.shape[1])
 
 
-def _breaks(lo, hi, points, panels=_PANELS) -> np.ndarray:
-    """The sorted breakpoints ((pieces + 1, rows)) of [lo, hi]: equal
+def _compact(lo, hi, points, nodes: int):
+    """``_normal_pieces`` on [lo, hi] cut at the points (``_breaks``), the
+    pieces of zero width dropped: the points, their weights and the row of
+    each, three flat arrays, row by row."""
+    breaks = _breaks(lo, hi, points)
+    z, weight = (x.T for x in _normal_pieces(breaks, nodes))
+    kept = np.repeat((breaks[1:] > breaks[:-1]).T, nodes, axis=1)
+    rows = np.broadcast_to(np.arange(breaks.shape[1])[:, None], z.shape)
+    return z[kept], weight[kept], rows[kept]
+
+
+def _breaks(lo, hi, points) -> np.ndarray:
+    """The sorted breakpoints ((pieces + 1, rows)) of [lo, hi]: _PANELS equal
     panels and the points, those outside it on its ends."""
-    cuts = [lo + (hi - lo) * f for f in np.linspace(0.0, 1.0, panels + 1)]
+    cuts = [lo + (hi - lo) * f for f in np.linspace(0.0, 1.0, _PANELS + 1)]
     return np.sort(np.clip(np.array(cuts + list(points)), lo, hi), axis=0)
 
 
-def _sign_change(f, lo, hi) -> np.ndarray:
-    """Per row, a point between lo and hi ((rows,) each) where f changes sign,
-    or hi where no interval of a scan of _SCAN brackets one: the first that
-    does, refined by _ILLINOIS steps of regula falsi (the Illinois variant).
-    f maps (q, rows) points to values; -f gives the same points bit for bit,
-    since each step reads only signs and ratios."""
-    scan = lo + (hi - lo) * np.linspace(0.0, 1.0, _SCAN + 1)[:, None]
-    values = f(scan)
+def _refine(f, a, b, fa, fb, found, steps=_REFINE):
+    """A root of f between a and b (fa, fb of opposite signs, or fb 0) after
+    steps of regula falsi, Anderson-Bjorck's: each new point takes b's
+    place; where f changed sign between them b takes a's, else a stays and
+    its value is scaled. -f gives the same points bit for bit, since each
+    step reads only signs and ratios. Where not found, f is not read."""
+    fa, fb = np.where(found, fa, -1.0), np.where(found, fb, 1.0)
+    for _ in range(steps):
+        x = b - fb * ((b - a) / (fb - fa))
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            fx = np.where(found, f(x), 0.0)
+        flip = np.sign(fx) != np.sign(fb)
+        m = 1.0 - fx / np.where(fb != 0, fb, 1.0)
+        a, fa = np.where(flip, b, a), np.where(flip, fb, np.where(m > 0, m, 0.5) * fa)
+        b, fb = x, fx
+    return b
+
+
+def _crossing(f, grid, values):
+    """Per column of values ((points, ...), f at grid's points along axis 0):
+    the first interval whose ends have opposite signs, refined (``_refine``),
+    and whether there is one. f maps points (...) to values."""
     signs = np.sign(values)
     change = signs[:-1] * signs[1:] < 0
     found = change.any(axis=0)
-    first, cols = np.argmax(change, axis=0), np.arange(len(lo))
-    a, b = scan[first, cols], scan[first + 1, cols]
-    fa = np.where(found, values[first, cols], -1.0)
-    fb = np.where(found, values[first + 1, cols], 1.0)
-    kept = np.zeros(len(lo))  # the end the last step kept: 1.0 b, -1.0 a
-    for _ in range(_ILLINOIS):
-        x = b - fb * ((b - a) / (fb - fa))
-        fx = np.where(found, f(x[None])[0], 0.0)
-        right = np.sign(fx) == np.sign(fa)  # the change lies in [x, b]
-        fb = np.where(right & (kept > 0), 0.5 * fb, fb)  # an end kept twice counts half
-        fa = np.where(~right & (kept < 0), 0.5 * fa, fa)
-        a, fa = np.where(right, x, a), np.where(right, fx, fa)
-        b, fb = np.where(right, b, x), np.where(right, fb, fx)
-        kept = np.where(right, 1.0, -1.0)
-    return np.where(found, b - fb * ((b - a) / (fb - fa)), hi)
+    first = np.argmax(change, axis=0)[None]
+    ends = [np.take_along_axis(x, first + i, 0)[0] for x in (grid, values) for i in (0, 1)]
+    return _refine(f, *ends, found), found
+
+
+def _invert(f, grid, table, wanted, tables, direction, scaled):
+    """Where a monotone V^c reaches each wanted value ((m,), grouped by
+    table): V^c is tabled per column of table ((points, columns)) at the
+    points grid, and tables ((m,), ascending) names each wanted value's
+    column; direction is +1 where V^c rises along the grid, -1 where it
+    falls. Returns the root of f = scaled(V^c at points), bracketed on the
+    table and refined (``_refine``), and the side, 0 where there is a root,
+    else the sign of V^c - wanted on the whole table. Negating V^c, wanted
+    and direction gives the same roots."""
+    order = direction * table
+    key = direction * wanted
+    starts = np.searchsorted(tables, np.arange(table.shape[1] + 1))
+    below = np.concatenate([np.searchsorted(order[:, j], key[starts[j]:starts[j + 1]])
+                            for j in range(table.shape[1])])
+    points = len(table)
+    found = (below > 0) & (below < points)
+    lo = np.clip(below - 1, 0, points - 2)
+    a, b = grid[lo, tables], grid[lo + 1, tables]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        fa, fb = scaled(table[lo, tables]), scaled(table[lo + 1, tables])
+    side = np.where(found, 0.0, np.where(below == 0, direction, -direction))
+    return _refine(f, a, b, fa, fb, found, _INVERT), side
 
 
 def make_collateralized_valuation(

@@ -153,6 +153,7 @@ class PathSet:
     tau_c: np.ndarray | None = None
     tau_b: np.ndarray | None = None
     clock_columns: tuple[int, int] = (0, 1)
+    dyn: ModelDynamics | None = None
 
     def __post_init__(self):
         # the default clock and the cure-window ring read one step, times[1] - times[0]
@@ -267,7 +268,7 @@ def simulate_paths(
         for args in blocks:
             fill_block(*args)
 
-    return PathSet(times=times, s=s.T, pi_c=pi_c.T, pi_b=pi_b.T, seed=seed)
+    return PathSet(times=times, s=s.T, pi_c=pi_c.T, pi_b=pi_b.T, seed=seed, dyn=dyn)
 
 
 def _sample_clock(
@@ -349,6 +350,7 @@ def swap_roles(paths: PathSet) -> PathSet:
     return replace(
         paths, pi_c=paths.pi_b, pi_b=paths.pi_c, tau_c=paths.tau_b, tau_b=paths.tau_c,
         clock_columns=paths.clock_columns[::-1],
+        dyn=None if paths.dyn is None else paths.dyn.swapped_roles(),
     )
 
 

@@ -79,7 +79,6 @@ the paths as well.
 from __future__ import annotations
 
 import contextlib
-import functools
 import inspect
 import math
 from collections.abc import Callable
@@ -426,7 +425,7 @@ def _funding_trapezoid(paths: PathSet, disc, state, solve=None, moments=None):
     parts of a gap that does not jump, weighted by numbers every path shares.
     """
     times = paths.times
-    dt = np.diff(times)
+    halves = _half_steps(times)
     last = len(times) - 1
     tails = right = control = None
     for k in range(last, -1, -1):
@@ -437,7 +436,7 @@ def _funding_trapezoid(paths: PathSet, disc, state, solve=None, moments=None):
             tails = [np.zeros((2, paths.n_paths)) for _ in spreads]
             right = [None] * len(spreads)  # each pair's densities at t_{k+1}-
         weight = disc[k] * surv
-        half = 0.5 * dt[k] if k < last else None
+        half = halves[k] if k < last else None
         parts = [None] * len(spreads)  # each pair's (gap)^± at t_k and t_k-
         left = [None] * len(spreads)  # each pair's densities at t_k
 
@@ -694,8 +693,9 @@ def _prepare_mc(
         window = model.columns(paths, u, clamp_terminal=shift > 0)
         nodes = times[_node(times, u)]
     control = {}
-    if payoff and not model.deterministic:
-        # simulate_paths' spread recursion without its noise
+    if payoff and not model.deterministic and paths.dyn == dyn:
+        # simulate_paths' spread recursion without its noise (paths drawn
+        # otherwise carry no control: its mean assumes the law of dyn)
         dt = times[-1] / paths.n_steps
         frozen = []
         for pi0, drift, silent in ((dyn.pi0_c, dyn.drift_c, False),
@@ -706,7 +706,7 @@ def _prepare_mc(
                 for k in range(paths.n_steps):
                     row[0, k + 1] = max(row[0, k] + drift * dt, 0.0)
             frozen.append(row)
-        control = dict(frozen=tuple(frozen), expected=lambda: _expected_close_out(
+        control = dict(frozen=tuple(frozen), expected=lambda: expected_close_out(
             model, collateral, times, u, nodes))
     return _McRun(
         paths=paths,
@@ -719,24 +719,6 @@ def _prepare_mc(
     )
 
 
-@functools.lru_cache(maxsize=32)
-def _cached_close_out(instrument, ois, dyn, collateral, grids):
-    model = make_collateralized_valuation(instrument, ois, dyn)
-    out = expected_close_out(model, collateral, *(np.frombuffer(g) for g in grids))
-    out.flags.writeable = False
-    return out
-
-
-def _expected_close_out(model, collateral, times, window_ends, window_times):
-    """``instruments.expected_close_out``, which depends on the trade, the
-    market, the collateral and the grid and not on the paths, computed once
-    for valuations that share them all (a seed study, or one trade's
-    methods on one scenario set)."""
-    grids = tuple(np.ascontiguousarray(g, dtype=float).tobytes()
-                  for g in (times, window_ends, window_times))
-    return _cached_close_out(model.instrument, model.ois, model.dyn, collateral, grids)
-
-
 def _survival(
     paths: PathSet, spreads: Callable, recovery_c: float, recovery_b: float
 ) -> Callable:
@@ -746,35 +728,49 @@ def _survival(
     at t_k (``spreads(k)[0]``, the counterparty's first) that it has formed
     already; a name's intensity is its spread over 1 - R. Lambda is each
     name's left-endpoint sum of intensity * dt over the grid steps before
-    t_k. Their sum is one per-path vector, the whole grid's first (from
-    spreads) and then carried back one step at a time, so the survival at
-    t_k is right only after the call at t_{k+1}; the names enter each step
-    as a sum of two, so a role swap leaves the survival unchanged, bit for
-    bit. Spreads that every path shares ((2, 1) rows) give one survival."""
+    t_k (``_clock_step``). Their sum is one per-path vector, the whole
+    grid's first (from spreads) and then carried back one step at a time,
+    so the survival at t_k is right only after the call at t_{k+1}; the
+    names enter each step as a sum of two, so a role swap leaves the
+    survival unchanged, bit for bit."""
     for label, recovery in (("counterparty", recovery_c), ("bank", recovery_b)):
         if not recovery < 1.0:
             raise ValueError(
                 f"the {label} recovery must be below 1 on the Monte Carlo backend, "
                 f"got {recovery!r}"
             )
-    # intensity * dt per unit of spread over each grid step, per name
-    recoveries = np.array([[recovery_c], [recovery_b]])
-    per_spread = np.diff(paths.times)[None, :] / (1.0 - recoveries)
-
-    def step(rows, j):  # the two names' intensity * dt over grid step j, summed, per path
-        scaled = rows * per_spread[:, j:j + 1]
-        return scaled[0] + scaled[1]
-
-    clock = 0.0  # -(Lambda_C + Lambda_B), one per row of the spreads
+    per_spread = _per_spread(paths.times, (recovery_c, recovery_b))
+    clock = np.zeros(paths.n_paths)  # -(Lambda_C + Lambda_B)
     for j in range(paths.n_steps):
-        clock = clock - step(spreads(j)[0], j)
+        clock -= _clock_step(spreads(j)[0], per_spread[:, j:j + 1])
 
     def survival(k, rows):
         if k < paths.n_steps:
-            np.add(clock, step(rows, k), out=clock)
+            np.add(clock, _clock_step(rows, per_spread[:, k:k + 1]), out=clock)
         return np.exp(clock)
 
     return survival
+
+
+def _per_spread(times: np.ndarray, recoveries) -> np.ndarray:
+    """Each name's intensity * dt per unit of spread over each grid step,
+    (2, n_steps): the default clock's step, which the legs' survival
+    (``_survival``) and their control's (``_frozen_weights``) both take."""
+    return np.diff(times)[None, :] / (1.0 - np.array(recoveries, dtype=float)[:, None])
+
+
+def _clock_step(rows: np.ndarray, per_spread: np.ndarray) -> np.ndarray:
+    """The two names' intensity * dt over grid steps, summed: the spreads'
+    rows (counterparty first) times ``_per_spread``'s columns."""
+    scaled = rows * per_spread
+    return scaled[0] + scaled[1]
+
+
+def _half_steps(times: np.ndarray) -> np.ndarray:
+    """The trapezoid's weight 0.5 dt_k at each end of grid step k, which the
+    legs (``_funding_trapezoid``) and their control (``_frozen_weights``)
+    both take."""
+    return 0.5 * np.diff(times)
 
 
 def _mc_report(run: _McRun, loss, gain, cf, df, method: str, **kw) -> XvaReport:
@@ -808,13 +804,11 @@ def _frozen_weights(paths, disc, levels, frozen, recoveries) -> np.ndarray:
     names exchanged, so a role swap exchanges its rows exactly."""
     pi = np.concatenate(frozen)
     rc, ll = (np.maximum(pi + level, 0.0) for level in _levels(paths.times, levels))
-    dt = np.diff(paths.times)
-    scaled = rc[:, :-1] * (dt / (1.0 - np.array(recoveries))[:, None])
-    steps = scaled[0] + scaled[1]
+    steps = _clock_step(rc[:, :-1], _per_spread(paths.times, recoveries))
     total = -np.cumsum(steps)[-1:]  # -(Lambda_C + Lambda_B) at the horizon
     clock = np.cumsum(np.concatenate([total, steps[::-1]]))[::-1]
     weight = disc * np.exp(clock)
-    half = 0.5 * dt
+    half = _half_steps(paths.times)
     weights = np.zeros((paths.n_steps + 1, 2))
     weights[:-1] += (half * (weight[:-1] * rc[:, :-1])).T
     weights[1:] += (half * (weight[1:] * ll[:, 1:])).T

@@ -410,6 +410,16 @@ class TestDefaultSampling:
         back = swap_roles(flipped)
         assert back.pi_c is sampled.pi_c and back.tau_c is sampled.tau_c
 
+    def test_paths_name_the_dynamics_they_were_drawn_from(self):
+        dyn = ModelDynamics(s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.05, pi0_b=0.02,
+                            vol_c=0.01, rho_sc=0.3)
+        paths = sample_default_times(simulate_paths(dyn, 1.0, 4, 50, seed=1), 0.4, 0.6)
+        assert paths.dyn == dyn
+        flipped = swap_roles(paths)
+        assert flipped.dyn == dyn.swapped_roles() and swap_roles(flipped).dyn == dyn
+        built = PathSet(times=paths.times, s=paths.s, pi_c=paths.pi_c, pi_b=paths.pi_b, seed=1)
+        assert built.dyn is None and swap_roles(built).dyn is None
+
     def test_swapped_paths_resample_each_name_on_its_own_clock(self):
         paths = self._flat_spread_paths(pi0_c=0.05, pi0_b=0.02, n_paths=5_000)
         sampled = sample_default_times(paths, recovery_c=0.4, recovery_b=0.6)

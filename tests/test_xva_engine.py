@@ -1680,7 +1680,9 @@ class TestDenseGrids:
         report, _, _ = _mc_valuation(
             run, RISKY_CP, RISKY_BANK, "first_order", SolverParams()
         )
-        assert report.cva > 0 and len(calls) == len(run.paths.times)
+        # the sweep values one column (one time) per call; the control's
+        # mean (expected_close_out) values many times at once
+        assert report.cva > 0 and calls.count(0) == len(run.paths.times)
 
     @pytest.mark.parametrize(
         "instrument, horizon",
@@ -1848,7 +1850,7 @@ class TestOneSweep:
 
         def counting_spreads(times, curves, pi=None, floor=False):
             at = spreads(times, curves, pi, floor)
-            if not floor or pi[0].shape[0] == 1:  # the funding spreads, the control's rows
+            if not floor:  # the funding spreads
                 return at
 
             def counted(k):
@@ -2238,6 +2240,40 @@ class TestDefaultLegControl:
         report, _ = run_xva(self.CALL, OIS, RISKY_CP, RISKY_BANK, self.README, method=method,
                             dyn=self.DYN, n_paths=1, n_steps=8, seed=3)
         assert self._finite(report) and report.se_cva == report.se_fair_value == 0.0
+
+    @pytest.mark.parametrize("drawn", ["other_vol_s", "built"])
+    def test_paths_not_drawn_from_the_dynamics_carry_no_control(self, monkeypatch, drawn):
+        # the control's mean assumes that S follows dyn: paths drawn at another
+        # vol_s, or a PathSet built by hand, keep the plain legs
+        paths = simulate_paths(replace(self.DYN, vol_s=0.2), 1.0, 16, 2_000, seed=3)
+        if drawn == "built":
+            paths = PathSet(times=paths.times, s=paths.s, pi_c=paths.pi_c, pi_b=paths.pi_b,
+                            seed=3)
+        swept = _record_sweeps(monkeypatch)
+        report, _ = run_xva(self.CALL, OIS, RISKY_CP, RISKY_BANK, self.README, dyn=self.DYN,
+                            method="first_order", paths=paths)
+        (legs,) = swept
+        assert len(legs) == 4  # the default and funding pairs: no control
+        assert (report.cva, report.dva) == (legs[0].mean(), legs[1].mean())
+        # drawn from dyn, the same trade carries it
+        run_xva(self.CALL, OIS, RISKY_CP, RISKY_BANK, self.README, dyn=self.DYN,
+                method="first_order", paths=simulate_paths(self.DYN, 1.0, 16, 2_000, seed=3))
+        assert len(swept[-1]) == 6
+
+    @pytest.mark.parametrize("cure", [0.25, 0.1])
+    def test_the_quadrature_error_moves_the_cva_by_little(self, monkeypatch, cure):
+        # the control's mean with 4x the quadrature's nodes: the README call's
+        # reported CVA and DVA on 64 steps move by a small part of se
+        # (measured at most 0.016 se, the DVA at cure 0.1)
+        collateral = CollateralSpec.bilateral_threshold(5.0, cure_period=cure)
+        knobs = dict(method="first_order", dyn=self.DYN, n_paths=20_000, n_steps=64, seed=3)
+        base, _ = run_xva(self.CALL, OIS, RISKY_CP, RISKY_BANK, collateral, **knobs)
+        rule = xva_engine.expected_close_out
+        monkeypatch.setattr(xva_engine, "expected_close_out",
+                            lambda *args: rule(*args, nodes=32))
+        fine, _ = run_xva(self.CALL, OIS, RISKY_CP, RISKY_BANK, collateral, **knobs)
+        assert abs(base.cva - fine.cva) < 0.05 * base.se_cva
+        assert abs(base.dva - fine.dva) < 0.05 * base.se_dva
 
     @pytest.mark.parametrize("trade", ["schedule", "zero_vol"])
     def test_a_deterministic_gap_carries_no_control(self, monkeypatch, trade):
