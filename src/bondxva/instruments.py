@@ -11,6 +11,7 @@ OIS, or Black's formula for a payoff.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
@@ -476,27 +477,25 @@ class _PayoffValuation:
 # Each standard normal variable is integrated over [-_TAIL, _TAIL + sd] (sd the
 # standard deviation of its log-level, so that a value growing like the level
 # stays covered), cut into _PANELS equal panels and at every kink, with
-# `nodes` Gauss-Legendre points on each piece. Where a value bends on a
-# scale below _SHARP of the variable's (Black's about the strike near
-# expiry, the payoff's kink at it; a conditional probability about its
-# middle when the other variable's spread is the smaller), that point and
-# _GRADES of that scale either side of it are breakpoints too, so that each
-# piece is smooth on its own scale. A kink is bracketed on a table of
-# _KINK_TABLE equal steps (and those points) and refined by _REFINE steps of
-# regula falsi (Anderson-Bjorck); each node's root of V^c = target on a
-# table of _TABLE, by _INVERT steps, on a logarithmic scale about the target
-# for an option, on which Black's tails are smooth. A conditional normal's
-# root is sought within _BRIDGE of its standard deviations.
+# `nodes` Gauss-Legendre points on each piece; a level of no spread is a
+# point. Where a value bends on a scale below _SHARP of the variable's
+# (Black's about the strike near expiry, the payoff's kink at it; a
+# conditional probability about its middle when the other variable's spread
+# is the smaller), that point and _GRADES of that scale either side of it
+# are breakpoints too, so that each piece is smooth on its own scale. Each
+# kink, and each node's root of V^c = target, is bracketed on a table of
+# _TABLE equal steps (and those points) and refined by _REFINE steps of
+# regula falsi (Anderson-Bjorck), a root on a logarithmic scale about the
+# target for an option, on which Black's tails are smooth. A conditional
+# normal's root is sought within _BRIDGE of its standard deviations.
 _TAIL = 7.5
 _BRIDGE = 8.0
 _PANELS = 4
 _LEGENDRE = 8
 _SHARP = 0.5
 _GRADES = (3.0, 0.5)
-_KINK_TABLE = 24
-_TABLE = 64
+_TABLE = 24
 _REFINE = 4
-_INVERT = 3
 
 
 def expected_close_out(
@@ -510,16 +509,19 @@ def expected_close_out(
     the grid node s_k <= u_k (``window_times``), as ``_PayoffValuation.columns``
     reads it, and S lognormal from s0 as ``simulate_paths`` draws it.
 
-    Written from ``model.value`` and ``collateral_amount`` alone. Where the
-    collateral follows V^c (perfect or threshold) and s_k > t_k > 0, the
-    gap is G(Y) - c(X), with X and Y the log-levels at t_k and s_k, G =
-    V^c(u_k, .) and c = C(V^c(t_k, .)), both monotone the same way. Then
+    Written from ``model.value`` and ``collateral_amount`` alone. The gap is
+    G(Y) - c(X): Y the log-level at s_k and G = V^c(u_k, .); X the log-level
+    at the collateral's time, t_k where C follows V^c (perfect or threshold)
+    and else 0 (log s0: a constant C), and c = C(V^c(that time, .)); G and c
+    are monotone the same way. Then
     E[(G - c)^+] = E[G(Y) P(c(X) < G(Y) | Y)] - E[c(X) P(G(Y) > c(X) | X)],
-    and E[(G - c)^-] likewise: two integrals over one level each, the
-    conditional probabilities normal, from a root of V^c(t_k, .) = the level
-    where C reaches G(Y), and of G = c(X). Elsewhere the expectation is over
-    one level. A mirrored trade (V^c and the collateral negated) has the
-    same roots and nodes, so its two parts are these exchanged, bit for bit.
+    and E[(G - c)^-] likewise: two integrals over one level each. Each
+    conditional probability is normal, from a root of V^c(t_k, .) = the level
+    where C reaches G(Y), and of G = c(X); where the level it is over has no
+    spread given the other (a point, or s_k = t_k), it is an indicator, the
+    sign of the gap at that node. A mirrored trade (V^c and the collateral
+    negated) has the same roots and nodes, so its two parts are these
+    exchanged, bit for bit.
     """
     # imported here: scipy.special is most of the command line's import time
     from scipy.special import ndtr
@@ -528,7 +530,9 @@ def expected_close_out(
     vol, growth = dyn.vol_s, dyn.rate - dyn.dividend - 0.5 * dyn.vol_s**2
     log_s0 = math.log(dyn.s0)
     t, u, s = (np.asarray(x, dtype=float) for x in (times, window_ends, window_times))
-    follows = collateral.mode in ("perfect", "bilateral_threshold")
+    n = len(t)
+    if collateral.mode not in ("perfect", "bilateral_threshold"):
+        t = np.zeros(n)  # a constant C: X is log s0, the level at time 0
     h = collateral.threshold if collateral.mode == "bilateral_threshold" else 0.0
     inst = model.instrument
     # the way V^c moves with the level: up for a call or forward held long
@@ -545,6 +549,7 @@ def expected_close_out(
         kinks): at it and at _GRADES widths either side; elsewhere at end."""
         if log_k is None:
             return []
+        sd = np.where(sd > 0, sd, 1.0)  # a point's breakpoints fall on it
         width = vol * np.sqrt(np.maximum(left, 0.0))
         sharp = width < _SHARP * sd
         scale = np.where(width > 0, np.minimum(width, sd) / sd, 0.25)
@@ -552,154 +557,127 @@ def expected_close_out(
         return [np.where(sharp, at + side * grade * scale, end)
                 for grade in (0.0, *_GRADES) for side in (-1.0, 1.0)[grade == 0:]]
 
-    def table(lo, hi, extra=(), steps=_TABLE):
-        """steps equal steps over [lo, hi] and the extra points within it,
+    def table(lo, hi, extra):
+        """_TABLE equal steps over [lo, hi] and the extra points within it,
         sorted: (points, rows)."""
-        even = lo + (hi - lo) * np.linspace(0.0, 1.0, steps)[:, None]
-        extra = np.clip(np.reshape(np.array(list(extra)), (-1, len(lo))), lo, hi)
+        even = lo + (hi - lo) * np.linspace(0.0, 1.0, _TABLE)[:, None]
+        extra = np.clip(np.array(extra, dtype=float).reshape(len(extra), len(lo)), lo, hi)
         return np.sort(np.concatenate([even, extra]), axis=0)
 
-    def pieces(lo, hi, cuts):
-        return _normal_pieces(_breaks(lo, hi, cuts), nodes)
+    # X = mu_t + a xi, Y = mu_s + sd zeta; xi given zeta: rho zeta + rho_c N(0, 1);
+    # Y given X: X + drift + b N(0, 1); a level at time 0 is the point log s0
+    a, sd = vol * np.sqrt(t), vol * np.sqrt(s)
+    mu_t, mu_s = log_s0 + growth * t, log_s0 + growth * s
+    span = np.where(s > 0, s, 1.0)
+    rho, rho_c = np.sqrt(t / span), np.sqrt((span - t) / span)
+    b, drift = vol * np.sqrt(s - t), growth * (s - t)
+    at_t, at_u = model.values_at(t), model.values_at(u)
 
-    out = np.empty((len(t), 2))
-    two = follows & (t > 0) & (s > t)
+    lo_x, hi_x = np.where(a > 0, -_TAIL, 0.0), np.where(a > 0, _TAIL + a, 0.0)
+    lo_z, hi_z = np.where(sd > 0, -_TAIL, 0.0), np.where(sd > 0, _TAIL + sd, 0.0)
+    grade_x = grading(mu_t, a, model.maturity - t, hi_x)
+    grade_z = grading(mu_s, sd, model.maturity - u, hi_z)
+    # the kinks: V^c(t_k) = -H, H (C's) in xi, G = 0 in zeta (where the
+    # level that C must reach jumps from G - H to G + H); and where each
+    # integral's conditional probability is 1/2 at the conditional mean (an
+    # indicator's step), about which it moves on the scale of the other
+    # variable's spread (rho / rho_c in zeta, rho_c / rho in xi)
+    grid_x = table(lo_x, hi_x, grade_x)
+    grid_z = table(lo_z, hi_z, grade_z)
 
-    # one level: S(s_k), or S(t_k) where the collateral follows it (s_k = t_k)
-    k1 = np.flatnonzero(~two)
-    if len(k1):
-        t1, u1, s1 = t[k1], u[k1], s[k1]
-        same = follows & (s1 == t1)
-        law = np.where(same, t1, s1)
-        point = law == 0  # t_k = s_k = 0: the level is s0
-        sd = np.where(point, 1.0, vol * np.sqrt(law))
-        mean = log_s0 + growth * law
-        fixed = collateral_amount(collateral, model.value(t1, np.full(len(k1), dyn.s0)))
-        at_u, at_t = model.values_at(u1), model.values_at(t1)
+    def residuals(z):  # z (..., 5, rows): each kink's residual at its points
+        vt = at_t(np.exp(mu_t + a * z[..., [0, 1, 4], :]))
+        v3 = at_t(np.exp(mu_t + a * rho * z[..., 3, :]))
+        g = at_u(np.exp(mu_s + sd * z[..., 2:4, :]))
+        g4 = at_u(np.exp(mu_t + drift + a * z[..., 4, :]))
+        return np.stack([vt[..., 0, :] + h, vt[..., 1, :] - h, g[..., 0, :],
+                         collateral_amount(collateral, v3) - g[..., 1, :],
+                         g4 - collateral_amount(collateral, vt[..., 2, :])], axis=-2)
 
-        def both(z):  # V^c(u_k) and V^c(t_k) at standard points z, (..., rows) each
-            level = np.exp(mean + sd * z)
-            return at_u(level), at_t(level)
-
-        def gap(g, vt):
-            return g - np.where(same, collateral_amount(collateral, vt), fixed)
-
-        lo, hi = np.where(point, 0.0, -_TAIL), np.where(point, 0.0, _TAIL + sd)
-        grades = grading(mean, sd, model.maturity - u1, hi)
-        grid = table(lo, hi, grades, _KINK_TABLE)
-        g, vt = both(grid)
-
-        def residuals(g, vt):  # the gap, V^c(t_k) - H and V^c(t_k) + H: its kinks
-            return np.stack([gap(g[..., 0, :], vt[..., 0, :]), vt[..., 1, :] - h,
-                             vt[..., 2, :] + h], axis=-2)
-
-        roots, found = _crossing(lambda z: residuals(*both(z)),
-                                 grid[:, None], residuals(g[:, None].repeat(3, 1), vt[:, None].repeat(3, 1)))
-        kinks = np.where(found, roots, hi)
-        kinks[1:] = np.where(same, kinks[1:], hi)  # C's kinks where C follows V^c(t_k)
-        z, weight = pieces(lo, hi, [*kinks, *grades])
-        gaps = gap(*both(z))
-        parts = (weight * np.stack([np.maximum(gaps, 0.0), np.maximum(-gaps, 0.0)])).sum(axis=1)
-        if point.any():
-            gaps = gap(*both(np.zeros((1, len(k1)))))[0]
-            parts[:, point] = np.stack([np.maximum(gaps, 0.0), np.maximum(-gaps, 0.0)])[:, point]
-        out[k1] = parts.T
-
-    # two levels: X = log S(t_k) = mu_t + a xi, Y = log S(s_k) = mu_s + sd zeta
-    k2 = np.flatnonzero(two)
-    if len(k2):
-        t2, u2, s2 = t[k2], u[k2], s[k2]
-        n = len(k2)
-        a, sd = vol * np.sqrt(t2), vol * np.sqrt(s2)
-        mu_t, mu_s = log_s0 + growth * t2, log_s0 + growth * s2
-        # xi given zeta: rho zeta + rho_c N(0, 1); Y given X: X + drift + b N(0, 1)
-        rho, rho_c = np.sqrt(t2 / s2), np.sqrt((s2 - t2) / s2)
-        b, drift = vol * np.sqrt(s2 - t2), growth * (s2 - t2)
-        at_t, at_u = model.values_at(t2), model.values_at(u2)
-
-        lo_x, hi_x, lo_z, hi_z = np.full(n, -_TAIL), _TAIL + a, np.full(n, -_TAIL), _TAIL + sd
-        grade_x = grading(mu_t, a, model.maturity - t2, hi_x)
-        grade_z = grading(mu_s, sd, model.maturity - u2, hi_z)
-        # the kinks: V^c(t_k) = -H, H (C's) in xi, G = 0 in zeta (where the
-        # level that C must reach jumps from G - H to G + H); and where each
-        # integral's conditional probability is 1/2 at the conditional mean,
-        # about which it moves on the scale of the other variable's spread
-        # (rho / rho_c in zeta, rho_c / rho in xi)
-        grid_x = table(lo_x, hi_x, grade_x, _KINK_TABLE)
-        grid_z = table(lo_z, hi_z, grade_z, _KINK_TABLE)
-
-        def residuals(z):  # z (..., 5, rows): each kink's residual at its points
-            vt = at_t(np.exp(mu_t + a * z[..., [0, 1, 4], :]))
-            v3 = at_t(np.exp(mu_t + a * rho * z[..., 3, :]))
-            g = at_u(np.exp(mu_s + sd * z[..., 2:4, :]))
-            g4 = at_u(np.exp(mu_t + drift + a * z[..., 4, :]))
-            return np.stack([vt[..., 0, :] + h, vt[..., 1, :] - h, g[..., 0, :],
-                             collateral_amount(collateral, v3) - g[..., 1, :],
-                             g4 - collateral_amount(collateral, vt[..., 2, :])], axis=-2)
-
-        grid = np.stack([grid_x, grid_x, grid_z, grid_z, grid_x], axis=1)
-        roots, found = _crossing(residuals, grid, residuals(grid))
-        ends = np.stack([hi_x, hi_x, hi_z, hi_z, hi_x])
-        kinks = np.where(found, roots, ends)
+    grid = np.stack([grid_x, grid_x, grid_z, grid_z, grid_x], axis=1)
+    roots, found = _crossing(residuals, grid, residuals(grid))
+    ends = np.stack([hi_x, hi_x, hi_z, hi_z, hi_x])
+    kinks = np.where(found, roots, ends)
+    with np.errstate(divide="ignore"):  # no spread on one side: no middle
         near = [np.minimum(rho / rho_c, 1.0), np.minimum(rho_c / rho, 1.0)]
-        middle = [[np.where(found[i] & (width < _SHARP), kinks[i] + side * grade * width, ends[i])
-                   for grade in _GRADES for side in (-1.0, 1.0)]
-                  for i, width in ((3, near[0]), (4, near[1]))]
-        x_e, w_x, row_x = _compact(lo_x, hi_x, [kinks[0], kinks[1], kinks[4], *middle[1], *grade_x],
-                                   nodes)
-        z_e, w_z, row_z = _compact(lo_z, hi_z, [kinks[2], kinks[3], *middle[0], *grade_z], nodes)
-        x, y = mu_t[row_x] + a[row_x] * x_e, mu_s[row_z] + sd[row_z] * z_e
-        # V^c(t_k) at the xi nodes and G at the zeta nodes, in one call
-        v = model.value(np.concatenate([t2[row_x], u2[row_z]]), np.exp(np.concatenate([x, y])))
-        vx, gy = v[:len(x)], v[len(x):]
-        cx = collateral_amount(collateral, vx)
-        # C(V) < G exactly where V < G + H sign(G)
-        target = gy + h * np.sign(gy)
-        # the roots: xi where V^c(t_k) = target, over xi given each zeta; the
-        # log-level where G = c, over Y given each xi; tabled per row
-        b_lo = np.minimum(rho * lo_z, rho * hi_z) - _BRIDGE * rho_c
-        b_hi = np.maximum(rho * lo_z, rho * hi_z) + _BRIDGE * rho_c
-        y_lo = mu_t + a * lo_x + drift - _BRIDGE * b
-        y_hi = mu_t + a * hi_x + drift + _BRIDGE * b
-        grid_b = table(b_lo, b_hi, grade_x)
-        grid_y = table(y_lo, y_hi, [mu_s + sd * z for z in grade_z])
-        vt, g = at_t(np.exp(mu_t + a * grid_b)), at_u(np.exp(grid_y))
-        # one table per row for each root: the zeta nodes' first, the xi nodes' next
-        tab = np.concatenate([row_z, n + row_x])
-        wanted = np.concatenate([target, cx])
-        times_of = np.concatenate([t2, u2])[tab]
-        base = np.concatenate([mu_t[row_z], np.zeros(len(x))])
-        scale_of = np.concatenate([a[row_z], np.ones(len(x))])
+    middle = [[np.where(found[i] & (width < _SHARP), kinks[i] + side * grade * width, ends[i])
+               for grade in _GRADES for side in (-1.0, 1.0)]
+              for i, width in ((3, near[0]), (4, near[1]))]
+    x_e, w_x, row_x = _compact(lo_x, hi_x, [kinks[0], kinks[1], kinks[4], *middle[1], *grade_x],
+                               nodes)
+    z_e, w_z, row_z = _compact(lo_z, hi_z, [kinks[2], kinks[3], *middle[0], *grade_z], nodes)
+    x, y = mu_t[row_x] + a[row_x] * x_e, mu_s[row_z] + sd[row_z] * z_e
+    # each node's row: the zeta nodes' first. Where X given Y (Y given X)
+    # has a spread, a node seeks a root; elsewhere its probability is an indicator
+    m = len(z_e)
+    node_rows = np.concatenate([row_z, n + row_x])
+    has = np.concatenate([(a > 0) & (b > 0), b > 0])
+    seek = has[node_rows]
+    one_z, one_x = ~seek[:m], ~seek[m:]
+    r_z, r_x = row_z[one_z], row_x[one_x]
+    # V^c(t_k) at the xi nodes and G at the zeta nodes, and at those of an
+    # indicator V^c(t_k) at X given zeta and G at Y given xi, in one call
+    levels = [x, y, mu_t[r_z] + (a * rho)[r_z] * z_e[one_z], x[one_x] + drift[r_x]]
+    v = model.value(np.concatenate([t[row_x], u[row_z], t[r_z], u[r_x]]),
+                    np.exp(np.concatenate(levels)))
+    vx, gy, v3, g4 = np.split(v, np.cumsum([len(level) for level in levels[:-1]]))
+    cx = collateral_amount(collateral, vx)
+    # C(V) < G exactly where V < G + H sign(G)
+    target = gy + h * np.sign(gy)
+    # the roots, tabled once per row that has them: xi where V^c(t_k) =
+    # target, over xi given each zeta (rho zeta, within _BRIDGE rho_c); the
+    # log-level where G = c at u_k, over Y given each xi (X + drift, within
+    # _BRIDGE b)
+    lo = np.concatenate([np.minimum(rho * lo_z, rho * hi_z) - _BRIDGE * rho_c,
+                         mu_t + a * lo_x + drift - _BRIDGE * b])[has]
+    hi = np.concatenate([np.maximum(rho * lo_z, rho * hi_z) + _BRIDGE * rho_c,
+                         mu_t + a * hi_x + drift + _BRIDGE * b])[has]
+    grid = table(lo, hi, [np.concatenate([gx, mu_s + sd * gz])[has]
+                          for gx, gz in zip(grade_x, grade_z)])
+    when, base, scale = (np.concatenate(pair)[has]
+                         for pair in ((t, u), (mu_t, np.zeros(n)), (a, np.ones(n))))
+    tab = (np.cumsum(has) - 1)[node_rows[seek]]
+    wanted = np.concatenate([target, cx])[seek]
 
-        def scaled(v):
-            """v - wanted, for an option on a logarithmic scale about |wanted|,
-            on which Black's tails are smooth; a forward is affine in the level."""
-            if log_k is None:
-                return v - wanted
-            unit = np.maximum(np.abs(wanted), floor)
-            return (np.sign(v) * np.log1p(np.abs(v) / unit)
-                    - np.sign(wanted) * np.log1p(np.abs(wanted) / unit))
+    def scaled(v):
+        """v - wanted, for an option on a logarithmic scale about |wanted|,
+        on which Black's tails are smooth; a forward is affine in the level."""
+        if log_k is None:
+            return v - wanted
+        unit = np.maximum(np.abs(wanted), floor)
+        return (np.sign(v) * np.log1p(np.abs(v) / unit)
+                - np.sign(wanted) * np.log1p(np.abs(wanted) / unit))
 
-        at_roots = model.values_at(times_of)
-        roots, side = _invert(
-            lambda z: scaled(at_roots(np.exp(base + scale_of * z))),
-            np.concatenate([grid_b, grid_y], axis=-1), np.concatenate([vt, g], axis=-1),
-            wanted, tab, direction, scaled)
-        # P(V^c(t_k, X) < target | zeta) and P(G(Y) > c | xi), each side apart
-        # so that a mirrored trade's are these exchanged
-        m = len(z_e)
-        w = (roots[:m] - rho[row_z] * z_e) / rho_c[row_z]
-        p_plus = np.where(side[:m] == 0, ndtr(direction * w), side[:m] < 0)
-        p_minus = np.where(side[:m] == 0, ndtr(-direction * w), side[:m] > 0)
-        eta = (roots[m:] - x - drift[row_x]) / b[row_x]
-        q_plus = np.where(side[m:] == 0, ndtr(-direction * eta), side[m:] > 0)
-        q_minus = np.where(side[m:] == 0, ndtr(direction * eta), side[m:] < 0)
+    at_roots, base_of, scale_of = model.values_at(when[tab]), base[tab], scale[tab]
+    roots, outside = _invert(
+        lambda z: scaled(at_roots(np.exp(base_of + scale_of * z))), grid,
+        model.value(when, np.exp(base + scale * grid)), wanted, tab, direction, scaled)
+    # each node's root in units of its conditional spread, and its side: 0
+    # where there is a root, else the sign of V^c - target (of G - c) over
+    # the whole table or, for an indicator, at its one point (0 at a tie,
+    # which counts half each way)
+    spread = np.concatenate([rho_c[row_z], b[row_x]])[seek]
+    centre = np.concatenate([rho[row_z] * z_e, x + drift[row_x]])[seek]
+    bound = np.zeros(len(seek))
+    bound[seek] = (roots - centre) / spread
+    side = np.empty(len(seek))
+    side[seek] = outside
+    side[~seek] = np.sign(np.concatenate([collateral_amount(collateral, v3) - gy[one_z],
+                                          g4 - cx[one_x]]))
+    # P(V^c(t_k, X) < target | zeta) and P(G(Y) > c | xi), each side apart
+    # so that a mirrored trade's are these exchanged
+    w, eta = bound[:m], bound[m:]
+    p_plus = np.where(side[:m] == 0, ndtr(direction * w), side[:m] < 0)
+    p_minus = np.where(side[:m] == 0, ndtr(-direction * w), side[:m] > 0)
+    q_plus = np.where(side[m:] == 0, ndtr(-direction * eta), side[m:] > 0)
+    q_minus = np.where(side[m:] == 0, ndtr(direction * eta), side[m:] < 0)
 
-        def total(rows, terms):
-            return np.bincount(rows, weights=terms, minlength=n)
+    def total(rows, terms):
+        return np.bincount(rows, weights=terms, minlength=n)
 
-        out[k2, 0] = np.maximum(total(row_z, w_z * gy * p_plus) - total(row_x, w_x * cx * q_plus), 0.0)
-        out[k2, 1] = np.maximum(total(row_x, w_x * cx * q_minus) - total(row_z, w_z * gy * p_minus), 0.0)
+    out = np.empty((n, 2))
+    out[:, 0] = np.maximum(total(row_z, w_z * gy * p_plus) - total(row_x, w_x * cx * q_plus), 0.0)
+    out[:, 1] = np.maximum(total(row_x, w_x * cx * q_minus) - total(row_z, w_z * gy * p_minus), 0.0)
     return out
 
 
@@ -710,7 +688,7 @@ def _normal_pieces(breaks: np.ndarray, nodes: int):
     """Gauss-Legendre points on the pieces between consecutive rows of breaks
     ((pieces + 1, rows), sorted along axis 0) and their weights times the
     standard normal density: two (pieces * nodes, rows) arrays."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _gauss_legendre(nodes)
     lo, hi = breaks[:-1, None], breaks[1:, None]
     half = 0.5 * (hi - lo)
     z = (lo + half) + half * x[:, None]
@@ -718,13 +696,22 @@ def _normal_pieces(breaks: np.ndarray, nodes: int):
     return z.reshape(-1, breaks.shape[1]), weight.reshape(-1, breaks.shape[1])
 
 
+@functools.cache
+def _gauss_legendre(nodes: int):
+    """The Gauss-Legendre points and weights on [-1, 1], formed once per count."""
+    return np.polynomial.legendre.leggauss(nodes)
+
+
 def _compact(lo, hi, points, nodes: int):
     """``_normal_pieces`` on [lo, hi] cut at the points (``_breaks``), the
-    pieces of zero width dropped: the points, their weights and the row of
-    each, three flat arrays, row by row."""
+    pieces of zero width dropped, and a row where lo = hi the point lo of
+    weight 1: the points, their weights and the row of each, three flat
+    arrays, row by row."""
     breaks = _breaks(lo, hi, points)
     z, weight = (x.T for x in _normal_pieces(breaks, nodes))
     kept = np.repeat((breaks[1:] > breaks[:-1]).T, nodes, axis=1)
+    point = lo == hi  # its first piece's first node is at lo
+    kept[point, 0], weight[point, 0] = True, 1.0
     rows = np.broadcast_to(np.arange(breaks.shape[1])[:, None], z.shape)
     return z[kept], weight[kept], rows[kept]
 
@@ -736,14 +723,14 @@ def _breaks(lo, hi, points) -> np.ndarray:
     return np.sort(np.clip(np.array(cuts + list(points)), lo, hi), axis=0)
 
 
-def _refine(f, a, b, fa, fb, found, steps=_REFINE):
+def _refine(f, a, b, fa, fb, found):
     """A root of f between a and b (fa, fb of opposite signs, or fb 0) after
-    steps of regula falsi, Anderson-Bjorck's: each new point takes b's
+    _REFINE steps of regula falsi, Anderson-Bjorck's: each new point takes b's
     place; where f changed sign between them b takes a's, else a stays and
     its value is scaled. -f gives the same points bit for bit, since each
     step reads only signs and ratios. Where not found, f is not read."""
     fa, fb = np.where(found, fa, -1.0), np.where(found, fb, 1.0)
-    for _ in range(steps):
+    for _ in range(_REFINE):
         x = b - fb * ((b - a) / (fb - fa))
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             fx = np.where(found, f(x), 0.0)
@@ -778,8 +765,9 @@ def _invert(f, grid, table, wanted, tables, direction, scaled):
     order = direction * table
     key = direction * wanted
     starts = np.searchsorted(tables, np.arange(table.shape[1] + 1))
-    below = np.concatenate([np.searchsorted(order[:, j], key[starts[j]:starts[j + 1]])
-                            for j in range(table.shape[1])])
+    below = np.empty(len(wanted), dtype=int)
+    for j in range(table.shape[1]):
+        below[starts[j]:starts[j + 1]] = np.searchsorted(order[:, j], key[starts[j]:starts[j + 1]])
     points = len(table)
     found = (below > 0) & (below < points)
     lo = np.clip(below - 1, 0, points - 2)
@@ -787,7 +775,7 @@ def _invert(f, grid, table, wanted, tables, direction, scaled):
     with np.errstate(invalid="ignore", divide="ignore"):
         fa, fb = scaled(table[lo, tables]), scaled(table[lo + 1, tables])
     side = np.where(found, 0.0, np.where(below == 0, direction, -direction))
-    return _refine(f, a, b, fa, fb, found, _INVERT), side
+    return _refine(f, a, b, fa, fb, found), side
 
 
 def make_collateralized_valuation(

@@ -254,11 +254,7 @@ def simulate_paths(
         for k in range(n_steps):
             np.multiply(s_blk[k], s_blk[k + 1], out=s_blk[k + 1])
         for blk, pi0, drift in ((c_blk, dyn.pi0_c, dyn.drift_c), (b_blk, dyn.pi0_b, dyn.drift_b)):
-            blk[0] = pi0
-            for k in range(n_steps):
-                # (pi_k + drift dt) + vol sqrt(dt) z_k, floored at zero
-                np.add(blk[k] + drift * dt, blk[k + 1], out=blk[k + 1])
-                np.maximum(blk[k + 1], 0.0, out=blk[k + 1])
+            _step_spreads(blk, pi0, drift * dt)
 
     blocks = list(_block_ranges(n_paths))
     if n_workers > 1 and len(blocks) > 1:
@@ -269,6 +265,17 @@ def simulate_paths(
             fill_block(*args)
 
     return PathSet(times=times, s=s.T, pi_c=pi_c.T, pi_b=pi_b.T, seed=seed, dyn=dyn)
+
+
+def _step_spreads(pi: np.ndarray, pi0: float, drift_dt: float) -> None:
+    """Step a block of spread paths in place, time-major ((n_times, ...)):
+    row k + 1 holds step k's noise, vol sqrt(dt) z_k (zeros for the path
+    without noise), and becomes pi_{k+1} = (pi_k + drift dt) + that noise,
+    floored at zero, with pi_0 = pi0; one contiguous row at a time."""
+    pi[0] = pi0
+    for k in range(len(pi) - 1):
+        np.add(pi[k] + drift_dt, pi[k + 1], out=pi[k + 1])
+        np.maximum(pi[k + 1], 0.0, out=pi[k + 1])
 
 
 def _sample_clock(

@@ -110,6 +110,7 @@ from .mc_engine import (
     ModelDynamics,
     PathSet,
     _exposure_moments,
+    _step_spreads,
     sample_default_times,
     simulate_paths,
 )
@@ -700,12 +701,10 @@ def _prepare_mc(
         frozen = []
         for pi0, drift, silent in ((dyn.pi0_c, dyn.drift_c, False),
                                    (dyn.pi0_b, dyn.drift_b, bond_mode)):
-            row = np.zeros((1, len(times)))
+            row = np.zeros((len(times), 1))  # no noise
             if not silent:
-                row[0, 0] = pi0
-                for k in range(paths.n_steps):
-                    row[0, k + 1] = max(row[0, k] + drift * dt, 0.0)
-            frozen.append(row)
+                _step_spreads(row, pi0, drift * dt)
+            frozen.append(row.T)
         control = dict(frozen=tuple(frozen), expected=lambda: expected_close_out(
             model, collateral, times, u, nodes))
     return _McRun(
@@ -855,7 +854,6 @@ def _mc_valuation(
     counterparty: CounterpartyProfile,
     bank: CounterpartyProfile,
     method: str,
-    params: SolverParams,
     profile: bool = False,
     extra=(),
 ):
@@ -1150,9 +1148,7 @@ def _valuation(
             instrument, ois, collateral, dyn, n_paths, n_steps, seed, bond_mode,
             n_workers, paths,
         )
-        report, exposure, _ = _mc_valuation(
-            run, counterparty, bank, method, params, profile
-        )
+        report, exposure, _ = _mc_valuation(run, counterparty, bank, method, profile)
         return report, exposure
     if backend != "pde":
         raise ValueError(f"unknown backend {backend!r}")
@@ -1312,7 +1308,7 @@ def compare_aggregations(
     against a default-free bank on a run (or grid) of its own; on "mc" the
     paths are still simulated once, and the full-spread legs ride in a
     first_order sweep of ``_mc_valuation`` on the bank's own run, whose
-    report is discarded.
+    report is discarded (so the sweep forms no control for it).
     """
     collateral = collateral or CollateralSpec.none()
     # run_xva's knobs with their defaults; an unknown keyword is a TypeError
@@ -1336,14 +1332,16 @@ def compare_aggregations(
         run = prepare(False, opt["paths"])
         # the stochastic part of the bank's funding spread rides on pi_B
         full = _spreads(run.paths.times, (bank.basis,), (run.paths.pi_b,))
-        # the full-spread legs ride in the first_order sweep
+        # the full-spread legs ride in the first_order sweep; in bond mode its
+        # report is discarded, so its default legs carry no control
+        swept = replace(run, frozen=None, expected=None) if opt["bond_mode"] else run
         report, _, (fca_path, fba_path) = _mc_valuation(
-            run, counterparty, bank, "first_order", params, extra=[full]
+            swept, counterparty, bank, "first_order", extra=[full]
         )
         if opt["bond_mode"]:
             report, _, _ = _mc_valuation(
                 prepare(True, run.paths), counterparty, CounterpartyProfile.default_free(),
-                "first_order", params,
+                "first_order",
             )
         fca, fba = float(fca_path.mean()), float(fba_path.mean())
     elif opt["backend"] == "pde":

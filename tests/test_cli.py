@@ -222,8 +222,24 @@ class TestCalibrate:
         assert out == ""
         assert "calibration failed" in err
 
+    def test_a_quote_that_is_not_a_bond_exits_2(self, tmp_path, capsys):
+        forward = {"kind": "forward", "strike": 100.0, "expiry": 1.0}
+        cfg = write_config(tmp_path, with_value(CALIBRATE_CFG, ("quotes", 0, "bond"), forward))
+        code, out, err = run_cli(["calibrate", "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert "quotes[0]: quotes must be bonds" in err
+
 
 class TestXva:
+    @pytest.mark.parametrize("name", ["counterparty", "bank"])
+    def test_a_recovery_of_one_on_the_monte_carlo_backend_exits_2(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path, with_value(XVA_MC_CFG, (name, "recovery"), 1.0))
+        code, out, err = run_cli(["xva", "--config", cfg], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"the {name} recovery must be below 1 on the Monte Carlo backend" in err
+
     def test_deterministic_report_round_trips_the_engine(self, tmp_path, capsys):
         cfg = write_config(tmp_path, XVA_DET_CFG)
         code, out, _ = run_cli(["xva", "--config", cfg], capsys)

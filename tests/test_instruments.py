@@ -37,6 +37,11 @@ class TestCashflowSchedule:
         with pytest.raises(ValueError, match="strictly increasing"):
             CashflowSchedule(((2.0, 5.0), (1.0, 5.0)), 100.0)
 
+    @pytest.mark.parametrize("notional", [math.nan, math.inf])
+    def test_rejects_a_non_finite_notional(self, notional):
+        with pytest.raises(ValueError, match="notional is non-finite"):
+            CashflowSchedule(((1.0, 5.0),), notional)
+
     def test_maturity_is_last_pay_time(self):
         sched = CashflowSchedule(((1.0, 5.0), (3.0, 105.0)), 100.0)
         assert sched.maturity == 3.0
@@ -242,6 +247,18 @@ class TestCollateralizedValue:
 
 
 class TestCollateralizedValuation:
+    def test_a_payoff_needs_dynamics(self):
+        with pytest.raises(ValueError, match="european_option valuation requires model dynamics"):
+            make_collateralized_valuation(
+                Instrument.european_option("call", 95.0, 1.0), PiecewiseCurve.flat(0.02))
+
+    def test_deterministic_values_need_a_zero_volatility(self):
+        model = make_collateralized_valuation(
+            Instrument.forward(95.0, 1.0), PiecewiseCurve.flat(0.02),
+            ModelDynamics(s0=100.0, rate=0.02, vol_s=0.3))
+        with pytest.raises(ValueError, match="deterministic values need vol_s = 0"):
+            model.deterministic_values(0.5)
+
     @pytest.mark.parametrize(
         "instrument",
         [Instrument.european_option("call", 95.0, 1.0),
@@ -323,14 +340,26 @@ class TestExpectedCloseOut:
                        for i in (self.CASES[0], self.CASES[3]))
         assert np.array_equal(short, long[:, ::-1])
 
-    @pytest.mark.parametrize("cure", [0.25, 0.1])
-    def test_agrees_with_a_direct_sample(self, cure):
-        # at t = 0.5 over two levels under a threshold, the window ending on
-        # a grid node (0.25) or between nodes (0.1, read at the node before):
-        # 2M draws
-        model, collateral, times, ends, nodes = self._setup(
-            self.CASES[1], "bilateral_threshold", cure)
-        k = 16
+    @pytest.mark.parametrize(
+        "mode, cure",
+        [("bilateral_threshold", 0.25), ("bilateral_threshold", 0.1),
+         ("bilateral_threshold", 0.0), ("none", 0.25), ("constant_offset", 0.25)],
+        ids=["0.25", "0.1", "threshold-0.0", "none-0.25", "offset-0.25"],
+    )
+    def test_agrees_with_a_direct_sample(self, mode, cure):
+        # at t = 0.5: over two levels under a threshold, the window ending on
+        # a grid node (0.25) or between nodes (0.1, read at the node before);
+        # with the collateral at the same level (cure 0) or constant (its
+        # level a point), where a conditional probability is an indicator. A
+        # long put's gap under no collateral is never negative. 2M draws
+        for part, sample in self._sampled(mode, cure):
+            se = sample.std() / math.sqrt(sample.size)
+            assert abs(part - sample.mean()) <= 4 * se and (part > 0) == sample.any()
+
+    def _sampled(self, mode, cure, k=16):
+        """The put's E[(gap_k)^+] and E[(gap_k)^-], each with 2M draws of
+        the part."""
+        model, collateral, times, ends, nodes = self._setup(self.CASES[1], mode, cure)
         expected = expected_close_out(model, collateral, times, ends, nodes)[k]
         dyn, rng = model.dyn, np.random.default_rng(2024)
         growth = dyn.rate - dyn.dividend - 0.5 * dyn.vol_s**2
@@ -339,6 +368,14 @@ class TestExpectedCloseOut:
         at_t = dyn.s0 * np.exp(growth * t + dyn.vol_s * math.sqrt(t) * z[0])
         at_s = at_t * np.exp(growth * (s - t) + dyn.vol_s * math.sqrt(s - t) * z[1])
         gap = model.value(ends[k], at_s) - collateral_amount(collateral, model.value(t, at_t))
-        for part, sample in zip(expected, (np.maximum(gap, 0.0), np.maximum(-gap, 0.0))):
-            se = sample.std() / math.sqrt(sample.size)
-            assert part > 0 and abs(part - sample.mean()) <= 4 * se
+        return zip(expected, (np.maximum(gap, 0.0), np.maximum(-gap, 0.0)))
+
+    @pytest.mark.parametrize("mode", ["none", "perfect", "bilateral_threshold", "constant_offset"])
+    @pytest.mark.parametrize("instrument", CASES, ids=["call", "put", "forward", "short_call"])
+    def test_the_first_row_at_cure_0_is_the_gap_at_s0(self, instrument, mode):
+        # t = s = 0: both levels are the point s0, each probability an indicator
+        model, collateral, times, ends, nodes = self._setup(instrument, mode, 0.0)
+        row = expected_close_out(model, collateral, times, ends, nodes)[0]
+        value = model.value(0.0, np.array([model.dyn.s0]))[0]
+        gap = value - collateral_amount(collateral, value)
+        np.testing.assert_allclose(row, [max(gap, 0.0), max(-gap, 0.0)], rtol=1e-12, atol=0.0)

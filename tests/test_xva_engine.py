@@ -235,6 +235,11 @@ class TestDefaultLegs:
         value, se = dva(paths, np.full(5, 10.0), OIS, recovery_b=0.35)
         assert value == 0.0 and se == 0.0
 
+    def test_paths_where_nothing_defaults_in_time_lose_nothing(self):
+        times = np.linspace(0.0, 2.0, 5)
+        paths = _paths_with_taus(times, tau_c=[np.inf, 2.5, 3.0], tau_b=[np.inf, np.inf, 2.1])
+        assert cva(paths, np.full(5, 10.0), OIS, recovery_c=0.4) == (0.0, 0.0)
+
     def test_cure_period_reads_value_at_the_window_end(self):
         # value grid rises node by node, so the shifted lookup is visible
         times = np.linspace(0.0, 2.0, 5)
@@ -692,7 +697,6 @@ class TestBackwardSweep:
         s0=1.0, pi0_c=0.018, pi0_b=0.013, vol_c=0.008, vol_b=0.006, rho_cb=0.4
     )
     COLLATERAL = CollateralSpec.bilateral_threshold(5.0, cure_period=0.25)
-    PARAMS = SolverParams()
     TOL = 1e-8  # the reference iteration's, relative to the notional
 
     def _paths(self):
@@ -753,7 +757,7 @@ class TestBackwardSweep:
         run = _prepare_mc(
             TWO_SIDED, OIS, self.COLLATERAL, self.DYN, 0, 0, 0, False, paths=paths,
         )
-        report, _, _ = _mc_valuation(run, RISKY_CP, RISKY_BANK, "recursive", self.PARAMS)
+        report, _, _ = _mc_valuation(run, RISKY_CP, RISKY_BANK, "recursive")
         return report, run
 
     def test_sweep_solves_the_global_fixed_point(self, monkeypatch):
@@ -834,7 +838,7 @@ class TestBackwardSweep:
         monkeypatch.setattr(xva_engine, "_funding_trapezoid", recording_sweep)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report, _, _ = _mc_valuation(run, wild_cp, wild_bank, "recursive", SolverParams())
+            report, _, _ = _mc_valuation(run, wild_cp, wild_bank, "recursive")
         monkeypatch.undo()
         last = len(run.paths.times) - 1
         assert sorted(funded) == sorted(fitted) == list(range(last))
@@ -1153,6 +1157,27 @@ class TestDispatchValidation:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             run_xva(ZCB, OIS, RISKY_CP, RISKY_BANK, backend="abacus")
+
+    @pytest.mark.parametrize("name", ["counterparty", "bank"])
+    def test_a_recovery_of_one_is_refused_on_the_monte_carlo_backend(self, name):
+        # a name's intensity is its spread over 1 - R
+        names = {"counterparty": RISKY_CP, "bank": RISKY_BANK}
+        names[name] = replace(names[name], recovery=1.0)
+        dyn = ModelDynamics(s0=100.0, rate=0.02, vol_s=0.3, pi0_c=0.018, pi0_b=0.013)
+        with pytest.raises(ValueError, match=f"the {name} recovery must be below 1"):
+            run_xva(Instrument.european_option("call", 100.0, 1.0), OIS, *names.values(),
+                    backend="mc", dyn=dyn, n_paths=100, n_steps=4)
+
+    def test_compare_aggregations_refuses_an_unknown_backend(self):
+        with pytest.raises(ValueError, match="unknown backend 'abacus'"):
+            compare_aggregations(ZCB, OIS, RISKY_CP, RISKY_BANK, backend="abacus")
+
+    def test_compare_aggregations_on_pde_refuses_a_payoff_that_moves(self):
+        # it values on the deterministic backend alone
+        with pytest.raises(ValueError, match="needs a schedule trade or zero volatility"):
+            compare_aggregations(Instrument.european_option("call", 100.0, 1.0), OIS, RISKY_CP,
+                                 RISKY_BANK, backend="pde",
+                                 dyn=ModelDynamics(s0=100.0, rate=0.02, vol_s=0.3))
 
     def test_simulation_needs_dynamics(self):
         with pytest.raises(ValueError, match="requires model dynamics"):
@@ -1531,9 +1556,7 @@ class TestDenseGrids:
             instrument, OIS, self.COLLATERAL, self.DYN, 0, 0, 0, False, paths=paths,
         )
         swept = _record_sweeps(monkeypatch)
-        report, profile, _ = _mc_valuation(
-            run, RISKY_CP, RISKY_BANK, "first_order", SolverParams(), True
-        )
+        report, profile, _ = _mc_valuation(run, RISKY_CP, RISKY_BANK, "first_order", True)
         (legs,) = swept
         vc_rc, vc_ll, posted_rc, posted_ll = _vc_grids(
             instrument, self.DYN, paths, self.COLLATERAL
@@ -1589,9 +1612,7 @@ class TestDenseGrids:
         run = _prepare_mc(
             TWO_SIDED, OIS, self.COLLATERAL, self.DYN, 0, 0, 0, bond_mode, paths=paths,
         )
-        report, profile, _ = _mc_valuation(
-            run, RISKY_CP, bank, "bond_implied", SolverParams(), True
-        )
+        report, profile, _ = _mc_valuation(run, RISKY_CP, bank, "bond_implied", True)
         assert report.cfva == report.dfva == 0.0
         times = paths.times
         surv = _survival_grid(run.paths, RISKY_CP, bank, bond_implied=True)
@@ -1677,9 +1698,7 @@ class TestDenseGrids:
         run = _prepare_mc(
             self.CALL, OIS, self.COLLATERAL, self.DYN, 0, 0, 0, False, paths=self._paths(),
         )
-        report, _, _ = _mc_valuation(
-            run, RISKY_CP, RISKY_BANK, "first_order", SolverParams()
-        )
+        report, _, _ = _mc_valuation(run, RISKY_CP, RISKY_BANK, "first_order")
         # the sweep values one column (one time) per call; the control's
         # mean (expected_close_out) values many times at once
         assert report.cva > 0 and calls.count(0) == len(run.paths.times)
@@ -1709,7 +1728,7 @@ class TestDenseGrids:
             paths=self._paths(horizon),
         )
         solved = _record_solved_gaps(monkeypatch)
-        report, _, _ = _mc_valuation(run, cp, bank, "recursive", SolverParams())
+        report, _, _ = _mc_valuation(run, cp, bank, "recursive")
         (cf, df), = legs
         times = run.paths.times
         assert 0.5 in times
@@ -1831,9 +1850,7 @@ class TestOneSweep:
             ("bond_implied", (True, 0)),
         ):
             sweeps.clear()
-            _, got, _ = _mc_valuation(
-                run, RISKY_CP, RISKY_BANK, method, SolverParams(), profile
-            )
+            _, got, _ = _mc_valuation(run, RISKY_CP, RISKY_BANK, method, profile)
             legs = 2 * (1 + pairs[1]) + 2  # the default legs' control last
             assert sweeps == [({pairs}, method == "recursive", profile, legs)], method
             assert (got is not None) == profile
@@ -1866,7 +1883,7 @@ class TestOneSweep:
         for method in ("recursive", "first_order", "bond_implied"):
             calls.clear()
             formed.clear()
-            _mc_valuation(run, RISKY_CP, RISKY_BANK, method, SolverParams())
+            _mc_valuation(run, RISKY_CP, RISKY_BANK, method)
             # a call's V^c has no left limit of its own
             assert len(calls) == len(run.paths.times), method
             # each step's rows for the whole grid's survival, then each grid
@@ -1935,9 +1952,7 @@ class TestOneSweep:
             return [xva_engine._spreads(run.paths.times, (bank.basis,), (run.paths.pi_b,))]
 
         run = prepare()
-        _, _, riding = _mc_valuation(
-            run, RISKY_CP, bank, "first_order", SolverParams(), extra=full(run)
-        )
+        _, _, riding = _mc_valuation(run, RISKY_CP, bank, "first_order", extra=full(run))
         run = prepare()
         cds = xva_engine._spreads(
             run.paths.times, (PiecewiseCurve.flat(0.0),) * 2,
@@ -2100,7 +2115,7 @@ class TestIntensityLegs:
             asked.clear()
             broken = replace(run, vc_at=vc_at, n_workers=workers)
             with pytest.raises(ArithmeticError) as raised:
-                _mc_valuation(broken, RISKY_CP, RISKY_BANK, method, self.TIGHT)
+                _mc_valuation(broken, RISKY_CP, RISKY_BANK, method)
             assert raised.value is error
             # the states were asked for latest first, and none after the one that raised
             assert asked == list(range(12, 4, -1))
@@ -2274,6 +2289,44 @@ class TestDefaultLegControl:
         fine, _ = run_xva(self.CALL, OIS, RISKY_CP, RISKY_BANK, collateral, **knobs)
         assert abs(base.cva - fine.cva) < 0.05 * base.se_cva
         assert abs(base.dva - fine.dva) < 0.05 * base.se_dva
+
+    @pytest.mark.parametrize("bond_mode", [False, True])
+    def test_compare_aggregations_forms_the_quadrature_once(self, monkeypatch, bond_mode):
+        # in bond mode the full-spread legs' sweep has its report discarded,
+        # so only the report's own sweep carries the control
+        rule, calls = xva_engine.expected_close_out, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return rule(*args, **kwargs)
+
+        monkeypatch.setattr(xva_engine, "expected_close_out", counting)
+        knobs = dict(dyn=self.DYN, n_paths=2_000, n_steps=16, seed=3)
+        agg = compare_aggregations(self.CALL, OIS, RISKY_CP, RISKY_BANK, self.README,
+                                   bond_mode=bond_mode, **knobs)
+        assert len(calls) == 1
+        report, _ = run_xva(self.CALL, OIS, RISKY_CP, RISKY_BANK, self.README,
+                            method="first_order", bond_mode=bond_mode, **knobs)
+        assert (agg["cva"], agg["dva"], agg["proposed"]) == (report.cva, report.dva,
+                                                             report.fair_value)
+        if bond_mode:  # the full-spread legs price the bank as it is, either way
+            plain = compare_aggregations(self.CALL, OIS, RISKY_CP, RISKY_BANK, self.README,
+                                         **knobs)
+            assert (agg["fca_full"], agg["fba_full"]) == (plain["fca_full"], plain["fba_full"])
+
+    @pytest.mark.parametrize("bond_mode", [False, True])
+    def test_the_noiseless_spreads_are_the_simulation_at_zero_spread_volatility(
+        self, bond_mode
+    ):
+        # drifts that floor the counterparty's spread at 0 within the horizon
+        dyn = replace(self.DYN, vol_c=0.0, vol_b=0.0, drift_c=-0.05, drift_b=0.01)
+        run = _prepare_mc(self.CALL, OIS, self.README, dyn, 3, 16, 3, bond_mode)
+        simulated = simulate_paths(dyn, 1.0, 16, 3, seed=3)
+        assert run.frozen[0][0, -1] == 0.0
+        for frozen, pi, silent in ((run.frozen[0], simulated.pi_c, False),
+                                   (run.frozen[1], simulated.pi_b, bond_mode)):
+            assert frozen.shape == (1, 17)
+            assert np.array_equal(np.broadcast_to(frozen, pi.shape), 0.0 * pi if silent else pi)
 
     @pytest.mark.parametrize("trade", ["schedule", "zero_vol"])
     def test_a_deterministic_gap_carries_no_control(self, monkeypatch, trade):
