@@ -474,28 +474,21 @@ class _PayoffValuation:
 # ---------------------------------------------------------------------------
 # the expected close-out gap of a payoff trade
 # ---------------------------------------------------------------------------
-# Each standard normal variable is integrated over [-_TAIL, _TAIL + sd] (sd the
-# standard deviation of its log-level, so that a value growing like the level
-# stays covered), cut into _PANELS equal panels and at every kink, with
-# `nodes` Gauss-Legendre points on each piece; a level of no spread is a
-# point. Where a value bends on a scale below _SHARP of the variable's
-# (Black's about the strike near expiry, the payoff's kink at it; a
-# conditional probability about its middle when the other variable's spread
-# is the smaller), that point and _GRADES of that scale either side of it
-# are breakpoints too, so that each piece is smooth on its own scale. Each
-# kink, and each node's root of V^c = target, is bracketed on a table of
-# _TABLE equal steps (and those points) and refined by _REFINE steps of
-# regula falsi (Anderson-Bjorck), a root on a logarithmic scale about the
-# target for an option, on which Black's tails are smooth. A conditional
-# normal's root is sought within _BRIDGE of its standard deviations.
+# The collateral's standard normal variable is integrated over [-_TAIL,
+# _TAIL + a] (a the standard deviation of its log-level, so that a value
+# growing like the level stays covered), cut into _PANELS equal panels and at
+# every kink, with `nodes` Gauss-Legendre points on each piece; a level of no
+# spread is a point. Where the gap bends about the strike on a scale below
+# _SHARP of a (Black's value near expiry, the payoff's kink at it), the
+# strike and _GRADES of that scale either side of it are breakpoints too, so
+# that each piece is smooth on its own scale. A root is sought over the same
+# span of its own variable, to _ROOT in the log-level.
 _TAIL = 7.5
-_BRIDGE = 8.0
 _PANELS = 4
 _LEGENDRE = 8
-_SHARP = 0.5
-_GRADES = (3.0, 0.5)
-_TABLE = 24
-_REFINE = 4
+_SHARP = 2.0
+_GRADES = (0.5, 2.0, 6.0)
+_ROOT = 1e-9
 
 
 def expected_close_out(
@@ -509,176 +502,177 @@ def expected_close_out(
     the grid node s_k <= u_k (``window_times``), as ``_PayoffValuation.columns``
     reads it, and S lognormal from s0 as ``simulate_paths`` draws it.
 
-    Written from ``model.value`` and ``collateral_amount`` alone. The gap is
-    G(Y) - c(X): Y the log-level at s_k and G = V^c(u_k, .); X the log-level
-    at the collateral's time, t_k where C follows V^c (perfect or threshold)
-    and else 0 (log s0: a constant C), and c = C(V^c(that time, .)); G and c
-    are monotone the same way. Then
-    E[(G - c)^+] = E[G(Y) P(c(X) < G(Y) | Y)] - E[c(X) P(G(Y) > c(X) | X)],
-    and E[(G - c)^-] likewise: two integrals over one level each. Each
-    conditional probability is normal, from a root of V^c(t_k, .) = the level
-    where C reaches G(Y), and of G = c(X); where the level it is over has no
-    spread given the other (a point, or s_k = t_k), it is an indicator, the
-    sign of the gap at that node. A mirrored trade (V^c and the collateral
-    negated) has the same roots and nodes, so its two parts are these
-    exchanged, bit for bit.
+    Written from Black's formula and ``collateral_amount``. The gap is G(Y) -
+    c(X): X the log-level the collateral reads, at t_k where C follows V^c
+    (perfect or threshold) and else the point log s0 (a constant C), c =
+    C(V^c(that time, e^X)), Y the log-level at s_k and G = V^c(u_k, e^.). One
+    Gauss-Legendre integral over X, split at C's kinks V^c(t_k) = -H, H (and,
+    for a forward, where G(X + drift) = 0, the gap's sign change), takes the
+    inner level in closed form (a compound option, Geske 1979): given X = x,
+    Y is normal (x + drift, b^2) and so is Black's payoff level L = Y + m +
+    w Z (w the width left at u_k), so with y* the root of G = c,
+    E[(G - c)^+ | x] = E[G(Y); G(Y) > c] - c P(G(Y) > c) is disc (F Phi2 -
+    K Phi2) - c Phi, and E[(G - c)^- | x] likewise on the other side of y*.
+    Where w = 0 the correlation of Y and L is 1; where b = 0 the part is
+    (G - c)^± at the node. The long position is valued; a short one's gap is
+    it negated, so its parts are these exchanged, bit for bit.
     """
     # imported here: scipy.special is most of the command line's import time
     from scipy.special import ndtr
 
-    dyn = model.dyn
+    dyn, inst = model.dyn, model.instrument
     vol, growth = dyn.vol_s, dyn.rate - dyn.dividend - 0.5 * dyn.vol_s**2
-    log_s0 = math.log(dyn.s0)
     t, u, s = (np.asarray(x, dtype=float) for x in (times, window_ends, window_times))
     n = len(t)
     if collateral.mode not in ("perfect", "bilateral_threshold"):
         t = np.zeros(n)  # a constant C: X is log s0, the level at time 0
-    h = collateral.threshold if collateral.mode == "bilateral_threshold" else 0.0
-    inst = model.instrument
-    # the way V^c moves with the level: up for a call or forward held long
-    direction = inst.sign * (-1.0 if inst.option_type == "put" else 1.0)
-    log_k = math.log(inst.strike) if inst.kind == "european_option" and inst.strike > 0 else None
-    # below this a target counts as 0 on the logarithmic scale of a root
-    floor = 1e-12 * (abs(float(model.value(np.zeros(1), np.array([dyn.s0]))[0]))
-                     + (inst.strike or 0.0))
+    long = _PayoffValuation(replace(inst, sign=1.0), model.ois, dyn)
+    k = inst.strike
+    # Black's payoff e (e^L - k) where e (L - log k) > 0, e -1 for a put; a
+    # payoff without a strike (a forward, or a strike of 0) has no indicator,
+    # and worth is 0 for a put of strike 0 (its value is 0)
+    e = -1.0 if inst.option_type == "put" else 1.0
+    log_k = math.log(k) if inst.kind == "european_option" and k > 0 else None
+    worth = 0.0 if e < 0 and log_k is None else 1.0
 
-    def grading(mean, sd, left, end):
-        """Breakpoints, in units of sd from mean, about the strike where
-        Black's value bends on a scale below _SHARP sd (width, Black's at the
-        time left to expiry; a quarter of sd at expiry, where the payoff
-        kinks): at it and at _GRADES widths either side; elsewhere at end."""
-        if log_k is None:
-            return []
-        sd = np.where(sd > 0, sd, 1.0)  # a point's breakpoints fall on it
-        width = vol * np.sqrt(np.maximum(left, 0.0))
-        sharp = width < _SHARP * sd
-        scale = np.where(width > 0, np.minimum(width, sd) / sd, 0.25)
-        at = (log_k - mean) / sd
-        return [np.where(sharp, at + side * grade * scale, end)
-                for grade in (0.0, *_GRADES) for side in (-1.0, 1.0)[grade == 0:]]
+    def pieces(when):
+        """The discount, log-carry (r - q)(T - when) and Black's width at when."""
+        left = np.maximum(long.maturity - when, 0.0)
+        return long.discount(when), (dyn.rate - dyn.dividend) * left, vol * np.sqrt(left)
 
-    def table(lo, hi, extra):
-        """_TABLE equal steps over [lo, hi] and the extra points within it,
-        sorted: (points, rows)."""
-        even = lo + (hi - lo) * np.linspace(0.0, 1.0, _TABLE)[:, None]
-        extra = np.clip(np.array(extra, dtype=float).reshape(len(extra), len(lo)), lo, hi)
-        return np.sort(np.concatenate([even, extra]), axis=0)
+    def level(target, lo, hi, disc, lift, w):
+        """``_level`` of the long V^c, with the pieces per element. Where
+        the payoff is linear in F (no strike, or at expiry) it solves V^c +
+        e k disc = target + e k disc, which is e disc F where the payoff is
+        not 0: log-linear, so that a Newton step from there lands on the
+        root."""
+        shift = e * k * disc * ((w <= 0) | (log_k is None))
 
-    # X = mu_t + a xi, Y = mu_s + sd zeta; xi given zeta: rho zeta + rho_c N(0, 1);
-    # Y given X: X + drift + b N(0, 1); a level at time 0 is the point log s0
-    a, sd = vol * np.sqrt(t), vol * np.sqrt(s)
-    mu_t, mu_s = log_s0 + growth * t, log_s0 + growth * s
-    span = np.where(s > 0, s, 1.0)
-    rho, rho_c = np.sqrt(t / span), np.sqrt((span - t) / span)
-    b, drift = vol * np.sqrt(s - t), growth * (s - t)
-    at_t, at_u = model.values_at(t), model.values_at(u)
+        def value(y, at):
+            f = disc[at] * np.exp(y + lift[at])  # the discounted forward
+            if log_k is None:  # worth disc (F - k), shifted
+                return worth * f, worth * f
+            width = w[at]
+            live = width > 0
+            width = np.where(live, width, 1.0)  # any positive width where it is unused
+            d1 = (y + lift[at] - log_k) / width + 0.5 * width
+            itm = e * (y + lift[at] - log_k) > 0  # the payoff's, at expiry
+            n1 = np.where(live, ndtr(e * d1), itm)
+            n2 = np.where(live, ndtr(e * (d1 - width)), itm)
+            return e * (f * n1 - disc[at] * k * n2) + shift[at], e * f * n1
 
-    lo_x, hi_x = np.where(a > 0, -_TAIL, 0.0), np.where(a > 0, _TAIL + a, 0.0)
-    lo_z, hi_z = np.where(sd > 0, -_TAIL, 0.0), np.where(sd > 0, _TAIL + sd, 0.0)
-    grade_x = grading(mu_t, a, model.maturity - t, hi_x)
-    grade_z = grading(mu_s, sd, model.maturity - u, hi_z)
-    # the kinks: V^c(t_k) = -H, H (C's) in xi, G = 0 in zeta (where the
-    # level that C must reach jumps from G - H to G + H); and where each
-    # integral's conditional probability is 1/2 at the conditional mean (an
-    # indicator's step), about which it moves on the scale of the other
-    # variable's spread (rho / rho_c in zeta, rho_c / rho in xi)
-    grid_x = table(lo_x, hi_x, grade_x)
-    grid_z = table(lo_z, hi_z, grade_z)
+        return _level(value, target + shift, lo, hi, e)
 
-    def residuals(z):  # z (..., 5, rows): each kink's residual at its points
-        vt = at_t(np.exp(mu_t + a * z[..., [0, 1, 4], :]))
-        v3 = at_t(np.exp(mu_t + a * rho * z[..., 3, :]))
-        g = at_u(np.exp(mu_s + sd * z[..., 2:4, :]))
-        g4 = at_u(np.exp(mu_t + drift + a * z[..., 4, :]))
-        return np.stack([vt[..., 0, :] + h, vt[..., 1, :] - h, g[..., 0, :],
-                         collateral_amount(collateral, v3) - g[..., 1, :],
-                         g4 - collateral_amount(collateral, vt[..., 2, :])], axis=-2)
+    a, b = vol * np.sqrt(t), vol * np.sqrt(s - t)
+    mu, drift = math.log(dyn.s0) + growth * t, growth * (s - t)
+    lo, hi = np.where(a > 0, -_TAIL, 0.0), np.where(a > 0, _TAIL + a, 0.0)
+    unit = np.where(a > 0, a, 1.0)
+    at_t, at_u = pieces(t), pieces(u)
+    points = []  # in units of a from mu
+    if collateral.mode == "bilateral_threshold":
+        h = collateral.threshold
+        for target in (-h, h):
+            points.append((level(np.full(n, target), mu + a * lo, mu + a * hi, *at_t) - mu) / unit)
+        if log_k is None and worth * k > 0:
+            points.append((math.log(k) - at_u[1] - drift - mu) / unit)
+    if log_k is not None:
+        # Black's value bends about the strike on the scale of the width
+        # over s_k - t_k and from u_k (a quarter of a at expiry, the kink)
+        width = vol * np.sqrt(long.maturity - u + s - t)
+        sharp = width < _SHARP * unit
+        scale = np.where(width > 0, np.minimum(width, unit) / unit, 0.25)
+        at = (log_k - mu) / unit
+        points += [np.where(sharp, at + side * grade * scale, hi)
+                   for grade in (0.0, *_GRADES) for side in (-1.0, 1.0)[grade == 0:]]
+    z, weight, row = _compact(lo, hi, points, nodes)
+    x = mu[row] + a[row] * z
+    v = long.value(t[row], np.exp(x))
+    c = collateral_amount(collateral, v) if inst.sign > 0 else -collateral_amount(collateral, -v)
+    y, b = x + drift[row], b[row]
+    plus, minus = np.empty(len(z)), np.empty(len(z))
+    point = b == 0  # Y is X + drift: the gap at the node
+    g = long.value(u[row[point]], np.exp(y[point]))
+    plus[point], minus[point] = np.maximum(g - c[point], 0.0), np.maximum(c[point] - g, 0.0)
+    spread = ~point
+    y, b, c = y[spread], b[spread], c[spread]
+    disc, lift, w = (p[row[spread]] for p in at_u)
+    d = (y - level(c, y - _TAIL * b, y + (_TAIL + b) * b, disc, lift, w)) / b
+    fwd = disc * np.exp(y + lift + 0.5 * b * b)  # the discounted forward
+    if log_k is None:  # E[G(Y); Y > y*] and E[G(Y); Y < y*]
+        above = worth * (fwd * ndtr(d + b) - disc * k * ndtr(d))
+        below = worth * (fwd * ndtr(-d - b) - disc * k * ndtr(-d))
+    else:
+        both = np.sqrt(b * b + w * w)  # L's standard deviation given X
+        d_l = (y + lift - 0.5 * w * w - log_k) / both
+        r = e * b / both  # e or -e at expiry (w = 0)
+        k_above, k_below = _bivariate_pair(d, e * d_l, r)
+        f_above, f_below = _bivariate_pair(d + b, e * (d_l + both), r)
+        above = e * (fwd * f_above - disc * k * k_above)
+        below = e * (fwd * f_below - disc * k * k_below)
+    # G > c above y* where G rises (e = 1), below it where G falls
+    if e < 0:
+        above, below, d = below, above, -d
+    plus[spread], minus[spread] = above - c * ndtr(d), c * ndtr(-d) - below
+    parts = [np.maximum(np.bincount(row, weights=weight * part, minlength=n), 0.0)
+             for part in (plus, minus)]
+    return np.stack(parts if inst.sign > 0 else parts[::-1], axis=1)
 
-    grid = np.stack([grid_x, grid_x, grid_z, grid_z, grid_x], axis=1)
-    roots, found = _crossing(residuals, grid, residuals(grid))
-    ends = np.stack([hi_x, hi_x, hi_z, hi_z, hi_x])
-    kinks = np.where(found, roots, ends)
-    with np.errstate(divide="ignore"):  # no spread on one side: no middle
-        near = [np.minimum(rho / rho_c, 1.0), np.minimum(rho_c / rho, 1.0)]
-    middle = [[np.where(found[i] & (width < _SHARP), kinks[i] + side * grade * width, ends[i])
-               for grade in _GRADES for side in (-1.0, 1.0)]
-              for i, width in ((3, near[0]), (4, near[1]))]
-    x_e, w_x, row_x = _compact(lo_x, hi_x, [kinks[0], kinks[1], kinks[4], *middle[1], *grade_x],
-                               nodes)
-    z_e, w_z, row_z = _compact(lo_z, hi_z, [kinks[2], kinks[3], *middle[0], *grade_z], nodes)
-    x, y = mu_t[row_x] + a[row_x] * x_e, mu_s[row_z] + sd[row_z] * z_e
-    # each node's row: the zeta nodes' first. Where X given Y (Y given X)
-    # has a spread, a node seeks a root; elsewhere its probability is an indicator
-    m = len(z_e)
-    node_rows = np.concatenate([row_z, n + row_x])
-    has = np.concatenate([(a > 0) & (b > 0), b > 0])
-    seek = has[node_rows]
-    one_z, one_x = ~seek[:m], ~seek[m:]
-    r_z, r_x = row_z[one_z], row_x[one_x]
-    # V^c(t_k) at the xi nodes and G at the zeta nodes, and at those of an
-    # indicator V^c(t_k) at X given zeta and G at Y given xi, in one call
-    levels = [x, y, mu_t[r_z] + (a * rho)[r_z] * z_e[one_z], x[one_x] + drift[r_x]]
-    v = model.value(np.concatenate([t[row_x], u[row_z], t[r_z], u[r_x]]),
-                    np.exp(np.concatenate(levels)))
-    vx, gy, v3, g4 = np.split(v, np.cumsum([len(level) for level in levels[:-1]]))
-    cx = collateral_amount(collateral, vx)
-    # C(V) < G exactly where V < G + H sign(G)
-    target = gy + h * np.sign(gy)
-    # the roots, tabled once per row that has them: xi where V^c(t_k) =
-    # target, over xi given each zeta (rho zeta, within _BRIDGE rho_c); the
-    # log-level where G = c at u_k, over Y given each xi (X + drift, within
-    # _BRIDGE b)
-    lo = np.concatenate([np.minimum(rho * lo_z, rho * hi_z) - _BRIDGE * rho_c,
-                         mu_t + a * lo_x + drift - _BRIDGE * b])[has]
-    hi = np.concatenate([np.maximum(rho * lo_z, rho * hi_z) + _BRIDGE * rho_c,
-                         mu_t + a * hi_x + drift + _BRIDGE * b])[has]
-    grid = table(lo, hi, [np.concatenate([gx, mu_s + sd * gz])[has]
-                          for gx, gz in zip(grade_x, grade_z)])
-    when, base, scale = (np.concatenate(pair)[has]
-                         for pair in ((t, u), (mu_t, np.zeros(n)), (a, np.ones(n))))
-    tab = (np.cumsum(has) - 1)[node_rows[seek]]
-    wanted = np.concatenate([target, cx])[seek]
 
-    def scaled(v):
-        """v - wanted, for an option on a logarithmic scale about |wanted|,
-        on which Black's tails are smooth; a forward is affine in the level."""
-        if log_k is None:
-            return v - wanted
-        unit = np.maximum(np.abs(wanted), floor)
-        return (np.sign(v) * np.log1p(np.abs(v) / unit)
-                - np.sign(wanted) * np.log1p(np.abs(wanted) / unit))
+def _level(value, target, lo, hi, direction):
+    """Per element, the log-level y in [lo, hi] where value(y, at) =
+    target: value gives a V^c (plus any constant that target carries too)
+    and its slope in y at the elements at (an index), rising with y for
+    direction 1 and falling for -1, and log-concave where positive, as
+    Black's value is in the log-level. An element without a root in [lo,
+    hi] gets -inf or inf, the side it lies on. Safeguarded Newton on
+    log(value / target) (``rtsafe``) from the middle: the signs narrow a
+    bracket about the root, and a step that would leave it bisects it
+    instead; until a step, or the bracket, is within _ROOT."""
+    lo, hi = lo.copy(), hi.copy()
+    every = slice(None)
+    low = direction * (value(lo, every)[0] - target) >= 0  # the root is at or below lo
+    high = direction * (value(hi, every)[0] - target) <= 0
+    y = np.where(low, -np.inf, np.where(high, np.inf, 0.5 * (lo + hi)))
+    todo = np.flatnonzero(~low & ~high)
+    while todo.size:
+        v, slope = value(y[todo], todo)
+        short = direction * (v - target[todo]) < 0  # the root lies above
+        lo[todo] = np.where(short, y[todo], lo[todo])
+        hi[todo] = np.where(short, hi[todo], y[todo])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.log(v / target[todo]) * (v / slope)
+        newton = y[todo] - step
+        close = np.abs(step) <= _ROOT  # False for a NaN step
+        kept = close | ((newton >= lo[todo]) & (newton <= hi[todo]))
+        y[todo] = np.where(kept, newton, 0.5 * (lo[todo] + hi[todo]))
+        todo = todo[~(close | (hi[todo] - lo[todo] <= _ROOT))]
+    return y
 
-    at_roots, base_of, scale_of = model.values_at(when[tab]), base[tab], scale[tab]
-    roots, outside = _invert(
-        lambda z: scaled(at_roots(np.exp(base_of + scale_of * z))), grid,
-        model.value(when, np.exp(base + scale * grid)), wanted, tab, direction, scaled)
-    # each node's root in units of its conditional spread, and its side: 0
-    # where there is a root, else the sign of V^c - target (of G - c) over
-    # the whole table or, for an indicator, at its one point (0 at a tie,
-    # which counts half each way)
-    spread = np.concatenate([rho_c[row_z], b[row_x]])[seek]
-    centre = np.concatenate([rho[row_z] * z_e, x + drift[row_x]])[seek]
-    bound = np.zeros(len(seek))
-    bound[seek] = (roots - centre) / spread
-    side = np.empty(len(seek))
-    side[seek] = outside
-    side[~seek] = np.sign(np.concatenate([collateral_amount(collateral, v3) - gy[one_z],
-                                          g4 - cx[one_x]]))
-    # P(V^c(t_k, X) < target | zeta) and P(G(Y) > c | xi), each side apart
-    # so that a mirrored trade's are these exchanged
-    w, eta = bound[:m], bound[m:]
-    p_plus = np.where(side[:m] == 0, ndtr(direction * w), side[:m] < 0)
-    p_minus = np.where(side[:m] == 0, ndtr(-direction * w), side[:m] > 0)
-    q_plus = np.where(side[m:] == 0, ndtr(-direction * eta), side[m:] > 0)
-    q_minus = np.where(side[m:] == 0, ndtr(direction * eta), side[m:] < 0)
 
-    def total(rows, terms):
-        return np.bincount(rows, weights=terms, minlength=n)
+def _bivariate_pair(p, q, r):
+    """Phi2(p, q; r) and Phi2(-p, q; -r), the standard bivariate normal CDF,
+    from the same two values of Owen's T (Owen 1956): Phi2(p, q; r) =
+    (Phi(p) + Phi(q)) / 2 - T(p, a_p) - T(q, a_q) - beta, with T(h, -a) =
+    -T(h, a). At r = 1 or -1 they are the limits Phi(min(p, q)) and
+    max(Phi(p) - Phi(-q), 0), which also give an infinite p's, Phi(q) or 0."""
+    from scipy.special import ndtr, owens_t
 
-    out = np.empty((n, 2))
-    out[:, 0] = np.maximum(total(row_z, w_z * gy * p_plus) - total(row_x, w_x * cx * q_plus), 0.0)
-    out[:, 1] = np.maximum(total(row_x, w_x * cx * q_minus) - total(row_z, w_z * gy * p_minus), 0.0)
-    return out
+    at_p, at_minus_p, at_q = ndtr(p), ndtr(-p), ndtr(q)
+    up = r > 0
+    least = np.minimum(np.where(up, at_p, at_minus_p), at_q)
+    crossed = np.maximum(np.where(up, at_minus_p, at_p) - ndtr(-q), 0.0)
+    first, second = np.where(up, least, crossed), np.where(up, crossed, least)
+    owen = np.isfinite(p) & (r * r < 1.0)
+    p, q, r = p[owen], q[owen], r[owen]
+    root = np.sqrt(1.0 - r * r)
+    with np.errstate(divide="ignore", invalid="ignore"):  # p or q 0: T(0, inf) = 1/4
+        tees = owens_t(p, (q - r * p) / (p * root)) + owens_t(q, (p - r * q) / (q * root))
+    # beta is 1/2 where p and q have opposite signs (a zero's sign from its bit)
+    beta = 0.5 * (np.signbit(p) != np.signbit(q))
+    half = 0.5 * at_q[owen]
+    first[owen] = 0.5 * at_p[owen] + half - tees - beta
+    second[owen] = 0.5 * at_minus_p[owen] + half + tees - (0.5 - beta)
+    return first, second
 
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -721,61 +715,6 @@ def _breaks(lo, hi, points) -> np.ndarray:
     panels and the points, those outside it on its ends."""
     cuts = [lo + (hi - lo) * f for f in np.linspace(0.0, 1.0, _PANELS + 1)]
     return np.sort(np.clip(np.array(cuts + list(points)), lo, hi), axis=0)
-
-
-def _refine(f, a, b, fa, fb, found):
-    """A root of f between a and b (fa, fb of opposite signs, or fb 0) after
-    _REFINE steps of regula falsi, Anderson-Bjorck's: each new point takes b's
-    place; where f changed sign between them b takes a's, else a stays and
-    its value is scaled. -f gives the same points bit for bit, since each
-    step reads only signs and ratios. Where not found, f is not read."""
-    fa, fb = np.where(found, fa, -1.0), np.where(found, fb, 1.0)
-    for _ in range(_REFINE):
-        x = b - fb * ((b - a) / (fb - fa))
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            fx = np.where(found, f(x), 0.0)
-        flip = np.sign(fx) != np.sign(fb)
-        m = 1.0 - fx / np.where(fb != 0, fb, 1.0)
-        a, fa = np.where(flip, b, a), np.where(flip, fb, np.where(m > 0, m, 0.5) * fa)
-        b, fb = x, fx
-    return b
-
-
-def _crossing(f, grid, values):
-    """Per column of values ((points, ...), f at grid's points along axis 0):
-    the first interval whose ends have opposite signs, refined (``_refine``),
-    and whether there is one. f maps points (...) to values."""
-    signs = np.sign(values)
-    change = signs[:-1] * signs[1:] < 0
-    found = change.any(axis=0)
-    first = np.argmax(change, axis=0)[None]
-    ends = [np.take_along_axis(x, first + i, 0)[0] for x in (grid, values) for i in (0, 1)]
-    return _refine(f, *ends, found), found
-
-
-def _invert(f, grid, table, wanted, tables, direction, scaled):
-    """Where a monotone V^c reaches each wanted value ((m,), grouped by
-    table): V^c is tabled per column of table ((points, columns)) at the
-    points grid, and tables ((m,), ascending) names each wanted value's
-    column; direction is +1 where V^c rises along the grid, -1 where it
-    falls. Returns the root of f = scaled(V^c at points), bracketed on the
-    table and refined (``_refine``), and the side, 0 where there is a root,
-    else the sign of V^c - wanted on the whole table. Negating V^c, wanted
-    and direction gives the same roots."""
-    order = direction * table
-    key = direction * wanted
-    starts = np.searchsorted(tables, np.arange(table.shape[1] + 1))
-    below = np.empty(len(wanted), dtype=int)
-    for j in range(table.shape[1]):
-        below[starts[j]:starts[j + 1]] = np.searchsorted(order[:, j], key[starts[j]:starts[j + 1]])
-    points = len(table)
-    found = (below > 0) & (below < points)
-    lo = np.clip(below - 1, 0, points - 2)
-    a, b = grid[lo, tables], grid[lo + 1, tables]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        fa, fb = scaled(table[lo, tables]), scaled(table[lo + 1, tables])
-    side = np.where(found, 0.0, np.where(below == 0, direction, -direction))
-    return _refine(f, a, b, fa, fb, found), side
 
 
 def make_collateralized_valuation(

@@ -30,8 +30,9 @@ latest first, in closed form, and nothing iterates.
   BSDE schemes of Gobet, Lemor and Warin), and the slice is solved from the
   fit. For a payoff trade on a moving underlying the CVA and DVA legs carry
   a control variate, their twin at the noiseless spreads, whose mean is a
-  quadrature (``instruments.expected_close_out``); the report reads each
-  leg less beta (control - mean).
+  quadrature over the collateral's level with the window's level in closed
+  form (``instruments.expected_close_out``); the report reads each leg
+  less beta (control - mean).
 * Deterministic: when V^c is a deterministic function of time (cash-flow
   schedules, or zero-volatility dynamics) the equation collapses to a scalar
   Volterra integral equation on a dense grid, solved exactly in one

@@ -283,8 +283,9 @@ class TestCollateralizedValuation:
 
 class TestExpectedCloseOut:
     """``expected_close_out``: E[(gap_k)^±] of a payoff trade's close-out
-    gap under the lognormal law of S, by Gauss-Legendre pieces split at the
-    kinks."""
+    gap under the lognormal law of S, by Gauss-Legendre pieces over the
+    collateral's level, split at its kinks, with the window's level given it
+    in closed form (bivariate normal CDFs from Owen's T)."""
 
     @staticmethod
     def _setup(instrument, mode, cure, steps=32):
@@ -307,59 +308,64 @@ class TestExpectedCloseOut:
         Instrument.european_option("put", 95.0, 1.0),
         Instrument.forward(100.0, 1.0),
         Instrument.european_option("call", 100.0, 1.0).negated(),
+        Instrument.european_option("call", 0.0, 1.0),  # no strike: log k = -inf
     ]
+    IDS = ["call", "put", "forward", "short_call", "zero_strike_call"]
 
     @pytest.mark.parametrize("cure", [0.0, 0.25, 0.1])
     @pytest.mark.parametrize("mode", ["none", "perfect", "bilateral_threshold", "constant_offset"])
-    @pytest.mark.parametrize("instrument", CASES, ids=["call", "put", "forward", "short_call"])
+    @pytest.mark.parametrize("instrument", CASES, ids=IDS)
     def test_four_times_the_nodes_move_it_by_little(self, instrument, mode, cure):
-        args = self._setup(instrument, mode, cure)
-        self._assert_converged(args, two_levels=mode in ("perfect", "bilateral_threshold") and cure > 0)
+        self._assert_converged(self._setup(instrument, mode, cure))
 
     @pytest.mark.parametrize("cure", [0.25, 0.1])
     @pytest.mark.parametrize("mode", ["perfect", "bilateral_threshold"])
-    @pytest.mark.parametrize("instrument", CASES, ids=["call", "put", "forward", "short_call"])
+    @pytest.mark.parametrize("instrument", CASES, ids=IDS)
     def test_four_times_the_nodes_move_it_by_little_on_64_steps(self, instrument, mode, cure):
-        self._assert_converged(self._setup(instrument, mode, cure, steps=64), two_levels=True)
+        self._assert_converged(self._setup(instrument, mode, cure, steps=64))
 
     @staticmethod
-    def _assert_converged(args, two_levels):
+    def _assert_converged(args):
         base = expected_close_out(*args)
         fine = expected_close_out(*args, nodes=4 * _LEGENDRE)
         assert np.all(base >= 0.0) and np.all(np.isfinite(base))
         scale = fine.sum(axis=1)
         moved = np.abs(base - fine).max(axis=1) / np.where(scale > 0, scale, 1.0)
-        # relative to E+ + E-; measured at most 1.2e-5 over one level and
-        # 6.3e-5 over two (the collateral follows V^c across a cure window)
-        assert moved.max() <= (1e-4 if two_levels else 2e-5)
+        # relative to E+ + E-; measured at most 3.5e-8
+        assert moved.max() <= 1e-7
 
     @pytest.mark.parametrize("mode", ["none", "perfect", "bilateral_threshold"])
     @pytest.mark.parametrize("cure", [0.0, 0.25, 0.1])
     def test_a_short_position_exchanges_the_parts_bit_for_bit(self, mode, cure):
-        long, short = (expected_close_out(*self._setup(i, mode, cure))
-                       for i in (self.CASES[0], self.CASES[3]))
-        assert np.array_equal(short, long[:, ::-1])
+        for instrument in self.CASES[:3]:
+            long, short = (expected_close_out(*self._setup(i, mode, cure))
+                           for i in (instrument, instrument.negated()))
+            assert np.array_equal(short, long[:, ::-1])
 
     @pytest.mark.parametrize(
-        "mode, cure",
-        [("bilateral_threshold", 0.25), ("bilateral_threshold", 0.1),
-         ("bilateral_threshold", 0.0), ("none", 0.25), ("constant_offset", 0.25)],
-        ids=["0.25", "0.1", "threshold-0.0", "none-0.25", "offset-0.25"],
+        "instrument, mode, cure, k",
+        [(1, "bilateral_threshold", 0.25, 16), (1, "bilateral_threshold", 0.1, 16),
+         (1, "bilateral_threshold", 0.0, 16), (1, "none", 0.25, 16),
+         (1, "constant_offset", 0.25, 16), (0, "bilateral_threshold", 0.25, 16),
+         (2, "bilateral_threshold", 0.25, 16), (0, "bilateral_threshold", 0.25, 28)],
+        ids=["0.25", "0.1", "threshold-0.0", "none-0.25", "offset-0.25", "call-0.25",
+             "forward-0.25", "call-expiry"],
     )
-    def test_agrees_with_a_direct_sample(self, mode, cure):
-        # at t = 0.5: over two levels under a threshold, the window ending on
-        # a grid node (0.25) or between nodes (0.1, read at the node before);
-        # with the collateral at the same level (cure 0) or constant (its
-        # level a point), where a conditional probability is an indicator. A
-        # long put's gap under no collateral is never negative. 2M draws
-        for part, sample in self._sampled(mode, cure):
+    def test_agrees_with_a_direct_sample(self, instrument, mode, cure, k):
+        # the put at t = 0.5: under a threshold, the window ending on a grid
+        # node (0.25) or between nodes (0.1, read at the node before); with
+        # the collateral at the same level (cure 0: the gap at the node) or
+        # constant (its level a point). A long put's gap under no collateral
+        # is never negative. The call and the forward under the threshold at
+        # 0.25, and the call at t = 0.875, whose window ends at expiry (Y
+        # fixes the payoff: a correlation of 1). 2M draws
+        for part, sample in self._sampled(self.CASES[instrument], mode, cure, k):
             se = sample.std() / math.sqrt(sample.size)
             assert abs(part - sample.mean()) <= 4 * se and (part > 0) == sample.any()
 
-    def _sampled(self, mode, cure, k=16):
-        """The put's E[(gap_k)^+] and E[(gap_k)^-], each with 2M draws of
-        the part."""
-        model, collateral, times, ends, nodes = self._setup(self.CASES[1], mode, cure)
+    def _sampled(self, instrument, mode, cure, k):
+        """E[(gap_k)^+] and E[(gap_k)^-], each with 2M draws of the part."""
+        model, collateral, times, ends, nodes = self._setup(instrument, mode, cure)
         expected = expected_close_out(model, collateral, times, ends, nodes)[k]
         dyn, rng = model.dyn, np.random.default_rng(2024)
         growth = dyn.rate - dyn.dividend - 0.5 * dyn.vol_s**2
@@ -370,8 +376,17 @@ class TestExpectedCloseOut:
         gap = model.value(ends[k], at_s) - collateral_amount(collateral, model.value(t, at_t))
         return zip(expected, (np.maximum(gap, 0.0), np.maximum(-gap, 0.0)))
 
+    @pytest.mark.parametrize("mode", ["bilateral_threshold", "constant_offset"])
+    def test_a_put_of_strike_0_leaves_the_collateral_alone(self, mode):
+        # V^c is 0 at every level, so the gap is -C: 0 under the threshold
+        # and -3 under the offset
+        put = Instrument.european_option("put", 0.0, 1.0)
+        model, collateral, times, ends, nodes = self._setup(put, mode, 0.25)
+        parts = expected_close_out(model, collateral, times, ends, nodes)
+        np.testing.assert_array_equal(parts, np.tile([0.0, collateral.offset], (len(times), 1)))
+
     @pytest.mark.parametrize("mode", ["none", "perfect", "bilateral_threshold", "constant_offset"])
-    @pytest.mark.parametrize("instrument", CASES, ids=["call", "put", "forward", "short_call"])
+    @pytest.mark.parametrize("instrument", CASES, ids=IDS)
     def test_the_first_row_at_cure_0_is_the_gap_at_s0(self, instrument, mode):
         # t = s = 0: both levels are the point s0, each probability an indicator
         model, collateral, times, ends, nodes = self._setup(instrument, mode, 0.0)

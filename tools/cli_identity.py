@@ -17,7 +17,10 @@ configs where it moved and its largest absolute change (``-`` where a value
 is not a number on both sides or the CSVs' rows or columns differ). A
 stdout key with an ``se_<key>`` partner on OLD_SRC (a Monte Carlo leg or
 fair value) also gets its largest change in units of that standard error,
-so that a move can be told from noise. Exit code 0 when every config is
+over the configs that have the partner, so that a move can be told from
+noise. Where that standard error is 0 or rounding noise, below 1e-12 of
+the value (a leg that its control makes exact), the change is given
+relative to the value instead. Exit code 0 when every config is
 identical, 1 otherwise.
 
 The matrix:
@@ -351,22 +354,25 @@ def _number(value):
         return None
 
 
-def _in_standard_errors(change, se):
-    """change in units of the standard error se, or None where either is
-    not a number."""
-    if change is None or se is None:
+def _against_noise(change, value, se):
+    """A change of value, whose standard error was se, as (unit, size):
+    ("se", change / se), or ("relative", change / |value|) where se is 0 or
+    rounding noise below 1e-12 |value|; None where any is not a number."""
+    if None in (change, value, se):
         return None
-    if se == 0.0:
-        return 0.0 if change == 0.0 else math.inf
-    return change / se
+    if se > 1e-12 * abs(value):
+        return "se", change / se
+    if change == 0.0:
+        return "relative", 0.0
+    return "relative", change / abs(value) if value else math.inf
 
 
 def _changes(old: dict, new: dict):
-    """(label, absolute change or None, change in standard errors or None)
-    of each value that differs between two configs' outputs: a stdout JSON
-    key, or an exposure CSV column over its rows; None where a value is not
-    a number on both sides, or for the standard errors where the old stdout
-    has no ``se_`` partner of the key."""
+    """(label, absolute change or None, (unit, size) or None) of each value
+    that differs between two configs' outputs: a stdout JSON key, or an
+    exposure CSV column over its rows; None where a value is not a number
+    on both sides, or for the (unit, size) (``_against_noise``) where the
+    old stdout has no ``se_`` partner of the key."""
     try:
         old_json, new_json = json.loads(old["stdout"]), json.loads(new["stdout"])
     except ValueError:
@@ -378,7 +384,7 @@ def _changes(old: dict, new: dict):
                 x, y = _number(a), _number(b)
                 change = None if x is None or y is None else abs(y - x)
                 se = _number(old_json.get(f"se_{key}"))
-                yield f"stdout {key}", change, _in_standard_errors(change, se)
+                yield f"stdout {key}", change, _against_noise(change, x, se)
     elif old["stdout"] != new["stdout"]:
         yield "stdout", None, None
     if old["csv"] == new["csv"]:
@@ -412,8 +418,8 @@ def main(argv: list[str]) -> int:
     old, new = _run_side(argv[1]), _run_side(argv[2])
     identical = 0
     exits = {}
-    # label -> (configs where it moved, largest absolute change, largest
-    # change in standard errors or None)
+    # label -> (configs where it moved, largest absolute change, {unit:
+    # largest change in it} over the configs with a standard error)
     moved = {}
     for name, _, _ in matrix():
         a, b = old[name], new[name]
@@ -431,18 +437,21 @@ def main(argv: list[str]) -> int:
                 print("".join(f"  - {line}\n" for line in was)
                       + "".join(f"  + {line}\n" for line in now), end="")
         identical += same
-        for label, change, in_se in _changes(a, b):
-            count, largest, largest_se = moved.get(label, (0, 0.0, in_se))
+        for label, change, measure in _changes(a, b):
+            count, largest, sizes = moved.get(label, (0, 0.0, {}))
+            if measure is not None:
+                unit, size = measure
+                sizes = {**sizes, unit: max(sizes.get(unit, 0.0), size)}
             moved[label] = (
-                count + 1,
-                None if None in (change, largest) else max(largest, change),
-                None if None in (in_se, largest_se) else max(largest_se, in_se),
+                count + 1, None if None in (change, largest) else max(largest, change), sizes,
             )
     if moved:
-        print("moved (configs, largest absolute change[, largest in standard errors]):")
-    for label, (count, largest, largest_se) in sorted(moved.items()):
-        se = "" if largest_se is None else f", {largest_se:.3g} se"
-        print(f"  {label}: {count}, {'-' if largest is None else f'{largest:.3g}'}{se}")
+        print("moved (configs, largest absolute change[, largest in standard errors]"
+              "[, largest relative where the standard error is 0 or rounding noise],"
+              " the last two over the configs with a standard error):")
+    for label, (count, largest, sizes) in sorted(moved.items()):
+        noise = "".join(f", {size:.3g} {unit}" for unit, size in sorted(sizes.items(), reverse=True))
+        print(f"  {label}: {count}, {'-' if largest is None else f'{largest:.3g}'}{noise}")
     csvs = sum(old[name]["csv"] is not None for name in old)
     print(f"{identical} of {len(old)} configs identical ({csvs} exposure CSVs; "
           f"exit codes on OLD_SRC: {dict(sorted(exits.items()))})")
